@@ -21,14 +21,110 @@ module Obs = Core.Obs
 module A = Core.Check.Adapters
 module H = Core.Obs.Histogram
 
-(* Every timing is process CPU time (user + system). The benchmark is
-   single-threaded and closed-loop and waits only inside fsync, so this is
-   wall time minus the disk wait and minus the time the host takes the CPU
-   away; on a shared VM that preemption alone moved wall-clock tails by
-   16-31% between runs of the same code. *)
+(* Timings are process CPU time (user + system): the benchmark is
+   single-threaded and closed-loop, so this is wall time minus the time the
+   host takes the CPU away, which on a shared VM moved wall-clock tails by
+   16-31% between runs of the same code. The journal's commits and undos
+   also wait on fsync; their samples add the store's own fsync clock (the
+   sum of its wal_fsync histogram over the call), so the disk wait counts
+   and the host's preemption still does not. *)
 let now () =
   let t = Unix.times () in
   t.Unix.tms_utime +. t.Unix.tms_stime
+
+let wall = Core.Obs.now_s
+
+(* ---- host speed -------------------------------------------------------------
+
+   A shared host's speed drifts between runs (the same code ran twice as
+   slow for an hour at a time), and CPU time cannot see a slower core. So
+   the benchmark times a fixed reference probe in the same process, every
+   [probe_period] seconds of the stream and before and after every set-up,
+   and scales every end-to-end timing by [probe_ref_ms] over the run's
+   median probe time: "reference ms" are the ms a sample would have taken
+   on a host where the probe takes exactly [probe_ref_ms]. One scale per
+   run, not per sample: a single probe is too noisy to correct a single
+   sample, but the median of a run's probes tracks the host. The probe uses
+   the standard library only — a breadth-first walk over a fixed
+   20,000-node graph of hash-table adjacency lists, the same kind of
+   pointer chasing as the default graph backend — so no change to the
+   program can change it, and the walk allocates nothing, so the program's
+   heap cannot slow it. *)
+
+let probe_nodes = 20_000
+let probe_walk_nodes = 4_000
+let probe_period = 0.25
+let probe_reps = 7
+let probe_ref_ms = 1.0
+
+let probe_graph =
+  let r = Random.State.make [| 7 |] in
+  let t = Hashtbl.create probe_nodes in
+  for u = 0 to probe_nodes - 1 do
+    Hashtbl.replace t u (List.init 5 (fun _ -> Random.State.int r probe_nodes))
+  done;
+  t
+
+let probe_stamp = Array.make probe_nodes 0
+let probe_queue = Array.make probe_nodes 0
+let probe_gen = ref 0
+
+(* One walk of [probe_walk_nodes] nodes from a start node that moves on every call, so
+   that successive walks touch different memory. *)
+let probe_walk () =
+  incr probe_gen;
+  let gen = !probe_gen in
+  let start = gen * 7919 mod probe_nodes in
+  probe_stamp.(start) <- gen;
+  probe_queue.(0) <- start;
+  let rec visit tail = function
+    | [] -> tail
+    | v :: rest ->
+        if probe_stamp.(v) = gen then visit tail rest
+        else begin
+          probe_stamp.(v) <- gen;
+          probe_queue.(tail) <- v;
+          visit (tail + 1) rest
+        end
+  in
+  let rec walk head tail =
+    if head < tail && head < probe_walk_nodes then
+      walk (head + 1) (visit tail (Hashtbl.find probe_graph probe_queue.(head)))
+  in
+  walk 0 1
+
+(* Probe times in ms, in the order taken. *)
+let probes = ref [||]
+let n_probes = ref 0
+let next_probe = ref 0.0
+
+let probe () =
+  let reps =
+    List.init probe_reps (fun _ ->
+        let t0 = now () in
+        probe_walk ();
+        now () -. t0)
+  in
+  let ms = 1e3 *. List.nth (List.sort Float.compare reps) (probe_reps / 2) in
+  if !n_probes = Array.length !probes then begin
+    let a = Array.make (max 64 (2 * !n_probes)) 0.0 in
+    Array.blit !probes 0 a 0 !n_probes;
+    probes := a
+  end;
+  !probes.(!n_probes) <- ms;
+  incr n_probes;
+  next_probe := wall () +. probe_period
+
+(* A traced run probes only around its set-ups: a probe count that
+   depends on the clock would make its allocation, and so its exact GC
+   counts, vary from run to run. *)
+let periodic_probes = ref true
+let probe_if_due () = if !periodic_probes && wall () >= !next_probe then probe ()
+
+let probe_ms () =
+  let a = Array.sub !probes 0 !n_probes in
+  Array.sort Float.compare a;
+  a.(!n_probes / 2)
 
 (* ---- command line --------------------------------------------------------- *)
 
@@ -117,36 +213,25 @@ let timed name f =
         raise e
   end
 
-(* Self times per span name (duration minus the time its children
-   cover), the number of children not inside their parent, and how far
-   the sum of all self times is from the total of the root spans: the
-   layer split must add up to the total. *)
+(* Self times per span name (duration minus the time its children cover),
+   and the sorted names of each span's children. *)
 let self_times spans =
-  let child = Hashtbl.create 1024 in
-  let by_id = Hashtbl.create 1024 in
-  let bad = ref 0 in
-  List.iter (fun s -> Hashtbl.replace by_id s.id s) spans;
+  let cover = Hashtbl.create 1024 and kids = Hashtbl.create 1024 in
+  let find tbl k d = Option.value ~default:d (Hashtbl.find_opt tbl k) in
   List.iter
     (fun s ->
       if s.parent >= 0 then begin
-        let p = Hashtbl.find by_id s.parent in
-        if s.t0 < p.t0 || s.t1 > p.t1 then incr bad;
-        let c = Option.value ~default:0.0 (Hashtbl.find_opt child s.parent) in
-        Hashtbl.replace child s.parent (c +. (s.t1 -. s.t0))
+        Hashtbl.replace cover s.parent (find cover s.parent 0.0 +. (s.t1 -. s.t0));
+        Hashtbl.replace kids s.parent (s.name :: find kids s.parent [])
       end)
     spans;
   let self = Hashtbl.create 64 in
-  let total_self = ref 0.0 and total_root = ref 0.0 in
   List.iter
     (fun s ->
-      let d = s.t1 -. s.t0 in
-      let own = d -. Option.value ~default:0.0 (Hashtbl.find_opt child s.id) in
-      total_self := !total_self +. own;
-      if s.parent < 0 then total_root := !total_root +. d;
-      let l = Option.value ~default:[] (Hashtbl.find_opt self s.name) in
-      Hashtbl.replace self s.name (own :: l))
+      let own = s.t1 -. s.t0 -. find cover s.id 0.0 in
+      Hashtbl.replace self s.name (own :: find self s.name []))
     spans;
-  (self, !bad, Float.abs (!total_self -. !total_root))
+  (self, fun id -> List.sort compare (find kids id []))
 
 let write_spans path spans =
   Out_channel.with_open_text path (fun oc ->
@@ -191,6 +276,11 @@ let push s x =
   s.xs <- x :: s.xs;
   s.n <- s.n + 1
 
+(* The samples in reference units (see "host speed"). *)
+let scaled s =
+  let k = probe_ref_ms /. probe_ms () in
+  List.map (fun x -> x *. k) s.xs
+
 (* The series named [k] in a table of series, created on first use. *)
 let series_in tbl k =
   match Hashtbl.find_opt tbl k with
@@ -202,22 +292,24 @@ let series_in tbl k =
 
 (* Steady-stream check: the two halves of a series must have medians that
    agree within the series' own spread (its interquartile range, or 5% of
-   its median when the spread is tighter). *)
-let drift name s =
-  if s.n >= 20 then begin
-    let xs = List.rev s.xs in
-    let half = s.n / 2 in
-    let first = List.filteri (fun i _ -> i < half) xs in
-    let second = List.filteri (fun i _ -> i >= half) xs in
-    let m1 = median first and m2 = median second in
-    let spread =
-      Float.max (quantile xs 0.75 -. quantile xs 0.25) (0.05 *. median xs)
-    in
-    let ok = Float.abs (m1 -. m2) <= spread in
-    Printf.printf "steady %-22s first-half p50 %.4f ms, second-half p50 %.4f ms: %s\n"
-      name (m1 *. 1e3) (m2 *. 1e3)
-      (if ok then "ok" else "DRIFT")
-  end
+   its median when the spread is tighter). False (a drifting stream)
+   counts as a failed op. *)
+let steady name s =
+  s.n < 20
+  ||
+  let xs = List.rev (scaled s) in
+  let half = s.n / 2 in
+  let first = List.filteri (fun i _ -> i < half) xs in
+  let second = List.filteri (fun i _ -> i >= half) xs in
+  let m1 = median first and m2 = median second in
+  let spread =
+    Float.max (quantile xs 0.75 -. quantile xs 0.25) (0.05 *. median xs)
+  in
+  let ok = Float.abs (m1 -. m2) <= spread in
+  Printf.printf "steady %-22s first-half p50 %.4f ms, second-half p50 %.4f ms: %s\n"
+    name (m1 *. 1e3) (m2 *. 1e3)
+    (if ok then "ok" else "DRIFT");
+  ok
 
 (* ---- deterministic randomness ------------------------------------------- *)
 
@@ -416,12 +508,12 @@ let rerun q g =
   in
   (dt, canon ())
 
-(* Queries are drawn from the base graph: of twelve candidates, the one
+(* Queries are drawn from the base graph: of [draws] candidates, the one
    with the largest answer within [cap]. A trivial answer leaves the engine
    no work to measure; an unbounded one would swamp the round. *)
-let pick what ~cap make =
+let pick ?(draws = 12) what ~cap make =
   let best = ref None in
-  for i = 0 to 11 do
+  for i = 0 to draws - 1 do
     match make (rng ~seed:graph_seed (what, i)) with
     | Some (q, n) when n > 0 && n <= cap -> (
         match !best with
@@ -449,19 +541,17 @@ let rec pick_query g = function
       (* Sim stands over the ISO pattern. *)
       match pick_query g "iso" with Iso p -> Sim p | q -> q)
   | "iso" -> (
-      (* Dense, small-diameter patterns as in the paper's query sets,
-         relaxed when the graph cannot supply one. *)
-      let draw ~dense r =
-        match W.Queries.iso ~rng:r g ~nodes:4 ~edges:6 with
-        | Some p
-          when (not dense)
-               || Core.Iso.Pattern.n_edges p >= 4
-                  && Core.Iso.Pattern.diameter p <= 3 ->
-            Some (Iso p, List.length (Core.Iso.Vf2.find_all g p))
-        | _ -> None
-      in
-      try pick "iso" ~cap:2_000 (draw ~dense:true)
-      with Failure _ -> pick "iso" ~cap:2_000 (draw ~dense:false))
+      (* Dense, small-diameter patterns as in the paper's query sets. Most
+         sampled 4-node patterns are trees of three edges, so ISO draws
+         eight times as many candidates; a graph that yields no dense one
+         fails the run. *)
+      pick ~draws:96 "iso" ~cap:2_000 (fun r ->
+          match W.Queries.iso ~rng:r g ~nodes:4 ~edges:6 with
+          | Some p
+            when Core.Iso.Pattern.n_edges p >= 4
+                 && Core.Iso.Pattern.diameter p <= 3 ->
+              Some (Iso p, List.length (Core.Iso.Vf2.find_all g p))
+          | _ -> None))
   | c -> invalid_arg c
 
 (* ---- workloads -------------------------------------------------------------- *)
@@ -508,7 +598,7 @@ let workloads =
       queries = [ "iso"; "sim" ];
       batch = (fun m -> m / 400);
       durable = false;
-      setups = 10;
+      setups = 16;
       window = 20;
     };
     {
@@ -518,7 +608,7 @@ let workloads =
       queries = [ "rpq" ];
       batch = (fun _ -> 64);
       durable = true;
-      setups = 16;
+      setups = 24;
       window = 30;
     };
   ]
@@ -648,8 +738,19 @@ let main args =
   let load_t = series () and setup_t = series () in
   let init_t = Hashtbl.create 8 in
   (* per class *)
+  (* The store's registry: the session's in a traced run, and in an
+     untraced one a registry of its own, so that its fsync clock can be
+     read while the sessions stay on Obs.noop. Its probes cost a few µs
+     against a commit of tens of ms. *)
+  let store_obs = ref Obs.noop in
+  let fsync_s () =
+    match Obs.histogram !store_obs Obs.K.wal_fsync_latency with
+    | Some h -> H.sum h
+    | None -> 0.0
+  in
   let setup_once ~dir =
     rm_rf dir;
+    probe ();
     let svc, dt =
       timed "setup" (fun () ->
           let g, dl = timed "io.load" (fun () -> Core.Io.load path) in
@@ -671,10 +772,11 @@ let main args =
           let store =
             if wl.durable then
               let s = List.hd sessions in
+              store_obs := if args.trace then s.obs else Obs.create ();
               Some
                 (fst
                    (timed "store.init" (fun () ->
-                        J.Store.init ~obs:s.obs ~dir ~header
+                        J.Store.init ~obs:!store_obs ~dir ~header
                           ~client:(client_of s ~on_apply)
                           ())))
             else None
@@ -682,6 +784,7 @@ let main args =
           { sessions; store })
     in
     push setup_t dt;
+    probe ();
     svc
   in
   (* Half the set-ups run before the stream and the rest after it, so that
@@ -708,15 +811,29 @@ let main args =
     end
     else ([], None)
   in
-  (* The plain twins' exact allocation over the window. *)
+  (* The plain twins' exact allocation and GC collections over the window,
+     counted around their update calls only. *)
   let words = Hashtbl.create 8 and units = ref 0 in
+  let minor_gcs = ref 0 and major_gcs = ref 0 in
+  let count_gcs f =
+    if !batch_id > wl.window then f ()
+    else begin
+      let g0 = Gc.quick_stat () in
+      let r = f () in
+      let g1 = Gc.quick_stat () in
+      minor_gcs := !minor_gcs + g1.Gc.minor_collections - g0.Gc.minor_collections;
+      major_gcs := !major_gcs + g1.Gc.major_collections - g0.Gc.major_collections;
+      r
+    end
+  in
   let feed_twins b =
     List.iter
       (fun s ->
         let (n, w), dt =
-          let t0 = now () in
-          let r = count_words (fun () -> s.update b) in
-          (r, now () -. t0)
+          count_gcs (fun () ->
+              let t0 = now () in
+              let r = count_words (fun () -> s.update b) in
+              (r, now () -. t0))
         in
         ignore (Sys.opaque_identity n);
         if !batch_id <= wl.window then
@@ -727,12 +844,19 @@ let main args =
   in
   let follow_twins ops =
     let ups = J.Log.updates_of_ops ops in
-    List.iter (fun s -> ignore (s.update ups)) twins;
+    List.iter (fun s -> ignore (count_gcs (fun () -> s.update ups))) twins;
     Option.iter (fun g -> D.apply_batch g ups) replica
   in
   let effective = ref 0 in
-  let gc0 = ref (Gc.quick_stat ()) and gc1 = ref (Gc.quick_stat ()) in
+  (* Engine counters over the window, less what undos added: the
+     per-batch figures are per committed batch. *)
   let counters_at_window = Hashtbl.create 8 in
+  let undo_counters = ref [] in
+  let less_undos l =
+    List.map
+      (fun (k, v) -> (k, v - Option.value ~default:0 (List.assoc_opt k !undo_counters)))
+      l
+  in
   let snapshot_bytes = ref 0 and journal_ops = ref 0 in
   let journal_bytes_per_op = ref 0.0 in
   let rec_total = series () and rec_plan = series () and rec_parse = series () in
@@ -788,13 +912,18 @@ let main args =
   let commits = ref 0 in
   let first_snapshot = ref true in
   let window_done () =
-    gc1 := Gc.quick_stat ();
     List.iter
-      (fun s -> Hashtbl.replace counters_at_window (cls s.q) (Obs.counters s.obs))
+      (fun s ->
+        Hashtbl.replace counters_at_window (cls s.q) (less_undos (Obs.counters s.obs)))
       svc.sessions
   in
-  gc0 := Gc.quick_stat ();
+  (* The commit span's duration, and the same call on an outer clock read
+     outside the span machinery: the layer split must account for it. *)
+  let commit_outer = ref 0.0 in
+  periodic_probes := not args.trace;
+  probe ();
   while !batch_id < max wl.window min_rounds || Obs.now_s () < !deadline do
+    probe_if_due ();
     incr batch_id;
     let b = next_batch st in
     let nb = List.length b in
@@ -827,9 +956,12 @@ let main args =
           push eff_ops
             (snd (timed "journal.effective_ops" (fun () ->
                       J.Log.effective_ops s.graph b)));
+        let c0 = now () and f0 = fsync_s () in
         (match timed "store.do_batch" (fun () -> J.Store.do_batch store b) with
-        | Some bt, dt ->
-            push round dt;
+        | Some bt, _ ->
+            let c1 = now () in
+            push round (c1 -. c0 +. fsync_s () -. f0);
+            commit_outer := !commit_outer +. (c1 -. c0);
             effective := !effective + List.length bt.J.Record.ops;
             journal_ops := !journal_ops + List.length bt.J.Record.ops;
             push
@@ -845,9 +977,16 @@ let main args =
         if !commits mod undo_every = 0 then begin
           incr attempted;
           let k = 1 + (!commits / undo_every mod 3) in
+          let before = Obs.counters s.obs and c0 = now () and f0 = fsync_s () in
           match timed "store.undo" (fun () -> J.Store.undo store ~k) with
-          | Ok ub, dt ->
-              push undos dt;
+          | Ok ub, _ ->
+              push undos (now () -. c0 +. fsync_s () -. f0);
+              if !batch_id <= wl.window then
+                undo_counters :=
+                  List.map
+                    (fun (k, d) ->
+                      (k, d + Option.value ~default:0 (List.assoc_opt k !undo_counters)))
+                    (Obs.diff_counters ~prev:before ~cur:(Obs.counters s.obs));
               journal_ops := !journal_ops + List.length ub.J.Record.ops;
               List.iter (follow st) ub.J.Record.ops;
               follow_twins ub.J.Record.ops
@@ -885,6 +1024,7 @@ let main args =
       live_words := (Gc.stat ()).Gc.live_words
     end
   done;
+  probe ();
   let stream_s = Obs.now_s () -. start_t in
   let setup_dir = Filename.concat args.work "store-setup" in
   for _ = ((wl.setups + 1) / 2) + 1 to wl.setups do
@@ -939,17 +1079,22 @@ let main args =
     | Some n -> Printf.printf "  %-30s %14.6f %-6s (n=%d)\n" name v unit n
     | None -> Printf.printf "  %-30s %14.6f %s\n" name v unit
   in
-  let busy = sum round.xs in
+  let probe_ms = probe_ms () in
   if not args.trace then begin
-    print_endline "end-to-end:";
-    metric "update_p50_ms" "ms" ~n:round.n (ms (median round.xs));
-    metric "update_p90_ms" "ms" ~n:round.n (ms (p90 round.xs));
+    let rounds = scaled round in
+    print_endline "end-to-end (reference ms, see README.md):";
+    metric "update_p50_ms" "ms" ~n:round.n (ms (median rounds));
+    metric "update_p90_ms" "ms" ~n:round.n (ms (p90 rounds));
     metric "edge_updates_per_s" "1/s" ~n:round.n
-      (float_of_int !effective /. busy);
-    metric "setup_s" "s" ~n:setup_t.n (median setup_t.xs);
+      (float_of_int !effective /. sum rounds);
+    metric "setup_s" "s" ~n:setup_t.n (median (scaled setup_t));
     metric "live_heap_mb" "MB"
       (float_of_int (!live_words * (Sys.word_size / 8)) /. 1048576.0);
-    print_endline "per class (informational):";
+    print_endline "as measured, before scaling (informational):";
+    Printf.printf "  host probe p50 %.4f ms (n=%d)\n" probe_ms !n_probes;
+    Printf.printf "  update p50 %.4f ms, p90 %.4f ms (n=%d)\n"
+      (ms (median round.xs)) (ms (p90 round.xs)) round.n;
+    Printf.printf "  setup p50 %.4f s (n=%d)\n" (median setup_t.xs) setup_t.n;
     List.iter
       (fun c ->
         match Hashtbl.find_opt per_cls c with
@@ -958,22 +1103,46 @@ let main args =
               (ms (median s.xs)) (ms (p90 s.xs)) s.n
         | None -> ())
       classes;
-    drift "update" round;
+    let series = ("update", round) :: List.filter_map
+        (fun c -> Option.map (fun s -> (c ^ ".update", s)) (Hashtbl.find_opt per_cls c))
+        classes
+    in
     List.iter
-      (fun c -> Option.iter (drift (c ^ ".update")) (Hashtbl.find_opt per_cls c))
-      classes
+      (fun (name, s) ->
+        incr attempted;
+        if not (steady name s) then fail_op "steady" (name ^ " drifted"))
+      series
   end
   else begin
     let all = List.rev !spans in
-    let self_of, outside, residual = self_times all in
+    let self_of, kids = self_times all in
     let self name = Option.value ~default:[] (Hashtbl.find_opt self_of name) in
-    let roots =
-      sum (List.filter_map (fun s -> if s.parent < 0 then Some (s.t1 -. s.t0) else None) all)
+    let named n = List.filter (fun (s : span) -> s.name = n) all in
+    let dur s = s.t1 -. s.t0 in
+    (* Layer splits. A round is its sessions' updates, one each, and
+       nothing else: its unattributed self time must stay under 5% of the
+       rounds' total. A commit is the client's apply, exactly once, plus
+       the journal's own work, and the commit spans must account for the
+       same calls timed on an outer clock to within 1%. *)
+    let rounds = named "round" and commits = named "store.do_batch" in
+    let updates = List.sort compare (List.map (fun q -> cls q ^ ".update") queries) in
+    let round_total = sum (List.map dur rounds) and round_self = sum (self "round") in
+    let commit_total = sum (List.map dur commits) in
+    let misshapen =
+      List.length (List.filter (fun s -> kids s.id <> updates) rounds)
+      + List.length (List.filter (fun s -> kids s.id <> [ "client.apply" ]) commits)
     in
-    Printf.printf "spans %d, children outside parent %d, split residual %.3g s of %.3f s\n"
-      (List.length all) outside residual roots;
-    if outside > 0 || residual > 1e-6 *. Float.max 1.0 roots then
-      fail_op "trace" "layer split does not add up";
+    Printf.printf
+      "spans %d; rounds %d, unattributed %.4f of %.4f s; commits %d, %.4f s \
+       against %.4f s outer; misshapen %d\n"
+      (List.length all) (List.length rounds) round_self round_total
+      (List.length commits) commit_total !commit_outer misshapen;
+    incr attempted;
+    if misshapen > 0
+       || round_self > 0.05 *. round_total
+       || commit_total > !commit_outer +. 1e-6
+       || commit_total < 0.99 *. !commit_outer
+    then fail_op "trace" "layer split does not add up";
     print_endline "per-layer:";
     let window = float_of_int (min wl.window batches) in
     let sum_traced = ref 0.0 and sum_plain = ref 0.0 in
@@ -1010,10 +1179,8 @@ let main args =
     let live_graph = (List.hd svc.sessions).graph in
     let standalone name f = ms (median (List.init 5 (fun _ -> snd (timed name f)))) in
     metric "graph.copy_ms" "ms" (standalone "graph.copy" (fun () -> D.copy live_graph));
-    metric "gc.minor_collections" "count"
-      (float_of_int (!gc1.Gc.minor_collections - !gc0.Gc.minor_collections));
-    metric "gc.major_collections" "count"
-      (float_of_int (!gc1.Gc.major_collections - !gc0.Gc.major_collections));
+    metric "gc.minor_collections" "count" (float_of_int !minor_gcs);
+    metric "gc.major_collections" "count" (float_of_int !major_gcs);
     (* Journal layer: zero on the workloads that never call lib/journal. *)
     let store_obs = if wl.durable then (List.hd svc.sessions).obs else Obs.noop in
     let hist_p50 k =
@@ -1041,6 +1208,7 @@ let main args =
     metric "recover.rebuild_ms" "ms" (ms (median rec_rebuild.xs));
     metric "recover.replay_ms" "ms" (ms (median rec_replay.xs));
     metric "recover.replayed_ops" "count" (float_of_int !replayed_ops);
+    metric "host.probe_ms" "ms" ~n:!n_probes probe_ms;
     metric "obs.overhead_pct" "%"
       (if !sum_plain > 0.0 then 100.0 *. ((!sum_traced /. !sum_plain) -. 1.0)
        else 0.0);
