@@ -36,18 +36,17 @@ let wall = Core.Obs.now_s
 
 (* ---- host speed -------------------------------------------------------------
 
-   A shared host's speed drifts between runs (the same code ran twice as
-   slow for an hour at a time), and CPU time cannot see a slower core. So
-   the benchmark times a fixed reference probe in the same process, every
-   [probe_period] seconds of the stream and before and after every set-up,
-   and scales every end-to-end timing by the square root of [probe_ref_ms]
-   over the run's median probe time: "reference ms" are the ms a sample
-   would have taken on a host where the probe takes exactly
-   [probe_ref_ms]. The square root because the program's times move less
-   than the probe's: across 39 runs of three workloads, the median round
-   time went with the 0.42-0.67th power of the probe time. One scale per
-   run, not per sample: a single probe is too noisy to correct a single
-   sample, but the median of a run's probes tracks the host. The probe uses
+   A shared host's speed drifts, within a run and between runs (the same
+   code ran twice as slow for an hour at a time), and CPU time cannot see
+   a slower core. So the benchmark times a fixed reference probe in the
+   same process, every [probe_period] seconds of the stream and before and
+   after every set-up, and scales every end-to-end sample by [probe_ref_ms]
+   over the median of the probes taken within [probe_window] seconds of
+   it: "reference ms" are the ms the sample would have taken on a host
+   where the probe takes exactly [probe_ref_ms]. A single probe is too
+   noisy to correct a single sample; the median of the eight or so around
+   it follows the host's changes of speed, which last seconds to hours.
+   The probe uses
    the standard library only — a breadth-first walk over a fixed
    20,000-node graph of hash-table adjacency lists, the same kind of
    pointer chasing as the default graph backend — so no change to the
@@ -57,6 +56,7 @@ let wall = Core.Obs.now_s
 let probe_nodes = 20_000
 let probe_walk_nodes = 4_000
 let probe_period = 0.25
+let probe_window = 1.0
 let probe_reps = 7
 let probe_ref_ms = 1.0
 
@@ -96,8 +96,10 @@ let probe_walk () =
   in
   walk 0 1
 
-(* Probe times in ms, in the order taken. *)
+(* Probe times in ms and the wall-clock times they were taken at, in the
+   order taken. *)
 let probes = ref [||]
+let probe_at = ref [||]
 let n_probes = ref 0
 let next_probe = ref 0.0
 
@@ -109,12 +111,17 @@ let probe () =
         now () -. t0)
   in
   let ms = 1e3 *. List.nth (List.sort Float.compare reps) (probe_reps / 2) in
-  if !n_probes = Array.length !probes then begin
-    let a = Array.make (max 64 (2 * !n_probes)) 0.0 in
-    Array.blit !probes 0 a 0 !n_probes;
-    probes := a
-  end;
+  let grow a =
+    if !n_probes = Array.length !a then begin
+      let b = Array.make (max 64 (2 * !n_probes)) 0.0 in
+      Array.blit !a 0 b 0 !n_probes;
+      a := b
+    end
+  in
+  grow probes;
+  grow probe_at;
   !probes.(!n_probes) <- ms;
+  !probe_at.(!n_probes) <- wall ();
   incr n_probes;
   next_probe := wall () +. probe_period
 
@@ -124,10 +131,24 @@ let probe () =
 let periodic_probes = ref true
 let probe_if_due () = if !periodic_probes && wall () >= !next_probe then probe ()
 
-let probe_ms () =
-  let a = Array.sub !probes 0 !n_probes in
+let median_of a =
+  let a = Array.copy a in
   Array.sort Float.compare a;
-  a.(!n_probes / 2)
+  a.(Array.length a / 2)
+
+let probe_ms () = median_of (Array.sub !probes 0 !n_probes)
+
+(* The scale of a sample taken at wall-clock time [t]: the reference time
+   over the median probe within [probe_window] of [t], or over the run's
+   median probe if none is that close. *)
+let scale_at t =
+  let near = ref [] in
+  for i = 0 to !n_probes - 1 do
+    if Float.abs (!probe_at.(i) -. t) <= probe_window then
+      near := !probes.(i) :: !near
+  done;
+  probe_ref_ms
+  /. (if !near = [] then probe_ms () else median_of (Array.of_list !near))
 
 (* ---- command line --------------------------------------------------------- *)
 
@@ -270,19 +291,19 @@ let median l = quantile l 0.5
 let p90 l = if List.length l >= 100 then quantile l 0.9 else 0.0
 let sum l = List.fold_left ( +. ) 0.0 l
 
-(* Samples accumulate in reverse order of arrival. *)
-type series = { mutable xs : float list; mutable n : int }
+(* Samples accumulate in reverse order of arrival, each with the
+   wall-clock time of its midpoint. *)
+type series = { mutable xs : float list; mutable ts : float list; mutable n : int }
 
-let series () = { xs = []; n = 0 }
+let series () = { xs = []; ts = []; n = 0 }
 
 let push s x =
   s.xs <- x :: s.xs;
+  s.ts <- (wall () -. (x /. 2.0)) :: s.ts;
   s.n <- s.n + 1
 
 (* The samples in reference units (see "host speed"). *)
-let scaled s =
-  let k = Float.sqrt (probe_ref_ms /. probe_ms ()) in
-  List.map (fun x -> x *. k) s.xs
+let scaled s = List.map2 (fun x t -> x *. scale_at t) s.xs s.ts
 
 (* The series named [k] in a table of series, created on first use. *)
 let series_in tbl k =
