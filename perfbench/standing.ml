@@ -34,122 +34,6 @@ let now () =
 
 let wall = Core.Obs.now_s
 
-(* ---- host speed -------------------------------------------------------------
-
-   A shared host's speed drifts, within a run and between runs (the same
-   code ran twice as slow for an hour at a time), and CPU time cannot see
-   a slower core. So the benchmark times a fixed reference probe in the
-   same process, every [probe_period] seconds of the stream and before and
-   after every set-up, and scales every end-to-end sample by [probe_ref_ms]
-   over the median of the probes taken within [probe_window] seconds of
-   it: "reference ms" are the ms the sample would have taken on a host
-   where the probe takes exactly [probe_ref_ms]. A single probe is too
-   noisy to correct a single sample; the median of the eight or so around
-   it follows the host's changes of speed, which last seconds to hours.
-   The probe uses
-   the standard library only — a breadth-first walk over a fixed
-   20,000-node graph of hash-table adjacency lists, the same kind of
-   pointer chasing as the default graph backend — so no change to the
-   program can change it, and the walk allocates nothing, so the program's
-   heap cannot slow it. *)
-
-let probe_nodes = 20_000
-let probe_walk_nodes = 4_000
-let probe_period = 0.25
-let probe_window = 1.0
-let probe_reps = 7
-let probe_ref_ms = 1.0
-
-let probe_graph =
-  let r = Random.State.make [| 7 |] in
-  let t = Hashtbl.create probe_nodes in
-  for u = 0 to probe_nodes - 1 do
-    Hashtbl.replace t u (List.init 5 (fun _ -> Random.State.int r probe_nodes))
-  done;
-  t
-
-let probe_stamp = Array.make probe_nodes 0
-let probe_queue = Array.make probe_nodes 0
-let probe_gen = ref 0
-
-(* One walk of [probe_walk_nodes] nodes from a start node that moves on
-   every call, so that successive walks touch different memory. *)
-let probe_walk () =
-  incr probe_gen;
-  let gen = !probe_gen in
-  let start = gen * 7919 mod probe_nodes in
-  probe_stamp.(start) <- gen;
-  probe_queue.(0) <- start;
-  let rec visit tail = function
-    | [] -> tail
-    | v :: rest ->
-        if probe_stamp.(v) = gen then visit tail rest
-        else begin
-          probe_stamp.(v) <- gen;
-          probe_queue.(tail) <- v;
-          visit (tail + 1) rest
-        end
-  in
-  let rec walk head tail =
-    if head < tail && head < probe_walk_nodes then
-      walk (head + 1) (visit tail (Hashtbl.find probe_graph probe_queue.(head)))
-  in
-  walk 0 1
-
-(* Probe times in ms and the wall-clock times they were taken at, in the
-   order taken. *)
-let probes = ref [||]
-let probe_at = ref [||]
-let n_probes = ref 0
-let next_probe = ref 0.0
-
-let probe () =
-  let reps =
-    List.init probe_reps (fun _ ->
-        let t0 = now () in
-        probe_walk ();
-        now () -. t0)
-  in
-  let ms = 1e3 *. List.nth (List.sort Float.compare reps) (probe_reps / 2) in
-  let grow a =
-    if !n_probes = Array.length !a then begin
-      let b = Array.make (max 64 (2 * !n_probes)) 0.0 in
-      Array.blit !a 0 b 0 !n_probes;
-      a := b
-    end
-  in
-  grow probes;
-  grow probe_at;
-  !probes.(!n_probes) <- ms;
-  !probe_at.(!n_probes) <- wall ();
-  incr n_probes;
-  next_probe := wall () +. probe_period
-
-(* A traced run probes only around its set-ups: a probe count that
-   depends on the clock would make its allocation, and so its exact GC
-   counts, vary from run to run. *)
-let periodic_probes = ref true
-let probe_if_due () = if !periodic_probes && wall () >= !next_probe then probe ()
-
-let median_of a =
-  let a = Array.copy a in
-  Array.sort Float.compare a;
-  a.(Array.length a / 2)
-
-let probe_ms () = median_of (Array.sub !probes 0 !n_probes)
-
-(* The scale of a sample taken at wall-clock time [t]: the reference time
-   over the median probe within [probe_window] of [t], or over the run's
-   median probe if none is that close. *)
-let scale_at t =
-  let near = ref [] in
-  for i = 0 to !n_probes - 1 do
-    if Float.abs (!probe_at.(i) -. t) <= probe_window then
-      near := !probes.(i) :: !near
-  done;
-  probe_ref_ms
-  /. (if !near = [] then probe_ms () else median_of (Array.of_list !near))
-
 (* ---- command line --------------------------------------------------------- *)
 
 type args = {
@@ -290,6 +174,115 @@ let median l = quantile l 0.5
 (* p90 only where at least ten samples lie beyond it. *)
 let p90 l = if List.length l >= 100 then quantile l 0.9 else 0.0
 let sum l = List.fold_left ( +. ) 0.0 l
+
+(* ---- host speed -------------------------------------------------------------
+
+   A shared host's speed drifts, within a run and between runs (the same
+   code ran twice as slow for an hour at a time), and CPU time cannot see
+   a slower core. So the benchmark times a fixed reference probe in the
+   same process, every [probe_period] seconds of the stream and before and
+   after every set-up, and scales every end-to-end sample by [probe_ref_ms]
+   over the median of the probes taken within [probe_window] seconds of
+   it: "reference ms" are the ms the sample would have taken on a host
+   where the probe takes exactly [probe_ref_ms]. A single probe is too
+   noisy to correct a single sample; the median of the eight or so around
+   it follows the host's changes of speed, which last seconds to hours.
+   The probe uses the standard library only — a breadth-first walk over a
+   fixed 20,000-node graph of hash-table adjacency lists, the same kind of
+   pointer chasing as the default graph backend — so no change to the
+   program can change it, and the walk allocates nothing, so the
+   program's heap cannot slow it. *)
+
+let probe_nodes = 20_000
+let probe_walk_nodes = 4_000
+let probe_period = 0.25
+let probe_window = 1.0
+let probe_reps = 7
+let probe_ref_ms = 1.0
+
+let probe_graph =
+  let r = Random.State.make [| 7 |] in
+  let t = Hashtbl.create probe_nodes in
+  for u = 0 to probe_nodes - 1 do
+    Hashtbl.replace t u (List.init 5 (fun _ -> Random.State.int r probe_nodes))
+  done;
+  t
+
+let probe_stamp = Array.make probe_nodes 0
+let probe_queue = Array.make probe_nodes 0
+let probe_gen = ref 0
+
+(* One walk of [probe_walk_nodes] nodes from a start node that moves on
+   every call, so that successive walks touch different memory. *)
+let probe_walk () =
+  incr probe_gen;
+  let gen = !probe_gen in
+  let start = gen * 7919 mod probe_nodes in
+  probe_stamp.(start) <- gen;
+  probe_queue.(0) <- start;
+  let rec visit tail = function
+    | [] -> tail
+    | v :: rest ->
+        if probe_stamp.(v) = gen then visit tail rest
+        else begin
+          probe_stamp.(v) <- gen;
+          probe_queue.(tail) <- v;
+          visit (tail + 1) rest
+        end
+  in
+  let rec walk head tail =
+    if head < tail && head < probe_walk_nodes then
+      walk (head + 1) (visit tail (Hashtbl.find probe_graph probe_queue.(head)))
+  in
+  walk 0 1
+
+(* Probe times in ms and the wall-clock times they were taken at, in the
+   order taken. *)
+let probes = ref [||]
+let probe_at = ref [||]
+let n_probes = ref 0
+let next_probe = ref 0.0
+
+let probe () =
+  let reps =
+    List.init probe_reps (fun _ ->
+        let t0 = now () in
+        probe_walk ();
+        now () -. t0)
+  in
+  let ms = 1e3 *. median reps in
+  let grow a =
+    if !n_probes = Array.length !a then begin
+      let b = Array.make (max 64 (2 * !n_probes)) 0.0 in
+      Array.blit !a 0 b 0 !n_probes;
+      a := b
+    end
+  in
+  grow probes;
+  grow probe_at;
+  !probes.(!n_probes) <- ms;
+  !probe_at.(!n_probes) <- wall ();
+  incr n_probes;
+  next_probe := wall () +. probe_period
+
+(* A traced run probes only around its set-ups: a probe count that
+   depends on the clock would make its allocation, and so its exact GC
+   counts, vary from run to run. *)
+let periodic_probes = ref true
+let probe_if_due () = if !periodic_probes && wall () >= !next_probe then probe ()
+
+let probe_ms () = median (Array.to_list (Array.sub !probes 0 !n_probes))
+
+(* The scale of a sample taken at wall-clock time [t]: the reference time
+   over the median probe within [probe_window] of [t], or over the run's
+   median probe if none is that close. *)
+let scale_at t =
+  let near = ref [] in
+  for i = 0 to !n_probes - 1 do
+    if Float.abs (!probe_at.(i) -. t) <= probe_window then
+      near := !probes.(i) :: !near
+  done;
+  probe_ref_ms /. (if !near = [] then probe_ms () else median !near)
 
 (* Samples accumulate in reverse order of arrival, each with the
    wall-clock time of its midpoint. *)
