@@ -21,7 +21,7 @@
                      across scales, see EXPERIMENTS.md)
      --backend B     graph backend, hashtbl (default) or csr; recorded in
                      the report config — compare two runs with
-                     `incgraph compare` to gate one backend against the
+                     bench/compare.exe to gate one backend against the
                      other (same graphs, same series names)
      --reps N        repetitions averaged per point (default 1)
      --seed N        RNG seed (default 2017)

@@ -7,7 +7,6 @@
                 (with an optional flight recorder + SLO tracker armed)
      top        ASCII dashboard over a stream --metrics-out directory
      fuzz       differential soak: incremental engines vs batch oracles
-     bench      incremental vs batch on one query, with cost counters
      stats      cost-accounting snapshot of one incremental session
      trace      dump a Chrome trace-event file of one traced session
      explain    per-update AFF provenance with the paper-rule histogram
@@ -16,6 +15,9 @@
      replay     crash-recover a journaled session (newest snapshot + tail)
      snapshot   write a certificate snapshot at the current tip
      undo       roll back the last N update batches (compensating append)
+
+   Incremental-vs-batch timing reports and their regression comparison
+   are bench/main.exe and bench/compare.exe.
 
    Examples:
      incgraph generate -p dbpedia -s 0.1 -o kg.txt
@@ -26,7 +28,6 @@
      incgraph stream -g kg.txt --metrics-out m --slo slo.cfg scc
      incgraph top m
      incgraph fuzz --algo scc --steps 5000 --seed 2017
-     incgraph bench -g kg.txt --size 500 --json scc
      incgraph stats -g kg.txt --json kws -b 2 actor award
      incgraph trace -g kg.txt --batches 2 -o TRACE_scc.json scc
      incgraph explain --gadget 4
@@ -51,6 +52,24 @@ let graph_arg =
 let seed_arg =
   let doc = "Random seed." in
   Arg.(value & opt int 2017 & info [ "seed" ] ~doc ~docv:"N")
+
+(* Numeric flags whose zero or negative values the library rejects by
+   assertion are checked here instead, as usage errors. *)
+let checked_conv what ok of_string pp =
+  let parse s =
+    match of_string s with
+    | Some x when ok x -> Ok x
+    | _ -> Error (`Msg (Printf.sprintf "%S is not a %s" s what))
+  in
+  Arg.conv (parse, pp)
+
+let pos_int =
+  checked_conv "positive integer" (fun n -> n > 0) int_of_string_opt
+    Format.pp_print_int
+
+let nonneg_float =
+  checked_conv "non-negative number" (fun x -> x >= 0.) float_of_string_opt
+    Format.pp_print_float
 
 let backend_conv =
   let parse s =
@@ -150,41 +169,8 @@ let generate_cmd =
 
 (* ---- query class arguments ------------------------------------------------ *)
 
-type qspec =
-  | Qkws of Core.Kws.Batch.query
-  | Qrpq of Core.Regex.t
-  | Qscc
-  | Qiso of string list * (int * int) list
-  | Qsim of string list * (int * int) list
-
-let qspec_of ~cls ~bound ~args =
-  match (cls, args) with
-  | "scc", [] -> Ok Qscc
-  | "scc", _ -> Error "scc takes no query arguments"
-  | "kws", (_ :: _ as kws) -> Ok (Qkws { Core.Kws.Batch.keywords = kws; bound })
-  | "kws", [] -> Error "kws needs keyword arguments"
-  | "rpq", [ expr ] -> (
-      match Core.Regex.parse expr with
-      | Ok q -> Ok (Qrpq q)
-      | Error e -> Error ("bad regex: " ^ e))
-  | "rpq", _ -> Error "rpq needs exactly one regex argument"
-  | (("iso" | "sim") as which), (_ :: _ as spec) ->
-      (* labels then edges: l1 l2 l3 0-1 1-2 2-0 *)
-      let labels, edges =
-        List.partition (fun s -> not (String.contains s '-')) spec
-      in
-      let parse_edge s =
-        match String.split_on_char '-' s with
-        | [ a; b ] -> (int_of_string a, int_of_string b)
-        | _ -> failwith "bad edge"
-      in
-      (try
-         let es = List.map parse_edge edges in
-         Ok (if which = "iso" then Qiso (labels, es) else Qsim (labels, es))
-       with _ -> Error (which ^ " edges look like 0-1 1-2"))
-  | "iso", [] -> Error "iso needs labels and edges"
-  | "sim", [] -> Error "sim needs labels and edges"
-  | c, _ -> Error (Printf.sprintf "unknown query class %S" c)
+module Spec = Core.Check.Spec
+module Oracle = Core.Check.Oracle
 
 let cls_arg =
   Arg.(
@@ -199,122 +185,73 @@ let qargs_arg =
 let bound_arg =
   Arg.(value & opt int 2 & info [ "b"; "bound" ] ~doc:"KWS hop bound." ~docv:"B")
 
+(* A malformed query is a usage error. *)
+let spec_of ~cls ~bound ~args =
+  match Spec.of_args ~cls ~bound ~args with
+  | Ok spec -> `Ok spec
+  | Error e -> `Error (false, e)
+
+let spec_arg =
+  Term.(
+    ret
+      (const (fun cls bound args -> spec_of ~cls ~bound ~args)
+      $ cls_arg $ bound_arg $ qargs_arg))
+
 (* ---- query ----------------------------------------------------------------- *)
 
-let run_query g = function
-  | Qkws q ->
-      let roots, t = time (fun () -> Core.Kws.Batch.run g q) in
-      Format.printf "KWS: %d match roots in %.3fs@." (List.length roots) t
-  | Qrpq q ->
-      let pairs, t = time (fun () -> Core.Rpq.Batch.run_query g q) in
-      Format.printf "RPQ: %d match pairs in %.3fs@." (List.length pairs) t
-  | Qscc ->
-      let comps, t = time (fun () -> Core.Scc.Tarjan.scc g) in
-      let giant = List.fold_left (fun a c -> max a (List.length c)) 0 comps in
-      Format.printf "SCC: %d components (largest %d) in %.3fs@."
-        (List.length comps) giant t
-  | Qiso (labels, edges) ->
-      let p = Core.Iso.Pattern.create ~labels ~edges in
-      let ms, t = time (fun () -> Core.Iso.Vf2.find_all g p) in
-      Format.printf "ISO: %d matches in %.3fs@." (List.length ms) t
-  | Qsim (labels, edges) ->
-      let p = Core.Iso.Pattern.create ~labels ~edges in
-      let ps, t =
-        time (fun () -> Core.Sim.Batch.pairs (Core.Sim.Batch.run p g))
-      in
-      Format.printf "SIM: %d relation pairs in %.3fs@." (List.length ps) t
-
 let query_cmd =
-  let run path backend cls bound args =
-    match qspec_of ~cls ~bound ~args with
-    | Error e -> `Error (false, e)
-    | Ok spec ->
-        run_query (load ~backend path) spec;
-        `Ok ()
+  let run path backend spec =
+    let g = load ~backend path in
+    let line, t = time (fun () -> Spec.run_batch g spec) in
+    Format.printf "%s in %.3fs@." line t
   in
   Cmd.v
     (Cmd.info "query" ~doc:"Answer one query with the batch algorithm.")
-    Term.(
-      ret (const run $ graph_arg $ backend_arg $ cls_arg $ bound_arg $ qargs_arg))
+    Term.(const run $ graph_arg $ backend_arg $ spec_arg)
+
+(* ---- the session loop ------------------------------------------------------ *)
+
+module Obs = Core.Obs
+module Tracer = Obs.Tracer
+module Trace_export = Obs.Trace_export
+
+(* The one loop behind stream, stats, trace and explain: build the query's
+   engine over a copy of [g], then draw [batches] seeded random batches of
+   [size] unit updates against [g], apply each to [g] (keeping the
+   generator in sync) and hand it to [step], which applies it to the
+   engine. Returns the engine. *)
+let drive ?obs ?trace ?ratio g spec ~seed ~batches ~size step =
+  let inst = Spec.make ?obs ?trace g spec in
+  let rng = Random.State.make [| seed |] in
+  for round = 1 to batches do
+    let ups = Core.Workload.Updates.generate ~rng g ~size ?ratio () in
+    Core.Digraph.apply_batch g ups;
+    step inst round ups
+  done;
+  inst
+
+let batches_arg =
+  Arg.(
+    value & opt int 5
+    & info [ "batches" ] ~doc:"Update batches to apply." ~docv:"N")
+
+let size_arg =
+  Arg.(
+    value & opt int 100
+    & info [ "size" ] ~doc:"Unit updates per batch." ~docv:"N")
+
+let json_flag =
+  Arg.(
+    value & flag
+    & info [ "json" ] ~doc:"Emit machine-readable json instead of text.")
 
 (* ---- stream / top ---------------------------------------------------------- *)
 
-module Obs = Core.Obs
-
-(* Build an obs/trace-carrying incremental engine over a copy of [g],
-   keeping the per-batch ΔO summary and final answer description the
-   live monitor prints. *)
-let stream_session ?(trace = Obs.Tracer.noop) g spec =
-  let o = Obs.create () in
-  let copy = Core.Digraph.copy g in
-  let sess update describe = (o, update, describe) in
-  match spec with
-  | Qkws q ->
-      let s = Core.Kws.Inc.init ~obs:o ~trace copy q in
-      sess
-        (fun ups ->
-          let d = Core.Kws.Inc.apply_batch s ups in
-          Printf.sprintf "roots +%d/-%d"
-            (List.length d.Core.Kws.Inc.added)
-            (List.length d.Core.Kws.Inc.removed))
-        (fun () ->
-          Printf.sprintf "%d roots"
-            (List.length (Core.Kws.Inc.match_roots s)))
-  | Qrpq q ->
-      let a = Core.Nfa.compile (Core.Digraph.interner copy) q in
-      let s = Core.Rpq.Inc.init ~obs:o ~trace copy a in
-      sess
-        (fun ups ->
-          let d = Core.Rpq.Inc.apply_batch s ups in
-          Printf.sprintf "pairs +%d/-%d"
-            (List.length d.Core.Rpq.Inc.added)
-            (List.length d.Core.Rpq.Inc.removed))
-        (fun () ->
-          Printf.sprintf "%d pairs" (List.length (Core.Rpq.Inc.matches s)))
-  | Qscc ->
-      let s = Core.Scc.Inc.init ~obs:o ~trace copy in
-      sess
-        (fun ups ->
-          let d = Core.Scc.Inc.apply_batch s ups in
-          Printf.sprintf "components -%d/+%d"
-            (List.length d.Core.Scc.Inc.removed)
-            (List.length d.Core.Scc.Inc.added))
-        (fun () ->
-          Printf.sprintf "%d components"
-            (List.length (Core.Scc.Inc.components s)))
-  | Qiso (labels, edges) ->
-      let p = Core.Iso.Pattern.create ~labels ~edges in
-      let s = Core.Iso.Inc.init ~obs:o ~trace copy p in
-      sess
-        (fun ups ->
-          let d = Core.Iso.Inc.apply_batch s ups in
-          Printf.sprintf "matches +%d/-%d"
-            (List.length d.Core.Iso.Inc.added)
-            (List.length d.Core.Iso.Inc.removed))
-        (fun () ->
-          Printf.sprintf "%d matches" (List.length (Core.Iso.Inc.matches s)))
-  | Qsim (labels, edges) ->
-      let p = Core.Iso.Pattern.create ~labels ~edges in
-      let s = Core.Sim.Inc.init ~obs:o ~trace copy p in
-      sess
-        (fun ups ->
-          let d = Core.Sim.Inc.apply_batch s ups in
-          Printf.sprintf "pairs +%d/-%d"
-            (List.length d.Core.Sim.Inc.added)
-            (List.length d.Core.Sim.Inc.removed))
-        (fun () ->
-          Printf.sprintf "%d pairs"
-            (List.length (Core.Sim.Batch.pairs (Core.Sim.Inc.relation s))))
-
 let stream_cmd =
-  let batches =
-    Arg.(value & opt int 5 & info [ "batches" ] ~doc:"Number of update batches.")
-  in
-  let size =
-    Arg.(value & opt int 100 & info [ "size" ] ~doc:"Unit updates per batch.")
-  in
   let ratio =
-    Arg.(value & opt float 1.0 & info [ "ratio" ] ~doc:"Insert/delete ratio ρ.")
+    Arg.(
+      value & opt nonneg_float 1.0
+      & info [ "ratio" ] ~doc:"Insert/delete ratio ρ." ~docv:"R")
   in
   let metrics_out =
     Arg.(
@@ -343,7 +280,7 @@ let stream_cmd =
   let every_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some pos_int) None
       & info [ "snapshot-every" ]
           ~doc:
             "Flight-recorder cadence in applied unit updates (default: one \
@@ -352,7 +289,7 @@ let stream_cmd =
   in
   let retain_arg =
     Arg.(
-      value & opt int 32
+      value & opt pos_int 32
       & info [ "retain" ]
           ~doc:"Snapshot files (and jsonl lines) kept in the ring."
           ~docv:"N")
@@ -365,51 +302,44 @@ let stream_cmd =
             "Drop clock- and GC-derived series from the snapshots so two \
              runs of the same update sequence emit byte-identical files.")
   in
-  let run path backend cls bound args batches size ratio seed metrics_out
-      slo_cfg every retain det =
-    match qspec_of ~cls ~bound ~args with
+  let run path backend spec batches size ratio seed metrics_out slo_cfg every
+      retain det =
+    let slo =
+      match slo_cfg with
+      | None -> Ok None
+      | Some p -> (
+          match
+            Obs.Slo.of_config (In_channel.with_open_text p In_channel.input_all)
+          with
+          | Ok rules -> Ok (Some (Obs.Slo.create rules))
+          | Error e -> Error (Printf.sprintf "%s: %s" p e))
+    in
+    match slo with
     | Error e -> `Error (false, e)
-    | Ok spec -> (
-        let slo =
-          match slo_cfg with
-          | None -> Ok None
-          | Some p -> (
-              match
-                Obs.Slo.of_config
-                  (In_channel.with_open_text p In_channel.input_all)
-              with
-              | Ok rules -> Ok (Some (Obs.Slo.create rules))
-              | Error e -> Error (Printf.sprintf "%s: %s" p e))
+    | Ok slo ->
+        let g = load ~backend path in
+        let o = Obs.create () in
+        let tr =
+          if Option.is_some slo || Option.is_some metrics_out then
+            Tracer.create ()
+          else Tracer.noop
         in
-        match slo with
-        | Error e -> `Error (false, e)
-        | Ok slo ->
-            let g = load ~backend path in
-            let rng = Random.State.make [| seed |] in
-            let tr =
-              if Option.is_some slo || Option.is_some metrics_out then
-                Obs.Tracer.create ()
-              else Obs.Tracer.noop
-            in
-            let o, update, describe = stream_session ~trace:tr g spec in
-            let flight =
-              Option.map
-                (fun dir ->
-                  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-                  let every =
-                    match every with Some n -> n | None -> max 1 size
-                  in
-                  ( Obs.Flight.create ~every ~retain ~deterministic:det ?slo
-                      ~trace:tr ~dir ~obs:o (),
-                    every ))
-                metrics_out
-            in
-            for round = 1 to batches do
-              let ups =
-                Core.Workload.Updates.generate ~rng g ~size ~ratio ()
+        let flight =
+          Option.map
+            (fun dir ->
+              if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+              let every = match every with Some n -> n | None -> max 1 size in
+              ( Obs.Flight.create ~every ~retain ~deterministic:det ?slo
+                  ~trace:tr ~dir ~obs:o (),
+                every ))
+            metrics_out
+        in
+        let inst =
+          drive ~obs:o ~trace:tr ~ratio g spec ~seed ~batches ~size
+            (fun inst round ups ->
+              let (_, summary), t =
+                time (fun () -> Oracle.apply_batch inst ups)
               in
-              Core.Digraph.apply_batch g ups (* keep generator in sync *);
-              let summary, t = time (fun () -> update ups) in
               (match flight with
               | Some (fr, _) -> List.iter (fun _ -> Obs.Flight.tick fr) ups
               | None ->
@@ -417,27 +347,26 @@ let stream_cmd =
                     (fun s -> ignore (Obs.Slo.evaluate s ~obs:o ~trace:tr))
                     slo);
               Format.printf "round %d: |ΔG|=%d  %s  (%.3fs)@." round
-                (List.length ups) summary t
-            done;
-            Format.printf "final: %s@." (describe ());
-            Option.iter
-              (fun (fr, every) ->
-                (* Capture the final state unless the cadence just did. *)
-                if Obs.Flight.snapshots fr = 0 || Obs.Flight.updates fr mod every <> 0
-                then Obs.Flight.snapshot fr;
-                Format.printf
-                  "metrics: %d snapshot(s) over %d update(s) -> %s@."
-                  (Obs.Flight.snapshots fr) (Obs.Flight.updates fr)
-                  (Obs.Flight.dir fr))
-              flight;
-            Option.iter
-              (fun s ->
-                let tripped = Obs.Slo.tripped s in
-                Format.printf "SLO violations: %d%s@." (Obs.Slo.violations s)
-                  (if tripped = [] then ""
-                   else " (tripped: " ^ String.concat ", " tripped ^ ")"))
-              slo;
-            `Ok ())
+                (List.length ups) summary t)
+        in
+        Format.printf "final: %s@." (Oracle.describe inst);
+        Option.iter
+          (fun (fr, every) ->
+            (* Capture the final state unless the cadence just did. *)
+            if Obs.Flight.snapshots fr = 0 || Obs.Flight.updates fr mod every <> 0
+            then Obs.Flight.snapshot fr;
+            Format.printf "metrics: %d snapshot(s) over %d update(s) -> %s@."
+              (Obs.Flight.snapshots fr) (Obs.Flight.updates fr)
+              (Obs.Flight.dir fr))
+          flight;
+        Option.iter
+          (fun s ->
+            let tripped = Obs.Slo.tripped s in
+            Format.printf "SLO violations: %d%s@." (Obs.Slo.violations s)
+              (if tripped = [] then ""
+               else " (tripped: " ^ String.concat ", " tripped ^ ")"))
+          slo;
+        `Ok ()
   in
   Cmd.v
     (Cmd.info "stream"
@@ -449,8 +378,8 @@ let stream_cmd =
           each snapshot and report violations.")
     Term.(
       ret
-        (const run $ graph_arg $ backend_arg $ cls_arg $ bound_arg $ qargs_arg
-       $ batches $ size $ ratio $ seed_arg $ metrics_out $ slo_arg $ every_arg
+        (const run $ graph_arg $ backend_arg $ spec_arg $ batches_arg
+       $ size_arg $ ratio $ seed_arg $ metrics_out $ slo_arg $ every_arg
        $ retain_arg $ det_arg))
 
 (* `incgraph top` — one-shot ASCII dashboard over a flight-recorder
@@ -664,169 +593,11 @@ let top_cmd =
           budgets with their trip state. One-shot and read-only.")
     Term.(ret (const run $ dir_pos))
 
-(* ---- bench / stats --------------------------------------------------------- *)
+(* ---- stats ----------------------------------------------------------------- *)
 
-let json_flag =
-  Arg.(
-    value & flag
-    & info [ "json" ] ~doc:"Emit machine-readable json instead of text.")
-
-let size_arg =
-  Arg.(
-    value & opt int 100
-    & info [ "size" ] ~doc:"Unit updates per batch." ~docv:"N")
-
-(* Build an incremental engine over a copy of [g] with a live metrics
-   registry (and, optionally, a live tracer). Returns the registry, the
-   batch-apply entry point, the batch counterpart (for speedups), and the
-   two series names. *)
-let session_with_obs ?(trace = Obs.Tracer.noop) g spec =
-  let o = Obs.create () in
-  let copy = Core.Digraph.copy g in
-  match spec with
-  | Qkws q ->
-      let s = Core.Kws.Inc.init ~obs:o ~trace copy q in
-      ( o,
-        (fun ups -> ignore (Core.Kws.Inc.apply_batch s ups)),
-        (fun g' -> ignore (Core.Kws.Batch.run g' q)),
-        "IncKWS", "BLINKS" )
-  | Qrpq q ->
-      let a = Core.Nfa.compile (Core.Digraph.interner g) q in
-      let s = Core.Rpq.Inc.init ~obs:o ~trace copy a in
-      ( o,
-        (fun ups -> ignore (Core.Rpq.Inc.apply_batch s ups)),
-        (fun g' -> ignore (Core.Rpq.Batch.run g' a)),
-        "IncRPQ", "RPQNFA" )
-  | Qscc ->
-      let s = Core.Scc.Inc.init ~obs:o ~trace copy in
-      ( o,
-        (fun ups -> ignore (Core.Scc.Inc.apply_batch s ups)),
-        (fun g' -> ignore (Core.Scc.Tarjan.scc g')),
-        "IncSCC", "Tarjan" )
-  | Qiso (labels, edges) ->
-      let p = Core.Iso.Pattern.create ~labels ~edges in
-      let s = Core.Iso.Inc.init ~obs:o ~trace copy p in
-      ( o,
-        (fun ups -> ignore (Core.Iso.Inc.apply_batch s ups)),
-        (fun g' -> ignore (Core.Iso.Vf2.find_all g' p)),
-        "IncISO", "VF2" )
-  | Qsim (labels, edges) ->
-      let p = Core.Iso.Pattern.create ~labels ~edges in
-      let s = Core.Sim.Inc.init ~obs:o ~trace copy p in
-      ( o,
-        (fun ups -> ignore (Core.Sim.Inc.apply_batch s ups)),
-        (fun g' -> ignore (Core.Sim.Batch.run p g')),
-        "IncSim", "SimFix" )
-
-let bench_cmd =
-  let reps =
-    Arg.(
-      value & opt int 3
-      & info [ "reps" ] ~doc:"Update batches to measure." ~docv:"N")
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "out" ] ~doc:"Write the json report to $(docv)."
-          ~docv:"FILE")
-  in
-  let run path backend cls bound args size reps seed json out =
-    match qspec_of ~cls ~bound ~args with
-    | Error e -> `Error (false, e)
-    | Ok spec ->
-        let g = Core.Io.load ~backend path in
-        let rng = Random.State.make [| seed |] in
-        let report =
-          Obs.Report.create ~tool:"incgraph-cli"
-            ~config:
-              [
-                ("graph", Obs.Json.Str path);
-                ("backend", Obs.Json.Str (Core.Digraph.backend_name backend));
-                ("class", Obs.Json.Str cls);
-                ("size", Obs.Json.Int size);
-                ("reps", Obs.Json.Int reps);
-                ("seed", Obs.Json.Int seed);
-              ]
-            ()
-        in
-        let e =
-          Obs.Report.experiment report ~id:("bench-" ^ cls)
-            ~title:(Printf.sprintf "%s: incremental vs batch, |ΔG| = %d" cls size)
-        in
-        for rep = 1 to reps do
-          let base = Core.Digraph.copy g in
-          let ups =
-            Core.Workload.Updates.generate_replay ~rng base ~size ()
-          in
-          let o, apply, batch_run, inc_name, batch_name =
-            session_with_obs base spec
-          in
-          let (), ti = time (fun () -> apply ups) in
-          let gb = Core.Digraph.copy base in
-          let (), tb =
-            time (fun () ->
-                Core.Digraph.apply_batch gb ups;
-                batch_run gb)
-          in
-          let ctrs = Obs.counters o in
-          let hists = Obs.histograms o in
-          let gc =
-            List.filter_map
-              (fun (k, h) ->
-                if String.length k > 3 && String.sub k 0 3 = "gc_" then
-                  Some
-                    ( String.sub k 3 (String.length k - 3),
-                      Obs.Histogram.sum h )
-                else None)
-              hists
-          in
-          Obs.Report.add_point e
-            ~x:(string_of_int rep)
-            ~timings:[ (inc_name, ti); (batch_name, tb) ]
-            ~counters:[ (inc_name, ctrs) ]
-            ~speedup:[ (inc_name, tb /. Float.max 1e-9 ti) ]
-            ~histograms:(if hists = [] then [] else [ (inc_name, hists) ])
-            ~gc:(if gc = [] then [] else [ (inc_name, gc) ])
-            ();
-          if not json then
-            Format.printf
-              "rep %d: %s %.4fs  %s %.4fs  speedup %.1fx  |AFF|=%d  \
-               |CHANGED|=%d@."
-              rep inc_name ti batch_name tb
-              (tb /. Float.max 1e-9 ti)
-              (Option.value ~default:0 (List.assoc_opt Obs.K.aff ctrs))
-              (Option.value ~default:0 (List.assoc_opt Obs.K.changed ctrs))
-        done;
-        (match out with
-        | Some path ->
-            Obs.Report.write ~path report;
-            if not json then Format.printf "report written to %s@." path
-        | None ->
-            if json then
-              print_endline
-                (Obs.Json.to_string ~indent:true (Obs.Report.to_json report)));
-        `Ok ()
-  in
-  Cmd.v
-    (Cmd.info "bench"
-       ~doc:
-         "Measure one incremental engine against its batch counterpart on a \
-          random update batch, reporting wall-clock timings and the cost \
-          counters of the paper's model (measured |AFF|, |CHANGED|, work \
-          counters). With $(b,--json), emits a schema-versioned BENCH \
-          report.")
-    Term.(
-      ret
-        (const run $ graph_arg $ backend_arg $ cls_arg $ bound_arg $ qargs_arg
-       $ size_arg $ reps $ seed_arg $ json_flag $ out))
+let apply_each inst _ ups = ignore (Oracle.apply_batch inst ups)
 
 let stats_cmd =
-  let batches =
-    Arg.(
-      value & opt int 5
-      & info [ "batches" ] ~doc:"Update batches to apply." ~docv:"N")
-  in
   let histo =
     Arg.(
       value & flag
@@ -843,44 +614,37 @@ let stats_cmd =
             "Dump the registry in OpenMetrics / Prometheus text exposition \
              format instead of text or json.")
   in
-  let run path backend cls bound args batches size seed json histo prom =
-    match qspec_of ~cls ~bound ~args with
-    | Error e -> `Error (false, e)
-    | Ok spec ->
-        let g = Core.Io.load ~backend path in
-        let rng = Random.State.make [| seed |] in
-        let o, apply, _, inc_name, _ = session_with_obs g spec in
-        for _ = 1 to batches do
-          let ups = Core.Workload.Updates.generate ~rng g ~size () in
-          Core.Digraph.apply_batch g ups (* keep generator in sync *);
-          apply ups
-        done;
-        if prom then print_string (Obs.Openmetrics.render o)
-        else if json then
-          print_endline (Obs.Json.to_string ~indent:true (Obs.to_json o))
-        else begin
-          Format.printf "%s after %d batches of %d unit updates:@." inc_name
-            batches size;
-          List.iter
-            (fun (k, v) -> Format.printf "  %-16s %10d@." k v)
-            (Obs.counters o);
-          List.iter
-            (fun (k, (n, s)) ->
-              Format.printf "  span %-11s %10d calls %9.4fs@." k n s)
-            (Obs.spans o);
-          let aff = Obs.counter o Obs.K.aff in
-          let changed = Obs.counter o Obs.K.changed in
-          if changed > 0 then
-            Format.printf "  |AFF| / |CHANGED| = %.2f@."
-              (float_of_int aff /. float_of_int changed);
-          if histo then
-            List.iter
-              (fun (name, h) ->
-                Format.printf "@.  histogram %s:@.    @[<v>%a@]@." name
-                  Obs.Histogram.pp h)
-              (Obs.histograms o)
-        end;
-        `Ok ()
+  let run path backend spec batches size seed json histo prom =
+    let g = Core.Io.load ~backend path in
+    let inst =
+      drive ~trace:Tracer.noop g spec ~seed ~batches ~size apply_each
+    in
+    let o = Oracle.obs inst in
+    if prom then print_string (Obs.Openmetrics.render o)
+    else if json then
+      print_endline (Obs.Json.to_string ~indent:true (Obs.to_json o))
+    else begin
+      Format.printf "%s after %d batches of %d unit updates:@."
+        (Oracle.series inst) batches size;
+      List.iter
+        (fun (k, v) -> Format.printf "  %-16s %10d@." k v)
+        (Obs.counters o);
+      List.iter
+        (fun (k, (n, s)) ->
+          Format.printf "  span %-11s %10d calls %9.4fs@." k n s)
+        (Obs.spans o);
+      let aff = Obs.counter o Obs.K.aff in
+      let changed = Obs.counter o Obs.K.changed in
+      if changed > 0 then
+        Format.printf "  |AFF| / |CHANGED| = %.2f@."
+          (float_of_int aff /. float_of_int changed);
+      if histo then
+        List.iter
+          (fun (name, h) ->
+            Format.printf "@.  histogram %s:@.    @[<v>%a@]@." name
+              Obs.Histogram.pp h)
+          (Obs.histograms o)
+    end
   in
   Cmd.v
     (Cmd.info "stats"
@@ -891,19 +655,10 @@ let stats_cmd =
           per-batch latency and GC histograms, as text, json or — with \
           $(b,--prom) — OpenMetrics text exposition.")
     Term.(
-      ret
-        (const run $ graph_arg $ backend_arg $ cls_arg $ bound_arg $ qargs_arg
-       $ batches $ size_arg $ seed_arg $ json_flag $ histo $ prom))
+      const run $ graph_arg $ backend_arg $ spec_arg $ batches_arg $ size_arg
+      $ seed_arg $ json_flag $ histo $ prom)
 
 (* ---- trace / explain ------------------------------------------------------- *)
-
-module Tracer = Core.Obs.Tracer
-module Trace_export = Core.Obs.Trace_export
-
-let batches_arg =
-  Arg.(
-    value & opt int 5
-    & info [ "batches" ] ~doc:"Update batches to apply." ~docv:"N")
 
 let trace_cmd =
   let out =
@@ -915,33 +670,23 @@ let trace_cmd =
   let cap =
     Arg.(
       value
-      & opt int Tracer.default_capacity
+      & opt pos_int Tracer.default_capacity
       & info [ "capacity" ]
           ~doc:"Ring-buffer capacity; older events beyond it are dropped."
           ~docv:"N")
   in
-  let run path backend cls bound args batches size seed out cap =
-    match qspec_of ~cls ~bound ~args with
-    | Error e -> `Error (false, e)
-    | Ok spec ->
-        let g = Core.Io.load ~backend path in
-        let rng = Random.State.make [| seed |] in
-        let tr = Tracer.create ~capacity:cap () in
-        let _, apply, _, inc_name, _ = session_with_obs ~trace:tr g spec in
-        for _ = 1 to batches do
-          let ups = Core.Workload.Updates.generate ~rng g ~size () in
-          Core.Digraph.apply_batch g ups (* keep generator in sync *);
-          apply ups
-        done;
-        let snap = Tracer.snapshot tr in
-        Trace_export.write_chrome ~path:out ~name:inc_name snap;
-        Format.printf "%s: %d event(s)%s -> %s@." inc_name
-          (List.length snap.Tracer.entries)
-          (if snap.Tracer.drops > 0 then
-             Printf.sprintf " (ring buffer dropped %d older)" snap.Tracer.drops
-           else "")
-          out;
-        `Ok ()
+  let run path backend spec batches size seed out cap =
+    let g = Core.Io.load ~backend path in
+    let tr = Tracer.create ~capacity:cap () in
+    let inst = drive ~trace:tr g spec ~seed ~batches ~size apply_each in
+    let snap = Tracer.snapshot tr in
+    Trace_export.write_chrome ~path:out ~name:(Oracle.series inst) snap;
+    Format.printf "%s: %d event(s)%s -> %s@." (Oracle.series inst)
+      (List.length snap.Tracer.entries)
+      (if snap.Tracer.drops > 0 then
+         Printf.sprintf " (ring buffer dropped %d older)" snap.Tracer.drops
+       else "")
+      out
   in
   Cmd.v
     (Cmd.info "trace"
@@ -953,24 +698,31 @@ let trace_cmd =
           Chrome trace-event file loadable in Perfetto (ui.perfetto.dev) or \
           chrome://tracing. Deterministic for a fixed graph and seed.")
     Term.(
-      ret
-        (const run $ graph_arg $ backend_arg $ cls_arg $ bound_arg $ qargs_arg
-       $ batches_arg $ size_arg $ seed_arg $ out $ cap))
+      const run $ graph_arg $ backend_arg $ spec_arg $ batches_arg $ size_arg
+      $ seed_arg $ out $ cap)
+
+(* Print each batch's event log: the tracer is cleared before every batch,
+   so the first one does not carry the engine's init events. *)
+let explain_batch tr ~limit name inst ups =
+  Tracer.clear tr;
+  let d_o, _ = Oracle.apply_batch inst ups in
+  Format.printf "@.== %s ==@.%a@." (name d_o)
+    (Trace_export.pp_explain ~limit)
+    (Tracer.snapshot tr)
 
 (* Worked explanation of the Figure 9 gadget: Δ1 is output-silent yet the
    trace shows Ω(cycle) settling work; Δ2 flips the whole answer on. *)
 let explain_gadget n limit =
   let gd = Core.Theory.Gadget.make ~cycle:n in
   let tr = Tracer.create () in
-  let s = Core.Rpq.Inc.create ~trace:tr gd.Core.Theory.Gadget.graph
-      gd.Core.Theory.Gadget.query in
-  let explain name u =
-    Tracer.clear tr;
-    let d = Core.Rpq.Inc.apply_batch s [ u ] in
-    Format.printf "@.== %s: |ΔO| = %d ==@.%a@." name
-      (List.length d.Core.Rpq.Inc.added + List.length d.Core.Rpq.Inc.removed)
-      (Trace_export.pp_explain ~limit)
-      (Tracer.snapshot tr)
+  let inst =
+    Spec.make ~obs:Obs.noop ~trace:tr gd.Core.Theory.Gadget.graph
+      (Spec.Rpq gd.Core.Theory.Gadget.query)
+  in
+  let explain title u =
+    explain_batch tr ~limit
+      (fun d_o -> Printf.sprintf "%s: |ΔO| = %d" title d_o)
+      inst [ u ]
   in
   Format.printf
     "Figure 9 gadget, cycle length %d (two disjoint cycles + sink):@." n;
@@ -1023,27 +775,19 @@ let explain_cmd =
             `Error
               (false, "need either --gadget N or a graph (-g) and a CLASS")
         | Some path, Some cls -> (
-            match qspec_of ~cls ~bound ~args with
-            | Error e -> `Error (false, e)
-            | Ok spec ->
+            match spec_of ~cls ~bound ~args with
+            | `Error _ as e -> e
+            | `Ok spec ->
                 let g = Core.Io.load ~backend path in
-                let rng = Random.State.make [| seed |] in
                 let tr = Tracer.create () in
-                let _, apply, _, inc_name, _ =
-                  session_with_obs ~trace:tr g spec
-                in
-                for round = 1 to batches do
-                  let ups =
-                    Core.Workload.Updates.generate ~rng g ~size ()
-                  in
-                  Core.Digraph.apply_batch g ups (* keep generator in sync *);
-                  Tracer.clear tr;
-                  apply ups;
-                  Format.printf "@.== %s batch %d (|ΔG| = %d) ==@.%a@."
-                    inc_name round (List.length ups)
-                    (Trace_export.pp_explain ~limit)
-                    (Tracer.snapshot tr)
-                done;
+                ignore
+                  (drive ~trace:tr g spec ~seed ~batches ~size
+                     (fun inst round ups ->
+                       explain_batch tr ~limit
+                         (fun _ ->
+                           Printf.sprintf "%s batch %d (|ΔG| = %d)"
+                             (Oracle.series inst) round (List.length ups))
+                         inst ups));
                 `Ok ()))
   in
   Cmd.v
@@ -1059,76 +803,6 @@ let explain_cmd =
       ret
         (const run $ gadget $ limit $ graph_opt $ backend_arg $ cls_opt
        $ bound_arg $ qargs_arg $ batches_arg $ size_arg $ seed_arg))
-
-(* ---- compare -------------------------------------------------------------- *)
-
-let compare_cmd =
-  let old_arg =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"OLD.json" ~doc:"Baseline BENCH report.")
-  in
-  let new_arg =
-    Arg.(
-      required
-      & pos 1 (some file) None
-      & info [] ~docv:"NEW.json" ~doc:"Candidate BENCH report.")
-  in
-  let threshold =
-    Arg.(
-      value & opt float 25.0
-      & info [ "threshold" ]
-          ~doc:
-            "Regression threshold in percent: flag a pair when its timing \
-             or latency p99 grew by more than $(docv)%."
-          ~docv:"PCT")
-  in
-  let min_time =
-    Arg.(
-      value & opt float 1e-4
-      & info [ "min-time" ]
-          ~doc:
-            "Noise floor in seconds: pairs whose grown value stays below \
-             $(docv) are reported but never flagged."
-          ~docv:"S")
-  in
-  let load path =
-    match In_channel.with_open_text path In_channel.input_all with
-    | exception Sys_error e -> Error (Printf.sprintf "cannot read %s: %s" path e)
-    | text -> (
-        match Obs.Json.parse text with
-        | Error e -> Error (Printf.sprintf "%s: parse error: %s" path e)
-        | Ok json -> (
-            match Obs.Report.validate json with
-            | Error e -> Error (Printf.sprintf "%s: invalid BENCH file: %s" path e)
-            | Ok () -> Ok json))
-  in
-  let run old_path new_path threshold min_time =
-    match (load old_path, load new_path) with
-    | Error e, _ | _, Error e -> `Error (false, e)
-    | Ok old_json, Ok new_json ->
-        let cmp = Obs.Report.compare_reports ~old_json ~new_json in
-        Format.printf "comparing %s (old) vs %s (new)@." old_path new_path;
-        Format.printf "%a" (Obs.Report.pp_comparison ~threshold ~min_time) cmp;
-        if cmp.Obs.Report.cells = [] then
-          `Error (false, "no common data points — nothing compared")
-        else if Obs.Report.regressions ~threshold ~min_time cmp <> [] then begin
-          Format.eprintf
-            "incgraph: performance regressions detected (see table)@.";
-          exit 1
-        end
-        else `Ok ()
-  in
-  Cmd.v
-    (Cmd.info "compare"
-       ~doc:
-         "Regression detector over two BENCH json reports (from $(b,incgraph \
-          bench --out) or bench/main.exe): pair every (experiment, x, \
-          series) present in both files, print the timing and latency-p99 \
-          delta table, and exit non-zero when any pair regressed beyond \
-          $(b,--threshold) percent above the $(b,--min-time) noise floor.")
-    Term.(ret (const run $ old_arg $ new_arg $ threshold $ min_time))
 
 (* ---- lint ----------------------------------------------------------------- *)
 
@@ -1458,7 +1132,7 @@ let fuzz_cmd =
                 Format.printf " FAILED@.%a@." C.Harness.pp_failure f;
                 let gpath, upath, tpath, jpath =
                   C.Harness.save_failure ~dir:out_dir ~base:s.C.Scenarios.base
-                    ~qspec:s.C.Scenarios.qspec f
+                    ~spec:s.C.Scenarios.spec f
                 in
                 Format.printf "artifacts: %s, %s%s%s@." gpath upath
                   (match tpath with
@@ -1489,28 +1163,6 @@ module J = Core.Journal
 
 let jdigest = J.Log.digest_hex
 
-let oracle_of_qspec g = function
-  | Qkws q -> Core.Check.Adapters.kws g q
-  | Qrpq q -> Core.Check.Adapters.rpq g q
-  | Qscc -> Core.Check.Adapters.scc g
-  | Qiso (labels, edges) ->
-      Core.Check.Adapters.iso g (Core.Iso.Pattern.create ~labels ~edges)
-  | Qsim (labels, edges) ->
-      Core.Check.Adapters.sim g (Core.Iso.Pattern.create ~labels ~edges)
-
-(* A store client over a packed differential oracle: journal ops re-enter
-   the engine as unit updates; snapshots carry the engine's canonical
-   answer digest and SNAPSHOTTABLE certificate dump. *)
-let client_of_oracle inst =
-  let module O = Core.Check.Oracle in
-  {
-    J.Store.apply =
-      (fun ops -> List.iter (O.apply inst) (J.Log.updates_of_ops ops));
-    graph = (fun () -> O.graph inst);
-    answer_digest = (fun () -> jdigest (O.answer inst));
-    certs = (fun () -> O.cert_snapshot inst);
-  }
-
 let dir_arg =
   Arg.(
     required
@@ -1538,7 +1190,7 @@ let update_of_spec s =
 
 (* Recover a store from DIR: plan, rebuild the engine the header names
    over the planned snapshot's graph (falling back to a graph-only client
-   when the header's query class is not buildable), replay, attach. *)
+   when the header's query does not parse), replay, attach. *)
 let attach_store ?as_of ?(from_scratch = false) ~dir () =
   match J.Store.plan ?as_of ~from_scratch ~dir () with
   | Error e -> Error e
@@ -1546,21 +1198,19 @@ let attach_store ?as_of ?(from_scratch = false) ~dir () =
       let base = J.Snapshot.graph plan.J.Store.snapshot in
       let h = plan.J.Store.header in
       let inst =
-        match
-          qspec_of ~cls:h.J.Record.cls ~bound:h.J.Record.bound
-            ~args:h.J.Record.qargs
-        with
-        | Ok spec -> Some (oracle_of_qspec base spec)
-        | Error _ -> None
+        Spec.of_args ~cls:h.J.Record.cls ~bound:h.J.Record.bound
+          ~args:h.J.Record.qargs
+        |> Result.to_option
+        |> Option.map (Spec.make base)
       in
       let client =
         match inst with
-        | Some i -> client_of_oracle i
+        | Some i -> Core.Check.Durable.client_of i
         | None -> J.Store.graph_client base
       in
-      (match J.Store.attach ~dir ~plan ~client () with
-      | Error e -> Error e
-      | Ok store -> Ok (store, plan, inst))
+      Result.map
+        (fun store -> (store, plan, inst))
+        (J.Store.attach ~dir ~plan ~client ())
 
 let kind_str = function
   | J.Record.Do -> "do"
@@ -1635,22 +1285,15 @@ let journal_cmd =
       | None, _ | _, None ->
           `Error (false, "--init needs -g FILE and a CLASS argument")
       | Some file, Some cls -> (
-          match qspec_of ~cls ~bound ~args:qargs with
+          match Spec.of_args ~cls ~bound ~args:qargs with
           | Error e -> `Error (false, e)
           | Ok spec ->
               let g = Core.Io.load file in
-              let inst = oracle_of_qspec g spec in
-              let header =
-                {
-                  J.Record.version = J.Record.format_version;
-                  cls;
-                  bound;
-                  qargs;
-                  base_digest = J.Log.graph_digest g;
-                }
-              in
               let store =
-                J.Store.init ~dir ~header ~client:(client_of_oracle inst) ()
+                J.Store.init ~dir
+                  ~header:(Spec.header (cls, bound, qargs) g)
+                  ~client:(Core.Check.Durable.client_of (Spec.make g spec))
+                  ()
               in
               Format.printf "initialized %s: class %s, graph %s@." dir cls
                 (short (J.Store.digest store));
@@ -1858,8 +1501,6 @@ let () =
             stream_cmd;
             top_cmd;
             fuzz_cmd;
-            bench_cmd;
-            compare_cmd;
             stats_cmd;
             trace_cmd;
             explain_cmd;

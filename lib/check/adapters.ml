@@ -1,6 +1,4 @@
 module Digraph = Ig_graph.Digraph
-module Obs = Ig_obs.Obs
-module Tracer = Ig_obs.Tracer
 
 (* ---- canonical answer forms -------------------------------------------- *)
 
@@ -38,6 +36,11 @@ let apply_edge ~ins ~del = function
   | Digraph.Insert (u, v) -> ins u v
   | Digraph.Delete (u, v) -> del u v
 
+(* |ΔO| and the "<noun> +added/-removed" summary line. *)
+let delta_line noun added removed =
+  let a = List.length added and r = List.length removed in
+  (a + r, Printf.sprintf "%s +%d/-%d" noun a r)
+
 (* ---- KWS ---------------------------------------------------------------- *)
 
 module Kws = struct
@@ -47,9 +50,16 @@ module Kws = struct
   type query = Ig_kws.Batch.query
 
   let name = "kws"
-  let init g q = I.init ~obs:(Obs.create ()) ~trace:(Tracer.create ()) g q
+  let series = "IncKWS"
+  let init ~obs ~trace g q = I.init ~obs ~trace g q
   let graph = I.graph
   let apply t = apply_edge ~ins:(I.insert_edge t) ~del:(I.delete_edge t)
+
+  let apply_batch t us =
+    let d = I.apply_batch t us in
+    delta_line "roots" d.I.added d.I.removed
+
+  let describe t = Printf.sprintf "%d roots" (List.length (I.match_roots t))
   let answer t = canon_nodes (I.match_roots t)
   let recompute t = canon_nodes (Ig_kws.Batch.run (I.graph t) (I.query t))
   let check_invariants = I.check_invariants
@@ -67,13 +77,18 @@ module Rpq = struct
   type query = Ig_nfa.Regex.t
 
   let name = "rpq"
-  let init g q =
-    { s = I.create ~obs:(Obs.create ()) ~trace:(Tracer.create ()) g q; q }
+  let series = "IncRPQ"
+  let init ~obs ~trace g q = { s = I.create ~obs ~trace g q; q }
   let graph t = I.graph t.s
 
   let apply t =
     apply_edge ~ins:(I.insert_edge t.s) ~del:(I.delete_edge t.s)
 
+  let apply_batch t us =
+    let d = I.apply_batch t.s us in
+    delta_line "pairs" d.I.added d.I.removed
+
+  let describe t = Printf.sprintf "%d pairs" (List.length (I.matches t.s))
   let answer t = canon_pairs (I.matches t.s)
   let recompute t = canon_pairs (Ig_rpq.Batch.run_query (graph t) t.q)
   let check_invariants t = I.check_invariants t.s
@@ -91,10 +106,19 @@ module Scc = struct
   type query = I.config
 
   let name = "scc"
-  let init g config =
-    I.init ~config ~obs:(Obs.create ()) ~trace:(Tracer.create ()) g
+  let series = "IncSCC"
+  let init ~obs ~trace g config = I.init ~config ~obs ~trace g
   let graph = I.graph
   let apply t = apply_edge ~ins:(I.insert_edge t) ~del:(I.delete_edge t)
+
+  (* Components are reported removed-first: a merge reads "-k/+1". *)
+  let apply_batch t us =
+    let d = I.apply_batch t us in
+    let r = List.length d.I.removed and a = List.length d.I.added in
+    (a + r, Printf.sprintf "components -%d/+%d" r a)
+
+  let describe t =
+    Printf.sprintf "%d components" (List.length (I.components t))
   let answer t = canon_comps (I.components t)
   let recompute t = canon_comps (Ig_scc.Tarjan.scc (I.graph t))
   let check_invariants = I.check_invariants
@@ -112,9 +136,17 @@ module Sim = struct
   type query = Ig_iso.Pattern.t
 
   let name = "sim"
-  let init g p = I.init ~obs:(Obs.create ()) ~trace:(Tracer.create ()) g p
+  let series = "IncSim"
+  let init ~obs ~trace g p = I.init ~obs ~trace g p
   let graph = I.graph
   let apply t = apply_edge ~ins:(I.insert_edge t) ~del:(I.delete_edge t)
+
+  let apply_batch t us =
+    let d = I.apply_batch t us in
+    delta_line "pairs" d.I.added d.I.removed
+
+  let describe t =
+    Printf.sprintf "%d pairs" (List.length (Ig_sim.Sim.pairs (I.relation t)))
   let answer t = canon_pairs (Ig_sim.Sim.pairs (I.relation t))
 
   let recompute t =
@@ -135,9 +167,16 @@ module Iso = struct
   type query = Ig_iso.Pattern.t
 
   let name = "iso"
-  let init g p = I.init ~obs:(Obs.create ()) ~trace:(Tracer.create ()) g p
+  let series = "IncISO"
+  let init ~obs ~trace g p = I.init ~obs ~trace g p
   let graph = I.graph
   let apply t = apply_edge ~ins:(I.insert_edge t) ~del:(I.delete_edge t)
+
+  let apply_batch t us =
+    let d = I.apply_batch t us in
+    delta_line "matches" d.I.added d.I.removed
+
+  let describe t = Printf.sprintf "%d matches" (List.length (I.matches t))
   let answer t = canon_mappings (I.pattern t) (I.matches t)
 
   let recompute t =
@@ -149,14 +188,4 @@ module Iso = struct
   let cert_snapshot = I.cert_snapshot
 end
 
-(* ---- packed constructors ------------------------------------------------ *)
-
-let kws g q = Oracle.Packed ((module Kws), Kws.init (Digraph.copy g) q)
-let rpq g q = Oracle.Packed ((module Rpq), Rpq.init (Digraph.copy g) q)
-
-let scc ?(config = Ig_scc.Inc_scc.inc_config) g =
-  Oracle.Packed ((module Scc), Scc.init (Digraph.copy g) config)
-
-let sim g p = Oracle.Packed ((module Sim), Sim.init (Digraph.copy g) p)
-let iso g p = Oracle.Packed ((module Iso), Iso.init (Digraph.copy g) p)
 let of_kws t = Oracle.Packed ((module Kws), t)

@@ -8,9 +8,8 @@
     - Sim: {!Ig_sim.Inc_sim} vs the {!Ig_sim.Sim} fixpoint;
     - ISO: {!Ig_iso.Inc_iso} vs a fresh {!Ig_iso.Vf2} enumeration.
 
-    The [Packed] convenience constructors copy the given graph (engines take
-    ownership of theirs), so one base graph can seed any number of oracle
-    instances — which is exactly what replay-based shrinking needs. *)
+    {!Spec.make} picks the adapter for a query spec and packs an instance
+    over a copy of the base graph. *)
 
 module Kws :
   Oracle.ORACLE with type t = Ig_kws.Inc_kws.t and type query = Ig_kws.Batch.query
@@ -25,16 +24,6 @@ module Sim :
 
 module Iso :
   Oracle.ORACLE with type t = Ig_iso.Inc_iso.t and type query = Ig_iso.Pattern.t
-
-(** {1 Packed constructors}
-
-    All copy the graph before handing it to the engine. *)
-
-val kws : Ig_graph.Digraph.t -> Ig_kws.Batch.query -> Oracle.packed
-val rpq : Ig_graph.Digraph.t -> Ig_nfa.Regex.t -> Oracle.packed
-val scc : ?config:Ig_scc.Inc_scc.config -> Ig_graph.Digraph.t -> Oracle.packed
-val sim : Ig_graph.Digraph.t -> Ig_iso.Pattern.t -> Oracle.packed
-val iso : Ig_graph.Digraph.t -> Ig_iso.Pattern.t -> Oracle.packed
 
 val of_kws : Ig_kws.Inc_kws.t -> Oracle.packed
 (** Pack an already-built KWS engine {e without} copying — the hook tests use

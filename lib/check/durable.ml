@@ -20,14 +20,7 @@ let client_of inst =
   }
 
 let header_of (s : Scenarios.t) =
-  let cls, bound, qargs = s.Scenarios.qspec in
-  {
-    Record.version = Record.format_version;
-    cls;
-    bound;
-    qargs;
-    base_digest = Journal.graph_digest s.Scenarios.base;
-  }
+  Spec.header (Spec.to_args s.Scenarios.spec) s.Scenarios.base
 
 (* Only the files the store itself writes; anything else in [dir] is the
    caller's business. *)

@@ -39,3 +39,8 @@ val run :
     files from a previous run are removed first). Returns [Ok steps], or
     [Error reason] on the first oracle disagreement, digest divergence or
     recovery failure. *)
+
+val client_of : Oracle.packed -> Ig_journal.Store.client
+(** A store client over a packed oracle: journal ops re-enter the engine
+    as unit updates, and snapshots carry the engine's canonical answer
+    digest and its SNAPSHOTTABLE certificate dump. *)

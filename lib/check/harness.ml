@@ -129,25 +129,16 @@ let pp_failure ppf f =
    the base graph plus one Do batch per update, so the failure replays
    through `incgraph replay` with the same torn-tail/digest checking as
    any production journal. *)
-let save_journal ~dir ~stem ~base ~qspec f =
+let save_journal ~dir ~stem ~base ~spec f =
   let jdir = Filename.concat dir (stem ^ ".journal") in
-  let cls, bound, qargs = qspec in
-  let header =
-    {
-      Ig_journal.Record.version = Ig_journal.Record.format_version;
-      cls;
-      bound;
-      qargs;
-      base_digest = Ig_journal.Journal.graph_digest base;
-    }
-  in
+  let header = Spec.header (Spec.to_args spec) base in
   let client = Ig_journal.Store.graph_client (Digraph.copy base) in
   let store = Ig_journal.Store.init ~dir:jdir ~header ~client () in
   List.iter (fun u -> ignore (Ig_journal.Store.do_batch store [ u ])) f.shrunk;
   Ig_journal.Store.close store;
   jdir
 
-let save_failure ~dir ~base ?qspec f =
+let save_failure ~dir ~base ?spec f =
   let stem = Printf.sprintf "fuzz-%s-seed%d" f.algo f.seed in
   let gpath = Filename.concat dir (stem ^ ".graph") in
   let upath = Filename.concat dir (stem ^ ".updates") in
@@ -176,6 +167,6 @@ let save_failure ~dir ~base ?qspec f =
         Some p
   in
   let jpath =
-    Option.map (fun qspec -> save_journal ~dir ~stem ~base ~qspec f) qspec
+    Option.map (fun spec -> save_journal ~dir ~stem ~base ~spec f) spec
   in
   (gpath, upath, tpath, jpath)

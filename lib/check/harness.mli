@@ -50,7 +50,7 @@ val pp_failure : Format.formatter -> failure -> unit
 val save_failure :
   dir:string ->
   base:Ig_graph.Digraph.t ->
-  ?qspec:string * int * string list ->
+  ?spec:Spec.t ->
   failure ->
   string * string * string option * string option
 (** Persist reproduction artifacts: [fuzz-<algo>-seed<seed>.graph] (the base
@@ -58,8 +58,8 @@ val save_failure :
     [fuzz-<algo>-seed<seed>.updates] (the shrunk stream, one [+ u v] /
     [- u v] line per update, full stream appended as comments), — when
     the failure carries a trace — [fuzz-<algo>-seed<seed>.trace.json] (the
-    failing step's event log as a Chrome trace), and — when [qspec] (the
-    scenario's [(class, bound, args)]) is given —
+    failing step's event log as a Chrome trace), and — when [spec] (the
+    scenario's query) is given —
     [fuzz-<algo>-seed<seed>.journal/], a journaled session directory
     (snapshot-0 of the base graph, one batch per shrunk update) replayable
     with [incgraph replay]. Returns the paths. *)

@@ -3,9 +3,15 @@ module type ORACLE = sig
   type query
 
   val name : string
-  val init : Ig_graph.Digraph.t -> query -> t
+  val series : string
+
+  val init :
+    obs:Ig_obs.Obs.t -> trace:Ig_obs.Tracer.t -> Ig_graph.Digraph.t -> query -> t
+
   val graph : t -> Ig_graph.Digraph.t
   val apply : t -> Ig_graph.Digraph.update -> unit
+  val apply_batch : t -> Ig_graph.Digraph.update list -> int * string
+  val describe : t -> string
   val answer : t -> string
   val recompute : t -> string
   val check_invariants : t -> unit
@@ -17,8 +23,11 @@ end
 type packed = Packed : (module ORACLE with type t = 'a) * 'a -> packed
 
 let name (Packed ((module O), _)) = O.name
+let series (Packed ((module O), _)) = O.series
 let graph (Packed ((module O), t)) = O.graph t
 let apply (Packed ((module O), t)) u = O.apply t u
+let apply_batch (Packed ((module O), t)) us = O.apply_batch t us
+let describe (Packed ((module O), t)) = O.describe t
 let answer (Packed ((module O), t)) = O.answer t
 let recompute (Packed ((module O), t)) = O.recompute t
 let check_invariants (Packed ((module O), t)) = O.check_invariants t

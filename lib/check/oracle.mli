@@ -18,15 +18,29 @@ module type ORACLE = sig
   val name : string
   (** Short identifier used in reports ("kws", "scc", …). *)
 
-  val init : Ig_graph.Digraph.t -> query -> t
-  (** Build the engine by running the batch algorithm once. The oracle owns
-      the given graph afterwards — callers keep their own pristine copy. *)
+  val series : string
+  (** The incremental engine's series name in reports and traces
+      ("IncKWS", "IncSCC", …). *)
+
+  val init :
+    obs:Ig_obs.Obs.t -> trace:Ig_obs.Tracer.t -> Ig_graph.Digraph.t -> query -> t
+  (** Build the engine by running the batch algorithm once, reporting to
+      [obs] and [trace]. The oracle owns the given graph afterwards —
+      callers keep their own pristine copy. *)
 
   val graph : t -> Ig_graph.Digraph.t
   (** The live graph the engine maintains (updated by {!apply}). *)
 
   val apply : t -> Ig_graph.Digraph.update -> unit
   (** Apply one unit update incrementally (graph and auxiliary data). *)
+
+  val apply_batch : t -> Ig_graph.Digraph.update list -> int * string
+  (** Apply a whole batch through the engine's batch entry point. Returns
+      |ΔO| (answer items added plus removed) and a one-line ΔO summary
+      such as ["roots +1/-0"]. *)
+
+  val describe : t -> string
+  (** The size of the current answer in one line, e.g. ["300 roots"]. *)
 
   val answer : t -> string
   (** The engine's current answer, canonicalized. *)
@@ -59,8 +73,11 @@ type packed = Packed : (module ORACLE with type t = 'a) * 'a -> packed
 (** A first-class oracle instance, ready to drive. *)
 
 val name : packed -> string
+val series : packed -> string
 val graph : packed -> Ig_graph.Digraph.t
 val apply : packed -> Ig_graph.Digraph.update -> unit
+val apply_batch : packed -> Ig_graph.Digraph.update list -> int * string
+val describe : packed -> string
 val answer : packed -> string
 val recompute : packed -> string
 val check_invariants : packed -> unit

@@ -7,16 +7,11 @@ type t = {
   base : Digraph.t;
   focus : (Digraph.node * Digraph.node) list;
   make : unit -> Oracle.packed;
-  qspec : string * int * string list;
+  spec : Spec.t;
 }
 
-(* A pattern rendered back to CLI/journal-header query arguments: labels
-   in node order, then edges as "u-v". *)
-let pattern_qargs p =
-  List.init (Ig_iso.Pattern.n_nodes p) (Ig_iso.Pattern.label p)
-  @ List.map
-      (fun (u, v) -> Printf.sprintf "%d-%d" u v)
-      (Ig_iso.Pattern.edges p)
+let v ?(focus = []) name base spec =
+  { name; base; focus; make = (fun () -> Spec.make base spec); spec }
 
 type size = { nodes : int; edges : int; labels : int }
 
@@ -31,35 +26,14 @@ let base_graph ?backend ~rng { nodes; edges; labels } =
 
 let kws ?backend ~rng ?(size = default_size) () =
   let base = base_graph ?backend ~rng size in
-  let q = Q.kws ~rng base ~m:2 ~b:2 in
-  {
-    name = "kws";
-    base;
-    focus = [];
-    make = (fun () -> Adapters.kws base q);
-    qspec = ("kws", q.Ig_kws.Batch.bound, q.Ig_kws.Batch.keywords);
-  }
+  v "kws" base (Spec.Kws (Q.kws ~rng base ~m:2 ~b:2))
 
 let rpq ?backend ~rng ?(size = default_size) () =
   let base = base_graph ?backend ~rng size in
-  let q = Q.rpq ~rng base ~size:3 in
-  {
-    name = "rpq";
-    base;
-    focus = [];
-    make = (fun () -> Adapters.rpq base q);
-    qspec = ("rpq", 0, [ Ig_nfa.Regex.to_string q ]);
-  }
+  v "rpq" base (Spec.Rpq (Q.rpq ~rng base ~size:3))
 
 let scc ?backend ~rng ?(size = default_size) () =
-  let base = base_graph ?backend ~rng size in
-  {
-    name = "scc";
-    base;
-    focus = [];
-    make = (fun () -> Adapters.scc base);
-    qspec = ("scc", 0, []);
-  }
+  v "scc" (base_graph ?backend ~rng size) Spec.Scc
 
 (* A pattern for Sim/ISO: sampled from the graph when possible (guaranteeing
    initial matches), else a hand-rolled 2-node chain over graph labels. *)
@@ -72,25 +46,11 @@ let pattern ~rng g ~labels =
 
 let sim ?backend ~rng ?(size = default_size) () =
   let base = base_graph ?backend ~rng size in
-  let p = pattern ~rng base ~labels:size.labels in
-  {
-    name = "sim";
-    base;
-    focus = [];
-    make = (fun () -> Adapters.sim base p);
-    qspec = ("sim", 0, pattern_qargs p);
-  }
+  v "sim" base (Spec.Sim (pattern ~rng base ~labels:size.labels))
 
 let iso ?backend ~rng ?(size = default_size) () =
   let base = base_graph ?backend ~rng size in
-  let p = pattern ~rng base ~labels:size.labels in
-  {
-    name = "iso";
-    base;
-    focus = [];
-    make = (fun () -> Adapters.iso base p);
-    qspec = ("iso", 0, pattern_qargs p);
-  }
+  v "iso" base (Spec.Iso (pattern ~rng base ~labels:size.labels))
 
 let edge_of = function
   | Digraph.Insert (u, v) | Digraph.Delete (u, v) -> (u, v)
@@ -108,13 +68,8 @@ let gadget ?(backend = `Hashtbl) ?(cycle = 4) () =
     | v0 :: v1 :: _, u0 :: u1 :: _ -> [ (v0, v1); (u0, u1) ]
     | _ -> []
   in
-  {
-    name = "gadget";
-    base;
-    focus = d1 :: d2 :: near;
-    make = (fun () -> Adapters.rpq base gd.Ig_theory.Gadget.query);
-    qspec = ("rpq", 0, [ Ig_nfa.Regex.to_string gd.Ig_theory.Gadget.query ]);
-  }
+  v ~focus:(d1 :: d2 :: near) "gadget" base
+    (Spec.Rpq gd.Ig_theory.Gadget.query)
 
 let all ?backend ~rng ?(size = default_size) () =
   [

@@ -18,12 +18,12 @@ type t = {
   base : Ig_graph.Digraph.t;  (** pristine base graph — never mutated *)
   focus : (Ig_graph.Digraph.node * Ig_graph.Digraph.node) list;
   make : unit -> Oracle.packed;
-      (** deterministic factory: a fresh engine over a fresh copy of
-          [base], suitable for {!Harness.run}'s shrinking replays *)
-  qspec : string * int * string list;
-      (** [(class, bound, query args)] in the CLI's positional-argument
-          syntax — what journal headers record so [incgraph replay] can
-          rebuild the same engine. *)
+      (** deterministic factory: [Spec.make base spec], a fresh engine over
+          a fresh copy of [base], suitable for {!Harness.run}'s shrinking
+          replays *)
+  spec : Spec.t;
+      (** the sampled query; {!Spec.to_args} is what journal headers
+          record so [incgraph replay] can rebuild the same engine *)
 }
 
 type size = { nodes : int; edges : int; labels : int }

@@ -62,6 +62,7 @@ end
 module Check = struct
   module Oracle = Ig_check.Oracle
   module Adapters = Ig_check.Adapters
+  module Spec = Ig_check.Spec
   module Stream = Ig_check.Stream
   module Shrink = Ig_check.Shrink
   module Harness = Ig_check.Harness

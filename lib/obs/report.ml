@@ -303,8 +303,7 @@ let compare_timings ~old_json ~new_json =
 
 (* ---- regression comparison --------------------------------------------------
 
-   The machinery behind `incgraph compare` and bench/compare.exe (the
-   @bench-gate alias): pair every (experiment, x, series) across two BENCH
+   The machinery behind bench/compare.exe (the @bench-gate alias): pair every (experiment, x, series) across two BENCH
    files, compute the timing and latency-p99 ratios, and flag regressions
    beyond a noise threshold. Pairs whose timings sit below [min_time] are
    reported but never flagged — at smoke scales the measurements are

@@ -17,6 +17,7 @@ module St = Ig_check.Stream
 module Sh = Ig_check.Shrink
 module H = Ig_check.Harness
 module Sc = Ig_check.Scenarios
+module Sp = Ig_check.Spec
 
 let check = Alcotest.check
 
@@ -193,10 +194,10 @@ module Buggy_scc = struct
   type query = unit
 
   let name = "buggy-scc"
+  let series = "BuggySCC"
+  let init ~obs ~trace g () =
+    { eng = I.init ~obs ~trace (Digraph.copy g); truth = g }
 
-  let init g () =
-    { eng = I.init ~trace:(Ig_obs.Tracer.create ()) (Digraph.copy g);
-      truth = g }
   let graph t = t.truth
 
   let apply t u =
@@ -206,6 +207,11 @@ module Buggy_scc = struct
     | Digraph.Insert (a, b) -> I.insert_edge t.eng a b
     | Digraph.Delete (a, b) -> I.delete_edge t.eng a b
 
+  let apply_batch t us =
+    List.iter (apply t) us;
+    (0, "")
+
+  let describe _ = ""
   let answer t = A.canon_comps (I.components t.eng)
   let recompute t = A.canon_comps (Ig_scc.Tarjan.scc t.truth)
   let check_invariants t = I.check_invariants t.eng
@@ -223,7 +229,10 @@ let test_mutation_buggy_engine_shrinks () =
     (fun (u, v) -> ignore (Digraph.add_edge g u v))
     [ (0, 1); (1, 2); (2, 0); (3, 4); (4, 3); (2, 3) ];
   let make () =
-    O.Packed ((module Buggy_scc), Buggy_scc.init (Digraph.copy g) ())
+    O.Packed
+      ( (module Buggy_scc),
+        Buggy_scc.init ~obs:Ig_obs.Obs.noop ~trace:(Ig_obs.Tracer.create ())
+          (Digraph.copy g) () )
   in
   match H.run ~make ~focus:[ (0, 1) ] ~steps:200 ~seed:5 () with
   | Ok _ -> Alcotest.fail "planted divergence went undetected"
@@ -270,6 +279,47 @@ let test_clean_replay_passes () =
   check Alcotest.bool "no false positives" false
     (H.replay_fails ~make:s.Sc.make (List.rev !us))
 
+(* ---- query specs -------------------------------------------------------- *)
+
+(* Malformed ISO/Sim patterns are parse errors, never exceptions: out of
+   range endpoints, no labels, a disconnected pattern, a bad edge. *)
+let test_spec_bad_patterns () =
+  List.iter
+    (fun (cls, args) ->
+      match Sp.of_args ~cls ~bound:2 ~args with
+      | Error _ -> ()
+      | Ok _ ->
+          Alcotest.failf "%s %s: accepted" cls (String.concat " " args)
+      | exception e ->
+          Alcotest.failf "%s %s: raised %s" cls (String.concat " " args)
+            (Printexc.to_string e))
+    [
+      ("iso", [ "a"; "b"; "0-5" ]);
+      ("iso", [ "0-1" ]);
+      ("sim", [ "l1"; "0-3" ]);
+      ("iso", [ "l1"; "l2"; "0-7" ]);
+      ("sim", [ "l1"; "l2" ]);
+      ("iso", [ "l1"; "l2"; "0-x" ]);
+      ("iso", [ "l1"; "l2"; "0-1-2" ]);
+    ]
+
+(* The journal-header path of replay/undo recovery: a scenario's query,
+   written out by to_args and parsed back by of_args, rebuilds an engine
+   whose answer on the base graph equals the original's. *)
+let test_spec_round_trip () =
+  let rng = Random.State.make [| 0x5e; 1 |] in
+  List.iter
+    (fun (s : Sc.t) ->
+      let cls, bound, args = Sp.to_args s.Sc.spec in
+      match Sp.of_args ~cls ~bound ~args with
+      | Error e -> Alcotest.failf "%s: %s" s.Sc.name e
+      | Ok spec ->
+          check Alcotest.string
+            (s.Sc.name ^ ": same answer")
+            (O.answer (s.Sc.make ()))
+            (O.answer (Sp.make s.Sc.base spec)))
+    (Sc.all ~rng ())
+
 let () =
   Alcotest.run "ig_check"
     [
@@ -293,4 +343,10 @@ let () =
       ( "replay",
         [ Alcotest.test_case "clean replay" `Quick test_clean_replay_passes ]
       );
+      ( "spec",
+        [
+          Alcotest.test_case "malformed patterns are errors" `Quick
+            test_spec_bad_patterns;
+          Alcotest.test_case "args round-trip" `Quick test_spec_round_trip;
+        ] );
     ]
