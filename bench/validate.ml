@@ -16,11 +16,9 @@
    (Core.Obs.Trace_export.validate: well-formed events, nesting spans,
    monotone timestamps, rule-tagged aff_enter instants); files whose
    "tool" is "incgraph-lint" as lint reports (Core.Lint.validate, schema
-   v1 or v2); files whose "tool" is "incgraph-lint-summary" as
-   per-module effect summaries (Core.Lint_summary.validate); files
-   whose "tool" is "incgraph-journal-snapshot" as certificate snapshots
-   (Core.Journal.Snapshot.validate: structure + self-checksum); everything
-   else as a BENCH report. Exits nonzero on the first file that fails to
+   v3); files whose "tool" is "incgraph-journal-snapshot" as certificate
+   snapshots (Core.Journal.Snapshot.validate: structure + self-checksum);
+   everything else as a BENCH report. Exits nonzero on the first file that fails to
    parse or validate. Used by the @bench-smoke, @trace-smoke, @crash-smoke,
    @telemetry-smoke and @lint aliases to guarantee that what the writers
    emit is what the validators promise. *)
@@ -36,7 +34,6 @@ type kind =
   | Bench of int * int * int * string (* version, experiments, points, backend *)
   | Trace of int
   | Lint_report of int * int (* schema version, diagnostics *)
-  | Lint_summary of string * int * int (* module, exports, globals *)
   | Journal of int * int (* committed batches, total ops *)
   | Snapshot of int * int (* seq, certificate sections *)
   | Prom of int (* samples *)
@@ -87,18 +84,6 @@ let check path =
       | Ok (version, n) -> Ok (Lint_report (version, n)))
   | Ok json
     when Option.bind (Json.member "tool" json) Json.to_str_opt
-         = Some Core.Lint_summary.tool_name -> (
-      match Core.Lint_summary.validate json with
-      | Error e ->
-          Error (Printf.sprintf "%s: lint-summary violation: %s" path e)
-      | Ok s ->
-          Ok
-            (Lint_summary
-               ( s.Core.Lint_summary.module_name,
-                 List.length s.Core.Lint_summary.exports,
-                 List.length s.Core.Lint_summary.globals )))
-  | Ok json
-    when Option.bind (Json.member "tool" json) Json.to_str_opt
          = Some J.Snapshot.tool_name -> (
       match J.Snapshot.validate json with
       | Error e -> Error (Printf.sprintf "%s: snapshot violation: %s" path e)
@@ -107,8 +92,6 @@ let check path =
       match Report.validate json with
       | Error e -> Error (Printf.sprintf "%s: schema violation: %s" path e)
       | Ok () ->
-          (* Report the file's own version — the validator accepts every
-             version in Report.supported_versions, not only the current. *)
           let version =
             Option.value ~default:0
               (Option.bind (Json.member "schema_version" json) Json.to_int_opt)
@@ -163,10 +146,6 @@ let () =
       | Ok (Lint_report (version, n)) ->
           Printf.printf "%s: valid lint report (schema v%d, %d diagnostics)\n"
             path version n
-      | Ok (Lint_summary (m, exports, globals)) ->
-          Printf.printf
-            "%s: valid lint summary (module %s, %d export(s), %d global(s))\n"
-            path m exports globals
       | Ok (Journal (batches, ops)) ->
           Printf.printf "%s: valid journal (%d committed batch(es), %d op(s))\n"
             path batches ops

@@ -88,13 +88,33 @@ let backend_arg =
   in
   Arg.(value & opt backend_conv `Hashtbl & info [ "backend" ] ~doc ~docv:"B")
 
-let load ~backend path =
-  let g = Core.Io.load ~backend path in
-  Format.printf "loaded %s: %d nodes, %d edges (%s)@." path
-    (Core.Digraph.n_nodes g)
-    (Core.Digraph.n_edges g)
-    (Core.Digraph.backend_name (Core.Digraph.backend g));
-  g
+(* Every graph file the CLI reads goes through here: a malformed or
+   unreadable file is a usage error naming the file (and, for a parse
+   error, the line), not an uncaught exception. [k] runs on the loaded
+   graph; with [announce], its size is printed first. *)
+let with_graph ?(announce = false) ?backend path k =
+  match Core.Io.load ?backend path with
+  | exception (Failure msg | Sys_error msg) ->
+      let prefix = "Io.read: " in
+      let n = String.length prefix in
+      let msg =
+        if String.starts_with ~prefix msg then
+          String.sub msg n (String.length msg - n)
+        else msg
+      in
+      `Error (false, path ^ ": " ^ msg)
+  | g ->
+      if announce then
+        Format.printf "loaded %s: %d nodes, %d edges (%s)@." path
+          (Core.Digraph.n_nodes g)
+          (Core.Digraph.n_edges g)
+          (Core.Digraph.backend_name (Core.Digraph.backend g));
+      k g
+
+(* The Fig. 9 gadget needs two cycles of at least two nodes each. *)
+let with_gadget n k =
+  if n >= 2 then k (Core.Theory.Gadget.make ~cycle:n)
+  else `Error (false, Printf.sprintf "--gadget %d: cycle must be >= 2" n)
 
 (* ---- generate ------------------------------------------------------------ *)
 
@@ -139,8 +159,8 @@ let generate_cmd =
   in
   let run profile scale out seed backend gadget =
     match gadget with
-    | Some cycle ->
-        let gd = Core.Theory.Gadget.make ~cycle in
+    | Some n ->
+        with_gadget n @@ fun gd ->
         Core.Io.save out gd.Core.Theory.Gadget.graph;
         let edge = function
           | Core.Digraph.Insert (u, v) | Core.Digraph.Delete (u, v) ->
@@ -152,7 +172,8 @@ let generate_cmd =
         Format.printf "query: %s@.Δ1: %s  Δ2: %s@."
           (Core.Regex.to_string gd.Core.Theory.Gadget.query)
           (edge gd.Core.Theory.Gadget.delta1)
-          (edge gd.Core.Theory.Gadget.delta2)
+          (edge gd.Core.Theory.Gadget.delta2);
+        `Ok ()
     | None ->
         let rng = Random.State.make [| seed |] in
         let g =
@@ -161,11 +182,13 @@ let generate_cmd =
         Core.Io.save out g;
         Format.printf "wrote %s: %d nodes, %d edges, %d labels@." out
           (Core.Digraph.n_nodes g) (Core.Digraph.n_edges g)
-          (Core.Interner.size (Core.Digraph.interner g))
+          (Core.Interner.size (Core.Digraph.interner g));
+        `Ok ()
   in
   Cmd.v
     (Cmd.info "generate" ~doc:"Generate a synthetic labeled graph.")
-    Term.(const run $ profile $ scale $ out $ seed_arg $ backend_arg $ gadget)
+    Term.(
+      ret (const run $ profile $ scale $ out $ seed_arg $ backend_arg $ gadget))
 
 (* ---- query class arguments ------------------------------------------------ *)
 
@@ -201,13 +224,14 @@ let spec_arg =
 
 let query_cmd =
   let run path backend spec =
-    let g = load ~backend path in
+    with_graph ~announce:true ~backend path @@ fun g ->
     let line, t = time (fun () -> Spec.run_batch g spec) in
-    Format.printf "%s in %.3fs@." line t
+    Format.printf "%s in %.3fs@." line t;
+    `Ok ()
   in
   Cmd.v
     (Cmd.info "query" ~doc:"Answer one query with the batch algorithm.")
-    Term.(const run $ graph_arg $ backend_arg $ spec_arg)
+    Term.(ret (const run $ graph_arg $ backend_arg $ spec_arg))
 
 (* ---- the session loop ------------------------------------------------------ *)
 
@@ -317,7 +341,7 @@ let stream_cmd =
     match slo with
     | Error e -> `Error (false, e)
     | Ok slo ->
-        let g = load ~backend path in
+        with_graph ~announce:true ~backend path @@ fun g ->
         let o = Obs.create () in
         let tr =
           if Option.is_some slo || Option.is_some metrics_out then
@@ -615,7 +639,7 @@ let stats_cmd =
              format instead of text or json.")
   in
   let run path backend spec batches size seed json histo prom =
-    let g = Core.Io.load ~backend path in
+    with_graph ~backend path @@ fun g ->
     let inst =
       drive ~trace:Tracer.noop g spec ~seed ~batches ~size apply_each
     in
@@ -644,7 +668,8 @@ let stats_cmd =
             Format.printf "@.  histogram %s:@.    @[<v>%a@]@." name
               Obs.Histogram.pp h)
           (Obs.histograms o)
-    end
+    end;
+    `Ok ()
   in
   Cmd.v
     (Cmd.info "stats"
@@ -655,8 +680,9 @@ let stats_cmd =
           per-batch latency and GC histograms, as text, json or — with \
           $(b,--prom) — OpenMetrics text exposition.")
     Term.(
-      const run $ graph_arg $ backend_arg $ spec_arg $ batches_arg $ size_arg
-      $ seed_arg $ json_flag $ histo $ prom)
+      ret
+        (const run $ graph_arg $ backend_arg $ spec_arg $ batches_arg
+       $ size_arg $ seed_arg $ json_flag $ histo $ prom))
 
 (* ---- trace / explain ------------------------------------------------------- *)
 
@@ -676,7 +702,7 @@ let trace_cmd =
           ~docv:"N")
   in
   let run path backend spec batches size seed out cap =
-    let g = Core.Io.load ~backend path in
+    with_graph ~backend path @@ fun g ->
     let tr = Tracer.create ~capacity:cap () in
     let inst = drive ~trace:tr g spec ~seed ~batches ~size apply_each in
     let snap = Tracer.snapshot tr in
@@ -686,7 +712,8 @@ let trace_cmd =
       (if snap.Tracer.drops > 0 then
          Printf.sprintf " (ring buffer dropped %d older)" snap.Tracer.drops
        else "")
-      out
+      out;
+    `Ok ()
   in
   Cmd.v
     (Cmd.info "trace"
@@ -698,8 +725,9 @@ let trace_cmd =
           Chrome trace-event file loadable in Perfetto (ui.perfetto.dev) or \
           chrome://tracing. Deterministic for a fixed graph and seed.")
     Term.(
-      const run $ graph_arg $ backend_arg $ spec_arg $ batches_arg $ size_arg
-      $ seed_arg $ out $ cap)
+      ret
+        (const run $ graph_arg $ backend_arg $ spec_arg $ batches_arg
+       $ size_arg $ seed_arg $ out $ cap))
 
 (* Print each batch's event log: the tracer is cleared before every batch,
    so the first one does not carry the engine's init events. *)
@@ -712,8 +740,7 @@ let explain_batch tr ~limit name inst ups =
 
 (* Worked explanation of the Figure 9 gadget: Δ1 is output-silent yet the
    trace shows Ω(cycle) settling work; Δ2 flips the whole answer on. *)
-let explain_gadget n limit =
-  let gd = Core.Theory.Gadget.make ~cycle:n in
+let explain_gadget n limit gd =
   let tr = Tracer.create () in
   let inst =
     Spec.make ~obs:Obs.noop ~trace:tr gd.Core.Theory.Gadget.graph
@@ -765,10 +792,10 @@ let explain_cmd =
   in
   let run gadget limit path backend cls bound args batches size seed =
     match gadget with
-    | Some n when n >= 2 ->
-        explain_gadget n limit;
+    | Some n ->
+        with_gadget n @@ fun gd ->
+        explain_gadget n limit gd;
         `Ok ()
-    | Some n -> `Error (false, Printf.sprintf "--gadget %d: cycle must be >= 2" n)
     | None -> (
         match (path, cls) with
         | None, _ | _, None ->
@@ -778,7 +805,7 @@ let explain_cmd =
             match spec_of ~cls ~bound ~args with
             | `Error _ as e -> e
             | `Ok spec ->
-                let g = Core.Io.load ~backend path in
+                with_graph ~backend path @@ fun g ->
                 let tr = Tracer.create () in
                 ignore
                   (drive ~trace:tr g spec ~seed ~batches ~size
@@ -808,8 +835,6 @@ let explain_cmd =
 
 let lint_cmd =
   let module L = Core.Lint in
-  let module S = Core.Lint_summary in
-  let module I = Core.Lint_interproc in
   let root_arg =
     Arg.(
       value & pos 0 dir "."
@@ -835,39 +860,6 @@ let lint_cmd =
       & info [ "o"; "out" ] ~doc:"Also write the json report to $(docv)."
           ~docv:"FILE")
   in
-  let summaries_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "summaries" ]
-          ~doc:
-            "Write the phase-1 per-module summaries (one json file per lib/ \
-             module) into $(docv), creating it if needed."
-          ~docv:"DIR")
-  in
-  let load_summaries_arg =
-    Arg.(
-      value
-      & opt (some dir) None
-      & info [ "load-summaries" ]
-          ~doc:
-            "Skip phase 1: load previously emitted per-module summaries \
-             from $(docv) and run only the cross-module rules (D6-D8) over \
-             them."
-          ~docv:"DIR")
-  in
-  let effect_graph_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "effect-graph" ]
-          ~doc:
-            "Write the module-level effect/dependency graph (Graphviz dot: \
-             one node per lib/ module filled by its worst export effect, \
-             double-bordered when it owns module-scope mutable state) to \
-             $(docv)."
-          ~docv:"FILE")
-  in
   let prune_arg =
     Arg.(
       value & flag
@@ -884,157 +876,85 @@ let lint_cmd =
             "Fail on warnings and on any baselined finding, not just on \
              new errors: the gate for a clean tree.")
   in
-  let summary_file_name (s : S.t) =
-    let base = Filename.remove_extension s.S.path in
-    String.concat ""
-      (List.map
-         (fun c ->
-           if c = '/' || c = '\\' then "__" else String.make 1 c)
-         (List.init (String.length base) (String.get base)))
-    ^ ".json"
-  in
-  let load_summaries dir =
-    let files =
-      Sys.readdir dir |> Array.to_list
-      |> List.filter (fun f -> Filename.check_suffix f ".json")
-      |> List.sort String.compare
-    in
-    let rec go acc = function
-      | [] -> Ok (List.sort (fun (a : S.t) b -> compare a.S.path b.S.path) acc)
-      | f :: rest -> (
-          let path = Filename.concat dir f in
-          match
-            Core.Obs.Json.parse
-              (In_channel.with_open_text path In_channel.input_all)
-          with
-          | Error e -> Error (Printf.sprintf "%s: %s" path e)
-          | Ok j -> (
-              match S.validate j with
-              | Error e -> Error (Printf.sprintf "%s: %s" path e)
-              | Ok s -> go (s :: acc) rest))
-    in
-    go [] files
-  in
-  let run root baseline json out summaries_dir load_dir effect_graph prune
-      strict =
+  let run root baseline json out prune strict =
     match Option.map L.load_baseline baseline with
     | Some (Error e) -> `Error (false, "bad baseline: " ^ e)
-    | (None | Some (Ok _)) as b -> (
+    | (None | Some (Ok _)) as b ->
         let accepted = match b with Some (Ok ds) -> ds | _ -> [] in
-        let result =
-          match load_dir with
-          | None -> Ok (L.run ~root)
-          | Some dir ->
-              Result.map
-                (fun ss ->
-                  let diags, suppressed = I.analyze ss in
-                  {
-                    L.diagnostics = diags;
-                    suppressed;
-                    files_scanned = 0;
-                    summaries = ss;
-                  })
-                (load_summaries dir)
+        let r = L.run ~root in
+        let kept, baselined, stale_entries =
+          L.subtract_baseline ~baseline:accepted r.L.diagnostics
         in
-        match result with
-        | Error e -> `Error (false, "bad summaries: " ^ e)
-        | Ok r ->
-            let kept, baselined, stale_entries =
-              L.subtract_baseline ~baseline:accepted r.L.diagnostics
-            in
-            let pruned =
-              match (baseline, prune, stale_entries) with
-              | Some path, true, _ :: _ ->
-                  let fresh =
-                    List.filter
-                      (fun bd ->
-                        not
-                          (List.exists
-                             (fun sd -> L.compare_diagnostic sd bd = 0)
-                             stale_entries))
-                      accepted
-                  in
-                  Out_channel.with_open_text path (fun oc ->
-                      Out_channel.output_string oc
-                        (Core.Obs.Json.to_string ~indent:true
-                           (L.baseline_to_json fresh));
-                      Out_channel.output_char oc '\n');
-                  List.length stale_entries
-              | _ -> 0
-            in
-            let stale = if pruned > 0 then [] else stale_entries in
-            let visible = { r with L.diagnostics = kept } in
-            let report =
-              L.report_to_json ~baselined ~stale:(List.length stale) visible
-            in
-            Option.iter
-              (fun dir ->
-                if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-                List.iter
-                  (fun s ->
-                    Out_channel.with_open_text
-                      (Filename.concat dir (summary_file_name s)) (fun oc ->
-                        Out_channel.output_string oc
-                          (Core.Obs.Json.to_string ~indent:true (S.to_json s));
-                        Out_channel.output_char oc '\n'))
-                  r.L.summaries)
-              summaries_dir;
-            Option.iter
-              (fun path ->
-                Out_channel.with_open_text path (fun oc ->
-                    Out_channel.output_string oc
-                      (I.effect_graph_dot r.L.summaries)))
-              effect_graph;
-            Option.iter
-              (fun path ->
-                Out_channel.with_open_text path (fun oc ->
-                    Out_channel.output_string oc
-                      (Core.Obs.Json.to_string ~indent:true report);
-                    Out_channel.output_char oc '\n'))
-              out;
-            if json then
-              print_endline (Core.Obs.Json.to_string ~indent:true report)
-            else begin
-              List.iter (Format.printf "%a@." L.pp_diagnostic) kept;
-              List.iter
-                (fun d ->
-                  Format.printf "stale baseline entry: %a@." L.pp_diagnostic d)
-                stale;
-              Format.printf
-                "lint: %d file(s), %d module summar%s, %d finding(s), %d \
-                 suppressed, %d baselined%s@."
-                visible.L.files_scanned
-                (List.length r.L.summaries)
-                (if List.length r.L.summaries = 1 then "y" else "ies")
-                (List.length kept) visible.L.suppressed baselined
-                (if pruned > 0 then Printf.sprintf ", %d pruned" pruned
-                 else if stale <> [] then
-                   Printf.sprintf ", %d stale" (List.length stale)
-                 else "")
-            end;
-            let errors =
-              List.filter (fun d -> d.L.severity = L.Error) kept
-            in
-            let failing = if strict then kept else errors in
-            if failing <> [] then
-              `Error
-                ( false,
-                  Printf.sprintf "%d un-baselined lint finding(s)"
-                    (List.length failing) )
-            else if stale <> [] then
-              `Error
-                ( false,
-                  Printf.sprintf
-                    "%d stale baseline entr%s (rerun with --prune-baseline \
-                     to drop them)"
-                    (List.length stale)
-                    (if List.length stale = 1 then "y" else "ies") )
-            else if strict && baselined > 0 then
-              `Error
-                ( false,
-                  Printf.sprintf "--strict forbids baselined findings (%d)"
-                    baselined )
-            else `Ok ())
+        let pruned =
+          match (baseline, prune, stale_entries) with
+          | Some path, true, _ :: _ ->
+              let fresh =
+                List.filter
+                  (fun bd ->
+                    not
+                      (List.exists
+                         (fun sd -> L.compare_diagnostic sd bd = 0)
+                         stale_entries))
+                  accepted
+              in
+              Out_channel.with_open_text path (fun oc ->
+                  Out_channel.output_string oc
+                    (Core.Obs.Json.to_string ~indent:true
+                       (L.baseline_to_json fresh));
+                  Out_channel.output_char oc '\n');
+              List.length stale_entries
+          | _ -> 0
+        in
+        let stale = if pruned > 0 then [] else stale_entries in
+        let visible = { r with L.diagnostics = kept } in
+        let report =
+          L.report_to_json ~baselined ~stale:(List.length stale) visible
+        in
+        Option.iter
+          (fun path ->
+            Out_channel.with_open_text path (fun oc ->
+                Out_channel.output_string oc
+                  (Core.Obs.Json.to_string ~indent:true report);
+                Out_channel.output_char oc '\n'))
+          out;
+        if json then
+          print_endline (Core.Obs.Json.to_string ~indent:true report)
+        else begin
+          List.iter (Format.printf "%a@." L.pp_diagnostic) kept;
+          List.iter
+            (fun d ->
+              Format.printf "stale baseline entry: %a@." L.pp_diagnostic d)
+            stale;
+          Format.printf
+            "lint: %d file(s), %d finding(s), %d suppressed, %d baselined%s@."
+            visible.L.files_scanned (List.length kept) visible.L.suppressed
+            baselined
+            (if pruned > 0 then Printf.sprintf ", %d pruned" pruned
+             else if stale <> [] then
+               Printf.sprintf ", %d stale" (List.length stale)
+             else "")
+        end;
+        let errors = List.filter (fun d -> d.L.severity = L.Error) kept in
+        let failing = if strict then kept else errors in
+        if failing <> [] then
+          `Error
+            ( false,
+              Printf.sprintf "%d un-baselined lint finding(s)"
+                (List.length failing) )
+        else if stale <> [] then
+          `Error
+            ( false,
+              Printf.sprintf
+                "%d stale baseline entr%s (rerun with --prune-baseline \
+                 to drop them)"
+                (List.length stale)
+                (if List.length stale = 1 then "y" else "ies") )
+        else if strict && baselined > 0 then
+          `Error
+            ( false,
+              Printf.sprintf "--strict forbids baselined findings (%d)"
+                baselined )
+        else `Ok ()
   in
   Cmd.v
     (Cmd.info "lint"
@@ -1047,17 +967,12 @@ let lint_cmd =
           [@lint.allow] (D2), no ambient randomness or wall-clock reads in \
           lib/ outside lib/obs (D3), Obs.with_apply-wrapped and rule-tagged \
           update entry points in every engine (D4), and an .mli for every \
-          lib/ module (D5) — plus the cross-module phase over per-module \
-          effect summaries: no unregistered module-scope mutable state \
-          reachable from the engine/graph/journal modules (D6), all graph \
-          mutation through the Digraph/Csr entry points (D7), and \
-          exception-safe span regions (D8). Exits non-zero on new errors \
-          (plus warnings and baselined findings under $(b,--strict)) or on \
-          stale baseline entries.")
+          lib/ module (D5). Exits non-zero on new errors (plus warnings and \
+          baselined findings under $(b,--strict)) or on stale baseline \
+          entries.")
     Term.(
       ret
-        (const run $ root_arg $ baseline_arg $ json_flag $ out_arg
-       $ summaries_arg $ load_summaries_arg $ effect_graph_arg $ prune_arg
+        (const run $ root_arg $ baseline_arg $ json_flag $ out_arg $ prune_arg
        $ strict_arg))
 
 (* ---- fuzz ----------------------------------------------------------------- *)
@@ -1288,7 +1203,7 @@ let journal_cmd =
           match Spec.of_args ~cls ~bound ~args:qargs with
           | Error e -> `Error (false, e)
           | Ok spec ->
-              let g = Core.Io.load file in
+              with_graph file @@ fun g ->
               let store =
                 J.Store.init ~dir
                   ~header:(Spec.header (cls, bound, qargs) g)

@@ -78,8 +78,6 @@ module Journal = struct
 end
 
 module Lint = Ig_lint.Lint
-module Lint_summary = Ig_lint.Summary
-module Lint_interproc = Ig_lint.Interproc
 
 module type SNAPSHOTTABLE = sig
   type t

@@ -141,16 +141,7 @@ module Lint = Ig_lint.Lint
     pass over the repo's own sources enforcing rules D1–D5 (no
     polymorphic compare in engines, sorted-or-annotated hash iteration,
     no ambient nondeterminism, instrumented update entry points,
-    interfaces everywhere) plus the cross-module rules D6–D8. See
-    [incgraph lint] and DESIGN.md §8.4, §8.7. *)
-
-module Lint_summary = Ig_lint.Summary
-(** Phase 1 of the cross-module analyzer: per-module effect/state
-    summaries (JSON-serializable, deterministic). *)
-
-module Lint_interproc = Ig_lint.Interproc
-(** Phase 2: interprocedural rules D6–D8 and the module-level effect
-    graph (Graphviz). *)
+    interfaces everywhere). See [incgraph lint] and DESIGN.md §8.4. *)
 
 (** {1 Uniform sessions} *)
 

@@ -33,9 +33,9 @@
 module Json = Ig_obs.Json
 open Parsetree
 
-type severity = Diag.severity = Error | Warning
+type severity = Error | Warning
 
-type diagnostic = Diag.diagnostic = {
+type diagnostic = {
   rule : string;
   file : string;
   line : int;
@@ -44,10 +44,27 @@ type diagnostic = Diag.diagnostic = {
   message : string;
 }
 
-let severity_name = Diag.severity_name
-let severity_of_name = Diag.severity_of_name
-let compare_diagnostic = Diag.compare_diagnostic
-let pp_diagnostic = Diag.pp_diagnostic
+let severity_name = function Error -> "error" | Warning -> "warning"
+
+let severity_of_name = function
+  | "error" -> Some Error
+  | "warning" -> Some Warning
+  | _ -> None
+
+let compare_diagnostic a b =
+  match String.compare a.file b.file with
+  | 0 -> (
+      match Int.compare a.line b.line with
+      | 0 -> (
+          match Int.compare a.col b.col with
+          | 0 -> String.compare a.rule b.rule
+          | c -> c)
+      | c -> c)
+  | c -> c
+
+let pp_diagnostic ppf d =
+  Format.fprintf ppf "%s:%d:%d: [%s/%s] %s" d.file d.line d.col d.rule
+    (severity_name d.severity) d.message
 
 (* ---- rule scoping ------------------------------------------------------- *)
 
@@ -491,33 +508,18 @@ type result = {
   diagnostics : diagnostic list;
   suppressed : int;
   files_scanned : int;
-  summaries : Summary.t list;
 }
 
-(* Phase 1 + per-file rules, then phase 2 (Interproc) over the lib/
-   summaries. A file that fails to parse yields its syntax diagnostic
-   from the per-file pass and is simply absent from the summary set. *)
 let run ~root =
   let files = scan_files ~root in
-  let diags = ref [] and supp = ref 0 and summaries = ref [] in
+  let diags = ref [] and supp = ref 0 in
   List.iter
     (fun rel ->
       let src = read_file (Filename.concat root rel) in
       if Filename.check_suffix rel ".ml" then begin
         let ds, s = lint_source ~path:rel src in
         diags := ds @ !diags;
-        supp := !supp + s;
-        if String.starts_with ~prefix:"lib/" rel then begin
-          let intf =
-            let mli = rel ^ "i" in
-            if List.mem mli files then
-              Some (read_file (Filename.concat root mli))
-            else None
-          in
-          match Summary.of_source ~path:rel ?intf src with
-          | Ok s -> summaries := s :: !summaries
-          | Stdlib.Error _ -> () (* the syntax diagnostic already fired *)
-        end
+        supp := !supp + s
       end
       else diags := lint_interface ~path:rel src @ !diags)
     files;
@@ -540,24 +542,37 @@ let run ~root =
           }
           :: !diags)
     files;
-  let summaries =
-    List.sort
-      (fun (a : Summary.t) (b : Summary.t) ->
-        String.compare a.Summary.path b.Summary.path)
-      !summaries
-  in
-  let interproc_diags, interproc_supp = Interproc.analyze summaries in
   {
-    diagnostics = List.sort compare_diagnostic (interproc_diags @ !diags);
-    suppressed = !supp + interproc_supp;
+    diagnostics = List.sort compare_diagnostic !diags;
+    suppressed = !supp;
     files_scanned = List.length files;
-    summaries;
   }
 
 (* ---- baseline -------------------------------------------------------------- *)
 
-let diagnostic_to_json = Diag.to_json
-let diagnostic_of_json = Diag.of_json
+let diagnostic_to_json d =
+  Json.Obj
+    [
+      ("rule", Json.Str d.rule);
+      ("file", Json.Str d.file);
+      ("line", Json.Int d.line);
+      ("col", Json.Int d.col);
+      ("severity", Json.Str (severity_name d.severity));
+      ("message", Json.Str d.message);
+    ]
+
+let diagnostic_of_json j =
+  let str k = Option.bind (Json.member k j) Json.to_str_opt in
+  let int k = Option.bind (Json.member k j) Json.to_int_opt in
+  match
+    (str "rule", str "file", int "line", int "col", str "severity",
+     str "message")
+  with
+  | Some rule, Some file, Some line, Some col, Some sev, Some message -> (
+      match severity_of_name sev with
+      | Some severity -> Ok { rule; file; line; col; severity; message }
+      | None -> Stdlib.Error (Printf.sprintf "unknown severity %S" sev))
+  | _ -> Stdlib.Error "diagnostic missing rule/file/line/col/severity/message"
 
 let diagnostics_of_json j =
   match Option.bind (Json.member "diagnostics" j) Json.to_list_opt with
@@ -607,91 +622,42 @@ let subtract_baseline ~baseline ds =
   in
   (kept, List.length matched, stale)
 
-let report_schema_version = 2
+let report_schema_version = 3
 
-(* Schema v2 adds the phase-2 aggregates on top of the v1 fields:
-   modules_summarized, stale_baseline, the census size and the effect
-   histogram over every summarized export. *)
 let report_to_json ?(baselined = 0) ?(stale = 0) r =
-  let effect_counts =
-    List.map
-      (fun e ->
-        ( Summary.effect_name e,
-          Json.Int
-            (List.fold_left
-               (fun acc (s : Summary.t) ->
-                 acc
-                 + List.length
-                     (List.filter
-                        (fun (x : Summary.export) -> x.Summary.x_effect = e)
-                        s.Summary.exports))
-               0 r.summaries) ))
-      [
-        Summary.Pure; Summary.Mutates_argument; Summary.Does_io;
-        Summary.Mutates_global;
-      ]
-  in
-  let globals =
-    List.fold_left
-      (fun acc (s : Summary.t) -> acc + List.length s.Summary.globals)
-      0 r.summaries
-  in
   Json.Obj
     [
       ("tool", Json.Str "incgraph-lint");
       ("schema_version", Json.Int report_schema_version);
       ("files_scanned", Json.Int r.files_scanned);
-      ("modules_summarized", Json.Int (List.length r.summaries));
       ("suppressed", Json.Int r.suppressed);
       ("baselined", Json.Int baselined);
       ("stale_baseline", Json.Int stale);
-      ("globals", Json.Int globals);
-      ("effects", Json.Obj effect_counts);
       ("diagnostics", Json.Arr (List.map diagnostic_to_json r.diagnostics));
     ]
 
-(* Structural check for consumers (bench/validate.exe). Accepts schema
-   v1 (the D1-D5-only reports) and v2; returns (version, diagnostic
-   count). *)
+(* Structural check for consumers (bench/validate.exe): schema v3 only;
+   returns (version, diagnostic count). *)
 let validate json =
   let int k = Option.bind (Json.member k json) Json.to_int_opt in
   match Option.bind (Json.member "tool" json) Json.to_str_opt with
   | Some t when t <> "incgraph-lint" ->
       Stdlib.Error (Printf.sprintf "tool %S, expected \"incgraph-lint\"" t)
   | _ -> (
-      match (int "schema_version", int "files_scanned", int "suppressed") with
-      | None, _, _ -> Stdlib.Error "missing integer \"schema_version\""
-      | _, None, _ -> Stdlib.Error "missing integer \"files_scanned\""
-      | _, _, None -> Stdlib.Error "missing integer \"suppressed\""
-      | Some v, _, _ when v <> 1 && v <> report_schema_version ->
+      match int "schema_version" with
+      | None -> Stdlib.Error "missing integer \"schema_version\""
+      | Some v when v <> report_schema_version ->
           Stdlib.Error
-            (Printf.sprintf "schema_version %d, expected 1 or %d" v
+            (Printf.sprintf "schema_version %d, expected %d" v
                report_schema_version)
-      | Some v, Some _, Some _ -> (
-          let v2_ok =
-            v = 1
-            || (int "modules_summarized" <> None
-               && int "stale_baseline" <> None
-               && int "globals" <> None
-               &&
-               match Json.member "effects" json with
-               | Some (Json.Obj fields) ->
-                   List.for_all
-                     (fun e ->
-                       match List.assoc_opt (Summary.effect_name e) fields with
-                       | Some (Json.Int _) -> true
-                       | _ -> false)
-                     [
-                       Summary.Pure; Summary.Mutates_argument;
-                       Summary.Does_io; Summary.Mutates_global;
-                     ]
-               | _ -> false)
-          in
-          if not v2_ok then
-            Stdlib.Error
-              "schema v2 report missing modules_summarized/stale_baseline/\
-               globals/effects"
-          else
-            match diagnostics_of_json json with
-            | Ok ds -> Ok (v, List.length ds)
-            | Stdlib.Error _ as e -> e))
+      | Some v -> (
+          match
+            List.find_opt
+              (fun k -> int k = None)
+              [ "files_scanned"; "suppressed"; "baselined"; "stale_baseline" ]
+          with
+          | Some k -> Stdlib.Error (Printf.sprintf "missing integer %S" k)
+          | None -> (
+              match diagnostics_of_json json with
+              | Ok ds -> Ok (v, List.length ds)
+              | Stdlib.Error _ as e -> e)))

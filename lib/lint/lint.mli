@@ -21,20 +21,14 @@
       at least one rule-tagged [Tracer.aff_enter].
     - [D5] every lib/ [.ml] has a sibling [.mli].
 
-    On top of the per-file rules, {!run} drives the two-phase
-    cross-module analyzer: {!Summary} extracts per-module facts for
-    every lib/ implementation and {!Interproc} runs the D6-D8 rules
-    over them (unregistered module-scope mutable state, graph mutation
-    outside the Digraph/Csr seam, exception-unsafe span regions).
-
     Suppression: [(expr [@lint.allow "RULE"])] for a subtree,
     [[@@lint.allow "RULE"]] on a binding, [[@@@lint.allow "RULE"]] for
     the rest of the file; all suppressions are counted. A committed
     baseline file can additionally accept specific diagnostics. *)
 
-type severity = Diag.severity = Error | Warning
+type severity = Error | Warning
 
-type diagnostic = Diag.diagnostic = {
+type diagnostic = {
   rule : string;
   file : string;  (** repo-relative path *)
   line : int;  (** 1-based *)
@@ -75,16 +69,11 @@ type result = {
   diagnostics : diagnostic list;
   suppressed : int;
   files_scanned : int;
-  summaries : Summary.t list;
-      (** phase-1 extracts for every lib/ implementation that parsed,
-          sorted by path *)
 }
 
 val run : root:string -> result
 (** Lint the whole tree rooted at [root]: every implementation and
-    interface, the D5 filesystem check, then the cross-module phase —
-    {!Summary.of_source} per lib/ [.ml] (with its sibling [.mli] as the
-    export filter) and {!Interproc.analyze} over the lot. *)
+    interface, then the D5 filesystem check. *)
 
 val diagnostic_to_json : diagnostic -> Ig_obs.Json.t
 val diagnostic_of_json : Ig_obs.Json.t -> (diagnostic, string) Stdlib.result
@@ -109,15 +98,13 @@ val subtract_baseline :
     unless [--prune-baseline] rewrites the file. *)
 
 val report_schema_version : int
-(** [2] — v2 adds [modules_summarized], [stale_baseline], [globals]
-    and the [effects] histogram to the v1 report. *)
+(** [3]. *)
 
 val report_to_json : ?baselined:int -> ?stale:int -> result -> Ig_obs.Json.t
 (** Machine-readable report:
-    [{tool; schema_version; files_scanned; modules_summarized;
-    suppressed; baselined; stale_baseline; globals; effects;
-    diagnostics}]. *)
+    [{tool; schema_version; files_scanned; suppressed; baselined;
+    stale_baseline; diagnostics}]. *)
 
 val validate : Ig_obs.Json.t -> (int * int, string) Stdlib.result
 (** Structural check of a lint report (bench/validate.exe); accepts
-    schema v1 and v2 and returns [(schema_version, diagnostic count)]. *)
+    only schema v3 and returns [(schema_version, diagnostic count)]. *)

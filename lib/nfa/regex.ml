@@ -27,7 +27,10 @@ let labels q =
   go q;
   List.rev !acc
 
-(* Printing: + binds loosest, then ., then *. *)
+(* Printing: + binds loosest, then ., then *. The parser nests both
+   binary operators to the right, so a left operand of the same operator
+   is printed at the tighter level (parenthesized) and a right one is
+   not: the printed string parses back to the same tree. *)
 let rec pp_prec prec ppf q =
   let paren p body =
     if prec > p then Format.fprintf ppf "(%t)" body else body ppf
@@ -37,10 +40,10 @@ let rec pp_prec prec ppf q =
   | Label l -> Format.pp_print_string ppf l
   | Alt (a, b) ->
       paren 0 (fun ppf ->
-          Format.fprintf ppf "%a + %a" (pp_prec 0) a (pp_prec 1) b)
+          Format.fprintf ppf "%a + %a" (pp_prec 1) a (pp_prec 0) b)
   | Concat (a, b) ->
       paren 1 (fun ppf ->
-          Format.fprintf ppf "%a . %a" (pp_prec 1) a (pp_prec 2) b)
+          Format.fprintf ppf "%a . %a" (pp_prec 2) a (pp_prec 1) b)
   | Star a -> paren 2 (fun ppf -> Format.fprintf ppf "%a*" (pp_prec 3) a)
 
 let pp ppf q = pp_prec 0 ppf q

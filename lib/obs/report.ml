@@ -6,8 +6,7 @@
    counter snapshots (the Obs counters of the engine that produced the
    series), and per-series speedups against the point's batch baseline.
 
-   Schema (version 2; version-1 files — no histograms/gc — still
-   validate):
+   Schema (version 2, the only one read or written):
 
      { "schema_version": 2,
        "tool": <string>,
@@ -25,12 +24,13 @@
 
    The "histograms" section carries {!Histogram.to_json} values — per-
    update latency ("apply_latency_s") and GC-delta distributions — and
-   "gc" the per-point word totals. Both are optional per point (batch
-   baselines maintain no registry). Two runs are compared by joining on
+   "gc" the per-point word totals. Both are present on every point,
+   empty for a series that keeps no registry (batch baselines). Two runs
+   are compared by joining on
    (experiment id, point x, series); see {!compare_reports}. *)
 
 let schema_version = 2
-let supported_versions = [ 1; 2 ]
+let supported_versions = [ 2 ]
 
 type point = {
   x : string;
@@ -88,27 +88,24 @@ let point_to_json p =
         Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) p.speedup) );
     ]
   in
-  let opt key render = function [] -> [] | xs -> [ (key, render xs) ] in
   Json.Obj
     (base
-    @ opt "histograms"
-        (fun hs ->
+    @ [
+        ( "histograms",
           Json.Obj
             (List.map
                (fun (series, hs) ->
                  ( series,
                    Json.Obj
                      (List.map (fun (k, h) -> (k, Histogram.to_json h)) hs) ))
-               hs))
-        p.hists
-    @ opt "gc"
-        (fun gc ->
+               p.hists) );
+        ( "gc",
           Json.Obj
             (List.map
                (fun (series, ws) ->
                  (series, Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) ws)))
-               gc))
-        p.gc)
+               p.gc) );
+      ])
 
 let to_json t =
   Json.Obj
@@ -139,9 +136,8 @@ let write ~path t =
 (* ---- validation ------------------------------------------------------------ *)
 
 (* Structural schema check for consumers (the @bench-smoke and @bench-gate
-   aliases, diff tooling). Accepts every version in [supported_versions]:
-   v1 files simply lack the histogram/gc sections. Returns the first
-   violation found. *)
+   aliases, diff tooling). Accepts every version in [supported_versions].
+   Returns the first violation found. *)
 let validate json =
   let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e in
   let req obj k what conv =
@@ -174,61 +170,49 @@ let validate json =
             else Ok ())
           (Ok ()) (timings @ speedup)
       in
+      let* hists = req p "histograms" "object" Json.to_obj_opt in
+      let* gc = req p "gc" "object" Json.to_obj_opt in
       let* () =
-        (* Optional v2 sections: every embedded histogram must pass the
-           Histogram validator, every gc stat must be a number. *)
-        match Json.member "histograms" p with
-        | None -> Ok ()
-        | Some h -> (
-            match Json.to_obj_opt h with
-            | None -> Error (where "\"histograms\" is not an object")
-            | Some series ->
+        (* Every embedded histogram must pass the Histogram validator,
+           every gc stat must be a number. *)
+        List.fold_left
+          (fun acc (sname, hs) ->
+            let* () = acc in
+            match Json.to_obj_opt hs with
+            | None ->
+                Error
+                  (where (Printf.sprintf "histograms[%S] not an object" sname))
+            | Some hs ->
                 List.fold_left
-                  (fun acc (sname, hs) ->
+                  (fun acc (hname, hj) ->
                     let* () = acc in
-                    match Json.to_obj_opt hs with
-                    | None ->
+                    match Histogram.validate hj with
+                    | Ok () -> Ok ()
+                    | Error e ->
                         Error
-                          (where
-                             (Printf.sprintf "histograms[%S] not an object" sname))
-                    | Some hs ->
-                        List.fold_left
-                          (fun acc (hname, hj) ->
-                            let* () = acc in
-                            match Histogram.validate hj with
-                            | Ok () -> Ok ()
-                            | Error e ->
-                                Error
-                                  (where
-                                     (Printf.sprintf "%s/%s: %s" sname hname e)))
-                          (Ok ()) hs)
-                  (Ok ()) series)
+                          (where (Printf.sprintf "%s/%s: %s" sname hname e)))
+                  (Ok ()) hs)
+          (Ok ()) hists
       in
       let* () =
-        match Json.member "gc" p with
-        | None -> Ok ()
-        | Some g -> (
-            match Json.to_obj_opt g with
-            | None -> Error (where "\"gc\" is not an object")
-            | Some series ->
+        List.fold_left
+          (fun acc (sname, ws) ->
+            let* () = acc in
+            match Json.to_obj_opt ws with
+            | None ->
+                Error (where (Printf.sprintf "gc[%S] not an object" sname))
+            | Some ws ->
                 List.fold_left
-                  (fun acc (sname, ws) ->
+                  (fun acc (k, v) ->
                     let* () = acc in
-                    match Json.to_obj_opt ws with
-                    | None ->
-                        Error (where (Printf.sprintf "gc[%S] not an object" sname))
-                    | Some ws ->
-                        List.fold_left
-                          (fun acc (k, v) ->
-                            let* () = acc in
-                            if Json.to_float_opt v = None then
-                              Error
-                                (where
-                                   (Printf.sprintf
-                                      "gc stat %s/%s is not a number" sname k))
-                            else Ok ())
-                          (Ok ()) ws)
-                  (Ok ()) series)
+                    if Json.to_float_opt v = None then
+                      Error
+                        (where
+                           (Printf.sprintf "gc stat %s/%s is not a number"
+                              sname k))
+                    else Ok ())
+                  (Ok ()) ws)
+          (Ok ()) gc
       in
       List.fold_left
         (fun acc (series, snap) ->

@@ -4,12 +4,14 @@
     a list of experiments, each a list of data points. A point carries
     the x-axis label, per-series wall-clock timings (seconds), per-series
     counter snapshots, per-series speedups against the point's batch
-    baseline, and (schema v2) per-series latency/GC histograms. Two runs
+    baseline, and per-series latency/GC histograms. Two runs
     are compared by joining on (experiment id, point x, series); see
     {!compare_reports}. *)
 
 val schema_version : int
+
 val supported_versions : int list
+(** [[2]]: the reader takes only the current schema. *)
 
 type point = {
   x : string;

@@ -666,6 +666,72 @@ let escape_roundtrip_prop =
       | Ok (J.Str s') -> String.equal s s'
       | _ -> false)
 
+(* ---- BENCH reports ----------------------------------------------------------- *)
+
+module R = Ig_obs.Report
+
+(* A point with no registry (a batch baseline) still carries empty
+   histogram and gc sections, so the written report validates. *)
+let test_report_writer_validates () =
+  let r = R.create ~tool:"test" ~config:[] () in
+  let e = R.experiment r ~id:"exp" ~title:"exp" in
+  R.add_point e ~x:"1" ~timings:[ ("batch", 0.5) ] ();
+  let h = Ig_obs.Histogram.create () in
+  Ig_obs.Histogram.observe h 0.001;
+  R.add_point e ~x:"2"
+    ~timings:[ ("inc", 0.1) ]
+    ~histograms:[ ("inc", [ ("apply_latency_s", h) ]) ]
+    ~gc:[ ("inc", [ ("minor_words", 12.) ]) ]
+    ();
+  match R.validate (R.to_json r) with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail ("fresh report rejected: " ^ e)
+
+(* A v1 report, and a v2 point without the histogram/gc sections, are
+   both rejected. *)
+let test_report_v1_rejected () =
+  let point =
+    [
+      ("x", J.Str "1");
+      ("timings", J.Obj [ ("batch", J.Float 0.5) ]);
+      ("counters", J.Obj []);
+      ("speedup_vs_batch", J.Obj []);
+    ]
+  in
+  let report v point =
+    J.Obj
+      [
+        ("schema_version", J.Int v);
+        ("tool", J.Str "test");
+        ("created_unix", J.Float 0.);
+        ("config", J.Obj []);
+        ( "experiments",
+          J.Arr
+            [
+              J.Obj
+                [
+                  ("id", J.Str "exp");
+                  ("title", J.Str "exp");
+                  ("points", J.Arr [ J.Obj point ]);
+                ];
+            ] );
+      ]
+  in
+  let full = point @ [ ("histograms", J.Obj []); ("gc", J.Obj []) ] in
+  (match R.validate (report 2 full) with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail ("v2 report rejected: " ^ e));
+  List.iter
+    (fun (what, json) ->
+      match R.validate json with
+      | Ok () -> Alcotest.failf "validator accepted %s" what
+      | Error _ -> ())
+    [
+      ("a v1 report", report 1 point);
+      ("a v1 report with v2 sections", report 1 full);
+      ("a v2 point without histograms/gc", report 2 point);
+    ]
+
 let () =
   Alcotest.run "obs"
     [
@@ -744,5 +810,12 @@ let () =
           Alcotest.test_case "all 256 bytes round-trip" `Quick
             test_escape_all_bytes;
           QCheck_alcotest.to_alcotest escape_roundtrip_prop;
+        ] );
+      ( "bench report",
+        [
+          Alcotest.test_case "writer output validates" `Quick
+            test_report_writer_validates;
+          Alcotest.test_case "v1 report rejected" `Quick
+            test_report_v1_rejected;
         ] );
     ]
