@@ -1,22 +1,135 @@
-let write ppf g =
-  Format.fprintf ppf "# incgraph v1: %d nodes %d edges@\n" (Digraph.n_nodes g)
-    (Digraph.n_edges g);
-  Digraph.iter_nodes
-    (fun v -> Format.fprintf ppf "v %d %s@\n" v (Digraph.label_name g v))
-    g;
-  Digraph.iter_edges (fun u v -> Format.fprintf ppf "e %d %d@\n" u v) g
+(* ---- canonical writer ---------------------------------------------------- *)
+
+(* Decimal digits straight into the buffer, most significant first: no
+   intermediate string. Ids and counts are non-negative. *)
+let rec add_nat buf n =
+  if n >= 10 then add_nat buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
+let rec n_digits n = if n < 10 then 1 else 1 + n_digits (n / 10)
+
+(* The reader trims each line and splits it on single spaces, so only a
+   non-empty label without whitespace survives a round trip. *)
+let add_label buf g v =
+  let name = Digraph.label_name g v in
+  if
+    name = ""
+    || String.exists
+         (function ' ' | '\t' | '\n' | '\r' | '\012' -> true | _ -> false)
+         name
+  then
+    invalid_arg
+      (Printf.sprintf
+         "Io: node %d has label %S; a label must be non-empty and contain no \
+          whitespace"
+         v name);
+  Buffer.add_string buf name
+
+let add_edge_line buf u v =
+  Buffer.add_string buf "e ";
+  add_nat buf u;
+  Buffer.add_char buf ' ';
+  add_nat buf v;
+  Buffer.add_char buf '\n'
+
+let by_edge (a, b, _) (c, d, _) =
+  if a <> c then Int.compare a c else Int.compare b d
+
+(* The net effect of [after] on each edge it touches, sorted by edge: an
+   edge ends present iff its last update is an insert, whatever it was
+   before — so an insert then a delete of an absent edge nets to absent.
+   The stable sort keeps each edge's updates in op order; the last one
+   wins. *)
+let overlay_of g after =
+  let ups =
+    Array.of_list
+      (List.map
+         (fun up ->
+           let ((u, v, _) as e) =
+             match up with
+             | Digraph.Insert (u, v) -> (u, v, true)
+             | Digraph.Delete (u, v) -> (u, v, false)
+           in
+           if not (Digraph.mem_node g u && Digraph.mem_node g v) then
+             invalid_arg
+               (Printf.sprintf "Io.to_string: update on unknown edge (%d, %d)"
+                  u v);
+           e)
+         after)
+  in
+  Array.stable_sort by_edge ups;
+  let n = Array.length ups in
+  Array.of_list
+    (List.filteri
+       (fun i e -> i = n - 1 || by_edge e ups.(i + 1) <> 0)
+       (Array.to_list ups))
+
+(* Overlay entries of row [u] are the sorted run starting at [!i]. *)
+let in_row ov i u = !i < Array.length ov && (let a, _, _ = ov.(!i) in a = u)
+
+(* Emit the row's overlay edges (u, b) with b < w that end present. *)
+let flush_below buf ov i u w =
+  while in_row ov i u && (let _, b, _ = ov.(!i) in b < w) do
+    let _, b, present = ov.(!i) in
+    if present then add_edge_line buf u b;
+    incr i
+  done
+
+(* Emit live edge (u, w) in row order: first the overlay edges below w,
+   then (u, w) itself unless an overlay entry for it ends absent. *)
+let merge_live buf ov i u w =
+  flush_below buf ov i u w;
+  if in_row ov i u && (let _, b, _ = ov.(!i) in b = w) then begin
+    let _, _, present = ov.(!i) in
+    if present then add_edge_line buf u w;
+    incr i
+  end
+  else add_edge_line buf u w
+
+let to_string ?(after = []) g =
+  let ov = overlay_of g after in
+  let n = Digraph.n_nodes g in
+  let m =
+    Array.fold_left
+      (fun m (u, v, present) ->
+        match (present, Digraph.mem_edge g u v) with
+        | true, false -> m + 1
+        | false, true -> m - 1
+        | _ -> m)
+      (Digraph.n_edges g) ov
+  in
+  let d = n_digits n in
+  let buf = Buffer.create (64 + (n * (d + 12)) + (m * ((2 * d) + 4))) in
+  Buffer.add_string buf "# incgraph v1: ";
+  add_nat buf n;
+  Buffer.add_string buf " nodes ";
+  add_nat buf m;
+  Buffer.add_string buf " edges\n";
+  for v = 0 to n - 1 do
+    Buffer.add_string buf "v ";
+    add_nat buf v;
+    Buffer.add_char buf ' ';
+    add_label buf g v;
+    Buffer.add_char buf '\n'
+  done;
+  (* Rows in id order, each already sorted, with the row's overlay run
+     merged in. *)
+  let i = ref 0 in
+  for u = 0 to n - 1 do
+    Digraph.iter_succ_sorted (merge_live buf ov i u) g u;
+    flush_below buf ov i u max_int
+  done;
+  Buffer.contents buf
 
 (* Deliberate artifact writer/reader: the graph text format. *)
 let save path g =
+  let text = to_string g in
   let oc = (open_out [@lint.allow "D3"]) path in
-  let ppf = Format.formatter_of_out_channel oc in
-  (try
-     write ppf g;
-     Format.pp_print_flush ppf ()
-   with e ->
-     close_out_noerr oc;
-     raise e);
-  close_out oc
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () ->
+      output_string oc text;
+      close_out oc)
 
 let parse_lines ?backend lines =
   let g = Digraph.create ?backend () in

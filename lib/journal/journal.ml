@@ -22,7 +22,7 @@ type scanned = {
 }
 
 let digest_hex s = Digest.to_hex (Digest.string s)
-let graph_digest g = digest_hex (Format.asprintf "%a" Io.write g)
+let graph_digest g = digest_hex (Io.to_string g)
 
 let read_all path =
   In_channel.with_open_bin path In_channel.input_all
@@ -188,6 +188,9 @@ let updates_of_ops ops =
             ("Journal.updates_of_ops: node op has no engine update: "
             ^ Record.op_to_string op))
     ops
+
+let graph_digest_after g ops =
+  digest_hex (Io.to_string ~after:(updates_of_ops ops) g)
 
 let apply_op g = function
   | Record.Upsert_edge (u, v) -> ignore (Digraph.add_edge g u v)

@@ -20,10 +20,17 @@
     {2 Digests}
 
     Graph state is identified by {!graph_digest}: the hex MD5 of the
-    canonical {!Ig_graph.Io.write} text (header line, nodes in id order,
-    edges in lexicographic order). Batches record the digest before and
-    after, so replay and undo are verified byte-for-byte, not merely
-    set-equal. *)
+    canonical {!Ig_graph.Io.to_string} text (header line, nodes in id
+    order, edges in lexicographic order). Batches record the digest before
+    and after, so replay and undo are verified byte-for-byte, not merely
+    set-equal.
+
+    A digest costs one buffered pass over the graph: O(|V| + |E|) bytes
+    of text and one MD5. The [post] digest a commit
+    writes ahead of its apply ({!graph_digest_after}) is the same pass
+    with the batch's edge ops overlaid on the live rows, so no copy of the
+    graph is made; it equals {!graph_digest} of the graph after the
+    apply, which the store re-checks once the engine has moved. *)
 
 type t
 (** An open journal, positioned for appending. *)
@@ -42,6 +49,13 @@ type scanned = {
 }
 
 val graph_digest : Ig_graph.Digraph.t -> string
+
+val graph_digest_after : Ig_graph.Digraph.t -> Record.op list -> string
+(** [graph_digest_after g ops] is [graph_digest] of [g] with [ops]
+    applied in order by {!apply_op}, computed without modifying or copying
+    [g]. @raise Invalid_argument on node ops (the store journals only edge
+    ops) or ops on unknown nodes. *)
+
 val digest_hex : string -> string
 
 val scan : path:string -> (scanned, string) result

@@ -12,7 +12,7 @@ let tool_name = "incgraph-journal-snapshot"
 let schema_version = 1
 
 let of_state ~seq ~graph ~answer_digest ~certs =
-  let graph_text = Format.asprintf "%a" Ig_graph.Io.write graph in
+  let graph_text = Ig_graph.Io.to_string graph in
   {
     seq;
     graph_text;

@@ -18,7 +18,10 @@
 
 type t = {
   seq : int;
-  graph_text : string;  (** canonical {!Ig_graph.Io.write} text *)
+  graph_text : string;
+      (** canonical {!Ig_graph.Io.to_string} text, byte for byte what
+          {!Journal.graph_digest} hashes; built in one buffered pass over
+          the graph *)
   graph_digest : string;
   answer_digest : string;  (** hex MD5 of the canonical answer; "" if none *)
   certs : (string * string) list;  (** named engine certificate sections *)

@@ -175,15 +175,13 @@ let verify_post t ~seq post =
           journaled %s"
          seq got post)
 
-(* The journaled post digest is computed ahead of the engine apply on a
-   scratch copy of the graph — write-ahead means the record must be
-   durable (and complete) before the live state moves. *)
+(* The journaled post digest is computed ahead of the engine apply —
+   write-ahead means the record must be durable (and complete) before the
+   live state moves — from the live graph with the ops overlaid. *)
 let journal_batch t ~kind ops =
   let g = t.client.graph () in
   let pre = Journal.graph_digest g in
-  let scratch = Digraph.copy g in
-  List.iter (Journal.apply_op scratch) ops;
-  let post = Journal.graph_digest scratch in
+  let post = Journal.graph_digest_after g ops in
   let b = Journal.append t.journal ~kind ~ops ~pre ~post in
   Obs.add t.obs Obs.K.journal_ops (List.length ops);
   b

@@ -78,7 +78,7 @@ let test_workload_roundtrip () =
 
 let test_io_through_core () =
   let g = build_graph () in
-  let s = Format.asprintf "%a" Core.Io.write g in
+  let s = Core.Io.to_string g in
   let g' = Core.Io.of_string s in
   check Alcotest.int "edges preserved" (Core.Digraph.n_edges g)
     (Core.Digraph.n_edges g')

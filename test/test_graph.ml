@@ -382,7 +382,7 @@ let test_edges_deterministic () =
 
 let test_io_roundtrip () =
   let g = diamond () in
-  let s = Format.asprintf "%a" Io.write g in
+  let s = Io.to_string g in
   let g' = Io.of_string s in
   check Alcotest.int "nodes" (Digraph.n_nodes g) (Digraph.n_nodes g');
   check Alcotest.int "edges" (Digraph.n_edges g) (Digraph.n_edges g');
@@ -401,6 +401,63 @@ let test_io_errors () =
   check Alcotest.bool "garbage" true (bad "zzz");
   check Alcotest.bool "dup node" true (bad "v 0 a\nv 0 b");
   check Alcotest.bool "comments ok" false (bad "# hello\nv 0 a")
+
+(* The documented format, written the obvious way: the reference the
+   buffered writer must match byte for byte. *)
+let reference_text g =
+  let b = Buffer.create 256 in
+  Buffer.add_string b
+    (Printf.sprintf "# incgraph v1: %d nodes %d edges\n" (Digraph.n_nodes g)
+       (Digraph.n_edges g));
+  Digraph.iter_nodes
+    (fun v ->
+      Buffer.add_string b
+        (Printf.sprintf "v %d %s\n" v (Digraph.label_name g v)))
+    g;
+  List.iter
+    (fun (u, v) -> Buffer.add_string b (Printf.sprintf "e %d %d\n" u v))
+    (Digraph.edges g);
+  Buffer.contents b
+
+(* Up to 130 nodes so ids reach three digits; labels of one to five
+   printable non-space bytes; CSR graphs keep a pending overlay. *)
+let prop_writer_matches_reference =
+  QCheck.Test.make ~name:"writer matches the Printf reference" ~count:300
+    QCheck.(
+      triple bool
+        (pair (int_range 0 130)
+           (small_list
+              (string_gen_of_size (Gen.int_range 1 5)
+                 (Gen.char_range '!' '~'))))
+        (list (pair small_nat small_nat)))
+    (fun (csr, (n, labels), edges) ->
+      let g = Digraph.create ~backend:(if csr then `Csr else `Hashtbl) () in
+      let labels = Array.of_list ("x" :: labels) in
+      for i = 0 to n - 1 do
+        ignore (Digraph.add_node g labels.(i mod Array.length labels))
+      done;
+      if n > 0 then
+        List.iteri
+          (fun i (u, v) ->
+            if i = 10 then Digraph.compact g;
+            ignore (Digraph.add_edge g (u mod n) (v * 7 mod n)))
+          edges;
+      String.equal (Io.to_string g) (reference_text g))
+
+let test_io_unwritable_labels () =
+  List.iter
+    (fun label ->
+      let g = Digraph.create () in
+      ignore (Digraph.add_node g "ok");
+      ignore (Digraph.add_node g label);
+      match Io.to_string g with
+      | exception Invalid_argument msg ->
+          check Alcotest.bool
+            (Printf.sprintf "%S: error names node 1" label)
+            true
+            (String.starts_with ~prefix:"Io: node 1 " msg)
+      | _ -> Alcotest.fail (Printf.sprintf "label %S written" label))
+    [ "x y"; ""; "p\nq"; "a\tb"; " lead" ]
 
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
@@ -463,5 +520,8 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_io_roundtrip;
           Alcotest.test_case "errors" `Quick test_io_errors;
-        ] );
+          Alcotest.test_case "unwritable labels rejected" `Quick
+            test_io_unwritable_labels;
+        ]
+        @ qsuite [ prop_writer_matches_reference ] );
     ]

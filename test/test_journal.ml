@@ -192,6 +192,166 @@ let test_invert () =
   | Ok _ -> Alcotest.fail "monotone node op inverted"
   | Error _ -> ()
 
+(* ---- digests -------------------------------------------------------------- *)
+
+(* A fixed 12-node graph: two-digit ids, a self-loop, a removed edge and
+   (on CSR) a pending overlay. Its digest was captured from the
+   Format-based writer this one replaced; the bytes must never move. *)
+let pinned_graph backend =
+  let g = D.create ~backend () in
+  for i = 0 to 11 do
+    ignore (D.add_node g (Printf.sprintf "l%d" (i mod 4)))
+  done;
+  List.iter
+    (fun (u, v) -> ignore (D.add_edge g u v))
+    [ (0, 1); (0, 11); (1, 1); (11, 0); (10, 2); (3, 10); (5, 7); (7, 5); (2, 0) ];
+  ignore (D.remove_edge g 5 7);
+  ignore (D.add_edge g 4 9);
+  g
+
+let test_pinned_digests () =
+  List.iter
+    (fun backend ->
+      let name = D.backend_name backend in
+      check Alcotest.string (name ^ ": fixed graph")
+        "eaca3970bcfdabb75a4f75291ea78a56"
+        (J.graph_digest (pinned_graph backend));
+      check Alcotest.string (name ^ ": empty graph")
+        "d3e05c52530e5876bdf0e4000e8052e9"
+        (J.graph_digest (D.create ~backend ())))
+    [ `Hashtbl; `Csr ]
+
+(* [graph_digest_after g ops] against the definition it replaces: copy
+   the graph, apply the ops, digest the copy. Batches are built from
+   chunks so that one edge often carries two opposite ops in a row
+   (insert then delete of an absent edge, delete then insert of a
+   present one); the small id range yields self-loops, repeated edges and
+   rows no op touches. CSR graphs are compacted halfway through their
+   build so rows merge a base with a pending overlay. *)
+type after_case = {
+  backend : D.backend;
+  n : int;
+  edges : (int * int) list;
+  ops : R.op list;
+}
+
+let after_case_gen =
+  QCheck.Gen.(
+    let* backend = oneofl [ `Hashtbl; `Csr ] in
+    let* n = int_range 1 12 in
+    let node = int_bound (n - 1) in
+    let edge = pair node node in
+    let* edges = list_size (int_bound 30) edge in
+    let chunk =
+      let* u, v = edge in
+      oneofl
+        [
+          [ R.Upsert_edge (u, v) ];
+          [ R.Tombstone_edge (u, v) ];
+          [ R.Upsert_edge (u, v); R.Tombstone_edge (u, v) ];
+          [ R.Tombstone_edge (u, v); R.Upsert_edge (u, v) ];
+          [ R.Upsert_edge (u, u); R.Tombstone_edge (u, u) ];
+        ]
+    in
+    let+ chunks = list_size (int_bound 10) chunk in
+    { backend; n; edges; ops = List.concat chunks })
+
+let build_case c =
+  let g = D.create ~backend:c.backend () in
+  for i = 0 to c.n - 1 do
+    ignore (D.add_node g (Printf.sprintf "n%d" (i mod 3)))
+  done;
+  List.iteri
+    (fun i (u, v) ->
+      if i = List.length c.edges / 2 then D.compact g;
+      ignore (D.add_edge g u v))
+    c.edges;
+  g
+
+let print_after_case c =
+  Printf.sprintf "%s n=%d edges=[%s] ops=[%s]" (D.backend_name c.backend) c.n
+    (String.concat "; "
+       (List.map (fun (u, v) -> Printf.sprintf "%d,%d" u v) c.edges))
+    (String.concat "; " (List.map R.op_to_string c.ops))
+
+let qcheck_digest_after =
+  QCheck.Test.make ~name:"digest after ops = digest of applied copy"
+    ~count:500
+    (QCheck.make ~print:print_after_case after_case_gen)
+    (fun c ->
+      let g = build_case c in
+      let before = J.graph_digest g in
+      let got = J.graph_digest_after g c.ops in
+      let copy = D.copy g in
+      List.iter (J.apply_op copy) c.ops;
+      String.equal got (J.graph_digest copy)
+      && String.equal before (J.graph_digest g))
+
+let test_digest_after_cases () =
+  List.iter
+    (fun backend ->
+      let g = D.convert ~backend (mk_graph ()) in
+      let same ops =
+        let copy = D.copy g in
+        List.iter (J.apply_op copy) ops;
+        J.graph_digest copy
+      in
+      let name = D.backend_name backend in
+      List.iter
+        (fun (what, ops) ->
+          check Alcotest.string (name ^ ": " ^ what) (same ops)
+            (J.graph_digest_after g ops))
+        [
+          ("no ops", []);
+          ( "insert then delete an absent edge",
+            [ R.Upsert_edge (1, 3); R.Tombstone_edge (1, 3) ] );
+          ( "delete then insert a present edge",
+            [ R.Tombstone_edge (0, 1); R.Upsert_edge (0, 1) ] );
+          ("self-loop", [ R.Upsert_edge (5, 5) ]);
+          ("empty the graph's first row", [ R.Tombstone_edge (0, 1) ]);
+        ];
+      check Alcotest.string (name ^ ": insert+delete is a no-op")
+        (J.graph_digest g)
+        (J.graph_digest_after g [ R.Upsert_edge (1, 3); R.Tombstone_edge (1, 3) ]);
+      (match J.graph_digest_after g [ R.Upsert_node (6, "y") ] with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.fail "node upsert accepted");
+      match J.graph_digest_after g [ R.Tombstone_node 0 ] with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.fail "node tombstone accepted")
+    [ `Hashtbl; `Csr ]
+
+(* A label the reader cannot parse back must stop the writer, so neither
+   the init snapshot nor a later one is ever written unreadable. *)
+let test_unwritable_label_never_snapshotted () =
+  List.iter
+    (fun label ->
+      let dir = fresh_dir () in
+      let g = mk_graph () in
+      ignore (D.add_node g label);
+      (match
+         St.init ~dir ~header:(header_of (mk_graph ())) ~client:(St.graph_client g) ()
+       with
+      | exception Invalid_argument msg ->
+          check Alcotest.bool
+            (Printf.sprintf "%S: error names node 6" label)
+            true
+            (String.starts_with ~prefix:"Io: node 6 " msg)
+      | _ -> Alcotest.fail (Printf.sprintf "init accepted label %S" label));
+      check (Alcotest.list Alcotest.int) "no init snapshot" []
+        (Sn.list_seqs ~dir);
+      let dir = fresh_dir () in
+      let store, g = mk_store dir in
+      ignore (St.do_batch store [ D.Insert (4, 5) ]);
+      ignore (D.add_node g label);
+      (match St.snapshot store with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.fail (Printf.sprintf "snapshot accepted label %S" label));
+      St.close store;
+      check (Alcotest.list Alcotest.int) "only the init snapshot" [ 0 ]
+        (Sn.list_seqs ~dir))
+    [ "x y"; ""; "p\nq" ]
+
 (* ---- crash injection at every byte boundary ------------------------------ *)
 
 (* Byte offsets where each framed record starts, walking the file with the
@@ -439,6 +599,16 @@ let () =
             test_apply_op_idempotent;
           Alcotest.test_case "inversion" `Quick test_invert;
         ] );
+      ( "digests",
+        qsuite [ qcheck_digest_after ]
+        @ [
+            Alcotest.test_case "pinned canonical bytes" `Quick
+              test_pinned_digests;
+            Alcotest.test_case "overlay edge cases" `Quick
+              test_digest_after_cases;
+            Alcotest.test_case "unwritable label never snapshotted" `Quick
+              test_unwritable_label_never_snapshotted;
+          ] );
       ( "crash injection",
         [
           Alcotest.test_case "truncate every boundary" `Quick
