@@ -362,7 +362,7 @@ let stream_cmd =
           drive ~obs:o ~trace:tr ~ratio g spec ~seed ~batches ~size
             (fun inst round ups ->
               let (_, summary), t =
-                time (fun () -> Oracle.apply_batch inst ups)
+                time (fun () -> inst.Oracle.apply_batch ups)
               in
               (match flight with
               | Some (fr, _) -> List.iter (fun _ -> Obs.Flight.tick fr) ups
@@ -373,7 +373,7 @@ let stream_cmd =
               Format.printf "round %d: |ΔG|=%d  %s  (%.3fs)@." round
                 (List.length ups) summary t)
         in
-        Format.printf "final: %s@." (Oracle.describe inst);
+        Format.printf "final: %s@." (inst.Oracle.describe ());
         Option.iter
           (fun (fr, every) ->
             (* Capture the final state unless the cadence just did. *)
@@ -619,7 +619,7 @@ let top_cmd =
 
 (* ---- stats ----------------------------------------------------------------- *)
 
-let apply_each inst _ ups = ignore (Oracle.apply_batch inst ups)
+let apply_each inst _ ups = ignore (inst.Oracle.apply_batch ups)
 
 let stats_cmd =
   let histo =
@@ -643,13 +643,13 @@ let stats_cmd =
     let inst =
       drive ~trace:Tracer.noop g spec ~seed ~batches ~size apply_each
     in
-    let o = Oracle.obs inst in
+    let o = inst.Oracle.obs in
     if prom then print_string (Obs.Openmetrics.render o)
     else if json then
       print_endline (Obs.Json.to_string ~indent:true (Obs.to_json o))
     else begin
       Format.printf "%s after %d batches of %d unit updates:@."
-        (Oracle.series inst) batches size;
+        inst.Oracle.series batches size;
       List.iter
         (fun (k, v) -> Format.printf "  %-16s %10d@." k v)
         (Obs.counters o);
@@ -706,8 +706,8 @@ let trace_cmd =
     let tr = Tracer.create ~capacity:cap () in
     let inst = drive ~trace:tr g spec ~seed ~batches ~size apply_each in
     let snap = Tracer.snapshot tr in
-    Trace_export.write_chrome ~path:out ~name:(Oracle.series inst) snap;
-    Format.printf "%s: %d event(s)%s -> %s@." (Oracle.series inst)
+    Trace_export.write_chrome ~path:out ~name:inst.Oracle.series snap;
+    Format.printf "%s: %d event(s)%s -> %s@." inst.Oracle.series
       (List.length snap.Tracer.entries)
       (if snap.Tracer.drops > 0 then
          Printf.sprintf " (ring buffer dropped %d older)" snap.Tracer.drops
@@ -733,7 +733,7 @@ let trace_cmd =
    so the first one does not carry the engine's init events. *)
 let explain_batch tr ~limit name inst ups =
   Tracer.clear tr;
-  let d_o, _ = Oracle.apply_batch inst ups in
+  let d_o, _ = inst.Oracle.apply_batch ups in
   Format.printf "@.== %s ==@.%a@." (name d_o)
     (Trace_export.pp_explain ~limit)
     (Tracer.snapshot tr)
@@ -813,7 +813,7 @@ let explain_cmd =
                        explain_batch tr ~limit
                          (fun _ ->
                            Printf.sprintf "%s batch %d (|ΔG| = %d)"
-                             (Oracle.series inst) round (List.length ups))
+                             inst.Oracle.series round (List.length ups))
                          inst ups));
                 `Ok ()))
   in
@@ -1335,7 +1335,7 @@ let replay_cmd =
             match Core.Check.Oracle.check i with
             | () ->
                 Format.printf "oracle agrees: answer digest %s@."
-                  (jdigest (Core.Check.Oracle.answer i));
+                  (jdigest (i.Core.Check.Oracle.answer ()));
                 finish (`Ok ())
             | exception Core.Check.Oracle.Check_failed msg ->
                 finish (`Error (false, "oracle check failed: " ^ msg))))
@@ -1398,7 +1398,7 @@ let snapshot_cmd =
     (Cmd.info "snapshot"
        ~doc:
          "Write a certificate snapshot (graph, canonical answer digest and \
-          the engine's SNAPSHOTTABLE certificate dump) at the current tip, \
+          the engine's certificate dump) at the current tip, \
           bounding future recovery replay.")
     Term.(ret (const run $ dir_arg))
 

@@ -31,8 +31,8 @@ let () =
   Format.printf "motif: account -> mule -> shop -> account (d_Q = %d)@."
     (Core.Iso.Pattern.diameter motif);
 
-  let monitor = Core.Iso_session.create g motif in
-  Format.printf "existing matches: %d@.@." (List.length (Core.Iso_session.answer monitor));
+  let monitor = Core.Iso.Inc.init g motif in
+  Format.printf "existing matches: %d@.@." (List.length (Core.Iso.Inc.matches monitor));
 
   (* Stream 2000 random transactions; report alerts as they fire. *)
   let alerts = ref 0 and cleared = ref 0 in
@@ -44,7 +44,7 @@ let () =
       else Core.Digraph.Insert (u, v)
     in
     if u <> v then begin
-      let d = Core.Iso_session.update monitor [ up ] in
+      let d = Core.Iso.Inc.apply_batch monitor [ up ] in
       alerts := !alerts + List.length d.Core.Iso.Inc.added;
       cleared := !cleared + List.length d.Core.Iso.Inc.removed;
       List.iter
@@ -58,8 +58,8 @@ let () =
   ball_total := st.Ig_iso.Inc_iso.ball_nodes;
   Format.printf
     "@.stream done: %d alerts, %d cleared, %d live matches@." !alerts !cleared
-    (List.length (Core.Iso_session.answer monitor));
+    (List.length (Core.Iso.Inc.matches monitor));
   Format.printf
     "locality: %d VF2 reruns touched %d neighborhood nodes total (graph has %d)@."
     st.Ig_iso.Inc_iso.rematches !ball_total
-    (Core.Digraph.n_nodes (Core.Iso_session.graph monitor))
+    (Core.Digraph.n_nodes (Core.Iso.Inc.graph monitor))

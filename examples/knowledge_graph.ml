@@ -26,9 +26,9 @@ let () =
   let query = Core.Workload.Queries.rpq ~rng g ~size:4 in
   Format.printf "query: %s@." (Core.Regex.to_string query);
 
-  let session = Core.Rpq_session.create (Core.Digraph.copy g) query in
+  let engine = Core.Rpq.Inc.create (Core.Digraph.copy g) query in
   Format.printf "initial matches: %d@.@."
-    (List.length (Core.Rpq_session.answer session));
+    (List.length (Core.Rpq.Inc.matches engine));
 
   (* Stream of 5 edit batches, each 1%% of |E|. *)
   let batch_size = max 1 (Core.Digraph.n_edges g / 100) in
@@ -36,11 +36,11 @@ let () =
   for round = 1 to 5 do
     let ups =
       Core.Workload.Updates.generate ~rng
-        (Core.Rpq_session.graph session)
+        (Core.Rpq.Inc.graph engine)
         ~size:batch_size ()
     in
     let delta, inc_time =
-      time (fun () -> Core.Rpq_session.update session ups)
+      time (fun () -> Core.Rpq.Inc.apply_batch engine ups)
     in
     (* Batch recomputation on an identical graph, for comparison. *)
     Core.Digraph.apply_batch baseline ups;
@@ -57,4 +57,4 @@ let () =
   done;
 
   Format.printf "@.final matches: %d@."
-    (List.length (Core.Rpq_session.answer session))
+    (List.length (Core.Rpq.Inc.matches engine))

@@ -1,6 +1,6 @@
 (* Quickstart: build a small labeled digraph, answer all four query classes
    once with the batch algorithms, then keep the answers fresh through
-   incremental sessions while the graph changes.
+   the incremental engines while the graph changes.
 
    Run with: dune exec examples/quickstart.exe *)
 
@@ -25,32 +25,32 @@ let () =
   Format.printf "graph: %d nodes, %d edges@."
     (Core.Digraph.n_nodes g) (Core.Digraph.n_edges g);
 
-  (* 2. Sessions: one per query class, sharing copies of the graph (each
-     session owns its graph and applies the updates itself). *)
+  (* 2. Engines: one per query class, each over its own copy of the graph
+     (an engine owns its graph and applies the updates itself). *)
   let kws =
-    Core.Kws_session.create (Core.Digraph.copy g)
+    Core.Kws.Inc.init (Core.Digraph.copy g)
       { Core.Kws.Batch.keywords = [ "actor"; "award" ]; bound = 2 }
   in
   let rpq =
-    Core.Rpq_session.create (Core.Digraph.copy g)
+    Core.Rpq.Inc.create (Core.Digraph.copy g)
       (Core.Regex.parse_exn "director . movie . actor")
   in
-  let scc = Core.Scc_session.create (Core.Digraph.copy g) () in
+  let scc = Core.Scc.Inc.init (Core.Digraph.copy g) in
   let iso =
-    Core.Iso_session.create (Core.Digraph.copy g)
+    Core.Iso.Inc.init (Core.Digraph.copy g)
       (Core.Iso.Pattern.create ~labels:[ "actor"; "actor" ]
          ~edges:[ (0, 1); (1, 0) ])
   in
 
   Format.printf "KWS  roots reaching an actor and an award within 2 hops: %a@."
     Fmt.(Dump.list int)
-    (Core.Kws_session.answer kws);
+    (Core.Kws.Inc.match_roots kws);
   Format.printf "RPQ  director.movie.actor pairs: %a@."
     Fmt.(Dump.list (Dump.pair int int))
-    (Core.Rpq_session.answer rpq);
-  Format.printf "SCC  %d components@." (List.length (Core.Scc_session.answer scc));
+    (Core.Rpq.Inc.matches rpq);
+  Format.printf "SCC  %d components@." (List.length (Core.Scc.Inc.components scc));
   Format.printf "ISO  mutual-following actor pairs: %d@."
-    (List.length (Core.Iso_session.answer iso));
+    (List.length (Core.Iso.Inc.matches iso));
 
   (* 3. The graph changes: a new movie-actor edge and a broken cycle. *)
   let batch =
@@ -58,10 +58,10 @@ let () =
   in
   Format.printf "@.applying ΔG = [insert (movie1, actor2); delete (actor2, actor1)]@.";
 
-  let dk = Core.Kws_session.update kws batch in
-  let dr = Core.Rpq_session.update rpq batch in
-  let ds = Core.Scc_session.update scc batch in
-  let di = Core.Iso_session.update iso batch in
+  let dk = Core.Kws.Inc.apply_batch kws batch in
+  let dr = Core.Rpq.Inc.apply_batch rpq batch in
+  let ds = Core.Scc.Inc.apply_batch scc batch in
+  let di = Core.Iso.Inc.apply_batch iso batch in
 
   Format.printf "KWS  ΔO: +%a -%a@."
     Fmt.(Dump.list int) dk.Core.Kws.Inc.added
@@ -79,4 +79,4 @@ let () =
      tested contract; see test/ for the property suites. *)
   Format.printf "@.current KWS roots: %a@."
     Fmt.(Dump.list int)
-    (Core.Kws_session.answer kws)
+    (Core.Kws.Inc.match_roots kws)

@@ -23,8 +23,8 @@ let () =
   Format.printf "social graph: %d nodes, %d edges@." (Core.Digraph.n_nodes g)
     (Core.Digraph.n_edges g);
 
-  let scc = Core.Scc_session.create (Core.Digraph.copy g) () in
-  let comps = Core.Scc_session.answer scc in
+  let scc = Core.Scc.Inc.init (Core.Digraph.copy g) in
+  let comps = Core.Scc.Inc.components scc in
   let giant = List.fold_left (fun acc c -> max acc (List.length c)) 0 comps in
   Format.printf "communities: %d (largest %.0f%% of the graph)@."
     (List.length comps)
@@ -34,19 +34,19 @@ let () =
   Format.printf "keyword query: {%s} within %d hops@."
     (String.concat ", " query.Core.Kws.Batch.keywords)
     query.Core.Kws.Batch.bound;
-  let kws = Core.Kws_session.create (Core.Digraph.copy g) query in
+  let kws = Core.Kws.Inc.init (Core.Digraph.copy g) query in
   Format.printf "matching roots: %d@.@."
-    (List.length (Core.Kws_session.answer kws));
+    (List.length (Core.Kws.Inc.match_roots kws));
 
   let batch_size = max 1 (Core.Digraph.n_edges g / 50) in
   for round = 1 to 4 do
     let ups =
       Core.Workload.Updates.generate ~rng
-        (Core.Kws_session.graph kws)
+        (Core.Kws.Inc.graph kws)
         ~size:batch_size ()
     in
-    let dk, kws_time = time (fun () -> Core.Kws_session.update kws ups) in
-    let ds, scc_time = time (fun () -> Core.Scc_session.update scc ups) in
+    let dk, kws_time = time (fun () -> Core.Kws.Inc.apply_batch kws ups) in
+    let ds, scc_time = time (fun () -> Core.Scc.Inc.apply_batch scc ups) in
     Format.printf
       "round %d: |ΔG| = %d   KWS roots +%d/-%d (%.3fs)   communities -%d/+%d (%.3fs)@."
       round (List.length ups)
@@ -58,7 +58,7 @@ let () =
       scc_time
   done;
 
-  let comps = Core.Scc_session.answer scc in
+  let comps = Core.Scc.Inc.components scc in
   Format.printf "@.after churn: %d communities, %d matching roots@."
     (List.length comps)
-    (List.length (Core.Kws_session.answer kws))
+    (List.length (Core.Kws.Inc.match_roots kws))

@@ -6,17 +6,17 @@ module Store = Ig_journal.Store
 
 let digest_hex = Journal.digest_hex
 
-(* Wrap a packed oracle as a store client: effective ops re-enter the
+(* Wrap an oracle as a store client: effective ops re-enter the
    engine as unit updates, so the journal sees exactly what the engine
    applied. *)
 let client_of inst =
   {
     Store.apply =
       (fun ops ->
-        List.iter (Oracle.apply inst) (Journal.updates_of_ops ops));
-    graph = (fun () -> Oracle.graph inst);
-    answer_digest = (fun () -> digest_hex (Oracle.answer inst));
-    certs = (fun () -> Oracle.cert_snapshot inst);
+        List.iter inst.Oracle.apply (Journal.updates_of_ops ops));
+    graph = (fun () -> inst.Oracle.graph);
+    answer_digest = (fun () -> digest_hex (inst.Oracle.answer ()));
+    certs = (fun () -> inst.Oracle.cert_snapshot ());
   }
 
 let header_of (s : Scenarios.t) =
@@ -36,12 +36,12 @@ let clean_dir dir =
 [@@lint.allow "D3"]
 
 let trace_digest inst =
-  let tr = Oracle.trace inst in
+  let tr = inst.Oracle.trace in
   if not (Tracer.enabled tr) then "-"
   else digest_hex (Ig_obs.Trace_export.explain_to_string (Tracer.snapshot tr))
 
 let clear_trace inst =
-  let tr = Oracle.trace inst in
+  let tr = inst.Oracle.trace in
   if Tracer.enabled tr then Tracer.clear tr
 
 let update_str = function
@@ -62,7 +62,7 @@ let run ~scenario ~dir ~steps ~seed ?(emit = fun _ -> ()) () =
   let stream =
     ref
       (Stream.create ~rng ~focus:scenario.Scenarios.focus
-         (Oracle.graph !inst))
+         !inst.Oracle.graph)
   in
   let check ~step ~ctx =
     match Oracle.check !inst with
@@ -73,7 +73,7 @@ let run ~scenario ~dir ~steps ~seed ?(emit = fun _ -> ()) () =
   let state_str () =
     Printf.sprintf "tip=%d graph=%s answer=%s" (Store.tip !store)
       (Store.digest !store)
-      (digest_hex (Oracle.answer !inst))
+      (digest_hex (!inst.Oracle.answer ()))
   in
   (* Drop the live engine, rebuild from scratch and replay the whole
      committed journal through it — the crash-recovery path. *)
@@ -91,7 +91,7 @@ let run ~scenario ~dir ~steps ~seed ?(emit = fun _ -> ()) () =
             store := st;
             stream :=
               Stream.create ~rng ~focus:scenario.Scenarios.focus
-                (Oracle.graph fresh);
+                fresh.Oracle.graph;
             plan)
   in
   let do_one ~step =
@@ -107,7 +107,7 @@ let run ~scenario ~dir ~steps ~seed ?(emit = fun _ -> ()) () =
   in
   let do_undo_pair ~step =
     let pre_g = Store.digest !store in
-    let pre_a = digest_hex (Oracle.answer !inst) in
+    let pre_a = digest_hex (!inst.Oracle.answer ()) in
     let u = Stream.next !stream in
     clear_trace !inst;
     match Store.do_batch !store [ u ] with
@@ -120,7 +120,7 @@ let run ~scenario ~dir ~steps ~seed ?(emit = fun _ -> ()) () =
         | Error e -> failf "step %d (pair): undo: %s" step e
         | Ok _ ->
             let post_g = Store.digest !store in
-            let post_a = digest_hex (Oracle.answer !inst) in
+            let post_a = digest_hex (!inst.Oracle.answer ()) in
             if not (String.equal pre_g post_g) then
               failf
                 "step %d (pair): undo(do(G)) graph digest %s, pre-do was %s"
@@ -201,7 +201,7 @@ let run ~scenario ~dir ~steps ~seed ?(emit = fun _ -> ()) () =
               store := st;
               stream :=
                 Stream.create ~rng ~focus:scenario.Scenarios.focus
-                  (Oracle.graph fresh);
+                  fresh.Oracle.graph;
               check ~step ~ctx:"torn recover";
               emit
                 (Printf.sprintf

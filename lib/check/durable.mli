@@ -40,7 +40,7 @@ val run :
     [Error reason] on the first oracle disagreement, digest divergence or
     recovery failure. *)
 
-val client_of : Oracle.packed -> Ig_journal.Store.client
-(** A store client over a packed oracle: journal ops re-enter the engine
-    as unit updates, and snapshots carry the engine's canonical answer
-    digest and its SNAPSHOTTABLE certificate dump. *)
+val client_of : Oracle.t -> Ig_journal.Store.client
+(** A store client over an oracle: journal ops re-enter the engine as
+    unit updates, and snapshots carry the engine's canonical answer digest
+    and its certificate dump ([cert_snapshot]). *)

@@ -15,10 +15,10 @@ let replay_fails ~make stream =
   match
     let inst = make () in
     Oracle.check inst;
-    let prev = ref (Ig_obs.Obs.counters (Oracle.obs inst)) in
+    let prev = ref (Ig_obs.Obs.counters inst.Oracle.obs) in
     List.iter
       (fun u ->
-        Oracle.apply inst u;
+        inst.Oracle.apply u;
         Oracle.check inst;
         prev := Oracle.check_metrics ~prev:!prev inst)
       stream
@@ -35,20 +35,20 @@ let split_last us =
    update — the failing step of a (shrunk) reproducer. The tracer is
    cleared right before that update so the snapshot explains exactly the
    step where the violation surfaced. [None] when the stream is empty or
-   the adapter was built without a live tracer. *)
+   the oracle was built without a live tracer. *)
 let capture_trace ~make stream =
   match split_last stream with
   | None -> None
   | Some (init, last) ->
       let inst = make () in
-      let tr = Oracle.trace inst in
+      let tr = inst.Oracle.trace in
       if not (Tracer.enabled tr) then None
       else begin
         (* The replay is expected to blow up — that is what it reproduces. *)
-        (try List.iter (fun u -> Oracle.apply inst u) init with _ -> ());
+        (try List.iter inst.Oracle.apply init with _ -> ());
         Tracer.clear tr;
         (try
-           Oracle.apply inst last;
+           inst.Oracle.apply last;
            Oracle.check inst
          with _ -> ());
         Some (Tracer.snapshot tr)
@@ -56,7 +56,7 @@ let capture_trace ~make stream =
 
 let run ~make ?(focus = []) ~steps ~seed () =
   let inst = make () in
-  let algo = Oracle.name inst in
+  let algo = inst.Oracle.name in
   let fail step reason stream =
     (* The recorded prefix must fail on a fresh replay before ddmin can
        trust its verdicts; a non-reproducible failure (which a deterministic
@@ -70,16 +70,16 @@ let run ~make ?(focus = []) ~steps ~seed () =
   | exception Oracle.Check_failed msg -> fail 0 msg []
   | () ->
       let rng = Random.State.make [| seed; 0xfa11 |] in
-      let stream = Stream.create ~rng ~focus (Oracle.graph inst) in
+      let stream = Stream.create ~rng ~focus inst.Oracle.graph in
       let applied = ref [] in
-      let prev = ref (Ig_obs.Obs.counters (Oracle.obs inst)) in
+      let prev = ref (Ig_obs.Obs.counters inst.Oracle.obs) in
       let rec go i =
         if i > steps then Ok steps
         else begin
           let u = Stream.next stream in
           applied := u :: !applied;
           match
-            Oracle.apply inst u;
+            inst.Oracle.apply u;
             Oracle.check inst;
             prev := Oracle.check_metrics ~prev:!prev inst
           with

@@ -19,11 +19,11 @@ type failure = {
   trace : Ig_obs.Tracer.snapshot option;
       (** event log of the shrunk reproducer's failing step (the tracer is
           cleared before the last update of a fresh replay), when the
-          adapter was built with a live tracer *)
+          oracle was built with a live tracer *)
 }
 
 val run :
-  make:(unit -> Oracle.packed) ->
+  make:(unit -> Oracle.t) ->
   ?focus:(Ig_graph.Digraph.node * Ig_graph.Digraph.node) list ->
   steps:int ->
   seed:int ->
@@ -36,7 +36,7 @@ val run :
     of the base graph (including any deliberate corruption the caller
     injects for mutation testing). Returns [Ok steps] on a clean run. *)
 
-val replay_fails : make:(unit -> Oracle.packed) -> Ig_graph.Digraph.update list -> bool
+val replay_fails : make:(unit -> Oracle.t) -> Ig_graph.Digraph.update list -> bool
 (** Replay a concrete stream on a fresh oracle with per-step checks; [true]
     iff some check fails or the engine crashes. (The predicate handed to
     {!Shrink.ddmin}; exposed for tests.) *)

@@ -1,55 +1,33 @@
-module type ORACLE = sig
-  type t
-  type query
-
-  val name : string
-  val series : string
-
-  val init :
-    obs:Ig_obs.Obs.t -> trace:Ig_obs.Tracer.t -> Ig_graph.Digraph.t -> query -> t
-
-  val graph : t -> Ig_graph.Digraph.t
-  val apply : t -> Ig_graph.Digraph.update -> unit
-  val apply_batch : t -> Ig_graph.Digraph.update list -> int * string
-  val describe : t -> string
-  val answer : t -> string
-  val recompute : t -> string
-  val check_invariants : t -> unit
-  val obs : t -> Ig_obs.Obs.t
-  val trace : t -> Ig_obs.Tracer.t
-  val cert_snapshot : t -> (string * string) list
-end
-
-type packed = Packed : (module ORACLE with type t = 'a) * 'a -> packed
-
-let name (Packed ((module O), _)) = O.name
-let series (Packed ((module O), _)) = O.series
-let graph (Packed ((module O), t)) = O.graph t
-let apply (Packed ((module O), t)) u = O.apply t u
-let apply_batch (Packed ((module O), t)) us = O.apply_batch t us
-let describe (Packed ((module O), t)) = O.describe t
-let answer (Packed ((module O), t)) = O.answer t
-let recompute (Packed ((module O), t)) = O.recompute t
-let check_invariants (Packed ((module O), t)) = O.check_invariants t
-let obs (Packed ((module O), t)) = O.obs t
-let trace (Packed ((module O), t)) = O.trace t
-let cert_snapshot (Packed ((module O), t)) = O.cert_snapshot t
+type t = {
+  name : string;
+  series : string;
+  graph : Ig_graph.Digraph.t;
+  obs : Ig_obs.Obs.t;
+  trace : Ig_obs.Tracer.t;
+  apply : Ig_graph.Digraph.update -> unit;
+  apply_batch : Ig_graph.Digraph.update list -> int * string;
+  describe : unit -> string;
+  answer : unit -> string;
+  recompute : unit -> string;
+  check_invariants : unit -> unit;
+  cert_snapshot : unit -> (string * string) list;
+}
 
 exception Check_failed of string
 
 let check inst =
-  (match check_invariants inst with
+  (match inst.check_invariants () with
   | () -> ()
   | exception Failure msg -> raise (Check_failed ("invariant: " ^ msg)));
-  let inc = answer inst in
-  let batch = recompute inst in
+  let inc = inst.answer () in
+  let batch = inst.recompute () in
   if not (String.equal inc batch) then
     raise
       (Check_failed
          (Printf.sprintf "answer mismatch: incremental=%s batch=%s" inc batch))
 
 let check_metrics ~prev inst =
-  let o = obs inst in
+  let o = inst.obs in
   let depth = Ig_obs.Obs.span_depth o in
   if depth <> 0 then
     raise

@@ -6,7 +6,7 @@ type t = {
   name : string;
   base : Digraph.t;
   focus : (Digraph.node * Digraph.node) list;
-  make : unit -> Oracle.packed;
+  make : unit -> Oracle.t;
   spec : Spec.t;
 }
 

@@ -17,7 +17,7 @@ type t = {
   name : string;
   base : Ig_graph.Digraph.t;  (** pristine base graph — never mutated *)
   focus : (Ig_graph.Digraph.node * Ig_graph.Digraph.node) list;
-  make : unit -> Oracle.packed;
+  make : unit -> Oracle.t;
       (** deterministic factory: [Spec.make base spec], a fresh engine over
           a fresh copy of [base], suitable for {!Harness.run}'s shrinking
           replays *)

@@ -31,6 +31,8 @@ let of_args ~cls ~bound ~args =
   match (cls, args) with
   | "scc", [] -> Ok Scc
   | "scc", _ -> Error "scc takes no query arguments"
+  | "kws", _ when bound < 0 ->
+      Error (Printf.sprintf "kws bound must be >= 0, got %d" bound)
   | "kws", (_ :: _ as keywords) -> Ok (Kws { Ig_kws.Batch.keywords; bound })
   | "kws", [] -> Error "kws needs keyword arguments"
   | "rpq", [ expr ] -> (
@@ -64,18 +66,129 @@ let header (cls, bound, qargs) base =
     base_digest = Ig_journal.Journal.graph_digest base;
   }
 
+let apply_edge ~ins ~del = function
+  | Digraph.Insert (u, v) -> ins u v
+  | Digraph.Delete (u, v) -> del u v
+
+(* |ΔO| and the "<noun> +added/-removed" summary line. *)
+let delta_line noun added removed =
+  let a = List.length added and r = List.length removed in
+  (a + r, Printf.sprintf "%s +%d/-%d" noun a r)
+
+let count noun xs = Printf.sprintf "%d %s" (List.length xs) noun
+
+module A = Adapters
+
+let kws t =
+  let module I = Ig_kws.Inc_kws in
+  {
+    Oracle.name = "kws";
+    series = "IncKWS";
+    graph = I.graph t;
+    obs = I.obs t;
+    trace = I.trace t;
+    apply = apply_edge ~ins:(I.insert_edge t) ~del:(I.delete_edge t);
+    apply_batch =
+      (fun us ->
+        let d = I.apply_batch t us in
+        delta_line "roots" d.I.added d.I.removed);
+    describe = (fun () -> count "roots" (I.match_roots t));
+    answer = (fun () -> A.canon_nodes (I.match_roots t));
+    recompute =
+      (fun () -> A.canon_nodes (Ig_kws.Batch.run (I.graph t) (I.query t)));
+    check_invariants = (fun () -> I.check_invariants t);
+    cert_snapshot = (fun () -> I.cert_snapshot t);
+  }
+
 let make ?(obs = Ig_obs.Obs.create ()) ?(trace = Ig_obs.Tracer.create ()) g
     spec =
-  let module A = Adapters in
   let g = Digraph.copy g in
   match spec with
-  | Kws q -> Oracle.Packed ((module A.Kws), A.Kws.init ~obs ~trace g q)
-  | Rpq q -> Oracle.Packed ((module A.Rpq), A.Rpq.init ~obs ~trace g q)
+  | Kws q -> kws (Ig_kws.Inc_kws.init ~obs ~trace g q)
+  | Rpq q ->
+      let module I = Ig_rpq.Inc_rpq in
+      let t = I.create ~obs ~trace g q in
+      {
+        Oracle.name = "rpq";
+        series = "IncRPQ";
+        graph = g;
+        obs;
+        trace;
+        apply = apply_edge ~ins:(I.insert_edge t) ~del:(I.delete_edge t);
+        apply_batch =
+          (fun us ->
+            let d = I.apply_batch t us in
+            delta_line "pairs" d.I.added d.I.removed);
+        describe = (fun () -> count "pairs" (I.matches t));
+        answer = (fun () -> A.canon_pairs (I.matches t));
+        recompute = (fun () -> A.canon_pairs (Ig_rpq.Batch.run_query g q));
+        check_invariants = (fun () -> I.check_invariants t);
+        cert_snapshot = (fun () -> I.cert_snapshot t);
+      }
   | Scc ->
-      Oracle.Packed
-        ((module A.Scc), A.Scc.init ~obs ~trace g Ig_scc.Inc_scc.inc_config)
-  | Iso p -> Oracle.Packed ((module A.Iso), A.Iso.init ~obs ~trace g p)
-  | Sim p -> Oracle.Packed ((module A.Sim), A.Sim.init ~obs ~trace g p)
+      let module I = Ig_scc.Inc_scc in
+      let t = I.init ~config:I.inc_config ~obs ~trace g in
+      {
+        Oracle.name = "scc";
+        series = "IncSCC";
+        graph = g;
+        obs;
+        trace;
+        apply = apply_edge ~ins:(I.insert_edge t) ~del:(I.delete_edge t);
+        (* Components are reported removed-first: a merge reads "-k/+1". *)
+        apply_batch =
+          (fun us ->
+            let d = I.apply_batch t us in
+            let r = List.length d.I.removed and a = List.length d.I.added in
+            (a + r, Printf.sprintf "components -%d/+%d" r a));
+        describe = (fun () -> count "components" (I.components t));
+        answer = (fun () -> A.canon_comps (I.components t));
+        recompute = (fun () -> A.canon_comps (Ig_scc.Tarjan.scc g));
+        check_invariants = (fun () -> I.check_invariants t);
+        cert_snapshot = (fun () -> I.cert_snapshot t);
+      }
+  | Iso p ->
+      let module I = Ig_iso.Inc_iso in
+      let t = I.init ~obs ~trace g p in
+      {
+        Oracle.name = "iso";
+        series = "IncISO";
+        graph = g;
+        obs;
+        trace;
+        apply = apply_edge ~ins:(I.insert_edge t) ~del:(I.delete_edge t);
+        apply_batch =
+          (fun us ->
+            let d = I.apply_batch t us in
+            delta_line "matches" d.I.added d.I.removed);
+        describe = (fun () -> count "matches" (I.matches t));
+        answer = (fun () -> A.canon_mappings p (I.matches t));
+        recompute = (fun () -> A.canon_mappings p (Ig_iso.Vf2.find_all g p));
+        check_invariants = (fun () -> I.check_invariants t);
+        cert_snapshot = (fun () -> I.cert_snapshot t);
+      }
+  | Sim p ->
+      let module I = Ig_sim.Inc_sim in
+      let t = I.init ~obs ~trace g p in
+      let pairs () = Ig_sim.Sim.pairs (I.relation t) in
+      {
+        Oracle.name = "sim";
+        series = "IncSim";
+        graph = g;
+        obs;
+        trace;
+        apply = apply_edge ~ins:(I.insert_edge t) ~del:(I.delete_edge t);
+        apply_batch =
+          (fun us ->
+            let d = I.apply_batch t us in
+            delta_line "pairs" d.I.added d.I.removed);
+        describe = (fun () -> count "pairs" (pairs ()));
+        answer = (fun () -> A.canon_pairs (pairs ()));
+        recompute =
+          (fun () -> A.canon_pairs (Ig_sim.Sim.pairs (Ig_sim.Sim.run p g)));
+        check_invariants = (fun () -> I.check_invariants t);
+        cert_snapshot = (fun () -> I.cert_snapshot t);
+      }
 
 let run_batch g = function
   | Kws q ->

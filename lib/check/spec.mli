@@ -2,8 +2,8 @@
 
     The single place that knows the per-class wiring outside the engines:
     how a query is written as positional command-line arguments (and in a
-    journal header), which {!Adapters} oracle maintains it incrementally,
-    and which batch algorithm answers it from scratch. Every CLI
+    journal header), which engine maintains it incrementally behind an
+    {!Oracle.t}, and which batch algorithm answers it from scratch. Every CLI
     subcommand, fuzz scenario and journal recovery builds its engine
     through {!of_args} and {!make}. *)
 
@@ -19,8 +19,9 @@ val of_args : cls:string -> bound:int -> args:string list -> (t, string) result
     (with hop bound [bound]), one regex for [rpq], none for [scc], and for
     [iso]/[sim] the pattern's node labels followed by its edges as [u-v]
     (e.g. [l1 l2 l3 0-1 1-2]). [bound] is ignored by every class but
-    [kws]. A malformed regex or pattern (no nodes, an endpoint out of
-    range, a disconnected pattern) is an [Error], never an exception. *)
+    [kws]. A negative [kws] bound, a malformed regex or a malformed
+    pattern (no nodes, an endpoint out of range, a disconnected pattern)
+    is an [Error], never an exception. *)
 
 val to_args : t -> string * int * string list
 (** The inverse of {!of_args}: [(class, bound, args)], with bound [0] for
@@ -38,10 +39,16 @@ val make :
   ?trace:Ig_obs.Tracer.t ->
   Ig_graph.Digraph.t ->
   t ->
-  Oracle.packed
+  Oracle.t
 (** Build the class's incremental engine over a copy of the graph (the
     caller's graph is left untouched), reporting to [obs] and [trace]
-    (default: a fresh live registry and a fresh live tracer). *)
+    (default: a fresh live registry and a fresh live tracer), and wrap it
+    as an oracle against the class's batch algorithm. *)
+
+val kws : Ig_kws.Inc_kws.t -> Oracle.t
+(** The KWS oracle over an already-built engine, {e without} copying its
+    graph — the hook mutation tests use to corrupt a certificate entry
+    before handing the engine over. *)
 
 val run_batch : Ig_graph.Digraph.t -> t -> string
 (** Answer the query once with the class's batch algorithm and describe

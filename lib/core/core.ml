@@ -78,86 +78,3 @@ module Journal = struct
 end
 
 module Lint = Ig_lint.Lint
-
-module type SNAPSHOTTABLE = sig
-  type t
-
-  val cert_snapshot : t -> (string * string) list
-end
-
-module type Session = sig
-  type t
-  type query
-  type answer
-  type delta
-
-  val create : Digraph.t -> query -> t
-  val update : t -> Digraph.update list -> delta
-  val answer : t -> answer
-  val graph : t -> Digraph.t
-end
-
-module Kws_session = struct
-  type t = Ig_kws.Inc_kws.t
-  type query = Ig_kws.Batch.query
-  type answer = Digraph.node list
-  type delta = Ig_kws.Inc_kws.delta
-
-  let create g q = Ig_kws.Inc_kws.init g q
-  let update = Ig_kws.Inc_kws.apply_batch
-  let answer = Ig_kws.Inc_kws.match_roots
-  let graph = Ig_kws.Inc_kws.graph
-  let cert_snapshot = Ig_kws.Inc_kws.cert_snapshot
-end
-
-module Rpq_session = struct
-  type t = Ig_rpq.Inc_rpq.t
-  type query = Regex.t
-  type answer = (Digraph.node * Digraph.node) list
-  type delta = Ig_rpq.Inc_rpq.delta
-
-  let create g q = Ig_rpq.Inc_rpq.create g q
-  let update = Ig_rpq.Inc_rpq.apply_batch
-  let answer = Ig_rpq.Inc_rpq.matches
-  let graph = Ig_rpq.Inc_rpq.graph
-  let cert_snapshot = Ig_rpq.Inc_rpq.cert_snapshot
-end
-
-module Scc_session = struct
-  type t = Ig_scc.Inc_scc.t
-  type query = unit
-  type answer = Digraph.node list list
-  type delta = Ig_scc.Inc_scc.delta
-
-  let create g () = Ig_scc.Inc_scc.init g
-  let update = Ig_scc.Inc_scc.apply_batch
-  let answer = Ig_scc.Inc_scc.components
-  let graph = Ig_scc.Inc_scc.graph
-  let cert_snapshot = Ig_scc.Inc_scc.cert_snapshot
-end
-
-module Iso_session = struct
-  type t = Ig_iso.Inc_iso.t
-  type query = Ig_iso.Pattern.t
-  type answer = Ig_iso.Vf2.mapping list
-  type delta = Ig_iso.Inc_iso.delta
-
-  let create g p = Ig_iso.Inc_iso.init g p
-  let update = Ig_iso.Inc_iso.apply_batch
-  let answer = Ig_iso.Inc_iso.matches
-  let graph = Ig_iso.Inc_iso.graph
-  let cert_snapshot = Ig_iso.Inc_iso.cert_snapshot
-end
-
-module Sim_session = struct
-  type t = Ig_sim.Inc_sim.t
-  type query = Ig_iso.Pattern.t
-  type answer = (int * Digraph.node) list
-  type delta = Ig_sim.Inc_sim.delta
-
-  let create g p = Ig_sim.Inc_sim.init g p
-  let update = Ig_sim.Inc_sim.apply_batch
-  let answer t = Ig_sim.Sim.pairs (Ig_sim.Inc_sim.relation t)
-  let graph = Ig_sim.Inc_sim.graph
-  let cert_snapshot = Ig_sim.Inc_sim.cert_snapshot
-end

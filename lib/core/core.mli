@@ -3,8 +3,9 @@
     The public entry point of the library, reproducing Fan, Hu & Tian,
     {e Incremental Graph Computations: Doable and Undoable} (SIGMOD 2017).
 
-    Four query classes are supported, each with a batch algorithm and an
-    incremental engine carrying the paper's performance guarantee:
+    Five query classes are supported, each with a batch algorithm and an
+    incremental engine; the first four carry the paper's performance
+    guarantees:
 
     - {!Kws} — keyword search, {e localizable} (cost in the b-neighborhood
       of the updates);
@@ -12,16 +13,18 @@
     - {!Rpq} — regular path queries, {e bounded relative to} the NFA batch
       algorithm;
     - {!Scc} — strongly connected components, {e bounded relative to}
-      Tarjan's algorithm.
+      Tarjan's algorithm;
+    - {!Sim} — graph simulation, semi-bounded, an extension baseline.
 
     {!Theory} holds the machinery of the paper's impossibility results
     (SSRP, Δ-reductions, the Figure 9 gadget), and {!Workload} the
     generators driving the experimental reproduction.
 
-    Each query class also implements the uniform {!module-type-Session}
-    shape: build a session from a graph and a query, push update batches,
-    read ΔO back. The substrate modules ({!Digraph}, {!Regex}, …) are
-    re-exported so downstream users need only this library. *)
+    Every engine ([Core.<Class>.Inc]) has the same shape: [init] (RPQ:
+    [create]) runs the batch algorithm once and owns the graph afterwards,
+    [apply_batch] trades ΔG for ΔO, and an accessor reads the current
+    answer. The substrate modules ({!Digraph}, {!Regex}, …) are re-exported
+    so downstream users need only this library. *)
 
 (** {1 Substrate} *)
 
@@ -142,89 +145,3 @@ module Lint = Ig_lint.Lint
     polymorphic compare in engines, sorted-or-annotated hash iteration,
     no ambient nondeterminism, instrumented update entry points,
     interfaces everywhere). See [incgraph lint] and DESIGN.md §8.4. *)
-
-(** {1 Uniform sessions} *)
-
-(** The capability {!Journal.Store} snapshots rely on: dump the engine's
-    certificate store as named canonical-text sections. Dumps must be
-    byte-identical across process hash seeds (sorted iteration only). *)
-module type SNAPSHOTTABLE = sig
-  type t
-
-  val cert_snapshot : t -> (string * string) list
-end
-
-(** The common shape of the four incremental engines: create once with the
-    batch algorithm, then trade update batches for output deltas. *)
-module type Session = sig
-  type t
-  type query
-  type answer
-  type delta
-
-  val create : Digraph.t -> query -> t
-  (** Runs the batch algorithm once; the session owns the graph. *)
-
-  val update : t -> Digraph.update list -> delta
-  (** Apply ΔG, return ΔO. *)
-
-  val answer : t -> answer
-  (** The current Q(G). *)
-
-  val graph : t -> Digraph.t
-end
-
-module Kws_session : sig
-  include
-    Session
-      with type query = Ig_kws.Batch.query
-       and type answer = Digraph.node list
-       and type delta = Ig_kws.Inc_kws.delta
-       and type t = Ig_kws.Inc_kws.t
-
-  include SNAPSHOTTABLE with type t := t
-end
-
-module Rpq_session : sig
-  include
-    Session
-      with type query = Regex.t
-       and type answer = (Digraph.node * Digraph.node) list
-       and type delta = Ig_rpq.Inc_rpq.delta
-       and type t = Ig_rpq.Inc_rpq.t
-
-  include SNAPSHOTTABLE with type t := t
-end
-
-module Scc_session : sig
-  include
-    Session
-      with type query = unit
-       and type answer = Digraph.node list list
-       and type delta = Ig_scc.Inc_scc.delta
-       and type t = Ig_scc.Inc_scc.t
-
-  include SNAPSHOTTABLE with type t := t
-end
-
-module Iso_session : sig
-  include
-    Session
-      with type query = Ig_iso.Pattern.t
-       and type answer = Ig_iso.Vf2.mapping list
-       and type delta = Ig_iso.Inc_iso.delta
-       and type t = Ig_iso.Inc_iso.t
-
-  include SNAPSHOTTABLE with type t := t
-end
-
-module Sim_session : sig
-  include
-    Session
-      with type query = Ig_iso.Pattern.t
-       and type answer = (int * Digraph.node) list
-       and type delta = Ig_sim.Inc_sim.delta
-       and type t = Ig_sim.Inc_sim.t
-
-  include SNAPSHOTTABLE with type t := t
-end

@@ -45,7 +45,7 @@ val init :
     {!apply_batch}/{!insert_edge}/{!delete_edge} call also records one
     sample into the [apply_latency_s] histogram (monotonic seconds) and
     the [gc_minor_words]/[gc_major_words]/[gc_promoted_words] histograms
-    ([Gc.quick_stat] deltas). [trace] (default
+    (words allocated, per {!Ig_obs.Obs.with_apply}). [trace] (default
     {!Ig_obs.Tracer.noop}) receives structured events: [Aff_enter] tagged
     [Iso_match_broken] (a match ran through a deleted edge) or
     [Iso_ball_rematch] (a fresh match from the localized VF2 run),
@@ -81,7 +81,7 @@ val check_invariants : t -> unit
     index is consistent. @raise Failure on violation. *)
 
 val cert_snapshot : t -> (string * string) list
-(** SNAPSHOTTABLE: every current match (canonical image plus
-    pattern-indexed mapping) in {!Vf2.compare_canon} order, as named
-    canonical-text sections (hash-seed independent), for durable
-    certificate snapshots. *)
+(** Certificate dump ([cert_snapshot]): every current match (canonical image
+    plus pattern-indexed mapping) in {!Vf2.compare_canon} order, as named
+    canonical-text sections (hash-seed independent), for durable certificate
+    snapshots. *)

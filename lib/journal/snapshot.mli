@@ -3,7 +3,7 @@
     A snapshot captures the full journaled state at a sequence number: the
     graph (canonical {!Ig_graph.Io} text), its digest, the canonical answer
     digest, and the engine's certificate store as serialized by its
-    [cert_snapshot] (the SNAPSHOTTABLE capability) — the memoized
+    certificate dump ([cert_snapshot]) — the memoized
     intermediate results that make the computation incremental. Recovery
     starts from the newest intact snapshot at or below the target sequence
     and replays only the journal tail beyond it.

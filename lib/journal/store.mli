@@ -35,7 +35,7 @@ type client = {
       (** hex digest of the canonical current answer; [""] when the
           caller has none *)
   certs : unit -> (string * string) list;
-      (** the engine's SNAPSHOTTABLE certificate dump *)
+      (** the engine's certificate dump ([cert_snapshot]) *)
 }
 
 val graph_client : Ig_graph.Digraph.t -> client

@@ -56,8 +56,9 @@ val init :
     Each outermost {!apply_batch}/{!insert_edge}/{!delete_edge} call also
     records one sample into the [apply_latency_s] histogram (monotonic
     seconds) and the [gc_minor_words]/[gc_major_words]/[gc_promoted_words]
-    histograms ([Gc.quick_stat] deltas). [trace] (default {!Ig_obs.Tracer.noop}) receives typed provenance
-    events at the same sites: [Aff_enter] tagged [Kws_next_on_deleted]
+    histograms (words allocated, per {!Ig_obs.Obs.with_apply}). [trace]
+    (default {!Ig_obs.Tracer.noop}) receives typed provenance events at the
+    same sites: [Aff_enter] tagged [Kws_next_on_deleted]
     (Fig. 3 lines 1-6) or [Kws_shorter_kdist] (Fig. 1), [Cert_rewrite] per
     re-settled [kdist[i]] entry with before/after values, and
     [Frontier_expand] per queue push. The session owns the graph
@@ -121,6 +122,6 @@ val match_cost : t -> node -> int option
     match root. *)
 
 val cert_snapshot : t -> (string * string) list
-(** SNAPSHOTTABLE: the kdist lists, per-node keyword counts and match
-    total as named canonical-text sections (hash-seed independent), for
-    durable certificate snapshots. *)
+(** Certificate dump ([cert_snapshot]): the kdist lists, per-node keyword
+    counts and match total as named canonical-text sections (hash-seed
+    independent), for durable certificate snapshots. *)

@@ -272,29 +272,35 @@ let histograms = function
 
 (* Per-batch latency and allocation accounting: time [f] on the monotonic
    clock and record the duration into the [K.apply_latency] histogram,
-   together with the [Gc.quick_stat] deltas (minor/major/promoted words)
-   the batch caused. Engines wrap both their batch and their unit entry
-   points with this; the reentrancy guard makes the outermost wrapper the
-   one that records, so a batch that funnels through unit entry points
-   still contributes exactly one sample. The Noop sink costs one branch. *)
+   together with the words the batch allocated. Minor words come from
+   [Gc.minor_words], which is exact: on OCaml 5.1, [Gc.quick_stat] reads 0
+   for a batch that runs no minor collection, and [Gc.counters] reports
+   minor words divided by the word size. Major and promoted words come
+   from [Gc.counters] and are collection-granular: they move only when a
+   collection runs inside the batch. Engines wrap both their batch and
+   their unit entry points with this; the reentrancy guard makes the
+   outermost wrapper the one that records, so a batch that funnels through
+   unit entry points still contributes exactly one sample. The Noop sink
+   costs one branch. *)
 let with_apply t f =
   match t with
   | Noop -> f ()
   | Reg r when r.in_apply -> f ()
   | Reg r ->
       r.in_apply <- true;
-      let gc0 = Gc.quick_stat () in
+      let _, promoted0, major0 = Gc.counters () in
+      let minor0 = Gc.minor_words () in
       let t0 = now_ns () in
       Fun.protect
         ~finally:(fun () ->
           let dt = Int64.to_float (Int64.sub (now_ns ()) t0) *. 1e-9 in
+          let minor1 = Gc.minor_words () in
+          let _, promoted1, major1 = Gc.counters () in
           r.in_apply <- false;
           observe t K.apply_latency dt;
-          let gc1 = Gc.quick_stat () in
-          observe t K.gc_minor_words (gc1.Gc.minor_words -. gc0.Gc.minor_words);
-          observe t K.gc_major_words (gc1.Gc.major_words -. gc0.Gc.major_words);
-          observe t K.gc_promoted_words
-            (gc1.Gc.promoted_words -. gc0.Gc.promoted_words))
+          observe t K.gc_minor_words (minor1 -. minor0);
+          observe t K.gc_major_words (major1 -. major0);
+          observe t K.gc_promoted_words (promoted1 -. promoted0))
         f
 
 (* ---- snapshots -------------------------------------------------------------- *)

@@ -86,15 +86,17 @@ module K : sig
       {!with_apply}. *)
 
   val gc_minor_words : string
-  (** Histogram of [Gc.quick_stat] minor-heap words allocated per
-      apply/batch call. *)
+  (** Histogram of minor-heap words allocated per apply/batch call, read
+      exactly from [Gc.minor_words]. *)
 
   val gc_major_words : string
   (** Histogram of major-heap words (allocated directly or promoted) per
-      apply/batch call. *)
+      apply/batch call, from [Gc.counters]: collection-granular, it moves
+      only when a collection runs inside the call. *)
 
   val gc_promoted_words : string
-  (** Histogram of words promoted minor→major per apply/batch call. *)
+  (** Histogram of words promoted minor→major per apply/batch call, from
+      [Gc.counters]: collection-granular, like {!gc_major_words}. *)
 
   val csr_overlay_add : string
   (** Gauge: edges pending in the CSR add overlay. *)
@@ -195,8 +197,10 @@ val histograms : t -> (string * Histogram.t) list
 
 val with_apply : t -> (unit -> 'a) -> 'a
 (** Per-batch latency and allocation accounting: run the thunk, record its
-    monotonic duration into the {!K.apply_latency} histogram and its
-    [Gc.quick_stat] deltas into the [gc_*] histograms. Reentrant calls on
+    monotonic duration into the {!K.apply_latency} histogram and the words
+    it allocated into the [gc_*] histograms (minor words exact, from
+    [Gc.minor_words]; major and promoted words collection-granular, from
+    [Gc.counters]). Reentrant calls on
     the same registry record only at the outermost level, so a batch entry
     point that funnels through unit entry points contributes exactly one
     sample. On {!noop} this is a single branch. *)

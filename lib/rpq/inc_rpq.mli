@@ -64,12 +64,12 @@ val init :
     {!apply_batch}/{!insert_edge}/{!delete_edge} call also records one
     sample into the [apply_latency_s] histogram (monotonic seconds) and
     the [gc_minor_words]/[gc_major_words]/[gc_promoted_words] histograms
-    ([Gc.quick_stat] deltas). [trace] (default {!Ig_obs.Tracer.noop})
-    receives structured events: [Aff_enter] tagged [Rpq_support_lost]
-    (a marking lost its last shorter-distance predecessor) or
-    [Rpq_dist_decrease] (an inserted edge created a marking),
-    [Cert_rewrite] on the [pmark] field, and [Frontier_expand] per queue
-    push. The graph is owned by the session afterwards. *)
+    (words allocated, per {!Ig_obs.Obs.with_apply}). [trace] (default
+    {!Ig_obs.Tracer.noop}) receives structured events: [Aff_enter] tagged
+    [Rpq_support_lost] (a marking lost its last shorter-distance
+    predecessor) or [Rpq_dist_decrease] (an inserted edge created a
+    marking), [Cert_rewrite] on the [pmark] field, and [Frontier_expand]
+    per queue push. The graph is owned by the session afterwards. *)
 
 val create :
   ?grouped:bool ->
@@ -125,7 +125,7 @@ val witness_path : t -> node -> node -> node list option
     graph (the paper's [mpre] chains, derived on demand). *)
 
 val cert_snapshot : t -> (string * string) list
-(** SNAPSHOTTABLE: the per-source pmark distances (keys decoded to
-    [(node, state)]), accepting-entry counts and match total as named
-    canonical-text sections (hash-seed independent), for durable
+(** Certificate dump ([cert_snapshot]): the per-source pmark distances (keys
+    decoded to [(node, state)]), accepting-entry counts and match total as
+    named canonical-text sections (hash-seed independent), for durable
     certificate snapshots. *)

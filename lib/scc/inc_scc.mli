@@ -96,7 +96,7 @@ val init :
     {!apply_batch}/{!insert_edge}/{!delete_edge} call also records one
     sample into the [apply_latency_s] histogram (monotonic seconds) and
     the [gc_minor_words]/[gc_major_words]/[gc_promoted_words] histograms
-    ([Gc.quick_stat] deltas). [trace] (default
+    (words allocated, per {!Ig_obs.Obs.with_apply}). [trace] (default
     {!Ig_obs.Tracer.noop}) receives structured events: [Aff_enter] tagged
     [Scc_local_tarjan] (node re-certified by a local Tarjan run; node ids)
     or [Scc_rank_swap] (component inside the affected rank region;
@@ -155,9 +155,9 @@ val contracted : t -> Ig_graph.Digraph.t * node list array
     The array maps each contracted node to its members. *)
 
 val cert_snapshot : t -> (string * string) list
-(** SNAPSHOTTABLE: per-node component ids and Tarjan certificates, the
-    topological rank order of live components, and the contracted edge
-    multiset, as named canonical-text sections (hash-seed independent).
-    The cert section is evidence for inspection: lazily maintained
-    certificates are history-dependent, so recovery replays the journal
-    instead of trusting it. *)
+(** Certificate dump ([cert_snapshot]): per-node component ids and Tarjan
+    certificates, the topological rank order of live components, and the
+    contracted edge multiset, as named canonical-text sections (hash-seed
+    independent). The cert section is evidence for inspection: lazily
+    maintained certificates are history-dependent, so recovery replays the
+    journal instead of trusting it. *)

@@ -38,7 +38,9 @@ val init :
     Each outermost {!apply_batch}/{!insert_edge}/{!delete_edge} call also
     records one sample into the [apply_latency_s] histogram (monotonic
     seconds) and the [gc_minor_words]/[gc_major_words]/
-    [gc_promoted_words] histograms ([Gc.quick_stat] deltas). [trace] (default {!Ig_obs.Tracer.noop}) receives structured events:
+    [gc_promoted_words] histograms (words allocated, per
+    {!Ig_obs.Obs.with_apply}). [trace] (default {!Ig_obs.Tracer.noop})
+    receives structured events:
     [Aff_enter] tagged [Sim_support_zero] (a pair's support counter hit
     zero in the cascade) or [Sim_revalidated] (a pair re-entered the
     greatest simulation), [Cert_rewrite] on the per-pattern-node [sim(u)]
@@ -69,6 +71,6 @@ val check_invariants : t -> unit
     @raise Failure on violation. *)
 
 val cert_snapshot : t -> (string * string) list
-(** SNAPSHOTTABLE: the simulation relation, per-pattern-edge support
-    counters and pair total as named canonical-text sections (hash-seed
-    independent), for durable certificate snapshots. *)
+(** Certificate dump ([cert_snapshot]): the simulation relation,
+    per-pattern-edge support counters and pair total as named canonical-text
+    sections (hash-seed independent), for durable certificate snapshots. *)

@@ -1,5 +1,5 @@
-(* Integration tests through the public Core API: the four uniform sessions
-   driven side by side over one evolving graph. *)
+(* Integration tests through the public Core API: four incremental engines
+   (Core.<Class>.Inc) driven side by side over one evolving graph. *)
 
 let check = Alcotest.check
 
@@ -19,35 +19,35 @@ let build_graph () =
   | _ -> assert false);
   g
 
-let test_sessions_integrate () =
+let test_engines_integrate () =
   let mk () = build_graph () in
   (* KWS: roots that can see a group and a post within 2 hops. *)
   let kws =
-    Core.Kws_session.create (mk ())
+    Core.Kws.Inc.init (mk ())
       { Core.Kws.Batch.keywords = [ "group"; "post" ]; bound = 2 }
   in
   (* RPQ: person . person* . group *)
   let rpq =
-    Core.Rpq_session.create (mk ())
+    Core.Rpq.Inc.create (mk ())
       (Core.Regex.parse_exn "person . person* . group")
   in
-  let scc = Core.Scc_session.create (mk ()) () in
+  let scc = Core.Scc.Inc.init (mk ()) in
   let iso =
-    Core.Iso_session.create (mk ())
+    Core.Iso.Inc.init (mk ())
       (Core.Iso.Pattern.create ~labels:[ "person"; "person"; "person" ]
          ~edges:[ (0, 1); (1, 2); (2, 0) ])
   in
-  check Alcotest.bool "kws nonempty" true (Core.Kws_session.answer kws <> []);
-  check Alcotest.bool "rpq nonempty" true (Core.Rpq_session.answer rpq <> []);
-  check Alcotest.int "one triangle" 1 (List.length (Core.Iso_session.answer iso));
+  check Alcotest.bool "kws nonempty" true (Core.Kws.Inc.match_roots kws <> []);
+  check Alcotest.bool "rpq nonempty" true (Core.Rpq.Inc.matches rpq <> []);
+  check Alcotest.int "one triangle" 1 (List.length (Core.Iso.Inc.matches iso));
   check Alcotest.int "components" 9
-    (List.length (Core.Scc_session.answer scc));
-  (* The same batch hits all four sessions. *)
+    (List.length (Core.Scc.Inc.components scc));
+  (* The same batch hits all four engines. *)
   let batch = [ Core.Digraph.Delete (1, 2); Core.Digraph.Insert (5, 3) ] in
-  let dk = Core.Kws_session.update kws batch in
-  let dr = Core.Rpq_session.update rpq batch in
-  let ds = Core.Scc_session.update scc batch in
-  let di = Core.Iso_session.update iso batch in
+  let dk = Core.Kws.Inc.apply_batch kws batch in
+  let dr = Core.Rpq.Inc.apply_batch rpq batch in
+  let ds = Core.Scc.Inc.apply_batch scc batch in
+  let di = Core.Iso.Inc.apply_batch iso batch in
   (* Triangle broken. *)
   check Alcotest.int "iso removed" 1 (List.length di.Core.Iso.Inc.removed);
   (* Triangle split (1 comp) plus the chain 3-4-5 merged by (5,3): the
@@ -62,17 +62,17 @@ let test_sessions_integrate () =
   Ig_iso.Inc_iso.check_invariants iso
 
 let test_workload_roundtrip () =
-  (* Generate a profile graph + updates, drive sessions to completion. *)
+  (* Generate a profile graph + updates, drive engines to completion. *)
   let rng = Random.State.make [| 7 |] in
   let g = Core.Workload.Profiles.instantiate ~scale:0.01 ~rng
       Core.Workload.Profiles.dbpedia_like
   in
   let ups = Core.Workload.Updates.generate ~rng g ~size:50 () in
   let kws_q = Core.Workload.Queries.kws ~rng g ~m:2 ~b:2 in
-  let kws = Core.Kws_session.create (Core.Digraph.copy g) kws_q in
-  let scc = Core.Scc_session.create (Core.Digraph.copy g) () in
-  ignore (Core.Kws_session.update kws ups);
-  ignore (Core.Scc_session.update scc ups);
+  let kws = Core.Kws.Inc.init (Core.Digraph.copy g) kws_q in
+  let scc = Core.Scc.Inc.init (Core.Digraph.copy g) in
+  ignore (Core.Kws.Inc.apply_batch kws ups);
+  ignore (Core.Scc.Inc.apply_batch scc ups);
   Ig_kws.Inc_kws.check_invariants kws;
   Ig_scc.Inc_scc.check_invariants scc
 
@@ -89,7 +89,7 @@ let () =
       ( "integration",
         [
           Alcotest.test_case "four sessions, one batch" `Quick
-            test_sessions_integrate;
+            test_engines_integrate;
           Alcotest.test_case "workload roundtrip" `Quick test_workload_roundtrip;
           Alcotest.test_case "io" `Quick test_io_through_core;
         ] );

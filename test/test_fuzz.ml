@@ -171,7 +171,7 @@ let test_mutation_kdist_detected () =
     let t = Ig_kws.Inc_kws.init (Digraph.copy g) q in
     if not (Ig_kws.Inc_kws.corrupt_certificate_for_testing t) then
       Alcotest.fail "no kdist entry to corrupt";
-    A.of_kws t
+    Sp.kws t
   in
   match H.run ~make ~steps:40 ~seed:7 () with
   | Ok _ -> Alcotest.fail "planted kdist corruption went undetected"
@@ -187,38 +187,34 @@ let test_mutation_kdist_detected () =
    The engine stays internally consistent — check_invariants cannot see the
    bug; only the differential comparison can. The harness must catch the
    first divergence and ddmin the stream to a minimal reproducer. *)
-module Buggy_scc = struct
-  module I = Ig_scc.Inc_scc
-
-  type t = { eng : I.t; truth : Digraph.t }
-  type query = unit
-
-  let name = "buggy-scc"
-  let series = "BuggySCC"
-  let init ~obs ~trace g () =
-    { eng = I.init ~obs ~trace (Digraph.copy g); truth = g }
-
-  let graph t = t.truth
-
-  let apply t u =
-    ignore (Digraph.apply t.truth u);
+let buggy_scc g =
+  let module I = Ig_scc.Inc_scc in
+  let truth = Digraph.copy g in
+  let eng = I.init ~obs:Ig_obs.Obs.noop ~trace:(Ig_obs.Tracer.create ()) g in
+  let apply u =
+    ignore (Digraph.apply truth u);
     match u with
     | Digraph.Delete (0, _) -> () (* the planted bug *)
-    | Digraph.Insert (a, b) -> I.insert_edge t.eng a b
-    | Digraph.Delete (a, b) -> I.delete_edge t.eng a b
-
-  let apply_batch t us =
-    List.iter (apply t) us;
-    (0, "")
-
-  let describe _ = ""
-  let answer t = A.canon_comps (I.components t.eng)
-  let recompute t = A.canon_comps (Ig_scc.Tarjan.scc t.truth)
-  let check_invariants t = I.check_invariants t.eng
-  let obs t = I.obs t.eng
-  let trace t = I.trace t.eng
-  let cert_snapshot t = I.cert_snapshot t.eng
-end
+    | Digraph.Insert (a, b) -> I.insert_edge eng a b
+    | Digraph.Delete (a, b) -> I.delete_edge eng a b
+  in
+  {
+    O.name = "buggy-scc";
+    series = "BuggySCC";
+    graph = truth;
+    obs = I.obs eng;
+    trace = I.trace eng;
+    apply;
+    apply_batch =
+      (fun us ->
+        List.iter apply us;
+        (0, ""));
+    describe = (fun () -> "");
+    answer = (fun () -> A.canon_comps (I.components eng));
+    recompute = (fun () -> A.canon_comps (Ig_scc.Tarjan.scc truth));
+    check_invariants = (fun () -> I.check_invariants eng);
+    cert_snapshot = (fun () -> I.cert_snapshot eng);
+  }
 
 let test_mutation_buggy_engine_shrinks () =
   let g = Digraph.create () in
@@ -228,12 +224,7 @@ let test_mutation_buggy_engine_shrinks () =
   List.iter
     (fun (u, v) -> ignore (Digraph.add_edge g u v))
     [ (0, 1); (1, 2); (2, 0); (3, 4); (4, 3); (2, 3) ];
-  let make () =
-    O.Packed
-      ( (module Buggy_scc),
-        Buggy_scc.init ~obs:Ig_obs.Obs.noop ~trace:(Ig_obs.Tracer.create ())
-          (Digraph.copy g) () )
-  in
+  let make () = buggy_scc (Digraph.copy g) in
   match H.run ~make ~focus:[ (0, 1) ] ~steps:200 ~seed:5 () with
   | Ok _ -> Alcotest.fail "planted divergence went undetected"
   | Error f ->
@@ -281,12 +272,13 @@ let test_clean_replay_passes () =
 
 (* ---- query specs -------------------------------------------------------- *)
 
-(* Malformed ISO/Sim patterns are parse errors, never exceptions: out of
-   range endpoints, no labels, a disconnected pattern, a bad edge. *)
+(* Malformed specs are parse errors, never exceptions: ISO/Sim patterns
+   with out of range endpoints, no labels, a disconnected pattern or a bad
+   edge, and a negative KWS bound. *)
 let test_spec_bad_patterns () =
   List.iter
-    (fun (cls, args) ->
-      match Sp.of_args ~cls ~bound:2 ~args with
+    (fun (cls, bound, args) ->
+      match Sp.of_args ~cls ~bound ~args with
       | Error _ -> ()
       | Ok _ ->
           Alcotest.failf "%s %s: accepted" cls (String.concat " " args)
@@ -294,13 +286,14 @@ let test_spec_bad_patterns () =
           Alcotest.failf "%s %s: raised %s" cls (String.concat " " args)
             (Printexc.to_string e))
     [
-      ("iso", [ "a"; "b"; "0-5" ]);
-      ("iso", [ "0-1" ]);
-      ("sim", [ "l1"; "0-3" ]);
-      ("iso", [ "l1"; "l2"; "0-7" ]);
-      ("sim", [ "l1"; "l2" ]);
-      ("iso", [ "l1"; "l2"; "0-x" ]);
-      ("iso", [ "l1"; "l2"; "0-1-2" ]);
+      ("iso", 2, [ "a"; "b"; "0-5" ]);
+      ("iso", 2, [ "0-1" ]);
+      ("sim", 2, [ "l1"; "0-3" ]);
+      ("iso", 2, [ "l1"; "l2"; "0-7" ]);
+      ("sim", 2, [ "l1"; "l2" ]);
+      ("iso", 2, [ "l1"; "l2"; "0-x" ]);
+      ("iso", 2, [ "l1"; "l2"; "0-1-2" ]);
+      ("kws", -1, [ "l1"; "l2" ]);
     ]
 
 (* The journal-header path of replay/undo recovery: a scenario's query,
@@ -316,9 +309,47 @@ let test_spec_round_trip () =
       | Ok spec ->
           check Alcotest.string
             (s.Sc.name ^ ": same answer")
-            (O.answer (s.Sc.make ()))
-            (O.answer (Sp.make s.Sc.base spec)))
+            ((s.Sc.make ()).O.answer ())
+            ((Sp.make s.Sc.base spec).O.answer ()))
     (Sc.all ~rng ())
+
+(* The batch face: every scenario's oracle, on both backends, driven
+   through [apply_batch] in chunks of 8 stream updates, with the full
+   differential and metrics checks after each chunk. [Spec.make] works on
+   a copy, so the scenario's base graph must come out untouched. *)
+let test_spec_apply_batch () =
+  List.iter
+    (fun backend ->
+      let rng = Random.State.make [| 0xba7c; 8 |] in
+      List.iter
+        (fun (s : Sc.t) ->
+          let name =
+            Printf.sprintf "%s (%s)" s.Sc.name (Digraph.backend_name backend)
+          in
+          let digest () = Ig_journal.Journal.graph_digest s.Sc.base in
+          let before = digest () in
+          let inst = s.Sc.make () in
+          let stream =
+            St.create
+              ~rng:(Random.State.make [| 0xba7c; 9 |])
+              ~focus:s.Sc.focus inst.O.graph
+          in
+          let prev = ref (Ig_obs.Obs.counters inst.O.obs) in
+          for chunk = 1 to 12 do
+            let us = List.init 8 (fun _ -> St.next stream) in
+            match
+              ignore (inst.O.apply_batch us);
+              O.check inst;
+              prev := O.check_metrics ~prev:!prev inst
+            with
+            | () -> ()
+            | exception O.Check_failed msg ->
+                Alcotest.failf "%s: chunk %d: %s" name chunk msg
+          done;
+          check Alcotest.string (name ^ ": base graph untouched") before
+            (digest ()))
+        (Sc.all ~backend ~rng ()))
+    [ `Hashtbl; `Csr ]
 
 let () =
   Alcotest.run "ig_check"
@@ -348,5 +379,7 @@ let () =
           Alcotest.test_case "malformed patterns are errors" `Quick
             test_spec_bad_patterns;
           Alcotest.test_case "args round-trip" `Quick test_spec_round_trip;
+          Alcotest.test_case "apply_batch matches batch rerun" `Quick
+            test_spec_apply_batch;
         ] );
     ]

@@ -588,6 +588,18 @@ let test_with_apply_records () =
       O.K.gc_promoted_words;
     ]
 
+(* 1000 conses are 3000 minor words, none of which need a minor
+   collection to be counted; the wrapper's own closure adds a few. *)
+let test_with_apply_minor_words () =
+  let o = O.create () in
+  O.with_apply o (fun () -> ignore (Sys.opaque_identity (List.init 1000 Fun.id)));
+  match O.histogram o O.K.gc_minor_words with
+  | None -> Alcotest.fail "with_apply recorded no gc_minor_words"
+  | Some h ->
+      let w = H.sum h in
+      if w < 3000.0 || w > 3500.0 then
+        Alcotest.failf "gc_minor_words %g, expected in [3000, 3500]" w
+
 let test_with_apply_reentrant () =
   let o = O.create () in
   (* A batch entry point funneling through unit entry points: only the
@@ -798,6 +810,8 @@ let () =
             test_noop_histograms;
           Alcotest.test_case "with_apply records latency and GC" `Quick
             test_with_apply_records;
+          Alcotest.test_case "with_apply counts minor words exactly" `Quick
+            test_with_apply_minor_words;
           Alcotest.test_case "with_apply is reentrancy-safe" `Quick
             test_with_apply_reentrant;
           Alcotest.test_case "monotonic clock contract" `Quick
