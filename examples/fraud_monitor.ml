@@ -2,9 +2,10 @@
    transactions for a small "round-trip" motif — account → mule → shop →
    account — the classic cyclic-flow fraud signature.
 
-   New transactions arrive one at a time; IncISO re-examines only the
-   d_Q-neighborhood of each new edge (localizability, paper Theorem 3), so
-   alerts fire with latency independent of the total graph size.
+   New transactions arrive one at a time; IncISO extends matches only from
+   each new edge, inside its d_Q-neighborhood (localizability, paper
+   Theorem 3), so alerts fire with latency independent of the total graph
+   size.
 
    Run with: dune exec examples/fraud_monitor.exe *)
 
@@ -31,12 +32,12 @@ let () =
   Format.printf "motif: account -> mule -> shop -> account (d_Q = %d)@."
     (Core.Iso.Pattern.diameter motif);
 
-  let monitor = Core.Iso.Inc.init g motif in
+  let obs = Core.Obs.create () in
+  let monitor = Core.Iso.Inc.init ~obs g motif in
   Format.printf "existing matches: %d@.@." (List.length (Core.Iso.Inc.matches monitor));
 
   (* Stream 2000 random transactions; report alerts as they fire. *)
   let alerts = ref 0 and cleared = ref 0 in
-  let ball_total = ref 0 in
   for _ = 1 to 2_000 do
     let u = Random.State.int rng n and v = Random.State.int rng n in
     let up =
@@ -55,11 +56,11 @@ let () =
     end
   done;
   let st = Ig_iso.Inc_iso.stats monitor in
-  ball_total := st.Ig_iso.Inc_iso.ball_nodes;
   Format.printf
     "@.stream done: %d alerts, %d cleared, %d live matches@." !alerts !cleared
     (List.length (Core.Iso.Inc.matches monitor));
   Format.printf
-    "locality: %d VF2 reruns touched %d neighborhood nodes total (graph has %d)@."
-    st.Ig_iso.Inc_iso.rematches !ball_total
+    "locality: %d anchored VF2 runs bound %d nodes total (graph has %d)@."
+    st.Ig_iso.Inc_iso.rematches
+    (Core.Obs.counter obs Core.Obs.K.nodes_visited)
     (Core.Digraph.n_nodes (Core.Iso.Inc.graph monitor))

@@ -2,6 +2,7 @@ type node = int
 type label = Interner.symbol
 
 type update = Insert of node * node | Delete of node * node
+type edge = node * node
 
 type backend = [ `Hashtbl | `Csr ]
 
@@ -203,6 +204,37 @@ let apply g = function
   | Delete (u, v) -> remove_edge g u v
 
 let apply_batch g us = List.iter (fun u -> ignore (apply g u)) us
+
+module Edge_tbl = Hashtbl.Make (struct
+  type t = edge
+
+  let equal ((a, b) : t) (c, d) = a = c && b = d
+  let hash ((a, b) : t) = Int.hash ((a * 0x9e3779b1) lxor b)
+end)
+
+let net_effect us =
+  (* Per edge the batch touches, in first-occurrence order: the edge and
+     whether its last update inserts it. *)
+  let last = Edge_tbl.create (List.length us) and order = ref [] in
+  List.iter
+    (fun up ->
+      let e, ins =
+        match up with
+        | Insert (u, v) -> ((u, v), true)
+        | Delete (u, v) -> ((u, v), false)
+      in
+      match Edge_tbl.find_opt last e with
+      | Some r -> r := ins
+      | None ->
+          let r = ref ins in
+          Edge_tbl.add last e r;
+          order := (e, r) :: !order)
+    us;
+  let dels = ref [] and inss = ref [] in
+  List.iter
+    (fun (e, r) -> if !r then inss := e :: !inss else dels := e :: !dels)
+    !order;
+  (!dels, !inss)
 
 let out_degree g v =
   match g with Hg g -> H.out_degree g v | Cg g -> Csr.out_degree g v

@@ -30,6 +30,8 @@ type update =
   | Insert of node * node  (** [insert e] — add edge [(u, v)]. *)
   | Delete of node * node  (** [delete e] — remove edge [(u, v)]. *)
 
+type edge = node * node
+
 type backend = [ `Hashtbl | `Csr ]
 
 type t
@@ -90,6 +92,16 @@ val apply : t -> update -> bool
 (** Apply one unit update; [false] if it was a no-op. *)
 
 val apply_batch : t -> update list -> unit
+
+val net_effect : update list -> edge list * edge list
+(** [(deletions, insertions)]: the last update of each edge the batch
+    touches, each edge in the order of its first occurrence. No edge
+    appears twice, so applying these in any order — deletions first, say —
+    leaves a graph as applying the batch in order ({!apply_batch}) would,
+    whatever the order of updates to one edge. Entries may be no-ops (an
+    insertion of a present edge); the results of {!add_edge} and
+    {!remove_edge} tell. A batch that touches each edge once yields its own
+    updates. Reads no graph, so it costs one hash probe per update. *)
 
 (** {1 Labels} *)
 

@@ -1,5 +1,4 @@
 module Digraph = Ig_graph.Digraph
-module Traverse = Ig_graph.Traverse
 module Obs = Ig_obs.Obs
 module Tracer = Ig_obs.Tracer
 
@@ -7,7 +6,7 @@ type node = Digraph.node
 
 type delta = { added : Vf2.mapping list; removed : Vf2.mapping list }
 
-type stats = { mutable ball_nodes : int; mutable rematches : int }
+type stats = { mutable rematches : int }
 
 type t = {
   g : Digraph.t;
@@ -15,7 +14,8 @@ type t = {
   obs : Obs.t;
   trace : Tracer.t;
   grouped : bool;
-  dq : int;
+  anchors : ((int * int) * Vf2.plan) list;
+      (* one matching order per pattern edge, in pattern-edge order *)
   matches : (Vf2.canon, Vf2.mapping) Hashtbl.t;
   edge_index : (node * node, (Vf2.canon, unit) Hashtbl.t) Hashtbl.t;
   gained : (Vf2.canon, Vf2.mapping) Hashtbl.t;
@@ -29,9 +29,7 @@ let stats t = t.st
 let obs t = t.obs
 let trace t = t.trace
 
-let reset_stats t =
-  t.st.ball_nodes <- 0;
-  t.st.rematches <- 0
+let reset_stats t = t.st.rematches <- 0
 
 let image_edges t m =
   List.map (fun (u, v) -> (m.(u), m.(v))) (Pattern.edges t.p)
@@ -116,68 +114,70 @@ let process_delete t e =
           remove_match t c)
         cs
 
-(* Localized re-match: VF2 confined to the d_Q-neighborhood of the inserted
-   edges' endpoints (paper steps (2)-(3)). *)
-let process_inserts t endpoints =
-  if endpoints <> [] && Pattern.n_edges t.p > 0 then begin
-    let ball = Traverse.ball t.g endpoints ~d:t.dq in
-    t.st.ball_nodes <- t.st.ball_nodes + Hashtbl.length ball;
-    t.st.rematches <- t.st.rematches + 1;
-    Obs.add t.obs Obs.K.nodes_visited (Hashtbl.length ball);
-    Obs.incr t.obs "rematches";
-    if Tracer.enabled t.trace then
-      List.iter (fun v -> Tracer.frontier_expand t.trace ~node:v) endpoints;
-    let before = Hashtbl.length t.matches in
-    Vf2.iter_matches ~allowed:(fun v -> Hashtbl.mem ball v) t.g t.p (fun m ->
-        let c = Vf2.canon_of t.p m in
-        add_match t c m);
+(* Edge-anchored re-match (paper steps (2)-(3)): every new match maps some
+   pattern edge (x, y) onto a net-inserted edge (v, w), and the pattern is
+   weakly connected, so VF2 with x ↦ v, y ↦ w fixed, extended through
+   adjacency only, finds each new match from each of its new edges
+   ([add_match] dedupes). No ball is built: an extension never leaves the
+   d_Q-neighbourhood of (v, w), and an edge no pattern edge's labels fit
+   costs one comparison per pattern edge. *)
+let process_inserts t edges =
+  if edges <> [] && t.anchors <> [] then begin
+    let sym = Vf2.symbols t.g t.p in
+    let before = Hashtbl.length t.matches and runs = ref 0 in
+    let work = { Vf2.visited = 0; relaxed = 0 } in
+    List.iter
+      (fun (v, w) ->
+        let lv = Digraph.label t.g v and lw = Digraph.label t.g w in
+        List.iter
+          (fun ((x, y), plan) ->
+            if sym.(x) = lv && sym.(y) = lw && (x <> y || v = w) then begin
+              incr runs;
+              Tracer.frontier_expand t.trace ~node:v;
+              Vf2.iter_matches ~anchor:(plan, (v, w)) ~work t.g t.p
+                (fun m -> add_match t (Vf2.canon_of t.p m) m)
+            end)
+          t.anchors)
+      edges;
+    t.st.rematches <- t.st.rematches + !runs;
+    Obs.add t.obs "rematches" !runs;
+    Obs.add t.obs Obs.K.nodes_visited work.visited;
+    Obs.add t.obs Obs.K.edges_relaxed work.relaxed;
     let fresh = Hashtbl.length t.matches - before in
     Obs.add t.obs Obs.K.aff fresh;
     Obs.add t.obs Obs.K.cert_rewrites fresh
   end
 
+let insert t (u, v) =
+  let fresh = Digraph.add_edge t.g u v in
+  if fresh then Obs.note_changed_input t.obs 1;
+  fresh
+
+(* [net_effect] makes the batch's order immaterial: deletions first (paper
+   step (1)), then insertions, with the graph ending as [Digraph.apply_batch]
+   would leave it. *)
+let process t updates =
+  let dels, inss = Digraph.net_effect updates in
+  List.iter
+    (fun (u, v) ->
+      if Digraph.remove_edge t.g u v then begin
+        Obs.note_changed_input t.obs 1;
+        process_delete t (u, v)
+      end)
+    dels;
+  if t.grouped then process_inserts t (List.filter (insert t) inss)
+  else List.iter (fun e -> if insert t e then process_inserts t [ e ]) inss
+
 let insert_edge t u v =
-  Obs.with_apply t.obs @@ fun () ->
-  if Digraph.add_edge t.g u v then begin
-    Obs.note_changed_input t.obs 1;
-    process_inserts t [ u; v ]
-  end
+  Obs.with_apply t.obs @@ fun () -> process t [ Digraph.Insert (u, v) ]
 
 let delete_edge t u v =
-  Obs.with_apply t.obs @@ fun () ->
-  if Digraph.remove_edge t.g u v then begin
-    Obs.note_changed_input t.obs 1;
-    process_delete t (u, v)
-  end
+  Obs.with_apply t.obs @@ fun () -> process t [ Digraph.Delete (u, v) ]
 
 let apply_batch t updates =
   Obs.with_apply t.obs @@ fun () ->
-  (* Deletions first (paper step (1)), then insertions. *)
   Obs.with_span t.obs "iso.process" (fun () ->
-      Tracer.with_span t.trace "iso.process" (fun () ->
-      let inserted = ref [] in
-      List.iter
-        (fun up ->
-          match up with
-          | Digraph.Delete (u, v) ->
-              if Digraph.remove_edge t.g u v then begin
-                Obs.note_changed_input t.obs 1;
-                process_delete t (u, v)
-              end
-          | Digraph.Insert _ -> ())
-        updates;
-      List.iter
-        (fun up ->
-          match up with
-          | Digraph.Insert (u, v) ->
-              if Digraph.add_edge t.g u v then begin
-                Obs.note_changed_input t.obs 1;
-                if t.grouped then inserted := u :: v :: !inserted
-                else process_inserts t [ u; v ]
-              end
-          | Digraph.Delete _ -> ())
-        updates;
-      if t.grouped then process_inserts t !inserted));
+      Tracer.with_span t.trace "iso.process" (fun () -> process t updates));
   flush_delta t
 
 let add_node t label =
@@ -199,12 +199,12 @@ let init ?(grouped = true) ?(obs = Obs.noop) ?(trace = Tracer.noop) g p =
       obs;
       trace;
       grouped;
-      dq = Pattern.diameter p;
+      anchors = List.map (fun e -> (e, Vf2.plan p e)) (Pattern.edges p);
       matches = Hashtbl.create 256;
       edge_index = Hashtbl.create 256;
       gained = Hashtbl.create 64;
       lost = Hashtbl.create 64;
-      st = { ball_nodes = 0; rematches = 0 };
+      st = { rematches = 0 };
     }
   in
   List.iter

@@ -3,18 +3,22 @@
 
     - A deleted edge can only destroy matches whose image contains it: an
       edge→match index makes this a lookup.
-    - An inserted edge [(v, w)] can only create matches lying entirely
-      within the [d_Q]-neighborhood of [v] and [w] (every match is connected
-      and touches the new edge, and [d_Q] is the pattern diameter). The
-      batch algorithm (VF2) therefore reruns {e only} on
-      [G_{d_Q}(ΔG⁺)], and only matches using at least one inserted edge are
-      candidates for addition.
+    - An inserted edge [(v, w)] can only create matches that map some
+      pattern edge [(x, y)] onto it. For each label-compatible pattern edge,
+      VF2 runs with [x ↦ v] and [y ↦ w] fixed and extends through adjacency
+      only ({!Vf2.iter_matches}'s [anchor]); patterns are weakly connected,
+      so every new match is found from each of its new edges. The paper
+      reruns VF2 on the [d_Q]-ball [G_{d_Q}(ΔG⁺)]; an anchored extension
+      stays inside that ball without building it, so the bound of
+      Theorem 3 holds, and an edge no pattern edge's labels fit costs
+      O(|Q|).
 
-    Batch updates process all deletions, then one VF2 pass over the union
-    neighborhood of all insertions (IncISO); the [grouped:false] variant
-    reruns per unit insertion (IncISOn, the paper's ablation). Costs are a
-    function of [|Q|] and the neighborhood size only, never |G| — the
-    localizability claim of Theorem 3. *)
+    A batch is first reduced to its net effect ({!Ig_graph.Digraph.net_effect}):
+    all deletions, then the insertions, then the anchored runs over every
+    inserted edge (IncISO); the [grouped:false] variant runs each inserted
+    edge's anchors right after inserting it (IncISOn, the paper's
+    ablation). Costs are a function of [|Q|] and the [d_Q]-neighbourhood
+    of ΔG only, never |G| — the localizability claim of Theorem 3. *)
 
 type node = Ig_graph.Digraph.node
 
@@ -24,8 +28,7 @@ type delta = {
 }
 
 type stats = {
-  mutable ball_nodes : int;  (** nodes in explored d_Q-neighborhoods *)
-  mutable rematches : int;   (** VF2 invocations *)
+  mutable rematches : int;  (** anchored VF2 runs *)
 }
 
 type t
@@ -37,21 +40,30 @@ val init :
   Ig_graph.Digraph.t ->
   Pattern.t ->
   t
-(** Enumerate [Q(G)] once with VF2 and index it. The session owns the graph
-    afterwards. [obs] (default {!Ig_obs.Obs.noop}) receives cost counters:
-    [aff] (matches created or destroyed — the measured |AFF|),
-    [cert_rewrites], [nodes_visited] (d_Q-neighborhood sizes), [rematches]
-    (VF2 invocations), and [changed] = |ΔG| + |ΔO|. Each outermost
-    {!apply_batch}/{!insert_edge}/{!delete_edge} call also records one
-    sample into the [apply_latency_s] histogram (monotonic seconds) and
-    the [gc_minor_words]/[gc_major_words]/[gc_promoted_words] histograms
-    (words allocated, per {!Ig_obs.Obs.with_apply}). [trace] (default
-    {!Ig_obs.Tracer.noop}) receives structured events: [Aff_enter] tagged
-    [Iso_match_broken] (a match ran through a deleted edge) or
-    [Iso_ball_rematch] (a fresh match from the localized VF2 run),
+(** Enumerate [Q(G)] once with VF2 and index it, and build one anchored
+    matching order per pattern edge. The session owns the graph
+    afterwards. [obs] (default {!Ig_obs.Obs.noop}) receives exact cost
+    counters:
+    - [aff]: matches created or destroyed (the measured |AFF|);
+    - [cert_rewrites]: the same count, as match-store rewrites;
+    - [rematches]: anchored VF2 runs, one per (net-inserted edge,
+      label-compatible pattern edge);
+    - [nodes_visited]: graph nodes bound into a partial mapping by the
+      anchored runs, anchors included;
+    - [edges_relaxed]: candidate nodes the anchored runs examined beyond
+      the anchors, each an adjacency entry of an already-bound node;
+    - [changed]: |ΔG| (net) + |ΔO|.
+
+    Each outermost {!apply_batch}/{!insert_edge}/{!delete_edge} call also
+    records one sample into the [apply_latency_s] histogram (monotonic
+    seconds) and the [gc_minor_words]/[gc_major_words]/[gc_promoted_words]
+    histograms (words allocated, per {!Ig_obs.Obs.with_apply}). [trace]
+    (default {!Ig_obs.Tracer.noop}) receives structured events:
+    [Aff_enter] tagged [Iso_match_broken] (a match ran through a deleted
+    edge) or [Iso_ball_rematch] (a fresh match from an anchored VF2 run),
     [Cert_rewrite] on the [match] field (the mapping's image), and
-    [Frontier_expand] per inserted-edge endpoint seeding the d_Q-ball.
-    Events from the initial batch enumeration are discarded. *)
+    [Frontier_expand] on the tail of the inserted edge of each anchored
+    run. Events from the initial batch enumeration are discarded. *)
 
 val graph : t -> Ig_graph.Digraph.t
 val pattern : t -> Pattern.t
@@ -67,7 +79,14 @@ val add_node : t -> string -> node
 
 val insert_edge : t -> node -> node -> unit
 val delete_edge : t -> node -> node -> unit
+(** One-update batches, without the [iso.process] span; the delta
+    accumulates until {!flush_delta}. *)
+
 val apply_batch : t -> Ig_graph.Digraph.update list -> delta
+(** Apply the batch's net effect and return ΔO. The graph ends as
+    {!Ig_graph.Digraph.apply_batch} would leave it, whatever the order of
+    updates to the same edge. *)
+
 val flush_delta : t -> delta
 
 val matches : t -> Vf2.mapping list

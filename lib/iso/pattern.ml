@@ -67,19 +67,31 @@ let diameter p =
   done;
   !best
 
-let matching_order p =
+let matching_order ?anchor p =
   let n = n_nodes p in
-  (* Start from a max-degree node; grow by undirected adjacency. *)
   let deg u = List.length p.succ.(u) + List.length p.pred.(u) in
-  let start = ref 0 in
-  for u = 1 to n - 1 do
-    if deg u > deg !start then start := u
-  done;
   let order = Array.make n (-1) in
   let placed = Array.make n false in
-  order.(0) <- !start;
-  placed.(!start) <- true;
-  for i = 1 to n - 1 do
+  let next = ref 0 in
+  let place u =
+    if not placed.(u) then begin
+      order.(!next) <- u;
+      placed.(u) <- true;
+      incr next
+    end
+  in
+  (match anchor with
+  | Some (x, y) ->
+      place x;
+      place y
+  | None ->
+      (* Start from a max-degree node. *)
+      let start = ref 0 in
+      for u = 1 to n - 1 do
+        if deg u > deg !start then start := u
+      done;
+      place !start);
+  while !next < n do
     (* Next: an unplaced node adjacent to a placed one (exists by weak
        connectivity), preferring high degree. *)
     let best = ref (-1) in
@@ -91,8 +103,7 @@ let matching_order p =
       then best := u
     done;
     assert (!best >= 0);
-    order.(i) <- !best;
-    placed.(!best) <- true
+    place !best
   done;
   order
 

@@ -25,9 +25,11 @@ val pred : t -> int -> int list
 val diameter : t -> int
 (** [d_Q]: longest undirected shortest path. 0 for a single node. *)
 
-val matching_order : t -> int array
+val matching_order : ?anchor:int * int -> t -> int array
 (** A permutation of pattern nodes such that every node after the first has
     a (directed, either way) neighbor earlier in the order — the backbone of
-    the VF2 candidate generation. *)
+    the VF2 candidate generation. With [anchor] [(x, y)], a pattern edge,
+    the order starts [x, y] ([x] alone for a self-loop); otherwise it starts
+    at a node of maximum degree. *)
 
 val pp : Format.formatter -> t -> unit

@@ -20,88 +20,130 @@ let canon_of p m =
   in
   (nodes, edges)
 
-let iter_matches ?(allowed = fun _ -> true) g p f =
-  let np = Pattern.n_nodes p in
-  let order = Pattern.matching_order p in
-  (* Pattern labels resolved against the graph's interner; a label unknown
-     to the graph can never match. *)
-  let sym_of = Array.make np (-1) in
-  let ok = ref true in
-  for u = 0 to np - 1 do
-    match Ig_graph.Interner.find (Digraph.interner g) (Pattern.label p u) with
-    | Some s -> sym_of.(u) <- s
-    | None -> ok := false
-  done;
-  if !ok then begin
-    let m = Array.make np (-1) in
-    let pos = Array.make np (-1) in
-    (* pos.(u) = index of pattern node u in the matching order *)
-    Array.iteri (fun i u -> pos.(u) <- i) order;
-    let used = Hashtbl.create 32 in
-    (* Pattern edges incident to u whose other endpoint precedes u. *)
-    let back_edges =
-      Array.init np (fun i ->
-          let u = order.(i) in
-          let earlier v = pos.(v) < i in
-          List.filter_map
-            (fun v ->
-              if v = u then Some `Self
-              else if earlier v then Some (`Out v)
-              else None)
-            (Pattern.succ p u)
-          @ List.filter_map
-              (fun v ->
-                (* self-loops are covered once by the successor side *)
-                if v <> u && earlier v then Some (`In v) else None)
-              (Pattern.pred p u))
-    in
-    let feasible u cand =
-      Digraph.label g cand = sym_of.(u)
-      && (not (Hashtbl.mem used cand))
-      && allowed cand
-      && Digraph.out_degree g cand >= List.length (Pattern.succ p u)
-      && Digraph.in_degree g cand >= List.length (Pattern.pred p u)
-      && List.for_all
-           (function
-             | `Self -> Digraph.mem_edge g cand cand
-             | `Out v -> Digraph.mem_edge g cand m.(v)
-             | `In v -> Digraph.mem_edge g m.(v) cand)
-           back_edges.(pos.(u))
-    in
-    let rec step i =
-      if i = np then f (Array.copy m)
-      else begin
-        let u = order.(i) in
-        let try_candidate cand =
-          if feasible u cand then begin
-            m.(u) <- cand;
-            Hashtbl.replace used cand ();
-            step (i + 1);
-            Hashtbl.remove used cand;
-            m.(u) <- -1
-          end
-        in
-        (* Candidates from the image adjacency of one matched neighbor,
-           falling back to the label index for the first node. *)
-        let anchor =
-          List.find_opt (function `Self -> false | _ -> true) back_edges.(i)
-        in
-        (* Sorted adjacency: the match discovery order decides which
-           mapping represents each canon and thus what traces record. *)
-        match anchor with
-        | Some (`Out v) -> Digraph.iter_pred_sorted try_candidate g m.(v)
-        | Some (`In v) -> Digraph.iter_succ_sorted try_candidate g m.(v)
-        | Some `Self | None ->
-            List.iter try_candidate (Digraph.nodes_with_label g sym_of.(u))
-      end
-    in
-    step 0
-  end
+type back = Self | Out of int | In of int
 
-let find_all ?allowed g p =
+type plan = {
+  order : int array;
+  back : back list array;
+      (* per order position: the pattern edges linking that node to
+         itself or to an earlier node of the order *)
+  fixed : int;  (* leading order positions an anchor binds: 0, 1 or 2 *)
+}
+
+let make_plan ?anchor p =
+  let order = Pattern.matching_order ?anchor p in
+  let np = Array.length order in
+  let pos = Array.make np (-1) in
+  Array.iteri (fun i u -> pos.(u) <- i) order;
+  let back =
+    Array.init np (fun i ->
+        let u = order.(i) in
+        let earlier v = pos.(v) < i in
+        List.filter_map
+          (fun v ->
+            if v = u then Some Self
+            else if earlier v then Some (Out v)
+            else None)
+          (Pattern.succ p u)
+        @ List.filter_map
+            (fun v ->
+              (* self-loops are covered once by the successor side *)
+              if v <> u && earlier v then Some (In v) else None)
+            (Pattern.pred p u))
+  in
+  let fixed =
+    match anchor with None -> 0 | Some (x, y) -> if x = y then 1 else 2
+  in
+  { order; back; fixed }
+
+let plan p edge = make_plan ~anchor:edge p
+
+type work = { mutable visited : int; mutable relaxed : int }
+
+let symbols g p =
+  let interner = Digraph.interner g in
+  Array.init (Pattern.n_nodes p) (fun u ->
+      match Ig_graph.Interner.find interner (Pattern.label p u) with
+      | Some s -> s
+      | None -> -1)
+
+let iter_matches ?anchor ?work g p f =
+  let np = Pattern.n_nodes p in
+  let pl = match anchor with Some (pl, _) -> pl | None -> make_plan p in
+  let order = pl.order in
+  (* A label unknown to the graph can never match. *)
+  let sym_of = symbols g p in
+  let m = Array.make np (-1) in
+  let count_visit () =
+    match work with Some w -> w.visited <- w.visited + 1 | None -> ()
+  in
+  let count_relax () =
+    match work with Some w -> w.relaxed <- w.relaxed + 1 | None -> ()
+  in
+  (* Injectivity: [cand] is not the image of an earlier order position. *)
+  let rec unused cand i j =
+    j >= i || (m.(order.(j)) <> cand && unused cand i (j + 1))
+  in
+  let rec back_ok cand = function
+    | [] -> true
+    | Self :: rest -> Digraph.mem_edge g cand cand && back_ok cand rest
+    | Out v :: rest -> Digraph.mem_edge g cand m.(v) && back_ok cand rest
+    | In v :: rest -> Digraph.mem_edge g m.(v) cand && back_ok cand rest
+  in
+  let feasible i cand =
+    let u = order.(i) in
+    Digraph.label g cand = sym_of.(u)
+    && unused cand i 0
+    && Digraph.out_degree g cand >= List.length (Pattern.succ p u)
+    && Digraph.in_degree g cand >= List.length (Pattern.pred p u)
+    && back_ok cand pl.back.(i)
+  in
+  let bind i cand =
+    count_visit ();
+    m.(order.(i)) <- cand
+  in
+  let rec step i =
+    if i = np then f (Array.copy m)
+    else begin
+      let try_candidate cand =
+        count_relax ();
+        if feasible i cand then begin
+          bind i cand;
+          step (i + 1);
+          m.(order.(i)) <- -1
+        end
+      in
+      (* Candidates from the image adjacency of one matched neighbor,
+         falling back to the label index for the first node. Sorted
+         adjacency: the match discovery order decides which mapping
+         represents each canon and thus what traces record. *)
+      match List.find_opt (function Self -> false | _ -> true) pl.back.(i) with
+      | Some (Out v) -> Digraph.iter_pred_sorted try_candidate g m.(v)
+      | Some (In v) -> Digraph.iter_succ_sorted try_candidate g m.(v)
+      | Some Self | None ->
+          List.iter try_candidate
+            (Digraph.nodes_with_label g sym_of.(order.(i)))
+    end
+  in
+  if Array.for_all (fun s -> s >= 0) sym_of then
+    match anchor with
+    | None -> step 0
+    | Some (_, (v, w)) ->
+        (* The anchored edge's image is given: bind it, then extend through
+           adjacency only. *)
+        if feasible 0 v then begin
+          bind 0 v;
+          if pl.fixed = 1 then (if v = w then step 1)
+          else if feasible 1 w then begin
+            bind 1 w;
+            step 2
+          end
+        end
+
+let find_all g p =
   let seen = Hashtbl.create 64 in
   let acc = ref [] in
-  iter_matches ?allowed g p (fun m ->
+  iter_matches g p (fun m ->
       let c = canon_of p m in
       if not (Hashtbl.mem seen c) then begin
         Hashtbl.replace seen c ();

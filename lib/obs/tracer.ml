@@ -38,13 +38,14 @@ type rule =
   | Sim_support_zero
       (* IncSim cascade: a match pair's support counter hit zero. *)
   | Sim_revalidated
-      (* IncSim insertion: a candidate pair re-entered the greatest
-         simulation after revalidation. *)
+      (* IncSim insertion: a candidate pair of the batch's closure
+         joined the greatest simulation. *)
   | Iso_match_broken
       (* IncISO step (1): a match subgraph used a deleted edge. *)
   | Iso_ball_rematch
-      (* IncISO steps (2)-(3): a fresh match found by the localized VF2
-         run over the d_Q-ball of the inserted edges. *)
+      (* IncISO steps (2)-(3): a fresh match found by a VF2 run
+         anchored on an inserted edge (the tag keeps its historical
+         name; the run stays inside the d_Q-ball without building it). *)
 
 let rule_name = function
   | Kws_next_on_deleted -> "Kws_next_on_deleted"

@@ -35,13 +35,14 @@ type rule =
           region of an order-violating insertion. *)
   | Sim_support_zero  (** IncSim cascade: a pair's support hit zero. *)
   | Sim_revalidated
-      (** IncSim insertion: a candidate pair re-entered the greatest
-          simulation after revalidation. *)
+      (** IncSim insertion: a candidate pair of the batch's closure
+          joined the greatest simulation. *)
   | Iso_match_broken
       (** IncISO step (1): a match subgraph used a deleted edge. *)
   | Iso_ball_rematch
-      (** IncISO steps (2)-(3): a fresh match found by the localized VF2
-          run over the d_Q-ball of the inserted edges. *)
+      (** IncISO steps (2)-(3): a fresh match found by a VF2 run
+          anchored on an inserted edge (the tag keeps its historical
+          name; the run stays inside the d_Q-ball without building it). *)
 
 val rule_name : rule -> string
 val all_rules : rule list

@@ -290,40 +290,30 @@ let process_all t ~dels ~inss =
       process_source t u (Hashtbl.find t.srcs u) ~dels:!dels ~inss:!inss)
     (Obs.sorted_bindings ~compare:Int.compare per_source)
 
-let apply_effective t updates =
+(* Apply the batch's net effect: an edge inserted then deleted in one batch
+   (or the reverse) is no update at all, and the graph ends as
+   [Digraph.apply_batch] leaves it. *)
+let apply_net t updates =
   let g = graph t in
-  List.filter_map
-    (fun up ->
-      let eff =
-        match up with
-        | Digraph.Insert (u, v) ->
-            if Digraph.add_edge g u v then Some (`I, (u, v)) else None
-        | Digraph.Delete (u, v) ->
-            if Digraph.remove_edge g u v then Some (`D, (u, v)) else None
-      in
-      if eff <> None then Obs.note_changed_input t.obs 1;
-      eff)
-    updates
-
-let split_effective eff =
-  let dels = List.filter_map (function `D, e -> Some e | `I, _ -> None) eff in
-  let inss = List.filter_map (function `I, e -> Some e | `D, _ -> None) eff in
+  let dels, inss = Digraph.net_effect updates in
+  let dels = List.filter (fun (u, v) -> Digraph.remove_edge g u v) dels in
+  let inss = List.filter (fun (u, v) -> Digraph.add_edge g u v) inss in
+  let n = List.length dels + List.length inss in
+  if n > 0 then Obs.note_changed_input t.obs n;
   (dels, inss)
 
 let apply_batch t updates =
   Obs.with_apply t.obs @@ fun () ->
   if t.grouped then begin
-    let dels, inss = split_effective (apply_effective t updates) in
+    let dels, inss = apply_net t updates in
     process_all t ~dels ~inss
   end
   else
     List.iter
       (fun up ->
-        match apply_effective t [ up ] with
-        | [] -> ()
-        | eff ->
-            let dels, inss = split_effective eff in
-            process_all t ~dels ~inss)
+        match apply_net t [ up ] with
+        | [], [] -> ()
+        | dels, inss -> process_all t ~dels ~inss)
       updates;
   flush_delta t
 

@@ -514,22 +514,13 @@ let apply_unit t = function
   | Digraph.Delete (u, v) -> delete_edge t u v
 
 let apply_batch_grouped t updates =
-  (* Classify against the components at batch start. *)
-  let is_intra u v = comp_of t u = comp_of t v in
-  let intra_ins = ref []
-  and intra_del = ref []
-  and inter_del = ref []
-  and inter_ins = ref [] in
-  List.iter
-    (fun up ->
-      match up with
-      | Digraph.Insert (u, v) ->
-          if is_intra u v then intra_ins := (u, v) :: !intra_ins
-          else inter_ins := (u, v) :: !inter_ins
-      | Digraph.Delete (u, v) ->
-          if is_intra u v then intra_del := (u, v) :: !intra_del
-          else inter_del := (u, v) :: !inter_del)
-    updates;
+  (* Classify the batch's net effect against the components at batch
+     start; the phases below reorder updates, which is sound only once no
+     edge is updated twice. Each class is processed newest first. *)
+  let is_intra (u, v) = comp_of t u = comp_of t v in
+  let dels, inss = Digraph.net_effect updates in
+  let intra_del, inter_del = List.partition is_intra (List.rev dels) in
+  let intra_ins, inter_ins = List.partition is_intra (List.rev inss) in
   (* (a) Intra-component phase: apply everything to G, then run local
      Tarjan at most once per affected component. *)
   List.iter
@@ -538,7 +529,7 @@ let apply_batch_grouped t updates =
         Obs.note_changed_input t.obs 1;
         insert_intra t (comp_of t u)
       end)
-    !intra_ins;
+    intra_ins;
   let del_by_comp = Hashtbl.create 8 in
   List.iter
     (fun (u, v) ->
@@ -550,7 +541,7 @@ let apply_batch_grouped t updates =
         in
         Hashtbl.replace del_by_comp c ((u, v) :: cur)
       end)
-    !intra_del;
+    intra_del;
   (* Sorted: recert order reaches the trace via local Tarjan's aff_enter. *)
   List.iter
     (fun (c, dels) ->
@@ -573,7 +564,7 @@ let apply_batch_grouped t updates =
         Obs.note_changed_input t.obs 1;
         cremove t (comp_of t u) (comp_of t v) 1
       end)
-    !inter_del;
+    inter_del;
   List.iter
     (fun (u, v) ->
       if Digraph.add_edge t.g u v then begin
@@ -584,7 +575,7 @@ let apply_batch_grouped t updates =
            so this is now an ordinary intra-component insertion. *)
         if cu = cv then insert_intra t cu else insert_inter t cu cv
       end)
-    !inter_ins
+    inter_ins
 
 let apply_batch t updates =
   Obs.with_apply t.obs @@ fun () ->

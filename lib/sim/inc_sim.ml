@@ -94,8 +94,7 @@ let cascade t doomed =
     end
   done
 
-let delete_edge t a b =
-  Obs.with_apply t.obs @@ fun () ->
+let delete t (a, b) =
   if Digraph.remove_edge t.g a b then begin
     Obs.note_changed_input t.obs 1;
     let doomed = ref [] in
@@ -116,106 +115,199 @@ let delete_edge t a b =
     cascade t !doomed
   end
 
-let insert_edge t a b =
-  Obs.with_apply t.obs @@ fun () ->
-  if Digraph.add_edge t.g a b then begin
-    Obs.note_changed_input t.obs 1;
-    (* Existing pairs gain support through the new edge. *)
-    Array.iteri
-      (fun u ls ->
-        List.iter
-          (fun (e, u') ->
-            if Hashtbl.mem t.r.(u') b && Hashtbl.mem t.r.(u) a then
-              Hashtbl.replace t.cnt.(e) a
-                (1 + Option.value ~default:0 (Hashtbl.find_opt t.cnt.(e) a)))
-          ls)
-      t.out_edges;
-    (* Revalidation: a pair can flip into the greatest simulation only if
-       its support dependency chain reaches the new edge, i.e. its graph
-       node reaches [a]. Prune R ∪ those candidates; R itself survives
-       (adding edges cannot invalidate a simulation), so the pruned result
-       is exactly the new greatest simulation. *)
-    let closure =
-      Ig_graph.Traverse.reachable t.g ~dir:`Backward [ a ]
+let bump cnt v =
+  Hashtbl.replace cnt v (1 + Option.value ~default:0 (Hashtbl.find_opt cnt v))
+
+(* The pairs a batch of insertions can add to R. Seeds are (x, a) for an
+   inserted (a, b) and a pattern edge (x, y) whose labels fit, with a ∉
+   R(x); the closure grows backward from (u, v) to (pu, p) over a pattern
+   edge (pu, u) and a graph predecessor p of v that carries pu's label and
+   is not in R(pu). This is exact: the pairs of the new greatest simulation
+   outside R and outside the closure, together with R, would form a
+   simulation on the graph before the insertions (none of their support
+   edges is new, or they would be seeds), so they are already in R.
+   Returns the candidate sets per pattern node, or [None] without seeds. *)
+let closure t inss =
+  let sym = Ig_iso.Vf2.symbols t.g t.p in
+  let cand = ref None and visited = ref 0 and relaxed = ref 0 in
+  let stack = Stack.create () in
+  let add u v =
+    let c =
+      match !cand with
+      | Some c -> c
+      | None ->
+          let c =
+            Array.init (Pattern.n_nodes t.p) (fun _ -> Hashtbl.create 16)
+          in
+          cand := Some c;
+          c
     in
-    Obs.add t.obs Obs.K.nodes_visited (Hashtbl.length closure);
-    let cands = Sim.candidates t.p t.g in
-    let init =
-      Array.mapi
-        (fun u set ->
-          let h = Hashtbl.copy t.r.(u) in
-          (* Order-free: fills a membership set. *)
-          (Hashtbl.iter [@lint.allow "D2"])
-            (fun v () ->
-              if Hashtbl.mem closure v && not (Hashtbl.mem h v) then
-                Hashtbl.replace h v ())
-            set;
-          h)
-        cands
-    in
-    let fresh = Sim.prune t.p t.g init in
-    (* Merge additions and refresh counters incrementally. *)
-    let additions = ref [] in
-    Array.iteri
-      (fun u set ->
-        (* Sorted: revalidation order reaches the trace. *)
-        List.iter
-          (fun (v, ()) ->
-            if not (Hashtbl.mem t.r.(u) v) then begin
-              Hashtbl.replace t.r.(u) v ();
-              note_gain t u v;
-              Obs.incr t.obs Obs.K.aff;
-              Obs.incr t.obs Obs.K.cert_rewrites;
-              if Tracer.enabled t.trace then begin
-                Tracer.aff_enter t.trace ~node:v ~rule:Tracer.Sim_revalidated;
-                Tracer.cert_rewrite t.trace ~node:v
-                  ~field:(Printf.sprintf "sim(%d)" u)
-                  ~before:"absent" ~after:"member"
-              end;
-              additions := (u, v) :: !additions
-            end)
-          (Obs.sorted_bindings ~compare:Int.compare set))
-      fresh;
-    let added_set = Hashtbl.create 16 in
-    List.iter (fun x -> Hashtbl.replace added_set x ()) !additions;
+    if not (Hashtbl.mem c.(u) v) then begin
+      Hashtbl.replace c.(u) v ();
+      incr visited;
+      Stack.push (u, v) stack
+    end
+  in
+  List.iter
+    (fun (a, b) ->
+      let la = Digraph.label t.g a and lb = Digraph.label t.g b in
+      Array.iteri
+        (fun x ls ->
+          if sym.(x) = la && not (Hashtbl.mem t.r.(x) a) then
+            List.iter (fun (_, y) -> if sym.(y) = lb then add x a) ls)
+        t.out_edges)
+    inss;
+  while not (Stack.is_empty stack) do
+    let u, v = Stack.pop stack in
     List.iter
-      (fun (u, v) ->
-        (* Own support counts, against the final relation — these already
-           include support coming from other same-round additions. *)
-        List.iter
-          (fun (e, u') -> Hashtbl.replace t.cnt.(e) v (support_count t u' v))
-          t.out_edges.(u);
-        (* The new member also supports its pre-existing predecessors; the
-           counts of same-round additions were computed fresh above and
-           must not be bumped twice. *)
-        List.iter
-          (fun (e, tp) ->
-            (* Order-free: counter bumps commute. *)
-            (Digraph.iter_pred [@lint.allow "D2"])
-              (fun pnode ->
-                if
-                  Hashtbl.mem t.r.(tp) pnode
-                  && not (Hashtbl.mem added_set (tp, pnode))
-                then
-                  Hashtbl.replace t.cnt.(e) pnode
-                    (1
-                    + Option.value ~default:0
-                        (Hashtbl.find_opt t.cnt.(e) pnode)))
-              t.g v)
-          t.in_edges.(u))
-      !additions
+      (fun (_, pu) ->
+        (* Order-free: the closure is a set, and its counters are sums. *)
+        (Digraph.iter_pred [@lint.allow "D2"])
+          (fun p ->
+            incr relaxed;
+            if Digraph.label t.g p = sym.(pu) && not (Hashtbl.mem t.r.(pu) p)
+            then add pu p)
+          t.g v)
+      t.in_edges.(u)
+  done;
+  Obs.add t.obs Obs.K.nodes_visited !visited;
+  Obs.add t.obs Obs.K.edges_relaxed !relaxed;
+  !cand
+
+(* The support-count fixpoint over the candidates alone, with R fixed as
+   support (insertions never remove a pair from R). Prunes [cand] in place
+   to the pairs that join R and returns their support counters, which are
+   already counted against the final relation. A pair leaves [cand] when it
+   is queued, so it is queued and propagated once: the counters do not
+   depend on the visit order. *)
+let fixpoint t cand =
+  let ccnt = Array.init (Pattern.n_edges t.p) (fun _ -> Hashtbl.create 16) in
+  let member u w = Hashtbl.mem t.r.(u) w || Hashtbl.mem cand.(u) w in
+  let doomed = ref [] and relaxed = ref 0 and pushes = ref 0 in
+  Array.iteri
+    (fun u set ->
+      (* Order-free: every count is taken against the full candidate set. *)
+      (Hashtbl.iter [@lint.allow "D2"])
+        (fun v () ->
+          List.iter
+            (fun (e, u') ->
+              let c = ref 0 in
+              (* Order-free: counting commutes. *)
+              (Digraph.iter_succ [@lint.allow "D2"])
+                (fun w ->
+                  incr relaxed;
+                  if member u' w then incr c)
+                t.g v;
+              Hashtbl.replace ccnt.(e) v !c;
+              if !c = 0 then doomed := (u, v) :: !doomed)
+            t.out_edges.(u))
+        set)
+    cand;
+  let stack = Stack.create () in
+  let queue u v =
+    if Hashtbl.mem cand.(u) v then begin
+      Hashtbl.remove cand.(u) v;
+      incr pushes;
+      Stack.push (u, v) stack
+    end
+  in
+  List.iter (fun (u, v) -> queue u v) !doomed;
+  while not (Stack.is_empty stack) do
+    let u, v = Stack.pop stack in
+    List.iter
+      (fun (e, tp) ->
+        (* Order-free: decrements commute, and a pair is queued once. *)
+        (Digraph.iter_pred [@lint.allow "D2"])
+          (fun p ->
+            incr relaxed;
+            if Hashtbl.mem cand.(tp) p then begin
+              let c = Hashtbl.find ccnt.(e) p - 1 in
+              Hashtbl.replace ccnt.(e) p c;
+              if c = 0 then queue tp p
+            end)
+          t.g v)
+      t.in_edges.(u)
+  done;
+  Obs.add t.obs Obs.K.edges_relaxed !relaxed;
+  Obs.add t.obs Obs.K.queue_pushes !pushes;
+  ccnt
+
+(* Survivors join R. Their own counters come from the fixpoint; each one
+   also supports its predecessors already in R. *)
+let merge t survivors ccnt =
+  let joined =
+    List.concat
+      (List.init (Pattern.n_nodes t.p) (fun u ->
+           (* Sorted: revalidation order reaches the trace. *)
+           List.map (fun (v, ()) -> (u, v))
+             (Obs.sorted_bindings ~compare:Int.compare survivors.(u))))
+  in
+  let relaxed = ref 0 in
+  List.iter
+    (fun (u, v) ->
+      List.iter
+        (fun (e, tp) ->
+          (* Order-free: counter bumps commute. *)
+          (Digraph.iter_pred [@lint.allow "D2"])
+            (fun p ->
+              incr relaxed;
+              if Hashtbl.mem t.r.(tp) p then bump t.cnt.(e) p)
+            t.g v)
+        t.in_edges.(u))
+    joined;
+  Obs.add t.obs Obs.K.edges_relaxed !relaxed;
+  List.iter
+    (fun (u, v) ->
+      Hashtbl.replace t.r.(u) v ();
+      List.iter
+        (fun (e, _) -> Hashtbl.replace t.cnt.(e) v (Hashtbl.find ccnt.(e) v))
+        t.out_edges.(u);
+      note_gain t u v;
+      Obs.incr t.obs Obs.K.aff;
+      Obs.incr t.obs Obs.K.cert_rewrites;
+      if Tracer.enabled t.trace then begin
+        Tracer.aff_enter t.trace ~node:v ~rule:Tracer.Sim_revalidated;
+        Tracer.cert_rewrite t.trace ~node:v
+          ~field:(Printf.sprintf "sim(%d)" u)
+          ~before:"absent" ~after:"member"
+      end)
+    joined
+
+(* One pass per batch over its net effect: the deletions' cascades, then
+   all insertions, one closure and one fixpoint. *)
+let process t updates =
+  let dels, inss = Digraph.net_effect updates in
+  List.iter (delete t) dels;
+  let inss = List.filter (fun (a, b) -> Digraph.add_edge t.g a b) inss in
+  if inss <> [] then begin
+    List.iter
+      (fun (a, b) ->
+        Obs.note_changed_input t.obs 1;
+        (* Existing pairs gain support through the new edge. *)
+        Array.iteri
+          (fun u ls ->
+            List.iter
+              (fun (e, u') ->
+                if Hashtbl.mem t.r.(u') b && Hashtbl.mem t.r.(u) a then
+                  bump t.cnt.(e) a)
+              ls)
+          t.out_edges)
+      inss;
+    match closure t inss with
+    | None -> ()
+    | Some cand -> merge t cand (fixpoint t cand)
   end
+
+let insert_edge t a b =
+  Obs.with_apply t.obs @@ fun () -> process t [ Digraph.Insert (a, b) ]
+
+let delete_edge t a b =
+  Obs.with_apply t.obs @@ fun () -> process t [ Digraph.Delete (a, b) ]
 
 let apply_batch t updates =
   Obs.with_apply t.obs @@ fun () ->
   Obs.with_span t.obs "sim.process" (fun () ->
-      Tracer.with_span t.trace "sim.process" (fun () ->
-          List.iter
-        (fun up ->
-          match up with
-          | Digraph.Insert (u, v) -> insert_edge t u v
-          | Digraph.Delete (u, v) -> delete_edge t u v)
-            updates));
+      Tracer.with_span t.trace "sim.process" (fun () -> process t updates));
   flush_delta t
 
 let init ?(obs = Obs.noop) ?(trace = Tracer.noop) g p =

@@ -1,19 +1,24 @@
 (** Incremental graph simulation.
 
-    Maintains the greatest simulation relation under edge updates, in the
+    Maintains the greatest simulation relation R under edge updates, in the
     spirit of the semi-bounded algorithms of [17] that the paper's related
-    work discusses:
+    work discusses. A batch is reduced to its net effect
+    ({!Ig_graph.Digraph.net_effect}) and handled in one pass:
 
     - {b deletions} propagate lost support through per-(pattern-edge, node)
       counters — the classic decremental cascade, touching only pairs whose
       support actually collapses;
-    - {b insertions} can only grow the greatest simulation, and a pair can
-      flip only if its support chain reaches the new edge, so the
-      revalidation candidates are confined to label-compatible pairs whose
-      graph node reaches the inserted edge's tail; the fixpoint reruns on
-      [R ∪ candidates] only (still the "auxiliary data may be polynomial in
-      |G|" regime of semi-boundedness — simulation has no locality, which
-      is exactly the paper's point in Section 4.1). *)
+    - {b insertions} can only grow R. All of the batch's edges are inserted
+      first. One label-guided product closure then collects the pairs that
+      could join R: it is seeded with [(x, a)] for each inserted [(a, b)]
+      and pattern edge [(x, y)] whose labels fit, [a ∉ R(x)], and grows
+      backward over pattern edges and graph predecessors carrying the right
+      label, never through R. A support-count fixpoint over these
+      candidates alone, with R held fixed as support, keeps the pairs that
+      join R. R is neither copied nor re-pruned, so a batch whose inserted
+      edges no pattern edge's labels fit costs O(|ΔG|·|Q|). (Simulation has
+      no locality bound: the closure may still be large, which is the
+      paper's point in Section 4.1.) *)
 
 type node = Ig_graph.Digraph.node
 
@@ -31,10 +36,18 @@ val init :
   Ig_iso.Pattern.t ->
   t
 (** Runs the batch fixpoint once; the session owns the graph. [obs]
-    (default {!Ig_obs.Obs.noop}) receives cost counters: [aff] (relation
-    pairs gained or lost — the measured |AFF|), [cert_rewrites],
-    [nodes_visited] (cascade pops + revalidation closure), [edges_relaxed]
-    (support rescans), [queue_pushes], and [changed] = |ΔG| + |ΔO|.
+    (default {!Ig_obs.Obs.noop}) receives exact cost counters:
+    - [aff]: relation pairs gained or lost (the measured |AFF|);
+    - [cert_rewrites]: the same count, as relation rewrites;
+    - [nodes_visited]: pairs popped by the deletion cascade, plus pairs
+      entered into the insertion closure;
+    - [edges_relaxed]: adjacency entries read — by the cascade's support
+      updates, the closure's backward steps, the fixpoint's support counts
+      and decrements, and the support bumps of the pairs that join R;
+    - [queue_pushes]: pairs queued for removal, by the cascade or by the
+      candidate fixpoint;
+    - [changed]: |ΔG| (net) + |ΔO|.
+
     Each outermost {!apply_batch}/{!insert_edge}/{!delete_edge} call also
     records one sample into the [apply_latency_s] histogram (monotonic
     seconds) and the [gc_minor_words]/[gc_major_words]/
@@ -42,9 +55,10 @@ val init :
     {!Ig_obs.Obs.with_apply}). [trace] (default {!Ig_obs.Tracer.noop})
     receives structured events:
     [Aff_enter] tagged [Sim_support_zero] (a pair's support counter hit
-    zero in the cascade) or [Sim_revalidated] (a pair re-entered the
-    greatest simulation), [Cert_rewrite] on the per-pattern-node [sim(u)]
-    membership field, and [Frontier_expand] per cascade push. *)
+    zero in the cascade) or [Sim_revalidated] (a pair joined the greatest
+    simulation, in (pattern node, graph node) order per batch),
+    [Cert_rewrite] on the per-pattern-node [sim(u)] membership field, and
+    [Frontier_expand] per cascade push. *)
 
 val graph : t -> Ig_graph.Digraph.t
 val pattern : t -> Ig_iso.Pattern.t
@@ -57,7 +71,14 @@ val trace : t -> Ig_obs.Tracer.t
 
 val insert_edge : t -> node -> node -> unit
 val delete_edge : t -> node -> node -> unit
+(** One-update batches, without the [sim.process] span; the delta
+    accumulates until {!flush_delta}. *)
+
 val apply_batch : t -> Ig_graph.Digraph.update list -> delta
+(** Apply the batch's net effect and return ΔO. The graph ends as
+    {!Ig_graph.Digraph.apply_batch} would leave it, whatever the order of
+    updates to the same edge. *)
+
 val flush_delta : t -> delta
 
 val relation : t -> Sim.relation

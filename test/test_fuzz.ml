@@ -313,11 +313,44 @@ let test_spec_round_trip () =
             ((Sp.make s.Sc.base spec).O.answer ()))
     (Sc.all ~rng ())
 
+(* Batches that touch one edge twice: an absent edge inserted then deleted,
+   and an edge inside a strongly connected component deleted then
+   re-inserted. Each leaves the graph as it was. *)
+let bounce_chunks rng g =
+  let n = Digraph.n_nodes g in
+  let rec absent k =
+    let u = Random.State.int rng n and v = Random.State.int rng n in
+    if Digraph.mem_edge g u v && k > 0 then absent (k - 1) else (u, v)
+  in
+  let comp = Array.make n (-1) in
+  List.iteri
+    (fun i ms -> List.iter (fun v -> comp.(v) <- i) ms)
+    (Ig_scc.Tarjan.scc g);
+  let edges = Digraph.edges g in
+  let present =
+    match List.filter (fun (u, v) -> comp.(u) = comp.(v)) edges with
+    | [] -> edges
+    | intra -> intra
+  in
+  let au, av = absent 100 in
+  [ [ Digraph.Insert (au, av); Digraph.Delete (au, av) ] ]
+  @
+  match present with
+  | [] -> []
+  | _ ->
+      let i = Random.State.int rng (List.length present) in
+      let u, v = List.nth present i in
+      [ [ Digraph.Delete (u, v); Digraph.Insert (u, v) ] ]
+
 (* The batch face: every scenario's oracle, on both backends, driven
    through [apply_batch] in chunks of 8 stream updates, with the full
-   differential and metrics checks after each chunk. [Spec.make] works on
-   a copy, so the scenario's base graph must come out untouched. *)
+   differential and metrics checks after each chunk. Every third chunk is
+   followed by [bounce_chunks]. A replica updated by [Digraph.apply_batch]
+   pins the batch semantics: the engine's graph must equal it after every
+   chunk, whatever the order of updates to one edge. [Spec.make] works on a
+   copy, so the scenario's base graph must come out untouched. *)
 let test_spec_apply_batch () =
+  let digest = Ig_journal.Journal.graph_digest in
   List.iter
     (fun backend ->
       let rng = Random.State.make [| 0xba7c; 8 |] in
@@ -326,28 +359,37 @@ let test_spec_apply_batch () =
           let name =
             Printf.sprintf "%s (%s)" s.Sc.name (Digraph.backend_name backend)
           in
-          let digest () = Ig_journal.Journal.graph_digest s.Sc.base in
-          let before = digest () in
+          let before = digest s.Sc.base in
           let inst = s.Sc.make () in
+          let replica = Digraph.copy inst.O.graph in
           let stream =
             St.create
               ~rng:(Random.State.make [| 0xba7c; 9 |])
               ~focus:s.Sc.focus inst.O.graph
           in
           let prev = ref (Ig_obs.Obs.counters inst.O.obs) in
-          for chunk = 1 to 12 do
-            let us = List.init 8 (fun _ -> St.next stream) in
+          let run chunk us =
             match
               ignore (inst.O.apply_batch us);
+              Digraph.apply_batch replica us;
               O.check inst;
-              prev := O.check_metrics ~prev:!prev inst
+              prev := O.check_metrics ~prev:!prev inst;
+              if digest inst.O.graph <> digest replica then
+                raise (O.Check_failed "graph differs from Digraph.apply_batch")
             with
             | () -> ()
             | exception O.Check_failed msg ->
-                Alcotest.failf "%s: chunk %d: %s" name chunk msg
+                Alcotest.failf "%s: chunk %s: %s" name chunk msg
+          in
+          for chunk = 1 to 12 do
+            run (string_of_int chunk) (List.init 8 (fun _ -> St.next stream));
+            if chunk mod 3 = 0 then
+              List.iteri
+                (fun i us -> run (Printf.sprintf "%d bounce %d" chunk i) us)
+                (bounce_chunks rng inst.O.graph)
           done;
           check Alcotest.string (name ^ ": base graph untouched") before
-            (digest ()))
+            (digest s.Sc.base))
         (Sc.all ~backend ~rng ()))
     [ `Hashtbl; `Csr ]
 

@@ -88,12 +88,15 @@ let test_matching_order_connected () =
 
 (* ---- VF2 ---------------------------------------------------------------------- *)
 
+let tri_pattern () =
+  P.create ~labels:[ "a"; "b"; "c" ] ~edges:[ (0, 1); (1, 2); (2, 0) ]
+
 let test_vf2_triangle () =
   let g =
     labeled_graph [ "a"; "b"; "c"; "a" ]
       [ (0, 1); (1, 2); (2, 0); (3, 1); (2, 3) ]
   in
-  let p = P.create ~labels:[ "a"; "b"; "c" ] ~edges:[ (0, 1); (1, 2); (2, 0) ] in
+  let p = tri_pattern () in
   (* Two a-nodes, both closing a triangle with b and c. *)
   check Alcotest.int "two triangles" 2 (List.length (V.find_all g p))
 
@@ -129,21 +132,49 @@ let test_vf2_self_loop () =
   let p = P.create ~labels:[ "a" ] ~edges:[ (0, 0) ] in
   check Alcotest.int "self loop" 1 (List.length (V.find_all g p))
 
-let test_vf2_allowed_filter () =
-  let g = labeled_graph [ "a"; "b"; "a"; "b" ] [ (0, 1); (2, 3) ] in
-  let p = P.create ~labels:[ "a"; "b" ] ~edges:[ (0, 1) ] in
-  let only_low v = v <= 1 in
-  check Alcotest.int "filtered" 1
-    (List.length (V.find_all ~allowed:only_low g p))
+(* Every match maps some pattern edge onto some graph edge, so the anchored
+   runs over all (graph edge, pattern edge) pairs together find exactly
+   [find_all]'s canons, and each run binds only its anchor. *)
+let anchored_canons g p =
+  let seen = Hashtbl.create 16 and ok = ref true in
+  List.iter
+    (fun ((x, y) as e) ->
+      let plan = V.plan p e in
+      List.iter
+        (fun (v, w) ->
+          V.iter_matches ~anchor:(plan, (v, w)) g p (fun m ->
+              if m.(x) <> v || m.(y) <> w then ok := false;
+              Hashtbl.replace seen (V.canon_of p m) ()))
+        (Digraph.edges g))
+    (P.edges p);
+  (!ok, List.sort compare (List.of_seq (Hashtbl.to_seq_keys seen)))
+
+let test_vf2_anchored () =
+  let g =
+    labeled_graph [ "a"; "b"; "c"; "a"; "b" ]
+      [ (0, 1); (1, 2); (2, 0); (3, 1); (2, 3); (3, 4); (4, 2) ]
+  in
+  let p = tri_pattern () in
+  let ok, canons = anchored_canons g p in
+  check Alcotest.bool "anchors respected" true ok;
+  check Alcotest.int "three triangles" 3 (List.length canons);
+  check Alcotest.bool "same canons as find_all" true
+    (canons = canon_set p (V.find_all g p));
+  (* An anchor on an absent edge, or on an edge whose labels fit no pattern
+     edge, finds nothing. *)
+  let none e anchor =
+    let n = ref 0 in
+    V.iter_matches ~anchor:(V.plan p e, anchor) g p (fun _ -> incr n);
+    !n
+  in
+  check Alcotest.int "absent edge" 0 (none (0, 1) (3, 2));
+  check Alcotest.int "labels" 0 (none (0, 1) (1, 2))
 
 (* ---- IncISO -------------------------------------------------------------------- *)
 
 let assert_sound msg t =
   try I.check_invariants t
   with Failure e -> Alcotest.failf "%s: invariant: %s" msg e
-
-let tri_pattern () =
-  P.create ~labels:[ "a"; "b"; "c" ] ~edges:[ (0, 1); (1, 2); (2, 0) ]
 
 let test_inc_insert_completes_triangle () =
   let g = labeled_graph [ "a"; "b"; "c" ] [ (0, 1); (1, 2) ] in
@@ -249,17 +280,6 @@ let arb_case =
            (List.map (fun (u, v) -> Printf.sprintf "(%d,%d)" u v) pe)))
     gen_case
 
-let dedup_conflicts ops =
-  let seen = Hashtbl.create 16 in
-  List.filter
-    (fun (_, e) ->
-      if Hashtbl.mem seen e then false
-      else begin
-        Hashtbl.replace seen e ();
-        true
-      end)
-    ops
-
 let prop_vf2_matches_brute =
   QCheck.Test.make ~name:"VF2 == brute force" ~count:300 arb_case
     (fun (labels, edges, _, (pl, pe)) ->
@@ -267,33 +287,45 @@ let prop_vf2_matches_brute =
       let p = P.create ~labels:pl ~edges:pe in
       canon_set p (V.find_all g p) = canon_set p (brute g p))
 
+let prop_vf2_anchored =
+  QCheck.Test.make ~name:"anchored VF2 == find_all" ~count:300 arb_case
+    (fun (labels, edges, _, (pl, pe)) ->
+      let g = labeled_graph labels edges in
+      let p = P.create ~labels:pl ~edges:pe in
+      anchored_canons g p = (true, canon_set p (V.find_all g p)))
+
 let prop_inc_matches_batch grouped =
   QCheck.Test.make
     ~name:(Printf.sprintf "IncISO%s == VF2 rerun" (if grouped then "" else "n"))
     ~count:300 arb_case
     (fun (labels, edges, ops, (pl, pe)) ->
-      let ops = dedup_conflicts ops in
       let g = labeled_graph labels edges in
       let p = P.create ~labels:pl ~edges:pe in
       let t = I.init ~grouped g p in
       let old_set = canon_set p (I.matches t) in
-      let d =
-        I.apply_batch t
-          (List.map
-             (fun (i, (u, v)) ->
-               if i then Digraph.Insert (u, v) else Digraph.Delete (u, v))
-             ops)
+      (* Repeated edges included: the graph must end as a sequential
+         [Digraph.apply_batch] leaves it. *)
+      let batch =
+        List.map
+          (fun (i, (u, v)) ->
+            if i then Digraph.Insert (u, v) else Digraph.Delete (u, v))
+          ops
       in
+      let replica = labeled_graph labels edges in
+      Digraph.apply_batch replica batch;
+      let d = I.apply_batch t batch in
       I.check_invariants t;
+      Digraph.edges (I.graph t) = Digraph.edges replica
+      &&
       let fresh = canon_set p (V.find_all (I.graph t) p) in
       let now = canon_set p (I.matches t) in
       let added = canon_set p d.added and removed = canon_set p d.removed in
-      now = fresh
+      (now = fresh
       && List.for_all (fun c -> List.mem c old_set) removed
       && List.for_all (fun c -> not (List.mem c old_set)) added
       && List.sort compare
            (added @ List.filter (fun c -> not (List.mem c removed)) old_set)
-         = fresh)
+         = fresh))
 
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
@@ -320,8 +352,8 @@ let () =
         :: Alcotest.test_case "labels" `Quick test_vf2_labels_matter
         :: Alcotest.test_case "unknown label" `Quick test_vf2_unknown_label
         :: Alcotest.test_case "self loop" `Quick test_vf2_self_loop
-        :: Alcotest.test_case "allowed filter" `Quick test_vf2_allowed_filter
-        :: qsuite [ prop_vf2_matches_brute ] );
+        :: Alcotest.test_case "anchored match" `Quick test_vf2_anchored
+        :: qsuite [ prop_vf2_matches_brute; prop_vf2_anchored ] );
       ( "incremental",
         [
           Alcotest.test_case "insert completes" `Quick

@@ -162,6 +162,7 @@ let prop_inc_matches_batch =
                 ([ "a"; "b"; "a" ], [ (0, 1); (1, 2) ]);
                 ([ "a"; "a" ], [ (0, 1); (1, 0) ]);
                 ([ "a"; "b"; "b" ], [ (0, 1); (0, 2); (1, 2) ]);
+                ([ "b"; "a" ], [ (0, 0); (0, 1) ]);
               ]
           in
           return (labels, edges, ops, pat)))
@@ -170,14 +171,20 @@ let prop_inc_matches_batch =
       let p = P.create ~labels:pl ~edges:pe in
       let t = I.init g p in
       let old_pairs = norm (Ig_sim.Sim.pairs (I.relation t)) in
-      let d =
-        I.apply_batch t
-          (List.map
-             (fun (i, (u, v)) ->
-               if i then Digraph.Insert (u, v) else Digraph.Delete (u, v))
-             ops)
+      (* Repeated edges included: the graph must end as a sequential
+         [Digraph.apply_batch] leaves it. *)
+      let batch =
+        List.map
+          (fun (i, (u, v)) ->
+            if i then Digraph.Insert (u, v) else Digraph.Delete (u, v))
+          ops
       in
+      let replica = labeled_graph labels edges in
+      Digraph.apply_batch replica batch;
+      let d = I.apply_batch t batch in
       I.check_invariants t;
+      Digraph.edges (I.graph t) = Digraph.edges replica
+      &&
       let now = norm (S.pairs (I.relation t)) in
       let fresh = norm (S.pairs (S.run p (I.graph t))) in
       let applied =
@@ -185,7 +192,7 @@ let prop_inc_matches_batch =
           (d.added
           @ List.filter (fun x -> not (List.mem x d.removed)) old_pairs)
       in
-      now = fresh && applied = fresh)
+      (now = fresh && applied = fresh))
 
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
