@@ -10,19 +10,14 @@
      unbounded      Theorem 1 / Fig. 9 empirical unboundedness demo
      sim_delta      graph simulation (the paper's fifth class) vs |ΔG|
      journal        WAL append/undo/snapshot/recovery throughput (lib/journal)
-     trav           batch traversal (Tarjan/NFA/kdist) scaling vs |G| —
-                    the graph-backend shootout; at --scale 20 the top
-                    point is a million-node graph
+     trav           batch traversal (Tarjan/NFA/kdist) scaling vs |G|;
+                    at --scale 20 the top point is a million-node graph
      micro          Bechamel micro-benchmarks, one per figure
 
    Usage: dune exec bench/main.exe [-- options]
      -e ID[,ID...]   run selected experiments (default: all)
      --scale X       graph scale factor (default 0.25; paper shapes hold
                      across scales, see EXPERIMENTS.md)
-     --backend B     graph backend, hashtbl (default) or csr; recorded in
-                     the report config — compare two runs with
-                     bench/compare.exe to gate one backend against the
-                     other (same graphs, same series names)
      --reps N        repetitions averaged per point (default 1)
      --seed N        RNG seed (default 2017)
      --points N      keep only the first N |ΔG| points per sweep (0 = all;
@@ -49,7 +44,6 @@ module W = Core.Workload
 type config = {
   mutable selected : string list; (* empty = all *)
   mutable scale : float;
-  mutable backend : D.backend;
   mutable reps : int;
   mutable seed : int;
   mutable points : int; (* 0 = every |ΔG| point *)
@@ -61,7 +55,6 @@ let cfg =
   {
     selected = [];
     scale = 0.25;
-    backend = `Hashtbl;
     reps = 1;
     seed = 2017;
     points = 0;
@@ -77,11 +70,6 @@ let parse_args () =
         go rest
     | "--scale" :: v :: rest ->
         cfg.scale <- float_of_string v;
-        go rest
-    | "--backend" :: v :: rest ->
-        (match D.backend_of_string v with
-        | Some b -> cfg.backend <- b
-        | None -> failwith ("unknown backend " ^ v ^ " (hashtbl|csr)"));
         go rest
     | "--reps" :: v :: rest ->
         cfg.reps <- int_of_string v;
@@ -263,7 +251,7 @@ let report_crossover ~inc ~batch rows =
 
 let instantiate profile =
   let rng = rng_of_point ("graph", profile.W.Profiles.name) in
-  W.Profiles.instantiate ~scale:cfg.scale ~backend:cfg.backend ~rng profile
+  W.Profiles.instantiate ~scale:cfg.scale ~rng profile
 
 let all_delta_percents = [ 5; 10; 15; 20; 25; 30; 35; 40 ]
 
@@ -873,17 +861,14 @@ let journal_throughput () =
     (t_append /. Float.max 1e-9 t_raw)
     (float_of_int applied /. Float.max 1e-9 t_append)
 
-(* ---- traversal scaling (graph-backend shootout) ----------------------------------- *)
+(* ---- traversal scaling ----------------------------------------------------------- *)
 
 (* Batch traversal kernels against graph size — the regime where the graph
    core's memory layout, not engine bookkeeping, dominates cost. Each point
-   builds a fresh synthetic graph at a fraction of --scale on the selected
-   backend and runs each kernel once inside [Obs.with_apply], so the
-   latency and gc_* histograms capture work attributable to the traversal
-   itself. Series names are backend-independent: run once per backend and
-   feed both reports to compare.exe (which joins on experiment/x/series) to
-   gate one layout against the other. At --scale 20 the top point is a
-   million-node, two-million-edge graph — the CSR acceptance workload. *)
+   builds a fresh synthetic graph at a fraction of --scale and runs each
+   kernel once inside [Obs.with_apply], so the latency and gc_* histograms
+   capture work attributable to the traversal itself. At --scale 20 the
+   top point is a million-node, two-million-edge graph. *)
 let trav () =
   let factors =
     let all = [ 0.2; 0.4; 0.6; 0.8; 1.0 ] in
@@ -907,13 +892,11 @@ let trav () =
         let scale = cfg.scale *. f in
         let rng = rng_of_point ("trav-graph", f) in
         let g =
-          W.Profiles.instantiate ~scale ~backend:cfg.backend ~rng
-            W.Profiles.synthetic
+          W.Profiles.instantiate ~scale ~rng W.Profiles.synthetic
         in
         let n = D.n_nodes g in
-        Format.printf "@.[trav] synthetic ×%.2f: %d nodes, %d edges (%s)@." f n
-          (D.n_edges g)
-          (D.backend_name (D.backend g));
+        Format.printf "@.[trav] synthetic ×%.2f: %d nodes, %d edges@." f n
+          (D.n_edges g);
         (* Fixed-shape queries, cheap to draw at any scale: pick_* would run
            batch suitability probes, which at a million nodes would dwarf
            the measurement itself. *)
@@ -1099,7 +1082,6 @@ let () =
          ~config:
            [
              ("scale", Json.Float cfg.scale);
-             ("backend", Json.Str (D.backend_name cfg.backend));
              ("reps", Json.Int cfg.reps);
              ("seed", Json.Int cfg.seed);
              ("points", Json.Int cfg.points);

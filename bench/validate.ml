@@ -31,7 +31,7 @@ module Lint = Core.Lint
 module J = Core.Journal
 
 type kind =
-  | Bench of int * int * int * string (* version, experiments, points, backend *)
+  | Bench of int * int * int (* version, experiments, points *)
   | Trace of int
   | Lint_report of int * int (* schema version, diagnostics *)
   | Journal of int * int (* committed batches, total ops *)
@@ -108,23 +108,7 @@ let check path =
                     0 exps )
             | _ -> (0, 0)
           in
-          (* The graph-backend config field: free-form config keys pass
-             Report.validate structurally, but an unknown backend name
-             would silently poison gate comparisons against a baseline
-             from the other backend — reject it here. Absent means the
-             report predates backends, i.e. hashtbl. *)
-          let backend =
-            Option.value ~default:"hashtbl"
-              (Option.bind (Json.member "config" json) (fun c ->
-                   Option.bind (Json.member "backend" c) Json.to_str_opt))
-          in
-          if backend <> "hashtbl" && backend <> "csr" then
-            Error
-              (Printf.sprintf
-                 "%s: schema violation: unknown config.backend %S \
-                  (hashtbl|csr)"
-                 path backend)
-          else Ok (Bench (version, n_exp, n_pts, backend)))
+          Ok (Bench (version, n_exp, n_pts)))
 
 let () =
   let files =
@@ -137,10 +121,9 @@ let () =
   List.iter
     (fun path ->
       match check path with
-      | Ok (Bench (version, n_exp, n_pts, backend)) ->
-          Printf.printf
-            "%s: valid (schema v%d, %d experiments, %d points, %s backend)\n"
-            path version n_exp n_pts backend
+      | Ok (Bench (version, n_exp, n_pts)) ->
+          Printf.printf "%s: valid (schema v%d, %d experiments, %d points)\n"
+            path version n_exp n_pts
       | Ok (Trace n) ->
           Printf.printf "%s: valid chrome trace (%d events)\n" path n
       | Ok (Lint_report (version, n)) ->

@@ -71,29 +71,12 @@ let nonneg_float =
   checked_conv "non-negative number" (fun x -> x >= 0.) float_of_string_opt
     Format.pp_print_float
 
-let backend_conv =
-  let parse s =
-    match Core.Digraph.backend_of_string s with
-    | Some b -> Ok b
-    | None -> Error (`Msg (Printf.sprintf "unknown backend %S (hashtbl|csr)" s))
-  in
-  Arg.conv
-    (parse, fun ppf b -> Format.pp_print_string ppf (Core.Digraph.backend_name b))
-
-let backend_arg =
-  let doc =
-    "Graph backend: $(b,hashtbl) (mutable adjacency tables, the default) or \
-     $(b,csr) (flat compressed-sparse-row arrays behind a sorted delta \
-     overlay). Answers are identical; layout and cost differ."
-  in
-  Arg.(value & opt backend_conv `Hashtbl & info [ "backend" ] ~doc ~docv:"B")
-
 (* Every graph file the CLI reads goes through here: a malformed or
    unreadable file is a usage error naming the file (and, for a parse
    error, the line), not an uncaught exception. [k] runs on the loaded
    graph; with [announce], its size is printed first. *)
-let with_graph ?(announce = false) ?backend path k =
-  match Core.Io.load ?backend path with
+let with_graph ?(announce = false) path k =
+  match Core.Io.load path with
   | exception (Failure msg | Sys_error msg) ->
       let prefix = "Io.read: " in
       let n = String.length prefix in
@@ -105,10 +88,9 @@ let with_graph ?(announce = false) ?backend path k =
       `Error (false, path ^ ": " ^ msg)
   | g ->
       if announce then
-        Format.printf "loaded %s: %d nodes, %d edges (%s)@." path
+        Format.printf "loaded %s: %d nodes, %d edges@." path
           (Core.Digraph.n_nodes g)
-          (Core.Digraph.n_edges g)
-          (Core.Digraph.backend_name (Core.Digraph.backend g));
+          (Core.Digraph.n_edges g);
       k g
 
 (* The Fig. 9 gadget needs two cycles of at least two nodes each. *)
@@ -157,7 +139,7 @@ let generate_cmd =
              Δ1/Δ2 bridge insertions."
           ~docv:"N")
   in
-  let run profile scale out seed backend gadget =
+  let run profile scale out seed gadget =
     match gadget with
     | Some n ->
         with_gadget n @@ fun gd ->
@@ -177,7 +159,7 @@ let generate_cmd =
     | None ->
         let rng = Random.State.make [| seed |] in
         let g =
-          Core.Workload.Profiles.instantiate ~scale ~backend ~rng profile
+          Core.Workload.Profiles.instantiate ~scale ~rng profile
         in
         Core.Io.save out g;
         Format.printf "wrote %s: %d nodes, %d edges, %d labels@." out
@@ -188,7 +170,7 @@ let generate_cmd =
   Cmd.v
     (Cmd.info "generate" ~doc:"Generate a synthetic labeled graph.")
     Term.(
-      ret (const run $ profile $ scale $ out $ seed_arg $ backend_arg $ gadget))
+      ret (const run $ profile $ scale $ out $ seed_arg $ gadget))
 
 (* ---- query class arguments ------------------------------------------------ *)
 
@@ -223,15 +205,15 @@ let spec_arg =
 (* ---- query ----------------------------------------------------------------- *)
 
 let query_cmd =
-  let run path backend spec =
-    with_graph ~announce:true ~backend path @@ fun g ->
+  let run path spec =
+    with_graph ~announce:true path @@ fun g ->
     let line, t = time (fun () -> Spec.run_batch g spec) in
     Format.printf "%s in %.3fs@." line t;
     `Ok ()
   in
   Cmd.v
     (Cmd.info "query" ~doc:"Answer one query with the batch algorithm.")
-    Term.(ret (const run $ graph_arg $ backend_arg $ spec_arg))
+    Term.(ret (const run $ graph_arg $ spec_arg))
 
 (* ---- the session loop ------------------------------------------------------ *)
 
@@ -326,7 +308,7 @@ let stream_cmd =
             "Drop clock- and GC-derived series from the snapshots so two \
              runs of the same update sequence emit byte-identical files.")
   in
-  let run path backend spec batches size ratio seed metrics_out slo_cfg every
+  let run path spec batches size ratio seed metrics_out slo_cfg every
       retain det =
     let slo =
       match slo_cfg with
@@ -341,7 +323,7 @@ let stream_cmd =
     match slo with
     | Error e -> `Error (false, e)
     | Ok slo ->
-        with_graph ~announce:true ~backend path @@ fun g ->
+        with_graph ~announce:true path @@ fun g ->
         let o = Obs.create () in
         let tr =
           if Option.is_some slo || Option.is_some metrics_out then
@@ -402,7 +384,7 @@ let stream_cmd =
           each snapshot and report violations.")
     Term.(
       ret
-        (const run $ graph_arg $ backend_arg $ spec_arg $ batches_arg
+        (const run $ graph_arg $ spec_arg $ batches_arg
        $ size_arg $ ratio $ seed_arg $ metrics_out $ slo_arg $ every_arg
        $ retain_arg $ det_arg))
 
@@ -638,8 +620,8 @@ let stats_cmd =
             "Dump the registry in OpenMetrics / Prometheus text exposition \
              format instead of text or json.")
   in
-  let run path backend spec batches size seed json histo prom =
-    with_graph ~backend path @@ fun g ->
+  let run path spec batches size seed json histo prom =
+    with_graph path @@ fun g ->
     let inst =
       drive ~trace:Tracer.noop g spec ~seed ~batches ~size apply_each
     in
@@ -681,7 +663,7 @@ let stats_cmd =
           $(b,--prom) — OpenMetrics text exposition.")
     Term.(
       ret
-        (const run $ graph_arg $ backend_arg $ spec_arg $ batches_arg
+        (const run $ graph_arg $ spec_arg $ batches_arg
        $ size_arg $ seed_arg $ json_flag $ histo $ prom))
 
 (* ---- trace / explain ------------------------------------------------------- *)
@@ -701,8 +683,8 @@ let trace_cmd =
           ~doc:"Ring-buffer capacity; older events beyond it are dropped."
           ~docv:"N")
   in
-  let run path backend spec batches size seed out cap =
-    with_graph ~backend path @@ fun g ->
+  let run path spec batches size seed out cap =
+    with_graph path @@ fun g ->
     let tr = Tracer.create ~capacity:cap () in
     let inst = drive ~trace:tr g spec ~seed ~batches ~size apply_each in
     let snap = Tracer.snapshot tr in
@@ -726,7 +708,7 @@ let trace_cmd =
           chrome://tracing. Deterministic for a fixed graph and seed.")
     Term.(
       ret
-        (const run $ graph_arg $ backend_arg $ spec_arg $ batches_arg
+        (const run $ graph_arg $ spec_arg $ batches_arg
        $ size_arg $ seed_arg $ out $ cap))
 
 (* Print each batch's event log: the tracer is cleared before every batch,
@@ -790,7 +772,7 @@ let explain_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"CLASS" ~doc:"Query class: kws, rpq, scc, sim or iso.")
   in
-  let run gadget limit path backend cls bound args batches size seed =
+  let run gadget limit path cls bound args batches size seed =
     match gadget with
     | Some n ->
         with_gadget n @@ fun gd ->
@@ -805,7 +787,7 @@ let explain_cmd =
             match spec_of ~cls ~bound ~args with
             | `Error _ as e -> e
             | `Ok spec ->
-                with_graph ~backend path @@ fun g ->
+                with_graph path @@ fun g ->
                 let tr = Tracer.create () in
                 ignore
                   (drive ~trace:tr g spec ~seed ~batches ~size
@@ -828,7 +810,7 @@ let explain_cmd =
           traces Ω(n) settling work, Δ2 then flips the answer on.")
     Term.(
       ret
-        (const run $ gadget $ limit $ graph_opt $ backend_arg $ cls_opt
+        (const run $ gadget $ limit $ graph_opt $ cls_opt
        $ bound_arg $ qargs_arg $ batches_arg $ size_arg $ seed_arg))
 
 (* ---- lint ----------------------------------------------------------------- *)
@@ -962,7 +944,7 @@ let lint_cmd =
          "Determinism & instrumentation linter: a parse-only static-analysis \
           pass over the repo's OCaml sources enforcing the discipline behind \
           the engines' cross-hash-seed determinism — no polymorphic compare \
-          or hash in engine modules (D1), no unordered Hashtbl/adjacency \
+          or hash in engine modules (D1), no unordered Hashtbl \
           iteration outside the sorted helpers unless annotated with \
           [@lint.allow] (D2), no ambient randomness or wall-clock reads in \
           lib/ outside lib/obs (D3), Obs.with_apply-wrapped and rule-tagged \
@@ -1014,13 +996,13 @@ let fuzz_cmd =
       & info [ "out-dir" ]
           ~doc:"Directory for failure reproduction artifacts." ~docv:"DIR")
   in
-  let run algo steps nodes edges labels out_dir backend seed =
+  let run algo steps nodes edges labels out_dir seed =
     let size : C.Scenarios.size = { nodes; edges; labels } in
     let rng = Random.State.make [| seed |] in
     let scenarios =
-      if algo = "all" then Ok (C.Scenarios.all ~backend ~rng ~size ())
+      if algo = "all" then Ok (C.Scenarios.all ~rng ~size ())
       else
-        match C.Scenarios.by_name ~backend ~rng ~size algo with
+        match C.Scenarios.by_name ~rng ~size algo with
         | Some s -> Ok [ s ]
         | None -> Error (Printf.sprintf "unknown fuzz scenario %S" algo)
     in
@@ -1031,10 +1013,8 @@ let fuzz_cmd =
         List.iter
           (fun (s : C.Scenarios.t) ->
             Format.printf
-              "fuzz %-6s seed %d (%s): %d steps against batch oracle...@?"
-              s.C.Scenarios.name seed
-              (Core.Digraph.backend_name backend)
-              steps;
+              "fuzz %-6s seed %d: %d steps against batch oracle...@?"
+              s.C.Scenarios.name seed steps;
             let result, t =
               time (fun () ->
                   C.Harness.run ~make:s.C.Scenarios.make
@@ -1070,7 +1050,7 @@ let fuzz_cmd =
     Term.(
       ret
         (const run $ algo $ steps $ nodes $ edges $ labels $ out_dir
-       $ backend_arg $ seed_arg))
+       $ seed_arg))
 
 (* ---- journal / replay / snapshot / undo ------------------------------------ *)
 

@@ -6,12 +6,7 @@
     step stays affordable); the {!gadget} scenario instead instantiates the
     Fig. 9 two-cycle counterexample of {!Ig_theory.Gadget} and focuses the
     stream on its Δ1/Δ2 bridge edges — the exact shape the paper's RPQ
-    unboundedness proof is built on.
-
-    Every constructor takes [?backend] (default [`Hashtbl]) and builds its
-    base graph on that {!Ig_graph.Digraph} backend — the graph itself is
-    identical either way, so the same seed fuzzes the same scenario on
-    both representations. *)
+    unboundedness proof is built on. *)
 
 type t = {
   name : string;
@@ -34,32 +29,25 @@ val default_size : size
     merges, splits and bounce-backs. *)
 
 val kws :
-  ?backend:Ig_graph.Digraph.backend ->
   rng:Random.State.t -> ?size:size -> unit -> t
 val rpq :
-  ?backend:Ig_graph.Digraph.backend ->
   rng:Random.State.t -> ?size:size -> unit -> t
 val scc :
-  ?backend:Ig_graph.Digraph.backend ->
   rng:Random.State.t -> ?size:size -> unit -> t
 val sim :
-  ?backend:Ig_graph.Digraph.backend ->
   rng:Random.State.t -> ?size:size -> unit -> t
 val iso :
-  ?backend:Ig_graph.Digraph.backend ->
   rng:Random.State.t -> ?size:size -> unit -> t
 
-val gadget : ?backend:Ig_graph.Digraph.backend -> ?cycle:int -> unit -> t
+val gadget : ?cycle:int -> unit -> t
 (** RPQ over the Fig. 9 gadget (default [cycle = 4]); focus edges are Δ1,
     Δ2 and the cycle edges adjacent to them. *)
 
 val all :
-  ?backend:Ig_graph.Digraph.backend ->
   rng:Random.State.t -> ?size:size -> unit -> t list
 (** The five generator-based scenarios plus {!gadget}. *)
 
 val by_name :
-  ?backend:Ig_graph.Digraph.backend ->
   rng:Random.State.t -> ?size:size -> string -> t option
 (** Look up one scenario ("kws" | "rpq" | "scc" | "sim" | "iso" |
     "gadget"). *)

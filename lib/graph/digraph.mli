@@ -6,22 +6,21 @@
     edge insertions and deletions.
 
     Nodes are dense integer identifiers allocated by {!add_node}; labels are
-    interned strings (see {!Interner}). Both successor and predecessor
-    adjacency are maintained, with O(1) expected edge insertion, deletion and
-    membership. Nodes are never removed (the paper's update model is
-    edge-only; fresh nodes may arrive together with inserted edges).
+    interned strings (see {!Interner}). Nodes are never removed (the paper's
+    update model is edge-only; fresh nodes may arrive together with
+    inserted edges).
 
-    Two backends implement this interface behind {!create}'s [?backend]
-    selector; both present identical views through every accessor below
-    (adjacency, degrees, labels, membership — the cross-backend battery in
-    [test/test_backend.ml] asserts it byte for byte):
-
-    - [`Hashtbl] (the default): per-node hash tables; O(1) expected
-      updates; {!iter_succ_sorted} pays a fold-and-sort per call.
-    - [`Csr]: flat compressed-sparse-row Bigarrays plus a small sorted
-      delta overlay (see {!Csr}); sorted iteration is a merge, sorted by
-      construction, and the adjacency lives off the OCaml heap — the
-      choice for batch traversals over large graphs. *)
+    Successor and predecessor adjacency are stored as flat
+    compressed-sparse-row (CSR) Bigarrays, off the OCaml heap, fronted by
+    a small per-node overlay of sorted add/tombstone lists that absorbs
+    edge insertions and deletions. The overlay invariants are
+    [add ∩ base = ∅] and [del ⊆ base]. Membership is an overlay probe
+    plus a binary search of the base row; degrees are O(1). Every
+    adjacency walk is a merge of the base row with the overlay, so it is
+    in ascending node order by construction, whatever the process hash
+    seed. The overlay folds into fresh base arrays ([O(n + m)]) when it
+    exceeds [max 64 (n_edges/8)] live entries, and on explicit
+    {!compact}. *)
 
 type node = int
 type label = Interner.symbol
@@ -32,47 +31,41 @@ type update =
 
 type edge = node * node
 
-type backend = [ `Hashtbl | `Csr ]
-
 type t
 
 (** {1 Construction} *)
 
-val create : ?hint:int -> ?backend:backend -> unit -> t
-(** An empty graph. [hint] pre-sizes internal tables for [hint] nodes (on
-    both backends: label/adjacency/degree vectors never reallocate below
-    [hint] nodes). [backend] defaults to [`Hashtbl]. *)
+val create : ?hint:int -> unit -> t
+(** An empty graph. [hint] pre-sizes the label, degree and overlay
+    vectors for [hint] nodes; they never reallocate below it. *)
 
-val backend : t -> backend
+val backend : t -> [ `Csr ]
+(** The one representation, for reports that name it. *)
 
-val backend_name : backend -> string
-(** ["hashtbl"] / ["csr"] — the CLI's [--backend] vocabulary. *)
-
-val backend_of_string : string -> backend option
+val backend_name : [ `Csr ] -> string
+(** ["csr"]. *)
 
 val copy : t -> t
-(** Deep copy (shares the interner). On the CSR backend this preserves
-    pending overlay deltas and shares only the frozen base arrays; the
-    copy is fully independent. *)
-
-val convert : backend:backend -> t -> t
-(** The same graph rebuilt on the given backend ([g] itself if it already
-    is); shares nothing with the original. Node ids, label names and the
-    {!nodes_with_label} order are preserved. *)
+(** Deep copy (shares the interner): O(n). The frozen base arrays are
+    shared (compaction installs fresh ones, never mutates in place), the
+    overlay is copied with its pending deltas; the copy is fully
+    independent. *)
 
 val compact : t -> unit
-(** [`Csr]: fold the delta overlay into fresh base arrays (semantically a
-    no-op; O(n + m)). [`Hashtbl]: nothing. *)
+(** Fold the delta overlay into fresh base arrays (semantically a no-op;
+    O(n + m)). *)
 
 val overlay_size : t -> int
-(** [`Csr]: live overlay entries pending compaction. [`Hashtbl]: 0. *)
+(** Live overlay entries (adds and tombstones, both directions) pending
+    compaction; 0 right after {!compact}. *)
 
 val instrument : obs:Ig_obs.Obs.t -> trace:Ig_obs.Tracer.t -> t -> unit
-(** Attach instrumentation sinks to the storage layer. On [`Csr] the
-    overlay add/del sizes become gauges and compactions record latency
-    and bytes-copied histograms plus a [Compaction] trace event; on
-    [`Hashtbl] this is a no-op. {!copy} resets the copy's sinks to noop
-    so scratch and oracle copies never pollute the engine's registry. *)
+(** Attach instrumentation sinks to the storage layer: the overlay
+    add/del sizes become gauges and compactions record latency and
+    bytes-copied histograms plus a [Compaction] trace event. Default is
+    noop/noop (a single branch per probe); {!copy} resets the copy's
+    sinks to noop so scratch and oracle copies never pollute the engine's
+    registry. *)
 
 val add_node : t -> string -> node
 (** Add a fresh node with the given label string. *)
@@ -87,6 +80,15 @@ val add_edge : t -> node -> node -> bool
 
 val remove_edge : t -> node -> node -> bool
 (** Returns [false] if the edge was absent. *)
+
+val load_edges : t -> edge list -> unit
+(** [load_edges g es] inserts every edge of [es] into [g] in one pass:
+    duplicates collapse and the graph ends compacted. The same graph as
+    [add_edge] for each edge, at O(n + m log d) instead of one
+    sorted-list insert per edge. [g] must have no edges and an empty
+    overlay, as a fresh graph has.
+    @raise Invalid_argument if it has either, or if an endpoint is
+    unknown. *)
 
 val apply : t -> update -> bool
 (** Apply one unit update; [false] if it was a no-op. *)
@@ -122,23 +124,11 @@ val in_degree : t -> node -> int
 val iter_nodes : (node -> unit) -> t -> unit
 
 val iter_succ : (node -> unit) -> t -> node -> unit
-(** Successors in unspecified order — hash-table order on [`Hashtbl]
-    (varies with the process hash seed), ascending on [`Csr] (a CSR row
-    has no cheaper unordered walk). Use only where the visit order
-    provably cannot reach certificates, trace events or user-visible
-    output; otherwise use {!iter_succ_sorted}. *)
+(** Successors in ascending node order: an O(d) merge of the base row
+    with the overlay. *)
 
 val iter_pred : (node -> unit) -> t -> node -> unit
-(** Predecessor counterpart of {!iter_succ}; same order caveat. *)
-
-val iter_succ_sorted : (node -> unit) -> t -> node -> unit
-(** Successors in ascending node order — deterministic across hash seeds.
-    Costs an O(d log d) fold-and-sort per call on [`Hashtbl]; on [`Csr]
-    it is an O(d) merge of the base row with the overlay, sorted by
-    construction. *)
-
-val iter_pred_sorted : (node -> unit) -> t -> node -> unit
-(** Predecessors in ascending node order; see {!iter_succ_sorted}. *)
+(** Predecessors in ascending node order; see {!iter_succ}. *)
 
 val iter_edges : (node -> node -> unit) -> t -> unit
 (** All edges in lexicographic [(u, v)] order (deterministic). *)

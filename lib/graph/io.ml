@@ -116,7 +116,7 @@ let to_string ?(after = []) g =
      merged in. *)
   let i = ref 0 in
   for u = 0 to n - 1 do
-    Digraph.iter_succ_sorted (merge_live buf ov i u) g u;
+    Digraph.iter_succ (merge_live buf ov i u) g u;
     flush_below buf ov i u max_int
   done;
   Buffer.contents buf
@@ -131,10 +131,10 @@ let save path g =
       output_string oc text;
       close_out oc)
 
-let parse_lines ?backend lines =
-  let g = Digraph.create ?backend () in
+let parse_lines lines =
+  let g = Digraph.create () in
   let ids = Hashtbl.create 64 in
-  let lineno = ref 0 in
+  let lineno = ref 0 and edges = ref [] in
   let fail msg = failwith (Printf.sprintf "Io.read: line %d: %s" !lineno msg) in
   let node_of ext =
     match Hashtbl.find_opt ids ext with
@@ -157,25 +157,23 @@ let parse_lines ?backend lines =
         | [ "e"; u; v ] ->
             let u = try int_of_string u with _ -> fail "bad edge source" in
             let v = try int_of_string v with _ -> fail "bad edge target" in
-            ignore (Digraph.add_edge g (node_of u) (node_of v))
+            edges := (node_of u, node_of v) :: !edges
         | _ -> fail "unrecognized record")
     lines;
-  (* A CSR graph built edge-by-edge carries a residual overlay; fold it in
-     so loads hand back a fully flat base. *)
-  Digraph.compact g;
+  Digraph.load_edges g !edges;
   g
 
-let read ?backend ic =
+let read ic =
   let rec lines () =
     match In_channel.input_line ic with
     | None -> Seq.Nil
     | Some l -> Seq.Cons (l, lines)
   in
-  parse_lines ?backend lines
+  parse_lines lines
 
-let load ?backend path =
+let load path =
   let ic = (open_in [@lint.allow "D3"]) path in
-  Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> read ?backend ic)
+  Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> read ic)
 
-let of_string ?backend s =
-  parse_lines ?backend (List.to_seq (String.split_on_char '\n' s))
+let of_string s =
+  parse_lines (List.to_seq (String.split_on_char '\n' s))

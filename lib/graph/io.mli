@@ -6,9 +6,9 @@
     - [e <u> <v>] edge declaration (endpoints must be declared first)
 
     External ids may be arbitrary non-negative integers; they are remapped to
-    the dense internal ids on load. The readers build the graph on the
-    requested {!Digraph.backend} (default [`Hashtbl]) and compact it, so a
-    CSR load hands back flat base arrays with an empty overlay. *)
+    the dense internal ids on load. The readers collect the edges while
+    parsing and build the adjacency in one pass ({!Digraph.load_edges}),
+    so a load hands back flat base arrays with an empty overlay. *)
 
 val to_string : ?after:Digraph.update list -> Digraph.t -> string
 (** The canonical text of [g]: the header line
@@ -32,10 +32,10 @@ val save : string -> Digraph.t -> unit
 (** Write {!to_string} to a file path. @raise Invalid_argument as
     {!to_string}, before the file is opened. *)
 
-val read : ?backend:Digraph.backend -> in_channel -> Digraph.t
+val read : in_channel -> Digraph.t
 (** @raise Failure on malformed input, with a line number. *)
 
-val load : ?backend:Digraph.backend -> string -> Digraph.t
+val load : string -> Digraph.t
 
-val of_string : ?backend:Digraph.backend -> string -> Digraph.t
+val of_string : string -> Digraph.t
 (** Parse from an in-memory string (used by tests). *)

@@ -10,13 +10,10 @@ let bfs ?(bound = max_int) ~dir g sources =
         Queue.add s q
       end)
     sources;
-  (* Order-free: BFS levels are unique whatever the expansion order. The
-     unsorted iterators are hash-order on the Hashtbl backend and the
-     sorted merge on CSR; either way the result is the same dist map. *)
   let step =
     match dir with
-    | `Forward -> (Digraph.iter_succ [@lint.allow "D2"])
-    | `Backward -> (Digraph.iter_pred [@lint.allow "D2"])
+    | `Forward -> Digraph.iter_succ
+    | `Backward -> Digraph.iter_pred
   in
   while not (Queue.is_empty q) do
     let v = Queue.pop q in
@@ -52,9 +49,8 @@ let ball g sources ~d =
           Queue.add w q
         end
       in
-      (* Order-free: see above. *)
-      (Digraph.iter_succ [@lint.allow "D2"]) visit g v;
-      (Digraph.iter_pred [@lint.allow "D2"]) visit g v
+      Digraph.iter_succ visit g v;
+      Digraph.iter_pred visit g v
     end
   done;
   dist
@@ -69,11 +65,10 @@ let reachable ?(within = fun _ -> true) g ~dir sources =
         Stack.push s stack
       end)
     sources;
-  (* Order-free: computes a reachability set. *)
   let step =
     match dir with
-    | `Forward -> (Digraph.iter_succ [@lint.allow "D2"])
-    | `Backward -> (Digraph.iter_pred [@lint.allow "D2"])
+    | `Forward -> Digraph.iter_succ
+    | `Backward -> Digraph.iter_pred
   in
   while not (Stack.is_empty stack) do
     let v = Stack.pop stack in
@@ -98,8 +93,7 @@ let reaches ?(within = fun _ -> true) g u v =
     (try
        while not (Stack.is_empty stack) do
          let x = Stack.pop stack in
-         (* Order-free: boolean result only. *)
-         (Digraph.iter_succ [@lint.allow "D2"])
+         Digraph.iter_succ
            (fun w ->
              if w = v then begin
                found := true;

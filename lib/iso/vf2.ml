@@ -114,12 +114,12 @@ let iter_matches ?anchor ?work g p f =
         end
       in
       (* Candidates from the image adjacency of one matched neighbor,
-         falling back to the label index for the first node. Sorted
-         adjacency: the match discovery order decides which mapping
-         represents each canon and thus what traces record. *)
+         falling back to the label index for the first node. Adjacency
+         is ascending, and the match discovery order decides which
+         mapping represents each canon and thus what traces record. *)
       match List.find_opt (function Self -> false | _ -> true) pl.back.(i) with
-      | Some (Out v) -> Digraph.iter_pred_sorted try_candidate g m.(v)
-      | Some (In v) -> Digraph.iter_succ_sorted try_candidate g m.(v)
+      | Some (Out v) -> Digraph.iter_pred try_candidate g m.(v)
+      | Some (In v) -> Digraph.iter_succ try_candidate g m.(v)
       | Some Self | None ->
           List.iter try_candidate
             (Digraph.nodes_with_label g sym_of.(order.(i)))

@@ -22,10 +22,9 @@ let kdist_one g ~keyword ~bound =
     let w = Queue.pop q in
     let d = (Hashtbl.find kd w).dist in
     if d < bound then
-      (* Order-free: BFS distances are layer-determined, and the
-         discovery-order [next] pointer is rewritten deterministically
-         below. *)
-      (Digraph.iter_pred [@lint.allow "D2"])
+      (* BFS distances are layer-determined; the discovery-order [next]
+         pointer is rewritten to the smallest-id witness below. *)
+      Digraph.iter_pred
         (fun v ->
           if not (Hashtbl.mem kd v) then begin
             Hashtbl.replace kd v { dist = d + 1; next = w };
@@ -39,8 +38,7 @@ let kdist_one g ~keyword ~bound =
     (fun v e ->
       if e.dist > 0 then begin
         let best = ref max_int in
-        (* Order-free: keeps the minimum over all successors. *)
-        (Digraph.iter_succ [@lint.allow "D2"])
+        Digraph.iter_succ
           (fun w ->
             match Hashtbl.find_opt kd w with
             | Some e' when e'.dist = e.dist - 1 && w < !best -> best := w

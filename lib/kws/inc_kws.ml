@@ -115,8 +115,7 @@ let process_keyword t i ~dels ~inss =
       t.st.affected <- t.st.affected + 1;
       Obs.incr t.obs Obs.K.aff;
       Tracer.aff_enter t.trace ~node:v ~rule:Tracer.Kws_next_on_deleted;
-      (* Sorted so the aff_enter order (stack discipline) is seed-stable. *)
-      Digraph.iter_pred_sorted
+      Digraph.iter_pred
         (fun u ->
           match Hashtbl.find_opt kd u with
           | Some e when e.Batch.next = v && not (Hashtbl.mem affected u) ->
@@ -132,7 +131,7 @@ let process_keyword t i ~dels ~inss =
   List.iter
     (fun (v, ()) ->
       let best = ref max_int in
-      (Digraph.iter_succ [@lint.allow "D2"])
+      Digraph.iter_succ
         (fun w ->
           Obs.incr t.obs Obs.K.edges_relaxed;
           if not (Hashtbl.mem affected w) then
@@ -181,8 +180,7 @@ let process_keyword t i ~dels ~inss =
         if not stale then begin
           (* The witness successor on a shortest path, smallest id. *)
           let next = ref (-1) in
-          (* Order-free: keeps the minimum over all successors. *)
-          (Digraph.iter_succ [@lint.allow "D2"])
+          Digraph.iter_succ
             (fun w ->
               Obs.incr t.obs Obs.K.edges_relaxed;
               match Hashtbl.find_opt kd w with
@@ -211,8 +209,7 @@ let process_keyword t i ~dels ~inss =
           Hashtbl.replace t.rewired (v, i) ();
           t.st.settled <- t.st.settled + 1;
           Obs.incr t.obs Obs.K.cert_rewrites;
-          (* Sorted: emits frontier_expand and orders queue insertions. *)
-          Digraph.iter_pred_sorted
+          Digraph.iter_pred
             (fun u ->
               Obs.incr t.obs Obs.K.edges_relaxed;
               let cand = d + 1 in
@@ -347,7 +344,7 @@ let set_bound t b' =
       List.iter
         (fun (v, e) ->
           if e.Batch.dist = b then
-            Digraph.iter_pred_sorted
+            Digraph.iter_pred
               (fun u -> if not (Hashtbl.mem kd u) then PQ.insert q u (b + 1))
               t.g v)
         (Obs.sorted_bindings ~compare:Int.compare kd);
@@ -358,8 +355,7 @@ let set_bound t b' =
         | Some (v, d) ->
             if not (Hashtbl.mem kd v) then begin
               let next = ref (-1) in
-              (* Order-free: keeps the minimum over all successors. *)
-              (Digraph.iter_succ [@lint.allow "D2"])
+              Digraph.iter_succ
                 (fun w ->
                   match Hashtbl.find_opt kd w with
                   | Some e when e.Batch.dist = d - 1 && (!next = -1 || w < !next)
@@ -370,7 +366,7 @@ let set_bound t b' =
               assert (!next >= 0);
               set_entry t i v { Batch.dist = d; next = !next };
               t.st.settled <- t.st.settled + 1;
-              Digraph.iter_pred_sorted
+              Digraph.iter_pred
                 (fun u ->
                   if d + 1 <= b' && not (Hashtbl.mem kd u) then
                     PQ.insert q u (d + 1))

@@ -7,14 +7,15 @@
    discipline that promise rests on:
 
      D1  no polymorphic compare/hash in engine modules
-     D2  no unordered hash-table / adjacency iteration in lib/ unless
-         routed through the sorted helpers or explicitly annotated
+     D2  no unordered hash-table iteration in lib/ unless routed
+         through the sorted helpers or explicitly annotated
      D3  no ambient nondeterminism (global Random, wall clock) in lib/
          outside lib/obs's monotonic clock
      D4  every exported update entry point of an inc_*.ml engine is
          wrapped in Obs.with_apply, and the engine emits rule-tagged
-         tracer events; the storage entry points of the CSR backend
-         and the durability layer carry at least one Obs probe
+         tracer events; the storage entry points of the graph
+         (compaction) and the durability layer carry at least one Obs
+         probe
      D5  every lib/ module has an interface (.mli)
 
    Being parse-only, D1 is a syntactic approximation: the operators
@@ -148,7 +149,7 @@ let rec app_head e =
 
 let d4_entry_points = [ "insert_edge"; "delete_edge"; "apply_batch" ]
 
-(* The storage half of D4: the CSR backend and the durability layer also
+(* The storage half of D4: graph compaction and the durability layer also
    promise deep instrumentation (DESIGN.md §8.6) — compaction, WAL
    append/fsync, replay, undo and snapshot latencies all land in the
    registry. These entry points must carry at least one Obs probe
@@ -156,7 +157,7 @@ let d4_entry_points = [ "insert_edge"; "delete_edge"; "apply_batch" ]
    gate guarding a hand-rolled clock read) somewhere in their body. *)
 let d4_storage_files =
   [
-    ("lib/graph/csr.ml", [ "compact" ]);
+    ("lib/graph/digraph.ml", [ "compact" ]);
     ("lib/journal/journal.ml", [ "append" ]);
     ( "lib/journal/store.ml",
       [ "init"; "attach"; "do_batch"; "undo"; "snapshot" ] );
@@ -210,13 +211,7 @@ let emit ctx ~(loc : Location.t) rule severity message =
       :: ctx.diags
   end
 
-(* Digraph.iter_succ/iter_pred are flagged because their order is
-   backend-dependent: hash order on the Hashtbl backend, ascending on the
-   CSR backend (whose base-row/overlay merge is sorted by construction,
-   at no extra cost — Csr.iter_succ_sorted IS its unsorted iterator).
-   Code that is order-free on one backend but not the other is exactly
-   the bug class D2 exists to catch, so the rule stays backend-agnostic:
-   use the _sorted iterators or annotate the order-free call site. *)
+(* Digraph adjacency is not a target: every walk of it is ascending. *)
 let d2_targets =
   [
     ("Hashtbl", "iter");
@@ -224,8 +219,6 @@ let d2_targets =
     ("Hashtbl", "to_seq");
     ("Hashtbl", "to_seq_keys");
     ("Hashtbl", "to_seq_values");
-    ("Digraph", "iter_succ");
-    ("Digraph", "iter_pred");
   ]
 
 let fs_open_fns =
@@ -285,7 +278,7 @@ let check_ident ctx (loc : Location.t) lid =
         emit ctx ~loc "D2" Error
           (Printf.sprintf
              "%s.%s iterates in hash order; route output-visible iteration \
-              through Digraph.iter_*_sorted / Obs.sorted_bindings, or \
+              through Obs.sorted_bindings, or \
               annotate an order-free site with [@lint.allow \"D2\"]"
              m f)
     | _ -> ()

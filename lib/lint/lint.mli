@@ -9,11 +9,11 @@
       [=]-family operators are flagged only as first-class values; infix
       applications (in practice scalar comparisons) pass — a documented
       approximation of a parse-only pass.
-    - [D2] no [Hashtbl.iter]/[Hashtbl.fold]/[Digraph.iter_succ]/
-      [Digraph.iter_pred] anywhere in lib/: output-visible iteration must
-      go through the sorted helpers ([Digraph.iter_succ_sorted],
-      [Obs.sorted_bindings]); order-free sites carry
-      [[@lint.allow "D2"]].
+    - [D2] no [Hashtbl.iter]/[Hashtbl.fold]/[Hashtbl.to_seq*] anywhere
+      in lib/: output-visible iteration must go through
+      [Obs.sorted_bindings]; order-free sites carry
+      [[@lint.allow "D2"]]. ([Digraph] adjacency walks are ascending and
+      pass.)
     - [D3] no global [Random], [Sys.time], [Unix.gettimeofday] or
       [Unix.time] in lib/ outside lib/obs.
     - [D4] every top-level [insert_edge]/[delete_edge]/[apply_batch] in a

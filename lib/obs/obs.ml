@@ -97,7 +97,7 @@ module K = struct
   let gc_major_words = "gc_major_words"
   let gc_promoted_words = "gc_promoted_words"
 
-  (* CSR + delta-overlay backend instrumentation (lib/graph/csr.ml). *)
+  (* CSR + delta-overlay graph instrumentation (lib/graph/digraph.ml). *)
   let csr_overlay_add = "csr_overlay_add"
   let csr_overlay_del = "csr_overlay_del"
   let csr_compactions = "csr_compactions"

@@ -32,14 +32,14 @@ let succ_keys_of_edge p s w = Nfa.next p.a s (Digraph.label p.g w)
    hash seed. The NFA state lists are deterministic by construction. *)
 let iter_succ p k f =
   let v = node_of p k and s = state_of p k in
-  Digraph.iter_succ_sorted
+  Digraph.iter_succ
     (fun w -> List.iter (fun s' -> f (key p w s')) (succ_keys_of_edge p s w))
     p.g v
 
 let iter_pred p k f =
   let w = node_of p k and s' = state_of p k in
   let lw = Digraph.label p.g w in
-  Digraph.iter_pred_sorted
+  Digraph.iter_pred
     (fun v -> List.iter (fun s -> f (key p v s)) (Nfa.prev p.a s' lw))
     p.g w
 

@@ -210,13 +210,12 @@ let rewire_split t c parts =
     (fun p ->
       iter_members
         (fun m ->
-          (* Order-free: counter accumulation commutes. *)
-          (Digraph.iter_succ [@lint.allow "D2"])
+          Digraph.iter_succ
             (fun w ->
               let d = comp_of t w in
               if d <> p then cadd t p d 1)
             t.g m;
-          (Digraph.iter_pred [@lint.allow "D2"])
+          Digraph.iter_pred
             (fun a ->
               let ca = comp_of t a in
               (* Part-to-part edges were counted from the successor side. *)

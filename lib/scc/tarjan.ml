@@ -87,11 +87,12 @@ let run_generic ~succ ~restrict ~nodes ~cert =
   List.iter visit_root nodes;
   List.rev !sccs
 
-(* Sorted successors: the DFS order decides certificate parents/witnesses
-   and component member order, which reach traces and user-visible output. *)
+(* Successors come in ascending order: the DFS order decides certificate
+   parents/witnesses and component member order, which reach traces and
+   user-visible output. *)
 let run_with_cert g ~restrict ~nodes ~cert =
   run_generic
-    ~succ:(fun v f -> Digraph.iter_succ_sorted f g v)
+    ~succ:(fun v f -> Digraph.iter_succ f g v)
     ~restrict ~nodes ~cert
 
 let scc g =

@@ -74,8 +74,7 @@ let cascade t doomed =
       end;
       List.iter
         (fun (e, tp) ->
-          (* Sorted: zero-support discovery order reaches the trace. *)
-          Digraph.iter_pred_sorted
+          Digraph.iter_pred
             (fun pnode ->
               Obs.incr t.obs Obs.K.edges_relaxed;
               if Hashtbl.mem t.r.(tp) pnode then begin
@@ -161,8 +160,7 @@ let closure t inss =
     let u, v = Stack.pop stack in
     List.iter
       (fun (_, pu) ->
-        (* Order-free: the closure is a set, and its counters are sums. *)
-        (Digraph.iter_pred [@lint.allow "D2"])
+        Digraph.iter_pred
           (fun p ->
             incr relaxed;
             if Digraph.label t.g p = sym.(pu) && not (Hashtbl.mem t.r.(pu) p)
@@ -192,8 +190,7 @@ let fixpoint t cand =
           List.iter
             (fun (e, u') ->
               let c = ref 0 in
-              (* Order-free: counting commutes. *)
-              (Digraph.iter_succ [@lint.allow "D2"])
+              Digraph.iter_succ
                 (fun w ->
                   incr relaxed;
                   if member u' w then incr c)
@@ -216,8 +213,7 @@ let fixpoint t cand =
     let u, v = Stack.pop stack in
     List.iter
       (fun (e, tp) ->
-        (* Order-free: decrements commute, and a pair is queued once. *)
-        (Digraph.iter_pred [@lint.allow "D2"])
+        Digraph.iter_pred
           (fun p ->
             incr relaxed;
             if Hashtbl.mem cand.(tp) p then begin
@@ -247,8 +243,7 @@ let merge t survivors ccnt =
     (fun (u, v) ->
       List.iter
         (fun (e, tp) ->
-          (* Order-free: counter bumps commute. *)
-          (Digraph.iter_pred [@lint.allow "D2"])
+          Digraph.iter_pred
             (fun p ->
               incr relaxed;
               if Hashtbl.mem t.r.(tp) p then bump t.cnt.(e) p)

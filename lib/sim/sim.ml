@@ -27,8 +27,7 @@ let edge_index p =
 
 let support_count g sets u' v =
   let c = ref 0 in
-  (* Order-free: counting commutes. *)
-  (Digraph.iter_succ [@lint.allow "D2"])
+  Digraph.iter_succ
     (fun w -> if Hashtbl.mem sets.(u') w then incr c)
     g v;
   !c
@@ -60,8 +59,7 @@ let prune p g sets =
       (* Predecessors relying on (u, v) as support lose one unit. *)
       List.iter
         (fun (e, t) ->
-          (* Order-free: see the fixpoint note above. *)
-          (Digraph.iter_pred [@lint.allow "D2"])
+          Digraph.iter_pred
             (fun pnode ->
               if Hashtbl.mem sets.(t) pnode then begin
                 match Hashtbl.find_opt cnt.(e) pnode with

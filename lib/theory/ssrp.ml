@@ -10,8 +10,7 @@ let batch g src =
     Stack.push src stack;
     while not (Stack.is_empty stack) do
       let v = Stack.pop stack in
-      (* Order-free: computes a reachability set. *)
-      (Digraph.iter_succ [@lint.allow "D2"])
+      Digraph.iter_succ
         (fun w ->
           if not (Hashtbl.mem seen w) then begin
             Hashtbl.replace seen w ();
@@ -42,8 +41,7 @@ let insert_edge t u v =
     Stack.push v stack;
     while not (Stack.is_empty stack) do
       let x = Stack.pop stack in
-      (* Order-free: set membership; the result is sorted below. *)
-      (Digraph.iter_succ [@lint.allow "D2"])
+      Digraph.iter_succ
         (fun w ->
           if not (Hashtbl.mem t.reach w) then begin
             Hashtbl.replace t.reach w ();

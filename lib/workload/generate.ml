@@ -30,17 +30,17 @@ let fill_edges g ~edges ~pick =
     done
   end
 
-let uniform ?backend ~rng ~nodes ~edges ~labels () =
+let uniform ~rng ~nodes ~edges ~labels () =
   if nodes <= 0 then invalid_arg "Generate.uniform: nodes must be positive";
-  let g = Digraph.create ~hint:nodes ?backend () in
+  let g = Digraph.create ~hint:nodes () in
   add_labeled_nodes rng g ~nodes ~labels;
   if nodes > 1 then
     fill_edges g ~edges ~pick:(fun () -> Random.State.int rng nodes);
   g
 
-let dag ?backend ~rng ~nodes ~edges ~labels () =
+let dag ~rng ~nodes ~edges ~labels () =
   if nodes <= 0 then invalid_arg "Generate.dag: nodes must be positive";
-  let g = Digraph.create ~hint:nodes ?backend () in
+  let g = Digraph.create ~hint:nodes () in
   add_labeled_nodes rng g ~nodes ~labels;
   if nodes > 1 then begin
     let n = nodes in
@@ -55,9 +55,9 @@ let dag ?backend ~rng ~nodes ~edges ~labels () =
   end;
   g
 
-let preferential ?backend ~rng ~nodes ~edges ~labels () =
+let preferential ~rng ~nodes ~edges ~labels () =
   if nodes <= 0 then invalid_arg "Generate.preferential: nodes must be positive";
-  let g = Digraph.create ~hint:nodes ?backend () in
+  let g = Digraph.create ~hint:nodes () in
   add_labeled_nodes rng g ~nodes ~labels;
   if nodes > 1 then begin
     (* Endpoint pool: every node once, plus one entry per edge endpoint. *)
@@ -110,9 +110,9 @@ let plant_scc ?(chord_ratio = 0.5) ~rng g ~fraction =
     done
   end
 
-let hierarchy ?backend ~rng ~nodes ~edges ~labels ~hub_fraction () =
+let hierarchy ~rng ~nodes ~edges ~labels ~hub_fraction () =
   if nodes <= 1 then invalid_arg "Generate.hierarchy: nodes must be > 1";
-  let g = Digraph.create ~hint:nodes ?backend () in
+  let g = Digraph.create ~hint:nodes () in
   add_labeled_nodes rng g ~nodes ~labels;
   let hub_lo =
     max 1 (nodes - int_of_float (hub_fraction *. float_of_int nodes))

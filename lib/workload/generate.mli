@@ -7,13 +7,11 @@
     giant strongly connected core mimicking LiveJournal's (where the
     largest SCC covers ~77% of the graph, the property Exp-1(3) calls out).
 
-    All generators are deterministic in the given [Random.State], and in
-    particular produce the identical graph whichever {!Ig_graph.Digraph}
-    [backend] they build on (default [`Hashtbl]): edge-membership answers
-    agree across backends, so the RNG draw sequence does too. *)
+    All generators are deterministic in the given [Random.State]. They
+    build edge by edge, and their duplicate checks ({!Ig_graph.Digraph.mem_edge})
+    drive the RNG draw sequence, so a seed names one graph. *)
 
 val uniform :
-  ?backend:Ig_graph.Digraph.backend ->
   rng:Random.State.t -> nodes:int -> edges:int -> labels:int -> unit ->
   Ig_graph.Digraph.t
 (** Uniform random simple digraph; labels [l0 … l{labels-1}] assigned
@@ -21,7 +19,6 @@ val uniform :
     unless the graph saturates. *)
 
 val dag :
-  ?backend:Ig_graph.Digraph.backend ->
   rng:Random.State.t -> nodes:int -> edges:int -> labels:int -> unit ->
   Ig_graph.Digraph.t
 (** Like {!uniform} but every edge is oriented from the smaller to the
@@ -29,7 +26,6 @@ val dag :
     graphs like DBpedia, whose strongly connected components are small. *)
 
 val preferential :
-  ?backend:Ig_graph.Digraph.backend ->
   rng:Random.State.t -> nodes:int -> edges:int -> labels:int -> unit ->
   Ig_graph.Digraph.t
 (** Preferential attachment: edge endpoints are drawn from a pool that
@@ -45,7 +41,6 @@ val plant_scc :
     0.5) so the component does not shatter on a single deletion. *)
 
 val hierarchy :
-  ?backend:Ig_graph.Digraph.backend ->
   rng:Random.State.t -> nodes:int -> edges:int -> labels:int ->
   hub_fraction:float -> unit -> Ig_graph.Digraph.t
 (** Knowledge-graph shape: a [hub_fraction] slice of high-id nodes act as

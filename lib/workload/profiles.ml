@@ -49,7 +49,7 @@ let synthetic =
     local_sccs = (10, 10);
   }
 
-let instantiate ?(scale = 1.0) ?backend ~rng spec =
+let instantiate ?(scale = 1.0) ~rng spec =
   let nodes = max 2 (int_of_float (float_of_int spec.base_nodes *. scale)) in
   let edges = int_of_float (float_of_int nodes *. spec.edge_ratio) in
   (* The label alphabet scales with the graph so per-label density — what
@@ -60,12 +60,12 @@ let instantiate ?(scale = 1.0) ?backend ~rng spec =
   in
   let g =
     match spec.shape with
-    | Uniform -> Generate.uniform ?backend ~rng ~nodes ~edges ~labels:spec.labels ()
-    | Dag -> Generate.dag ?backend ~rng ~nodes ~edges ~labels:spec.labels ()
+    | Uniform -> Generate.uniform ~rng ~nodes ~edges ~labels:spec.labels ()
+    | Dag -> Generate.dag ~rng ~nodes ~edges ~labels:spec.labels ()
     | Skewed ->
-        Generate.preferential ?backend ~rng ~nodes ~edges ~labels:spec.labels ()
+        Generate.preferential ~rng ~nodes ~edges ~labels:spec.labels ()
     | Hierarchy hub_fraction ->
-        Generate.hierarchy ?backend ~rng ~nodes ~edges ~labels:spec.labels
+        Generate.hierarchy ~rng ~nodes ~edges ~labels:spec.labels
           ~hub_fraction ()
   in
   (if spec.giant_scc > 0.0 then

@@ -37,8 +37,5 @@ val synthetic : spec
 
 val instantiate :
   ?scale:float ->
-  ?backend:Ig_graph.Digraph.backend ->
   rng:Random.State.t -> spec -> Ig_graph.Digraph.t
-(** Generate a graph for the profile at the given scale factor, on the
-    given {!Ig_graph.Digraph} backend (default [`Hashtbl]; the graph is
-    identical either way). *)
+(** Generate a graph for the profile at the given scale factor. *)

@@ -70,8 +70,8 @@ let sample_connected_nodes rng g n =
     in
     (* Sorted: the candidate order feeds a seeded random pick, which must
        be reproducible across hash seeds. *)
-    Digraph.iter_succ_sorted consider g v;
-    Digraph.iter_pred_sorted consider g v;
+    Digraph.iter_succ consider g v;
+    Digraph.iter_pred consider g v;
     match !candidates with
     | [] -> frontier := List.filteri (fun i _ -> i <> idx) !frontier
     | cs ->
@@ -97,8 +97,7 @@ let iso ~rng g ~nodes ~edges =
           let induced = ref [] in
           List.iteri
             (fun i v ->
-              (* Sorted: the induced-edge order shapes the sampled pattern. *)
-              Digraph.iter_succ_sorted
+              Digraph.iter_succ
                 (fun w ->
                   match Hashtbl.find_opt index w with
                   | Some j -> induced := (i, j) :: !induced

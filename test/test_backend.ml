@@ -1,15 +1,18 @@
-(* Cross-backend differential battery: the Hashtbl and CSR digraph
-   backends driven through identical op sequences — distilled from the
-   unit tests in test_graph.ml plus seeded random streams — with every
-   observable view (sorted adjacency, degrees, labels, edge membership,
-   operation return values) compared byte for byte after every op,
-   including immediately around forced [Digraph.compact] points.
+(* Differential battery for the graph core: [Digraph] driven through op
+   sequences — distilled from the unit tests in test_graph.ml plus seeded
+   random streams — against a test-local reference model (a label array
+   and a set of edges), with every observable view (sorted adjacency,
+   degrees, labels, the label index, edge membership, operation return
+   values) compared byte for byte after every op, including immediately
+   around forced [Digraph.compact] points.
 
    The qcheck properties pin the overlay laws: compact is a semantic
    no-op and idempotent; arbitrary interleavings of insert / delete /
    absent-delete / duplicate-insert / compact agree with a batch-built
-   graph; and copy of an un-compacted CSR graph is deep — pending deltas
-   are preserved and the copy is independent of the original. *)
+   graph; copy of an un-compacted graph is deep — pending deltas are
+   preserved and the copy is independent of the original; and the bulk
+   load behind [Io.of_string] builds the same graph as [add_edge] does,
+   edge by edge. *)
 
 open Ig_graph
 
@@ -45,73 +48,123 @@ let apply_op g op =
       Digraph.compact g;
       "compacted"
 
+(* ---- the reference model ---------------------------------------------------- *)
+
+module Edges = Set.Make (struct
+  type t = int * int
+
+  let compare (a, b) (c, d) = if a <> c then Int.compare a c else Int.compare b d
+end)
+
+type model = { mutable labels : string array; mutable edges : Edges.t }
+
+let model_apply m op =
+  let n = Array.length m.labels in
+  let toggle ~ins u v =
+    let e = (u mod n, v mod n) in
+    let changed = Edges.mem e m.edges <> ins in
+    if changed then
+      m.edges <- (if ins then Edges.add else Edges.remove) e m.edges;
+    changed
+  in
+  match op with
+  | Add_node l ->
+      m.labels <- Array.append m.labels [| l |];
+      Printf.sprintf "node=%d" n
+  | Ins (u, v) ->
+      if n = 0 then "skip" else Printf.sprintf "ins=%b" (toggle ~ins:true u v)
+  | Del (u, v) ->
+      if n = 0 then "skip" else Printf.sprintf "del=%b" (toggle ~ins:false u v)
+  | Compact -> "compacted"
+
 (* ---- the observable view --------------------------------------------------- *)
 
 (* Everything a client can see, rendered canonically: node/edge counts,
    per-node label, degrees and sorted adjacency in both directions, the
-   label index (most-recent-first, like Hashtbl's), and — via an explicit
-   [mem_edge] sweep — the membership relation, which on CSR exercises the
-   base binary search plus add/tombstone overlay paths independently of
-   the merge iterators. *)
-let view g =
+   label index (most-recent-first), and — via an explicit membership
+   sweep — the edge relation, which exercises the base binary search plus
+   add/tombstone overlay paths independently of the merge iterators. *)
+let render ~n ~m ~name ~out_deg ~in_deg ~succs ~preds ~with_label ~mem =
   let buf = Buffer.create 512 in
-  let n = Digraph.n_nodes g in
-  Buffer.add_string buf (Printf.sprintf "n=%d m=%d\n" n (Digraph.n_edges g));
+  let show l = String.concat "," (List.map string_of_int l) in
+  Buffer.add_string buf (Printf.sprintf "n=%d m=%d\n" n m);
   for v = 0 to n - 1 do
-    let succs = ref [] and preds = ref [] in
-    Digraph.iter_succ_sorted (fun w -> succs := w :: !succs) g v;
-    Digraph.iter_pred_sorted (fun u -> preds := u :: !preds) g v;
-    let show l = String.concat "," (List.map string_of_int (List.rev l)) in
     Buffer.add_string buf
-      (Printf.sprintf "%d:%s out=%d in=%d s=[%s] p=[%s]\n" v
-         (Digraph.label_name g v) (Digraph.out_degree g v)
-         (Digraph.in_degree g v) (show !succs) (show !preds))
+      (Printf.sprintf "%d:%s out=%d in=%d s=[%s] p=[%s]\n" v (name v)
+         (out_deg v) (in_deg v) (show (succs v)) (show (preds v)))
   done;
   let seen = Hashtbl.create 8 in
   for v = 0 to n - 1 do
-    let l = Digraph.label g v in
-    if not (Hashtbl.mem seen l) then begin
-      Hashtbl.replace seen l ();
+    if not (Hashtbl.mem seen (name v)) then begin
+      Hashtbl.replace seen (name v) ();
       Buffer.add_string buf
-        (Printf.sprintf "L:%s=[%s]\n" (Digraph.label_name g v)
-           (String.concat ","
-              (List.map string_of_int (Digraph.nodes_with_label g l))))
+        (Printf.sprintf "L:%s=[%s]\n" (name v) (show (with_label v)))
     end
   done;
   if n <= 48 then begin
     Buffer.add_string buf "mem=";
     for u = 0 to n - 1 do
       for v = 0 to n - 1 do
-        if Digraph.mem_edge g u v then
-          Buffer.add_string buf (Printf.sprintf "%d-%d;" u v)
+        if mem u v then Buffer.add_string buf (Printf.sprintf "%d-%d;" u v)
       done
     done;
     Buffer.add_char buf '\n'
   end;
   Buffer.contents buf
 
+let view g =
+  let walk iter v =
+    let acc = ref [] in
+    iter (fun w -> acc := w :: !acc) g v;
+    List.rev !acc
+  in
+  render ~n:(Digraph.n_nodes g) ~m:(Digraph.n_edges g)
+    ~name:(Digraph.label_name g) ~out_deg:(Digraph.out_degree g)
+    ~in_deg:(Digraph.in_degree g) ~succs:(walk Digraph.iter_succ)
+    ~preds:(walk Digraph.iter_pred)
+    ~with_label:(fun v -> Digraph.nodes_with_label g (Digraph.label g v))
+    ~mem:(Digraph.mem_edge g)
+
+let model_view md =
+  let n = Array.length md.labels in
+  let es = Edges.elements md.edges in
+  let succs v = List.filter_map (fun (a, b) -> if a = v then Some b else None) es in
+  let preds v =
+    List.sort Int.compare
+      (List.filter_map (fun (a, b) -> if b = v then Some a else None) es)
+  in
+  render ~n ~m:(Edges.cardinal md.edges) ~name:(Array.get md.labels)
+    ~out_deg:(fun v -> List.length (succs v))
+    ~in_deg:(fun v -> List.length (preds v))
+    ~succs ~preds
+    ~with_label:(fun v ->
+      List.filter
+        (fun u -> md.labels.(u) = md.labels.(v))
+        (List.init n (fun i -> n - 1 - i)))
+    ~mem:(fun u v -> Edges.mem (u, v) md.edges)
+
 (* ---- the differential runner ----------------------------------------------- *)
 
-(* Drive both backends through [ops]; with [compact_every = k > 0] the CSR
-   side is additionally compacted every k ops, so views are compared both
-   right after and right before forced compaction points. *)
+(* Drive the graph and the model through [ops]; with [compact_every = k > 0]
+   the graph is additionally compacted every k ops, so views are compared
+   both right after and right before forced compaction points. *)
 let run_diff ?(compact_every = 0) ops =
-  let gh = Digraph.create ~backend:`Hashtbl () in
-  let gc = Digraph.create ~backend:`Csr () in
+  let g = Digraph.create () in
+  let md = { labels = [||]; edges = Edges.empty } in
   List.iteri
     (fun i op ->
-      let rh = apply_op gh op and rc = apply_op gc op in
-      if rh <> rc then
-        Alcotest.failf "op %d (%s): results diverge: hashtbl %s, csr %s" i
-          (pp_op op) rh rc;
+      let rg = apply_op g op and rm = model_apply md op in
+      if rg <> rm then
+        Alcotest.failf "op %d (%s): results diverge: graph %s, model %s" i
+          (pp_op op) rg rm;
       if compact_every > 0 && (i + 1) mod compact_every = 0 then
-        Digraph.compact gc;
-      let vh = view gh and vc = view gc in
-      if vh <> vc then
-        Alcotest.failf "op %d (%s): views diverge\n--- hashtbl\n%s--- csr\n%s"
-          i (pp_op op) vh vc)
+        Digraph.compact g;
+      let vg = view g and vm = model_view md in
+      if vg <> vm then
+        Alcotest.failf "op %d (%s): views diverge\n--- graph\n%s--- model\n%s"
+          i (pp_op op) vg vm)
     ops;
-  (gh, gc)
+  g
 
 (* ---- distilled unit sequences ---------------------------------------------- *)
 
@@ -192,12 +245,12 @@ let random_cases =
 
 (* ---- copy / hint regressions ------------------------------------------------ *)
 
-(* The latent inconsistency fixed in this change: copy of a CSR graph
-   with a non-empty overlay must preserve the pending deltas, and the
-   copy must be fully independent of the original (both directions). *)
+(* Copy of a graph with a non-empty overlay must preserve the pending
+   deltas, and the copy must be fully independent of the original (both
+   directions). *)
 let test_copy_preserves_overlay () =
   let ops = Add_node "a" :: random_ops ~seed:11 ~steps:300 in
-  let _, gc = run_diff ops in
+  let gc = run_diff ops in
   (* Grow a fresh overlay on top of whatever state the stream left. *)
   let n = Digraph.n_nodes gc in
   for i = 0 to 9 do
@@ -221,35 +274,22 @@ let test_copy_preserves_overlay () =
   check Alcotest.string "original independent of copy" vg (view gc)
 
 let test_hint_presizes () =
-  (* ~hint pre-sizes internal storage on both backends without changing
-     any observable state; over- and under-shooting must both be safe. *)
+  (* ~hint pre-sizes internal storage without changing any observable
+     state; over- and under-shooting must both be safe. *)
   List.iter
-    (fun backend ->
-      List.iter
-        (fun hint ->
-          let g = Digraph.create ~hint ~backend () in
-          check Alcotest.int "empty" 0 (Digraph.n_nodes g);
-          for _ = 1 to 40 do
-            ignore (Digraph.add_node g "x")
-          done;
-          for i = 0 to 38 do
-            ignore (Digraph.add_edge g i (i + 1))
-          done;
-          check Alcotest.int "nodes" 40 (Digraph.n_nodes g);
-          check Alcotest.int "edges" 39 (Digraph.n_edges g);
-          check Alcotest.bool "member" true (Digraph.mem_edge g 0 1))
-        [ 0; 1; 8; 100 ])
-    [ `Hashtbl; `Csr ]
-
-let test_convert_roundtrip () =
-  let ops = Add_node "a" :: random_ops ~seed:21 ~steps:250 in
-  let gh, gc = run_diff ops in
-  let hc = Digraph.convert ~backend:`Csr gh in
-  let ch = Digraph.convert ~backend:`Hashtbl gc in
-  check Alcotest.string "hashtbl->csr" (view gh) (view hc);
-  check Alcotest.string "csr->hashtbl" (view gc) (view ch);
-  check Alcotest.bool "same-backend convert is identity" true
-    (Digraph.convert ~backend:`Hashtbl gh == gh)
+    (fun hint ->
+      let g = Digraph.create ~hint () in
+      check Alcotest.int "empty" 0 (Digraph.n_nodes g);
+      for _ = 1 to 40 do
+        ignore (Digraph.add_node g "x")
+      done;
+      for i = 0 to 38 do
+        ignore (Digraph.add_edge g i (i + 1))
+      done;
+      check Alcotest.int "nodes" 40 (Digraph.n_nodes g);
+      check Alcotest.int "edges" 39 (Digraph.n_edges g);
+      check Alcotest.bool "member" true (Digraph.mem_edge g 0 1))
+    [ 0; 1; 8; 100 ]
 
 (* ---- qcheck properties ------------------------------------------------------ *)
 
@@ -269,15 +309,15 @@ let arb_ops =
     QCheck.Gen.(
       map (fun ops -> Add_node "a" :: ops) (list_size (int_bound 150) gen_op))
 
-let csr_of ops =
-  let g = Digraph.create ~backend:`Csr () in
+let graph_of ops =
+  let g = Digraph.create () in
   List.iter (fun op -> ignore (apply_op g op)) ops;
   g
 
 (* Build a semantically equal graph from scratch in one pass: nodes in id
    order, surviving edges in sorted order, one final compact. *)
-let batch_rebuild ~backend g =
-  let b = Digraph.create ~hint:(Digraph.n_nodes g) ~backend () in
+let batch_rebuild g =
+  let b = Digraph.create ~hint:(Digraph.n_nodes g) () in
   for v = 0 to Digraph.n_nodes g - 1 do
     ignore (Digraph.add_node b (Digraph.label_name g v))
   done;
@@ -288,7 +328,7 @@ let batch_rebuild ~backend g =
 let prop_compact_noop =
   QCheck.Test.make ~count:150 ~name:"compact is a semantic no-op, idempotent"
     arb_ops (fun ops ->
-      let g = csr_of ops in
+      let g = graph_of ops in
       let v0 = view g in
       Digraph.compact g;
       let v1 = view g in
@@ -300,15 +340,14 @@ let prop_interleavings_agree =
   QCheck.Test.make ~count:150
     ~name:"arbitrary op interleavings agree with a batch-built graph"
     arb_ops (fun ops ->
-      let g = csr_of ops in
-      view g = view (batch_rebuild ~backend:`Csr g)
-      && view g = view (batch_rebuild ~backend:`Hashtbl g))
+      let g = graph_of ops in
+      view g = view (batch_rebuild g))
 
 let prop_copy_deep =
   QCheck.Test.make ~count:150
     ~name:"copy of an un-compacted csr graph is deep and independent"
     arb_ops (fun ops ->
-      let g = csr_of ops in
+      let g = graph_of ops in
       let v0 = view g in
       let c = Digraph.copy g in
       (* Diverge both sides, then check neither saw the other's writes. *)
@@ -320,6 +359,40 @@ let prop_copy_deep =
       Digraph.compact c;
       copy_intact && view g = vg)
 
+(* Graph text with up to 20 nodes over three labels (so the label index
+   has several members per label) and up to 60 edge lines in arbitrary
+   order. The small id range yields self-loops and edgeless nodes; every
+   third edge line is repeated at the end, so duplicates always occur. *)
+let arb_text =
+  QCheck.make
+    ~print:(fun (labels, edges) ->
+      Printf.sprintf "labels=[%s] edges=[%s]" (String.concat "," labels)
+        (String.concat ";"
+           (List.map (fun (u, v) -> Printf.sprintf "%d,%d" u v) edges)))
+    QCheck.Gen.(
+      let* labels = list_size (int_bound 20) (oneofl [ "a"; "b"; "c" ]) in
+      let n = List.length labels in
+      let+ edges =
+        if n = 0 then return []
+        else list_size (int_bound 60) (pair (int_bound (n - 1)) (int_bound (n - 1)))
+      in
+      (labels, edges @ List.filteri (fun i _ -> i mod 3 = 0) edges))
+
+let prop_bulk_load =
+  QCheck.Test.make ~count:300
+    ~name:"Io.of_string bulk load equals an edge-by-edge build" arb_text
+    (fun (labels, edges) ->
+      let text =
+        String.concat "\n"
+          (List.mapi (fun i l -> Printf.sprintf "v %d %s" i l) labels
+          @ List.map (fun (u, v) -> Printf.sprintf "e %d %d" u v) edges)
+      in
+      let bulk = Io.of_string text in
+      let g = Digraph.create () in
+      List.iter (fun l -> ignore (Digraph.add_node g l)) labels;
+      List.iter (fun (u, v) -> ignore (Digraph.add_edge g u v)) edges;
+      Digraph.overlay_size bulk = 0 && view bulk = view g)
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let () =
@@ -327,14 +400,18 @@ let () =
     [
       ("distilled sequences", distilled_cases);
       ("random streams", random_cases);
-      ( "copy/hint/convert",
+      ( "copy/hint",
         [
           Alcotest.test_case "copy preserves pending deltas" `Quick
             test_copy_preserves_overlay;
           Alcotest.test_case "hint pre-sizes safely" `Quick test_hint_presizes;
-          Alcotest.test_case "convert roundtrip" `Quick test_convert_roundtrip;
         ] );
       ( "overlay laws",
-        qsuite [ prop_compact_noop; prop_interleavings_agree; prop_copy_deep ]
-      );
+        qsuite
+          [
+            prop_compact_noop;
+            prop_interleavings_agree;
+            prop_copy_deep;
+            prop_bulk_load;
+          ] );
     ]

@@ -30,13 +30,26 @@ let steps =
 
 (* ---- differential fuzz, one case per algorithm -------------------------- *)
 
-let scenario_case ~backend (name, seed) =
+(* A generated base graph keeps its last edges in the delta overlay (it is
+   built edge by edge and compacts only past the overlay threshold). The
+   "csr" groups rerun each case with the base compacted first, so every
+   base edge sits in the CSR arrays and the stream's deletions hit
+   tombstones of the base rows rather than overlay entries. *)
+let compacted (s : Sc.t) =
+  let base = Digraph.copy s.Sc.base in
+  Digraph.compact base;
+  { s with Sc.base; make = (fun () -> Sp.make base s.Sc.spec) }
+
+let lookup ~csr ~rng name =
+  Option.map (if csr then compacted else Fun.id) (Sc.by_name ~rng name)
+
+let scenario_case ~csr (name, seed) =
   Alcotest.test_case
     (Printf.sprintf "%s: %d steps vs batch oracle" name steps)
     `Quick
     (fun () ->
       let rng = Random.State.make [| 0x90; seed |] in
-      match Sc.by_name ~backend ~rng name with
+      match lookup ~csr ~rng name with
       | None -> Alcotest.failf "unknown scenario %s" name
       | Some s -> (
           match
@@ -58,10 +71,8 @@ let scenario_seeds =
     ("gadget", 106);
   ]
 
-(* Every scenario runs on both graph backends: the same engines over the
-   CSR + delta-overlay core must agree with the batch oracles too. *)
-let scenario_cases = List.map (scenario_case ~backend:`Hashtbl) scenario_seeds
-let scenario_cases_csr = List.map (scenario_case ~backend:`Csr) scenario_seeds
+let scenario_cases = List.map (scenario_case ~csr:false) scenario_seeds
+let scenario_cases_csr = List.map (scenario_case ~csr:true) scenario_seeds
 
 (* ---- durable fuzz: journaled do/undo/crash-recover interleavings -------- *)
 
@@ -73,20 +84,20 @@ let scenario_cases_csr = List.map (scenario_case ~backend:`Csr) scenario_seeds
    to the cheaper differential cases above. *)
 let durable_steps = 200
 
-let durable_case ~backend (name, seed) =
+let durable_case ~csr (name, seed) =
   Alcotest.test_case
     (Printf.sprintf "%s: %d journaled do/undo/crash steps" name durable_steps)
     `Quick
     (fun () ->
       let rng = Random.State.make [| 0xd0; seed |] in
-      match Sc.by_name ~backend ~rng name with
+      match lookup ~csr ~rng name with
       | None -> Alcotest.failf "unknown scenario %s" name
       | Some s -> (
           match
             Ig_check.Durable.run ~scenario:s
               ~dir:
-                (Printf.sprintf "durable_%s_%s"
-                   (Digraph.backend_name backend)
+                (Printf.sprintf "durable_%s%s"
+                   (if csr then "csr_" else "")
                    name)
               ~steps:durable_steps ~seed ()
           with
@@ -96,8 +107,8 @@ let durable_case ~backend (name, seed) =
 let durable_seeds =
   [ ("kws", 201); ("rpq", 202); ("scc", 203); ("sim", 204); ("iso", 205) ]
 
-let durable_cases = List.map (durable_case ~backend:`Hashtbl) durable_seeds
-let durable_cases_csr = List.map (durable_case ~backend:`Csr) durable_seeds
+let durable_cases = List.map (durable_case ~csr:false) durable_seeds
+let durable_cases_csr = List.map (durable_case ~csr:true) durable_seeds
 
 (* ---- stream driver ------------------------------------------------------ *)
 
@@ -342,56 +353,51 @@ let bounce_chunks rng g =
       let u, v = List.nth present i in
       [ [ Digraph.Delete (u, v); Digraph.Insert (u, v) ] ]
 
-(* The batch face: every scenario's oracle, on both backends, driven
-   through [apply_batch] in chunks of 8 stream updates, with the full
-   differential and metrics checks after each chunk. Every third chunk is
+(* The batch face: every scenario's oracle, driven through [apply_batch]
+   in chunks of 8 stream updates, with the full differential and metrics
+   checks after each chunk. Every third chunk is
    followed by [bounce_chunks]. A replica updated by [Digraph.apply_batch]
    pins the batch semantics: the engine's graph must equal it after every
    chunk, whatever the order of updates to one edge. [Spec.make] works on a
    copy, so the scenario's base graph must come out untouched. *)
 let test_spec_apply_batch () =
   let digest = Ig_journal.Journal.graph_digest in
+  let rng = Random.State.make [| 0xba7c; 8 |] in
   List.iter
-    (fun backend ->
-      let rng = Random.State.make [| 0xba7c; 8 |] in
-      List.iter
-        (fun (s : Sc.t) ->
-          let name =
-            Printf.sprintf "%s (%s)" s.Sc.name (Digraph.backend_name backend)
-          in
-          let before = digest s.Sc.base in
-          let inst = s.Sc.make () in
-          let replica = Digraph.copy inst.O.graph in
-          let stream =
-            St.create
-              ~rng:(Random.State.make [| 0xba7c; 9 |])
-              ~focus:s.Sc.focus inst.O.graph
-          in
-          let prev = ref (Ig_obs.Obs.counters inst.O.obs) in
-          let run chunk us =
-            match
-              ignore (inst.O.apply_batch us);
-              Digraph.apply_batch replica us;
-              O.check inst;
-              prev := O.check_metrics ~prev:!prev inst;
-              if digest inst.O.graph <> digest replica then
-                raise (O.Check_failed "graph differs from Digraph.apply_batch")
-            with
-            | () -> ()
-            | exception O.Check_failed msg ->
-                Alcotest.failf "%s: chunk %s: %s" name chunk msg
-          in
-          for chunk = 1 to 12 do
-            run (string_of_int chunk) (List.init 8 (fun _ -> St.next stream));
-            if chunk mod 3 = 0 then
-              List.iteri
-                (fun i us -> run (Printf.sprintf "%d bounce %d" chunk i) us)
-                (bounce_chunks rng inst.O.graph)
-          done;
-          check Alcotest.string (name ^ ": base graph untouched") before
-            (digest s.Sc.base))
-        (Sc.all ~backend ~rng ()))
-    [ `Hashtbl; `Csr ]
+    (fun (s : Sc.t) ->
+      let name = s.Sc.name in
+      let before = digest s.Sc.base in
+      let inst = s.Sc.make () in
+      let replica = Digraph.copy inst.O.graph in
+      let stream =
+        St.create
+          ~rng:(Random.State.make [| 0xba7c; 9 |])
+          ~focus:s.Sc.focus inst.O.graph
+      in
+      let prev = ref (Ig_obs.Obs.counters inst.O.obs) in
+      let run chunk us =
+        match
+          ignore (inst.O.apply_batch us);
+          Digraph.apply_batch replica us;
+          O.check inst;
+          prev := O.check_metrics ~prev:!prev inst;
+          if digest inst.O.graph <> digest replica then
+            raise (O.Check_failed "graph differs from Digraph.apply_batch")
+        with
+        | () -> ()
+        | exception O.Check_failed msg ->
+            Alcotest.failf "%s: chunk %s: %s" name chunk msg
+      in
+      for chunk = 1 to 12 do
+        run (string_of_int chunk) (List.init 8 (fun _ -> St.next stream));
+        if chunk mod 3 = 0 then
+          List.iteri
+            (fun i us -> run (Printf.sprintf "%d bounce %d" chunk i) us)
+            (bounce_chunks rng inst.O.graph)
+      done;
+      check Alcotest.string (name ^ ": base graph untouched") before
+        (digest s.Sc.base))
+    (Sc.all ~rng ())
 
 let () =
   Alcotest.run "ig_check"

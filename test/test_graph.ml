@@ -335,10 +335,9 @@ let test_reaches () =
 
 (* ---- sorted iteration ------------------------------------------------------ *)
 
-(* The determinism contract behind lint rule D2: the sorted adjacency
-   iterators visit neighbors in ascending node order, independent of
-   insertion order and of the process hash seed. *)
-let test_iter_sorted () =
+(* The adjacency iterators visit neighbors in ascending node order,
+   independent of insertion order and of the process hash seed. *)
+let test_iter_ascending () =
   let g = Digraph.create () in
   for _ = 0 to 5 do
     ignore (Digraph.add_node g "x")
@@ -348,13 +347,13 @@ let test_iter_sorted () =
     [ (0, 4); (0, 1); (0, 5); (0, 2); (3, 0); (1, 0); (5, 0) ];
   let succs () =
     let acc = ref [] in
-    Digraph.iter_succ_sorted (fun v -> acc := v :: !acc) g 0;
+    Digraph.iter_succ (fun v -> acc := v :: !acc) g 0;
     List.rev !acc
   in
   check (Alcotest.list Alcotest.int) "ascending successors" [ 1; 2; 4; 5 ]
     (succs ());
   let preds = ref [] in
-  Digraph.iter_pred_sorted (fun u -> preds := u :: !preds) g 0;
+  Digraph.iter_pred (fun u -> preds := u :: !preds) g 0;
   check (Alcotest.list Alcotest.int) "ascending predecessors" [ 1; 3; 5 ]
     (List.rev !preds);
   (* stays sorted across deletions *)
@@ -420,18 +419,18 @@ let reference_text g =
   Buffer.contents b
 
 (* Up to 130 nodes so ids reach three digits; labels of one to five
-   printable non-space bytes; CSR graphs keep a pending overlay. *)
+   printable non-space bytes; the graph keeps a pending overlay. *)
 let prop_writer_matches_reference =
   QCheck.Test.make ~name:"writer matches the Printf reference" ~count:300
     QCheck.(
-      triple bool
+      pair
         (pair (int_range 0 130)
            (small_list
               (string_gen_of_size (Gen.int_range 1 5)
                  (Gen.char_range '!' '~'))))
         (list (pair small_nat small_nat)))
-    (fun (csr, (n, labels), edges) ->
-      let g = Digraph.create ~backend:(if csr then `Csr else `Hashtbl) () in
+    (fun ((n, labels), edges) ->
+      let g = Digraph.create () in
       let labels = Array.of_list ("x" :: labels) in
       for i = 0 to n - 1 do
         ignore (Digraph.add_node g labels.(i mod Array.length labels))
@@ -511,8 +510,8 @@ let () =
         ] );
       ( "sorted iteration",
         [
-          Alcotest.test_case "iter_succ/pred_sorted ascend" `Quick
-            test_iter_sorted;
+          Alcotest.test_case "iter_succ/pred ascend" `Quick
+            test_iter_ascending;
           Alcotest.test_case "iter_edges is insertion-independent" `Quick
             test_edges_deterministic;
         ] );

@@ -195,10 +195,10 @@ let test_invert () =
 (* ---- digests -------------------------------------------------------------- *)
 
 (* A fixed 12-node graph: two-digit ids, a self-loop, a removed edge and
-   (on CSR) a pending overlay. Its digest was captured from the
-   Format-based writer this one replaced; the bytes must never move. *)
-let pinned_graph backend =
-  let g = D.create ~backend () in
+   a pending overlay. Its digest was captured from the Format-based writer
+   this one replaced; the bytes must never move. *)
+let pinned_graph () =
+  let g = D.create () in
   for i = 0 to 11 do
     ignore (D.add_node g (Printf.sprintf "l%d" (i mod 4)))
   done;
@@ -210,26 +210,19 @@ let pinned_graph backend =
   g
 
 let test_pinned_digests () =
-  List.iter
-    (fun backend ->
-      let name = D.backend_name backend in
-      check Alcotest.string (name ^ ": fixed graph")
-        "eaca3970bcfdabb75a4f75291ea78a56"
-        (J.graph_digest (pinned_graph backend));
-      check Alcotest.string (name ^ ": empty graph")
-        "d3e05c52530e5876bdf0e4000e8052e9"
-        (J.graph_digest (D.create ~backend ())))
-    [ `Hashtbl; `Csr ]
+  check Alcotest.string "fixed graph" "eaca3970bcfdabb75a4f75291ea78a56"
+    (J.graph_digest (pinned_graph ()));
+  check Alcotest.string "empty graph" "d3e05c52530e5876bdf0e4000e8052e9"
+    (J.graph_digest (D.create ()))
 
 (* [graph_digest_after g ops] against the definition it replaces: copy
    the graph, apply the ops, digest the copy. Batches are built from
    chunks so that one edge often carries two opposite ops in a row
    (insert then delete of an absent edge, delete then insert of a
    present one); the small id range yields self-loops, repeated edges and
-   rows no op touches. CSR graphs are compacted halfway through their
-   build so rows merge a base with a pending overlay. *)
+   rows no op touches. Graphs are compacted halfway through their build
+   so rows merge a base with a pending overlay. *)
 type after_case = {
-  backend : D.backend;
   n : int;
   edges : (int * int) list;
   ops : R.op list;
@@ -237,7 +230,6 @@ type after_case = {
 
 let after_case_gen =
   QCheck.Gen.(
-    let* backend = oneofl [ `Hashtbl; `Csr ] in
     let* n = int_range 1 12 in
     let node = int_bound (n - 1) in
     let edge = pair node node in
@@ -254,10 +246,10 @@ let after_case_gen =
         ]
     in
     let+ chunks = list_size (int_bound 10) chunk in
-    { backend; n; edges; ops = List.concat chunks })
+    { n; edges; ops = List.concat chunks })
 
 let build_case c =
-  let g = D.create ~backend:c.backend () in
+  let g = D.create () in
   for i = 0 to c.n - 1 do
     ignore (D.add_node g (Printf.sprintf "n%d" (i mod 3)))
   done;
@@ -269,7 +261,7 @@ let build_case c =
   g
 
 let print_after_case c =
-  Printf.sprintf "%s n=%d edges=[%s] ops=[%s]" (D.backend_name c.backend) c.n
+  Printf.sprintf "n=%d edges=[%s] ops=[%s]" c.n
     (String.concat "; "
        (List.map (fun (u, v) -> Printf.sprintf "%d,%d" u v) c.edges))
     (String.concat "; " (List.map R.op_to_string c.ops))
@@ -288,38 +280,32 @@ let qcheck_digest_after =
       && String.equal before (J.graph_digest g))
 
 let test_digest_after_cases () =
+  let g = mk_graph () in
+  let same ops =
+    let copy = D.copy g in
+    List.iter (J.apply_op copy) ops;
+    J.graph_digest copy
+  in
   List.iter
-    (fun backend ->
-      let g = D.convert ~backend (mk_graph ()) in
-      let same ops =
-        let copy = D.copy g in
-        List.iter (J.apply_op copy) ops;
-        J.graph_digest copy
-      in
-      let name = D.backend_name backend in
-      List.iter
-        (fun (what, ops) ->
-          check Alcotest.string (name ^ ": " ^ what) (same ops)
-            (J.graph_digest_after g ops))
-        [
-          ("no ops", []);
-          ( "insert then delete an absent edge",
-            [ R.Upsert_edge (1, 3); R.Tombstone_edge (1, 3) ] );
-          ( "delete then insert a present edge",
-            [ R.Tombstone_edge (0, 1); R.Upsert_edge (0, 1) ] );
-          ("self-loop", [ R.Upsert_edge (5, 5) ]);
-          ("empty the graph's first row", [ R.Tombstone_edge (0, 1) ]);
-        ];
-      check Alcotest.string (name ^ ": insert+delete is a no-op")
-        (J.graph_digest g)
-        (J.graph_digest_after g [ R.Upsert_edge (1, 3); R.Tombstone_edge (1, 3) ]);
-      (match J.graph_digest_after g [ R.Upsert_node (6, "y") ] with
-      | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.fail "node upsert accepted");
-      match J.graph_digest_after g [ R.Tombstone_node 0 ] with
-      | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.fail "node tombstone accepted")
-    [ `Hashtbl; `Csr ]
+    (fun (what, ops) ->
+      check Alcotest.string what (same ops) (J.graph_digest_after g ops))
+    [
+      ("no ops", []);
+      ( "insert then delete an absent edge",
+        [ R.Upsert_edge (1, 3); R.Tombstone_edge (1, 3) ] );
+      ( "delete then insert a present edge",
+        [ R.Tombstone_edge (0, 1); R.Upsert_edge (0, 1) ] );
+      ("self-loop", [ R.Upsert_edge (5, 5) ]);
+      ("empty the graph's first row", [ R.Tombstone_edge (0, 1) ]);
+    ];
+  check Alcotest.string "insert+delete is a no-op" (J.graph_digest g)
+    (J.graph_digest_after g [ R.Upsert_edge (1, 3); R.Tombstone_edge (1, 3) ]);
+  (match J.graph_digest_after g [ R.Upsert_node (6, "y") ] with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "node upsert accepted");
+  match J.graph_digest_after g [ R.Tombstone_node 0 ] with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "node tombstone accepted"
 
 (* A label the reader cannot parse back must stop the writer, so neither
    the init snapshot nor a later one is ever written unreadable. *)

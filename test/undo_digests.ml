@@ -12,7 +12,6 @@
    Usage: undo_digests DIR *)
 
 let scenarios = [ ("kws", 211); ("rpq", 212); ("scc", 213); ("sim", 214); ("iso", 215) ]
-let backends = [ `Hashtbl; `Csr ]
 let steps = 150
 
 let () =
@@ -26,34 +25,27 @@ let () =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let failed = ref false in
   List.iter
-    (fun backend ->
-      (* Both graph backends: journaled state must be byte-identical
-         across hash seeds on the CSR core too. *)
-      let bname = match backend with `Hashtbl -> "hashtbl" | `Csr -> "csr" in
-      List.iter
-        (fun (name, seed) ->
-          let tag = bname ^ "_" ^ name in
-          let rng = Random.State.make [| 0xbd; seed |] in
-          match Ig_check.Scenarios.by_name ~backend ~rng name with
-          | None ->
-              Printf.eprintf "unknown scenario %s\n" name;
-              failed := true
-          | Some s ->
-              let oc = open_out (Filename.concat dir (tag ^ ".log")) in
-              let emit line =
-                output_string oc line;
-                output_char oc '\n'
-              in
-              (match
-                 Ig_check.Durable.run ~scenario:s
-                   ~dir:(Filename.concat dir (tag ^ ".store"))
-                   ~steps ~seed ~emit ()
-               with
-              | Ok n -> emit (Printf.sprintf "done %d steps" n)
-              | Error msg ->
-                  Printf.eprintf "%s (%s): %s\n" name bname msg;
-                  failed := true);
-              close_out oc)
-        scenarios)
-    backends;
+    (fun (name, seed) ->
+      let rng = Random.State.make [| 0xbd; seed |] in
+      match Ig_check.Scenarios.by_name ~rng name with
+      | None ->
+          Printf.eprintf "unknown scenario %s\n" name;
+          failed := true
+      | Some s ->
+          let oc = open_out (Filename.concat dir (name ^ ".log")) in
+          let emit line =
+            output_string oc line;
+            output_char oc '\n'
+          in
+          (match
+             Ig_check.Durable.run ~scenario:s
+               ~dir:(Filename.concat dir (name ^ ".store"))
+               ~steps ~seed ~emit ()
+           with
+          | Ok n -> emit (Printf.sprintf "done %d steps" n)
+          | Error msg ->
+              Printf.eprintf "%s: %s\n" name msg;
+              failed := true);
+          close_out oc)
+    scenarios;
   if !failed then exit 1
