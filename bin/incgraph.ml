@@ -1083,6 +1083,22 @@ let update_of_spec s =
         | _ -> bad ())
     | _ -> bad ()
 
+(* A comma-separated batch spec, e.g. +0-1,-2-3, is one journaled batch;
+   a malformed element is a usage error. Parses to the spec and its
+   updates. *)
+let batch_spec =
+  let parse s =
+    List.fold_right
+      (fun e acc ->
+        match (update_of_spec e, acc) with
+        | Ok u, Ok (_, us) -> Ok (s, u :: us)
+        | Error e, _ -> Error (`Msg e)
+        | _, (Error _ as err) -> err)
+      (String.split_on_char ',' s)
+      (Ok (s, []))
+  in
+  Arg.conv (parse, fun ppf (s, _) -> Format.pp_print_string ppf s)
+
 (* Recover a store from DIR: plan, rebuild the engine the header names
    over the planned snapshot's graph (falling back to a graph-only client
    when the header's query does not parse), replay, attach. *)
@@ -1137,9 +1153,10 @@ let journal_cmd =
   let qargs_opt = Arg.(value & pos_right 1 string [] & info [] ~docv:"QUERY") in
   let apply_specs =
     Arg.(
-      value & opt_all string []
+      value & opt_all batch_spec []
       & info [ "apply" ]
-          ~doc:"Journal and apply one update batch, e.g. +3-7 or -0-2. \
+          ~doc:"Journal and apply one update batch, e.g. +3-7, -0-2 or \
+                +0-1,-2-3 (comma-separated updates form one batch). \
                 Repeatable; each spec is its own batch."
           ~docv:"SPEC")
   in
@@ -1157,24 +1174,17 @@ let journal_cmd =
             "Crash injection for tests: cut N bytes off the journal file."
           ~docv:"N")
   in
-  let apply_all store specs =
-    List.fold_left
-      (fun acc spec ->
-        match acc with
-        | Error _ as e -> e
-        | Ok () -> (
-            match update_of_spec spec with
-            | Error e -> Error e
-            | Ok u ->
-                (match J.Store.do_batch store [ u ] with
-                | None -> Format.printf "%s: no-op, not journaled@." spec
-                | Some b ->
-                    Format.printf "%s: seq=%d graph=%s@." spec b.J.Record.seq
-                      (short (J.Store.digest store)));
-                Ok ()))
-      (Ok ()) specs
+  let apply_all store batches =
+    List.iter
+      (fun (spec, us) ->
+        match J.Store.do_batch store us with
+        | None -> Format.printf "%s: no-op, not journaled@." spec
+        | Some b ->
+            Format.printf "%s: seq=%d graph=%s@." spec b.J.Record.seq
+              (short (J.Store.digest store)))
+      batches
   in
-  let run dir init graph_file cls bound qargs specs repair chop =
+  let run dir init graph_file cls bound qargs batches repair chop =
     if init then
       match (graph_file, cls) with
       | None, _ | _, None ->
@@ -1192,9 +1202,9 @@ let journal_cmd =
               in
               Format.printf "initialized %s: class %s, graph %s@." dir cls
                 (short (J.Store.digest store));
-              let r = apply_all store specs in
+              apply_all store batches;
               J.Store.close store;
-              (match r with Ok () -> `Ok () | Error e -> `Error (false, e)))
+              `Ok ())
     else if repair then
       match J.Log.repair ~path:(J.Store.journal_path ~dir) with
       | Error e -> `Error (false, e)
@@ -1212,13 +1222,13 @@ let journal_cmd =
             (J.Store.journal_path ~dir);
           `Ok ()
       | None -> (
-          if specs <> [] then
+          if batches <> [] then
             match attach_store ~dir () with
             | Error e -> `Error (false, e)
             | Ok (store, _, _) ->
-                let r = apply_all store specs in
+                apply_all store batches;
                 J.Store.close store;
-                (match r with Ok () -> `Ok () | Error e -> `Error (false, e))
+                `Ok ()
           else
             (* Inspect: read-only scan, no engine rebuild. *)
             match J.Log.scan ~path:(J.Store.journal_path ~dir) with

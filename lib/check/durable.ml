@@ -6,14 +6,14 @@ module Store = Ig_journal.Store
 
 let digest_hex = Journal.digest_hex
 
-(* Wrap an oracle as a store client: effective ops re-enter the
-   engine as unit updates, so the journal sees exactly what the engine
-   applied. *)
+(* Wrap an oracle as a store client: a journaled batch's effective ops
+   re-enter the engine as one batch, so the journal sees exactly what the
+   engine applied. *)
 let client_of inst =
   {
     Store.apply =
       (fun ops ->
-        List.iter inst.Oracle.apply (Journal.updates_of_ops ops));
+        ignore (inst.Oracle.apply_batch (Journal.updates_of_ops ops)));
     graph = (fun () -> inst.Oracle.graph);
     answer_digest = (fun () -> digest_hex (inst.Oracle.answer ()));
     certs = (fun () -> inst.Oracle.cert_snapshot ());
@@ -47,6 +47,12 @@ let clear_trace inst =
 let update_str = function
   | Digraph.Insert (u, v) -> Printf.sprintf "+%d-%d" u v
   | Digraph.Delete (u, v) -> Printf.sprintf "-%d-%d" u v
+
+let batch_str us = String.concat "," (List.map update_str us)
+
+(* A do, and the do half of a do/undo pair, commits 1 to [max_batch]
+   stream updates as one batch. *)
+let max_batch = 4
 
 exception Fuzz_failed of string
 
@@ -94,25 +100,28 @@ let run ~scenario ~dir ~steps ~seed ?(emit = fun _ -> ()) () =
                 fresh.Oracle.graph;
             plan)
   in
+  let draw_batch () =
+    List.init (1 + Random.State.int rng max_batch) (fun _ ->
+        Stream.next !stream)
+  in
   let do_one ~step =
-    let u = Stream.next !stream in
+    let us = draw_batch () in
     clear_trace !inst;
-    match Store.do_batch !store [ u ] with
-    | None -> emit (Printf.sprintf "step %d do %s noop" step (update_str u))
+    match Store.do_batch !store us with
+    | None -> emit (Printf.sprintf "step %d do %s noop" step (batch_str us))
     | Some b ->
         check ~step ~ctx:"do";
         emit
           (Printf.sprintf "step %d do %s seq=%d %s trace=%s" step
-             (update_str u) b.Record.seq (state_str ()) (trace_digest !inst))
+             (batch_str us) b.Record.seq (state_str ()) (trace_digest !inst))
   in
   let do_undo_pair ~step =
     let pre_g = Store.digest !store in
     let pre_a = digest_hex (!inst.Oracle.answer ()) in
-    let u = Stream.next !stream in
+    let us = draw_batch () in
     clear_trace !inst;
-    match Store.do_batch !store [ u ] with
-    | None ->
-        emit (Printf.sprintf "step %d pair %s noop" step (update_str u))
+    match Store.do_batch !store us with
+    | None -> emit (Printf.sprintf "step %d pair %s noop" step (batch_str us))
     | Some _ -> (
         let do_trace = trace_digest !inst in
         clear_trace !inst;
@@ -133,7 +142,7 @@ let run ~scenario ~dir ~steps ~seed ?(emit = fun _ -> ()) () =
             emit
               (Printf.sprintf
                  "step %d pair %s graph=%s answer=%s dotrace=%s undotrace=%s"
-                 step (update_str u) post_g post_a do_trace
+                 step (batch_str us) post_g post_a do_trace
                  (trace_digest !inst)))
   in
   let undo_k ~step =

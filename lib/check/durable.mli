@@ -3,9 +3,9 @@
     Drives one {!Scenarios.t} engine through a journaled session directory
     ({!Ig_journal.Store}), rolling a seeded die each step:
 
-    - {b do} — journal and apply one stream update, then run the full
-      differential {!Oracle.check};
-    - {b do→undo pair} — apply one update and immediately roll it back,
+    - {b do} — journal and apply a batch of 1 to 4 stream updates, then
+      run the full differential {!Oracle.check};
+    - {b do→undo pair} — apply such a batch and immediately roll it back,
       asserting the post-undo graph {e and} answer digests are
       byte-identical to the pre-do state;
     - {b undo k} — roll back the last [k ∈ 1..3] batches (undo of an undo
@@ -41,6 +41,6 @@ val run :
     recovery failure. *)
 
 val client_of : Oracle.t -> Ig_journal.Store.client
-(** A store client over an oracle: journal ops re-enter the engine as
-    unit updates, and snapshots carry the engine's canonical answer digest
-    and its certificate dump ([cert_snapshot]). *)
+(** A store client over an oracle: each journaled batch re-enters the
+    engine as one [apply_batch], and snapshots carry the engine's
+    canonical answer digest and its certificate dump ([cert_snapshot]). *)

@@ -11,6 +11,9 @@ type failure = {
   trace : Tracer.snapshot option;
 }
 
+(* A unit step is a singleton batch. *)
+let apply1 inst u = ignore (inst.Oracle.apply_batch [ u ])
+
 let replay_fails ~make stream =
   match
     let inst = make () in
@@ -18,7 +21,7 @@ let replay_fails ~make stream =
     let prev = ref (Ig_obs.Obs.counters inst.Oracle.obs) in
     List.iter
       (fun u ->
-        inst.Oracle.apply u;
+        apply1 inst u;
         Oracle.check inst;
         prev := Oracle.check_metrics ~prev:!prev inst)
       stream
@@ -45,10 +48,10 @@ let capture_trace ~make stream =
       if not (Tracer.enabled tr) then None
       else begin
         (* The replay is expected to blow up — that is what it reproduces. *)
-        (try List.iter inst.Oracle.apply init with _ -> ());
+        (try List.iter (apply1 inst) init with _ -> ());
         Tracer.clear tr;
         (try
-           inst.Oracle.apply last;
+           apply1 inst last;
            Oracle.check inst
          with _ -> ());
         Some (Tracer.snapshot tr)
@@ -79,7 +82,7 @@ let run ~make ?(focus = []) ~steps ~seed () =
           let u = Stream.next stream in
           applied := u :: !applied;
           match
-            inst.Oracle.apply u;
+            apply1 inst u;
             Oracle.check inst;
             prev := Oracle.check_metrics ~prev:!prev inst
           with

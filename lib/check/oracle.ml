@@ -4,7 +4,6 @@ type t = {
   graph : Ig_graph.Digraph.t;
   obs : Ig_obs.Obs.t;
   trace : Ig_obs.Tracer.t;
-  apply : Ig_graph.Digraph.update -> unit;
   apply_batch : Ig_graph.Digraph.update list -> int * string;
   describe : unit -> string;
   answer : unit -> string;

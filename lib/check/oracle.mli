@@ -18,19 +18,19 @@ type t = {
       (** The incremental engine's series name in reports and traces
           ("IncKWS", "IncSCC", …). *)
   graph : Ig_graph.Digraph.t;
-      (** The live graph the engine maintains (updated by [apply]). The
-          oracle owns it — callers keep their own pristine copy. *)
+      (** The live graph the engine maintains (updated by
+          [apply_batch]). The oracle owns it — callers keep their own
+          pristine copy. *)
   obs : Ig_obs.Obs.t;
       (** The engine's metrics sink, validated by {!check_metrics}. *)
   trace : Ig_obs.Tracer.t;
       (** The engine's event tracer, so failure reports can attach the
           event log of the failing step ({!Harness.failure.trace}). *)
-  apply : Ig_graph.Digraph.update -> unit;
-      (** Apply one unit update incrementally (graph and auxiliary data). *)
   apply_batch : Ig_graph.Digraph.update list -> int * string;
-      (** Apply a whole batch through the engine's batch entry point.
-          Returns |ΔO| (answer items added plus removed) and a one-line ΔO
-          summary such as ["roots +1/-0"]. *)
+      (** Apply a batch through the engine's one entry point (a unit
+          update is a singleton batch). Returns |ΔO| (answer items added
+          plus removed) and a one-line ΔO summary such as
+          ["roots +1/-0"]. *)
   describe : unit -> string;
       (** The size of the current answer in one line, e.g. ["300 roots"]. *)
   answer : unit -> string;  (** The engine's current answer, canonicalized. *)

@@ -66,10 +66,6 @@ let header (cls, bound, qargs) base =
     base_digest = Ig_journal.Journal.graph_digest base;
   }
 
-let apply_edge ~ins ~del = function
-  | Digraph.Insert (u, v) -> ins u v
-  | Digraph.Delete (u, v) -> del u v
-
 (* |ΔO| and the "<noun> +added/-removed" summary line. *)
 let delta_line noun added removed =
   let a = List.length added and r = List.length removed in
@@ -87,7 +83,6 @@ let kws t =
     graph = I.graph t;
     obs = I.obs t;
     trace = I.trace t;
-    apply = apply_edge ~ins:(I.insert_edge t) ~del:(I.delete_edge t);
     apply_batch =
       (fun us ->
         let d = I.apply_batch t us in
@@ -96,6 +91,27 @@ let kws t =
     answer = (fun () -> A.canon_nodes (I.match_roots t));
     recompute =
       (fun () -> A.canon_nodes (Ig_kws.Batch.run (I.graph t) (I.query t)));
+    check_invariants = (fun () -> I.check_invariants t);
+    cert_snapshot = (fun () -> I.cert_snapshot t);
+  }
+
+let scc t =
+  let module I = Ig_scc.Inc_scc in
+  {
+    Oracle.name = "scc";
+    series = "IncSCC";
+    graph = I.graph t;
+    obs = I.obs t;
+    trace = I.trace t;
+    (* Components are reported removed-first: a merge reads "-k/+1". *)
+    apply_batch =
+      (fun us ->
+        let d = I.apply_batch t us in
+        let r = List.length d.I.removed and a = List.length d.I.added in
+        (a + r, Printf.sprintf "components -%d/+%d" r a));
+    describe = (fun () -> count "components" (I.components t));
+    answer = (fun () -> A.canon_comps (I.components t));
+    recompute = (fun () -> A.canon_comps (Ig_scc.Tarjan.scc (I.graph t)));
     check_invariants = (fun () -> I.check_invariants t);
     cert_snapshot = (fun () -> I.cert_snapshot t);
   }
@@ -114,7 +130,6 @@ let make ?(obs = Ig_obs.Obs.create ()) ?(trace = Ig_obs.Tracer.create ()) g
         graph = g;
         obs;
         trace;
-        apply = apply_edge ~ins:(I.insert_edge t) ~del:(I.delete_edge t);
         apply_batch =
           (fun us ->
             let d = I.apply_batch t us in
@@ -125,28 +140,7 @@ let make ?(obs = Ig_obs.Obs.create ()) ?(trace = Ig_obs.Tracer.create ()) g
         check_invariants = (fun () -> I.check_invariants t);
         cert_snapshot = (fun () -> I.cert_snapshot t);
       }
-  | Scc ->
-      let module I = Ig_scc.Inc_scc in
-      let t = I.init ~config:I.inc_config ~obs ~trace g in
-      {
-        Oracle.name = "scc";
-        series = "IncSCC";
-        graph = g;
-        obs;
-        trace;
-        apply = apply_edge ~ins:(I.insert_edge t) ~del:(I.delete_edge t);
-        (* Components are reported removed-first: a merge reads "-k/+1". *)
-        apply_batch =
-          (fun us ->
-            let d = I.apply_batch t us in
-            let r = List.length d.I.removed and a = List.length d.I.added in
-            (a + r, Printf.sprintf "components -%d/+%d" r a));
-        describe = (fun () -> count "components" (I.components t));
-        answer = (fun () -> A.canon_comps (I.components t));
-        recompute = (fun () -> A.canon_comps (Ig_scc.Tarjan.scc g));
-        check_invariants = (fun () -> I.check_invariants t);
-        cert_snapshot = (fun () -> I.cert_snapshot t);
-      }
+  | Scc -> scc (Ig_scc.Inc_scc.init ~obs ~trace g)
   | Iso p ->
       let module I = Ig_iso.Inc_iso in
       let t = I.init ~obs ~trace g p in
@@ -156,7 +150,6 @@ let make ?(obs = Ig_obs.Obs.create ()) ?(trace = Ig_obs.Tracer.create ()) g
         graph = g;
         obs;
         trace;
-        apply = apply_edge ~ins:(I.insert_edge t) ~del:(I.delete_edge t);
         apply_batch =
           (fun us ->
             let d = I.apply_batch t us in
@@ -177,7 +170,6 @@ let make ?(obs = Ig_obs.Obs.create ()) ?(trace = Ig_obs.Tracer.create ()) g
         graph = g;
         obs;
         trace;
-        apply = apply_edge ~ins:(I.insert_edge t) ~del:(I.delete_edge t);
         apply_batch =
           (fun us ->
             let d = I.apply_batch t us in

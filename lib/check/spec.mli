@@ -50,6 +50,11 @@ val kws : Ig_kws.Inc_kws.t -> Oracle.t
     graph — the hook mutation tests use to corrupt a certificate entry
     before handing the engine over. *)
 
+val scc : Ig_scc.Inc_scc.t -> Oracle.t
+(** The SCC oracle over an already-built engine, without copying its
+    graph — the hook tests use to fuzz the IncSCCn and DynSCC
+    configurations ({!Ig_scc.Inc_scc.config}). *)
+
 val run_batch : Ig_graph.Digraph.t -> t -> string
 (** Answer the query once with the class's batch algorithm and describe
     the answer in one line, e.g. ["KWS: 300 match roots"]. *)

@@ -168,12 +168,6 @@ let process t updates =
   if t.grouped then process_inserts t (List.filter (insert t) inss)
   else List.iter (fun e -> if insert t e then process_inserts t [ e ]) inss
 
-let insert_edge t u v =
-  Obs.with_apply t.obs @@ fun () -> process t [ Digraph.Insert (u, v) ]
-
-let delete_edge t u v =
-  Obs.with_apply t.obs @@ fun () -> process t [ Digraph.Delete (u, v) ]
-
 let apply_batch t updates =
   Obs.with_apply t.obs @@ fun () ->
   Obs.with_span t.obs "iso.process" (fun () ->

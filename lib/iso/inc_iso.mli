@@ -54,10 +54,10 @@ val init :
       the anchors, each an adjacency entry of an already-bound node;
     - [changed]: |ΔG| (net) + |ΔO|.
 
-    Each outermost {!apply_batch}/{!insert_edge}/{!delete_edge} call also
-    records one sample into the [apply_latency_s] histogram (monotonic
-    seconds) and the [gc_minor_words]/[gc_major_words]/[gc_promoted_words]
-    histograms (words allocated, per {!Ig_obs.Obs.with_apply}). [trace]
+    Each {!apply_batch} call also records one sample into the
+    [apply_latency_s] histogram (monotonic seconds) and the
+    [gc_minor_words]/[gc_major_words]/[gc_promoted_words] histograms
+    (words allocated, per {!Ig_obs.Obs.with_apply}). [trace]
     (default {!Ig_obs.Tracer.noop}) receives structured events:
     [Aff_enter] tagged [Iso_match_broken] (a match ran through a deleted
     edge) or [Iso_ball_rematch] (a fresh match from an anchored VF2 run),
@@ -75,19 +75,13 @@ val trace : t -> Ig_obs.Tracer.t
 (** The event tracer the session was created with. *)
 
 val add_node : t -> string -> node
-(** A fresh node (matches only single-node patterns until edges arrive). *)
-
-val insert_edge : t -> node -> node -> unit
-val delete_edge : t -> node -> node -> unit
-(** One-update batches, without the [iso.process] span; the delta
-    accumulates until {!flush_delta}. *)
+(** A fresh node (matches only single-node patterns until edges arrive).
+    A match it forms is reported by the next {!apply_batch}. *)
 
 val apply_batch : t -> Ig_graph.Digraph.update list -> delta
 (** Apply the batch's net effect and return ΔO. The graph ends as
     {!Ig_graph.Digraph.apply_batch} would leave it, whatever the order of
     updates to the same edge. *)
-
-val flush_delta : t -> delta
 
 val matches : t -> Vf2.mapping list
 val n_matches : t -> int

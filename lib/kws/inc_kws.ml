@@ -264,20 +264,6 @@ let apply_batch t updates =
       updates;
   flush_delta t
 
-let insert_edge t u v =
-  Obs.with_apply t.obs @@ fun () ->
-  if Digraph.add_edge t.g u v then begin
-    Obs.note_changed_input t.obs 1;
-    process_all t ~dels:[] ~inss:[ (u, v) ]
-  end
-
-let delete_edge t u v =
-  Obs.with_apply t.obs @@ fun () ->
-  if Digraph.remove_edge t.g u v then begin
-    Obs.note_changed_input t.obs 1;
-    process_all t ~dels:[ (u, v) ] ~inss:[]
-  end
-
 let add_node t label =
   let v = Digraph.add_node t.g label in
   let sym = Digraph.label t.g v in

@@ -53,10 +53,10 @@ val init :
     entries invalidated), [cert_rewrites] (entries re-settled),
     [nodes_visited], [edges_relaxed], [queue_pushes], and the
     [changed]/[changed_input]/[changed_output] accounting of |ΔG| + |ΔO|.
-    Each outermost {!apply_batch}/{!insert_edge}/{!delete_edge} call also
-    records one sample into the [apply_latency_s] histogram (monotonic
-    seconds) and the [gc_minor_words]/[gc_major_words]/[gc_promoted_words]
-    histograms (words allocated, per {!Ig_obs.Obs.with_apply}). [trace]
+    Each {!apply_batch} call also records one sample into the
+    [apply_latency_s] histogram (monotonic seconds) and the
+    [gc_minor_words]/[gc_major_words]/[gc_promoted_words] histograms
+    (words allocated, per {!Ig_obs.Obs.with_apply}). [trace]
     (default {!Ig_obs.Tracer.noop}) receives typed provenance events at the
     same sites: [Aff_enter] tagged [Kws_next_on_deleted]
     (Fig. 3 lines 1-6) or [Kws_shorter_kdist] (Fig. 1), [Cert_rewrite] per
@@ -74,12 +74,11 @@ val trace : t -> Ig_obs.Tracer.t
 (** The event tracer the session was created with. *)
 
 val add_node : t -> string -> node
-(** A fresh node; it immediately matches any keyword equal to its label. *)
+(** A fresh node; it immediately matches any keyword equal to its label.
+    A match root it adds is reported by the next {!apply_batch}. *)
 
-val insert_edge : t -> node -> node -> unit
-val delete_edge : t -> node -> node -> unit
 val apply_batch : t -> Ig_graph.Digraph.update list -> delta
-val flush_delta : t -> delta
+(** Apply the batch's net effect and return ΔO since the previous call. *)
 
 val match_roots : t -> node list
 val n_matches : t -> int

@@ -11,7 +11,7 @@
          through the sorted helpers or explicitly annotated
      D3  no ambient nondeterminism (global Random, wall clock) in lib/
          outside lib/obs's monotonic clock
-     D4  every exported update entry point of an inc_*.ml engine is
+     D4  the one update entry point of an inc_*.ml engine, apply_batch, is
          wrapped in Obs.with_apply, and the engine emits rule-tagged
          tracer events; the storage entry points of the graph
          (compaction) and the durability layer carry at least one Obs
@@ -147,7 +147,7 @@ let rec app_head e =
   | Pexp_apply (f, _) -> app_head f
   | _ -> e
 
-let d4_entry_points = [ "insert_edge"; "delete_edge"; "apply_batch" ]
+let d4_entry_points = [ "apply_batch" ]
 
 (* The storage half of D4: graph compaction and the durability layer also
    promise deep instrumentation (DESIGN.md §8.6) — compaction, WAL

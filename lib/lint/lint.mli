@@ -16,9 +16,9 @@
       pass.)
     - [D3] no global [Random], [Sys.time], [Unix.gettimeofday] or
       [Unix.time] in lib/ outside lib/obs.
-    - [D4] every top-level [insert_edge]/[delete_edge]/[apply_batch] in a
-      lib/ [inc_*.ml] is wrapped in [Obs.with_apply], and the file emits
-      at least one rule-tagged [Tracer.aff_enter].
+    - [D4] a top-level [apply_batch] (an engine's one update entry point)
+      in a lib/ [inc_*.ml] is wrapped in [Obs.with_apply], and the file
+      emits at least one rule-tagged [Tracer.aff_enter].
     - [D5] every lib/ [.ml] has a sibling [.mli].
 
     Suppression: [(expr [@lint.allow "RULE"])] for a subtree,

@@ -21,9 +21,6 @@ type registry = {
   spans : (string, int ref * float ref) Hashtbl.t; (* entries, cumulative s *)
   mutable span_stack : (string * float) list;
   histos : (string, Histogram.t) Hashtbl.t;
-  mutable in_apply : bool;
-      (* reentrancy guard for [with_apply]: a batch entry point that funnels
-         through unit entry points must record one sample, not two *)
 }
 
 type t = Noop | Reg of registry
@@ -39,7 +36,6 @@ let create () =
       spans = Hashtbl.create 8;
       span_stack = [];
       histos = Hashtbl.create 8;
-      in_apply = false;
     }
 
 (* ---- the clock ------------------------------------------------------------
@@ -250,9 +246,8 @@ let hist_slot r name =
 let observe t name v =
   match t with Noop -> () | Reg r -> Histogram.observe (hist_slot r name) v
 
-(* Time [f] on the monotonic clock into the [name] histogram. Unlike
-   [with_apply] there is no reentrancy guard: each call is one sample.
-   The Noop sink costs one branch and never reads the clock. *)
+(* Time [f] on the monotonic clock into the [name] histogram, one sample
+   per call. The Noop sink costs one branch and never reads the clock. *)
 let observe_time t name f =
   match t with
   | Noop -> f ()
@@ -277,17 +272,13 @@ let histograms = function
    for a batch that runs no minor collection, and [Gc.counters] reports
    minor words divided by the word size. Major and promoted words come
    from [Gc.counters] and are collection-granular: they move only when a
-   collection runs inside the batch. Engines wrap both their batch and
-   their unit entry points with this; the reentrancy guard makes the
-   outermost wrapper the one that records, so a batch that funnels through
-   unit entry points still contributes exactly one sample. The Noop sink
+   collection runs inside the batch. Engines wrap their one entry point,
+   [apply_batch], with this, so each batch is one sample. The Noop sink
    costs one branch. *)
 let with_apply t f =
   match t with
   | Noop -> f ()
-  | Reg r when r.in_apply -> f ()
-  | Reg r ->
-      r.in_apply <- true;
+  | Reg _ ->
       let _, promoted0, major0 = Gc.counters () in
       let minor0 = Gc.minor_words () in
       let t0 = now_ns () in
@@ -296,7 +287,6 @@ let with_apply t f =
           let dt = Int64.to_float (Int64.sub (now_ns ()) t0) *. 1e-9 in
           let minor1 = Gc.minor_words () in
           let _, promoted1, major1 = Gc.counters () in
-          r.in_apply <- false;
           observe t K.apply_latency dt;
           observe t K.gc_minor_words (minor1 -. minor0);
           observe t K.gc_major_words (major1 -. major0);

@@ -82,20 +82,20 @@ module K : sig
   (** Certificate snapshots written. *)
 
   val apply_latency : string
-  (** Histogram of seconds per apply/batch call, recorded by
+  (** Histogram of seconds per apply_batch call, recorded by
       {!with_apply}. *)
 
   val gc_minor_words : string
-  (** Histogram of minor-heap words allocated per apply/batch call, read
+  (** Histogram of minor-heap words allocated per apply_batch call, read
       exactly from [Gc.minor_words]. *)
 
   val gc_major_words : string
   (** Histogram of major-heap words (allocated directly or promoted) per
-      apply/batch call, from [Gc.counters]: collection-granular, it moves
+      apply_batch call, from [Gc.counters]: collection-granular, it moves
       only when a collection runs inside the call. *)
 
   val gc_promoted_words : string
-  (** Histogram of words promoted minor→major per apply/batch call, from
+  (** Histogram of words promoted minor→major per apply_batch call, from
       [Gc.counters]: collection-granular, like {!gc_major_words}. *)
 
   val csr_overlay_add : string
@@ -184,8 +184,8 @@ val observe : t -> string -> float -> unit
 
 val observe_time : t -> string -> (unit -> 'a) -> 'a
 (** Time the thunk on the monotonic clock into the [name] histogram —
-    one sample per call ({!with_apply} minus the GC accounting and the
-    reentrancy guard). On {!noop}: one branch, no clock read. *)
+    one sample per call ({!with_apply} minus the GC accounting). On
+    {!noop}: one branch, no clock read. *)
 
 val histogram : t -> string -> Histogram.t option
 (** The live histogram for a name; [None] on {!noop} or before the first
@@ -200,10 +200,8 @@ val with_apply : t -> (unit -> 'a) -> 'a
     monotonic duration into the {!K.apply_latency} histogram and the words
     it allocated into the [gc_*] histograms (minor words exact, from
     [Gc.minor_words]; major and promoted words collection-granular, from
-    [Gc.counters]). Reentrant calls on
-    the same registry record only at the outermost level, so a batch entry
-    point that funnels through unit entry points contributes exactly one
-    sample. On {!noop} this is a single branch. *)
+    [Gc.counters]). Every call records one sample; engines call it once
+    per [apply_batch]. On {!noop} this is a single branch. *)
 
 (** {2 Snapshots} *)
 

@@ -317,20 +317,6 @@ let apply_batch t updates =
       updates;
   flush_delta t
 
-let insert_edge t u v =
-  Obs.with_apply t.obs @@ fun () ->
-  if Digraph.add_edge (graph t) u v then begin
-    Obs.note_changed_input t.obs 1;
-    process_all t ~dels:[] ~inss:[ (u, v) ]
-  end
-
-let delete_edge t u v =
-  Obs.with_apply t.obs @@ fun () ->
-  if Digraph.remove_edge (graph t) u v then begin
-    Obs.note_changed_input t.obs 1;
-    process_all t ~dels:[ (u, v) ] ~inss:[]
-  end
-
 let register_source t u =
   let ss = { marks = Hashtbl.create 16; accs = Hashtbl.create 8 } in
   Hashtbl.replace t.srcs u ss;

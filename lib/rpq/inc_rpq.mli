@@ -60,8 +60,7 @@ val init :
     {!Ig_obs.Obs.noop}) receives cost counters: [aff] (product-graph
     markings invalidated — the measured |AFF|), [cert_rewrites] (markings
     re-settled), [nodes_visited], [edges_relaxed], [queue_pushes], and
-    [changed] = |ΔG| + |ΔO|. Each outermost
-    {!apply_batch}/{!insert_edge}/{!delete_edge} call also records one
+    [changed] = |ΔG| + |ΔO|. Each {!apply_batch} call also records one
     sample into the [apply_latency_s] histogram (monotonic seconds) and
     the [gc_minor_words]/[gc_major_words]/[gc_promoted_words] histograms
     (words allocated, per {!Ig_obs.Obs.with_apply}). [trace] (default
@@ -90,14 +89,11 @@ val trace : t -> Ig_obs.Tracer.t
 
 val add_node : t -> string -> node
 (** Add a fresh node; it becomes a new source if its label can start a
-    path in [L(Q)]. *)
-
-val insert_edge : t -> node -> node -> unit
-val delete_edge : t -> node -> node -> unit
+    path in [L(Q)]. A pair it adds is reported by the next
+    {!apply_batch}. *)
 
 val apply_batch : t -> Ig_graph.Digraph.update list -> delta
-
-val flush_delta : t -> delta
+(** Apply the batch's net effect and return ΔO since the previous call. *)
 
 val matches : t -> (node * node) list
 (** Current [Q(G)]. *)

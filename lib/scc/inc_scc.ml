@@ -449,14 +449,6 @@ let insert_inter t cu cv =
    (DynSCC-style structure upkeep). *)
 let insert_intra t c = if t.cfg.eager_cert then refresh_cert t c
 
-let insert_edge t u v =
-  Obs.with_apply t.obs @@ fun () ->
-  if Digraph.add_edge t.g u v then begin
-    Obs.note_changed_input t.obs 1;
-    let cu = comp_of t u and cv = comp_of t v in
-    if cu = cv then insert_intra t cu else insert_inter t cu cv
-  end
-
 (* ---- Deletions (IncSCC−) --------------------------------------------- *)
 
 (* The recorded run stays valid iff the deleted intra-component edge is
@@ -488,14 +480,6 @@ let delete_intra t c u v =
     Hashtbl.replace t.dirty c ()
   else recert_or_split t c
 
-let delete_edge t u v =
-  Obs.with_apply t.obs @@ fun () ->
-  if Digraph.remove_edge t.g u v then begin
-    Obs.note_changed_input t.obs 1;
-    let cu = comp_of t u and cv = comp_of t v in
-    if cu <> cv then cremove t cu cv 1 else delete_intra t cu u v
-  end
-
 (* ---- Nodes ------------------------------------------------------------ *)
 
 let add_node t label =
@@ -508,9 +492,21 @@ let add_node t label =
 
 (* ---- Batch updates (IncSCC) ------------------------------------------ *)
 
+(* IncSCCn: one unit update at a time, in batch order, each taking the
+   paper's IncSCC+ / IncSCC− step on its own. *)
 let apply_unit t = function
-  | Digraph.Insert (u, v) -> insert_edge t u v
-  | Digraph.Delete (u, v) -> delete_edge t u v
+  | Digraph.Insert (u, v) ->
+      if Digraph.add_edge t.g u v then begin
+        Obs.note_changed_input t.obs 1;
+        let cu = comp_of t u and cv = comp_of t v in
+        if cu = cv then insert_intra t cu else insert_inter t cu cv
+      end
+  | Digraph.Delete (u, v) ->
+      if Digraph.remove_edge t.g u v then begin
+        Obs.note_changed_input t.obs 1;
+        let cu = comp_of t u and cv = comp_of t v in
+        if cu <> cv then cremove t cu cv 1 else delete_intra t cu u v
+      end
 
 let apply_batch_grouped t updates =
   (* Classify the batch's net effect against the components at batch

@@ -92,11 +92,11 @@ val init :
     plus rank-region size — the measured |AFF|), [cert_rewrites],
     [nodes_visited], [edges_relaxed] and [queue_pushes] (affected-region
     closures over the contracted graph), [rank_moves], [violations],
-    [fast_deletes], and [changed] = |ΔG| + |ΔO|. Each outermost
-    {!apply_batch}/{!insert_edge}/{!delete_edge} call also records one
-    sample into the [apply_latency_s] histogram (monotonic seconds) and
-    the [gc_minor_words]/[gc_major_words]/[gc_promoted_words] histograms
-    (words allocated, per {!Ig_obs.Obs.with_apply}). [trace] (default
+    [fast_deletes], and [changed] = |ΔG| + |ΔO|. Each {!apply_batch} call
+    also records one sample into the [apply_latency_s] histogram
+    (monotonic seconds) and the [gc_minor_words]/[gc_major_words]/
+    [gc_promoted_words] histograms (words allocated, per
+    {!Ig_obs.Obs.with_apply}). [trace] (default
     {!Ig_obs.Tracer.noop}) receives structured events: [Aff_enter] tagged
     [Scc_local_tarjan] (node re-certified by a local Tarjan run; node ids)
     or [Scc_rank_swap] (component inside the affected rank region;
@@ -114,16 +114,11 @@ val trace : t -> Ig_obs.Tracer.t
 (** The event tracer the engine was created with. *)
 
 val add_node : t -> string -> node
-(** Add a fresh labeled node (a new singleton component). *)
-
-val insert_edge : t -> node -> node -> unit
-val delete_edge : t -> node -> node -> unit
+(** Add a fresh labeled node (a new singleton component, reported as
+    added by the next {!apply_batch}). *)
 
 val apply_batch : t -> Ig_graph.Digraph.update list -> delta
-(** Apply a batch and return the output changes since the last flush. *)
-
-val flush_delta : t -> delta
-(** Collect ΔO accumulated by unit updates since the last flush. *)
+(** Apply a batch and return ΔO since the previous call. *)
 
 val components : t -> node list list
 (** Current [SCC(G)]. *)

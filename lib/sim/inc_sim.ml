@@ -293,12 +293,6 @@ let process t updates =
     | Some cand -> merge t cand (fixpoint t cand)
   end
 
-let insert_edge t a b =
-  Obs.with_apply t.obs @@ fun () -> process t [ Digraph.Insert (a, b) ]
-
-let delete_edge t a b =
-  Obs.with_apply t.obs @@ fun () -> process t [ Digraph.Delete (a, b) ]
-
 let apply_batch t updates =
   Obs.with_apply t.obs @@ fun () ->
   Obs.with_span t.obs "sim.process" (fun () ->

@@ -48,12 +48,11 @@ val init :
       candidate fixpoint;
     - [changed]: |ΔG| (net) + |ΔO|.
 
-    Each outermost {!apply_batch}/{!insert_edge}/{!delete_edge} call also
-    records one sample into the [apply_latency_s] histogram (monotonic
-    seconds) and the [gc_minor_words]/[gc_major_words]/
-    [gc_promoted_words] histograms (words allocated, per
-    {!Ig_obs.Obs.with_apply}). [trace] (default {!Ig_obs.Tracer.noop})
-    receives structured events:
+    Each {!apply_batch} call also records one sample into the
+    [apply_latency_s] histogram (monotonic seconds) and the
+    [gc_minor_words]/[gc_major_words]/[gc_promoted_words] histograms
+    (words allocated, per {!Ig_obs.Obs.with_apply}). [trace] (default
+    {!Ig_obs.Tracer.noop}) receives structured events:
     [Aff_enter] tagged [Sim_support_zero] (a pair's support counter hit
     zero in the cascade) or [Sim_revalidated] (a pair joined the greatest
     simulation, in (pattern node, graph node) order per batch),
@@ -69,17 +68,10 @@ val obs : t -> Ig_obs.Obs.t
 val trace : t -> Ig_obs.Tracer.t
 (** The event tracer the session was created with. *)
 
-val insert_edge : t -> node -> node -> unit
-val delete_edge : t -> node -> node -> unit
-(** One-update batches, without the [sim.process] span; the delta
-    accumulates until {!flush_delta}. *)
-
 val apply_batch : t -> Ig_graph.Digraph.update list -> delta
 (** Apply the batch's net effect and return ΔO. The graph ends as
     {!Ig_graph.Digraph.apply_batch} would leave it, whatever the order of
     updates to the same edge. *)
-
-val flush_delta : t -> delta
 
 val relation : t -> Sim.relation
 (** The current greatest simulation (do not mutate). *)

@@ -43,7 +43,8 @@ session() {
       -o "trace_$cls.json" "$cls" "$@"
     run explain -g g.graph --batches 2 --size 40 --seed 11 "$cls" "$@"
     d=journal_$cls.dir
-    run journal "$d" "$cls" --init -g g.graph "$@" --apply +0-1 --apply +1-0
+    run journal "$d" "$cls" --init -g g.graph "$@" --apply +0-1 --apply +1-0 \
+      --apply +2-0,-0-1
     run snapshot "$d"
     run journal "$d" --apply +1-2
     run journal "$d" --chop 5

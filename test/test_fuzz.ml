@@ -40,16 +40,39 @@ let compacted (s : Sc.t) =
   Digraph.compact base;
   { s with Sc.base; make = (fun () -> Sp.make base s.Sc.spec) }
 
-let lookup ~csr ~rng name =
-  Option.map (if csr then compacted else Fun.id) (Sc.by_name ~rng name)
+(* IncSCCn and DynSCC: the SCC scenario with its engine built under
+   another configuration. Their one-by-one path (IncSCC−'s reachability
+   check and dirty marks) is not a singleton grouped batch, so it gets
+   cases of its own. *)
+let scc_configs =
+  [ ("incn", Ig_scc.Inc_scc.incn_config); ("dyn", Ig_scc.Inc_scc.dyn_config) ]
 
-let scenario_case ~csr (name, seed) =
+let with_scc_config config (s : Sc.t) =
+  let make () =
+    Sp.scc
+      (Ig_scc.Inc_scc.init ~config ~obs:(Ig_obs.Obs.create ())
+         ~trace:(Ig_obs.Tracer.create ()) (Digraph.copy s.Sc.base))
+  in
+  { s with Sc.make }
+
+let lookup ~csr ?config ~rng name =
+  Sc.by_name ~rng name
+  |> Option.map (if csr then compacted else Fun.id)
+  |> Option.map
+       (match config with
+       | None -> Fun.id
+       | Some (_, c) -> with_scc_config c)
+
+let label ?config name =
+  match config with None -> name | Some (tag, _) -> name ^ "-" ^ tag
+
+let scenario_case ~csr ?config (name, seed) =
   Alcotest.test_case
-    (Printf.sprintf "%s: %d steps vs batch oracle" name steps)
+    (Printf.sprintf "%s: %d steps vs batch oracle" (label ?config name) steps)
     `Quick
     (fun () ->
       let rng = Random.State.make [| 0x90; seed |] in
-      match lookup ~csr ~rng name with
+      match lookup ~csr ?config ~rng name with
       | None -> Alcotest.failf "unknown scenario %s" name
       | Some s -> (
           match
@@ -71,7 +94,12 @@ let scenario_seeds =
     ("gadget", 106);
   ]
 
-let scenario_cases = List.map (scenario_case ~csr:false) scenario_seeds
+let scenario_cases =
+  List.map (scenario_case ~csr:false) scenario_seeds
+  @ List.map2
+      (fun config seed -> scenario_case ~csr:false ~config ("scc", seed))
+      scc_configs [ 107; 108 ]
+
 let scenario_cases_csr = List.map (scenario_case ~csr:true) scenario_seeds
 
 (* ---- durable fuzz: journaled do/undo/crash-recover interleavings -------- *)
@@ -84,13 +112,14 @@ let scenario_cases_csr = List.map (scenario_case ~csr:true) scenario_seeds
    to the cheaper differential cases above. *)
 let durable_steps = 200
 
-let durable_case ~csr (name, seed) =
+let durable_case ~csr ?config (name, seed) =
+  let label = label ?config name in
   Alcotest.test_case
-    (Printf.sprintf "%s: %d journaled do/undo/crash steps" name durable_steps)
+    (Printf.sprintf "%s: %d journaled do/undo/crash steps" label durable_steps)
     `Quick
     (fun () ->
       let rng = Random.State.make [| 0xd0; seed |] in
-      match lookup ~csr ~rng name with
+      match lookup ~csr ?config ~rng name with
       | None -> Alcotest.failf "unknown scenario %s" name
       | Some s -> (
           match
@@ -98,7 +127,7 @@ let durable_case ~csr (name, seed) =
               ~dir:
                 (Printf.sprintf "durable_%s%s"
                    (if csr then "csr_" else "")
-                   name)
+                   label)
               ~steps:durable_steps ~seed ()
           with
           | Ok n -> check Alcotest.int "steps completed" durable_steps n
@@ -107,7 +136,12 @@ let durable_case ~csr (name, seed) =
 let durable_seeds =
   [ ("kws", 201); ("rpq", 202); ("scc", 203); ("sim", 204); ("iso", 205) ]
 
-let durable_cases = List.map (durable_case ~csr:false) durable_seeds
+let durable_cases =
+  List.map (durable_case ~csr:false) durable_seeds
+  @ List.map2
+      (fun config seed -> durable_case ~csr:false ~config ("scc", seed))
+      scc_configs [ 206; 207 ]
+
 let durable_cases_csr = List.map (durable_case ~csr:true) durable_seeds
 
 (* ---- stream driver ------------------------------------------------------ *)
@@ -202,23 +236,22 @@ let buggy_scc g =
   let module I = Ig_scc.Inc_scc in
   let truth = Digraph.copy g in
   let eng = I.init ~obs:Ig_obs.Obs.noop ~trace:(Ig_obs.Tracer.create ()) g in
-  let apply u =
-    ignore (Digraph.apply truth u);
-    match u with
-    | Digraph.Delete (0, _) -> () (* the planted bug *)
-    | Digraph.Insert (a, b) -> I.insert_edge eng a b
-    | Digraph.Delete (a, b) -> I.delete_edge eng a b
-  in
+  let kept = function Digraph.Delete (0, _) -> false | _ -> true in
   {
     O.name = "buggy-scc";
     series = "BuggySCC";
     graph = truth;
     obs = I.obs eng;
     trace = I.trace eng;
-    apply;
     apply_batch =
       (fun us ->
-        List.iter apply us;
+        Digraph.apply_batch truth us;
+        (* The planted bug: the engine never sees those deletions. A
+           batch left empty is not applied at all, so the dropped step
+           leaves no event, not even a span. *)
+        (match List.filter kept us with
+        | [] -> ()
+        | us -> ignore (I.apply_batch eng us));
         (0, ""));
     describe = (fun () -> "");
     answer = (fun () -> A.canon_comps (I.components eng));
@@ -399,6 +432,43 @@ let test_spec_apply_batch () =
         (digest s.Sc.base))
     (Sc.all ~rng ())
 
+(* The durable path reports no stale ΔO: every scenario commits batches
+   through [Durable.client_of] and undoes two of them, after which an
+   empty [apply_batch] must report |ΔO| = 0. ΔO that the durable path left
+   unreported would surface here as the empty batch's own changes. *)
+let test_durable_no_stale_delta () =
+  let rng = Random.State.make [| 0x57a1e; 1 |] in
+  List.iter
+    (fun (s : Sc.t) ->
+      let name = s.Sc.name in
+      let inst = s.Sc.make () in
+      let store =
+        Ig_journal.Store.init ~dir:("durable_stale_" ^ name)
+          ~header:(Sp.header (Sp.to_args s.Sc.spec) s.Sc.base)
+          ~client:(Ig_check.Durable.client_of inst) ()
+      in
+      let stream =
+        St.create
+          ~rng:(Random.State.make [| 0x57a1e; 2 |])
+          ~focus:s.Sc.focus inst.O.graph
+      in
+      for _ = 1 to 12 do
+        ignore
+          (Ig_journal.Store.do_batch store
+             (List.init 4 (fun _ -> St.next stream)))
+      done;
+      (match Ig_journal.Store.undo store ~k:2 with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s: undo: %s" name e);
+      Ig_journal.Store.close store;
+      O.check inst;
+      let n, line = inst.O.apply_batch [] in
+      check Alcotest.int (Printf.sprintf "%s: empty batch ΔO (%s)" name line)
+        0 n)
+    (List.filter
+       (fun (s : Sc.t) -> s.Sc.name <> "gadget")
+       (Sc.all ~rng ()))
+
 let () =
   Alcotest.run "ig_check"
     [
@@ -429,5 +499,7 @@ let () =
           Alcotest.test_case "args round-trip" `Quick test_spec_round_trip;
           Alcotest.test_case "apply_batch matches batch rerun" `Quick
             test_spec_apply_batch;
+          Alcotest.test_case "durable path leaves no stale ΔO" `Quick
+            test_durable_no_stale_delta;
         ] );
     ]

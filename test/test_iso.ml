@@ -180,8 +180,7 @@ let test_inc_insert_completes_triangle () =
   let g = labeled_graph [ "a"; "b"; "c" ] [ (0, 1); (1, 2) ] in
   let t = I.init g (tri_pattern ()) in
   check Alcotest.int "none yet" 0 (I.n_matches t);
-  I.insert_edge t 2 0;
-  let d = I.flush_delta t in
+  let d = I.apply_batch t [ Digraph.Insert (2, 0) ] in
   check Alcotest.int "one added" 1 (List.length d.added);
   check Alcotest.int "total" 1 (I.n_matches t);
   assert_sound "triangle" t
@@ -190,8 +189,7 @@ let test_inc_delete_breaks_match () =
   let g = labeled_graph [ "a"; "b"; "c" ] [ (0, 1); (1, 2); (2, 0) ] in
   let t = I.init g (tri_pattern ()) in
   check Alcotest.int "one" 1 (I.n_matches t);
-  I.delete_edge t 1 2;
-  let d = I.flush_delta t in
+  let d = I.apply_batch t [ Digraph.Delete (1, 2) ] in
   check Alcotest.int "removed" 1 (List.length d.removed);
   check Alcotest.int "none" 0 (I.n_matches t);
   assert_sound "break" t
@@ -204,8 +202,7 @@ let test_inc_shared_edge_multi_matches () =
   in
   let t = I.init g (tri_pattern ()) in
   check Alcotest.int "two" 2 (I.n_matches t);
-  I.delete_edge t 0 1;
-  let d = I.flush_delta t in
+  let d = I.apply_batch t [ Digraph.Delete (0, 1) ] in
   check Alcotest.int "both removed" 2 (List.length d.removed);
   assert_sound "shared edge" t
 
@@ -224,7 +221,7 @@ let test_inc_add_node_single_pattern () =
   let t = I.init g (P.create ~labels:[ "a" ] ~edges:[]) in
   check Alcotest.int "none" 0 (I.n_matches t);
   ignore (I.add_node t "a");
-  let d = I.flush_delta t in
+  let d = I.apply_batch t [] in
   check Alcotest.int "one" 1 (List.length d.added);
   assert_sound "single node" t
 

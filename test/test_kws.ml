@@ -101,8 +101,7 @@ let assert_sound msg t =
 
 let test_example1 () =
   let t = I.init (fig2 ()) qad in
-  I.insert_edge t (fst e1) (snd e1);
-  let d = I.flush_delta t in
+  let d = I.apply_batch t [ Digraph.Insert (fst e1, snd e1) ] in
   (* kdist(b2)[d]: <2,b4> -> <1,d1>; kdist(c2)[d]: undefined -> <2,b2> *)
   (match I.kdist t b2 1 with
   | Some e ->
@@ -120,10 +119,8 @@ let test_example1 () =
 
 let test_example2 () =
   let t = I.init (fig2 ()) qad in
-  I.insert_edge t (fst e1) (snd e1);
-  ignore (I.flush_delta t);
-  I.delete_edge t (fst e2) (snd e2);
-  let d = I.flush_delta t in
+  ignore (I.apply_batch t [ Digraph.Insert (fst e1, snd e1) ]);
+  let d = I.apply_batch t [ Digraph.Delete (fst e2, snd e2) ] in
   (* c2 can no longer root a match: its a-distance via b2 hits the bound. *)
   check_roots "T_c2 removed" [ c2 ] d.removed;
   check Alcotest.bool "no kdist(c2)[a]" true (I.kdist t c2 0 = None);
@@ -164,8 +161,7 @@ let test_inc_insert_noop_beyond_bound () =
   let g = labeled_graph [ "x"; "x"; "k" ] [ (1, 2) ] in
   let t = I.init g { B.keywords = [ "k" ]; bound = 1 } in
   (* 0 -> 1 gives 0 a distance of 2 > bound: no entry may appear. *)
-  I.insert_edge t 0 1;
-  let d = I.flush_delta t in
+  let d = I.apply_batch t [ Digraph.Insert (0, 1) ] in
   check_roots "nothing" [] (d.added @ d.removed);
   check Alcotest.bool "no entry" true (I.kdist t 0 0 = None);
   assert_sound "beyond bound" t
@@ -175,8 +171,7 @@ let test_inc_delete_alternate_path () =
   let g = labeled_graph [ "x"; "x"; "x"; "k" ] [ (0, 1); (0, 2); (1, 3); (2, 3) ] in
   let t = I.init g { B.keywords = [ "k" ]; bound = 2 } in
   let before = Option.get (I.kdist t 0 0) in
-  I.delete_edge t before.B.next 3;
-  let d = I.flush_delta t in
+  let d = I.apply_batch t [ Digraph.Delete (before.B.next, 3) ] in
   (* The intermediate node loses its only path; the root 0 survives via the
      alternate branch with the same distance. *)
   check_roots "only intermediate drops" [ before.B.next ] d.removed;
@@ -189,9 +184,7 @@ let test_inc_add_node () =
   let g = labeled_graph [ "x" ] [] in
   let t = I.init g { B.keywords = [ "k"; "x" ]; bound = 1 } in
   let v = I.add_node t "k" in
-  I.insert_edge t v 0;
-  I.insert_edge t 0 v;
-  let d = I.flush_delta t in
+  let d = I.apply_batch t [ Digraph.Insert (v, 0); Digraph.Insert (0, v) ] in
   (* v matches k at 0 hops and x at 1 hop; 0 matches x at 0 and k at 1. *)
   check_roots "both roots" [ 0; v ] d.added;
   assert_sound "add node" t
@@ -200,8 +193,7 @@ let test_inc_same_label_keywords () =
   let g = labeled_graph [ "k"; "k"; "x" ] [ (2, 0) ] in
   let t = I.init g { B.keywords = [ "k"; "k" ]; bound = 1 } in
   check_roots "duplicated keyword" [ 0; 1; 2 ] (I.match_roots t);
-  I.delete_edge t 2 0;
-  let d = I.flush_delta t in
+  let d = I.apply_batch t [ Digraph.Delete (2, 0) ] in
   check_roots "2 drops" [ 2 ] d.removed;
   assert_sound "same-label keywords" t
 
@@ -213,8 +205,7 @@ let test_inc_cascading_delete () =
   in
   let t = I.init g { B.keywords = [ "k" ]; bound = 4 } in
   check Alcotest.int "all reach" 5 (I.n_matches t);
-  I.delete_edge t 3 4;
-  let d = I.flush_delta t in
+  let d = I.apply_batch t [ Digraph.Delete (3, 4) ] in
   check_roots "chain collapses" [ 0; 1; 2; 3 ] d.removed;
   check_roots "only keyword node" [ 4 ] (I.match_roots t);
   assert_sound "cascade" t

@@ -95,17 +95,17 @@ let test_d3_filesystem () =
 (* ---- D4: instrumented update entry points ----------------------------------- *)
 
 let instrumented =
-  "let insert_edge t u v =\n\
+  "let apply_batch t ups =\n\
   \  Obs.with_apply t.obs (fun () ->\n\
-  \      Tracer.aff_enter t.trace ~node:u ~rule:Tracer.Kws_prune;\n\
-  \      ignore v)\n"
+  \      Tracer.aff_enter t.trace ~node:0 ~rule:Tracer.Kws_prune;\n\
+  \      ignore ups)\n"
 
 let test_d4_instrumentation () =
   check (Alcotest.list Alcotest.string) "wrapped and tagged passes" []
     (rules (lint ~path:"lib/kws/inc_fixture.ml" instrumented));
   (let ds =
      lint ~path:"lib/kws/inc_fixture.ml"
-       "let insert_edge t u v = ignore (t, u, v)"
+       "let apply_batch t ups = ignore (t, ups)"
    in
    check (Alcotest.list Alcotest.string) "bare entry point doubly flagged"
      [ "D4"; "D4" ] (rules ds));
@@ -117,14 +117,14 @@ let test_d4_instrumentation () =
   check (Alcotest.list Alcotest.string) "non-inc_ file out of scope" []
     (rules
        (lint ~path:"lib/kws/batch.ml"
-          "let insert_edge t u v = ignore (t, u, v)"));
+          "let apply_batch t ups = ignore (t, ups)"));
   check (Alcotest.list Alcotest.string) "@@-applied wrapper passes" []
     (rules
        (lint ~path:"lib/kws/inc_fixture.ml"
-          ("let insert_edge t u v =\n\
+          ("let apply_batch t ups =\n\
            \  Obs.with_apply t.obs @@ fun () ->\n\
-           \  Tracer.aff_enter t.trace ~node:u ~rule:Tracer.Kws_prune;\n\
-           \  ignore v\n")))
+           \  Tracer.aff_enter t.trace ~node:0 ~rule:Tracer.Kws_prune;\n\
+           \  ignore ups\n")))
 
 (* ---- D4: instrumented storage entry points ----------------------------------- *)
 

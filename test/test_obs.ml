@@ -169,7 +169,7 @@ let test_noop_sink () =
 let test_engines_default_to_noop () =
   let g = labeled_graph [ "a"; "b" ] [ (0, 1) ] in
   let t = Ig_kws.Inc_kws.init g { Ig_kws.Batch.keywords = [ "a" ]; bound = 1 } in
-  Ig_kws.Inc_kws.insert_edge t 1 0;
+  ignore (Ig_kws.Inc_kws.apply_batch t [ Digraph.Insert (1, 0) ]);
   check Alcotest.bool "no registry unless requested" false
     (O.enabled (Ig_kws.Inc_kws.obs t));
   check Alcotest.bool "and nothing was recorded" true
@@ -191,13 +191,11 @@ let test_kws_aff () =
   let q = { Ig_kws.Batch.keywords = [ "a"; "d" ]; bound = 2 } in
   let o = O.create () in
   let t = Ig_kws.Inc_kws.init ~obs:o g q in
-  Ig_kws.Inc_kws.insert_edge t 3 4;
-  ignore (Ig_kws.Inc_kws.flush_delta t);
+  ignore (Ig_kws.Inc_kws.apply_batch t [ Digraph.Insert (3, 4) ]);
   check Alcotest.int "island insert: ΔG counted" 1 (changed_in o);
   check Alcotest.int "island insert: aff = 0" 0 (aff o);
   O.reset o;
-  Ig_kws.Inc_kws.delete_edge t 1 2;
-  ignore (Ig_kws.Inc_kws.flush_delta t);
+  ignore (Ig_kws.Inc_kws.apply_batch t [ Digraph.Delete (1, 2) ]);
   check Alcotest.bool "keyword edge delete: aff > 0" true (aff o > 0);
   check Alcotest.bool "root lost: ΔO counted" true (changed_out o > 0);
   Ig_kws.Inc_kws.check_invariants t
@@ -207,13 +205,11 @@ let test_rpq_aff () =
   let o = O.create () in
   let t = Ig_rpq.Inc_rpq.create ~obs:o g (Ig_nfa.Regex.parse_exn "a . b") in
   check Alcotest.bool "initial match present" true (Ig_rpq.Inc_rpq.is_match t 0 1);
-  Ig_rpq.Inc_rpq.insert_edge t 2 3;
-  ignore (Ig_rpq.Inc_rpq.flush_delta t);
+  ignore (Ig_rpq.Inc_rpq.apply_batch t [ Digraph.Insert (2, 3) ]);
   check Alcotest.int "z-z insert: ΔG counted" 1 (changed_in o);
   check Alcotest.int "z-z insert: aff = 0" 0 (aff o);
   O.reset o;
-  Ig_rpq.Inc_rpq.delete_edge t 0 1;
-  ignore (Ig_rpq.Inc_rpq.flush_delta t);
+  ignore (Ig_rpq.Inc_rpq.apply_batch t [ Digraph.Delete (0, 1) ]);
   check Alcotest.bool "match edge delete: aff > 0" true (aff o > 0);
   check Alcotest.bool "match lost: ΔO counted" true (changed_out o > 0);
   Ig_rpq.Inc_rpq.check_invariants t
@@ -222,13 +218,11 @@ let test_scc_aff () =
   let g = labeled_graph [ "x"; "x"; "x"; "x" ] [ (0, 1); (2, 3) ] in
   let o = O.create () in
   let t = Ig_scc.Inc_scc.init ~obs:o g in
-  Ig_scc.Inc_scc.delete_edge t 2 3;
-  ignore (Ig_scc.Inc_scc.flush_delta t);
+  ignore (Ig_scc.Inc_scc.apply_batch t [ Digraph.Delete (2, 3) ]);
   check Alcotest.int "inter-component delete: ΔG counted" 1 (changed_in o);
   check Alcotest.int "inter-component delete: aff = 0" 0 (aff o);
   O.reset o;
-  Ig_scc.Inc_scc.insert_edge t 1 0;
-  ignore (Ig_scc.Inc_scc.flush_delta t);
+  ignore (Ig_scc.Inc_scc.apply_batch t [ Digraph.Insert (1, 0) ]);
   check Alcotest.bool "cycle-closing insert: aff ≥ 2" true (aff o >= 2);
   check Alcotest.bool "components merged: ΔO counted" true (changed_out o > 0);
   Ig_scc.Inc_scc.check_invariants t
@@ -238,13 +232,11 @@ let test_sim_aff () =
   let g = labeled_graph [ "p"; "q"; "z"; "z" ] [ (0, 1); (2, 3) ] in
   let o = O.create () in
   let t = Ig_sim.Inc_sim.init ~obs:o g p in
-  Ig_sim.Inc_sim.delete_edge t 2 3;
-  ignore (Ig_sim.Inc_sim.flush_delta t);
+  ignore (Ig_sim.Inc_sim.apply_batch t [ Digraph.Delete (2, 3) ]);
   check Alcotest.int "z-z delete: ΔG counted" 1 (changed_in o);
   check Alcotest.int "z-z delete: aff = 0" 0 (aff o);
   O.reset o;
-  Ig_sim.Inc_sim.delete_edge t 0 1;
-  ignore (Ig_sim.Inc_sim.flush_delta t);
+  ignore (Ig_sim.Inc_sim.apply_batch t [ Digraph.Delete (0, 1) ]);
   check Alcotest.bool "support edge delete: aff > 0" true (aff o > 0);
   check Alcotest.bool "pairs lost: ΔO counted" true (changed_out o > 0);
   Ig_sim.Inc_sim.check_invariants t
@@ -257,20 +249,17 @@ let test_iso_aff () =
   let o = O.create () in
   let t = Ig_iso.Inc_iso.init ~obs:o g p in
   check Alcotest.int "one initial match" 1 (Ig_iso.Inc_iso.n_matches t);
-  Ig_iso.Inc_iso.delete_edge t 2 3;
-  ignore (Ig_iso.Inc_iso.flush_delta t);
+  ignore (Ig_iso.Inc_iso.apply_batch t [ Digraph.Delete (2, 3) ]);
   check Alcotest.int "z-z delete: ΔG counted" 1 (changed_in o);
   check Alcotest.int "z-z delete: aff = 0" 0 (aff o);
   O.reset o;
-  Ig_iso.Inc_iso.insert_edge t 4 5;
-  ignore (Ig_iso.Inc_iso.flush_delta t);
+  ignore (Ig_iso.Inc_iso.apply_batch t [ Digraph.Insert (4, 5) ]);
   check Alcotest.bool "match-creating insert: aff > 0" true (aff o > 0);
   check Alcotest.bool "neighborhood explored" true
     (O.counter o O.K.nodes_visited > 0);
   check Alcotest.bool "match gained: ΔO counted" true (changed_out o > 0);
   O.reset o;
-  Ig_iso.Inc_iso.delete_edge t 0 1;
-  ignore (Ig_iso.Inc_iso.flush_delta t);
+  ignore (Ig_iso.Inc_iso.apply_batch t [ Digraph.Delete (0, 1) ]);
   check Alcotest.bool "match edge delete: aff > 0" true (aff o > 0);
   Ig_iso.Inc_iso.check_invariants t
 
@@ -600,23 +589,14 @@ let test_with_apply_minor_words () =
       if w < 3000.0 || w > 3500.0 then
         Alcotest.failf "gc_minor_words %g, expected in [3000, 3500]" w
 
-let test_with_apply_reentrant () =
+let test_with_apply_raises () =
   let o = O.create () in
-  (* A batch entry point funneling through unit entry points: only the
-     outermost wrapper records. *)
-  O.with_apply o (fun () ->
-      O.with_apply o (fun () -> ());
-      O.with_apply o (fun () -> ()));
-  (match O.histogram o O.K.apply_latency with
-  | None -> Alcotest.fail "no latency recorded"
-  | Some h -> check Alcotest.int "one sample for the whole nest" 1 (H.count h));
-  (* The guard resets even when the thunk raises. *)
+  (* A raising thunk still records its sample, and so does the next call. *)
   (try O.with_apply o (fun () -> failwith "boom") with Failure _ -> ());
   O.with_apply o (fun () -> ());
   match O.histogram o O.K.apply_latency with
   | None -> Alcotest.fail "no latency recorded"
-  | Some h ->
-      check Alcotest.int "guard released after exception" 3 (H.count h)
+  | Some h -> check Alcotest.int "one sample per call" 2 (H.count h)
 
 let test_monotonic_durations () =
   (* The clock contract: spans and timers can never go negative, and the
@@ -638,17 +618,17 @@ let test_monotonic_durations () =
   done
 
 let test_engine_latency_histograms () =
-  (* One engine end-to-end: unit entry points and batches both record,
-     one sample per outermost call, and the snapshot reaches to_json. *)
+  (* One engine end-to-end: every apply_batch records one sample, and the
+     snapshot reaches to_json. *)
   let g = labeled_graph [ "a"; "b"; "c" ] [ (0, 1) ] in
   let o = O.create () in
   let s = Ig_scc.Inc_scc.init ~obs:o g in
-  Ig_scc.Inc_scc.insert_edge s 1 2;
-  Ig_scc.Inc_scc.delete_edge s 0 1;
+  ignore (Ig_scc.Inc_scc.apply_batch s [ Digraph.Insert (1, 2) ]);
+  ignore (Ig_scc.Inc_scc.apply_batch s [ Digraph.Delete (0, 1) ]);
   ignore (Ig_scc.Inc_scc.apply_batch s [ Digraph.Insert (2, 0) ]);
   (match O.histogram o O.K.apply_latency with
   | None -> Alcotest.fail "engine recorded no latency"
-  | Some h -> check Alcotest.int "three outermost calls" 3 (H.count h));
+  | Some h -> check Alcotest.int "three calls" 3 (H.count h));
   match J.member "histograms" (O.to_json o) with
   | Some (J.Obj kvs) ->
       check Alcotest.bool "latency histogram exported" true
@@ -812,8 +792,8 @@ let () =
             test_with_apply_records;
           Alcotest.test_case "with_apply counts minor words exactly" `Quick
             test_with_apply_minor_words;
-          Alcotest.test_case "with_apply is reentrancy-safe" `Quick
-            test_with_apply_reentrant;
+          Alcotest.test_case "with_apply records on a raise" `Quick
+            test_with_apply_raises;
           Alcotest.test_case "monotonic clock contract" `Quick
             test_monotonic_durations;
           Alcotest.test_case "engine latency end-to-end" `Quick

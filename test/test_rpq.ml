@@ -78,8 +78,7 @@ let test_inc_insert_creates_match () =
   let g = labeled_graph [ "a"; "b"; "c" ] [ (0, 1) ] in
   let t = I.create g (q "a . b . c") in
   check_pairs "initially none" [] (I.matches t);
-  I.insert_edge t 1 2;
-  let d = I.flush_delta t in
+  let d = I.apply_batch t [ Digraph.Insert (1, 2) ] in
   check_pairs "added" [ (0, 2) ] d.added;
   check_pairs "none removed" [] d.removed;
   check Alcotest.bool "is_match" true (I.is_match t 0 2);
@@ -88,8 +87,7 @@ let test_inc_insert_creates_match () =
 let test_inc_delete_removes_match () =
   let g = labeled_graph [ "a"; "b"; "c" ] [ (0, 1); (1, 2) ] in
   let t = I.create g (q "a . b . c") in
-  I.delete_edge t 0 1;
-  let d = I.flush_delta t in
+  let d = I.apply_batch t [ Digraph.Delete (0, 1) ] in
   check_pairs "removed" [ (0, 2) ] d.removed;
   check Alcotest.int "no matches" 0 (I.n_matches t);
   assert_sound "delete" t
@@ -104,8 +102,7 @@ let test_inc_alternate_path_survives () =
   in
   let t = I.create g (q "a . b* . c") in
   check Alcotest.bool "match" true (I.is_match t 0 2);
-  I.delete_edge t 1 2;
-  let d = I.flush_delta t in
+  let d = I.apply_batch t [ Digraph.Delete (1, 2) ] in
   check_pairs "no removals" [] d.removed;
   check Alcotest.bool "still match" true (I.is_match t 0 2);
   assert_sound "longer path" t
@@ -130,9 +127,7 @@ let test_inc_interleaving_example5 () =
 let test_inc_cancelling_updates () =
   let g = labeled_graph [ "a"; "b" ] [ (0, 1) ] in
   let t = I.create g (q "a . b") in
-  I.delete_edge t 0 1;
-  I.insert_edge t 0 1;
-  let d = I.flush_delta t in
+  let d = I.apply_batch t [ Digraph.Delete (0, 1); Digraph.Insert (0, 1) ] in
   check_pairs "net zero" [] (d.added @ d.removed);
   assert_sound "cancel" t
 
@@ -141,8 +136,7 @@ let test_inc_add_node () =
   let t = I.create g (q "a . b* . a") in
   let v = I.add_node t "a" in
   (* New a-node: a source (and its own 0-length path does not match a.b*.a). *)
-  I.insert_edge t 1 v;
-  let d = I.flush_delta t in
+  let d = I.apply_batch t [ Digraph.Insert (1, v) ] in
   check_pairs "new match" [ (0, v) ] d.added;
   assert_sound "add node" t
 
@@ -150,23 +144,21 @@ let test_inc_new_source_matches_self () =
   let g = labeled_graph [ "b" ] [] in
   let t = I.create g (q "a") in
   let v = I.add_node t "a" in
-  let d = I.flush_delta t in
+  let d = I.apply_batch t [] in
   check_pairs "self match" [ (v, v) ] d.added;
   assert_sound "self" t
 
 let test_inc_duplicate_noops () =
   let g = labeled_graph [ "a"; "b" ] [ (0, 1) ] in
   let t = I.create g (q "a . b") in
-  I.insert_edge t 0 1;
-  I.delete_edge t 1 0;
-  let d = I.flush_delta t in
+  let d = I.apply_batch t [ Digraph.Insert (0, 1); Digraph.Delete (1, 0) ] in
   check_pairs "no change" [] (d.added @ d.removed);
   assert_sound "noop" t
 
 let test_inc_self_loop_star () =
   let g = labeled_graph [ "a"; "b" ] [ (0, 1) ] in
   let t = I.create g (q "a . b . b*") in
-  I.insert_edge t 1 1;
+  ignore (I.apply_batch t [ Digraph.Insert (1, 1) ]);
   assert_sound "self loop" t;
   check Alcotest.bool "match" true (I.is_match t 0 1)
 

@@ -97,8 +97,7 @@ let test_inc_init () =
 
 let test_inc_insert_intra () =
   let t = engine 3 [ (0, 1); (1, 2); (2, 0) ] in
-  I.insert_edge t 0 2;
-  let d = I.flush_delta t in
+  let d = I.apply_batch t [ Digraph.Insert (0, 2) ] in
   check Alcotest.int "no removals" 0 (List.length d.removed);
   check Alcotest.int "no additions" 0 (List.length d.added);
   assert_sound "intra insert" t
@@ -106,8 +105,7 @@ let test_inc_insert_intra () =
 let test_inc_insert_inter_consistent () =
   (* Edge in rank-consistent direction: counters only. *)
   let t = engine 4 [ (0, 1); (1, 0); (2, 3); (3, 2); (0, 2) ] in
-  I.insert_edge t 1 3;
-  let d = I.flush_delta t in
+  let d = I.apply_batch t [ Digraph.Insert (1, 3) ] in
   check Alcotest.int "stable" 0 (List.length d.removed + List.length d.added);
   assert_sound "consistent inter insert" t
 
@@ -115,8 +113,7 @@ let test_inc_insert_merge () =
   (* Example 7 analog: two 2-cycles linked 0..1 -> 2..3; inserting 3 -> 0
      forms a cycle in Gc and merges them. *)
   let t = engine 4 [ (0, 1); (1, 0); (2, 3); (3, 2); (1, 2) ] in
-  I.insert_edge t 3 0;
-  let d = I.flush_delta t in
+  let d = I.apply_batch t [ Digraph.Insert (3, 0) ] in
   check Alcotest.int "two removed" 2 (List.length d.removed);
   check Alcotest.int "one added" 1 (List.length d.added);
   check_comps "merged" [ [ 0; 1; 2; 3 ] ] d.added;
@@ -125,7 +122,7 @@ let test_inc_insert_merge () =
 let test_inc_insert_merge_long_path () =
   (* Cycle in Gc through several intermediate singleton components. *)
   let t = engine 5 [ (0, 1); (1, 2); (2, 3); (3, 4) ] in
-  I.insert_edge t 4 0;
+  ignore (I.apply_batch t [ Digraph.Insert (4, 0) ]);
   assert_sound "long merge" t;
   check Alcotest.int "one comp" 1 (I.n_components t)
 
@@ -135,21 +132,20 @@ let test_inc_insert_reorder_only () =
   (* Two chains; link the tail of one to the head of the other both ways
      rank-wise: 5 -> 0 may or may not violate depending on init order, and
      2 -> 3 the other way. Neither creates a cycle. *)
-  I.insert_edge t 5 0;
+  ignore (I.apply_batch t [ Digraph.Insert (5, 0) ]);
   assert_sound "reorder A" t;
   let t2 = engine 6 [ (0, 1); (1, 2); (3, 4); (4, 5) ] in
-  I.insert_edge t2 2 3;
+  ignore (I.apply_batch t2 [ Digraph.Insert (2, 3) ]);
   assert_sound "reorder B" t2;
   check Alcotest.int "still 6 comps" 6 (I.n_components t2)
 
 let test_inc_delete_inter () =
   let t = engine 4 [ (0, 1); (1, 0); (2, 3); (3, 2); (1, 2); (0, 3) ] in
-  I.delete_edge t 1 2;
-  let d = I.flush_delta t in
+  let d = I.apply_batch t [ Digraph.Delete (1, 2) ] in
   check Alcotest.int "stable" 0 (List.length d.removed + List.length d.added);
   assert_sound "inter delete" t;
   (* Deleting the second parallel contracted edge must also be fine. *)
-  I.delete_edge t 0 3;
+  ignore (I.apply_batch t [ Digraph.Delete (0, 3) ]);
   assert_sound "inter delete last" t
 
 let test_inc_delete_fast_path () =
@@ -160,8 +156,7 @@ let test_inc_delete_fast_path () =
   (* (0,2) is a chord: cycle 0-1-2 survives without it. Whether the O(1)
      path applies depends on which edge the DFS used; deleting the chord
      never splits. *)
-  I.delete_edge t 0 2;
-  let d = I.flush_delta t in
+  let d = I.apply_batch t [ Digraph.Delete (0, 2) ] in
   check Alcotest.int "stable" 0 (List.length d.removed + List.length d.added);
   assert_sound "chord delete" t
 
@@ -169,35 +164,37 @@ let test_inc_delete_split () =
   (* Example 9 analog: deleting (2,0) from the 3-cycle splits it into three
      singleton components. *)
   let t = engine 3 [ (0, 1); (1, 2); (2, 0) ] in
-  I.delete_edge t 2 0;
-  let d = I.flush_delta t in
+  let d = I.apply_batch t [ Digraph.Delete (2, 0) ] in
   check_comps "removed whole" [ [ 0; 1; 2 ] ] d.removed;
   check_comps "three singletons" [ [ 0 ]; [ 1 ]; [ 2 ] ] d.added;
   assert_sound "split" t
 
 let test_inc_split_then_merge () =
   let t = engine 4 [ (0, 1); (1, 2); (2, 3); (3, 0) ] in
-  I.delete_edge t 3 0;
+  ignore (I.apply_batch t [ Digraph.Delete (3, 0) ]);
   assert_sound "after split" t;
-  I.insert_edge t 3 0;
+  ignore (I.apply_batch t [ Digraph.Insert (3, 0) ]);
   assert_sound "after re-merge" t;
   check Alcotest.int "whole again" 1 (I.n_components t)
 
 let test_inc_add_node () =
   let t = engine 2 [ (0, 1) ] in
   let v = I.add_node t "fresh" in
-  let d = I.flush_delta t in
+  let d = I.apply_batch t [] in
   check_comps "new singleton" [ [ v ] ] d.added;
-  I.insert_edge t 1 v;
-  I.insert_edge t v 0;
+  ignore (I.apply_batch t [ Digraph.Insert (1, v); Digraph.Insert (v, 0) ]);
   assert_sound "wired in" t;
   check Alcotest.int "merged all" 1 (I.n_components t)
 
 let test_inc_duplicate_ops_are_noops () =
   let t = engine 3 [ (0, 1); (1, 2); (2, 0) ] in
-  I.insert_edge t 0 1 (* already present *);
-  I.delete_edge t 0 2 (* absent *);
-  let d = I.flush_delta t in
+  let d =
+    I.apply_batch t
+      [
+        Digraph.Insert (0, 1) (* already present *);
+        Digraph.Delete (0, 2) (* absent *);
+      ]
+  in
   check Alcotest.int "stable" 0 (List.length d.removed + List.length d.added);
   assert_sound "noops" t
 
@@ -279,13 +276,11 @@ let test_inc_self_loop_singleton () =
   (* A self-loop is an intra-component edge of a singleton: inserting and
      deleting it must never touch the output. *)
   let t = engine 3 [ (0, 1) ] in
-  I.insert_edge t 2 2;
-  let d = I.flush_delta t in
+  let d = I.apply_batch t [ Digraph.Insert (2, 2) ] in
   check Alcotest.int "loop insert stable" 0
     (List.length d.removed + List.length d.added);
   assert_sound "singleton loop insert" t;
-  I.delete_edge t 2 2;
-  let d = I.flush_delta t in
+  let d = I.apply_batch t [ Digraph.Delete (2, 2) ] in
   check Alcotest.int "loop delete stable" 0
     (List.length d.removed + List.length d.added);
   assert_sound "singleton loop delete" t
@@ -296,11 +291,10 @@ let test_inc_self_loop_in_component () =
      never split, whether or not it was a lowlink witness. *)
   let t = engine 3 [ (0, 1); (1, 2); (2, 0); (1, 1) ] in
   check Alcotest.int "one component" 1 (I.n_components t);
-  I.delete_edge t 1 1;
-  let d = I.flush_delta t in
+  let d = I.apply_batch t [ Digraph.Delete (1, 1) ] in
   check Alcotest.int "stable" 0 (List.length d.removed + List.length d.added);
   assert_sound "loop delete inside scc" t;
-  I.insert_edge t 1 1;
+  ignore (I.apply_batch t [ Digraph.Insert (1, 1) ]);
   assert_sound "loop re-insert inside scc" t;
   check Alcotest.int "still one component" 1 (I.n_components t)
 
@@ -310,13 +304,12 @@ let test_inc_duplicate_insert_then_delete () =
      split — the lazy certificate recorded at init (which used (0,1) as a
      tree arc or witness) has to notice despite the no-op in between. *)
   let t = engine 3 [ (0, 1); (1, 2); (2, 0) ] in
-  I.insert_edge t 0 1 (* duplicate: no-op *);
+  ignore (I.apply_batch t [ Digraph.Insert (0, 1) (* duplicate: no-op *) ]);
   assert_sound "after duplicate insert" t;
-  I.delete_edge t 0 1;
-  let d = I.flush_delta t in
+  let d = I.apply_batch t [ Digraph.Delete (0, 1) ] in
   check_comps "split after real delete" [ [ 0 ]; [ 1 ]; [ 2 ] ] d.added;
   assert_sound "after real delete" t;
-  I.insert_edge t 0 1;
+  ignore (I.apply_batch t [ Digraph.Insert (0, 1) ]);
   assert_sound "after re-insert" t;
   check Alcotest.int "merged back" 1 (I.n_components t)
 
@@ -341,8 +334,7 @@ let test_inc_delete_fast_path_witness_count () =
     (fun (u, v) ->
       let t = engine 4 all_edges in
       I.reset_stats t;
-      I.delete_edge t u v;
-      let d = I.flush_delta t in
+      let d = I.apply_batch t [ Digraph.Delete (u, v) ] in
       check Alcotest.int "still strongly connected" 0
         (List.length d.removed + List.length d.added);
       assert_sound "K4 single delete" t;
@@ -360,7 +352,7 @@ let test_inc_fast_path_disabled_in_dyn () =
       (fun (u, v) ->
         let t = engine ~config 3 all_edges in
         I.reset_stats t;
-        I.delete_edge t u v;
+        ignore (I.apply_batch t [ Digraph.Delete (u, v) ]);
         assert_sound "dense triangle delete" t;
         n := !n + (I.stats t).I.fast_deletes)
       all_edges;
@@ -449,17 +441,19 @@ let prop_inc_many_batches =
         [ clamp ops1; clamp ops2; clamp ops3 ];
       norm (I.components t) = norm (T.scc (I.graph t)))
 
-let prop_unit_updates =
-  QCheck.Test.make ~name:"unit insert/delete keep engine sound" ~count:200
-    arb_case
+(* Unit updates as singleton batches: under [inc_config] through the
+   grouped path, under [incn_config] through the one-by-one path. *)
+let prop_unit_updates (name, config) =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "unit insert/delete keep engine sound (%s)" name)
+    ~count:200 arb_case
     (fun (n, edges, ops) ->
-      ignore n;
-      let t = engine n edges in
+      let t = engine ~config n edges in
       List.iter
-        (fun (ins, (u, v)) ->
-          if ins then I.insert_edge t u v else I.delete_edge t u v;
+        (fun up ->
+          ignore (I.apply_batch t [ up ]);
           I.check_invariants t)
-        ops;
+        (updates_of_ops ops);
       norm (I.components t) = norm (T.scc (I.graph t)))
 
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
@@ -524,6 +518,7 @@ let () =
             prop_inc_matches_batch I.incn_config;
             prop_inc_matches_batch I.dyn_config;
             prop_inc_many_batches;
-            prop_unit_updates;
+            prop_unit_updates ("IncSCC", I.inc_config);
+            prop_unit_updates ("IncSCCn", I.incn_config);
           ] );
     ]

@@ -94,8 +94,7 @@ let test_inc_insert_creates () =
   let t = I.init g p in
   (* (c, node c) holds from the start: no out-requirements. *)
   check Alcotest.int "sink pair only" 1 (I.n_pairs t);
-  I.insert_edge t 1 2;
-  let d = I.flush_delta t in
+  let d = I.apply_batch t [ Digraph.Insert (1, 2) ] in
   check Alcotest.int "the chain revalidates" 2 (List.length d.added);
   check Alcotest.int "three total" 3 (I.n_pairs t);
   I.check_invariants t
@@ -105,8 +104,7 @@ let test_inc_delete_cascades () =
   let p = P.create ~labels:[ "a"; "b"; "c" ] ~edges:[ (0, 1); (1, 2) ] in
   let t = I.init g p in
   check Alcotest.int "three" 3 (I.n_pairs t);
-  I.delete_edge t 1 2;
-  let d = I.flush_delta t in
+  let d = I.apply_batch t [ Digraph.Delete (1, 2) ] in
   (* (2,c) keeps simulating (no out-requirements), the rest cascade away. *)
   check Alcotest.int "two removed" 2 (List.length d.removed);
   check Alcotest.bool "c stays" true (I.mem t 2 2);
