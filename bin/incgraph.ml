@@ -218,7 +218,6 @@ let query_cmd =
 (* ---- the session loop ------------------------------------------------------ *)
 
 module Obs = Core.Obs
-module Tracer = Obs.Tracer
 module Trace_export = Obs.Trace_export
 
 (* The one loop behind stream, stats, trace and explain: build the query's
@@ -226,8 +225,8 @@ module Trace_export = Obs.Trace_export
    [size] unit updates against [g], apply each to [g] (keeping the
    generator in sync) and hand it to [step], which applies it to the
    engine. Returns the engine. *)
-let drive ?obs ?trace ?ratio g spec ~seed ~batches ~size step =
-  let inst = Spec.make ?obs ?trace g spec in
+let drive ?obs ?ratio g spec ~seed ~batches ~size step =
+  let inst = Spec.make ?obs g spec in
   let rng = Random.State.make [| seed |] in
   for round = 1 to batches do
     let ups = Core.Workload.Updates.generate ~rng g ~size ?ratio () in
@@ -324,24 +323,23 @@ let stream_cmd =
     | Error e -> `Error (false, e)
     | Ok slo ->
         with_graph ~announce:true path @@ fun g ->
-        let o = Obs.create () in
-        let tr =
+        let o =
           if Option.is_some slo || Option.is_some metrics_out then
-            Tracer.create ()
-          else Tracer.noop
+            Obs.create ~events:Obs.default_events ()
+          else Obs.create ()
         in
         let flight =
           Option.map
             (fun dir ->
               if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
               let every = match every with Some n -> n | None -> max 1 size in
-              ( Obs.Flight.create ~every ~retain ~deterministic:det ?slo
-                  ~trace:tr ~dir ~obs:o (),
+              ( Obs.Flight.create ~every ~retain ~deterministic:det ?slo ~dir
+                  ~obs:o (),
                 every ))
             metrics_out
         in
         let inst =
-          drive ~obs:o ~trace:tr ~ratio g spec ~seed ~batches ~size
+          drive ~obs:o ~ratio g spec ~seed ~batches ~size
             (fun inst round ups ->
               let (_, summary), t =
                 time (fun () -> inst.Oracle.apply_batch ups)
@@ -350,7 +348,7 @@ let stream_cmd =
               | Some (fr, _) -> List.iter (fun _ -> Obs.Flight.tick fr) ups
               | None ->
                   Option.iter
-                    (fun s -> ignore (Obs.Slo.evaluate s ~obs:o ~trace:tr))
+                    (fun s -> ignore (Obs.Slo.evaluate s ~obs:o))
                     slo);
               Format.printf "round %d: |ΔG|=%d  %s  (%.3fs)@." round
                 (List.length ups) summary t)
@@ -623,7 +621,7 @@ let stats_cmd =
   let run path spec batches size seed json histo prom =
     with_graph path @@ fun g ->
     let inst =
-      drive ~trace:Tracer.noop g spec ~seed ~batches ~size apply_each
+      drive ~obs:(Obs.create ()) g spec ~seed ~batches ~size apply_each
     in
     let o = inst.Oracle.obs in
     if prom then print_string (Obs.Openmetrics.render o)
@@ -678,21 +676,23 @@ let trace_cmd =
   let cap =
     Arg.(
       value
-      & opt pos_int Tracer.default_capacity
+      & opt pos_int Obs.default_events
       & info [ "capacity" ]
           ~doc:"Ring-buffer capacity; older events beyond it are dropped."
           ~docv:"N")
   in
   let run path spec batches size seed out cap =
     with_graph path @@ fun g ->
-    let tr = Tracer.create ~capacity:cap () in
-    let inst = drive ~trace:tr g spec ~seed ~batches ~size apply_each in
-    let snap = Tracer.snapshot tr in
+    let inst =
+      drive ~obs:(Obs.create ~events:cap ()) g spec ~seed ~batches ~size
+        apply_each
+    in
+    let snap = Obs.events inst.Oracle.obs in
     Trace_export.write_chrome ~path:out ~name:inst.Oracle.series snap;
     Format.printf "%s: %d event(s)%s -> %s@." inst.Oracle.series
-      (List.length snap.Tracer.entries)
-      (if snap.Tracer.drops > 0 then
-         Printf.sprintf " (ring buffer dropped %d older)" snap.Tracer.drops
+      (List.length snap.Obs.Tracer.entries)
+      (if snap.Obs.Tracer.drops > 0 then
+         Printf.sprintf " (ring buffer dropped %d older)" snap.Obs.Tracer.drops
        else "")
       out;
     `Ok ()
@@ -711,25 +711,24 @@ let trace_cmd =
         (const run $ graph_arg $ spec_arg $ batches_arg
        $ size_arg $ seed_arg $ out $ cap))
 
-(* Print each batch's event log: the tracer is cleared before every batch,
-   so the first one does not carry the engine's init events. *)
-let explain_batch tr ~limit name inst ups =
-  Tracer.clear tr;
+(* Print each batch's event log: the events are cleared before every
+   batch, so the first one does not carry the engine's init events. *)
+let explain_batch ~limit name inst ups =
+  Obs.clear_events inst.Oracle.obs;
   let d_o, _ = inst.Oracle.apply_batch ups in
   Format.printf "@.== %s ==@.%a@." (name d_o)
     (Trace_export.pp_explain ~limit)
-    (Tracer.snapshot tr)
+    (Obs.events inst.Oracle.obs)
 
 (* Worked explanation of the Figure 9 gadget: Δ1 is output-silent yet the
    trace shows Ω(cycle) settling work; Δ2 flips the whole answer on. *)
 let explain_gadget n limit gd =
-  let tr = Tracer.create () in
   let inst =
-    Spec.make ~obs:Obs.noop ~trace:tr gd.Core.Theory.Gadget.graph
+    Spec.make gd.Core.Theory.Gadget.graph
       (Spec.Rpq gd.Core.Theory.Gadget.query)
   in
   let explain title u =
-    explain_batch tr ~limit
+    explain_batch ~limit
       (fun d_o -> Printf.sprintf "%s: |ΔO| = %d" title d_o)
       inst [ u ]
   in
@@ -788,11 +787,10 @@ let explain_cmd =
             | `Error _ as e -> e
             | `Ok spec ->
                 with_graph path @@ fun g ->
-                let tr = Tracer.create () in
                 ignore
-                  (drive ~trace:tr g spec ~seed ~batches ~size
+                  (drive g spec ~seed ~batches ~size
                      (fun inst round ups ->
-                       explain_batch tr ~limit
+                       explain_batch ~limit
                          (fun _ ->
                            Printf.sprintf "%s batch %d (|ΔG| = %d)"
                              inst.Oracle.series round (List.length ups))

@@ -55,12 +55,11 @@ let () =
         d.Core.Iso.Inc.added
     end
   done;
-  let st = Ig_iso.Inc_iso.stats monitor in
   Format.printf
     "@.stream done: %d alerts, %d cleared, %d live matches@." !alerts !cleared
     (List.length (Core.Iso.Inc.matches monitor));
   Format.printf
     "locality: %d anchored VF2 runs bound %d nodes total (graph has %d)@."
-    st.Ig_iso.Inc_iso.rematches
+    (Core.Obs.counter obs "rematches")
     (Core.Obs.counter obs Core.Obs.K.nodes_visited)
     (Core.Digraph.n_nodes (Core.Iso.Inc.graph monitor))

@@ -1,5 +1,5 @@
 module Digraph = Ig_graph.Digraph
-module Tracer = Ig_obs.Tracer
+module Obs = Ig_obs.Obs
 module Record = Ig_journal.Record
 module Journal = Ig_journal.Journal
 module Store = Ig_journal.Store
@@ -36,13 +36,11 @@ let clean_dir dir =
 [@@lint.allow "D3"]
 
 let trace_digest inst =
-  let tr = inst.Oracle.trace in
-  if not (Tracer.enabled tr) then "-"
-  else digest_hex (Ig_obs.Trace_export.explain_to_string (Tracer.snapshot tr))
+  let o = inst.Oracle.obs in
+  if not (Obs.tracing o) then "-"
+  else digest_hex (Ig_obs.Trace_export.explain_to_string (Obs.events o))
 
-let clear_trace inst =
-  let tr = inst.Oracle.trace in
-  if Tracer.enabled tr then Tracer.clear tr
+let clear_trace inst = Obs.clear_events inst.Oracle.obs
 
 let update_str = function
   | Digraph.Insert (u, v) -> Printf.sprintf "+%d-%d" u v

@@ -1,4 +1,5 @@
 module Digraph = Ig_graph.Digraph
+module Obs = Ig_obs.Obs
 module Tracer = Ig_obs.Tracer
 
 type failure = {
@@ -18,7 +19,7 @@ let replay_fails ~make stream =
   match
     let inst = make () in
     Oracle.check inst;
-    let prev = ref (Ig_obs.Obs.counters inst.Oracle.obs) in
+    let prev = ref (Obs.counters inst.Oracle.obs) in
     List.iter
       (fun u ->
         apply1 inst u;
@@ -35,26 +36,26 @@ let split_last us =
   | last :: rev_init -> Some (List.rev rev_init, last)
 
 (* Replay [stream] on a fresh oracle and return the event log of its last
-   update — the failing step of a (shrunk) reproducer. The tracer is
+   update — the failing step of a (shrunk) reproducer. The events are
    cleared right before that update so the snapshot explains exactly the
    step where the violation surfaced. [None] when the stream is empty or
-   the oracle was built without a live tracer. *)
+   the oracle's sink records no events. *)
 let capture_trace ~make stream =
   match split_last stream with
   | None -> None
   | Some (init, last) ->
       let inst = make () in
-      let tr = inst.Oracle.trace in
-      if not (Tracer.enabled tr) then None
+      let o = inst.Oracle.obs in
+      if not (Obs.tracing o) then None
       else begin
         (* The replay is expected to blow up — that is what it reproduces. *)
         (try List.iter (apply1 inst) init with _ -> ());
-        Tracer.clear tr;
+        Obs.clear_events o;
         (try
            apply1 inst last;
            Oracle.check inst
          with _ -> ());
-        Some (Tracer.snapshot tr)
+        Some (Obs.events o)
       end
 
 let run ~make ?(focus = []) ~steps ~seed () =
@@ -75,7 +76,7 @@ let run ~make ?(focus = []) ~steps ~seed () =
       let rng = Random.State.make [| seed; 0xfa11 |] in
       let stream = Stream.create ~rng ~focus inst.Oracle.graph in
       let applied = ref [] in
-      let prev = ref (Ig_obs.Obs.counters inst.Oracle.obs) in
+      let prev = ref (Obs.counters inst.Oracle.obs) in
       let rec go i =
         if i > steps then Ok steps
         else begin
@@ -120,7 +121,7 @@ let pp_failure ppf f =
         (if snap.Tracer.drops > 0 then
            Printf.sprintf " (+%d dropped)" snap.Tracer.drops
          else "");
-      (match Tracer.rule_histogram snap with
+      (match Ig_obs.Trace_export.rule_histogram snap with
       | [] -> ()
       | hist ->
           Format.fprintf ppf "@,AFF provenance:";

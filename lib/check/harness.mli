@@ -17,9 +17,9 @@ type failure = {
   stream : Ig_graph.Digraph.update list;  (** failing prefix, in order *)
   shrunk : Ig_graph.Digraph.update list;  (** 1-minimal reproducer *)
   trace : Ig_obs.Tracer.snapshot option;
-      (** event log of the shrunk reproducer's failing step (the tracer is
-          cleared before the last update of a fresh replay), when the
-          oracle was built with a live tracer *)
+      (** event log of the shrunk reproducer's failing step (the events
+          are cleared before the last update of a fresh replay), when the
+          oracle's sink records events *)
 }
 
 val run :

@@ -3,7 +3,6 @@ type t = {
   series : string;
   graph : Ig_graph.Digraph.t;
   obs : Ig_obs.Obs.t;
-  trace : Ig_obs.Tracer.t;
   apply_batch : Ig_graph.Digraph.update list -> int * string;
   describe : unit -> string;
   answer : unit -> string;

@@ -22,10 +22,9 @@ type t = {
           [apply_batch]). The oracle owns it — callers keep their own
           pristine copy. *)
   obs : Ig_obs.Obs.t;
-      (** The engine's metrics sink, validated by {!check_metrics}. *)
-  trace : Ig_obs.Tracer.t;
-      (** The engine's event tracer, so failure reports can attach the
-          event log of the failing step ({!Harness.failure.trace}). *)
+      (** The engine's metrics sink, validated by {!check_metrics}. When
+          it records events, failure reports attach the event log of the
+          failing step ({!Harness.failure.trace}). *)
   apply_batch : Ig_graph.Digraph.update list -> int * string;
       (** Apply a batch through the engine's one entry point (a unit
           update is a singleton batch). Returns |ΔO| (answer items added

@@ -82,7 +82,6 @@ let kws t =
     series = "IncKWS";
     graph = I.graph t;
     obs = I.obs t;
-    trace = I.trace t;
     apply_batch =
       (fun us ->
         let d = I.apply_batch t us in
@@ -102,7 +101,6 @@ let scc t =
     series = "IncSCC";
     graph = I.graph t;
     obs = I.obs t;
-    trace = I.trace t;
     (* Components are reported removed-first: a merge reads "-k/+1". *)
     apply_batch =
       (fun us ->
@@ -116,20 +114,19 @@ let scc t =
     cert_snapshot = (fun () -> I.cert_snapshot t);
   }
 
-let make ?(obs = Ig_obs.Obs.create ()) ?(trace = Ig_obs.Tracer.create ()) g
+let make ?(obs = Ig_obs.Obs.create ~events:Ig_obs.Obs.default_events ()) g
     spec =
   let g = Digraph.copy g in
   match spec with
-  | Kws q -> kws (Ig_kws.Inc_kws.init ~obs ~trace g q)
+  | Kws q -> kws (Ig_kws.Inc_kws.init ~obs g q)
   | Rpq q ->
       let module I = Ig_rpq.Inc_rpq in
-      let t = I.create ~obs ~trace g q in
+      let t = I.create ~obs g q in
       {
         Oracle.name = "rpq";
         series = "IncRPQ";
         graph = g;
         obs;
-        trace;
         apply_batch =
           (fun us ->
             let d = I.apply_batch t us in
@@ -140,16 +137,15 @@ let make ?(obs = Ig_obs.Obs.create ()) ?(trace = Ig_obs.Tracer.create ()) g
         check_invariants = (fun () -> I.check_invariants t);
         cert_snapshot = (fun () -> I.cert_snapshot t);
       }
-  | Scc -> scc (Ig_scc.Inc_scc.init ~obs ~trace g)
+  | Scc -> scc (Ig_scc.Inc_scc.init ~obs g)
   | Iso p ->
       let module I = Ig_iso.Inc_iso in
-      let t = I.init ~obs ~trace g p in
+      let t = I.init ~obs g p in
       {
         Oracle.name = "iso";
         series = "IncISO";
         graph = g;
         obs;
-        trace;
         apply_batch =
           (fun us ->
             let d = I.apply_batch t us in
@@ -162,14 +158,13 @@ let make ?(obs = Ig_obs.Obs.create ()) ?(trace = Ig_obs.Tracer.create ()) g
       }
   | Sim p ->
       let module I = Ig_sim.Inc_sim in
-      let t = I.init ~obs ~trace g p in
+      let t = I.init ~obs g p in
       let pairs () = Ig_sim.Sim.pairs (I.relation t) in
       {
         Oracle.name = "sim";
         series = "IncSim";
         graph = g;
         obs;
-        trace;
         apply_batch =
           (fun us ->
             let d = I.apply_batch t us in

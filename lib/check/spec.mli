@@ -36,14 +36,13 @@ val header :
 
 val make :
   ?obs:Ig_obs.Obs.t ->
-  ?trace:Ig_obs.Tracer.t ->
   Ig_graph.Digraph.t ->
   t ->
   Oracle.t
 (** Build the class's incremental engine over a copy of the graph (the
-    caller's graph is left untouched), reporting to [obs] and [trace]
-    (default: a fresh live registry and a fresh live tracer), and wrap it
-    as an oracle against the class's batch algorithm. *)
+    caller's graph is left untouched), reporting to [obs] (default: a
+    fresh live registry recording {!Ig_obs.Obs.default_events} events),
+    and wrap it as an oracle against the class's batch algorithm. *)
 
 val kws : Ig_kws.Inc_kws.t -> Oracle.t
 (** The KWS oracle over an already-built engine, {e without} copying its

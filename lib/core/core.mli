@@ -34,10 +34,11 @@
     report format built on it. Pass [Obs.create ()] as [?obs] at engine
     creation to enable measurement; the default sink is a no-op.
 
-    {!Obs.Tracer} is the structured-event sibling: a bounded ring buffer of
-    typed events (AFF entry with the rule of the paper's pseudocode that
-    fired, certificate rewrites with before/after, frontier expansions)
-    that every engine accepts as [?trace] at creation.
+    The same sink explains what it counts: [Obs.create ~events:capacity ()]
+    also keeps a bounded ring of the typed events defined in {!Obs.Tracer}
+    (AFF entry with the rule of the paper's pseudocode that fired,
+    certificate rewrites with before/after, frontier expansions, spans),
+    read back with {!Obs.events}.
     {!Obs.Trace_export} renders snapshots as Chrome trace-event JSON
     (Perfetto-loadable) or a human-readable explanation. *)
 module Obs : sig

@@ -31,7 +31,6 @@
    overlay vectors, making copies O(n) and fully independent. *)
 
 module Obs = Ig_obs.Obs
-module Tracer = Ig_obs.Tracer
 
 type node = int
 type label = Interner.symbol
@@ -62,12 +61,11 @@ type t = {
   mutable overlay : int; (* live entries across the four overlay tables *)
   mutable overlay_adds : int; (* live entries in the two add tables *)
   mutable overlay_dels : int; (* live tombstones in the two del tables *)
-  (* Instrumentation sinks, default noop. Engines attach their registry
-     and tracer at init (via [instrument]) so overlay pressure and
-     compaction cost are observable; [copy] resets both to noop so a
-     scratch/oracle copy never pollutes the engine's registry. *)
+  (* Instrumentation sink, default noop. Engines attach their registry
+     at init (via [instrument]) so overlay pressure and compaction cost
+     are observable; [copy] resets it to noop so a scratch/oracle copy
+     never pollutes the engine's registry. *)
   mutable obs : Obs.t;
-  mutable trace : Tracer.t;
 }
 
 let create ?(hint = 16) () =
@@ -92,7 +90,6 @@ let create ?(hint = 16) () =
       overlay_adds = 0;
       overlay_dels = 0;
       obs = Obs.noop;
-      trace = Tracer.noop;
     }
   in
   let hint = max 1 hint in
@@ -108,9 +105,7 @@ let create ?(hint = 16) () =
 let backend _ = `Csr
 let backend_name `Csr = "csr"
 
-let instrument ~obs ~trace g =
-  g.obs <- obs;
-  g.trace <- trace
+let instrument ~obs g = g.obs <- obs
 
 (* Overlay pressure as last-write-wins gauges, refreshed after every
    mutation; a single branch each under the noop sink. *)
@@ -276,7 +271,7 @@ let compact g =
     Obs.observe g.obs Obs.K.csr_compact_bytes (float_of_int bytes);
     note_overlay g
   end;
-  Tracer.compaction g.trace ~edges:g.n_edges ~overlay:absorbed
+  Obs.compaction g.obs ~edges:g.n_edges ~overlay:absorbed
 
 let maybe_compact g = if g.overlay > max 64 (g.n_edges asr 3) then compact g
 
@@ -455,7 +450,6 @@ let copy g =
        inheriting the sinks would double-count compactions and gauges
        against the original engine's registry. *)
     obs = Obs.noop;
-    trace = Tracer.noop;
   }
 
 let pp ppf g =

@@ -59,13 +59,13 @@ val overlay_size : t -> int
 (** Live overlay entries (adds and tombstones, both directions) pending
     compaction; 0 right after {!compact}. *)
 
-val instrument : obs:Ig_obs.Obs.t -> trace:Ig_obs.Tracer.t -> t -> unit
-(** Attach instrumentation sinks to the storage layer: the overlay
+val instrument : obs:Ig_obs.Obs.t -> t -> unit
+(** Attach an instrumentation sink to the storage layer: the overlay
     add/del sizes become gauges and compactions record latency and
-    bytes-copied histograms plus a [Compaction] trace event. Default is
-    noop/noop (a single branch per probe); {!copy} resets the copy's
-    sinks to noop so scratch and oracle copies never pollute the engine's
-    registry. *)
+    bytes-copied histograms plus a [Compaction] event. Default is
+    {!Ig_obs.Obs.noop} (a single branch per probe); {!copy} resets the
+    copy's sink to noop so scratch and oracle copies never pollute the
+    engine's registry. *)
 
 val add_node : t -> string -> node
 (** Add a fresh node with the given label string. *)

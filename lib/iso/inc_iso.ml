@@ -6,13 +6,10 @@ type node = Digraph.node
 
 type delta = { added : Vf2.mapping list; removed : Vf2.mapping list }
 
-type stats = { mutable rematches : int }
-
 type t = {
   g : Digraph.t;
   p : Pattern.t;
   obs : Obs.t;
-  trace : Tracer.t;
   grouped : bool;
   anchors : ((int * int) * Vf2.plan) list;
       (* one matching order per pattern edge, in pattern-edge order *)
@@ -20,16 +17,11 @@ type t = {
   edge_index : (node * node, (Vf2.canon, unit) Hashtbl.t) Hashtbl.t;
   gained : (Vf2.canon, Vf2.mapping) Hashtbl.t;
   lost : (Vf2.canon, Vf2.mapping) Hashtbl.t;
-  st : stats;
 }
 
 let graph t = t.g
 let pattern t = t.p
-let stats t = t.st
 let obs t = t.obs
-let trace t = t.trace
-
-let reset_stats t = t.st.rematches <- 0
 
 let image_edges t m =
   List.map (fun (u, v) -> (m.(u), m.(v))) (Pattern.edges t.p)
@@ -52,19 +44,27 @@ let add_match t c m =
         in
         Hashtbl.replace set c ())
       (image_edges t m);
-    if Tracer.enabled t.trace then begin
-      Tracer.aff_enter t.trace ~node:m.(0) ~rule:Tracer.Iso_ball_rematch;
-      Tracer.cert_rewrite t.trace ~node:m.(0) ~field:"match" ~before:"absent"
+    (* Counted in bulk by [process_inserts]: init and [add_node] add
+       matches too, and those are not |AFF|. *)
+    if Obs.tracing t.obs then begin
+      Obs.emit t.obs
+        (Tracer.Aff_enter { node = m.(0); rule = Tracer.Iso_ball_rematch });
+      Obs.cert_rewrite t.obs ~node:m.(0) ~field:"match" ~before:"absent"
         ~after:(show_mapping m)
     end;
     if Hashtbl.mem t.lost c then Hashtbl.remove t.lost c
     else Hashtbl.replace t.gained c m
   end
 
+(* A match broken by a deleted edge: it enters AFF and leaves the store. *)
 let remove_match t c =
   match Hashtbl.find_opt t.matches c with
   | None -> ()
   | Some m ->
+      Obs.aff_enter t.obs ~node:m.(0) ~rule:Tracer.Iso_match_broken;
+      if Obs.tracing t.obs then
+        Obs.cert_rewrite t.obs ~node:m.(0) ~field:"match"
+          ~before:(show_mapping m) ~after:"removed";
       Hashtbl.remove t.matches c;
       List.iter
         (fun e ->
@@ -98,21 +98,8 @@ let process_delete t e =
       let cs =
         List.map fst (Obs.sorted_bindings ~compare:Vf2.compare_canon set)
       in
-      let n = List.length cs in
-      Obs.add t.obs Obs.K.aff n;
-      Obs.add t.obs Obs.K.cert_rewrites n;
-      List.iter
-        (fun c ->
-          (if Tracer.enabled t.trace then
-             match Hashtbl.find_opt t.matches c with
-             | Some m ->
-                 Tracer.aff_enter t.trace ~node:m.(0)
-                   ~rule:Tracer.Iso_match_broken;
-                 Tracer.cert_rewrite t.trace ~node:m.(0) ~field:"match"
-                   ~before:(show_mapping m) ~after:"removed"
-             | None -> ());
-          remove_match t c)
-        cs
+      Obs.add t.obs Obs.K.cert_rewrites (List.length cs);
+      List.iter (remove_match t) cs
 
 (* Edge-anchored re-match (paper steps (2)-(3)): every new match maps some
    pattern edge (x, y) onto a net-inserted edge (v, w), and the pattern is
@@ -133,13 +120,14 @@ let process_inserts t edges =
           (fun ((x, y), plan) ->
             if sym.(x) = lv && sym.(y) = lw && (x <> y || v = w) then begin
               incr runs;
-              Tracer.frontier_expand t.trace ~node:v;
+              (* Counted as one of [rematches], not a queue push. *)
+              if Obs.tracing t.obs then
+                Obs.emit t.obs (Tracer.Frontier_expand { node = v });
               Vf2.iter_matches ~anchor:(plan, (v, w)) ~work t.g t.p
                 (fun m -> add_match t (Vf2.canon_of t.p m) m)
             end)
           t.anchors)
       edges;
-    t.st.rematches <- t.st.rematches + !runs;
     Obs.add t.obs "rematches" !runs;
     Obs.add t.obs Obs.K.nodes_visited work.visited;
     Obs.add t.obs Obs.K.edges_relaxed work.relaxed;
@@ -170,8 +158,7 @@ let process t updates =
 
 let apply_batch t updates =
   Obs.with_apply t.obs @@ fun () ->
-  Obs.with_span t.obs "iso.process" (fun () ->
-      Tracer.with_span t.trace "iso.process" (fun () -> process t updates));
+  Obs.with_span t.obs "iso.process" (fun () -> process t updates);
   flush_delta t
 
 let add_node t label =
@@ -184,21 +171,19 @@ let add_node t label =
   end;
   v
 
-let init ?(grouped = true) ?(obs = Obs.noop) ?(trace = Tracer.noop) g p =
-  Digraph.instrument ~obs ~trace g;
+let init ?(grouped = true) ?(obs = Obs.noop) g p =
+  Digraph.instrument ~obs g;
   let t =
     {
       g;
       p;
       obs;
-      trace;
       grouped;
       anchors = List.map (fun e -> (e, Vf2.plan p e)) (Pattern.edges p);
       matches = Hashtbl.create 256;
       edge_index = Hashtbl.create 256;
       gained = Hashtbl.create 64;
       lost = Hashtbl.create 64;
-      st = { rematches = 0 };
     }
   in
   List.iter
@@ -207,7 +192,7 @@ let init ?(grouped = true) ?(obs = Obs.noop) ?(trace = Tracer.noop) g p =
   Hashtbl.reset t.gained;
   (* The initial batch match is not an update: its events (one Aff_enter
      per pre-existing match) are not provenance, so drop them. *)
-  Tracer.clear t.trace;
+  Obs.clear_events obs;
   t
 
 (* Canon order: user-visible. *)

@@ -27,16 +27,11 @@ type delta = {
   removed : Vf2.mapping list;
 }
 
-type stats = {
-  mutable rematches : int;  (** anchored VF2 runs *)
-}
-
 type t
 
 val init :
   ?grouped:bool ->
   ?obs:Ig_obs.Obs.t ->
-  ?trace:Ig_obs.Tracer.t ->
   Ig_graph.Digraph.t ->
   Pattern.t ->
   t
@@ -57,22 +52,20 @@ val init :
     Each {!apply_batch} call also records one sample into the
     [apply_latency_s] histogram (monotonic seconds) and the
     [gc_minor_words]/[gc_major_words]/[gc_promoted_words] histograms
-    (words allocated, per {!Ig_obs.Obs.with_apply}). [trace]
-    (default {!Ig_obs.Tracer.noop}) receives structured events:
+    (words allocated, per {!Ig_obs.Obs.with_apply}). A sink created with
+    [~events] also records structured events:
     [Aff_enter] tagged [Iso_match_broken] (a match ran through a deleted
     edge) or [Iso_ball_rematch] (a fresh match from an anchored VF2 run),
     [Cert_rewrite] on the [match] field (the mapping's image), and
     [Frontier_expand] on the tail of the inserted edge of each anchored
-    run. Events from the initial batch enumeration are discarded. *)
+    run. [init] clears the sink's events, so the initial batch
+    enumeration leaves none. *)
 
 val graph : t -> Ig_graph.Digraph.t
 val pattern : t -> Pattern.t
 
 val obs : t -> Ig_obs.Obs.t
 (** The metrics sink the session was created with. *)
-
-val trace : t -> Ig_obs.Tracer.t
-(** The event tracer the session was created with. *)
 
 val add_node : t -> string -> node
 (** A fresh node (matches only single-node patterns until edges arrive).
@@ -85,9 +78,6 @@ val apply_batch : t -> Ig_graph.Digraph.update list -> delta
 
 val matches : t -> Vf2.mapping list
 val n_matches : t -> int
-
-val stats : t -> stats
-val reset_stats : t -> unit
 
 val check_invariants : t -> unit
 (** Test hook: the match set equals a fresh VF2 enumeration and the edge

@@ -10,8 +10,6 @@ type delta = {
   rewired : (node * int) list;
 }
 
-type stats = { mutable affected : int; mutable settled : int }
-
 module PQ = Ig_graph.Pqueue.Make (struct
   type t = int
 
@@ -24,7 +22,6 @@ type t = {
   mutable q : Batch.query;
   grouped : bool;
   obs : Obs.t;
-  trace : Tracer.t;
   syms : Ig_graph.Interner.symbol array; (* keyword symbols, query order *)
   kd : (node, Batch.entry) Hashtbl.t array;
   mcount : (node, int) Hashtbl.t; (* node -> #keywords within bound *)
@@ -32,18 +29,11 @@ type t = {
   gained : (node, unit) Hashtbl.t;
   lost : (node, unit) Hashtbl.t;
   rewired : (node * int, unit) Hashtbl.t;
-  st : stats;
 }
 
 let graph t = t.g
 let query t = t.q
-let stats t = t.st
 let obs t = t.obs
-let trace t = t.trace
-
-let reset_stats t =
-  t.st.affected <- 0;
-  t.st.settled <- 0
 
 let m t = Array.length t.kd
 let bound t = t.q.Batch.bound
@@ -112,9 +102,7 @@ let process_keyword t i ~dels ~inss =
     Obs.incr t.obs Obs.K.nodes_visited;
     if (not (Hashtbl.mem affected v)) && Hashtbl.mem kd v then begin
       Hashtbl.replace affected v ();
-      t.st.affected <- t.st.affected + 1;
-      Obs.incr t.obs Obs.K.aff;
-      Tracer.aff_enter t.trace ~node:v ~rule:Tracer.Kws_next_on_deleted;
+      Obs.aff_enter t.obs ~node:v ~rule:Tracer.Kws_next_on_deleted;
       Digraph.iter_pred
         (fun u ->
           match Hashtbl.find_opt kd u with
@@ -141,8 +129,7 @@ let process_keyword t i ~dels ~inss =
         t.g v;
       remove_entry t i v;
       if !best <= b then begin
-        Obs.incr t.obs Obs.K.queue_pushes;
-        Tracer.frontier_expand t.trace ~node:v;
+        Obs.frontier_expand t.obs ~node:v;
         PQ.insert q v !best
       end)
     (Obs.sorted_bindings ~compare:Int.compare affected);
@@ -160,8 +147,7 @@ let process_keyword t i ~dels ~inss =
               | Some ev -> ev.Batch.dist > cand
               | None -> true
             then begin
-              Obs.incr t.obs Obs.K.queue_pushes;
-              Tracer.frontier_expand t.trace ~node:v;
+              Obs.frontier_expand t.obs ~node:v;
               PQ.insert q v cand
             end
         | None -> ())
@@ -190,24 +176,26 @@ let process_keyword t i ~dels ~inss =
               | _ -> ())
             t.g v;
           assert (!next >= 0);
-          if Tracer.enabled t.trace then begin
+          if Obs.tracing t.obs then begin
             (* Entries absent from [affected] are reached through an
-               insertion or an improved successor — Fig. 1's rule. *)
+               insertion or an improved successor — Fig. 1's rule. Their
+               work is counted as a rewrite below, not as |AFF|. *)
             if not (Hashtbl.mem affected v) then
-              Tracer.aff_enter t.trace ~node:v ~rule:Tracer.Kws_shorter_kdist;
+              Obs.emit t.obs
+                (Tracer.Aff_enter
+                   { node = v; rule = Tracer.Kws_shorter_kdist });
             let show = function
               | Some e ->
                   Printf.sprintf "dist=%d next=%d" e.Batch.dist e.Batch.next
               | None -> "absent"
             in
-            Tracer.cert_rewrite t.trace ~node:v
+            Obs.cert_rewrite t.obs ~node:v
               ~field:(Printf.sprintf "kdist[%d]" i)
               ~before:(show (Hashtbl.find_opt kd v))
               ~after:(Printf.sprintf "dist=%d next=%d" d !next)
           end;
           set_entry t i v { Batch.dist = d; next = !next };
           Hashtbl.replace t.rewired (v, i) ();
-          t.st.settled <- t.st.settled + 1;
           Obs.incr t.obs Obs.K.cert_rewrites;
           Digraph.iter_pred
             (fun u ->
@@ -220,8 +208,7 @@ let process_keyword t i ~dels ~inss =
                 | Some e -> e.Batch.dist > cand
                 | None -> true
               then begin
-                Obs.incr t.obs Obs.K.queue_pushes;
-                Tracer.frontier_expand t.trace ~node:u;
+                Obs.frontier_expand t.obs ~node:u;
                 PQ.insert q u cand
               end)
             t.g v
@@ -232,10 +219,9 @@ let process_keyword t i ~dels ~inss =
 
 let process_all t ~dels ~inss =
   Obs.with_span t.obs "kws.process" (fun () ->
-      Tracer.with_span t.trace "kws.process" (fun () ->
-          for i = 0 to m t - 1 do
-            process_keyword t i ~dels ~inss
-          done))
+      for i = 0 to m t - 1 do
+        process_keyword t i ~dels ~inss
+      done)
 
 (* Apply the batch's net effect: an edge inserted then deleted in one batch
    (or the reverse) is no update at all, and the graph ends as
@@ -273,8 +259,8 @@ let add_node t label =
     t.syms;
   v
 
-let init ?(grouped = true) ?(obs = Obs.noop) ?(trace = Tracer.noop) g q =
-  Digraph.instrument ~obs ~trace g;
+let init ?(grouped = true) ?(obs = Obs.noop) g q =
+  Digraph.instrument ~obs g;
   let kd = Batch.kdist_maps g q in
   let t =
     {
@@ -282,7 +268,6 @@ let init ?(grouped = true) ?(obs = Obs.noop) ?(trace = Tracer.noop) g q =
       q;
       grouped;
       obs;
-      trace;
       syms =
         Array.of_list
           (List.map (Digraph.intern_label g) q.Batch.keywords);
@@ -292,7 +277,6 @@ let init ?(grouped = true) ?(obs = Obs.noop) ?(trace = Tracer.noop) g q =
       gained = Hashtbl.create 64;
       lost = Hashtbl.create 64;
       rewired = Hashtbl.create 64;
-      st = { affected = 0; settled = 0 };
     }
   in
   Array.iter
@@ -351,7 +335,7 @@ let set_bound t b' =
                 t.g v;
               assert (!next >= 0);
               set_entry t i v { Batch.dist = d; next = !next };
-              t.st.settled <- t.st.settled + 1;
+              Obs.incr t.obs Obs.K.cert_rewrites;
               Digraph.iter_pred
                 (fun u ->
                   if d + 1 <= b' && not (Hashtbl.mem kd u) then

@@ -35,14 +35,11 @@ type delta = {
           replaced inside surviving matches *)
 }
 
-type stats = { mutable affected : int; mutable settled : int }
-
 type t
 
 val init :
   ?grouped:bool ->
   ?obs:Ig_obs.Obs.t ->
-  ?trace:Ig_obs.Tracer.t ->
   Ig_graph.Digraph.t ->
   Batch.query ->
   t
@@ -56,22 +53,18 @@ val init :
     Each {!apply_batch} call also records one sample into the
     [apply_latency_s] histogram (monotonic seconds) and the
     [gc_minor_words]/[gc_major_words]/[gc_promoted_words] histograms
-    (words allocated, per {!Ig_obs.Obs.with_apply}). [trace]
-    (default {!Ig_obs.Tracer.noop}) receives typed provenance events at the
-    same sites: [Aff_enter] tagged [Kws_next_on_deleted]
-    (Fig. 3 lines 1-6) or [Kws_shorter_kdist] (Fig. 1), [Cert_rewrite] per
-    re-settled [kdist[i]] entry with before/after values, and
-    [Frontier_expand] per queue push. The session owns the graph
-    afterwards. *)
+    (words allocated, per {!Ig_obs.Obs.with_apply}). A sink created with
+    [~events] also records typed provenance events at the same sites:
+    [Aff_enter] tagged [Kws_next_on_deleted] (Fig. 3 lines 1-6) or
+    [Kws_shorter_kdist] (Fig. 1), [Cert_rewrite] per re-settled [kdist[i]]
+    entry with before/after values, and [Frontier_expand] per queue push.
+    The session owns the graph afterwards. *)
 
 val graph : t -> Ig_graph.Digraph.t
 val query : t -> Batch.query
 
 val obs : t -> Ig_obs.Obs.t
 (** The metrics sink the session was created with. *)
-
-val trace : t -> Ig_obs.Tracer.t
-(** The event tracer the session was created with. *)
 
 val add_node : t -> string -> node
 (** A fresh node; it immediately matches any keyword equal to its label.
@@ -90,9 +83,6 @@ val kdist : t -> node -> int -> Batch.entry option
 val match_tree : t -> node -> (int * node list) list
 (** The match tree at a root: one [next]-path per keyword (empty if the node
     is not a match root). *)
-
-val stats : t -> stats
-val reset_stats : t -> unit
 
 val check_invariants : t -> unit
 (** Test hook: distances equal a fresh batch computation, every [next]
@@ -113,7 +103,8 @@ val set_bound : t -> int -> delta
     propagation from the "breakpoints" where it previously stopped (the
     frontier entries at the old bound, derivable from the kdist lists);
     lowering it drops the entries beyond the new bound. After the call the
-    session behaves exactly as if initialized with the new bound. *)
+    session behaves exactly as if initialized with the new bound. Each
+    entry settled while raising counts one [cert_rewrites]. *)
 
 val match_cost : t -> node -> int option
 (** The minimized objective of the paper's match definition at a root:

@@ -309,7 +309,7 @@ let note_aff ctx e =
       match (app_head f).pexp_desc with
       | Pexp_ident { txt; _ }
         when (match List.rev (flatten_longident [] txt) with
-             | "aff_enter" :: _ -> true
+             | "aff_enter" :: "Obs" :: _ -> true
              | _ -> false)
              && List.exists
                   (fun (l, _) -> l = Asttypes.Labelled "rule")
@@ -413,7 +413,7 @@ let finish_d4 ctx =
         }
       "D4" Error
       "engine file has update entry points but no rule-tagged \
-       Tracer.aff_enter: AFF provenance would be empty"
+       Obs.aff_enter: AFF provenance would be empty"
 
 let syntax_diag ctx exn lexbuf =
   let loc =

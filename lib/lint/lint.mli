@@ -18,7 +18,7 @@
       [Unix.time] in lib/ outside lib/obs.
     - [D4] a top-level [apply_batch] (an engine's one update entry point)
       in a lib/ [inc_*.ml] is wrapped in [Obs.with_apply], and the file
-      emits at least one rule-tagged [Tracer.aff_enter].
+      calls the AFF-entry probe [Obs.aff_enter ~rule] at least once.
     - [D5] every lib/ [.ml] has a sibling [.mli].
 
     Suppression: [(expr [@lint.allow "RULE"])] for a subtree,

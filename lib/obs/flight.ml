@@ -17,8 +17,8 @@
      grows past twice that (amortized O(1) per snapshot).
 
    When an SLO tracker is armed, every snapshot evaluates it against
-   the registry first, so trip transitions land in the tracer at
-   snapshot granularity and the JSONL ring carries the budget state the
+   the registry first, so trip transitions land in the registry's events
+   at snapshot granularity and the JSONL ring carries the budget state the
    [incgraph top] dashboard renders. *)
 
 type t = {
@@ -28,7 +28,6 @@ type t = {
   deterministic : bool;
   obs : Obs.t;
   slo : Slo.t option;
-  trace : Tracer.t;
   mutable updates : int;
   mutable snapshots : int;
   ring : string Queue.t; (* paths of live metrics-<seq>.prom files *)
@@ -36,8 +35,8 @@ type t = {
   mutable lines_in_file : int;
 }
 
-let create ?(every = 1) ?(retain = 32) ?(deterministic = false) ?slo
-    ?(trace = Tracer.noop) ~dir ~obs () =
+let create ?(every = 1) ?(retain = 32) ?(deterministic = false) ?slo ~dir
+    ~obs () =
   if every < 1 then invalid_arg "Flight.create: every must be >= 1";
   if retain < 1 then invalid_arg "Flight.create: retain must be >= 1";
   {
@@ -47,7 +46,6 @@ let create ?(every = 1) ?(retain = 32) ?(deterministic = false) ?slo
     deterministic;
     obs;
     slo;
-    trace;
     updates = 0;
     snapshots = 0;
     ring = Queue.create ();
@@ -103,7 +101,7 @@ let snapshot t =
     match t.slo with
     | None -> Json.Null
     | Some s ->
-        ignore (Slo.evaluate s ~obs:t.obs ~trace:t.trace);
+        ignore (Slo.evaluate s ~obs:t.obs);
         Slo.to_json s
   in
   let seq = t.snapshots in

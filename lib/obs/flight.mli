@@ -9,7 +9,7 @@
     scrape target, and appends a [{seq; updates; metrics; slo}] line to
     [metrics.jsonl] (compacted to the newest [retain] lines whenever it
     doubles). An armed {!Slo} tracker is evaluated at every snapshot,
-    so trip transitions land in the tracer at snapshot granularity. *)
+    so trip transitions land in [obs]'s events at snapshot granularity. *)
 
 type t
 
@@ -18,7 +18,6 @@ val create :
   ?retain:int ->
   ?deterministic:bool ->
   ?slo:Slo.t ->
-  ?trace:Tracer.t ->
   dir:string ->
   obs:Obs.t ->
   unit ->

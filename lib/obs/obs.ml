@@ -12,7 +12,14 @@
    the entries actually rewritten, and [K.changed] = |ΔG| + |ΔO| the size
    of the change (effective input updates plus output delta). "Bounded"
    claims become assertions over ratios of these counters; "faster" claims
-   become deltas between two BENCH json files built from them. *)
+   become deltas between two BENCH json files built from them.
+
+   The same sink carries the structured events that explain the counters
+   (AFF entries tagged with their rule, certificate rewrites, frontier
+   expansions, spans): [create ~events:capacity] gives it a bounded
+   [Tracer] ring, and the probes that both count and explain — [aff_enter],
+   [frontier_expand], [with_span] — are one call that feeds both. A sink
+   created without [~events] allocates no ring. *)
 
 type registry = {
   counters : (string, int ref) Hashtbl.t;
@@ -21,13 +28,23 @@ type registry = {
   spans : (string, int ref * float ref) Hashtbl.t; (* entries, cumulative s *)
   mutable span_stack : (string * float) list;
   histos : (string, Histogram.t) Hashtbl.t;
+  ring : Tracer.t option; (* the event ring, when created with ~events *)
 }
 
 type t = Noop | Reg of registry
 
 let noop = Noop
 
-let create () =
+let default_events = 65536
+
+let create ?events () =
+  let ring =
+    Option.map
+      (fun cap ->
+        if cap <= 0 then invalid_arg "Obs.create: events must be positive";
+        Tracer.create cap)
+      events
+  in
   Reg
     {
       counters = Hashtbl.create 16;
@@ -36,6 +53,7 @@ let create () =
       spans = Hashtbl.create 8;
       span_stack = [];
       histos = Hashtbl.create 8;
+      ring;
     }
 
 (* ---- the clock ------------------------------------------------------------
@@ -50,6 +68,7 @@ let now_ns () = Monotonic_clock.now ()
 let now_s () = Int64.to_float (now_ns ()) *. 1e-9
 
 let enabled = function Noop -> false | Reg _ -> true
+let tracing = function Reg { ring = Some _; _ } -> true | _ -> false
 
 let slot tbl name =
   match Hashtbl.find_opt tbl name with
@@ -113,13 +132,16 @@ end
 
 (* ---- counters ------------------------------------------------------------ *)
 
+let bump r name k =
+  let c = slot r.counters name in
+  c := !c + k
+
 let add t name k =
   match t with
   | Noop -> ()
   | Reg r ->
       if k < 0 then invalid_arg "Obs.add: counters are monotonic";
-      let c = slot r.counters name in
-      c := !c + k
+      bump r name k
 
 let incr t name = add t name 1
 
@@ -192,7 +214,11 @@ let open_spans = function Noop -> [] | Reg r -> List.map fst r.span_stack
 let span_begin t name =
   match t with
   | Noop -> ()
-  | Reg r -> r.span_stack <- (name, now_s ()) :: r.span_stack
+  | Reg r ->
+      (match r.ring with
+      | Some b -> Tracer.push b (Tracer.Span_begin name)
+      | None -> ());
+      r.span_stack <- (name, now_s ()) :: r.span_stack
 
 let span_end t name =
   match t with
@@ -210,7 +236,10 @@ let span_end t name =
                 cell
           in
           entries := !entries + 1;
-          total := !total +. (now_s () -. t0)
+          total := !total +. (now_s () -. t0);
+          (match r.ring with
+          | Some b -> Tracer.push b (Tracer.Span_end name)
+          | None -> ())
       | (top, _) :: _ ->
           invalid_arg
             (Printf.sprintf "Obs.span_end: %s closed while %s is open" name top)
@@ -232,6 +261,60 @@ let span t name =
       match Hashtbl.find_opt r.spans name with
       | Some (n, s) -> (!n, !s)
       | None -> (0, 0.0))
+
+(* ---- events ----------------------------------------------------------------
+
+   Each probe matches on the ring before building its event, so a sink
+   without one allocates nothing. [aff_enter] and [frontier_expand] also
+   count: one call per AFF entry and per queue push feeds both |AFF| (or
+   the push count) and its explanation. *)
+
+let emit t ev =
+  match t with Reg { ring = Some b; _ } -> Tracer.push b ev | _ -> ()
+
+let aff_enter t ~node ~rule =
+  match t with
+  | Noop -> ()
+  | Reg r -> (
+      bump r K.aff 1;
+      match r.ring with
+      | Some b -> Tracer.push b (Tracer.Aff_enter { node; rule })
+      | None -> ())
+
+let frontier_expand t ~node =
+  match t with
+  | Noop -> ()
+  | Reg r -> (
+      bump r K.queue_pushes 1;
+      match r.ring with
+      | Some b -> Tracer.push b (Tracer.Frontier_expand { node })
+      | None -> ())
+
+let cert_rewrite t ~node ~field ~before ~after =
+  match t with
+  | Reg { ring = Some b; _ } ->
+      Tracer.push b (Tracer.Cert_rewrite { node; field; before; after })
+  | _ -> ()
+
+let compaction t ~edges ~overlay =
+  match t with
+  | Reg { ring = Some b; _ } ->
+      Tracer.push b (Tracer.Compaction { edges; overlay })
+  | _ -> ()
+
+let slo_violation t ~rule ~value ~limit =
+  match t with
+  | Reg { ring = Some b; _ } ->
+      Tracer.push b (Tracer.Slo_violation { rule; value; limit })
+  | _ -> ()
+
+let events = function
+  | Reg { ring = Some b; _ } -> Tracer.snapshot b
+  | _ -> Tracer.empty_snapshot
+
+let clear_events = function
+  | Reg { ring = Some b; _ } -> Tracer.clear b
+  | _ -> ()
 
 (* ---- histograms ------------------------------------------------------------ *)
 
@@ -319,7 +402,8 @@ let reset = function
       Hashtbl.reset r.timers;
       Hashtbl.reset r.spans;
       Hashtbl.reset r.histos;
-      r.span_stack <- []
+      r.span_stack <- [];
+      Option.iter Tracer.clear r.ring
 
 (* Counter snapshot difference: what a single update contributed. Keys are
    the union; values are cur - prev (clamped at 0 so a reset between

@@ -14,6 +14,14 @@
     files built from them; tail-latency claims become quantiles of the
     {!K.apply_latency} histogram recorded by {!with_apply}.
 
+    The same sink carries the structured events that explain those
+    counters: a sink created with [~events] owns a bounded {!Tracer} ring,
+    and the event probes below record AFF entries tagged with the
+    paper rule that fired, certificate rewrites, frontier expansions,
+    spans, compactions and SLO violations into it. The probes that both
+    count and explain ({!aff_enter}, {!frontier_expand}, {!with_span}) are
+    one call feeding both.
+
     {2 Clock contract}
 
     Every duration this module measures — {!time}, {!span_begin} /
@@ -37,11 +45,21 @@ val noop : t
 (** The disabled sink: every probe is a single branch, nothing is stored,
     every read returns the zero of its type. *)
 
-val create : unit -> t
-(** A fresh live registry. *)
+val create : ?events:int -> unit -> t
+(** A fresh live registry. [~events:capacity] also gives it an event ring
+    holding the newest [capacity] events; without it no ring is allocated
+    and the event probes only count. @raise Invalid_argument when
+    [capacity <= 0]. *)
+
+val default_events : int
+(** The ring capacity the CLI and [Spec.make]'s oracles use by default. *)
 
 val enabled : t -> bool
 (** [false] exactly on {!noop}. *)
+
+val tracing : t -> bool
+(** [true] exactly on a sink created with [~events]. Guards the building
+    of event payloads (before/after strings) that only a ring would keep. *)
 
 val sorted_bindings :
   compare:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> ('k * 'v) list
@@ -167,7 +185,8 @@ val span_end : t -> string -> unit
 (** @raise Invalid_argument when [name] is not the innermost open span. *)
 
 val with_span : t -> string -> (unit -> 'a) -> 'a
-(** Exception-safe [span_begin]/[span_end] pair. *)
+(** Exception-safe [span_begin]/[span_end] pair. On a sink with events,
+    {!span_begin} and {!span_end} also record [Span_begin]/[Span_end]. *)
 
 val span : t -> string -> int * float
 (** [(entries, cumulative seconds)] for a span name. *)
@@ -176,6 +195,41 @@ val span_depth : t -> int
 
 val open_spans : t -> string list
 (** Names of the currently open spans, innermost first. *)
+
+(** {2 Events} — the ring of a sink created with [~events]. Every
+    probe is a no-op on {!noop}; on a sink without a ring the counting
+    probes still count and the others do nothing. *)
+
+val aff_enter : t -> node:int -> rule:Tracer.rule -> unit
+(** [node] enters AFF because [rule] fired: adds 1 to {!K.aff} and
+    records [Aff_enter]. *)
+
+val frontier_expand : t -> node:int -> unit
+(** [node] is pushed on an engine's work queue: adds 1 to
+    {!K.queue_pushes} and records [Frontier_expand]. *)
+
+val cert_rewrite :
+  t -> node:int -> field:string -> before:string -> after:string -> unit
+(** Record [Cert_rewrite]; {!K.cert_rewrites} is counted by the caller,
+    whose unit of rewrite need not be one event. *)
+
+val compaction : t -> edges:int -> overlay:int -> unit
+val slo_violation : t -> rule:string -> value:float -> limit:float -> unit
+
+val emit : t -> Tracer.event -> unit
+(** Record an event and count nothing: the AFF entries and queue pushes
+    whose counters are kept in other units (a settle outside AFF, one
+    anchored VF2 run) or added in bulk (a local Tarjan run over a whole
+    component). Build the event under {!tracing}. *)
+
+val events : t -> Tracer.snapshot
+(** The buffered events, oldest first; empty without a ring. *)
+
+val clear_events : t -> unit
+(** Forget the buffered events, so the next {!events} explains just what
+    follows. Counters, spans and histograms are untouched: callers clear
+    between batches while [Oracle.check_metrics] needs counters
+    monotone. *)
 
 (** {2 Histograms} — mergeable latency/allocation distributions. *)
 
@@ -213,8 +267,8 @@ val timers : t -> (string * float) list
 val spans : t -> (string * (int * float)) list
 
 val reset : t -> unit
-(** Clear everything (including histograms and the open-span stack); the
-    sink stays live. *)
+(** Clear everything (including histograms, the open-span stack and the
+    events); the sink stays live. *)
 
 val diff_counters :
   prev:(string * int) list -> cur:(string * int) list -> (string * int) list

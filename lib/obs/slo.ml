@@ -10,8 +10,9 @@
    evaluations to trip, and then hold for [clear_after] consecutive
    in-budget evaluations to clear, so one slow GC pause or one bursty
    batch does not flap the status. The trip transition (not every
-   breaching evaluation) emits a rule-tagged [Slo_violation] into the
-   tracer, where it shows up in Chrome traces and `incgraph explain`. *)
+   breaching evaluation) records a rule-tagged [Slo_violation] in the
+   registry's events, where it shows up in Chrome traces and `incgraph
+   explain`. *)
 
 type source =
   | P99 of string  (* p99 of a registry histogram *)
@@ -90,8 +91,8 @@ let measure obs = function
   | Counter c -> float_of_int (Obs.counter obs c)
 
 (* One evaluation pass: measure every rule, advance its hysteresis, and
-   emit a [Slo_violation] trace event on each trip transition. *)
-let evaluate t ~obs ~trace =
+   record a [Slo_violation] event on each trip transition. *)
+let evaluate t ~obs =
   List.map
     (fun s ->
       let v = measure obs s.rule.source in
@@ -103,7 +104,7 @@ let evaluate t ~obs ~trace =
         if (not s.tripped) && s.breach_streak >= s.rule.trip_after then begin
           s.tripped <- true;
           s.trips <- s.trips + 1;
-          Tracer.slo_violation trace ~rule:s.rule.name ~value:v
+          Obs.slo_violation obs ~rule:s.rule.name ~value:v
             ~limit:s.rule.limit
         end
       end

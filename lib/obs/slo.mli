@@ -47,9 +47,10 @@ val rules : t -> rule list
 val measure : Obs.t -> source -> float
 (** One measurement; missing registry entries read as 0. *)
 
-val evaluate : t -> obs:Obs.t -> trace:Tracer.t -> status list
-(** Measure every rule, advance hysteresis, emit [Slo_violation] on
-    trip transitions. Statuses are in rule order. *)
+val evaluate : t -> obs:Obs.t -> status list
+(** Measure every rule against [obs], advance hysteresis, and record
+    [Slo_violation] into [obs]'s events on trip transitions. Statuses
+    are in rule order. *)
 
 val tripped : t -> string list
 (** Names of the currently tripped rules, in rule order. *)

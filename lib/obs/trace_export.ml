@@ -206,6 +206,33 @@ let pp_event ppf (e : Tracer.entry) =
       Format.fprintf ppf "#%-6d SLO VIOLATION    rule=%s value=%g limit=%g"
         e.Tracer.seq rule value limit
 
+(* Per-rule counts of the Aff_enter events, sorted by rule name: the
+   provenance histogram [incgraph explain] prints per update. *)
+let rule_histogram (snap : Tracer.snapshot) =
+  let tbl = Hashtbl.create 8 in
+  List.iter
+    (fun e ->
+      match e.Tracer.event with
+      | Tracer.Aff_enter { rule; _ } ->
+          let k = Tracer.rule_name rule in
+          Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k))
+      | _ -> ())
+    snap.Tracer.entries;
+  Obs.sorted_bindings ~compare:String.compare tbl
+
+(* Per-field counts of certificate rewrites. *)
+let field_histogram (snap : Tracer.snapshot) =
+  let tbl = Hashtbl.create 8 in
+  List.iter
+    (fun e ->
+      match e.Tracer.event with
+      | Tracer.Cert_rewrite { field; _ } ->
+          Hashtbl.replace tbl field
+            (1 + Option.value ~default:0 (Hashtbl.find_opt tbl field))
+      | _ -> ())
+    snap.Tracer.entries;
+  Obs.sorted_bindings ~compare:String.compare tbl
+
 (* Histograms first (the provenance summary), then up to [limit] raw
    events. [limit < 0] prints everything. *)
 let pp_explain ?(limit = 20) ppf (snap : Tracer.snapshot) =
@@ -214,14 +241,14 @@ let pp_explain ?(limit = 20) ppf (snap : Tracer.snapshot) =
     (if snap.Tracer.drops > 0 then
        Printf.sprintf " (ring buffer dropped %d older)" snap.Tracer.drops
      else "");
-  (match Tracer.rule_histogram snap with
+  (match rule_histogram snap with
   | [] -> Format.fprintf ppf "AFF provenance: none (no node entered AFF)@,"
   | hist ->
       Format.fprintf ppf "AFF provenance (rule -> nodes):@,";
       List.iter
         (fun (r, c) -> Format.fprintf ppf "  %-22s %6d@," r c)
         hist);
-  (match Tracer.field_histogram snap with
+  (match field_histogram snap with
   | [] -> ()
   | hist ->
       Format.fprintf ppf "certificate rewrites (field -> count):@,";

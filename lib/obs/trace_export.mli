@@ -1,8 +1,8 @@
-(** Export tracer snapshots.
+(** Export event snapshots ({!Obs.events}).
 
     Two renderings of the same {!Tracer.snapshot}: Chrome trace-event
     JSON (loadable in Perfetto / chrome://tracing) and a human-readable
-    "explain" rendering. Timestamps are the tracer's logical sequence
+    "explain" rendering. Timestamps are the ring's logical sequence
     numbers (1 event = 1 µs), so exports of seeded runs are byte-for-byte
     deterministic — no wall-clock reads anywhere in this module. *)
 
@@ -22,6 +22,13 @@ val validate : Json.t -> (int, string) result
     instant must carry a rule tag. Returns the number of trace events. *)
 
 val pp_event : Format.formatter -> Tracer.entry -> unit
+
+val rule_histogram : Tracer.snapshot -> (string * int) list
+(** Per-rule counts of the [Aff_enter] events, sorted by rule name: the
+    provenance histogram [incgraph explain] prints per update. *)
+
+val field_histogram : Tracer.snapshot -> (string * int) list
+(** Per-field counts of certificate rewrites, sorted by field name. *)
 
 val pp_explain : ?limit:int -> Format.formatter -> Tracer.snapshot -> unit
 (** Histograms first (the provenance summary), then up to [limit] raw

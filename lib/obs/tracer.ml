@@ -1,7 +1,8 @@
-(* Structured event tracing with AFF provenance.
+(* The bounded event ring behind Obs's structured tracing, and its event
+   types.
 
-   Where the Obs registry answers "how much work did an engine do" (|AFF|,
-   cert_rewrites, queue_pushes), the tracer answers "why": every node that
+   Where the Obs counters answer "how much work did an engine do" (|AFF|,
+   cert_rewrites, queue_pushes), events answer "why": every node that
    enters AFF is stamped with the *rule* of the paper's pseudocode that put
    it there (which line of Figures 1/3/5/7 fired), every certificate
    rewrite records the field and its before/after values, and frontier
@@ -10,10 +11,10 @@
    tracing a long soak costs O(capacity) memory and the tail — the part
    that explains a failure — is always retained.
 
-   Mirroring [Obs.t], the [Noop] constructor makes a disabled tracer cost
-   one branch per probe; engines take [?trace] at [init] exactly like
-   [?obs]. Sequence numbers are a logical clock (no wall-clock reads), so
-   a trace of a seeded run is bit-for-bit deterministic. *)
+   Only Obs holds a ring: [Obs.create ~events:capacity ()] allocates one
+   and the engines record into it through Obs's probes. Sequence numbers
+   are a logical clock (no wall-clock reads), so a trace of a seeded run
+   is bit-for-bit deterministic. *)
 
 (* Which case of the paper's algorithms put a node into AFF. *)
 type rule =
@@ -93,7 +94,7 @@ type event =
 
 type entry = { seq : int; event : event }
 
-type buf = {
+type t = {
   cap : int;
   ring : entry array;
   mutable len : int;   (* live entries, <= cap *)
@@ -102,27 +103,15 @@ type buf = {
   mutable dropped : int;
 }
 
-type t = Noop | Buf of buf
-
-let noop = Noop
-let default_capacity = 65536
-
-let create ?(capacity = default_capacity) () =
-  if capacity <= 0 then invalid_arg "Tracer.create: capacity must be positive";
-  Buf
-    {
-      cap = capacity;
-      ring = Array.make capacity { seq = 0; event = Span_begin "" };
-      len = 0;
-      head = 0;
-      next_seq = 0;
-      dropped = 0;
-    }
-
-let enabled = function Noop -> false | Buf _ -> true
-let capacity = function Noop -> 0 | Buf b -> b.cap
-let length = function Noop -> 0 | Buf b -> b.len
-let dropped = function Noop -> 0 | Buf b -> b.dropped
+let create capacity =
+  {
+    cap = capacity;
+    ring = Array.make capacity { seq = 0; event = Span_begin "" };
+    len = 0;
+    head = 0;
+    next_seq = 0;
+    dropped = 0;
+  }
 
 let push b event =
   b.ring.(b.head) <- { seq = b.next_seq; event };
@@ -130,49 +119,13 @@ let push b event =
   b.head <- (b.head + 1) mod b.cap;
   if b.len < b.cap then b.len <- b.len + 1 else b.dropped <- b.dropped + 1
 
-let emit t event = match t with Noop -> () | Buf b -> push b event
-
-let aff_enter t ~node ~rule =
-  match t with Noop -> () | Buf b -> push b (Aff_enter { node; rule })
-
-let cert_rewrite t ~node ~field ~before ~after =
-  match t with
-  | Noop -> ()
-  | Buf b -> push b (Cert_rewrite { node; field; before; after })
-
-let frontier_expand t ~node =
-  match t with Noop -> () | Buf b -> push b (Frontier_expand { node })
-
-let compaction t ~edges ~overlay =
-  match t with Noop -> () | Buf b -> push b (Compaction { edges; overlay })
-
-let slo_violation t ~rule ~value ~limit =
-  match t with
-  | Noop -> ()
-  | Buf b -> push b (Slo_violation { rule; value; limit })
-
-let span_begin t name =
-  match t with Noop -> () | Buf b -> push b (Span_begin name)
-
-let span_end t name =
-  match t with Noop -> () | Buf b -> push b (Span_end name)
-
-let with_span t name f =
-  match t with
-  | Noop -> f ()
-  | Buf _ ->
-      span_begin t name;
-      Fun.protect ~finally:(fun () -> span_end t name) f
-
 (* Forget buffered events (the logical clock keeps running, so snapshots
    taken across a clear still order globally). Used to scope a trace to
    one update: clear, apply, snapshot. *)
-let clear = function
-  | Noop -> ()
-  | Buf b ->
-      b.len <- 0;
-      b.head <- 0;
-      b.dropped <- 0
+let clear b =
+  b.len <- 0;
+  b.head <- 0;
+  b.dropped <- 0
 
 (* ---- snapshots ----------------------------------------------------------- *)
 
@@ -180,41 +133,10 @@ type snapshot = { entries : entry list; (* oldest first *) drops : int }
 
 let empty_snapshot = { entries = []; drops = 0 }
 
-let snapshot = function
-  | Noop -> empty_snapshot
-  | Buf b ->
-      let start = (b.head - b.len + (2 * b.cap)) mod b.cap in
-      let acc = ref [] in
-      for i = b.len - 1 downto 0 do
-        acc := b.ring.((start + i) mod b.cap) :: !acc
-      done;
-      { entries = !acc; drops = b.dropped }
-
-let events t = (snapshot t).entries
-
-(* Per-rule counts of the Aff_enter events, sorted by rule name: the
-   provenance histogram [incgraph explain] prints per update. *)
-let rule_histogram snap =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun e ->
-      match e.event with
-      | Aff_enter { rule; _ } ->
-          let k = rule_name rule in
-          Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k))
-      | _ -> ())
-    snap.entries;
-  Obs.sorted_bindings ~compare:String.compare tbl
-
-(* Per-field counts of certificate rewrites. *)
-let field_histogram snap =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun e ->
-      match e.event with
-      | Cert_rewrite { field; _ } ->
-          Hashtbl.replace tbl field
-            (1 + Option.value ~default:0 (Hashtbl.find_opt tbl field))
-      | _ -> ())
-    snap.entries;
-  Obs.sorted_bindings ~compare:String.compare tbl
+let snapshot b =
+  let start = (b.head - b.len + (2 * b.cap)) mod b.cap in
+  let acc = ref [] in
+  for i = b.len - 1 downto 0 do
+    acc := b.ring.((start + i) mod b.cap) :: !acc
+  done;
+  { entries = !acc; drops = b.dropped }

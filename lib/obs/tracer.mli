@@ -1,17 +1,21 @@
-(** Structured event tracing with AFF provenance.
+(** The bounded event ring behind {!Obs}'s structured tracing, and the
+    event types it stores.
 
-    Where the {!Obs} registry answers "how much work did an engine do"
-    (|AFF|, cert_rewrites, queue_pushes), the tracer answers "why": every
-    node that enters AFF is stamped with the {e rule} of the paper's
-    pseudocode that put it there, every certificate rewrite records the
-    field and its before/after values, and frontier expansions record the
-    propagation order. Events land in a bounded ring buffer: when it
-    wraps, the oldest events are dropped and counted, so tracing a long
-    soak costs O(capacity) memory and the tail — the part that explains a
-    failure — is always retained.
+    Where the {!Obs} counters answer "how much work did an engine do"
+    (|AFF|, cert_rewrites, queue_pushes), events answer "why": every node
+    that enters AFF is stamped with the {e rule} of the paper's pseudocode
+    that put it there, every certificate rewrite records the field and its
+    before/after values, and frontier expansions record the propagation
+    order. Events land in a bounded ring buffer: when it wraps, the oldest
+    events are dropped and counted, so tracing a long soak costs
+    O(capacity) memory and the tail — the part that explains a failure —
+    is always retained.
 
-    Sequence numbers are a logical clock (no wall-clock reads), so a
-    trace of a seeded run is bit-for-bit deterministic. *)
+    Nothing outside lib/obs holds a ring: a sink created with
+    [Obs.create ~events:capacity ()] owns one, and the engines record into
+    it through {!Obs}'s probes. Sequence numbers are a logical clock (no
+    wall-clock reads), so a trace of a seeded run is bit-for-bit
+    deterministic. *)
 
 (** Which case of the paper's algorithms put a node into AFF. *)
 type rule =
@@ -72,49 +76,22 @@ type event =
 type entry = { seq : int; event : event }
 
 type t
-(** A tracer handle; {!noop} costs one branch per probe. *)
+(** A ring; only {!Obs} creates and fills one. *)
 
-val noop : t
-val default_capacity : int
+val create : int -> t
+(** A ring of the given capacity, which the caller has checked is
+    positive. *)
 
-val create : ?capacity:int -> unit -> t
-(** Ring-buffered tracer. @raise Invalid_argument when [capacity <= 0]. *)
-
-val enabled : t -> bool
-val capacity : t -> int
-val length : t -> int
-
-val dropped : t -> int
-(** Events lost to ring wrap-around since the last {!clear}. *)
-
-val emit : t -> event -> unit
-val aff_enter : t -> node:int -> rule:rule -> unit
-
-val cert_rewrite :
-  t -> node:int -> field:string -> before:string -> after:string -> unit
-
-val frontier_expand : t -> node:int -> unit
-val compaction : t -> edges:int -> overlay:int -> unit
-val slo_violation : t -> rule:string -> value:float -> limit:float -> unit
-val span_begin : t -> string -> unit
-val span_end : t -> string -> unit
-
-val with_span : t -> string -> (unit -> 'a) -> 'a
-(** Balanced span even on exceptions. *)
+val push : t -> event -> unit
 
 val clear : t -> unit
 (** Forget buffered events. The logical clock keeps running, so
     snapshots taken across a clear still order globally. *)
 
-type snapshot = { entries : entry list;  (** oldest first *) drops : int }
+type snapshot = {
+  entries : entry list;  (** oldest first *)
+  drops : int;  (** events lost to wrap-around since the last {!clear} *)
+}
 
 val empty_snapshot : snapshot
 val snapshot : t -> snapshot
-val events : t -> entry list
-
-val rule_histogram : snapshot -> (string * int) list
-(** Per-rule counts of the [Aff_enter] events, sorted by rule name: the
-    provenance histogram [incgraph explain] prints per update. *)
-
-val field_histogram : snapshot -> (string * int) list
-(** Per-field counts of certificate rewrites, sorted by field name. *)

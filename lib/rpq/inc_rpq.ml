@@ -8,8 +8,6 @@ type key = Pgraph.key
 
 type delta = { added : (node * node) list; removed : (node * node) list }
 
-type stats = { mutable affected : int; mutable settled : int }
-
 module PQ = Ig_graph.Pqueue.Make (struct
   type t = int
 
@@ -29,7 +27,6 @@ type t = {
   p : Pgraph.t;
   grouped : bool;
   obs : Obs.t;
-  trace : Tracer.t;
   srcs : (node, source_state) Hashtbl.t;
   at_node : (node, (node, int) Hashtbl.t) Hashtbl.t;
       (* v -> sources holding an entry at v (with entry counts): the paper
@@ -39,17 +36,10 @@ type t = {
   gained : (node * node, unit) Hashtbl.t;
   lost : (node * node, unit) Hashtbl.t;
   mutable n_matches : int;
-  st : stats;
 }
 
 let graph t = Pgraph.graph t.p
-let stats t = t.st
 let obs t = t.obs
-let trace t = t.trace
-
-let reset_stats t =
-  t.st.affected <- 0;
-  t.st.settled <- 0
 
 let note_gain t u v =
   t.n_matches <- t.n_matches + 1;
@@ -153,9 +143,7 @@ let process_source t u ss ~dels ~inss =
           then supported := true);
       if not !supported then begin
         Hashtbl.replace affected k ();
-        t.st.affected <- t.st.affected + 1;
-        Obs.incr t.obs Obs.K.aff;
-        Tracer.aff_enter t.trace ~node:(Pgraph.node_of p k)
+        Obs.aff_enter t.obs ~node:(Pgraph.node_of p k)
           ~rule:Tracer.Rpq_support_lost;
         (* Successors may have lost their support through [k]. *)
         Pgraph.iter_succ p k (fun k'' ->
@@ -178,8 +166,7 @@ let process_source t u ss ~dels ~inss =
             | None -> ());
       remove_entry t u ss k;
       if !best < max_int then begin
-        Obs.incr t.obs Obs.K.queue_pushes;
-        Tracer.frontier_expand t.trace ~node:(Pgraph.node_of p k);
+        Obs.frontier_expand t.obs ~node:(Pgraph.node_of p k);
         PQ.insert q k !best
       end)
     (Obs.sorted_bindings ~compare:Int.compare affected);
@@ -197,8 +184,7 @@ let process_source t u ss ~dels ~inss =
                 match Hashtbl.find_opt ss.marks kw with
                 | Some d when d <= cand -> ()
                 | _ ->
-                    Obs.incr t.obs Obs.K.queue_pushes;
-                    Tracer.frontier_expand t.trace ~node:w;
+                    Obs.frontier_expand t.obs ~node:w;
                     PQ.insert q kw cand)
               (Pgraph.succ_keys_of_edge p s w)
       done)
@@ -215,38 +201,40 @@ let process_source t u ss ~dels ~inss =
               match Hashtbl.find_opt ss.marks k' with
               | Some d'' when d'' <= d + 1 -> ()
               | _ ->
-                  Obs.incr t.obs Obs.K.queue_pushes;
-                  Tracer.frontier_expand t.trace ~node:(Pgraph.node_of p k');
+                  Obs.frontier_expand t.obs ~node:(Pgraph.node_of p k');
                   PQ.insert q k' (d + 1))
         in
         (match Hashtbl.find_opt ss.marks k with
         | Some d' when d' <= d -> () (* stale queue entry *)
         | Some d' ->
-            if Tracer.enabled t.trace then
-              Tracer.cert_rewrite t.trace ~node:(Pgraph.node_of p k)
+            if Obs.tracing t.obs then
+              Obs.cert_rewrite t.obs ~node:(Pgraph.node_of p k)
                 ~field:(Printf.sprintf "pmark(src=%d,state=%d)" u
                           (Pgraph.state_of p k))
                 ~before:(Printf.sprintf "dist=%d" d')
                 ~after:(Printf.sprintf "dist=%d" d);
             Hashtbl.replace ss.marks k d;
-            t.st.settled <- t.st.settled + 1;
             Obs.incr t.obs Obs.K.cert_rewrites;
             relax ()
         | None ->
-            if Tracer.enabled t.trace then begin
+            if Obs.tracing t.obs then begin
               (* A marking born outside AFF: an inserted edge extended the
-                 reach of source [u] — the distance-decrease rule. *)
+                 reach of source [u] — the distance-decrease rule. Its
+                 work is counted as a rewrite below, not as |AFF|. *)
               if not (Hashtbl.mem affected k) then
-                Tracer.aff_enter t.trace ~node:(Pgraph.node_of p k)
-                  ~rule:Tracer.Rpq_dist_decrease;
-              Tracer.cert_rewrite t.trace ~node:(Pgraph.node_of p k)
+                Obs.emit t.obs
+                  (Tracer.Aff_enter
+                     {
+                       node = Pgraph.node_of p k;
+                       rule = Tracer.Rpq_dist_decrease;
+                     });
+              Obs.cert_rewrite t.obs ~node:(Pgraph.node_of p k)
                 ~field:(Printf.sprintf "pmark(src=%d,state=%d)" u
                           (Pgraph.state_of p k))
                 ~before:"absent"
                 ~after:(Printf.sprintf "dist=%d" d)
             end;
             add_entry t u ss k d;
-            t.st.settled <- t.st.settled + 1;
             Obs.incr t.obs Obs.K.cert_rewrites;
             relax ());
         fix ()
@@ -260,7 +248,6 @@ let process_source t u ss ~dels ~inss =
    batch costs Σ_u |ΔG restricted to u's reach|, not |sources| × |ΔG|. *)
 let process_all t ~dels ~inss =
   Obs.with_span t.obs "rpq.process" @@ fun () ->
-  Tracer.with_span t.trace "rpq.process" @@ fun () ->
   let per_source = Hashtbl.create 16 in
   let note side (v, w) =
     match Hashtbl.find_opt t.at_node v with
@@ -332,21 +319,19 @@ let add_node t label =
   end;
   u
 
-let init ?(grouped = true) ?(obs = Obs.noop) ?(trace = Tracer.noop) g a =
-  Digraph.instrument ~obs ~trace g;
+let init ?(grouped = true) ?(obs = Obs.noop) g a =
+  Digraph.instrument ~obs g;
   let p = Pgraph.make g a in
   let t =
     {
       p;
       grouped;
       obs;
-      trace;
       srcs = Hashtbl.create 64;
       at_node = Hashtbl.create 256;
       gained = Hashtbl.create 64;
       lost = Hashtbl.create 64;
       n_matches = 0;
-      st = { affected = 0; settled = 0 };
     }
   in
   List.iter
@@ -360,8 +345,8 @@ let init ?(grouped = true) ?(obs = Obs.noop) ?(trace = Tracer.noop) g a =
   Hashtbl.reset t.gained;
   t
 
-let create ?grouped ?obs ?trace g q =
-  init ?grouped ?obs ?trace g (Nfa.compile (Digraph.interner g) q)
+let create ?grouped ?obs g q =
+  init ?grouped ?obs g (Nfa.compile (Digraph.interner g) q)
 
 let matches t =
   (* User-visible answer: lexicographic (source, target) order. *)

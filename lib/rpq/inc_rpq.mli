@@ -39,17 +39,11 @@ type delta = {
 }
 (** ΔO: match pairs entering and leaving [Q(G)]. *)
 
-type stats = {
-  mutable affected : int;   (** entries identified as affected (AFF) *)
-  mutable settled : int;    (** entries fixed by the priority-queue phase *)
-}
-
 type t
 
 val init :
   ?grouped:bool ->
   ?obs:Ig_obs.Obs.t ->
-  ?trace:Ig_obs.Tracer.t ->
   Ig_graph.Digraph.t ->
   Ig_nfa.Nfa.t ->
   t
@@ -63,8 +57,8 @@ val init :
     [changed] = |ΔG| + |ΔO|. Each {!apply_batch} call also records one
     sample into the [apply_latency_s] histogram (monotonic seconds) and
     the [gc_minor_words]/[gc_major_words]/[gc_promoted_words] histograms
-    (words allocated, per {!Ig_obs.Obs.with_apply}). [trace] (default
-    {!Ig_obs.Tracer.noop}) receives structured events: [Aff_enter] tagged
+    (words allocated, per {!Ig_obs.Obs.with_apply}). A sink created with
+    [~events] also records structured events: [Aff_enter] tagged
     [Rpq_support_lost] (a marking lost its last shorter-distance
     predecessor) or [Rpq_dist_decrease] (an inserted edge created a
     marking), [Cert_rewrite] on the [pmark] field, and [Frontier_expand]
@@ -73,7 +67,6 @@ val init :
 val create :
   ?grouped:bool ->
   ?obs:Ig_obs.Obs.t ->
-  ?trace:Ig_obs.Tracer.t ->
   Ig_graph.Digraph.t ->
   Ig_nfa.Regex.t ->
   t
@@ -83,9 +76,6 @@ val graph : t -> Ig_graph.Digraph.t
 
 val obs : t -> Ig_obs.Obs.t
 (** The metrics sink the session was created with. *)
-
-val trace : t -> Ig_obs.Tracer.t
-(** The event tracer the session was created with. *)
 
 val add_node : t -> string -> node
 (** Add a fresh node; it becomes a new source if its label can start a
@@ -101,9 +91,6 @@ val matches : t -> (node * node) list
 val n_matches : t -> int
 
 val is_match : t -> node -> node -> bool
-
-val stats : t -> stats
-val reset_stats : t -> unit
 
 val check_invariants : t -> unit
 (** Test hook: every source's markings equal a fresh product-graph BFS, and

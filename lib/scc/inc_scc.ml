@@ -35,18 +35,10 @@ let dyn_config = { eager_cert = false; delete_fast_path = false; group_batch = f
 
 type delta = { removed : node list list; added : node list list }
 
-type stats = {
-  mutable cert_nodes : int;
-  mutable rank_moves : int;
-  mutable fast_deletes : int;
-  mutable violations : int;
-}
-
 type t = {
   g : Digraph.t;
   cfg : config;
   obs : Obs.t;
-  trace : Tracer.t;
   certs : Tarjan.cert Vec.t; (* per node *)
   comp_of : comp Vec.t;      (* per node *)
   members : (comp, members) Hashtbl.t;
@@ -61,20 +53,11 @@ type t = {
   mutable next_comp : comp;
   born : (comp, unit) Hashtbl.t;
   died : (comp, node list) Hashtbl.t;
-  st : stats;
 }
 
 let graph t = t.g
 let config t = t.cfg
-let stats t = t.st
 let obs t = t.obs
-let trace t = t.trace
-
-let reset_stats t =
-  t.st.cert_nodes <- 0;
-  t.st.rank_moves <- 0;
-  t.st.fast_deletes <- 0;
-  t.st.violations <- 0
 
 let cert t v = Vec.get t.certs v
 
@@ -167,23 +150,26 @@ let flush_delta t =
    induced subgraph; returns the sub-components sinks-first. *)
 let local_tarjan t c =
   let ms = members_to_list (members_of t c) in
-  t.st.cert_nodes <- t.st.cert_nodes + List.length ms;
   let n = List.length ms in
+  (* Counted in one add: the component may be the giant one, and every
+     member enters AFF by the same rule. *)
   Obs.add t.obs Obs.K.aff n;
+  if Obs.tracing t.obs then
+    List.iter
+      (fun v ->
+        Obs.emit t.obs
+          (Tracer.Aff_enter { node = v; rule = Tracer.Scc_local_tarjan }))
+      ms;
   Obs.add t.obs Obs.K.cert_rewrites n;
   Obs.add t.obs Obs.K.nodes_visited n;
-  if Tracer.enabled t.trace then
-    List.iter
-      (fun v -> Tracer.aff_enter t.trace ~node:v ~rule:Tracer.Scc_local_tarjan)
-      ms;
   let groups =
     Tarjan.run_with_cert t.g
       ~restrict:(fun v -> comp_of t v = c)
       ~nodes:ms
       ~cert:(cert t)
   in
-  if Tracer.enabled t.trace then
-    Tracer.cert_rewrite t.trace ~node:c ~field:"certificate"
+  if Obs.tracing t.obs then
+    Obs.cert_rewrite t.obs ~node:c ~field:"certificate"
       ~before:(Printf.sprintf "comp=%d size=%d" c n)
       ~after:(Printf.sprintf "parts=%d" (List.length groups));
   groups
@@ -235,7 +221,6 @@ let recert_or_split t c =
       let parts = List.map (fun ms -> alloc_comp t ms) parts_members in
       (* [parts] is sinks-first, which is ascending rank order. *)
       Rank.split t.rank c ~parts;
-      t.st.rank_moves <- t.st.rank_moves + List.length parts;
       (* Adjacency rebuild must happen while [c]'s tables still exist. *)
       rewire_split t c parts;
       retire_comp t c
@@ -335,9 +320,8 @@ let cclosure t ~dir ~keep start =
         Obs.incr t.obs Obs.K.edges_relaxed;
         if (not (Hashtbl.mem seen d)) && keep d then begin
           Hashtbl.replace seen d ();
-          Obs.incr t.obs Obs.K.queue_pushes;
           (* "node" here is a component id — the unit ranks live on. *)
-          Tracer.frontier_expand t.trace ~node:d;
+          Obs.frontier_expand t.obs ~node:d;
           Stack.push d stack
         end)
       (Obs.sorted_bindings ~compare:Int.compare (adj tbl c))
@@ -376,36 +360,34 @@ let resolve_violation t cu cv =
       (fun a b -> Int.compare (Rank.value t.rank a) (Rank.value t.rank b))
       cs
   in
-  let inter = List.filter (fun c -> Hashtbl.mem affl c) (elements affr) in
+  let affr_l = elements affr and affl_l = elements affl in
+  let inter = List.filter (fun c -> Hashtbl.mem affl c) affr_l in
   let region_size = Hashtbl.length affr + Hashtbl.length affl in
-  t.st.rank_moves <- t.st.rank_moves + region_size;
-  t.st.violations <- t.st.violations + 1;
-  Obs.add t.obs Obs.K.aff region_size;
   Obs.add t.obs "rank_moves" region_size;
   Obs.incr t.obs "violations";
-  if Tracer.enabled t.trace then begin
-    List.iter
-      (fun c -> Tracer.aff_enter t.trace ~node:c ~rule:Tracer.Scc_rank_swap)
-      (elements affr);
-    List.iter
-      (fun c ->
-        if not (Hashtbl.mem affr c) then
-          Tracer.aff_enter t.trace ~node:c ~rule:Tracer.Scc_rank_swap)
-      (elements affl)
-  end;
+  (* |AFF| counts the region with multiplicity (|affr| + |affl|); the
+     provenance names each component once. *)
+  List.iter
+    (fun c -> Obs.aff_enter t.obs ~node:c ~rule:Tracer.Scc_rank_swap)
+    affr_l;
+  List.iter
+    (fun c ->
+      if Hashtbl.mem affr c then Obs.incr t.obs Obs.K.aff
+      else Obs.aff_enter t.obs ~node:c ~rule:Tracer.Scc_rank_swap)
+    affl_l;
   let direct_back_edge = Hashtbl.mem (adj t.csucc cv) cu in
   if inter = [] && not direct_back_edge then begin
-    if Tracer.enabled t.trace then
-      Tracer.cert_rewrite t.trace ~node:cu ~field:"rank"
+    if Obs.tracing t.obs then
+      Obs.cert_rewrite t.obs ~node:cu ~field:"rank"
         ~before:(Printf.sprintf "r(cu)=%d r(cv)=%d" r_cu r_cv)
         ~after:(Printf.sprintf "reallocated region=%d" region_size);
     (* No cycle: pure reallocation. *)
-    let order = by_old_rank (elements affr) @ by_old_rank (elements affl) in
+    let order = by_old_rank affr_l @ by_old_rank affl_l in
     Rank.reassign t.rank order
   end
   else begin
-    if Tracer.enabled t.trace then
-      Tracer.cert_rewrite t.trace ~node:cu ~field:"rank"
+    if Obs.tracing t.obs then
+      Obs.cert_rewrite t.obs ~node:cu ~field:"rank"
         ~before:(Printf.sprintf "r(cu)=%d r(cv)=%d" r_cu r_cv)
         ~after:(Printf.sprintf "cycle-merged region=%d" region_size);
     let merge_set = Hashtbl.create 8 in
@@ -414,14 +396,12 @@ let resolve_violation t cu cv =
       List.map fst (Obs.sorted_bindings ~compare:Int.compare merge_set)
     in
     let pool =
-      elements affr
-      @ List.filter (fun c -> not (Hashtbl.mem affr c)) (elements affl)
+      affr_l @ List.filter (fun c -> not (Hashtbl.mem affr c)) affl_l
     in
-    let rest tbl =
-      by_old_rank
-        (List.filter (fun c -> not (Hashtbl.mem merge_set c)) (elements tbl))
+    let rest cs =
+      by_old_rank (List.filter (fun c -> not (Hashtbl.mem merge_set c)) cs)
     in
-    let affr_rest = rest affr and affl_rest = rest affl in
+    let affr_rest = rest affr_l and affl_rest = rest affl_l in
     let m = merge_comps t to_merge in
     (* affr keeps the smallest labels (weakly decreasing), affl the largest
        (weakly increasing); the merged component sits in between — any
@@ -470,10 +450,7 @@ let delete_intra t c u v =
     t.cfg.delete_fast_path
     && (not (Hashtbl.mem t.dirty c))
     && cert_survives_delete t u v
-  then begin
-    t.st.fast_deletes <- t.st.fast_deletes + 1;
-    Obs.incr t.obs "fast_deletes"
-  end
+  then Obs.incr t.obs "fast_deletes"
   else if still_connected t c u v then
     (* Output unchanged; the certificate no longer reflects reality, so
        later deletions must re-check until a recomputation refreshes it. *)
@@ -545,10 +522,7 @@ let apply_batch_grouped t updates =
         && (not (Hashtbl.mem t.dirty c))
         && List.for_all (fun (u, v) -> cert_survives_delete t u v) dels
       in
-      if survives then begin
-        t.st.fast_deletes <- t.st.fast_deletes + List.length dels;
-        Obs.add t.obs "fast_deletes" (List.length dels)
-      end
+      if survives then Obs.add t.obs "fast_deletes" (List.length dels)
       else recert_or_split t c)
     (Obs.sorted_bindings ~compare:Int.compare del_by_comp);
   (* (b) Inter-component phase: deletions first, then insertions one at a
@@ -575,15 +549,14 @@ let apply_batch_grouped t updates =
 let apply_batch t updates =
   Obs.with_apply t.obs @@ fun () ->
   Obs.with_span t.obs "scc.process" (fun () ->
-      Tracer.with_span t.trace "scc.process" (fun () ->
-          if t.cfg.group_batch then apply_batch_grouped t updates
-          else List.iter (apply_unit t) updates));
+      if t.cfg.group_batch then apply_batch_grouped t updates
+      else List.iter (apply_unit t) updates);
   flush_delta t
 
 (* ---- Construction and queries ----------------------------------------- *)
 
-let init ?(config = inc_config) ?(obs = Obs.noop) ?(trace = Tracer.noop) g =
-  Digraph.instrument ~obs ~trace g;
+let init ?(config = inc_config) ?(obs = Obs.noop) g =
+  Digraph.instrument ~obs g;
   let n = Digraph.n_nodes g in
   let certs = Vec.create () in
   for _ = 1 to n do
@@ -595,7 +568,6 @@ let init ?(config = inc_config) ?(obs = Obs.noop) ?(trace = Tracer.noop) g =
       g;
       cfg = config;
       obs;
-      trace;
       certs;
       comp_of = comp_vec;
       members = Hashtbl.create 64;
@@ -608,7 +580,6 @@ let init ?(config = inc_config) ?(obs = Obs.noop) ?(trace = Tracer.noop) g =
       next_comp = 0;
       born = Hashtbl.create 16;
       died = Hashtbl.create 16;
-      st = { cert_nodes = 0; rank_moves = 0; fast_deletes = 0; violations = 0 };
     }
   in
   (* Root order is free in Tarjan; descending ids make the initial ranks

@@ -35,8 +35,10 @@
     comparison subjects: [IncSCC] (lazy certificates + fast path + batch
     grouping), [IncSCCn] (unit updates one by one), and the [DynSCC]
     stand-in (no deletion fast path: every intra-component deletion pays a
-    local recomputation to keep its structures fresh even when the output is
-    stable, reproducing the paper's observation in Exp-1(3)). *)
+    reachability check inside its component even when the output is
+    stable, reproducing the paper's observation in Exp-1(3)). The check is
+    a walk no counter sees; when it succeeds the component is only marked
+    dirty, and a local recomputation runs only when it fails. *)
 
 type node = Ig_graph.Digraph.node
 
@@ -58,7 +60,10 @@ val incn_config : config
 (** IncSCCn: like IncSCC but batches degrade to one-by-one processing. *)
 
 val dyn_config : config
-(** DynSCC stand-in: no deletion fast path, one-by-one. *)
+(** DynSCC stand-in: no deletion fast path, one-by-one. Every
+    intra-component deletion runs the reachability check (uncounted) and
+    then marks the component dirty; only a deletion that breaks strong
+    connectivity re-certifies it. *)
 
 type delta = {
   removed : node list list;  (** components that ceased to exist *)
@@ -66,38 +71,28 @@ type delta = {
 }
 (** ΔO for SCC: [SCC(G ⊕ ΔG) = (SCC(G) ∖ removed) ∪ added]. *)
 
-type stats = {
-  mutable cert_nodes : int;
-      (** nodes whose certificate was recomputed — the [num]/[lowlink]
-          part of AFF *)
-  mutable rank_moves : int;
-      (** contracted-graph nodes whose rank changed — also in AFF *)
-  mutable fast_deletes : int;
-      (** intra-component deletions resolved by the O(1) witness check *)
-  mutable violations : int;
-      (** rank violations resolved by affected-region search *)
-}
-
 type t
 
 val init :
   ?config:config ->
   ?obs:Ig_obs.Obs.t ->
-  ?trace:Ig_obs.Tracer.t ->
   Ig_graph.Digraph.t ->
   t
 (** Run Tarjan once and set up all auxiliary structures. The graph is owned
     by the engine afterwards: apply updates only through it. [obs] (default
     {!Ig_obs.Obs.noop}) receives cost counters: [aff] (nodes re-certified
-    plus rank-region size — the measured |AFF|), [cert_rewrites],
-    [nodes_visited], [edges_relaxed] and [queue_pushes] (affected-region
-    closures over the contracted graph), [rank_moves], [violations],
-    [fast_deletes], and [changed] = |ΔG| + |ΔO|. Each {!apply_batch} call
+    plus rank-region size — the measured |AFF|), [cert_rewrites] (nodes
+    whose [num]/[lowlink] certificate was recomputed), [nodes_visited],
+    [edges_relaxed] and [queue_pushes] (affected-region closures over the
+    contracted graph), [rank_moves] (rank-region size of each violation),
+    [violations] (rank violations resolved by affected-region search),
+    [fast_deletes] (intra-component deletions resolved by the O(1)
+    witness check), and [changed] = |ΔG| + |ΔO|. Each {!apply_batch} call
     also records one sample into the [apply_latency_s] histogram
     (monotonic seconds) and the [gc_minor_words]/[gc_major_words]/
     [gc_promoted_words] histograms (words allocated, per
-    {!Ig_obs.Obs.with_apply}). [trace] (default
-    {!Ig_obs.Tracer.noop}) receives structured events: [Aff_enter] tagged
+    {!Ig_obs.Obs.with_apply}). A sink created with [~events] also
+    records structured events: [Aff_enter] tagged
     [Scc_local_tarjan] (node re-certified by a local Tarjan run; node ids)
     or [Scc_rank_swap] (component inside the affected rank region;
     component ids), [Cert_rewrite] on the [certificate] and [rank] fields,
@@ -109,9 +104,6 @@ val config : t -> config
 
 val obs : t -> Ig_obs.Obs.t
 (** The metrics sink the engine was created with. *)
-
-val trace : t -> Ig_obs.Tracer.t
-(** The event tracer the engine was created with. *)
 
 val add_node : t -> string -> node
 (** Add a fresh labeled node (a new singleton component, reported as
@@ -128,10 +120,6 @@ val n_components : t -> int
 val component_of : t -> node -> node list
 
 val same_component : t -> node -> node -> bool
-
-val stats : t -> stats
-
-val reset_stats : t -> unit
 
 val check_invariants : t -> unit
 (** Test hook. Verifies: components agree with a from-scratch Tarjan run;

@@ -11,7 +11,6 @@ type t = {
   g : Digraph.t;
   p : Pattern.t;
   obs : Obs.t;
-  trace : Tracer.t;
   r : Sim.relation;
   cnt : (node, int) Hashtbl.t array; (* per pattern edge id, for v ∈ r.(u) *)
   out_edges : (int * int) list array;
@@ -24,7 +23,6 @@ type t = {
 let graph t = t.g
 let pattern t = t.p
 let obs t = t.obs
-let trace t = t.trace
 let relation t = t.r
 let mem t u v = Sim.mem t.r u v
 let n_pairs t = t.n_pairs
@@ -64,14 +62,12 @@ let cascade t doomed =
       Hashtbl.remove t.r.(u) v;
       List.iter (fun (e, _) -> Hashtbl.remove t.cnt.(e) v) t.out_edges.(u);
       note_lose t u v;
-      Obs.incr t.obs Obs.K.aff;
+      Obs.aff_enter t.obs ~node:v ~rule:Tracer.Sim_support_zero;
       Obs.incr t.obs Obs.K.cert_rewrites;
-      if Tracer.enabled t.trace then begin
-        Tracer.aff_enter t.trace ~node:v ~rule:Tracer.Sim_support_zero;
-        Tracer.cert_rewrite t.trace ~node:v
+      if Obs.tracing t.obs then
+        Obs.cert_rewrite t.obs ~node:v
           ~field:(Printf.sprintf "sim(%d)" u)
-          ~before:"member" ~after:"removed"
-      end;
+          ~before:"member" ~after:"removed";
       List.iter
         (fun (e, tp) ->
           Digraph.iter_pred
@@ -82,8 +78,7 @@ let cascade t doomed =
                 | Some c ->
                     Hashtbl.replace t.cnt.(e) pnode (c - 1);
                     if c - 1 = 0 then begin
-                      Obs.incr t.obs Obs.K.queue_pushes;
-                      Tracer.frontier_expand t.trace ~node:pnode;
+                      Obs.frontier_expand t.obs ~node:pnode;
                       Stack.push (tp, pnode) stack
                     end
                 | None -> ()
@@ -258,14 +253,12 @@ let merge t survivors ccnt =
         (fun (e, _) -> Hashtbl.replace t.cnt.(e) v (Hashtbl.find ccnt.(e) v))
         t.out_edges.(u);
       note_gain t u v;
-      Obs.incr t.obs Obs.K.aff;
+      Obs.aff_enter t.obs ~node:v ~rule:Tracer.Sim_revalidated;
       Obs.incr t.obs Obs.K.cert_rewrites;
-      if Tracer.enabled t.trace then begin
-        Tracer.aff_enter t.trace ~node:v ~rule:Tracer.Sim_revalidated;
-        Tracer.cert_rewrite t.trace ~node:v
+      if Obs.tracing t.obs then
+        Obs.cert_rewrite t.obs ~node:v
           ~field:(Printf.sprintf "sim(%d)" u)
-          ~before:"absent" ~after:"member"
-      end)
+          ~before:"absent" ~after:"member")
     joined
 
 (* One pass per batch over its net effect: the deletions' cascades, then
@@ -295,12 +288,11 @@ let process t updates =
 
 let apply_batch t updates =
   Obs.with_apply t.obs @@ fun () ->
-  Obs.with_span t.obs "sim.process" (fun () ->
-      Tracer.with_span t.trace "sim.process" (fun () -> process t updates));
+  Obs.with_span t.obs "sim.process" (fun () -> process t updates);
   flush_delta t
 
-let init ?(obs = Obs.noop) ?(trace = Tracer.noop) g p =
-  Digraph.instrument ~obs ~trace g;
+let init ?(obs = Obs.noop) g p =
+  Digraph.instrument ~obs g;
   let r = Sim.run p g in
   let out_edges, in_edges = Sim.edge_index p in
   let cnt =
@@ -311,7 +303,6 @@ let init ?(obs = Obs.noop) ?(trace = Tracer.noop) g p =
       g;
       p;
       obs;
-      trace;
       r;
       cnt;
       out_edges;

@@ -31,7 +31,6 @@ type t
 
 val init :
   ?obs:Ig_obs.Obs.t ->
-  ?trace:Ig_obs.Tracer.t ->
   Ig_graph.Digraph.t ->
   Ig_iso.Pattern.t ->
   t
@@ -51,8 +50,8 @@ val init :
     Each {!apply_batch} call also records one sample into the
     [apply_latency_s] histogram (monotonic seconds) and the
     [gc_minor_words]/[gc_major_words]/[gc_promoted_words] histograms
-    (words allocated, per {!Ig_obs.Obs.with_apply}). [trace] (default
-    {!Ig_obs.Tracer.noop}) receives structured events:
+    (words allocated, per {!Ig_obs.Obs.with_apply}). A sink created with
+    [~events] also records structured events:
     [Aff_enter] tagged [Sim_support_zero] (a pair's support counter hit
     zero in the cascade) or [Sim_revalidated] (a pair joined the greatest
     simulation, in (pattern node, graph node) order per batch),
@@ -64,9 +63,6 @@ val pattern : t -> Ig_iso.Pattern.t
 
 val obs : t -> Ig_obs.Obs.t
 (** The metrics sink the session was created with. *)
-
-val trace : t -> Ig_obs.Tracer.t
-(** The event tracer the session was created with. *)
 
 val apply_batch : t -> Ig_graph.Digraph.update list -> delta
 (** Apply the batch's net effect and return ΔO. The graph ends as

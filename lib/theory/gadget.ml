@@ -1,4 +1,5 @@
 module Digraph = Ig_graph.Digraph
+module Obs = Ig_obs.Obs
 module Regex = Ig_nfa.Regex
 
 type node = Digraph.node
@@ -58,17 +59,16 @@ let demo ~cycles =
   List.map
     (fun n ->
       let g = make ~cycle:n in
-      let session = Ig_rpq.Inc_rpq.create g.graph g.query in
-      Ig_rpq.Inc_rpq.reset_stats session;
+      let obs = Obs.create () in
+      let session = Ig_rpq.Inc_rpq.create ~obs g.graph g.query in
+      let work () =
+        Obs.counter obs Obs.K.aff + Obs.counter obs Obs.K.cert_rewrites
+      in
+      let before = work () in
       let d = Ig_rpq.Inc_rpq.apply_batch session [ g.delta1 ] in
       let delta_o =
         List.length d.Ig_rpq.Inc_rpq.added
         + List.length d.Ig_rpq.Inc_rpq.removed
       in
-      let st = Ig_rpq.Inc_rpq.stats session in
-      {
-        n;
-        changed = 1 + delta_o;
-        inc_work = st.Ig_rpq.Inc_rpq.settled + st.Ig_rpq.Inc_rpq.affected;
-      })
+      { n; changed = 1 + delta_o; inc_work = work () - before })
     cycles

@@ -39,7 +39,9 @@ val expected_matches : t -> (node * node) list
 type demo_point = {
   n : int;        (** cycle length *)
   changed : int;  (** |ΔG| + |ΔO| for Δ1 — always 1 *)
-  inc_work : int; (** IncRPQ marking entries settled while processing Δ1 *)
+  inc_work : int;
+      (** IncRPQ work on Δ1: [aff] + [cert_rewrites], the marking entries
+          invalidated plus those settled *)
 }
 
 val demo : cycles:int list -> demo_point list

@@ -50,8 +50,9 @@ let scc_configs =
 let with_scc_config config (s : Sc.t) =
   let make () =
     Sp.scc
-      (Ig_scc.Inc_scc.init ~config ~obs:(Ig_obs.Obs.create ())
-         ~trace:(Ig_obs.Tracer.create ()) (Digraph.copy s.Sc.base))
+      (Ig_scc.Inc_scc.init ~config
+         ~obs:(Ig_obs.Obs.create ~events:Ig_obs.Obs.default_events ())
+         (Digraph.copy s.Sc.base))
   in
   { s with Sc.make }
 
@@ -235,14 +236,15 @@ let test_mutation_kdist_detected () =
 let buggy_scc g =
   let module I = Ig_scc.Inc_scc in
   let truth = Digraph.copy g in
-  let eng = I.init ~obs:Ig_obs.Obs.noop ~trace:(Ig_obs.Tracer.create ()) g in
+  let eng =
+    I.init ~obs:(Ig_obs.Obs.create ~events:Ig_obs.Obs.default_events ()) g
+  in
   let kept = function Digraph.Delete (0, _) -> false | _ -> true in
   {
     O.name = "buggy-scc";
     series = "BuggySCC";
     graph = truth;
     obs = I.obs eng;
-    trace = I.trace eng;
     apply_batch =
       (fun us ->
         Digraph.apply_batch truth us;

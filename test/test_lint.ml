@@ -97,7 +97,7 @@ let test_d3_filesystem () =
 let instrumented =
   "let apply_batch t ups =\n\
   \  Obs.with_apply t.obs (fun () ->\n\
-  \      Tracer.aff_enter t.trace ~node:0 ~rule:Tracer.Kws_prune;\n\
+  \      Obs.aff_enter t.obs ~node:0 ~rule:Tracer.Kws_prune;\n\
   \      ignore ups)\n"
 
 let test_d4_instrumentation () =
@@ -114,6 +114,14 @@ let test_d4_instrumentation () =
     (rules
        (lint ~path:"lib/kws/inc_fixture.ml"
           "let apply_batch t ups = Obs.with_apply t.obs (fun () -> ups)"));
+  check (Alcotest.list Alcotest.string)
+    "a non-Obs aff_enter does not count" [ "D4" ]
+    (rules
+       (lint ~path:"lib/kws/inc_fixture.ml"
+          "let apply_batch t ups =\n\
+          \  Obs.with_apply t.obs (fun () ->\n\
+          \      Tracer.aff_enter t.trace ~node:0 ~rule:Tracer.Kws_prune;\n\
+          \      ignore ups)\n"));
   check (Alcotest.list Alcotest.string) "non-inc_ file out of scope" []
     (rules
        (lint ~path:"lib/kws/batch.ml"
@@ -123,7 +131,7 @@ let test_d4_instrumentation () =
        (lint ~path:"lib/kws/inc_fixture.ml"
           ("let apply_batch t ups =\n\
            \  Obs.with_apply t.obs @@ fun () ->\n\
-           \  Tracer.aff_enter t.trace ~node:0 ~rule:Tracer.Kws_prune;\n\
+           \  Obs.aff_enter t.obs ~node:0 ~rule:Tracer.Kws_prune;\n\
            \  ignore ups\n")))
 
 (* ---- D4: instrumented storage entry points ----------------------------------- *)

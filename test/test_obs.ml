@@ -2,15 +2,16 @@
    then one smoke test per incremental engine checking that the probes
    report the right shape of |AFF| — nonzero for an update that touches
    the query's certificate, zero for an update in a part of the graph the
-   query cannot see — and finally the structured tracer: ring-buffer
-   semantics, the JSON escaper it leans on, Chrome export validity, and
-   that a Noop tracer leaves traced runs bit-identical to untraced ones. *)
+   query cannot see — and finally the sink's events: ring-buffer
+   semantics, the JSON escaper they lean on, Chrome export validity, and
+   that recording events leaves every counter as a plain sink has it. *)
 
 open Ig_graph
 module O = Ig_obs.Obs
 module T = Ig_obs.Tracer
 module TE = Ig_obs.Trace_export
 module J = Ig_obs.Json
+module W = Ig_workload
 
 let check = Alcotest.check
 
@@ -271,16 +272,15 @@ let entry_testable =
     (fun (a : T.entry) b -> a = b)
 
 let test_tracer_ring_wrap () =
-  let tr = T.create ~capacity:4 () in
-  check Alcotest.bool "enabled" true (T.enabled tr);
-  check Alcotest.int "capacity" 4 (T.capacity tr);
+  let o = O.create ~events:4 () in
+  check Alcotest.bool "tracing" true (O.tracing o);
   for i = 0 to 5 do
-    T.frontier_expand tr ~node:i
+    O.frontier_expand o ~node:i
   done;
-  check Alcotest.int "length capped" 4 (T.length tr);
-  check Alcotest.int "two dropped" 2 (T.dropped tr);
-  let snap = T.snapshot tr in
-  check Alcotest.int "snapshot drops" 2 snap.T.drops;
+  check Alcotest.int "every push counted" 6 (O.counter o O.K.queue_pushes);
+  let snap = O.events o in
+  check Alcotest.int "length capped" 4 (List.length snap.T.entries);
+  check Alcotest.int "two dropped" 2 snap.T.drops;
   check
     Alcotest.(list entry_testable)
     "oldest dropped, rest in order"
@@ -291,37 +291,49 @@ let test_tracer_ring_wrap () =
       { T.seq = 5; event = T.Frontier_expand { node = 5 } };
     ]
     snap.T.entries;
-  T.clear tr;
-  check Alcotest.int "clear empties" 0 (T.length tr);
-  check Alcotest.int "clear resets drops" 0 (T.dropped tr);
-  T.span_begin tr "s";
+  O.clear_events o;
+  check Alcotest.bool "clear empties and resets drops" true
+    (O.events o = T.empty_snapshot);
+  check Alcotest.int "clear keeps counters" 6 (O.counter o O.K.queue_pushes);
+  O.with_span o "s" (fun () -> ());
   (* The logical clock keeps running across a clear. *)
   check
     Alcotest.(list entry_testable)
     "seq survives clear"
-    [ { T.seq = 6; event = T.Span_begin "s" } ]
-    (T.snapshot tr).T.entries;
+    [
+      { T.seq = 6; event = T.Span_begin "s" };
+      { T.seq = 7; event = T.Span_end "s" };
+    ]
+    (O.events o).T.entries;
   Alcotest.check_raises "capacity must be positive"
-    (Invalid_argument "Tracer.create: capacity must be positive") (fun () ->
-      ignore (T.create ~capacity:0 ()))
+    (Invalid_argument "Obs.create: events must be positive") (fun () ->
+      ignore (O.create ~events:0 ()))
 
+(* Without a ring the event probes record nothing: on noop they do
+   nothing at all, on a plain live sink the counting ones still count. *)
 let test_tracer_noop () =
-  let tr = T.noop in
-  check Alcotest.bool "disabled" false (T.enabled tr);
-  T.aff_enter tr ~node:0 ~rule:T.Kws_shorter_kdist;
-  T.cert_rewrite tr ~node:0 ~field:"f" ~before:"a" ~after:"b";
-  T.frontier_expand tr ~node:1;
-  T.span_begin tr "s";
-  T.span_end tr "s";
-  let r = T.with_span tr "w" (fun () -> 7) in
-  check Alcotest.int "with_span passes through" 7 r;
-  check Alcotest.int "nothing recorded" 0 (T.length tr);
-  check Alcotest.bool "snapshot empty" true
-    ((T.snapshot tr).T.entries = [] && (T.snapshot tr).T.drops = 0)
+  List.iter
+    (fun (name, o, counted) ->
+      check Alcotest.bool (name ^ ": not tracing") false (O.tracing o);
+      O.aff_enter o ~node:0 ~rule:T.Kws_shorter_kdist;
+      O.cert_rewrite o ~node:0 ~field:"f" ~before:"a" ~after:"b";
+      O.frontier_expand o ~node:1;
+      O.emit o (T.Frontier_expand { node = 2 });
+      O.compaction o ~edges:3 ~overlay:1;
+      O.slo_violation o ~rule:"r" ~value:2.0 ~limit:1.0;
+      let r = O.with_span o "w" (fun () -> 7) in
+      check Alcotest.int (name ^ ": with_span passes through") 7 r;
+      O.clear_events o;
+      check Alcotest.bool (name ^ ": nothing recorded") true
+        (O.events o = T.empty_snapshot);
+      check Alcotest.int (name ^ ": aff") counted (O.counter o O.K.aff);
+      check Alcotest.int (name ^ ": queue pushes") counted
+        (O.counter o O.K.queue_pushes))
+    [ ("noop", O.noop, 0); ("plain", O.create (), 1) ]
 
-(* A Noop tracer leaves engine outputs and Obs counters bit-identical to a
-   traced run: drive two identical SCC engines (one traced, one not)
-   through the same updates and compare answers and counter snapshots. *)
+(* A sink without events leaves engine outputs and counters bit-identical
+   to one with events: drive two identical SCC engines through the same
+   updates and compare answers and counter snapshots. *)
 let test_noop_tracer_identical_run () =
   let mk () = labeled_graph [ "x"; "x"; "x"; "x" ] [ (0, 1); (1, 2); (2, 3) ] in
   let updates =
@@ -332,9 +344,8 @@ let test_noop_tracer_identical_run () =
       Digraph.Insert (1, 2);
     ]
   in
-  let run trace =
-    let o = O.create () in
-    let t = Ig_scc.Inc_scc.init ~obs:o ~trace (mk ()) in
+  let run o =
+    let t = Ig_scc.Inc_scc.init ~obs:o (mk ()) in
     let deltas =
       List.map (fun u -> Ig_scc.Inc_scc.apply_batch t [ u ]) updates
     in
@@ -344,7 +355,8 @@ let test_noop_tracer_identical_run () =
     in
     (comps, List.length deltas, O.counters o)
   in
-  let traced = run (T.create ()) and untraced = run T.noop in
+  let traced = run (O.create ~events:O.default_events ())
+  and untraced = run (O.create ()) in
   check Alcotest.bool "components identical" true
     (let c, _, _ = traced and c', _, _ = untraced in
      c = c');
@@ -356,6 +368,59 @@ let test_noop_tracer_identical_run () =
     (let _, _, c = traced in
      c)
 
+(* One seeded batch through the same engines on a plain sink and on an
+   event-recording one: recording never changes a counter or a span
+   count, the plain sink's log stays empty, and clearing the events
+   between the batch's halves — as the fuzz harness, the durable fuzz and
+   [incgraph explain] do — leaves the counters monotone. *)
+let test_events_never_change_counters () =
+  let module Spec = Core.Check.Spec in
+  let module Oracle = Core.Check.Oracle in
+  let g =
+    W.Profiles.instantiate ~scale:0.02
+      ~rng:(Random.State.make [| 3 |])
+      W.Profiles.dbpedia_like
+  in
+  let batch =
+    W.Updates.generate ~rng:(Random.State.make [| 4 |]) g ~size:64 ()
+  in
+  let half = List.length batch / 2 in
+  let first = List.filteri (fun i _ -> i < half) batch
+  and second = List.filteri (fun i _ -> i >= half) batch in
+  let run spec o =
+    let inst = Spec.make ~obs:o g spec in
+    ignore (inst.Oracle.apply_batch first);
+    let prev = O.counters o in
+    O.clear_events o;
+    check
+      Alcotest.(list (pair string int))
+      "clearing events keeps counters" prev (O.counters o);
+    ignore (inst.Oracle.apply_batch second);
+    ignore (Oracle.check_metrics ~prev inst);
+    ( O.counters o,
+      List.map (fun (k, (n, _)) -> (k, n)) (O.spans o),
+      O.events o )
+  in
+  List.iter
+    (fun spec ->
+      let plain_c, plain_s, plain_ev = run spec (O.create ()) in
+      let rec_c, rec_s, rec_ev =
+        run spec (O.create ~events:O.default_events ())
+      in
+      check Alcotest.(list (pair string int)) "counters identical" plain_c rec_c;
+      check Alcotest.(list (pair string int)) "span counts identical" plain_s
+        rec_s;
+      check Alcotest.bool "the batch was counted" true
+        (List.mem_assoc O.K.changed plain_c);
+      check Alcotest.bool "plain sink logs nothing" true
+        (plain_ev = T.empty_snapshot);
+      check Alcotest.bool "recording sink logs the second half" true
+        (rec_ev.T.entries <> []))
+    [
+      Spec.Kws { Ig_kws.Batch.keywords = [ "l1"; "l2" ]; bound = 2 };
+      Spec.Scc;
+    ]
+
 (* ---- tracer: engine events, export, explain -------------------------------- *)
 
 (* A traced KWS run: every Aff_enter carries a rule tag, the Chrome export
@@ -363,10 +428,10 @@ let test_noop_tracer_identical_run () =
 let traced_kws_snapshot () =
   let g = labeled_graph [ "a"; "b"; "d" ] [ (1, 0); (1, 2) ] in
   let q = { Ig_kws.Batch.keywords = [ "a"; "d" ]; bound = 2 } in
-  let tr = T.create () in
-  let t = Ig_kws.Inc_kws.init ~trace:tr g q in
+  let o = O.create ~events:O.default_events () in
+  let t = Ig_kws.Inc_kws.init ~obs:o g q in
   ignore (Ig_kws.Inc_kws.apply_batch t [ Digraph.Delete (1, 2) ]);
-  T.snapshot tr
+  O.events o
 
 let test_engine_trace_events () =
   let snap = traced_kws_snapshot () in
@@ -383,7 +448,7 @@ let test_engine_trace_events () =
       check Alcotest.bool "rule tag is a known rule" true
         (List.mem r T.all_rules))
     affs;
-  check Alcotest.bool "histogram nonempty" true (T.rule_histogram snap <> []);
+  check Alcotest.bool "histogram nonempty" true (TE.rule_histogram snap <> []);
   let spans =
     List.filter
       (fun (e : T.entry) ->
@@ -503,25 +568,25 @@ let test_trace_byte_equality () =
       [ Delete (1, 2); Insert (2, 5); Delete (3, 0); Insert (0, 4) ]
   in
   let kws_trace () =
-    let tr = T.create () in
+    let o = O.create ~events:O.default_events () in
     let t =
-      Ig_kws.Inc_kws.init ~trace:tr
+      Ig_kws.Inc_kws.init ~obs:o
         (labeled_graph labels edges)
         { Ig_kws.Batch.keywords = [ "a"; "d" ]; bound = 3 }
     in
     ignore (Ig_kws.Inc_kws.apply_batch t updates);
-    J.to_string ~indent:true (TE.to_chrome ~name:"IncKWS" (T.snapshot tr))
+    J.to_string ~indent:true (TE.to_chrome ~name:"IncKWS" (O.events o))
   in
   let rpq_trace () =
-    let tr = T.create () in
+    let o = O.create ~events:O.default_events () in
     let q =
       match Ig_nfa.Regex.parse "a . b* . c" with
       | Ok q -> q
       | Error e -> Alcotest.fail ("bad test regex: " ^ e)
     in
-    let t = Ig_rpq.Inc_rpq.create ~trace:tr (labeled_graph labels edges) q in
+    let t = Ig_rpq.Inc_rpq.create ~obs:o (labeled_graph labels edges) q in
     ignore (Ig_rpq.Inc_rpq.apply_batch t updates);
-    J.to_string ~indent:true (TE.to_chrome ~name:"IncRPQ" (T.snapshot tr))
+    J.to_string ~indent:true (TE.to_chrome ~name:"IncRPQ" (O.events o))
   in
   check Alcotest.string "IncKWS traces byte-identical" (kws_trace ())
     (kws_trace ());
@@ -767,6 +832,8 @@ let () =
             test_tracer_noop;
           Alcotest.test_case "noop tracer leaves runs bit-identical" `Quick
             test_noop_tracer_identical_run;
+          Alcotest.test_case "event recording never changes a counter" `Quick
+            test_events_never_change_counters;
           Alcotest.test_case "engine events carry rule tags" `Quick
             test_engine_trace_events;
           Alcotest.test_case "chrome export validates" `Quick

@@ -274,13 +274,13 @@ let test_slo_config () =
   | Ok _ -> Alcotest.fail "comment-only config produced rules"
   | Error e -> Alcotest.failf "comment-only config rejected: %s" e
 
-let slo_events tr =
+let slo_events o =
   List.filter_map
     (fun e ->
       match e.T.event with
       | T.Slo_violation { rule; _ } -> Some rule
       | _ -> None)
-    (T.snapshot tr).T.entries
+    (O.events o).T.entries
 
 let test_slo_hysteresis () =
   let rule =
@@ -293,9 +293,9 @@ let test_slo_hysteresis () =
     }
   in
   let t = S.create [ rule ] in
-  let o = O.create () and tr = T.create () in
+  let o = O.create ~events:O.default_events () in
   let eval () =
-    match S.evaluate t ~obs:o ~trace:tr with
+    match S.evaluate t ~obs:o with
     | [ st ] -> st
     | _ -> Alcotest.fail "expected one status"
   in
@@ -316,11 +316,11 @@ let test_slo_hysteresis () =
   check
     (Alcotest.list Alcotest.string)
     "Slo_violation event emitted with the rule tag" [ "pressure" ]
-    (slo_events tr);
+    (slo_events o);
   ignore (eval ());
   check Alcotest.int "steady breach does not re-emit" 1 (S.violations t);
   check Alcotest.int "steady breach adds no event" 1
-    (List.length (slo_events tr));
+    (List.length (slo_events o));
   O.set_gauge o "g" 3;
   let st = eval () in
   check Alcotest.bool "one ok evaluation is not enough to clear" true
@@ -337,10 +337,10 @@ let test_slo_hysteresis () =
 (* The rendering surface of the acceptance criterion: a trip transition
    must be visible in the human-readable explanation, rule tag and all. *)
 let test_slo_explain () =
-  let tr = T.create () in
-  T.slo_violation tr ~rule:"apply_p99" ~value:0.5 ~limit:0.01;
+  let o = O.create ~events:O.default_events () in
+  O.slo_violation o ~rule:"apply_p99" ~value:0.5 ~limit:0.01;
   let text =
-    Format.asprintf "%a" (TE.pp_explain ~limit:10) (T.snapshot tr)
+    Format.asprintf "%a" (TE.pp_explain ~limit:10) (O.events o)
   in
   check Alcotest.bool "explain names the tripped rule" true
     (contains "apply_p99" text);
@@ -444,8 +444,7 @@ let test_flight_cadence () =
 
 let test_flight_slo_and_determinism () =
   let drive dir =
-    let o = O.create () in
-    let tr = T.create () in
+    let o = O.create ~events:O.default_events () in
     let slo =
       S.create
         [
@@ -459,8 +458,7 @@ let test_flight_slo_and_determinism () =
         ]
     in
     let fr =
-      F.create ~every:2 ~retain:4 ~deterministic:true ~slo ~trace:tr ~dir
-        ~obs:o ()
+      F.create ~every:2 ~retain:4 ~deterministic:true ~slo ~dir ~obs:o ()
     in
     for _ = 1 to 6 do
       O.incr o "ticks";
@@ -468,15 +466,15 @@ let test_flight_slo_and_determinism () =
       O.observe o "apply_latency_s" (Random.float 1.0);
       F.tick fr
     done;
-    (slo, tr)
+    (slo, o)
   in
   let d1 = tmpdir "ig_det_a" and d2 = tmpdir "ig_det_b" in
-  let slo, tr = drive d1 in
+  let slo, o = drive d1 in
   let _ = drive d2 in
   check Alcotest.int "slo tripped once during the flight" 1 (S.violations slo);
   check
     (Alcotest.list Alcotest.string)
-    "violation visible in the trace" [ "ticks" ] (slo_events tr);
+    "violation visible in the trace" [ "ticks" ] (slo_events o);
   check
     (Alcotest.list Alcotest.string)
     "same ring shape" (ring_files d1) (ring_files d2);

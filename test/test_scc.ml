@@ -78,8 +78,11 @@ let test_tarjan_restricted () =
 
 (* ---- IncSCC ------------------------------------------------------------- *)
 
-let engine ?(config = I.inc_config) n edges =
-  I.init ~config (graph_of_edges n edges)
+let engine ?(config = I.inc_config) ?obs n edges =
+  I.init ~config ?obs (graph_of_edges n edges)
+
+(* Deletions the O(1) witness check resolved, as counted on [obs]. *)
+let fast_deletes obs = Ig_obs.Obs.counter obs "fast_deletes"
 
 let assert_sound msg t =
   (try I.check_invariants t
@@ -152,7 +155,6 @@ let test_inc_delete_fast_path () =
   (* Example 8 analog: a chord whose deletion keeps the component strongly
      connected must take the O(1) witness path. *)
   let t = engine 3 [ (0, 1); (1, 2); (2, 0); (0, 2) ] in
-  I.reset_stats t;
   (* (0,2) is a chord: cycle 0-1-2 survives without it. Whether the O(1)
      path applies depends on which edge the DFS used; deleting the chord
      never splits. *)
@@ -332,29 +334,30 @@ let test_inc_delete_fast_path_witness_count () =
   let fast = ref 0 in
   List.iter
     (fun (u, v) ->
-      let t = engine 4 all_edges in
-      I.reset_stats t;
+      let obs = Ig_obs.Obs.create () in
+      let t = engine ~obs 4 all_edges in
       let d = I.apply_batch t [ Digraph.Delete (u, v) ] in
       check Alcotest.int "still strongly connected" 0
         (List.length d.removed + List.length d.added);
       assert_sound "K4 single delete" t;
-      fast := !fast + (I.stats t).I.fast_deletes)
+      fast := !fast + fast_deletes obs)
     all_edges;
   check Alcotest.bool "O(1) witness check exercised" true (!fast >= 5)
 
 let test_inc_fast_path_disabled_in_dyn () =
-  (* The DynSCC stand-in pays a local recomputation instead: same outputs,
-     zero fast deletes on the identical workload. *)
+  (* The DynSCC stand-in pays a reachability check instead (and marks the
+     component dirty when it stays connected): same outputs, zero fast
+     deletes on the identical workload. *)
   let all_edges = [ (0, 1); (1, 0); (0, 2); (2, 0); (1, 2); (2, 1) ] in
   let fast config =
     let n = ref 0 in
     List.iter
       (fun (u, v) ->
-        let t = engine ~config 3 all_edges in
-        I.reset_stats t;
+        let obs = Ig_obs.Obs.create () in
+        let t = engine ~config ~obs 3 all_edges in
         ignore (I.apply_batch t [ Digraph.Delete (u, v) ]);
         assert_sound "dense triangle delete" t;
-        n := !n + (I.stats t).I.fast_deletes)
+        n := !n + fast_deletes obs)
       all_edges;
     !n
   in
