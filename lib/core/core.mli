@@ -23,7 +23,10 @@
     Every engine ([Core.<Class>.Inc]) has the same shape: [init] (RPQ:
     [create]) runs the batch algorithm once and owns the graph afterwards,
     [apply_batch] trades ΔG for ΔO, and an accessor reads the current
-    answer. The substrate modules ({!Digraph}, {!Regex}, …) are re-exported
+    answer. |CHANGED| = |ΔG| + |ΔO| is counted in two shared places, not
+    per engine: the engine's graph counts each effective edge mutation
+    ({!Digraph.instrument}), and the one signed ΔO set
+    ({!Ig_graph.Delta_set}) counts what [apply_batch] returns. The substrate modules ({!Digraph}, {!Regex}, …) are re-exported
     so downstream users need only this library. *)
 
 (** {1 Substrate} *)

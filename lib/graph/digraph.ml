@@ -62,9 +62,9 @@ type t = {
   mutable overlay_adds : int; (* live entries in the two add tables *)
   mutable overlay_dels : int; (* live tombstones in the two del tables *)
   (* Instrumentation sink, default noop. Engines attach their registry
-     at init (via [instrument]) so overlay pressure and compaction cost
-     are observable; [copy] resets it to noop so a scratch/oracle copy
-     never pollutes the engine's registry. *)
+     at init (via [instrument]) so |ΔG|, overlay pressure and compaction
+     cost are observable; [copy] resets it to noop so a scratch/oracle
+     copy never pollutes the engine's registry. *)
   mutable obs : Obs.t;
 }
 
@@ -277,6 +277,10 @@ let maybe_compact g = if g.overlay > max 64 (g.n_edges asr 3) then compact g
 
 (* ---- updates ---- *)
 
+(* Each effective mutation counts one unit of |ΔG| on the instrumented
+   sink, so an engine's changed-input count is its graph's; a no-op
+   counts nothing. *)
+
 let add_edge g u v =
   check_node g u;
   check_node g v;
@@ -298,6 +302,7 @@ let add_edge g u v =
     Vec.set g.out_deg u (Vec.get g.out_deg u + 1);
     Vec.set g.in_deg v (Vec.get g.in_deg v + 1);
     g.n_edges <- g.n_edges + 1;
+    Obs.note_changed_input g.obs 1;
     note_overlay g;
     maybe_compact g;
     true
@@ -323,6 +328,7 @@ let remove_edge g u v =
     Vec.set g.out_deg u (Vec.get g.out_deg u - 1);
     Vec.set g.in_deg v (Vec.get g.in_deg v - 1);
     g.n_edges <- g.n_edges - 1;
+    Obs.note_changed_input g.obs 1;
     note_overlay g;
     maybe_compact g;
     true
@@ -393,6 +399,12 @@ let net_effect us =
     (fun (e, r) -> if !r then inss := e :: !inss else dels := e :: !dels)
     !order;
   (!dels, !inss)
+
+let apply_net g us =
+  let dels, inss = net_effect us in
+  let dels = List.filter (fun (u, v) -> remove_edge g u v) dels in
+  let inss = List.filter (fun (u, v) -> add_edge g u v) inss in
+  (dels, inss)
 
 (* ---- views ---- *)
 

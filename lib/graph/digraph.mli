@@ -60,12 +60,14 @@ val overlay_size : t -> int
     compaction; 0 right after {!compact}. *)
 
 val instrument : obs:Ig_obs.Obs.t -> t -> unit
-(** Attach an instrumentation sink to the storage layer: the overlay
-    add/del sizes become gauges and compactions record latency and
-    bytes-copied histograms plus a [Compaction] event. Default is
-    {!Ig_obs.Obs.noop} (a single branch per probe); {!copy} resets the
-    copy's sink to noop so scratch and oracle copies never pollute the
-    engine's registry. *)
+(** Attach an instrumentation sink to the storage layer: every effective
+    {!add_edge} and {!remove_edge} counts one unit of |ΔG|
+    ({!Ig_obs.Obs.note_changed_input}), the overlay add/del sizes become
+    gauges, and compactions record latency and bytes-copied histograms
+    plus a [Compaction] event. Only the engines call it, on the graph they
+    own. Default is {!Ig_obs.Obs.noop} (a single branch per probe);
+    {!copy} resets the copy's sink to noop so scratch and oracle copies
+    never pollute the engine's registry. *)
 
 val add_node : t -> string -> node
 (** Add a fresh node with the given label string. *)
@@ -104,6 +106,11 @@ val net_effect : update list -> edge list * edge list
     insertion of a present edge); the results of {!add_edge} and
     {!remove_edge} tell. A batch that touches each edge once yields its own
     updates. Reads no graph, so it costs one hash probe per update. *)
+
+val apply_net : t -> update list -> edge list * edge list
+(** [apply_net g us] applies [net_effect us] to [g], deletions first, and
+    returns the [(deletions, insertions)] that changed it, in
+    {!net_effect}'s order. The graph ends as {!apply_batch} leaves it. *)
 
 (** {1 Labels} *)
 

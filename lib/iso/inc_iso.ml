@@ -1,6 +1,7 @@
 module Digraph = Ig_graph.Digraph
 module Obs = Ig_obs.Obs
 module Tracer = Ig_obs.Tracer
+module Delta_set = Ig_graph.Delta_set
 
 type node = Digraph.node
 
@@ -15,8 +16,7 @@ type t = {
       (* one matching order per pattern edge, in pattern-edge order *)
   matches : (Vf2.canon, Vf2.mapping) Hashtbl.t;
   edge_index : (node * node, (Vf2.canon, unit) Hashtbl.t) Hashtbl.t;
-  gained : (Vf2.canon, Vf2.mapping) Hashtbl.t;
-  lost : (Vf2.canon, Vf2.mapping) Hashtbl.t;
+  delta : (Vf2.canon, Vf2.mapping) Delta_set.t; (* matches gained/lost *)
 }
 
 let graph t = t.g
@@ -44,16 +44,15 @@ let add_match t c m =
         in
         Hashtbl.replace set c ())
       (image_edges t m);
-    (* Counted in bulk by [process_inserts]: init and [add_node] add
-       matches too, and those are not |AFF|. *)
+    (* Counted in bulk by [process_inserts]: init adds matches too, and
+       those are not |AFF|. *)
     if Obs.tracing t.obs then begin
       Obs.emit t.obs
         (Tracer.Aff_enter { node = m.(0); rule = Tracer.Iso_ball_rematch });
       Obs.cert_rewrite t.obs ~node:m.(0) ~field:"match" ~before:"absent"
         ~after:(show_mapping m)
     end;
-    if Hashtbl.mem t.lost c then Hashtbl.remove t.lost c
-    else Hashtbl.replace t.gained c m
+    Delta_set.gain t.delta c m
   end
 
 (* A match broken by a deleted edge: it enters AFF and leaves the store. *)
@@ -74,21 +73,7 @@ let remove_match t c =
               if Hashtbl.length s = 0 then Hashtbl.remove t.edge_index e
           | None -> ())
         (image_edges t m);
-      if Hashtbl.mem t.gained c then Hashtbl.remove t.gained c
-      else Hashtbl.replace t.lost c m
-
-let flush_delta t =
-  (* Canon order: the delta lists are consumer-visible. *)
-  let added =
-    List.map snd (Obs.sorted_bindings ~compare:Vf2.compare_canon t.gained)
-  in
-  let removed =
-    List.map snd (Obs.sorted_bindings ~compare:Vf2.compare_canon t.lost)
-  in
-  Obs.note_changed_output t.obs (List.length added + List.length removed);
-  Hashtbl.reset t.gained;
-  Hashtbl.reset t.lost;
-  { added; removed }
+      Delta_set.lose t.delta c m
 
 let process_delete t e =
   match Hashtbl.find_opt t.edge_index e with
@@ -136,40 +121,26 @@ let process_inserts t edges =
     Obs.add t.obs Obs.K.cert_rewrites fresh
   end
 
-let insert t (u, v) =
-  let fresh = Digraph.add_edge t.g u v in
-  if fresh then Obs.note_changed_input t.obs 1;
-  fresh
-
 (* [net_effect] makes the batch's order immaterial: deletions first (paper
    step (1)), then insertions, with the graph ending as [Digraph.apply_batch]
    would leave it. *)
 let process t updates =
   let dels, inss = Digraph.net_effect updates in
   List.iter
-    (fun (u, v) ->
-      if Digraph.remove_edge t.g u v then begin
-        Obs.note_changed_input t.obs 1;
-        process_delete t (u, v)
-      end)
+    (fun (u, v) -> if Digraph.remove_edge t.g u v then process_delete t (u, v))
     dels;
-  if t.grouped then process_inserts t (List.filter (insert t) inss)
-  else List.iter (fun e -> if insert t e then process_inserts t [ e ]) inss
+  let insert (u, v) = Digraph.add_edge t.g u v in
+  if t.grouped then process_inserts t (List.filter insert inss)
+  else List.iter (fun e -> if insert e then process_inserts t [ e ]) inss
 
 let apply_batch t updates =
   Obs.with_apply t.obs @@ fun () ->
   Obs.with_span t.obs "iso.process" (fun () -> process t updates);
-  flush_delta t
-
-let add_node t label =
-  let v = Digraph.add_node t.g label in
-  if Pattern.n_nodes t.p = 1 && Pattern.label t.p 0 = label then begin
-    if Pattern.n_edges t.p = 0 then
-      add_match t (Vf2.canon_of t.p [| v |]) [| v |]
-    (* A single node with a self-loop pattern needs the loop edge, which
-       does not exist yet. *)
-  end;
-  v
+  (* Canon order: the delta lists are consumer-visible. *)
+  let added, removed =
+    Delta_set.flush t.delta ~obs:t.obs ~compare:Vf2.compare_canon
+  in
+  { added = List.map snd added; removed = List.map snd removed }
 
 let init ?(grouped = true) ?(obs = Obs.noop) g p =
   Digraph.instrument ~obs g;
@@ -182,14 +153,13 @@ let init ?(grouped = true) ?(obs = Obs.noop) g p =
       anchors = List.map (fun e -> (e, Vf2.plan p e)) (Pattern.edges p);
       matches = Hashtbl.create 256;
       edge_index = Hashtbl.create 256;
-      gained = Hashtbl.create 64;
-      lost = Hashtbl.create 64;
+      delta = Delta_set.create ();
     }
   in
   List.iter
     (fun m -> add_match t (Vf2.canon_of p m) m)
     (Vf2.find_all g p);
-  Hashtbl.reset t.gained;
+  Delta_set.clear t.delta;
   (* The initial batch match is not an update: its events (one Aff_enter
      per pre-existing match) are not provenance, so drop them. *)
   Obs.clear_events obs;

@@ -47,7 +47,8 @@ val init :
       anchored runs, anchors included;
     - [edges_relaxed]: candidate nodes the anchored runs examined beyond
       the anchors, each an adjacency entry of an already-bound node;
-    - [changed]: |ΔG| (net) + |ΔO|.
+    - [changed]: |ΔG| (net) + |ΔO|, counted by the graph and by
+      {!Ig_graph.Delta_set}.
 
     Each {!apply_batch} call also records one sample into the
     [apply_latency_s] histogram (monotonic seconds) and the
@@ -66,10 +67,6 @@ val pattern : t -> Pattern.t
 
 val obs : t -> Ig_obs.Obs.t
 (** The metrics sink the session was created with. *)
-
-val add_node : t -> string -> node
-(** A fresh node (matches only single-node patterns until edges arrive).
-    A match it forms is reported by the next {!apply_batch}. *)
 
 val apply_batch : t -> Ig_graph.Digraph.update list -> delta
 (** Apply the batch's net effect and return ΔO. The graph ends as

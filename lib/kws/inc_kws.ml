@@ -1,6 +1,7 @@
 module Digraph = Ig_graph.Digraph
 module Obs = Ig_obs.Obs
 module Tracer = Ig_obs.Tracer
+module Delta_set = Ig_graph.Delta_set
 
 type node = Digraph.node
 
@@ -22,12 +23,10 @@ type t = {
   mutable q : Batch.query;
   grouped : bool;
   obs : Obs.t;
-  syms : Ig_graph.Interner.symbol array; (* keyword symbols, query order *)
   kd : (node, Batch.entry) Hashtbl.t array;
   mcount : (node, int) Hashtbl.t; (* node -> #keywords within bound *)
   mutable n_matches : int;
-  gained : (node, unit) Hashtbl.t;
-  lost : (node, unit) Hashtbl.t;
+  delta : (node, unit) Delta_set.t; (* match roots gained/lost *)
   rewired : (node * int, unit) Hashtbl.t;
 }
 
@@ -38,22 +37,15 @@ let obs t = t.obs
 let m t = Array.length t.kd
 let bound t = t.q.Batch.bound
 
-let note_gain t v =
-  t.n_matches <- t.n_matches + 1;
-  if Hashtbl.mem t.lost v then Hashtbl.remove t.lost v
-  else Hashtbl.replace t.gained v ()
-
-let note_lose t v =
-  t.n_matches <- t.n_matches - 1;
-  if Hashtbl.mem t.gained v then Hashtbl.remove t.gained v
-  else Hashtbl.replace t.lost v ()
-
 let set_entry t i v e =
   let kd = t.kd.(i) in
   if not (Hashtbl.mem kd v) then begin
     let c = 1 + Option.value ~default:0 (Hashtbl.find_opt t.mcount v) in
     Hashtbl.replace t.mcount v c;
-    if c = m t then note_gain t v
+    if c = m t then begin
+      t.n_matches <- t.n_matches + 1;
+      Delta_set.gain t.delta v ()
+    end
   end;
   Hashtbl.replace kd v e
 
@@ -63,23 +55,24 @@ let remove_entry t i v =
     Hashtbl.remove kd v;
     let c = Option.value ~default:0 (Hashtbl.find_opt t.mcount v) - 1 in
     if c > 0 then Hashtbl.replace t.mcount v c else Hashtbl.remove t.mcount v;
-    if c = m t - 1 then note_lose t v
+    if c = m t - 1 then begin
+      t.n_matches <- t.n_matches - 1;
+      Delta_set.lose t.delta v ()
+    end
   end
 
 let compare_rewired (v1, i1) (v2, i2) =
   match Int.compare v1 v2 with 0 -> Int.compare i1 i2 | c -> c
 
 let flush_delta t =
-  let added = List.map fst (Obs.sorted_bindings ~compare:Int.compare t.gained) in
-  let removed = List.map fst (Obs.sorted_bindings ~compare:Int.compare t.lost) in
+  let added, removed =
+    Delta_set.flush t.delta ~obs:t.obs ~compare:Int.compare
+  in
   let rewired =
     List.map fst (Obs.sorted_bindings ~compare:compare_rewired t.rewired)
   in
-  Obs.note_changed_output t.obs (List.length added + List.length removed);
-  Hashtbl.reset t.gained;
-  Hashtbl.reset t.lost;
   Hashtbl.reset t.rewired;
-  { added; removed; rewired }
+  { added = List.map fst added; removed = List.map fst removed; rewired }
 
 (* One combined deletion/insertion pass for keyword [i] (paper IncKWS;
    with singleton update lists it degenerates to IncKWS+ / IncKWS−). The
@@ -223,41 +216,20 @@ let process_all t ~dels ~inss =
         process_keyword t i ~dels ~inss
       done)
 
-(* Apply the batch's net effect: an edge inserted then deleted in one batch
-   (or the reverse) is no update at all, and the graph ends as
-   [Digraph.apply_batch] leaves it. *)
-let apply_net t updates =
-  let g = t.g in
-  let dels, inss = Digraph.net_effect updates in
-  let dels = List.filter (fun (u, v) -> Digraph.remove_edge g u v) dels in
-  let inss = List.filter (fun (u, v) -> Digraph.add_edge g u v) inss in
-  let n = List.length dels + List.length inss in
-  if n > 0 then Obs.note_changed_input t.obs n;
-  (dels, inss)
-
 let apply_batch t updates =
   Obs.with_apply t.obs @@ fun () ->
   if t.grouped then begin
-    let dels, inss = apply_net t updates in
+    let dels, inss = Digraph.apply_net t.g updates in
     process_all t ~dels ~inss
   end
   else
     List.iter
       (fun up ->
-        match apply_net t [ up ] with
+        match Digraph.apply_net t.g [ up ] with
         | [], [] -> ()
         | dels, inss -> process_all t ~dels ~inss)
       updates;
   flush_delta t
-
-let add_node t label =
-  let v = Digraph.add_node t.g label in
-  let sym = Digraph.label t.g v in
-  Array.iteri
-    (fun i ks ->
-      if ks = sym then set_entry t i v { Batch.dist = 0; next = -1 })
-    t.syms;
-  v
 
 let init ?(grouped = true) ?(obs = Obs.noop) g q =
   Digraph.instrument ~obs g;
@@ -268,14 +240,10 @@ let init ?(grouped = true) ?(obs = Obs.noop) g q =
       q;
       grouped;
       obs;
-      syms =
-        Array.of_list
-          (List.map (Digraph.intern_label g) q.Batch.keywords);
       kd;
       mcount = Hashtbl.create 256;
       n_matches = 0;
-      gained = Hashtbl.create 64;
-      lost = Hashtbl.create 64;
+      delta = Delta_set.create ();
       rewired = Hashtbl.create 64;
     }
   in

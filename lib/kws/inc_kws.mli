@@ -48,8 +48,9 @@ val init :
     batch updates one unit at a time (IncKWSn). [obs] (default
     {!Ig_obs.Obs.noop}) receives the engine's cost counters: [aff] (kdist
     entries invalidated), [cert_rewrites] (entries re-settled),
-    [nodes_visited], [edges_relaxed], [queue_pushes], and the
-    [changed]/[changed_input]/[changed_output] accounting of |ΔG| + |ΔO|.
+    [nodes_visited], [edges_relaxed], [queue_pushes], and
+    [changed] = |ΔG| + |ΔO| ([changed_input], counted by the graph, plus
+    [changed_output], counted by {!Ig_graph.Delta_set}).
     Each {!apply_batch} call also records one sample into the
     [apply_latency_s] histogram (monotonic seconds) and the
     [gc_minor_words]/[gc_major_words]/[gc_promoted_words] histograms
@@ -66,12 +67,8 @@ val query : t -> Batch.query
 val obs : t -> Ig_obs.Obs.t
 (** The metrics sink the session was created with. *)
 
-val add_node : t -> string -> node
-(** A fresh node; it immediately matches any keyword equal to its label.
-    A match root it adds is reported by the next {!apply_batch}. *)
-
 val apply_batch : t -> Ig_graph.Digraph.update list -> delta
-(** Apply the batch's net effect and return ΔO since the previous call. *)
+(** Apply the batch's net effect and return its ΔO. *)
 
 val match_roots : t -> node list
 val n_matches : t -> int

@@ -14,8 +14,8 @@
      D4  the one update entry point of an inc_*.ml engine, apply_batch, is
          wrapped in Obs.with_apply, and the engine emits rule-tagged
          tracer events; the storage entry points of the graph
-         (compaction) and the durability layer carry at least one Obs
-         probe
+         (compaction, edge insertion and removal) and the durability
+         layer carry at least one Obs probe
      D5  every lib/ module has an interface (.mli)
 
    Being parse-only, D1 is a syntactic approximation: the operators
@@ -149,15 +149,17 @@ let rec app_head e =
 
 let d4_entry_points = [ "apply_batch" ]
 
-(* The storage half of D4: graph compaction and the durability layer also
-   promise deep instrumentation (DESIGN.md §8.6) — compaction, WAL
-   append/fsync, replay, undo and snapshot latencies all land in the
-   registry. These entry points must carry at least one Obs probe
-   (observe/observe_time/with_span/incr/add/set_gauge, or the enabled
-   gate guarding a hand-rolled clock read) somewhere in their body. *)
+(* The storage half of D4: the graph and the durability layer also
+   promise deep instrumentation (DESIGN.md §8.6) — every effective edge
+   mutation counts one unit of |ΔG|, and compaction, WAL append/fsync,
+   replay, undo and snapshot latencies all land in the registry. These
+   entry points must carry at least one Obs probe
+   (observe/observe_time/with_span/incr/add/set_gauge/note_changed_input,
+   or the enabled gate guarding a hand-rolled clock read) somewhere in
+   their body. *)
 let d4_storage_files =
   [
-    ("lib/graph/digraph.ml", [ "compact" ]);
+    ("lib/graph/digraph.ml", [ "compact"; "add_edge"; "remove_edge" ]);
     ("lib/journal/journal.ml", [ "append" ]);
     ( "lib/journal/store.ml",
       [ "init"; "attach"; "do_batch"; "undo"; "snapshot" ] );
@@ -166,7 +168,7 @@ let d4_storage_files =
 let obs_probe_fns =
   [
     "observe"; "observe_time"; "with_span"; "with_apply"; "span_begin";
-    "incr"; "add"; "set_gauge"; "enabled";
+    "incr"; "add"; "set_gauge"; "enabled"; "note_changed_input";
   ]
 
 (* ---- the checker ---------------------------------------------------------- *)

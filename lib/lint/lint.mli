@@ -18,7 +18,9 @@
       [Unix.time] in lib/ outside lib/obs.
     - [D4] a top-level [apply_batch] (an engine's one update entry point)
       in a lib/ [inc_*.ml] is wrapped in [Obs.with_apply], and the file
-      calls the AFF-entry probe [Obs.aff_enter ~rule] at least once.
+      calls the AFF-entry probe [Obs.aff_enter ~rule] at least once; the
+      storage entry points of the graph ([compact], [add_edge],
+      [remove_edge]) and the journal carry at least one [Obs] probe.
     - [D5] every lib/ [.ml] has a sibling [.mli].
 
     Suppression: [(expr [@lint.allow "RULE"])] for a subtree,

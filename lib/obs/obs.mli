@@ -160,11 +160,14 @@ val counter : t -> string -> int
 
 val note_changed_input : t -> int -> unit
 (** Count effective input updates: adds to {!K.changed_input} and the
-    {!K.changed} aggregate. *)
+    {!K.changed} aggregate. Its one caller is the graph: [Digraph.add_edge]
+    and [Digraph.remove_edge] count each effective mutation on the sink an
+    engine attached with [Digraph.instrument]. *)
 
 val note_changed_output : t -> int -> unit
 (** Count output-delta entries: adds to {!K.changed_output} and the
-    {!K.changed} aggregate. *)
+    {!K.changed} aggregate. Its one caller is [Delta_set.flush], the
+    signed ΔO set every engine reports through. *)
 
 (** {2 Gauges} — last-write-wins integers. *)
 

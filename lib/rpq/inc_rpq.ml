@@ -2,6 +2,7 @@ module Digraph = Ig_graph.Digraph
 module Nfa = Ig_nfa.Nfa
 module Obs = Ig_obs.Obs
 module Tracer = Ig_obs.Tracer
+module Delta_set = Ig_graph.Delta_set
 
 type node = Digraph.node
 type key = Pgraph.key
@@ -33,23 +34,12 @@ type t = {
          stores markings per node (v.pmark(u)), so an updated edge touches
          only the sources that actually reach it — this index realizes that
          without scanning every source. *)
-  gained : (node * node, unit) Hashtbl.t;
-  lost : (node * node, unit) Hashtbl.t;
+  delta : (node * node, unit) Delta_set.t; (* matches gained/lost *)
   mutable n_matches : int;
 }
 
 let graph t = Pgraph.graph t.p
 let obs t = t.obs
-
-let note_gain t u v =
-  t.n_matches <- t.n_matches + 1;
-  if Hashtbl.mem t.lost (u, v) then Hashtbl.remove t.lost (u, v)
-  else Hashtbl.replace t.gained (u, v) ()
-
-let note_lose t u v =
-  t.n_matches <- t.n_matches - 1;
-  if Hashtbl.mem t.gained (u, v) then Hashtbl.remove t.gained (u, v)
-  else Hashtbl.replace t.lost (u, v) ()
 
 let bump_at_node t u v dir =
   let h =
@@ -71,7 +61,10 @@ let add_entry t u ss k d =
     let v = Pgraph.node_of t.p k in
     let c = 1 + Option.value ~default:0 (Hashtbl.find_opt ss.accs v) in
     Hashtbl.replace ss.accs v c;
-    if c = 1 then note_gain t u v
+    if c = 1 then begin
+      t.n_matches <- t.n_matches + 1;
+      Delta_set.gain t.delta (u, v) ()
+    end
   end
 
 let remove_entry t u ss k =
@@ -83,20 +76,13 @@ let remove_entry t u ss k =
     if c > 0 then Hashtbl.replace ss.accs v c
     else begin
       Hashtbl.remove ss.accs v;
-      note_lose t u v
+      t.n_matches <- t.n_matches - 1;
+      Delta_set.lose t.delta (u, v) ()
     end
   end
 
 let compare_pair (u1, v1) (u2, v2) =
   match Int.compare u1 u2 with 0 -> Int.compare v1 v2 | c -> c
-
-let flush_delta t =
-  let added = List.map fst (Obs.sorted_bindings ~compare:compare_pair t.gained) in
-  let removed = List.map fst (Obs.sorted_bindings ~compare:compare_pair t.lost) in
-  Obs.note_changed_output t.obs (List.length added + List.length removed);
-  Hashtbl.reset t.gained;
-  Hashtbl.reset t.lost;
-  { added; removed }
 
 let is_initial t u k =
   Pgraph.node_of t.p k = u
@@ -277,47 +263,23 @@ let process_all t ~dels ~inss =
       process_source t u (Hashtbl.find t.srcs u) ~dels:!dels ~inss:!inss)
     (Obs.sorted_bindings ~compare:Int.compare per_source)
 
-(* Apply the batch's net effect: an edge inserted then deleted in one batch
-   (or the reverse) is no update at all, and the graph ends as
-   [Digraph.apply_batch] leaves it. *)
-let apply_net t updates =
-  let g = graph t in
-  let dels, inss = Digraph.net_effect updates in
-  let dels = List.filter (fun (u, v) -> Digraph.remove_edge g u v) dels in
-  let inss = List.filter (fun (u, v) -> Digraph.add_edge g u v) inss in
-  let n = List.length dels + List.length inss in
-  if n > 0 then Obs.note_changed_input t.obs n;
-  (dels, inss)
-
 let apply_batch t updates =
   Obs.with_apply t.obs @@ fun () ->
   if t.grouped then begin
-    let dels, inss = apply_net t updates in
+    let dels, inss = Digraph.apply_net (graph t) updates in
     process_all t ~dels ~inss
   end
   else
     List.iter
       (fun up ->
-        match apply_net t [ up ] with
+        match Digraph.apply_net (graph t) [ up ] with
         | [], [] -> ()
         | dels, inss -> process_all t ~dels ~inss)
       updates;
-  flush_delta t
-
-let register_source t u =
-  let ss = { marks = Hashtbl.create 16; accs = Hashtbl.create 8 } in
-  Hashtbl.replace t.srcs u ss;
-  ss
-
-let add_node t label =
-  let u = Digraph.add_node (graph t) label in
-  if Pgraph.is_source t.p u then begin
-    let ss = register_source t u in
-    List.iter
-      (fun s -> add_entry t u ss (Pgraph.key t.p u s) 0)
-      (Pgraph.initial_states t.p u)
-  end;
-  u
+  let added, removed =
+    Delta_set.flush t.delta ~obs:t.obs ~compare:compare_pair
+  in
+  { added = List.map fst added; removed = List.map fst removed }
 
 let init ?(grouped = true) ?(obs = Obs.noop) g a =
   Digraph.instrument ~obs g;
@@ -329,20 +291,20 @@ let init ?(grouped = true) ?(obs = Obs.noop) g a =
       obs;
       srcs = Hashtbl.create 64;
       at_node = Hashtbl.create 256;
-      gained = Hashtbl.create 64;
-      lost = Hashtbl.create 64;
+      delta = Delta_set.create ();
       n_matches = 0;
     }
   in
   List.iter
     (fun u ->
-      let ss = register_source t u in
+      let ss = { marks = Hashtbl.create 16; accs = Hashtbl.create 8 } in
+      Hashtbl.replace t.srcs u ss;
       (* Order-free: entry insertions commute; nothing is traced here. *)
       (Hashtbl.iter [@lint.allow "D2"])
         (fun k d -> add_entry t u ss k d)
         (Batch.source_marks p u))
     (Pgraph.sources p);
-  Hashtbl.reset t.gained;
+  Delta_set.clear t.delta;
   t
 
 let create ?grouped ?obs g q =

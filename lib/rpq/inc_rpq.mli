@@ -54,9 +54,11 @@ val init :
     {!Ig_obs.Obs.noop}) receives cost counters: [aff] (product-graph
     markings invalidated — the measured |AFF|), [cert_rewrites] (markings
     re-settled), [nodes_visited], [edges_relaxed], [queue_pushes], and
-    [changed] = |ΔG| + |ΔO|. Each {!apply_batch} call also records one
-    sample into the [apply_latency_s] histogram (monotonic seconds) and
-    the [gc_minor_words]/[gc_major_words]/[gc_promoted_words] histograms
+    [changed] = |ΔG| + |ΔO| ([changed_input], counted by the graph, plus
+    [changed_output], counted by {!Ig_graph.Delta_set}). Each
+    {!apply_batch} call also records one sample into the [apply_latency_s]
+    histogram (monotonic seconds) and the
+    [gc_minor_words]/[gc_major_words]/[gc_promoted_words] histograms
     (words allocated, per {!Ig_obs.Obs.with_apply}). A sink created with
     [~events] also records structured events: [Aff_enter] tagged
     [Rpq_support_lost] (a marking lost its last shorter-distance
@@ -77,13 +79,8 @@ val graph : t -> Ig_graph.Digraph.t
 val obs : t -> Ig_obs.Obs.t
 (** The metrics sink the session was created with. *)
 
-val add_node : t -> string -> node
-(** Add a fresh node; it becomes a new source if its label can start a
-    path in [L(Q)]. A pair it adds is reported by the next
-    {!apply_batch}. *)
-
 val apply_batch : t -> Ig_graph.Digraph.update list -> delta
-(** Apply the batch's net effect and return ΔO since the previous call. *)
+(** Apply the batch's net effect and return its ΔO. *)
 
 val matches : t -> (node * node) list
 (** Current [Q(G)]. *)

@@ -3,6 +3,7 @@ module Rank = Ig_graph.Rank
 module Vec = Ig_graph.Vec
 module Obs = Ig_obs.Obs
 module Tracer = Ig_obs.Tracer
+module Delta_set = Ig_graph.Delta_set
 
 type node = Digraph.node
 type comp = int
@@ -51,8 +52,10 @@ type t = {
   rank : Rank.t;
   dirty : (comp, unit) Hashtbl.t;
   mutable next_comp : comp;
-  born : (comp, unit) Hashtbl.t;
-  died : (comp, node list) Hashtbl.t;
+  (* ΔO, keyed by shape: (id, size). A merge keeps the id of one part and
+     only grows it, so the shape a batch starts from and the one it ends
+     with are distinct keys, and each carries its (immutable) members. *)
+  delta : (comp * int, members) Delta_set.t;
 }
 
 let graph t = t.g
@@ -107,44 +110,33 @@ let cremove t cu cv k =
   drop t.cpred cv cu
 
 (* Allocate a component holding the node list [ms]; updates per-node
-   ownership (used at init, splits and node creation, where the list is
-   within AFF anyway). The caller is responsible for ranks and contracted
-   adjacency. *)
+   ownership (used at init and splits, where the list is within AFF
+   anyway). The caller is responsible for ranks, contracted adjacency and
+   ΔO. *)
 let alloc_comp t ms =
   let c = t.next_comp in
   t.next_comp <- c + 1;
   Hashtbl.replace t.members c (Leaf ms);
   Hashtbl.replace t.msize c (List.length ms);
   List.iter (fun v -> Vec.set t.comp_of v c) ms;
-  Hashtbl.replace t.born c ();
   c
+
+let compare_shape (c1, s1) (c2, s2) =
+  match Int.compare c1 c2 with 0 -> Int.compare s1 s2 | c -> c
+
+(* ΔO entries for component [c] in its current shape. *)
+let gain_comp t c = Delta_set.gain t.delta (c, size_of t c) (members_of t c)
+let lose_comp t c = Delta_set.lose t.delta (c, size_of t c) (members_of t c)
 
 (* Retire a component: ownership of members must already have moved. Ranks
    are managed at call sites (reassign_within / split consume them). *)
 let retire_comp t c =
-  let ms = members_of t c in
+  lose_comp t c;
   Hashtbl.remove t.members c;
   Hashtbl.remove t.msize c;
   Hashtbl.remove t.csucc c;
   Hashtbl.remove t.cpred c;
-  Hashtbl.remove t.dirty c;
-  if Hashtbl.mem t.born c then Hashtbl.remove t.born c
-  else Hashtbl.replace t.died c (members_to_list ms)
-
-let flush_delta t =
-  (* Component-id order: the delta lists are consumer-visible. *)
-  let removed =
-    List.map snd (Obs.sorted_bindings ~compare:Int.compare t.died)
-  in
-  let added =
-    List.map
-      (fun (c, ()) -> members_to_list (members_of t c))
-      (Obs.sorted_bindings ~compare:Int.compare t.born)
-  in
-  Obs.note_changed_output t.obs (List.length removed + List.length added);
-  Hashtbl.reset t.died;
-  Hashtbl.reset t.born;
-  { removed; added }
+  Hashtbl.remove t.dirty c
 
 (* Recompute the certificate of component [c] by a local Tarjan run on its
    induced subgraph; returns the sub-components sinks-first. *)
@@ -219,6 +211,7 @@ let recert_or_split t c =
   | parts_members ->
       (* Fresh ids; ownership moves before adjacency is rebuilt. *)
       let parts = List.map (fun ms -> alloc_comp t ms) parts_members in
+      List.iter (gain_comp t) parts;
       (* [parts] is sinks-first, which is ascending rank order. *)
       Rank.split t.rank c ~parts;
       (* Adjacency rebuild must happen while [c]'s tables still exist. *)
@@ -242,20 +235,18 @@ let merge_comps t cs =
       (List.hd cs) cs
   in
   let others = List.filter (fun c -> c <> big) cs in
-  (* ΔO bookkeeping: the pre-batch shape of [big] dies; its merged shape is
-     (re)born. flush_delta reads members at flush time, so later growth of
-     the same id is reflected automatically. *)
-  if (not (Hashtbl.mem t.born big)) && not (Hashtbl.mem t.died big) then
-    Hashtbl.replace t.died big (members_to_list (members_of t big));
-  Hashtbl.replace t.born big ();
   let rope =
     List.fold_left
       (fun acc c -> Cat (acc, members_of t c))
       (members_of t big) others
   in
-  Hashtbl.replace t.members big rope;
+  (* ΔO: the old shape of [big] leaves (cancelling its gain if this batch
+     made it), the merged shape enters. *)
+  lose_comp t big;
   Hashtbl.replace t.msize big
     (List.fold_left (fun n c -> n + size_of t c) (size_of t big) others);
+  Hashtbl.replace t.members big rope;
+  gain_comp t big;
   List.iter (fun c -> Hashtbl.replace t.dsu c big) others;
   let in_set = Hashtbl.create 8 in
   List.iter (fun c -> Hashtbl.replace in_set c ()) cs;
@@ -287,16 +278,8 @@ let merge_comps t cs =
             bump (adj t.csucc a) big cnt
           end)
         (adj t.cpred c);
-      (* Retire the folded component (its members moved to [big]); if it
-         predates the batch it was a distinct component of the old output,
-         so its snapshot joins ΔO's removals. *)
-      (if Hashtbl.mem t.born c then Hashtbl.remove t.born c
-       else Hashtbl.replace t.died c (members_to_list (members_of t c)));
-      Hashtbl.remove t.members c;
-      Hashtbl.remove t.msize c;
-      Hashtbl.remove t.csucc c;
-      Hashtbl.remove t.cpred c;
-      Hashtbl.remove t.dirty c)
+      (* Retire the folded component (its members moved to [big]). *)
+      retire_comp t c)
     others;
   if t.cfg.eager_cert then refresh_cert t big
   else Hashtbl.replace t.dirty big ();
@@ -457,16 +440,6 @@ let delete_intra t c u v =
     Hashtbl.replace t.dirty c ()
   else recert_or_split t c
 
-(* ---- Nodes ------------------------------------------------------------ *)
-
-let add_node t label =
-  let v = Digraph.add_node t.g label in
-  ignore (Vec.push t.certs (Tarjan.fresh_cert ()));
-  ignore (Vec.push t.comp_of (-1));
-  let c = alloc_comp t [ v ] in
-  Rank.insert_top t.rank c;
-  v
-
 (* ---- Batch updates (IncSCC) ------------------------------------------ *)
 
 (* IncSCCn: one unit update at a time, in batch order, each taking the
@@ -474,13 +447,11 @@ let add_node t label =
 let apply_unit t = function
   | Digraph.Insert (u, v) ->
       if Digraph.add_edge t.g u v then begin
-        Obs.note_changed_input t.obs 1;
         let cu = comp_of t u and cv = comp_of t v in
         if cu = cv then insert_intra t cu else insert_inter t cu cv
       end
   | Digraph.Delete (u, v) ->
       if Digraph.remove_edge t.g u v then begin
-        Obs.note_changed_input t.obs 1;
         let cu = comp_of t u and cv = comp_of t v in
         if cu <> cv then cremove t cu cv 1 else delete_intra t cu u v
       end
@@ -496,17 +467,12 @@ let apply_batch_grouped t updates =
   (* (a) Intra-component phase: apply everything to G, then run local
      Tarjan at most once per affected component. *)
   List.iter
-    (fun (u, v) ->
-      if Digraph.add_edge t.g u v then begin
-        Obs.note_changed_input t.obs 1;
-        insert_intra t (comp_of t u)
-      end)
+    (fun (u, v) -> if Digraph.add_edge t.g u v then insert_intra t (comp_of t u))
     intra_ins;
   let del_by_comp = Hashtbl.create 8 in
   List.iter
     (fun (u, v) ->
       if Digraph.remove_edge t.g u v then begin
-        Obs.note_changed_input t.obs 1;
         let c = comp_of t u in
         let cur =
           Option.value ~default:[] (Hashtbl.find_opt del_by_comp c)
@@ -529,15 +495,12 @@ let apply_batch_grouped t updates =
      time (each restores the rank invariant before the next is added). *)
   List.iter
     (fun (u, v) ->
-      if Digraph.remove_edge t.g u v then begin
-        Obs.note_changed_input t.obs 1;
-        cremove t (comp_of t u) (comp_of t v) 1
-      end)
+      if Digraph.remove_edge t.g u v then
+        cremove t (comp_of t u) (comp_of t v) 1)
     inter_del;
   List.iter
     (fun (u, v) ->
       if Digraph.add_edge t.g u v then begin
-        Obs.note_changed_input t.obs 1;
         let cu = comp_of t u and cv = comp_of t v in
         (* Equal components mean an earlier insertion in this batch merged
            them; the merge already dirtied (or refreshed) the certificate,
@@ -546,12 +509,52 @@ let apply_batch_grouped t updates =
       end)
     inter_ins
 
+(* Unit at a time, a batch can split a component and merge its parts back
+   (or the reverse), so that it ends with the members it started with
+   under a new id. That is no change: cancel both sides before the flush.
+   Only shapes of equal size can be equal, so only their members are
+   compared. The grouped path cannot do this: its splits (phase a) leave
+   strict parts of one batch-start component, and each of its merges
+   (phase b) spans several. *)
+let cancel_restored t =
+  let gained, lost = Delta_set.bindings t.delta ~compare:compare_shape in
+  let sizes side =
+    let h = Hashtbl.create 16 in
+    List.iter (fun ((_, s), _) -> Hashtbl.replace h s ()) side;
+    h
+  in
+  let gained_sizes = sizes gained and lost_sizes = sizes lost in
+  let members ms = List.sort Int.compare (members_to_list ms) in
+  let before = Hashtbl.create 16 in
+  List.iter
+    (fun (((_, s) as k), ms) ->
+      if Hashtbl.mem gained_sizes s then
+        Hashtbl.replace before (members ms) (k, ms))
+    lost;
+  List.iter
+    (fun (((_, s) as k), ms) ->
+      if Hashtbl.mem lost_sizes s then
+        match Hashtbl.find_opt before (members ms) with
+        | Some (k', ms') ->
+            Delta_set.gain t.delta k' ms';
+            Delta_set.lose t.delta k ms
+        | None -> ())
+    gained
+
 let apply_batch t updates =
   Obs.with_apply t.obs @@ fun () ->
   Obs.with_span t.obs "scc.process" (fun () ->
       if t.cfg.group_batch then apply_batch_grouped t updates
-      else List.iter (apply_unit t) updates);
-  flush_delta t
+      else begin
+        List.iter (apply_unit t) updates;
+        cancel_restored t
+      end);
+  (* Component-id order: the delta lists are consumer-visible. *)
+  let added, removed =
+    Delta_set.flush t.delta ~obs:t.obs ~compare:compare_shape
+  in
+  let members = List.map (fun (_, ms) -> members_to_list ms) in
+  { removed = members removed; added = members added }
 
 (* ---- Construction and queries ----------------------------------------- *)
 
@@ -578,8 +581,7 @@ let init ?(config = inc_config) ?(obs = Obs.noop) g =
       rank = Rank.create ();
       dirty = Hashtbl.create 16;
       next_comp = 0;
-      born = Hashtbl.create 16;
-      died = Hashtbl.create 16;
+      delta = Delta_set.create ();
     }
   in
   (* Root order is free in Tarjan; descending ids make the initial ranks
@@ -605,8 +607,6 @@ let init ?(config = inc_config) ?(obs = Obs.noop) g =
       let cu = comp_of t u and cv = comp_of t v in
       if cu <> cv then cadd t cu cv 1)
     g;
-  (* The initial state is the baseline, not a delta. *)
-  Hashtbl.reset t.born;
   t
 
 let components t =

@@ -69,7 +69,9 @@ type delta = {
   removed : node list list;  (** components that ceased to exist *)
   added : node list list;    (** components that came into existence *)
 }
-(** ΔO for SCC: [SCC(G ⊕ ΔG) = (SCC(G) ∖ removed) ∪ added]. *)
+(** ΔO for SCC: [SCC(G ⊕ ΔG) = (SCC(G) ∖ removed) ∪ added], with
+    [removed ⊆ SCC(G)] and [added ∩ SCC(G) = ∅]: a component a batch
+    splits and merges back is in neither list. *)
 
 type t
 
@@ -87,12 +89,13 @@ val init :
     contracted graph), [rank_moves] (rank-region size of each violation),
     [violations] (rank violations resolved by affected-region search),
     [fast_deletes] (intra-component deletions resolved by the O(1)
-    witness check), and [changed] = |ΔG| + |ΔO|. Each {!apply_batch} call
-    also records one sample into the [apply_latency_s] histogram
-    (monotonic seconds) and the [gc_minor_words]/[gc_major_words]/
-    [gc_promoted_words] histograms (words allocated, per
-    {!Ig_obs.Obs.with_apply}). A sink created with [~events] also
-    records structured events: [Aff_enter] tagged
+    witness check), and [changed] = |ΔG| + |ΔO| ([changed_input],
+    counted by the graph, plus [changed_output], counted by
+    {!Ig_graph.Delta_set}). Each {!apply_batch} call also records one
+    sample into the [apply_latency_s] histogram (monotonic seconds) and
+    the [gc_minor_words]/[gc_major_words]/[gc_promoted_words] histograms
+    (words allocated, per {!Ig_obs.Obs.with_apply}). A sink created with
+    [~events] also records structured events: [Aff_enter] tagged
     [Scc_local_tarjan] (node re-certified by a local Tarjan run; node ids)
     or [Scc_rank_swap] (component inside the affected rank region;
     component ids), [Cert_rewrite] on the [certificate] and [rank] fields,
@@ -105,12 +108,8 @@ val config : t -> config
 val obs : t -> Ig_obs.Obs.t
 (** The metrics sink the engine was created with. *)
 
-val add_node : t -> string -> node
-(** Add a fresh labeled node (a new singleton component, reported as
-    added by the next {!apply_batch}). *)
-
 val apply_batch : t -> Ig_graph.Digraph.update list -> delta
-(** Apply a batch and return ΔO since the previous call. *)
+(** Apply a batch and return its ΔO. *)
 
 val components : t -> node list list
 (** Current [SCC(G)]. *)

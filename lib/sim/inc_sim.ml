@@ -2,6 +2,7 @@ module Digraph = Ig_graph.Digraph
 module Pattern = Ig_iso.Pattern
 module Obs = Ig_obs.Obs
 module Tracer = Ig_obs.Tracer
+module Delta_set = Ig_graph.Delta_set
 
 type node = Digraph.node
 
@@ -15,8 +16,7 @@ type t = {
   cnt : (node, int) Hashtbl.t array; (* per pattern edge id, for v ∈ r.(u) *)
   out_edges : (int * int) list array;
   in_edges : (int * int) list array;
-  gained : (int * node, unit) Hashtbl.t;
-  lost : (int * node, unit) Hashtbl.t;
+  delta : (int * node, unit) Delta_set.t; (* pairs gained/lost *)
   mutable n_pairs : int;
 }
 
@@ -27,27 +27,8 @@ let relation t = t.r
 let mem t u v = Sim.mem t.r u v
 let n_pairs t = t.n_pairs
 
-let note_gain t u v =
-  t.n_pairs <- t.n_pairs + 1;
-  if Hashtbl.mem t.lost (u, v) then Hashtbl.remove t.lost (u, v)
-  else Hashtbl.replace t.gained (u, v) ()
-
-let note_lose t u v =
-  t.n_pairs <- t.n_pairs - 1;
-  if Hashtbl.mem t.gained (u, v) then Hashtbl.remove t.gained (u, v)
-  else Hashtbl.replace t.lost (u, v) ()
-
 let compare_pair (u1, v1) (u2, v2) =
   match Int.compare u1 u2 with 0 -> Int.compare v1 v2 | c -> c
-
-let flush_delta t =
-  (* Pair order: the delta lists are consumer-visible. *)
-  let added = List.map fst (Obs.sorted_bindings ~compare:compare_pair t.gained) in
-  let removed = List.map fst (Obs.sorted_bindings ~compare:compare_pair t.lost) in
-  Obs.note_changed_output t.obs (List.length added + List.length removed);
-  Hashtbl.reset t.gained;
-  Hashtbl.reset t.lost;
-  { added; removed }
 
 let support_count t u' v = Sim.support_count t.g t.r u' v
 
@@ -61,7 +42,8 @@ let cascade t doomed =
     if Hashtbl.mem t.r.(u) v then begin
       Hashtbl.remove t.r.(u) v;
       List.iter (fun (e, _) -> Hashtbl.remove t.cnt.(e) v) t.out_edges.(u);
-      note_lose t u v;
+      t.n_pairs <- t.n_pairs - 1;
+      Delta_set.lose t.delta (u, v) ();
       Obs.aff_enter t.obs ~node:v ~rule:Tracer.Sim_support_zero;
       Obs.incr t.obs Obs.K.cert_rewrites;
       if Obs.tracing t.obs then
@@ -90,7 +72,6 @@ let cascade t doomed =
 
 let delete t (a, b) =
   if Digraph.remove_edge t.g a b then begin
-    Obs.note_changed_input t.obs 1;
     let doomed = ref [] in
     (* Pattern edges whose support ran through the deleted graph edge. *)
     Array.iteri
@@ -252,7 +233,8 @@ let merge t survivors ccnt =
       List.iter
         (fun (e, _) -> Hashtbl.replace t.cnt.(e) v (Hashtbl.find ccnt.(e) v))
         t.out_edges.(u);
-      note_gain t u v;
+      t.n_pairs <- t.n_pairs + 1;
+      Delta_set.gain t.delta (u, v) ();
       Obs.aff_enter t.obs ~node:v ~rule:Tracer.Sim_revalidated;
       Obs.incr t.obs Obs.K.cert_rewrites;
       if Obs.tracing t.obs then
@@ -270,7 +252,6 @@ let process t updates =
   if inss <> [] then begin
     List.iter
       (fun (a, b) ->
-        Obs.note_changed_input t.obs 1;
         (* Existing pairs gain support through the new edge. *)
         Array.iteri
           (fun u ls ->
@@ -289,7 +270,11 @@ let process t updates =
 let apply_batch t updates =
   Obs.with_apply t.obs @@ fun () ->
   Obs.with_span t.obs "sim.process" (fun () -> process t updates);
-  flush_delta t
+  (* Pair order: the delta lists are consumer-visible. *)
+  let added, removed =
+    Delta_set.flush t.delta ~obs:t.obs ~compare:compare_pair
+  in
+  { added = List.map fst added; removed = List.map fst removed }
 
 let init ?(obs = Obs.noop) g p =
   Digraph.instrument ~obs g;
@@ -307,8 +292,7 @@ let init ?(obs = Obs.noop) g p =
       cnt;
       out_edges;
       in_edges;
-      gained = Hashtbl.create 32;
-      lost = Hashtbl.create 32;
+      delta = Delta_set.create ();
       n_pairs = 0;
     }
   in

@@ -45,7 +45,8 @@ val init :
       and decrements, and the support bumps of the pairs that join R;
     - [queue_pushes]: pairs queued for removal, by the cascade or by the
       candidate fixpoint;
-    - [changed]: |ΔG| (net) + |ΔO|.
+    - [changed]: |ΔG| (net) + |ΔO|, counted by the graph and by
+      {!Ig_graph.Delta_set}.
 
     Each {!apply_batch} call also records one sample into the
     [apply_latency_s] histogram (monotonic seconds) and the

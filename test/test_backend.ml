@@ -10,9 +10,10 @@
    no-op and idempotent; arbitrary interleavings of insert / delete /
    absent-delete / duplicate-insert / compact agree with a batch-built
    graph; copy of an un-compacted graph is deep — pending deltas are
-   preserved and the copy is independent of the original; and the bulk
-   load behind [Io.of_string] builds the same graph as [add_edge] does,
-   edge by edge. *)
+   preserved and the copy is independent of the original; the bulk load
+   behind [Io.of_string] builds the same graph as [add_edge] does, edge by
+   edge; and [apply_net] applies, returns and counts as |ΔG| exactly the
+   batch's effective net changes. *)
 
 open Ig_graph
 
@@ -359,6 +360,79 @@ let prop_copy_deep =
       Digraph.compact c;
       copy_intact && view g = vg)
 
+(* A batch over at most six nodes, built from steps that make the net
+   effect interesting: insert→delete pairs, duplicate inserts, self-loops,
+   and plain updates, deletions of absent edges among them. *)
+let arb_batch =
+  QCheck.make
+    ~print:(fun (n, edges, ops) ->
+      let show (u, v) = Printf.sprintf "%d-%d" u v in
+      Printf.sprintf "n=%d edges=[%s] ops=[%s]" n
+        (String.concat ";" (List.map show edges))
+        (String.concat ";"
+           (List.map (fun (i, e) -> (if i then "+" else "-") ^ show e) ops)))
+    QCheck.Gen.(
+      let* n = int_range 1 6 in
+      let edge = pair (int_bound (n - 1)) (int_bound (n - 1)) in
+      let* edges = list_size (int_bound (2 * n)) edge in
+      let step =
+        frequency
+          [
+            (3, map (fun e -> [ (true, e) ]) edge);
+            (3, map (fun e -> [ (false, e) ]) edge);
+            (1, map (fun e -> [ (true, e); (false, e) ]) edge);
+            (1, map (fun e -> [ (true, e); (true, e) ]) edge);
+            (1, map (fun v -> [ (true, (v, v)) ]) (int_bound (n - 1)));
+          ]
+      in
+      let+ steps = list_size (int_bound 12) step in
+      (n, edges, List.concat steps))
+
+(* [apply_net] against the model: per edge, in first-occurrence order, the
+   batch's last update, kept when it changes the starting edge set. The
+   instrumented graph counts exactly those changes as |ΔG|; a copy of it
+   counts nothing. *)
+let prop_apply_net =
+  QCheck.Test.make ~count:300
+    ~name:"apply_net applies and counts the model's effective changes"
+    arb_batch (fun (n, edges, ops) ->
+      let build () =
+        let g = Digraph.create () in
+        for _ = 1 to n do
+          ignore (Digraph.add_node g "a")
+        done;
+        List.iter (fun (u, v) -> ignore (Digraph.add_edge g u v)) edges;
+        g
+      in
+      let batch =
+        List.map
+          (fun (i, (u, v)) ->
+            if i then Digraph.Insert (u, v) else Digraph.Delete (u, v))
+          ops
+      in
+      let start = Edges.of_list edges in
+      let firsts =
+        List.fold_left
+          (fun acc (_, e) -> if List.mem e acc then acc else acc @ [ e ])
+          [] ops
+      in
+      let last e = fst (List.find (fun (_, e') -> e' = e) (List.rev ops)) in
+      let dels = List.filter (fun e -> (not (last e)) && Edges.mem e start) firsts
+      and inss = List.filter (fun e -> last e && not (Edges.mem e start)) firsts in
+      let g = build () and obs = Ig_obs.Obs.create () in
+      Digraph.instrument ~obs g;
+      let c = Digraph.copy g in
+      let net = Digraph.apply_net g batch in
+      ignore (Digraph.apply_net c batch);
+      let replica = build () in
+      Digraph.apply_batch replica batch;
+      let k = List.length dels + List.length inss in
+      net = (dels, inss)
+      && Digraph.edges g = Digraph.edges replica
+      && Digraph.edges c = Digraph.edges replica
+      && Ig_obs.Obs.(counter obs K.changed_input) = k
+      && Ig_obs.Obs.(counter obs K.changed) = k)
+
 (* Graph text with up to 20 nodes over three labels (so the label index
    has several members per label) and up to 60 edge lines in arbitrary
    order. The small id range yields self-loops and edgeless nodes; every
@@ -413,5 +487,6 @@ let () =
             prop_interleavings_agree;
             prop_copy_deep;
             prop_bulk_load;
+            prop_apply_net;
           ] );
     ]

@@ -216,15 +216,6 @@ let test_inc_batch_cancel () =
   check Alcotest.int "still one" 1 (I.n_matches t);
   assert_sound "cancel" t
 
-let test_inc_add_node_single_pattern () =
-  let g = labeled_graph [ "x" ] [] in
-  let t = I.init g (P.create ~labels:[ "a" ] ~edges:[]) in
-  check Alcotest.int "none" 0 (I.n_matches t);
-  ignore (I.add_node t "a");
-  let d = I.apply_batch t [] in
-  check Alcotest.int "one" 1 (List.length d.added);
-  assert_sound "single node" t
-
 let test_inc_grouped_vs_unit () =
   let edges = [ (0, 1); (1, 2); (3, 1) ] in
   let labels = [ "a"; "b"; "c"; "a" ] in
@@ -359,8 +350,6 @@ let () =
           Alcotest.test_case "shared edge" `Quick
             test_inc_shared_edge_multi_matches;
           Alcotest.test_case "batch cancel" `Quick test_inc_batch_cancel;
-          Alcotest.test_case "add node single pattern" `Quick
-            test_inc_add_node_single_pattern;
           Alcotest.test_case "grouped vs unit" `Quick test_inc_grouped_vs_unit;
         ] );
       ( "properties",

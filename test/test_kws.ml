@@ -180,15 +180,6 @@ let test_inc_delete_alternate_path () =
   check Alcotest.bool "rewired" true (after.B.next <> before.B.next);
   assert_sound "alternate" t
 
-let test_inc_add_node () =
-  let g = labeled_graph [ "x" ] [] in
-  let t = I.init g { B.keywords = [ "k"; "x" ]; bound = 1 } in
-  let v = I.add_node t "k" in
-  let d = I.apply_batch t [ Digraph.Insert (v, 0); Digraph.Insert (0, v) ] in
-  (* v matches k at 0 hops and x at 1 hop; 0 matches x at 0 and k at 1. *)
-  check_roots "both roots" [ 0; v ] d.added;
-  assert_sound "add node" t
-
 let test_inc_same_label_keywords () =
   let g = labeled_graph [ "k"; "k"; "x" ] [ (2, 0) ] in
   let t = I.init g { B.keywords = [ "k"; "k" ]; bound = 1 } in
@@ -286,46 +277,43 @@ let arb_case =
         b (String.concat "," kws))
     gen_case
 
-let dedup_conflicts ops =
-  let seen = Hashtbl.create 16 in
-  List.filter
-    (fun (_, e) ->
-      if Hashtbl.mem seen e then false
-      else begin
-        Hashtbl.replace seen e ();
-        true
-      end)
-    ops
-
 let updates_of ops =
   List.map
     (fun (i, (u, v)) -> if i then Digraph.Insert (u, v) else Digraph.Delete (u, v))
     ops
+
+(* One batch, repeated edges and all, checked against a batch rerun: the
+   graph ends as a sequential [Digraph.apply_batch] leaves it, and ΔO obeys
+   removed ⊆ old, added ∩ old = ∅ and (old ∖ removed) ∪ added = new. *)
+let batch_sound t q ops =
+  let old_roots = norm (I.match_roots t) in
+  let replica = Digraph.copy (I.graph t) in
+  Digraph.apply_batch replica (updates_of ops);
+  let d = I.apply_batch t (updates_of ops) in
+  I.check_invariants t;
+  let fresh = norm (B.run (I.graph t) q) in
+  Digraph.edges (I.graph t) = Digraph.edges replica
+  && norm (I.match_roots t) = fresh
+  && List.for_all (fun r -> List.mem r old_roots) d.removed
+  && List.for_all (fun r -> not (List.mem r old_roots)) d.added
+  && norm
+       (d.added @ List.filter (fun r -> not (List.mem r d.removed)) old_roots)
+     = fresh
 
 let prop_inc_matches_batch grouped =
   QCheck.Test.make
     ~name:(Printf.sprintf "IncKWS%s == batch rerun" (if grouped then "" else "n"))
     ~count:400 arb_case
     (fun (labels, edges, ops, b, kws) ->
-      let ops = dedup_conflicts ops in
-      let g = labeled_graph labels edges in
       let q = { B.keywords = kws; bound = b } in
-      let t = I.init ~grouped g q in
-      let old_roots = norm (I.match_roots t) in
-      let d = I.apply_batch t (updates_of ops) in
-      I.check_invariants t;
-      let fresh = norm (B.run (I.graph t) q) in
-      let now = norm (I.match_roots t) in
-      let applied =
-        norm
-          (d.added @ List.filter (fun r -> not (List.mem r d.removed)) old_roots)
-      in
-      now = fresh && applied = fresh
-      && List.for_all (fun r -> List.mem r old_roots) d.removed
-      && List.for_all (fun r -> not (List.mem r old_roots)) d.added)
+      batch_sound (I.init ~grouped (labeled_graph labels edges) q) q ops)
 
-let prop_inc_sequences =
-  QCheck.Test.make ~name:"IncKWS sound across successive batches" ~count:200
+let prop_inc_sequences grouped =
+  QCheck.Test.make
+    ~name:
+      (Printf.sprintf "IncKWS%s sound across successive batches"
+         (if grouped then "" else "n"))
+    ~count:200
     QCheck.(
       pair arb_case
         (make
@@ -334,18 +322,10 @@ let prop_inc_sequences =
                (pair bool (pair (int_bound 9) (int_bound 9))))))
     (fun ((labels, edges, ops, b, kws), more) ->
       let n = List.length labels in
-      let clamp ops =
-        dedup_conflicts
-          (List.map (fun (i, (u, v)) -> (i, (u mod n, v mod n))) ops)
-      in
-      let g = labeled_graph labels edges in
+      let clamp = List.map (fun (i, (u, v)) -> (i, (u mod n, v mod n))) in
       let q = { B.keywords = kws; bound = b } in
-      let t = I.init g q in
-      ignore (I.apply_batch t (updates_of (clamp ops)));
-      I.check_invariants t;
-      ignore (I.apply_batch t (updates_of (clamp more)));
-      I.check_invariants t;
-      norm (I.match_roots t) = norm (B.run (I.graph t) q))
+      let t = I.init ~grouped (labeled_graph labels edges) q in
+      batch_sound t q ops && batch_sound t q (clamp more))
 
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
@@ -374,7 +354,6 @@ let () =
             test_inc_insert_noop_beyond_bound;
           Alcotest.test_case "delete alternate path" `Quick
             test_inc_delete_alternate_path;
-          Alcotest.test_case "add node" `Quick test_inc_add_node;
           Alcotest.test_case "duplicate keywords" `Quick
             test_inc_same_label_keywords;
           Alcotest.test_case "cascading delete" `Quick test_inc_cascading_delete;
@@ -389,6 +368,7 @@ let () =
           [
             prop_inc_matches_batch true;
             prop_inc_matches_batch false;
-            prop_inc_sequences;
+            prop_inc_sequences true;
+            prop_inc_sequences false;
           ] );
     ]

@@ -155,8 +155,17 @@ let test_d4_storage () =
     (rules (lint ~path:"lib/journal/store.ml" "let undo t ~k = ignore (t, k)"));
   check (Alcotest.list Alcotest.string) "other files out of scope" []
     (rules (lint ~path:"lib/graph/io.ml" "let compact g = ignore g"));
+  check (Alcotest.list Alcotest.string) "uncounted add_edge flagged" [ "D4" ]
+    (rules (lint ~path:"lib/graph/digraph.ml" "let add_edge g = ignore g"));
+  check (Alcotest.list Alcotest.string) "uncounted remove_edge flagged"
+    [ "D4" ]
+    (rules (lint ~path:"lib/graph/digraph.ml" "let remove_edge g = ignore g"));
+  check (Alcotest.list Alcotest.string) "the |ΔG| count is a probe" []
+    (rules
+       (lint ~path:"lib/graph/digraph.ml"
+          "let remove_edge g = Obs.note_changed_input g.obs 1"));
   check (Alcotest.list Alcotest.string) "other bindings out of scope" []
-    (rules (lint ~path:"lib/graph/digraph.ml" "let add_edge g = ignore g"))
+    (rules (lint ~path:"lib/graph/digraph.ml" "let mem_edge g = ignore g"))
 
 (* ---- suppression ------------------------------------------------------------- *)
 

@@ -179,15 +179,6 @@ let test_inc_split_then_merge () =
   assert_sound "after re-merge" t;
   check Alcotest.int "whole again" 1 (I.n_components t)
 
-let test_inc_add_node () =
-  let t = engine 2 [ (0, 1) ] in
-  let v = I.add_node t "fresh" in
-  let d = I.apply_batch t [] in
-  check_comps "new singleton" [ [ v ] ] d.added;
-  ignore (I.apply_batch t [ Digraph.Insert (1, v); Digraph.Insert (v, 0) ]);
-  assert_sound "wired in" t;
-  check Alcotest.int "merged all" 1 (I.n_components t)
-
 let test_inc_duplicate_ops_are_noops () =
   let t = engine 3 [ (0, 1); (1, 2); (2, 0) ] in
   let d =
@@ -248,7 +239,16 @@ let test_inc_delta_algebra () =
       check Alcotest.bool "removed existed" true (List.mem c old_comps))
     removed;
   let survived = List.filter (fun c -> not (List.mem c removed)) old_comps in
-  check_comps "delta algebra" (survived @ added) (I.components t)
+  check_comps "delta algebra" (survived @ added) (I.components t);
+  (* Unit at a time, a merge undone within the batch is no change. *)
+  List.iter
+    (fun config ->
+      let t = engine ~config 2 [ (0, 1) ] in
+      let d =
+        I.apply_batch t [ Digraph.Insert (1, 0); Digraph.Delete (1, 0) ]
+      in
+      check comps_t "merge then split" [] (d.added @ d.removed))
+    [ I.incn_config; I.dyn_config ]
 
 let test_inc_configs_agree () =
   let edges = [ (0, 1); (1, 2); (2, 0); (2, 3); (3, 4); (4, 2); (5, 0) ] in
@@ -393,18 +393,23 @@ let updates_of_ops ops =
       if ins then Digraph.Insert (u, v) else Digraph.Delete (u, v))
     ops
 
-(* Batches must not contain an insert and a delete of the same edge
-   (paper Section 4.2 assumes conflicts are pre-filtered). *)
-let dedup_conflicts ops =
-  let seen = Hashtbl.create 16 in
-  List.filter
-    (fun (_, e) ->
-      if Hashtbl.mem seen e then false
-      else begin
-        Hashtbl.replace seen e ();
-        true
-      end)
-    ops
+(* One batch, repeated edges and all, checked against a Tarjan rerun: the
+   graph ends as a sequential [Digraph.apply_batch] leaves it, and ΔO obeys
+   removed ⊆ old, added ∩ old = ∅ and (old ∖ removed) ∪ added = new. *)
+let batch_sound t ops =
+  let old_comps = norm (I.components t) in
+  let replica = Digraph.copy (I.graph t) in
+  Digraph.apply_batch replica (updates_of_ops ops);
+  let d = I.apply_batch t (updates_of_ops ops) in
+  I.check_invariants t;
+  let fresh = norm (T.scc (I.graph t)) in
+  let removed = norm d.removed and added = norm d.added in
+  Digraph.edges (I.graph t) = Digraph.edges replica
+  && norm (I.components t) = fresh
+  && List.for_all (fun c -> List.mem c old_comps) removed
+  && List.for_all (fun c -> not (List.mem c old_comps)) added
+  && norm (added @ List.filter (fun c -> not (List.mem c removed)) old_comps)
+     = fresh
 
 let prop_inc_matches_batch config =
   QCheck.Test.make
@@ -412,37 +417,17 @@ let prop_inc_matches_batch config =
       (Printf.sprintf "IncSCC(eager=%b,fast=%b,group=%b) == Tarjan rerun"
          config.I.eager_cert config.I.delete_fast_path config.I.group_batch)
     ~count:300 arb_case
-    (fun (n, edges, ops) ->
-      let ops = dedup_conflicts ops in
-      let t = engine ~config n edges in
-      let old_comps = norm (I.components t) in
-      let d = I.apply_batch t (updates_of_ops ops) in
-      I.check_invariants t;
-      let fresh = norm (T.scc (I.graph t)) in
-      let removed = norm d.removed and added = norm d.added in
-      let survived =
-        List.filter (fun c -> not (List.mem c removed)) old_comps
-      in
-      norm (I.components t) = fresh
-      && List.for_all (fun c -> List.mem c old_comps) removed
-      && norm (survived @ added) = fresh)
+    (fun (n, edges, ops) -> batch_sound (engine ~config n edges) ops)
 
-let prop_inc_many_batches =
-  QCheck.Test.make ~name:"IncSCC stays sound across successive batches"
+let prop_inc_many_batches (name, config) =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "%s stays sound across successive batches" name)
     ~count:150
     QCheck.(pair arb_case (pair arb_case arb_case))
     (fun ((n, edges, ops1), ((_, _, ops2), (_, _, ops3))) ->
-      let clamp ops =
-        dedup_conflicts
-          (List.map (fun (i, (u, v)) -> (i, (u mod n, v mod n))) ops)
-      in
-      let t = engine n edges in
-      List.iter
-        (fun ops ->
-          ignore (I.apply_batch t (updates_of_ops (clamp ops)));
-          I.check_invariants t)
-        [ clamp ops1; clamp ops2; clamp ops3 ];
-      norm (I.components t) = norm (T.scc (I.graph t)))
+      let clamp = List.map (fun (i, (u, v)) -> (i, (u mod n, v mod n))) in
+      let t = engine ~config n edges in
+      List.for_all (batch_sound t) [ ops1; clamp ops2; clamp ops3 ])
 
 (* Unit updates as singleton batches: under [inc_config] through the
    grouped path, under [incn_config] through the one-by-one path. *)
@@ -490,7 +475,6 @@ let () =
             test_inc_delete_fast_path;
           Alcotest.test_case "split (Example 9)" `Quick test_inc_delete_split;
           Alcotest.test_case "split then merge" `Quick test_inc_split_then_merge;
-          Alcotest.test_case "add node" `Quick test_inc_add_node;
           Alcotest.test_case "no-ops" `Quick test_inc_duplicate_ops_are_noops;
         ] );
       ( "deletion fast path",
@@ -520,7 +504,8 @@ let () =
             prop_inc_matches_batch I.inc_config;
             prop_inc_matches_batch I.incn_config;
             prop_inc_matches_batch I.dyn_config;
-            prop_inc_many_batches;
+            prop_inc_many_batches ("IncSCC", I.inc_config);
+            prop_inc_many_batches ("IncSCCn", I.incn_config);
             prop_unit_updates ("IncSCC", I.inc_config);
             prop_unit_updates ("IncSCCn", I.incn_config);
           ] );
