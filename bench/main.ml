@@ -12,7 +12,6 @@
      journal        WAL append/undo/snapshot/recovery throughput (lib/journal)
      trav           batch traversal (Tarjan/NFA/kdist) scaling vs |G|;
                     at --scale 20 the top point is a million-node graph
-     micro          Bechamel micro-benchmarks, one per figure
 
    Usage: dune exec bench/main.exe [-- options]
      -e ID[,ID...]   run selected experiments (default: all)
@@ -22,8 +21,10 @@
      --seed N        RNG seed (default 2017)
      --points N      keep only the first N |ΔG| points per sweep (0 = all;
                      the @bench-gate alias uses this for a fast run)
-     --quota S       bechamel time quota per micro-bench (default 0.5s)
      --out PATH      BENCH json output path (default BENCH_incgraph.json)
+
+   A failed or unknown experiment makes the exit status 1, once the
+   report is written.
 
    Besides the tables printed to stdout, every data point is recorded —
    timings, per-engine Obs counter snapshots (measured |AFF|, |CHANGED|,
@@ -31,6 +32,10 @@
    the per-update latency histograms plus GC/allocation deltas the
    engines record through Obs.with_apply — into a schema-versioned json
    report (see lib/obs/report.ml and EXPERIMENTS.md).
+
+   Every comparison experiment (fig8a..fig8p, unit_updates, opt_gain,
+   rho_sweep, sim_delta) reads its engines from one table, [table] below:
+   per query, the class name and its ordered columns.
 
    Absolute numbers are not comparable to the paper's (different machine,
    language, graph sizes); the reproduction target is the shape: who wins,
@@ -47,7 +52,6 @@ type config = {
   mutable reps : int;
   mutable seed : int;
   mutable points : int; (* 0 = every |ΔG| point *)
-  mutable quota : float;
   mutable out : string;
 }
 
@@ -58,7 +62,6 @@ let cfg =
     reps = 1;
     seed = 2017;
     points = 0;
-    quota = 0.5;
     out = "BENCH_incgraph.json";
   }
 
@@ -80,9 +83,6 @@ let parse_args () =
     | "--points" :: v :: rest ->
         cfg.points <- int_of_string v;
         go rest
-    | "--quota" :: v :: rest ->
-        cfg.quota <- float_of_string v;
-        go rest
     | "--out" :: v :: rest ->
         cfg.out <- v;
         go rest
@@ -98,11 +98,11 @@ module Histogram = Core.Obs.Histogram
 module Report = Core.Obs.Report
 module Json = Core.Obs.Json
 
-(* Wall measurements ride the same monotonic clock as the Obs probes. *)
+(* Seconds [f] takes, on the same monotonic clock as the Obs probes. *)
 let time f =
   let t0 = Obs.now_s () in
-  let r = f () in
-  (r, Obs.now_s () -. t0)
+  f ();
+  Obs.now_s () -. t0
 
 (* ---- measurement cells and the json report -------------------------------- *)
 
@@ -118,32 +118,24 @@ type cell = {
 
 let cell_times = List.map (fun c -> c.time)
 
-let merge_ctrs a b =
-  let keys = List.sort_uniq compare (List.map fst a @ List.map fst b) in
-  List.map
-    (fun k ->
-      ( k,
-        Option.value ~default:0 (List.assoc_opt k a)
-        + Option.value ~default:0 (List.assoc_opt k b) ))
-    keys
-
-(* Histograms merge exactly (element-wise buckets), so reps accumulate
-   samples instead of averaging them away. *)
-let merge_hists a b =
+(* The union of two assoc lists, [merge] combining a key both carry. *)
+let merge_assoc merge a b =
   let keys = List.sort_uniq compare (List.map fst a @ List.map fst b) in
   List.map
     (fun k ->
       match (List.assoc_opt k a, List.assoc_opt k b) with
-      | Some ha, Some hb -> (k, Histogram.merge ha hb)
-      | Some h, None | None, Some h -> (k, h)
+      | Some x, Some y -> (k, merge x y)
+      | Some x, None | None, Some x -> (k, x)
       | None, None -> assert false)
     keys
 
+(* Histograms merge exactly (element-wise buckets), so reps accumulate
+   samples instead of averaging them away. *)
 let cell_add a b =
   {
     time = a.time +. b.time;
-    ctrs = merge_ctrs a.ctrs b.ctrs;
-    hists = merge_hists a.hists b.hists;
+    ctrs = merge_assoc ( + ) a.ctrs b.ctrs;
+    hists = merge_assoc Histogram.merge a.hists b.hists;
   }
 
 let cell_scale reps c =
@@ -153,17 +145,10 @@ let cell_scale reps c =
     hists = c.hists (* distributions keep every sample *);
   }
 
-(* Build an engine against a fresh metrics registry, run the workload, and
-   snapshot what it cost. Construction is outside the timed section (the
-   incremental problem takes the old output as given) but inside the
-   registry's lifetime, so counters cover exactly this cell's updates. *)
-let measured mk apply =
-  let o = Obs.create () in
-  let s = mk o in
-  Obs.reset o;
-  let t = snd (time (fun () -> apply s)) in
+(* What registry [o] counted over a run that took [time] seconds. *)
+let snapshot o time =
   {
-    time = t;
+    time;
     ctrs = Obs.counters o;
     hists = List.map (fun (k, h) -> (k, Histogram.copy h)) (Obs.histograms o);
   }
@@ -186,31 +171,27 @@ let record ~id ~title ~x ~series ?(batch = -1) cells =
   | None -> ()
   | Some r ->
       let e = Report.experiment r ~id ~title in
-      let timings = List.map2 (fun s c -> (s, c.time)) series cells in
-      let counters = List.map2 (fun s c -> (s, c.ctrs)) series cells in
+      let named = List.combine series cells in
+      let timings = List.map (fun (s, c) -> (s, c.time)) named in
+      let counters = List.map (fun (s, c) -> (s, c.ctrs)) named in
       let histograms =
-        List.concat
-          (List.map2
-             (fun s c -> if c.hists = [] then [] else [ (s, c.hists) ])
-             series cells)
+        List.filter_map
+          (fun (s, c) -> if c.hists = [] then None else Some (s, c.hists))
+          named
       in
       let gc =
-        List.concat
-          (List.map2
-             (fun s c ->
-               match gc_of_hists c.hists with [] -> [] | g -> [ (s, g) ])
-             series cells)
+        List.filter_map
+          (fun (s, c) ->
+            match gc_of_hists c.hists with [] -> None | g -> Some (s, g))
+          named
       in
       let speedup =
         if batch < 0 then []
         else
           let bt = (List.nth cells batch).time in
-          List.concat
-            (List.mapi
-               (fun i (s, c) ->
-                 if i = batch then []
-                 else [ (s, bt /. Float.max 1e-9 c.time) ])
-               (List.combine series cells))
+          List.map
+            (fun (s, c) -> (s, bt /. Float.max 1e-9 c.time))
+            (List.filteri (fun i _ -> i <> batch) named)
       in
       Report.add_point e ~x ~timings ~counters ~speedup ~histograms ~gc ()
 
@@ -231,15 +212,11 @@ let print_table ~title ~xlabel ~series rows =
 (* Where the first series stops beating the last one (paper: "outperform
    batch even when |ΔG| is up to X%"). *)
 let report_crossover ~inc ~batch rows =
-  let last_winning = ref None in
-  List.iter
-    (fun (x, cells) ->
-      let get i = List.nth cells i in
-      if get inc < get batch then last_winning := Some x)
-    rows;
-  (match !last_winning with
-  | Some x -> Format.printf "incremental beats batch up to |ΔG| = %s@." x
-  | None -> Format.printf "incremental never beats batch at this scale@.");
+  let wins (_, cells) = List.nth cells inc < List.nth cells batch in
+  (match List.rev (List.filter wins rows) with
+  | (x, _) :: _ ->
+      Format.printf "incremental beats batch up to |ΔG| = %s@." x
+  | [] -> Format.printf "incremental never beats batch at this scale@.");
   (* Speedup at the 10%% point, if present. *)
   match List.assoc_opt "10%" rows with
   | Some cells ->
@@ -253,12 +230,10 @@ let instantiate profile =
   let rng = rng_of_point ("graph", profile.W.Profiles.name) in
   W.Profiles.instantiate ~scale:cfg.scale ~rng profile
 
-let all_delta_percents = [ 5; 10; 15; 20; 25; 30; 35; 40 ]
-
 (* Honors --points: the gate alias runs just the head of each sweep. *)
-let delta_percents () =
-  if cfg.points <= 0 then all_delta_percents
-  else List.filteri (fun i _ -> i < cfg.points) all_delta_percents
+let sweep points =
+  if cfg.points <= 0 then points
+  else List.filteri (fun i _ -> i < cfg.points) points
 
 (* Replay-style workload (see Updates.generate_replay): returns the base
    graph (the master copy minus the insert pool) together with the batch. *)
@@ -269,10 +244,19 @@ let updates_for g pct rep =
   let ups = W.Updates.generate_replay ~rng base ~size () in
   (base, ups)
 
+(* The first query [k] accepts, trying seeds [seed..limit]. *)
+let rec first_seed ~limit k seed =
+  if seed > limit then None
+  else
+    match k seed with
+    | Some q -> Some q
+    | None -> first_seed ~limit k (seed + 1)
+
 (* Pick a query whose answer is nontrivial but bounded, retrying seeds. *)
-let rec pick (k : int -> 'a option) (seed : int) : 'a =
-  if seed > 64 then failwith "bench: no suitable query found"
-  else match k seed with Some q -> q | None -> pick k (seed + 1)
+let pick k =
+  match first_seed ~limit:64 k 0 with
+  | Some q -> q
+  | None -> failwith "bench: no suitable query found"
 
 let pick_rpq g size =
   pick
@@ -284,7 +268,6 @@ let pick_rpq g size =
          count and product reach, not the match count, so a low bar is
          enough. *)
       if n >= 1 && n < 200_000 then Some q else None)
-    0
 
 let pick_iso g nodes edges =
   (* Prefer dense, small-diameter patterns as in the paper's query sets
@@ -302,24 +285,14 @@ let pick_iso g nodes edges =
           let n = List.length (Core.Iso.Vf2.find_all g p) in
           if n > 0 && n < 100_000 then Some p else None
   in
-  let rec first = function
-    | [] -> failwith "bench: no suitable iso pattern found"
-    | (min_edges, max_diam) :: rest -> (
-        let rec go seed =
-          if seed > 40 then None
-          else
-            match attempt ~min_edges ~max_diam seed with
-            | Some p -> Some p
-            | None -> go (seed + 1)
-        in
-        match go 0 with Some p -> p | None -> first rest)
-  in
-  first
-    [
-      (min edges nodes, 3);
-      (nodes - 1, 4);
-      (1, max_int);
-    ]
+  match
+    List.find_map
+      (fun (min_edges, max_diam) ->
+        first_seed ~limit:40 (attempt ~min_edges ~max_diam) 0)
+      [ (min edges nodes, 3); (nodes - 1, 4); (1, max_int) ]
+  with
+  | Some p -> p
+  | None -> failwith "bench: no suitable iso pattern found"
 
 let pick_kws g m b =
   pick
@@ -328,432 +301,362 @@ let pick_kws g m b =
       let q = W.Queries.kws ~rng g ~m ~b in
       let n = List.length (Core.Kws.Batch.run g q) in
       if n > 0 then Some q else None)
-    0
 
-(* ---- per-class runners -----------------------------------------------------
+(* ---- the per-class table ---------------------------------------------------
 
-   Each runner measures, for one update batch:
-     - the grouped incremental engine (IncX),
-     - the unit-at-a-time variant (IncXn),
-     - batch recomputation (the paper's batch counterpart), which is given
-       G and ΔG and must produce Q(G ⊕ ΔG) — applying ΔG is part of its
-       timed work.
-   Session construction (the "old output" Q(G) plus auxiliary structures) is
-   not timed: the incremental problem takes them as given. *)
+   Every Fig. 8 panel and both prose results compare the same columns, in
+   the same order: the grouped incremental engine (IncX), the
+   unit-at-a-time variant (IncXn), batch recomputation (the paper's batch
+   counterpart), and for SCC the DynSCC stand-in. [table] is the one place
+   that says, per query, what those columns run; the pickers below say
+   which query each class runs by default. The batch column is given G and
+   ΔG and must produce Q(G ⊕ ΔG) — applying ΔG is part of its timed work.
+   An incremental column's [start] builds its engine on the graph it is
+   handed (the "old output" Q(G) plus auxiliary structures, untimed: the
+   incremental problem takes them as given) and returns the timed step. *)
 
-let batch_time g ups run =
-  let g' = D.copy g in
-  snd
-    (time (fun () ->
-         D.apply_batch g' ups;
-         run g'))
+module Spec = Core.Check.Spec
 
-let kws_point g q ups =
-  let run grouped =
-    measured
-      (fun o -> Core.Kws.Inc.init ~grouped ~obs:o (D.copy g) q)
-      (fun s -> ignore (Core.Kws.Inc.apply_batch s ups))
-  in
-  let inc = run true in
-  let incn = run false in
-  let batch =
-    no_cell (batch_time g ups (fun g' -> ignore (Core.Kws.Batch.run g' q)))
-  in
-  [ inc; incn; batch ]
+type column =
+  | Inc of string * (Obs.t -> D.t -> D.update list -> unit)
+  | Batch of string * (D.t -> unit)
 
-let rpq_point g q ups =
-  let a = Core.Nfa.compile (D.interner g) q in
-  let run grouped =
-    measured
-      (fun o -> Core.Rpq.Inc.init ~grouped ~obs:o (D.copy g) a)
-      (fun s -> ignore (Core.Rpq.Inc.apply_batch s ups))
-  in
-  let inc = run true in
-  let incn = run false in
-  let batch =
-    no_cell (batch_time g ups (fun g' -> ignore (Core.Rpq.Batch.run g' a)))
-  in
-  [ inc; incn; batch ]
+type row = { name : string; columns : column list }
 
-let scc_point g ups =
-  let with_config config =
-    measured
-      (fun o -> Core.Scc.Inc.init ~config ~obs:o (D.copy g))
-      (fun s -> ignore (Core.Scc.Inc.apply_batch s ups))
-  in
-  let inc = with_config Core.Scc.Inc.inc_config in
-  let incn = with_config Core.Scc.Inc.incn_config in
-  let batch =
-    no_cell (batch_time g ups (fun g' -> ignore (Core.Scc.Tarjan.scc g')))
-  in
-  let dyn = with_config Core.Scc.Inc.dyn_config in
-  [ inc; incn; batch; dyn ]
+let series = function Inc (s, _) | Batch (s, _) -> s
 
-let iso_point g p ups =
-  let run grouped =
-    measured
-      (fun o -> Core.Iso.Inc.init ~grouped ~obs:o (D.copy g) p)
-      (fun s -> ignore (Core.Iso.Inc.apply_batch s ups))
-  in
-  let inc = run true in
-  let incn = run false in
-  let batch =
-    no_cell (batch_time g ups (fun g' -> ignore (Core.Iso.Vf2.find_all g' p)))
-  in
-  [ inc; incn; batch ]
+let batch_col row =
+  Option.get
+    (List.find_index (function Batch _ -> true | Inc _ -> false) row.columns)
 
-(* Graph simulation (the fifth class wired through `incgraph`): IncSim
-   against the batch fixpoint SimFix. *)
-let sim_point g p ups =
-  let inc =
-    measured
-      (fun o -> Core.Sim.Inc.init ~obs:o (D.copy g) p)
-      (fun s -> ignore (Core.Sim.Inc.apply_batch s ups))
-  in
-  let batch =
-    no_cell (batch_time g ups (fun g' -> ignore (Core.Sim.Batch.run p g')))
-  in
-  [ inc; batch ]
+(* The engine [init] builds, reduced to its timed step. *)
+let engine init apply o g =
+  let s = init o g in
+  fun ups -> ignore (apply s ups)
+
+(* IncX and IncXn: the same engine with and without batch grouping. *)
+let pair cls init apply =
+  [
+    Inc ("Inc" ^ cls, engine (init ~grouped:true) apply);
+    Inc ("Inc" ^ cls ^ "n", engine (init ~grouped:false) apply);
+  ]
+
+(* [g] supplies the interner an RPQ compiles against. *)
+let table g : Spec.t -> row = function
+  | Spec.Kws q ->
+      {
+        name = "KWS";
+        columns =
+          pair "KWS"
+            (fun ~grouped o g -> Core.Kws.Inc.init ~grouped ~obs:o g q)
+            Core.Kws.Inc.apply_batch
+          @ [ Batch ("BLINKS", fun g -> ignore (Core.Kws.Batch.run g q)) ];
+      }
+  | Spec.Rpq q ->
+      let a = Core.Nfa.compile (D.interner g) q in
+      {
+        name = "RPQ";
+        columns =
+          pair "RPQ"
+            (fun ~grouped o g -> Core.Rpq.Inc.init ~grouped ~obs:o g a)
+            Core.Rpq.Inc.apply_batch
+          @ [ Batch ("RPQNFA", fun g -> ignore (Core.Rpq.Batch.run g a)) ];
+      }
+  | Spec.Scc ->
+      let scc s config =
+        Inc
+          ( s,
+            engine
+              (fun o g -> Core.Scc.Inc.init ~config ~obs:o g)
+              Core.Scc.Inc.apply_batch )
+      in
+      {
+        name = "SCC";
+        columns =
+          [
+            scc "IncSCC" Core.Scc.Inc.inc_config;
+            scc "IncSCCn" Core.Scc.Inc.incn_config;
+            Batch ("Tarjan", fun g -> ignore (Core.Scc.Tarjan.scc g));
+            scc "DynSCC" Core.Scc.Inc.dyn_config;
+          ];
+      }
+  | Spec.Iso p ->
+      {
+        name = "ISO";
+        columns =
+          pair "ISO"
+            (fun ~grouped o g -> Core.Iso.Inc.init ~grouped ~obs:o g p)
+            Core.Iso.Inc.apply_batch
+          @ [ Batch ("VF2", fun g -> ignore (Core.Iso.Vf2.find_all g p)) ];
+      }
+  | Spec.Sim p ->
+      (* Graph simulation, the fifth class the CLI serves: IncSim against
+         the batch fixpoint SimFix. *)
+      {
+        name = "Sim";
+        columns =
+          [
+            Inc
+              ( "IncSim",
+                engine
+                  (fun o g -> Core.Sim.Inc.init ~obs:o g p)
+                  Core.Sim.Inc.apply_batch );
+            Batch ("SimFix", fun g -> ignore (Core.Sim.Batch.run p g));
+          ];
+      }
+
+(* Default queries: what Exp-1, Exp-3 and the prose experiments run. *)
+let kws g = Spec.Kws (pick_kws g 3 2)
+let rpq g = Spec.Rpq (pick_rpq g 4)
+let scc (_ : D.t) = Spec.Scc
+let iso g = Spec.Iso (pick_iso g 4 6)
+let sim g = Spec.Sim (pick_iso g 3 3)
+let paper_classes = [ kws; rpq; scc; iso ]
+
+let describe = function
+  | Spec.Rpq q -> Format.printf "query: %s@." (Core.Regex.to_string q)
+  | Spec.Iso p ->
+      Format.printf "pattern: |VQ|=%d |EQ|=%d dQ=%d@."
+        (Core.Iso.Pattern.n_nodes p) (Core.Iso.Pattern.n_edges p)
+        (Core.Iso.Pattern.diameter p)
+  | Spec.Sim p ->
+      Format.printf "pattern: |VQ|=%d |EQ|=%d@." (Core.Iso.Pattern.n_nodes p)
+        (Core.Iso.Pattern.n_edges p)
+  | Spec.Kws _ | Spec.Scc -> ()
+
+(* ---- measurement ------------------------------------------------------------ *)
+
+(* Build an engine against a fresh metrics registry, run the workload, and
+   snapshot what it cost. Construction is outside the timed section but
+   inside the registry's lifetime, so counters cover exactly this cell's
+   updates. *)
+let cell g ups = function
+  | Inc (_, start) ->
+      let o = Obs.create () in
+      let apply = start o (D.copy g) in
+      Obs.reset o;
+      snapshot o (time (fun () -> apply ups))
+  | Batch (_, run) ->
+      let g' = D.copy g in
+      no_cell
+        (time (fun () ->
+             D.apply_batch g' ups;
+             run g'))
+
+let point row g ups = List.map (cell g ups) row.columns
 
 (* Average a point over cfg.reps distinct update batches (counters are
    averaged alongside the timings). *)
-let averaged point_of pct g =
-  let acc = ref None in
-  for rep = 1 to cfg.reps do
-    let base, ups = updates_for g pct rep in
-    let cells = point_of base ups in
-    acc :=
-      Some
-        (match !acc with
-        | None -> cells
-        | Some prev -> List.map2 cell_add prev cells)
-  done;
-  List.map (cell_scale cfg.reps) (Option.get !acc)
+let averaged row pct g =
+  let runs =
+    List.init cfg.reps (fun i ->
+        let base, ups = updates_for g pct (i + 1) in
+        point row base ups)
+  in
+  List.map (cell_scale cfg.reps)
+    (List.fold_left (List.map2 cell_add) (List.hd runs) (List.tl runs))
+
+let header id name g =
+  Format.printf "@.[%s] %s: %d nodes, %d edges@." id name (D.n_nodes g)
+    (D.n_edges g)
+
+(* Record one table's points in the report and print it. Every point ran
+   the columns of one class; [title] gets its name. Returns the printed
+   rows. *)
+let emit ~id ~title ~xlabel points =
+  let row, _, _ = List.hd points in
+  let series = List.map series row.columns and title = title row.name in
+  let trows =
+    List.map
+      (fun (_, x, cells) ->
+        record ~id ~title ~x ~series ~batch:(batch_col row) cells;
+        (x, cell_times cells))
+      points
+  in
+  print_table ~title ~xlabel ~series trows;
+  trows
 
 (* ---- Exp-1: runtime vs |ΔG| ------------------------------------------------ *)
 
-let exp1 ~figure ~cls ~profile =
-  let g = instantiate profile in
-  Format.printf "@.[%s] %s: %d nodes, %d edges@." figure profile.W.Profiles.name
-    (D.n_nodes g) (D.n_edges g);
-  let series, point =
-    match cls with
-    | `Kws ->
-        let q = pick_kws g 3 2 in
-        ([ "IncKWS"; "IncKWSn"; "BLINKS" ], fun base ups -> kws_point base q ups)
-    | `Rpq ->
-        let q = pick_rpq g 4 in
-        Format.printf "query: %s@." (Core.Regex.to_string q);
-        ([ "IncRPQ"; "IncRPQn"; "RPQNFA" ], fun base ups -> rpq_point base q ups)
-    | `Scc ->
-        ([ "IncSCC"; "IncSCCn"; "Tarjan"; "DynSCC" ], fun base ups -> scc_point base ups)
-    | `Iso ->
-        let p = pick_iso g 4 6 in
-        Format.printf "pattern: |VQ|=%d |EQ|=%d dQ=%d@."
-          (Core.Iso.Pattern.n_nodes p) (Core.Iso.Pattern.n_edges p)
-          (Core.Iso.Pattern.diameter p);
-        ([ "IncISO"; "IncISOn"; "VF2" ], fun base ups -> iso_point base p ups)
-  in
-  let rows =
+(* One query on [g], swept over |ΔG|; [title] gets the class name. *)
+let delta_sweep ~id ~title g pick =
+  let spec = pick g in
+  describe spec;
+  let row = table g spec in
+  let points =
     List.map
-      (fun pct ->
-        (Printf.sprintf "%d%%" pct, averaged point pct g))
-      (delta_percents ())
+      (fun pct -> (row, Printf.sprintf "%d%%" pct, averaged row pct g))
+      (sweep [ 5; 10; 15; 20; 25; 30; 35; 40 ])
   in
-  let batch_col = match cls with `Scc -> 2 | _ -> List.length series - 1 in
-  let title =
-    Printf.sprintf "Fig 8(%s) — %s varying |ΔG| (%s)"
-      (String.sub figure 4 1)
-      (match cls with
-      | `Kws -> "KWS" | `Rpq -> "RPQ" | `Scc -> "SCC" | `Iso -> "ISO")
-      profile.W.Profiles.name
-  in
-  List.iter
-    (fun (x, cells) ->
-      record ~id:figure ~title ~x ~series ~batch:batch_col cells)
-    rows;
-  let trows = List.map (fun (x, cells) -> (x, cell_times cells)) rows in
-  print_table ~title ~xlabel:"|ΔG|/|G|" ~series trows;
-  report_crossover ~inc:0 ~batch:batch_col trows
+  let trows = emit ~id ~title ~xlabel:"|ΔG|/|G|" points in
+  report_crossover ~inc:0 ~batch:(batch_col row) trows
+
+let exp1 profile pick id =
+  let g = instantiate profile in
+  let graph = profile.W.Profiles.name in
+  header id graph g;
+  delta_sweep ~id g pick ~title:(fun cls ->
+      Printf.sprintf "Fig 8(%c) — %s varying |ΔG| (%s)" id.[4] cls graph)
+
+(* The fifth query class, exp1-shaped so its points carry the same
+   latency/GC histogram sections as the four paper classes. *)
+let sim_delta id =
+  let g = instantiate W.Profiles.dbpedia_like in
+  header id "dbpedia-like" g;
+  delta_sweep ~id g sim ~title:(fun _ ->
+      "Graph simulation varying |ΔG| (dbpedia)")
 
 (* ---- Exp-2: query complexity ------------------------------------------------ *)
 
-let exp2_kws () =
+(* [pick g p] is parameter [p]'s query on [g] and the name of its row. *)
+let exp2 ~varying ~xlabel pick params id =
   let g = instantiate W.Profiles.dbpedia_like in
-  Format.printf "@.[fig8j] dbpedia-like: %d nodes, %d edges@." (D.n_nodes g)
-    (D.n_edges g);
-  let rows =
+  header id "dbpedia-like" g;
+  let points =
     List.map
-      (fun (m, b) ->
-        let q = pick_kws g m b in
+      (fun param ->
+        let x, spec = pick g param in
         let base, ups = updates_for g 10 1 in
-        (Printf.sprintf "(%d,%d)" m b, kws_point base q ups))
-      [ (2, 1); (3, 2); (4, 3); (5, 4); (6, 5) ]
+        let row = table g spec in
+        (row, x, point row base ups))
+      params
   in
-  let title = "Fig 8(j) — KWS varying (m,b), |ΔG| = 10% (dbpedia)" in
-  let series = [ "IncKWS"; "IncKWSn"; "BLINKS" ] in
-  List.iter
-    (fun (x, cells) -> record ~id:"fig8j" ~title ~x ~series ~batch:2 cells)
-    rows;
-  print_table ~title ~xlabel:"(m,b)" ~series
-    (List.map (fun (x, cells) -> (x, cell_times cells)) rows)
-
-let exp2_rpq () =
-  let g = instantiate W.Profiles.dbpedia_like in
-  Format.printf "@.[fig8k] dbpedia-like: %d nodes, %d edges@." (D.n_nodes g)
-    (D.n_edges g);
-  let rows =
-    List.map
-      (fun size ->
-        let q = pick_rpq g size in
-        let base, ups = updates_for g 10 1 in
-        (string_of_int size, rpq_point base q ups))
-      [ 3; 4; 5; 6; 7 ]
-  in
-  let title = "Fig 8(k) — RPQ varying |Q|, |ΔG| = 10% (dbpedia)" in
-  let series = [ "IncRPQ"; "IncRPQn"; "RPQNFA" ] in
-  List.iter
-    (fun (x, cells) -> record ~id:"fig8k" ~title ~x ~series ~batch:2 cells)
-    rows;
-  print_table ~title ~xlabel:"|Q|" ~series
-    (List.map (fun (x, cells) -> (x, cell_times cells)) rows)
-
-let exp2_iso () =
-  let g = instantiate W.Profiles.dbpedia_like in
-  Format.printf "@.[fig8l] dbpedia-like: %d nodes, %d edges@." (D.n_nodes g)
-    (D.n_edges g);
-  let rows =
-    List.map
-      (fun (vq, eq) ->
-        let p = pick_iso g vq eq in
-        let base, ups = updates_for g 10 1 in
-        ( Printf.sprintf "(%d,%d,%d)" vq eq (Core.Iso.Pattern.diameter p),
-          iso_point base p ups ))
-      [ (3, 5); (4, 6); (5, 7); (6, 8); (7, 9) ]
-  in
-  let title = "Fig 8(l) — ISO varying (|VQ|,|EQ|,dQ), |ΔG| = 10% (dbpedia)" in
-  let series = [ "IncISO"; "IncISOn"; "VF2" ] in
-  List.iter
-    (fun (x, cells) -> record ~id:"fig8l" ~title ~x ~series ~batch:2 cells)
-    rows;
-  print_table ~title ~xlabel:"(V,E,d)" ~series
-    (List.map (fun (x, cells) -> (x, cell_times cells)) rows)
+  ignore
+    (emit ~id ~xlabel points ~title:(fun cls ->
+         Printf.sprintf "Fig 8(%c) — %s varying %s, |ΔG| = 10%% (dbpedia)"
+           id.[4] cls varying))
 
 (* ---- Exp-3: runtime vs |G| --------------------------------------------------- *)
 
-let exp3 ~figure ~cls =
-  Format.printf "@.[%s] synthetic, scale sweep@." figure;
+let exp3 pick id =
+  Format.printf "@.[%s] synthetic, scale sweep@." id;
   let full = instantiate W.Profiles.synthetic in
   let fixed_dg = 15 * D.n_edges full / 100 in
-  let rows =
+  let points =
     List.map
       (fun factor ->
-        let rng = rng_of_point ("exp3graph", figure, factor) in
+        let rng = rng_of_point ("exp3graph", id, factor) in
         let g =
           W.Profiles.instantiate
             ~scale:(cfg.scale *. factor)
             ~rng W.Profiles.synthetic
         in
-        let rng = rng_of_point ("exp3ups", figure, factor) in
+        let rng = rng_of_point ("exp3ups", id, factor) in
         let base = D.copy g in
         let ups =
           W.Updates.generate_replay ~rng base
             ~size:(min fixed_dg (D.n_edges g / 2))
             ()
         in
-        let cells =
-          match cls with
-          | `Kws ->
-              let q = pick_kws g 3 2 in
-              kws_point base q ups
-          | `Rpq ->
-              let q = pick_rpq g 4 in
-              rpq_point base q ups
-          | `Scc -> scc_point base ups
-          | `Iso ->
-              let p = pick_iso g 4 6 in
-              iso_point base p ups
-        in
-        (Printf.sprintf "%.1f" factor, cells))
+        let row = table g (pick g) in
+        (row, Printf.sprintf "%.1f" factor, point row base ups))
       [ 0.2; 0.4; 0.6; 0.8; 1.0 ]
   in
-  let series =
-    match cls with
-    | `Kws -> [ "IncKWS"; "IncKWSn"; "BLINKS" ]
-    | `Rpq -> [ "IncRPQ"; "IncRPQn"; "RPQNFA" ]
-    | `Scc -> [ "IncSCC"; "IncSCCn"; "Tarjan"; "DynSCC" ]
-    | `Iso -> [ "IncISO"; "IncISOn"; "VF2" ]
-  in
-  let batch_col = match cls with `Scc -> 2 | _ -> List.length series - 1 in
-  let title =
-    Printf.sprintf "Fig 8(%s) — %s varying |G| (synthetic, |ΔG| fixed)"
-      (String.sub figure 4 1)
-      (match cls with
-      | `Kws -> "KWS" | `Rpq -> "RPQ" | `Scc -> "SCC" | `Iso -> "ISO")
-  in
-  List.iter
-    (fun (x, cells) ->
-      record ~id:figure ~title ~x ~series ~batch:batch_col cells)
-    rows;
-  print_table ~title ~xlabel:"scale" ~series
-    (List.map (fun (x, cells) -> (x, cell_times cells)) rows)
+  ignore
+    (emit ~id ~xlabel:"scale" points ~title:(fun cls ->
+         Printf.sprintf "Fig 8(%c) — %s varying |G| (synthetic, |ΔG| fixed)"
+           id.[4] cls))
 
 (* ---- unit updates (Exp-1(5)) -------------------------------------------------- *)
 
-let unit_updates () =
-  let g = instantiate W.Profiles.dbpedia_like in
-  Format.printf "@.[unit_updates] dbpedia-like: %d nodes, %d edges@."
-    (D.n_nodes g) (D.n_edges g);
-  let base = D.copy g in
-  let units =
-    let rng = rng_of_point "unit_updates" in
-    W.Updates.generate_replay ~rng base ~size:20 ()
+(* Mean seconds per unit update: IncX against a batch rerun after each
+   unit, plus every column past the batch one (DynSCC, whose comparison
+   the paper quotes as 5.7x). *)
+let unit_updates id =
+  let full = instantiate W.Profiles.dbpedia_like in
+  header id "dbpedia-like" full;
+  (* [g] is the base graph the units replay onto. *)
+  let g = D.copy full in
+  let rng = rng_of_point "unit_updates" in
+  let units = W.Updates.generate_replay ~rng g ~size:20 () in
+  let mean f =
+    List.fold_left (fun t up -> t +. f up) 0.0 units
+    /. float_of_int (List.length units)
   in
-  let g = base in
-  let bench_units inc_time batch_time =
-    let ti = ref 0.0 and tb = ref 0.0 and k = ref 0 in
-    List.iter
-      (fun up ->
-        ti := !ti +. inc_time up;
-        tb := !tb +. batch_time up;
-        incr k)
-      units;
-    (!ti /. float_of_int !k, !tb /. float_of_int !k)
+  let inc_mean start =
+    let apply = start Obs.noop (D.copy g) in
+    mean (fun up -> time (fun () -> apply [ up ]))
   in
-  let row name (inc, batch) =
-    Format.printf "%-8s avg unit-update: inc %.6fs  batch %.6fs  speedup %.0fx@."
-      name inc batch (batch /. Float.max 1e-9 inc)
+  let batch_mean run =
+    let g' = D.copy g in
+    mean (fun up ->
+        D.apply_batch g' [ up ];
+        time (fun () -> run g'))
   in
-  (* KWS *)
-  let q = pick_kws g 3 2 in
-  let s = Core.Kws.Inc.init (D.copy g) q in
-  row "KWS"
-    (bench_units
-       (fun up -> snd (time (fun () -> ignore (Core.Kws.Inc.apply_batch s [ up ]))))
-       (fun _ -> snd (time (fun () -> ignore (Core.Kws.Batch.run (Core.Kws.Inc.graph s) q)))));
-  (* RPQ *)
-  let q = pick_rpq g 4 in
-  let a = Core.Nfa.compile (D.interner g) q in
-  let s = Core.Rpq.Inc.init (D.copy g) a in
-  row "RPQ"
-    (bench_units
-       (fun up -> snd (time (fun () -> ignore (Core.Rpq.Inc.apply_batch s [ up ]))))
-       (fun _ -> snd (time (fun () -> ignore (Core.Rpq.Batch.run (Core.Rpq.Inc.graph s) a)))));
-  (* SCC, with the DynSCC comparison the paper quotes (5.7x). *)
-  let s = Core.Scc.Inc.init (D.copy g) in
-  let d = Core.Scc.Inc.init ~config:Core.Scc.Inc.dyn_config (D.copy g) in
-  let inc, batch =
-    bench_units
-      (fun up -> snd (time (fun () -> ignore (Core.Scc.Inc.apply_batch s [ up ]))))
-      (fun _ -> snd (time (fun () -> ignore (Core.Scc.Tarjan.scc (Core.Scc.Inc.graph s)))))
-  in
-  row "SCC" (inc, batch);
-  let dyn =
-    let t = ref 0.0 in
-    List.iter
-      (fun up ->
-        t := !t +. snd (time (fun () -> ignore (Core.Scc.Inc.apply_batch d [ up ]))))
-      units;
-    !t /. float_of_int (List.length units)
-  in
-  Format.printf "         DynSCC avg %.6fs (IncSCC is %.1fx faster)@." dyn
-    (dyn /. Float.max 1e-9 inc);
-  (* ISO *)
-  let p = pick_iso g 4 6 in
-  let s = Core.Iso.Inc.init (D.copy g) p in
-  row "ISO"
-    (bench_units
-       (fun up -> snd (time (fun () -> ignore (Core.Iso.Inc.apply_batch s [ up ]))))
-       (fun _ -> snd (time (fun () -> ignore (Core.Iso.Vf2.find_all (Core.Iso.Inc.graph s) p)))))
+  List.iter
+    (fun pick ->
+      let row = table g (pick g) in
+      let b = batch_col row in
+      match (List.hd row.columns, List.nth row.columns b) with
+      | Inc (lead, start), Batch (_, run) ->
+          let inc = inc_mean start in
+          let batch = batch_mean run in
+          Format.printf
+            "%-8s avg unit-update: inc %.6fs  batch %.6fs  speedup %.0fx@."
+            row.name inc batch
+            (batch /. Float.max 1e-9 inc);
+          List.iteri
+            (fun i col ->
+              match col with
+              | Inc (s, start) when i > b ->
+                  let t = inc_mean start in
+                  Format.printf "         %s avg %.6fs (%s is %.1fx faster)@."
+                    s t lead
+                    (t /. Float.max 1e-9 inc)
+              | _ -> ())
+            row.columns
+      | _ -> assert false)
+    paper_classes
 
 (* ---- optimization gain summary (prose) ----------------------------------------- *)
 
-let opt_gain () =
+let opt_gain id =
   let g = instantiate W.Profiles.dbpedia_like in
-  Format.printf
-    "@.[opt_gain] IncX vs IncXn at |ΔG| = 10%% (dbpedia-like, %d edges)@."
-    (D.n_edges g);
+  Format.printf "@.[%s] IncX vs IncXn at |ΔG| = 10%% (dbpedia-like, %d edges)@."
+    id (D.n_edges g);
   let base, ups = updates_for g 10 1 in
-  let ratio name cells =
-    match cells with
-    | inc :: incn :: _ ->
-        record ~id:"opt_gain" ~title:"IncX vs IncXn at |ΔG| = 10%" ~x:name
-          ~series:[ "IncX"; "IncXn" ]
-          [ inc; incn ];
-        Format.printf "%-6s IncX %.4fs  IncXn %.4fs  gain %.2fx@." name
-          inc.time incn.time
-          (incn.time /. Float.max 1e-9 inc.time)
-    | _ -> ()
-  in
-  ratio "KWS" (kws_point base (pick_kws g 3 2) ups);
-  ratio "RPQ" (rpq_point base (pick_rpq g 4) ups);
-  ratio "SCC" (scc_point base ups);
-  ratio "ISO" (iso_point base (pick_iso g 4 6) ups)
+  List.iter
+    (fun pick ->
+      let row = table g (pick g) in
+      let inc = cell base ups (List.nth row.columns 0) in
+      let incn = cell base ups (List.nth row.columns 1) in
+      record ~id ~title:"IncX vs IncXn at |ΔG| = 10%" ~x:row.name
+        ~series:[ "IncX"; "IncXn" ] [ inc; incn ];
+      Format.printf "%-6s IncX %.4fs  IncXn %.4fs  gain %.2fx@." row.name
+        inc.time incn.time
+        (incn.time /. Float.max 1e-9 inc.time))
+    paper_classes
 
 (* ---- ρ sweep (prose) ------------------------------------------------------------ *)
 
-let rho_sweep () =
+let rho_sweep id =
   let g = instantiate W.Profiles.dbpedia_like in
-  Format.printf "@.[rho_sweep] insert/delete ratio, |ΔG| = 10%% (dbpedia-like)@.";
+  Format.printf "@.[%s] insert/delete ratio, |ΔG| = 10%% (dbpedia-like)@." id;
   let size = D.n_edges g / 10 in
-  let kq = pick_kws g 3 2 in
-  let rq = pick_rpq g 4 in
-  let ra = Core.Nfa.compile (D.interner g) rq in
-  let ip = pick_iso g 4 6 in
+  let leads =
+    List.map
+      (fun pick ->
+        match (table g (pick g)).columns with
+        | Inc (s, start) :: _ -> (s, start)
+        | _ -> assert false)
+      paper_classes
+  in
   let rows =
     List.map
       (fun rho ->
         let rng = rng_of_point ("rho", int_of_float (rho *. 10.)) in
         let g = D.copy g in
         let ups = W.Updates.generate_replay ~rng g ~size ~ratio:rho () in
-        let t_kws =
-          let s = Core.Kws.Inc.init (D.copy g) kq in
-          snd (time (fun () -> ignore (Core.Kws.Inc.apply_batch s ups)))
-        in
-        let t_rpq =
-          let s = Core.Rpq.Inc.init (D.copy g) ra in
-          snd (time (fun () -> ignore (Core.Rpq.Inc.apply_batch s ups)))
-        in
-        let t_scc =
-          let s = Core.Scc.Inc.init (D.copy g) in
-          snd (time (fun () -> ignore (Core.Scc.Inc.apply_batch s ups)))
-        in
-        let t_iso =
-          let s = Core.Iso.Inc.init (D.copy g) ip in
-          snd (time (fun () -> ignore (Core.Iso.Inc.apply_batch s ups)))
-        in
-        (Printf.sprintf "ρ=%.1f" rho, [ t_kws; t_rpq; t_scc; t_iso ]))
+        ( Printf.sprintf "ρ=%.1f" rho,
+          List.map
+            (fun (_, start) ->
+              let apply = start Obs.noop (D.copy g) in
+              time (fun () -> apply ups))
+            leads ))
       [ 0.2; 1.0; 5.0 ]
   in
   print_table ~title:"ρ-insensitivity of the incremental algorithms"
-    ~xlabel:"ratio" ~series:[ "IncKWS"; "IncRPQ"; "IncSCC"; "IncISO" ] rows
-
-(* ---- graph simulation vs |ΔG| ----------------------------------------------------- *)
-
-(* The fifth query class the CLI serves; exp1-shaped so its points carry
-   the same latency/GC histogram sections as the four paper classes. *)
-let sim_delta () =
-  let g = instantiate W.Profiles.dbpedia_like in
-  Format.printf "@.[sim_delta] dbpedia-like: %d nodes, %d edges@." (D.n_nodes g)
-    (D.n_edges g);
-  let p = pick_iso g 3 3 in
-  Format.printf "pattern: |VQ|=%d |EQ|=%d@." (Core.Iso.Pattern.n_nodes p)
-    (Core.Iso.Pattern.n_edges p);
-  let series = [ "IncSim"; "SimFix" ] in
-  let rows =
-    List.map
-      (fun pct ->
-        ( Printf.sprintf "%d%%" pct,
-          averaged (fun base ups -> sim_point base p ups) pct g ))
-      (delta_percents ())
-  in
-  let title = "Graph simulation varying |ΔG| (dbpedia)" in
-  List.iter
-    (fun (x, cells) -> record ~id:"sim_delta" ~title ~x ~series ~batch:1 cells)
-    rows;
-  let trows = List.map (fun (x, cells) -> (x, cell_times cells)) rows in
-  print_table ~title ~xlabel:"|ΔG|/|G|" ~series trows;
-  report_crossover ~inc:0 ~batch:1 trows
+    ~xlabel:"ratio" ~series:(List.map fst leads) rows
 
 (* ---- journal throughput ------------------------------------------------------------ *)
 
@@ -763,14 +666,13 @@ let sim_delta () =
    the undo, snapshot and crash-recovery paths. The store runs over the
    engine-free graph client, so the numbers isolate journaling cost from
    engine maintenance (every engine pays the same WAL surcharge). *)
-let journal_throughput () =
+let journal_throughput id =
   let module J = Core.Journal in
   let g = instantiate W.Profiles.synthetic in
-  Format.printf "@.[journal] synthetic: %d nodes, %d edges@." (D.n_nodes g)
-    (D.n_edges g);
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ()) "incgraph_bench_journal"
-  in
+  header id "synthetic" g;
+  (* Under the working directory, so runs from different directories
+     never share it. *)
+  let dir = "incgraph_bench_journal" in
   if Sys.file_exists dir && Sys.is_directory dir then
     Array.iter
       (fun f -> Sys.remove (Filename.concat dir f))
@@ -781,7 +683,7 @@ let journal_throughput () =
   let ups = W.Updates.generate_replay ~rng base ~size:n () in
   let t_raw =
     let gr = D.copy base in
-    snd (time (fun () -> List.iter (fun u -> ignore (D.apply gr u)) ups))
+    time (fun () -> List.iter (fun u -> ignore (D.apply gr u)) ups)
   in
   let o = Obs.create () in
   let header =
@@ -798,43 +700,33 @@ let journal_throughput () =
   in
   Obs.reset o;
   let t_append =
-    snd
-      (time (fun () ->
-           List.iter (fun u -> ignore (J.Store.do_batch store [ u ])) ups))
+    time (fun () ->
+        List.iter (fun u -> ignore (J.Store.do_batch store [ u ])) ups)
   in
   let applied = J.Store.tip store in
-  let t_snap = snd (time (fun () -> ignore (J.Store.snapshot store))) in
+  let t_snap = time (fun () -> ignore (J.Store.snapshot store)) in
   let undo_n = applied / 2 in
   let t_undo =
-    snd
-      (time (fun () ->
-           for _ = 1 to undo_n do
-             match J.Store.undo store ~k:1 with
-             | Ok _ -> ()
-             | Error e -> failwith ("journal bench: undo: " ^ e)
-           done))
+    time (fun () ->
+        for _ = 1 to undo_n do
+          match J.Store.undo store ~k:1 with
+          | Ok _ -> ()
+          | Error e -> failwith ("journal bench: undo: " ^ e)
+        done)
   in
-  let cell =
-    {
-      time = t_append;
-      ctrs = Obs.counters o;
-      hists = List.map (fun (k, h) -> (k, Histogram.copy h)) (Obs.histograms o);
-    }
-  in
+  let cell = snapshot o t_append in
   J.Store.close store;
   let attach_time ~from_scratch =
-    snd
-      (time (fun () ->
-           match J.Store.plan ~from_scratch ~dir () with
-           | Error e -> failwith ("journal bench: plan: " ^ e)
-           | Ok plan -> (
-               let base' = J.Snapshot.graph plan.J.Store.snapshot in
-               match
-                 J.Store.attach ~dir ~plan
-                   ~client:(J.Store.graph_client base') ()
-               with
-               | Error e -> failwith ("journal bench: attach: " ^ e)
-               | Ok st -> J.Store.close st)))
+    time (fun () ->
+        match J.Store.plan ~from_scratch ~dir () with
+        | Error e -> failwith ("journal bench: plan: " ^ e)
+        | Ok plan -> (
+            let base' = J.Snapshot.graph plan.J.Store.snapshot in
+            match
+              J.Store.attach ~dir ~plan ~client:(J.Store.graph_client base') ()
+            with
+            | Error e -> failwith ("journal bench: attach: " ^ e)
+            | Ok st -> J.Store.close st))
   in
   (* From snapshot-[applied]: replays just the undo tail; from scratch:
      the whole history. The gap is what snapshot cadence buys. *)
@@ -851,7 +743,7 @@ let journal_throughput () =
       ("recover/scratch", no_cell t_rec_scratch);
     ]
   in
-  List.iter (fun (x, c) -> record ~id:"journal" ~title ~x ~series [ c ]) rows;
+  List.iter (fun (x, c) -> record ~id ~title ~x ~series [ c ]) rows;
   print_table ~title ~xlabel:"phase" ~series
     (List.map (fun (x, c) -> (x, [ c.time ])) rows);
   Format.printf
@@ -869,21 +761,11 @@ let journal_throughput () =
    kernel once inside [Obs.with_apply], so the latency and gc_* histograms
    capture work attributable to the traversal itself. At --scale 20 the
    top point is a million-node, two-million-edge graph. *)
-let trav () =
-  let factors =
-    let all = [ 0.2; 0.4; 0.6; 0.8; 1.0 ] in
-    if cfg.points <= 0 then all
-    else List.filteri (fun i _ -> i < cfg.points) all
-  in
+let trav id =
   let series = [ "Tarjan"; "NFA"; "kdist" ] in
   let batch_cell run =
     let o = Obs.create () in
-    let t = snd (time (fun () -> Obs.with_apply o run)) in
-    {
-      time = t;
-      ctrs = Obs.counters o;
-      hists = List.map (fun (k, h) -> (k, Histogram.copy h)) (Obs.histograms o);
-    }
+    snapshot o (time (fun () -> Obs.with_apply o run))
   in
   let title = "Batch traversal (Tarjan/NFA/kdist) vs |G| (synthetic)" in
   let rows =
@@ -895,7 +777,7 @@ let trav () =
           W.Profiles.instantiate ~scale ~rng W.Profiles.synthetic
         in
         let n = D.n_nodes g in
-        Format.printf "@.[trav] synthetic ×%.2f: %d nodes, %d edges@." f n
+        Format.printf "@.[%s] synthetic ×%.2f: %d nodes, %d edges@." id f n
           (D.n_edges g);
         (* Fixed-shape queries, cheap to draw at any scale: pick_* would run
            batch suitability probes, which at a million nodes would dwarf
@@ -911,18 +793,18 @@ let trav () =
           ]
         in
         let x = string_of_int n in
-        record ~id:"trav" ~title ~x ~series cells;
+        record ~id ~title ~x ~series cells;
         (x, cells))
-      factors
+      (sweep [ 0.2; 0.4; 0.6; 0.8; 1.0 ])
   in
   print_table ~title ~xlabel:"|V|" ~series
     (List.map (fun (x, cells) -> (x, cell_times cells)) rows)
 
 (* ---- unboundedness demo ----------------------------------------------------------- *)
 
-let unbounded () =
+let unbounded id =
   Format.printf
-    "@.[unbounded] Fig. 9 gadget: work for the output-silent Δ1 vs |CHANGED|@.";
+    "@.[%s] Fig. 9 gadget: work for the output-silent Δ1 vs |CHANGED|@." id;
   Format.printf "%-10s%12s%14s@." "cycle n" "|CHANGED|" "inc work";
   List.iter
     (fun p ->
@@ -930,135 +812,40 @@ let unbounded () =
         p.Core.Theory.Gadget.changed p.Core.Theory.Gadget.inc_work)
     (Core.Theory.Gadget.demo ~cycles:[ 64; 128; 256; 512; 1024 ])
 
-(* ---- bechamel micro-benchmarks ------------------------------------------------------ *)
-
-(* Each figure gets one Test.make of its headline incremental kernel on a
-   small fixed workload. The kernel applies a batch and then its inverse,
-   returning the session to its original answer, so repeated runs measure a
-   stable quantity. *)
-
-let inverse_updates ups =
-  List.rev_map
-    (function
-      | D.Insert (u, v) -> D.Delete (u, v)
-      | D.Delete (u, v) -> D.Insert (u, v))
-    ups
-
-let micro () =
-  let open Bechamel in
-  let rng = Random.State.make [| cfg.seed |] in
-  let g =
-    W.Profiles.instantiate ~scale:0.02 ~rng W.Profiles.dbpedia_like
-  in
-  let gs = W.Profiles.instantiate ~scale:0.02 ~rng W.Profiles.synthetic in
-  let gl = W.Profiles.instantiate ~scale:0.02 ~rng W.Profiles.livej_like in
-  (* Mutates its argument into the base graph (replay methodology). *)
-  let mk_ups graph =
-    W.Updates.generate_replay ~rng graph ~size:(D.n_edges graph / 20) ()
-  in
-  let roundtrip apply ups =
-    let inv = inverse_updates ups in
-    fun () ->
-      apply ups;
-      apply inv
-  in
-  let kws_test name graph =
-    let q = pick_kws graph 3 2 in
-    let graph = D.copy graph in
-    let ups = mk_ups graph in
-    let s = Core.Kws.Inc.init graph q in
-    Test.make ~name
-      (Staged.stage (roundtrip (fun u -> ignore (Core.Kws.Inc.apply_batch s u)) ups))
-  in
-  let rpq_test name graph =
-    let q = pick_rpq graph 4 in
-    let graph = D.copy graph in
-    let ups = mk_ups graph in
-    let s = Core.Rpq.Inc.create graph q in
-    Test.make ~name
-      (Staged.stage (roundtrip (fun u -> ignore (Core.Rpq.Inc.apply_batch s u)) ups))
-  in
-  let scc_test name graph =
-    let graph = D.copy graph in
-    let ups = mk_ups graph in
-    let s = Core.Scc.Inc.init graph in
-    Test.make ~name
-      (Staged.stage (roundtrip (fun u -> ignore (Core.Scc.Inc.apply_batch s u)) ups))
-  in
-  let iso_test name graph =
-    let p = pick_iso graph 4 6 in
-    let graph = D.copy graph in
-    let ups = mk_ups graph in
-    let s = Core.Iso.Inc.init graph p in
-    Test.make ~name
-      (Staged.stage (roundtrip (fun u -> ignore (Core.Iso.Inc.apply_batch s u)) ups))
-  in
-  let tests =
-    Test.make_grouped ~name:"figures"
-      [
-        kws_test "fig8a:inc-kws-dbpedia" g;
-        rpq_test "fig8b:inc-rpq-dbpedia" g;
-        scc_test "fig8c:inc-scc-dbpedia" g;
-        iso_test "fig8d:inc-iso-dbpedia" g;
-        kws_test "fig8e:inc-kws-livej" gl;
-        rpq_test "fig8f:inc-rpq-livej" gl;
-        scc_test "fig8g:inc-scc-livej" gl;
-        iso_test "fig8h:inc-iso-livej" gl;
-        scc_test "fig8i:inc-scc-synthetic" gs;
-        kws_test "fig8j:kws-query-sweep" g;
-        rpq_test "fig8k:rpq-query-sweep" g;
-        iso_test "fig8l:iso-query-sweep" g;
-        kws_test "fig8m:kws-scale" gs;
-        rpq_test "fig8n:rpq-scale" gs;
-        scc_test "fig8o:scc-scale" gs;
-        iso_test "fig8p:iso-scale" gs;
-      ]
-  in
-  Format.printf "@.[micro] bechamel, quota %.2fs per test@." cfg.quota;
-  let benchmark () =
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg' =
-      Benchmark.cfg ~limit:2000 ~quota:(Time.second cfg.quota) ~kde:(Some 1000)
-        ()
-    in
-    Benchmark.all cfg' instances tests
-  in
-  let analyze raw =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true
-        ~predictors:[| Measure.run |]
-    in
-    Analyze.all ols Toolkit.Instance.monotonic_clock raw
-  in
-  let results = analyze (benchmark ()) in
-  Hashtbl.iter
-    (fun name res ->
-      match Bechamel.Analyze.OLS.estimates res with
-      | Some [ est ] ->
-          Format.printf "%-28s %12.3f ms/run@." name (est /. 1e6)
-      | _ -> Format.printf "%-28s (no estimate)@." name)
-    results
-
 (* ---- experiment registry -------------------------------------------------------------- *)
 
-let experiments : (string * (unit -> unit)) list =
+(* Each experiment is handed its own id. *)
+let experiments : (string * (string -> unit)) list =
   [
-    ("fig8a", fun () -> exp1 ~figure:"fig8a" ~cls:`Kws ~profile:W.Profiles.dbpedia_like);
-    ("fig8b", fun () -> exp1 ~figure:"fig8b" ~cls:`Rpq ~profile:W.Profiles.dbpedia_like);
-    ("fig8c", fun () -> exp1 ~figure:"fig8c" ~cls:`Scc ~profile:W.Profiles.dbpedia_like);
-    ("fig8d", fun () -> exp1 ~figure:"fig8d" ~cls:`Iso ~profile:W.Profiles.dbpedia_like);
-    ("fig8e", fun () -> exp1 ~figure:"fig8e" ~cls:`Kws ~profile:W.Profiles.livej_like);
-    ("fig8f", fun () -> exp1 ~figure:"fig8f" ~cls:`Rpq ~profile:W.Profiles.livej_like);
-    ("fig8g", fun () -> exp1 ~figure:"fig8g" ~cls:`Scc ~profile:W.Profiles.livej_like);
-    ("fig8h", fun () -> exp1 ~figure:"fig8h" ~cls:`Iso ~profile:W.Profiles.livej_like);
-    ("fig8i", fun () -> exp1 ~figure:"fig8i" ~cls:`Scc ~profile:W.Profiles.synthetic);
-    ("fig8j", exp2_kws);
-    ("fig8k", exp2_rpq);
-    ("fig8l", exp2_iso);
-    ("fig8m", fun () -> exp3 ~figure:"fig8m" ~cls:`Kws);
-    ("fig8n", fun () -> exp3 ~figure:"fig8n" ~cls:`Rpq);
-    ("fig8o", fun () -> exp3 ~figure:"fig8o" ~cls:`Scc);
-    ("fig8p", fun () -> exp3 ~figure:"fig8p" ~cls:`Iso);
+    ("fig8a", exp1 W.Profiles.dbpedia_like kws);
+    ("fig8b", exp1 W.Profiles.dbpedia_like rpq);
+    ("fig8c", exp1 W.Profiles.dbpedia_like scc);
+    ("fig8d", exp1 W.Profiles.dbpedia_like iso);
+    ("fig8e", exp1 W.Profiles.livej_like kws);
+    ("fig8f", exp1 W.Profiles.livej_like rpq);
+    ("fig8g", exp1 W.Profiles.livej_like scc);
+    ("fig8h", exp1 W.Profiles.livej_like iso);
+    ("fig8i", exp1 W.Profiles.synthetic scc);
+    ( "fig8j",
+      exp2 ~varying:"(m,b)" ~xlabel:"(m,b)"
+        (fun g (m, b) ->
+          (Printf.sprintf "(%d,%d)" m b, Spec.Kws (pick_kws g m b)))
+        [ (2, 1); (3, 2); (4, 3); (5, 4); (6, 5) ] );
+    ( "fig8k",
+      exp2 ~varying:"|Q|" ~xlabel:"|Q|"
+        (fun g size -> (string_of_int size, Spec.Rpq (pick_rpq g size)))
+        [ 3; 4; 5; 6; 7 ] );
+    ( "fig8l",
+      exp2 ~varying:"(|VQ|,|EQ|,dQ)" ~xlabel:"(V,E,d)"
+        (fun g (vq, eq) ->
+          let p = pick_iso g vq eq in
+          ( Printf.sprintf "(%d,%d,%d)" vq eq (Core.Iso.Pattern.diameter p),
+            Spec.Iso p ))
+        [ (3, 5); (4, 6); (5, 7); (6, 8); (7, 9) ] );
+    ("fig8m", exp3 kws);
+    ("fig8n", exp3 rpq);
+    ("fig8o", exp3 scc);
+    ("fig8p", exp3 iso);
     ("unit_updates", unit_updates);
     ("opt_gain", opt_gain);
     ("rho_sweep", rho_sweep);
@@ -1066,7 +853,6 @@ let experiments : (string * (unit -> unit)) list =
     ("journal", journal_throughput);
     ("trav", trav);
     ("unbounded", unbounded);
-    ("micro", micro);
   ]
 
 let () =
@@ -1085,7 +871,6 @@ let () =
              ("reps", Json.Int cfg.reps);
              ("seed", Json.Int cfg.seed);
              ("points", Json.Int cfg.points);
-             ("quota", Json.Float cfg.quota);
              ( "experiments",
                Json.Arr (List.map (fun id -> Json.Str id) wanted) );
            ]
@@ -1094,17 +879,24 @@ let () =
     "incgraph bench — scale %.2f, reps %d, seed %d@.reproducing: %s@."
     cfg.scale cfg.reps cfg.seed
     (String.concat ", " wanted);
+  (* A failed or unknown experiment does not stop the others, but makes
+     the exit status 1 once the report is written. *)
+  let failed = ref false in
   List.iter
     (fun id ->
       match List.assoc_opt id experiments with
       | Some f -> (
-          match time f with
-          | (), t -> Format.printf "[%s done in %.1fs]@." id t
+          match time (fun () -> f id) with
+          | t -> Format.printf "[%s done in %.1fs]@." id t
           | exception e ->
+              failed := true;
               Format.printf "[%s FAILED: %s]@." id (Printexc.to_string e))
-      | None -> Format.printf "unknown experiment %s (skipped)@." id)
+      | None ->
+          failed := true;
+          Format.printf "unknown experiment %s (skipped)@." id)
     wanted;
   (match !report with
   | Some r -> Report.write ~path:cfg.out r
   | None -> ());
-  Format.printf "@.all experiments complete; report written to %s@." cfg.out
+  Format.printf "@.all experiments complete; report written to %s@." cfg.out;
+  if !failed then exit 1

@@ -16,7 +16,7 @@
    (Core.Obs.Trace_export.validate: well-formed events, nesting spans,
    monotone timestamps, rule-tagged aff_enter instants); files whose
    "tool" is "incgraph-lint" as lint reports (Core.Lint.validate, schema
-   v3); files whose "tool" is "incgraph-journal-snapshot" as certificate
+   v4); files whose "tool" is "incgraph-journal-snapshot" as certificate
    snapshots (Core.Journal.Snapshot.validate: structure + self-checksum);
    everything else as a BENCH report. Exits nonzero on the first file that fails to
    parse or validate. Used by the @bench-smoke, @trace-smoke, @crash-smoke,

@@ -821,18 +821,6 @@ let lint_cmd =
       & info [] ~docv:"ROOT"
           ~doc:"Repository root to lint (bench/, bin/, lib/, test/ under it).")
   in
-  let baseline_arg =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "baseline" ]
-          ~doc:
-            "Accept the diagnostics recorded in $(docv) (a previous --json \
-             report or a dedicated baseline file); only new findings fail \
-             the run. Baseline entries that no longer match any finding are \
-             an error unless $(b,--prune-baseline) rewrites the file."
-          ~docv:"FILE")
-  in
   let out_arg =
     Arg.(
       value
@@ -840,101 +828,40 @@ let lint_cmd =
       & info [ "o"; "out" ] ~doc:"Also write the json report to $(docv)."
           ~docv:"FILE")
   in
-  let prune_arg =
-    Arg.(
-      value & flag
-      & info [ "prune-baseline" ]
-          ~doc:
-            "Rewrite the $(b,--baseline) file without its stale entries \
-             instead of failing on them.")
-  in
   let strict_arg =
     Arg.(
       value & flag
       & info [ "strict" ]
           ~doc:
-            "Fail on warnings and on any baselined finding, not just on \
-             new errors: the gate for a clean tree.")
+            "Fail on warnings too, not just on errors: the gate for a \
+             clean tree.")
   in
-  let run root baseline json out prune strict =
-    match Option.map L.load_baseline baseline with
-    | Some (Error e) -> `Error (false, "bad baseline: " ^ e)
-    | (None | Some (Ok _)) as b ->
-        let accepted = match b with Some (Ok ds) -> ds | _ -> [] in
-        let r = L.run ~root in
-        let kept, baselined, stale_entries =
-          L.subtract_baseline ~baseline:accepted r.L.diagnostics
-        in
-        let pruned =
-          match (baseline, prune, stale_entries) with
-          | Some path, true, _ :: _ ->
-              let fresh =
-                List.filter
-                  (fun bd ->
-                    not
-                      (List.exists
-                         (fun sd -> L.compare_diagnostic sd bd = 0)
-                         stale_entries))
-                  accepted
-              in
-              Out_channel.with_open_text path (fun oc ->
-                  Out_channel.output_string oc
-                    (Core.Obs.Json.to_string ~indent:true
-                       (L.baseline_to_json fresh));
-                  Out_channel.output_char oc '\n');
-              List.length stale_entries
-          | _ -> 0
-        in
-        let stale = if pruned > 0 then [] else stale_entries in
-        let visible = { r with L.diagnostics = kept } in
-        let report =
-          L.report_to_json ~baselined ~stale:(List.length stale) visible
-        in
-        Option.iter
-          (fun path ->
-            Out_channel.with_open_text path (fun oc ->
-                Out_channel.output_string oc
-                  (Core.Obs.Json.to_string ~indent:true report);
-                Out_channel.output_char oc '\n'))
-          out;
-        if json then
-          print_endline (Core.Obs.Json.to_string ~indent:true report)
-        else begin
-          List.iter (Format.printf "%a@." L.pp_diagnostic) kept;
-          List.iter
-            (fun d ->
-              Format.printf "stale baseline entry: %a@." L.pp_diagnostic d)
-            stale;
-          Format.printf
-            "lint: %d file(s), %d finding(s), %d suppressed, %d baselined%s@."
-            visible.L.files_scanned (List.length kept) visible.L.suppressed
-            baselined
-            (if pruned > 0 then Printf.sprintf ", %d pruned" pruned
-             else if stale <> [] then
-               Printf.sprintf ", %d stale" (List.length stale)
-             else "")
-        end;
-        let errors = List.filter (fun d -> d.L.severity = L.Error) kept in
-        let failing = if strict then kept else errors in
-        if failing <> [] then
-          `Error
-            ( false,
-              Printf.sprintf "%d un-baselined lint finding(s)"
-                (List.length failing) )
-        else if stale <> [] then
-          `Error
-            ( false,
-              Printf.sprintf
-                "%d stale baseline entr%s (rerun with --prune-baseline \
-                 to drop them)"
-                (List.length stale)
-                (if List.length stale = 1 then "y" else "ies") )
-        else if strict && baselined > 0 then
-          `Error
-            ( false,
-              Printf.sprintf "--strict forbids baselined findings (%d)"
-                baselined )
-        else `Ok ()
+  let run root json out strict =
+    let r = L.run ~root in
+    let report = L.report_to_json r in
+    Option.iter
+      (fun path ->
+        Out_channel.with_open_text path (fun oc ->
+            Out_channel.output_string oc
+              (Core.Obs.Json.to_string ~indent:true report);
+            Out_channel.output_char oc '\n'))
+      out;
+    if json then print_endline (Core.Obs.Json.to_string ~indent:true report)
+    else begin
+      List.iter (Format.printf "%a@." L.pp_diagnostic) r.L.diagnostics;
+      Format.printf "lint: %d file(s), %d finding(s), %d suppressed@."
+        r.L.files_scanned
+        (List.length r.L.diagnostics)
+        r.L.suppressed
+    end;
+    let failing =
+      if strict then r.L.diagnostics
+      else List.filter (fun d -> d.L.severity = L.Error) r.L.diagnostics
+    in
+    if failing <> [] then
+      `Error
+        (false, Printf.sprintf "%d lint finding(s)" (List.length failing))
+    else `Ok ()
   in
   Cmd.v
     (Cmd.info "lint"
@@ -947,13 +874,11 @@ let lint_cmd =
           [@lint.allow] (D2), no ambient randomness or wall-clock reads in \
           lib/ outside lib/obs (D3), Obs.with_apply-wrapped and rule-tagged \
           update entry points in every engine (D4), and an .mli for every \
-          lib/ module (D5). Exits non-zero on new errors (plus warnings and \
-          baselined findings under $(b,--strict)) or on stale baseline \
-          entries.")
+          lib/ module (D5). Exits non-zero on errors (and on warnings under \
+          $(b,--strict)).")
     Term.(
       ret
-        (const run $ root_arg $ baseline_arg $ json_flag $ out_arg $ prune_arg
-       $ strict_arg))
+        (const run $ root_arg $ json_flag $ out_arg $ strict_arg))
 
 (* ---- fuzz ----------------------------------------------------------------- *)
 

@@ -33,7 +33,7 @@
 
 (** Cost-accounting observability: the metrics registry every incremental
     engine reports into (counters for measured |AFF| and |CHANGED|, scoped
-    spans, timers), plus the JSON substrate and the schema-versioned BENCH
+    spans), plus the JSON substrate and the schema-versioned BENCH
     report format built on it. Pass [Obs.create ()] as [?obs] at engine
     creation to enable measurement; the default sink is a no-op.
 

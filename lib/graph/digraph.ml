@@ -436,11 +436,6 @@ let edges g =
   iter_edges (fun u v -> acc := (u, v) :: !acc) g;
   List.rev !acc
 
-let fold_nodes f g acc =
-  let acc = ref acc in
-  iter_nodes (fun v -> acc := f v !acc) g;
-  !acc
-
 let nodes_with_label g l =
   if l >= 0 && l < Vec.length g.by_label then Vec.get g.by_label l else []
 

@@ -149,8 +149,6 @@ val pred_list : t -> node -> node list
 val edges : t -> (node * node) list
 (** All edges in lexicographic [(u, v)] order (deterministic). *)
 
-val fold_nodes : (node -> 'a -> 'a) -> t -> 'a -> 'a
-
 val nodes_with_label : t -> label -> node list
 (** All nodes carrying the given label (maintained index; O(result)). *)
 

@@ -27,9 +27,7 @@
    Suppression: [(expr [@lint.allow "D2"])] silences one rule for that
    subtree, [let f = ... [@@lint.allow "D2"]] for one binding, and a
    floating [[@@@lint.allow "D2"]] for the rest of the file. Every
-   suppression is counted and surfaced in the report. Diagnostics can
-   also be accepted wholesale via a committed baseline file; the clean
-   tree keeps an empty baseline. *)
+   suppression is counted and surfaced in the report. *)
 
 module Json = Ig_obs.Json
 open Parsetree
@@ -543,7 +541,7 @@ let run ~root =
     files_scanned = List.length files;
   }
 
-(* ---- baseline -------------------------------------------------------------- *)
+(* ---- the json report ------------------------------------------------------- *)
 
 let diagnostic_to_json d =
   Json.Obj
@@ -584,54 +582,19 @@ let diagnostics_of_json j =
         (Ok []) items
       |> Result.map List.rev
 
-let baseline_to_json ds =
-  Json.Obj
-    [
-      ("schema_version", Json.Int 1);
-      ("diagnostics", Json.Arr (List.map diagnostic_to_json ds));
-    ]
+let report_schema_version = 4
 
-let load_baseline path =
-  match Json.parse (read_file path) with
-  | Stdlib.Error e -> Stdlib.Error (Printf.sprintf "%s: %s" path e)
-  | Ok j -> diagnostics_of_json j
-
-(* Baselined diagnostics are matched on every field except severity, so a
-   baseline survives rule-severity tuning but not code motion. Returns
-   the findings the baseline does not accept, the number it does, and
-   the *stale* baseline entries — accepted findings that no longer fire
-   anywhere. Stale entries are dead weight that would silently re-accept
-   a future regression at the same location, so the CLI treats them as
-   an error (with --prune-baseline as the escape hatch). *)
-let subtract_baseline ~baseline ds =
-  let key d = (d.rule, d.file, d.line, d.col, d.message) in
-  let kept, matched =
-    List.partition
-      (fun d -> not (List.exists (fun b -> key b = key d) baseline))
-      ds
-  in
-  let stale =
-    List.filter
-      (fun b -> not (List.exists (fun d -> key d = key b) ds))
-      baseline
-  in
-  (kept, List.length matched, stale)
-
-let report_schema_version = 3
-
-let report_to_json ?(baselined = 0) ?(stale = 0) r =
+let report_to_json r =
   Json.Obj
     [
       ("tool", Json.Str "incgraph-lint");
       ("schema_version", Json.Int report_schema_version);
       ("files_scanned", Json.Int r.files_scanned);
       ("suppressed", Json.Int r.suppressed);
-      ("baselined", Json.Int baselined);
-      ("stale_baseline", Json.Int stale);
       ("diagnostics", Json.Arr (List.map diagnostic_to_json r.diagnostics));
     ]
 
-(* Structural check for consumers (bench/validate.exe): schema v3 only;
+(* Structural check for consumers (bench/validate.exe): schema v4 only;
    returns (version, diagnostic count). *)
 let validate json =
   let int k = Option.bind (Json.member k json) Json.to_int_opt in
@@ -649,7 +612,7 @@ let validate json =
           match
             List.find_opt
               (fun k -> int k = None)
-              [ "files_scanned"; "suppressed"; "baselined"; "stale_baseline" ]
+              [ "files_scanned"; "suppressed" ]
           with
           | Some k -> Stdlib.Error (Printf.sprintf "missing integer %S" k)
           | None -> (

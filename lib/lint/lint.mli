@@ -25,8 +25,7 @@
 
     Suppression: [(expr [@lint.allow "RULE"])] for a subtree,
     [[@@lint.allow "RULE"]] on a binding, [[@@@lint.allow "RULE"]] for
-    the rest of the file; all suppressions are counted. A committed
-    baseline file can additionally accept specific diagnostics. *)
+    the rest of the file; all suppressions are counted. *)
 
 type severity = Error | Warning
 
@@ -77,36 +76,17 @@ val run : root:string -> result
 (** Lint the whole tree rooted at [root]: every implementation and
     interface, then the D5 filesystem check. *)
 
-val diagnostic_to_json : diagnostic -> Ig_obs.Json.t
-val diagnostic_of_json : Ig_obs.Json.t -> (diagnostic, string) Stdlib.result
-
 val diagnostics_of_json :
   Ig_obs.Json.t -> (diagnostic list, string) Stdlib.result
-(** Read the ["diagnostics"] array of a report or baseline object. *)
-
-val baseline_to_json : diagnostic list -> Ig_obs.Json.t
-
-val load_baseline : string -> (diagnostic list, string) Stdlib.result
-(** Parse a baseline file from disk. *)
-
-val subtract_baseline :
-  baseline:diagnostic list ->
-  diagnostic list ->
-  diagnostic list * int * diagnostic list
-(** [(kept, matched, stale)]: drop findings accepted by the baseline,
-    matching on every field except severity. [stale] is the baseline
-    entries that no longer match any finding — dead entries that would
-    silently re-accept a future regression, so the CLI errors on them
-    unless [--prune-baseline] rewrites the file. *)
+(** Read the ["diagnostics"] array of a report object. *)
 
 val report_schema_version : int
-(** [3]. *)
+(** [4]. *)
 
-val report_to_json : ?baselined:int -> ?stale:int -> result -> Ig_obs.Json.t
+val report_to_json : result -> Ig_obs.Json.t
 (** Machine-readable report:
-    [{tool; schema_version; files_scanned; suppressed; baselined;
-    stale_baseline; diagnostics}]. *)
+    [{tool; schema_version; files_scanned; suppressed; diagnostics}]. *)
 
 val validate : Ig_obs.Json.t -> (int * int, string) Stdlib.result
 (** Structural check of a lint report (bench/validate.exe); accepts
-    only schema v3 and returns [(schema_version, diagnostic count)]. *)
+    only schema v4 and returns [(schema_version, diagnostic count)]. *)

@@ -1,6 +1,6 @@
 (* Cost-accounting observability.
 
-   A registry of named monotonic counters, gauges, timers, scoped spans
+   A registry of named monotonic counters, gauges, scoped spans
    and latency/allocation histograms. Every incremental engine takes one
    at creation; the default is [noop], a sink whose operations are
    single-branch no-ops, so engines that nobody measures pay one match per
@@ -24,7 +24,6 @@
 type registry = {
   counters : (string, int ref) Hashtbl.t;
   gauges : (string, int ref) Hashtbl.t;
-  timers : (string, float ref) Hashtbl.t;
   spans : (string, int ref * float ref) Hashtbl.t; (* entries, cumulative s *)
   mutable span_stack : (string * float) list;
   histos : (string, Histogram.t) Hashtbl.t;
@@ -49,7 +48,6 @@ let create ?events () =
     {
       counters = Hashtbl.create 16;
       gauges = Hashtbl.create 8;
-      timers = Hashtbl.create 8;
       spans = Hashtbl.create 8;
       span_stack = [];
       histos = Hashtbl.create 8;
@@ -58,11 +56,11 @@ let create ?events () =
 
 (* ---- the clock ------------------------------------------------------------
 
-   All timers and spans read CLOCK_MONOTONIC (via the bechamel stubs, ns
-   resolution), never the wall clock: an NTP step or DST adjustment during
-   a measured section must not produce a negative or wildly wrong
-   duration. Monotonic timestamps are meaningful only as differences
-   within one process. *)
+   All spans and latency samples read CLOCK_MONOTONIC (via the bechamel
+   stubs, ns resolution), never the wall clock: an NTP step or DST
+   adjustment during a measured section must not produce a negative or
+   wildly wrong duration. Monotonic timestamps are meaningful only as
+   differences within one process. *)
 
 let now_ns () = Monotonic_clock.now ()
 let now_s () = Int64.to_float (now_ns ()) *. 1e-9
@@ -174,35 +172,6 @@ let gauge t name =
   | Noop -> 0
   | Reg r -> (
       match Hashtbl.find_opt r.gauges name with Some g -> !g | None -> 0)
-
-(* ---- timers --------------------------------------------------------------- *)
-
-let add_time t name secs =
-  match t with
-  | Noop -> ()
-  | Reg r ->
-      let tr =
-        match Hashtbl.find_opt r.timers name with
-        | Some tr -> tr
-        | None ->
-            let tr = ref 0.0 in
-            Hashtbl.replace r.timers name tr;
-            tr
-      in
-      tr := !tr +. secs
-
-let time t name f =
-  match t with
-  | Noop -> f ()
-  | Reg _ ->
-      let t0 = now_s () in
-      Fun.protect ~finally:(fun () -> add_time t name (now_s () -. t0)) f
-
-let timer t name =
-  match t with
-  | Noop -> 0.0
-  | Reg r -> (
-      match Hashtbl.find_opt r.timers name with Some tr -> !tr | None -> 0.0)
 
 (* ---- scoped spans ---------------------------------------------------------- *)
 
@@ -388,7 +357,6 @@ let counters = function
   | Reg r -> sorted_items ( ! ) r.counters
 
 let gauges = function Noop -> [] | Reg r -> sorted_items ( ! ) r.gauges
-let timers = function Noop -> [] | Reg r -> sorted_items ( ! ) r.timers
 
 let spans = function
   | Noop -> []
@@ -399,7 +367,6 @@ let reset = function
   | Reg r ->
       Hashtbl.reset r.counters;
       Hashtbl.reset r.gauges;
-      Hashtbl.reset r.timers;
       Hashtbl.reset r.spans;
       Hashtbl.reset r.histos;
       r.span_stack <- [];
@@ -424,7 +391,6 @@ let to_json t =
     [
       ("counters", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (counters t)));
       ("gauges", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (gauges t)));
-      ("timers", Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) (timers t)));
       ( "spans",
         Json.Obj
           (List.map

@@ -1,6 +1,6 @@
 (** Cost-accounting observability.
 
-    A registry of named monotonic counters, gauges, timers, scoped spans
+    A registry of named monotonic counters, gauges, scoped spans
     and latency/allocation histograms. Every incremental engine takes one
     at creation; the default is {!noop}, a sink whose operations are
     single-branch no-ops, so engines nobody measures pay one match per
@@ -24,8 +24,8 @@
 
     {2 Clock contract}
 
-    Every duration this module measures — {!time}, {!span_begin} /
-    {!span_end}, {!with_span}, {!with_apply} — is taken on the system
+    Every duration this module measures — {!span_begin} / {!span_end},
+    {!with_span}, {!with_apply} — is taken on the system
     monotonic clock ([CLOCK_MONOTONIC], nanosecond resolution), never the
     wall clock. Consequences:
 
@@ -174,12 +174,6 @@ val note_changed_output : t -> int -> unit
 val set_gauge : t -> string -> int -> unit
 val gauge : t -> string -> int
 
-(** {2 Timers} — cumulative seconds on the monotonic clock. *)
-
-val add_time : t -> string -> float -> unit
-val time : t -> string -> (unit -> 'a) -> 'a
-val timer : t -> string -> float
-
 (** {2 Spans} — LIFO-scoped timed sections. *)
 
 val span_begin : t -> string -> unit
@@ -266,7 +260,6 @@ val counters : t -> (string * int) list
 (** Sorted by name; likewise for the other snapshot accessors. *)
 
 val gauges : t -> (string * int) list
-val timers : t -> (string * float) list
 val spans : t -> (string * (int * float)) list
 
 val reset : t -> unit
@@ -279,4 +272,4 @@ val diff_counters :
     are the union; values are [cur - prev] clamped at 0. *)
 
 val to_json : t -> Json.t
-(** Counters, gauges, timers, spans and histograms as one json object. *)
+(** Counters, gauges, spans and histograms as one json object. *)

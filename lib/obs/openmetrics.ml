@@ -2,15 +2,15 @@
 
    One rendering ([render]) and its structural inverse ([samples] /
    [validate]). Counters become [<name>_total] with a counter TYPE,
-   gauges stay bare, timers and span aggregates become labelled counter
-   families, and every log-bucketed [Histogram] becomes a native
-   Prometheus histogram: cumulative [le] buckets whose edges are the
-   upper bounds of the non-empty log buckets, a [+Inf] bucket, [_sum]
-   and [_count]. The exposition ends with the mandatory [# EOF] marker.
+   gauges stay bare, span aggregates become labelled counter families,
+   and every log-bucketed [Histogram] becomes a native Prometheus
+   histogram: cumulative [le] buckets whose edges are the upper bounds of
+   the non-empty log buckets, a [+Inf] bucket, [_sum] and [_count]. The
+   exposition ends with the mandatory [# EOF] marker.
 
    Determinism: with [~deterministic:true] every clock- or GC-derived
-   series is dropped — timers, span seconds (span call counts stay) and
-   any histogram whose name ends in [_s] or starts with [gc_]. What
+   series is dropped — span seconds (span call counts stay) and any
+   histogram whose name ends in [_s] or starts with [gc_]. What
    remains (counters, gauges, work histograms such as
    [csr_compact_bytes]) is a pure function of the update sequence, so
    two runs of the same workload render byte-identical text regardless
@@ -77,16 +77,6 @@ let render ?(deterministic = false) obs =
       line "# TYPE %s gauge" n;
       line "%s %d" n v)
     (Obs.gauges obs);
-  (if not deterministic then
-     match Obs.timers obs with
-     | [] -> ()
-     | ts ->
-         line "# TYPE ig_timer_seconds counter";
-         List.iter
-           (fun (k, v) ->
-             line "ig_timer_seconds_total{timer=\"%s\"} %s" (escape_label k)
-               (fnum v))
-           ts);
   (match Obs.spans obs with
   | [] -> ()
   | ss ->

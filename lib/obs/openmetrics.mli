@@ -1,11 +1,11 @@
 (** OpenMetrics / Prometheus text exposition for the {!Obs} registry.
 
     {!render} turns a registry into the Prometheus text format: counters
-    as [<name>_total], gauges bare, timers and span aggregates as
-    labelled counter families, and every log-bucketed {!Histogram} as a
-    native Prometheus histogram — cumulative [le] buckets whose edges
-    are the upper bounds of the non-empty log buckets, a [+Inf] bucket,
-    [_sum] and [_count] — terminated by the mandatory [# EOF] marker.
+    as [<name>_total], gauges bare, span aggregates as labelled counter
+    families, and every log-bucketed {!Histogram} as a native Prometheus
+    histogram — cumulative [le] buckets whose edges are the upper bounds
+    of the non-empty log buckets, a [+Inf] bucket, [_sum] and [_count] —
+    terminated by the mandatory [# EOF] marker.
 
     {!validate} is the structural inverse used by [bench/validate.exe]
     and the @telemetry-smoke alias; {!samples} parses an exposition back
@@ -13,9 +13,9 @@
 
 val render : ?deterministic:bool -> Obs.t -> string
 (** The full registry in exposition format. With [~deterministic:true]
-    every clock- or GC-derived series is dropped — timers, span seconds
-    (span call counts stay) and any histogram whose name ends in [_s]
-    or starts with [gc_] — so renders of the same update sequence are
+    every clock- or GC-derived series is dropped — span seconds (span
+    call counts stay) and any histogram whose name ends in [_s] or starts
+    with [gc_] — so renders of the same update sequence are
     byte-identical across runs, hash seeds and machines. *)
 
 val sanitize : string -> string

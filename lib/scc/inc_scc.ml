@@ -24,15 +24,11 @@ let members_to_list ms =
   iter_members (fun v -> acc := v :: !acc) ms;
   !acc
 
-type config = {
-  eager_cert : bool;
-  delete_fast_path : bool;
-  group_batch : bool;
-}
+type config = { delete_fast_path : bool; group_batch : bool }
 
-let inc_config = { eager_cert = false; delete_fast_path = true; group_batch = true }
-let incn_config = { eager_cert = false; delete_fast_path = true; group_batch = false }
-let dyn_config = { eager_cert = false; delete_fast_path = false; group_batch = false }
+let inc_config = { delete_fast_path = true; group_batch = true }
+let incn_config = { delete_fast_path = true; group_batch = false }
+let dyn_config = { delete_fast_path = false; group_batch = false }
 
 type delta = { removed : node list list; added : node list list }
 
@@ -166,11 +162,6 @@ let local_tarjan t c =
       ~after:(Printf.sprintf "parts=%d" (List.length groups));
   groups
 
-let refresh_cert t c =
-  match local_tarjan t c with
-  | [ _ ] -> Hashtbl.remove t.dirty c
-  | _ -> assert false (* only called when [c] is known strongly connected *)
-
 (* ---- Splits (IncSCC−, slow path) ------------------------------------- *)
 
 (* Rebuild contracted adjacency after replacing [c] by [parts]. *)
@@ -281,8 +272,7 @@ let merge_comps t cs =
       (* Retire the folded component (its members moved to [big]). *)
       retire_comp t c)
     others;
-  if t.cfg.eager_cert then refresh_cert t big
-  else Hashtbl.replace t.dirty big ();
+  Hashtbl.replace t.dirty big ();
   big
 
 (* Rank-windowed closure over the contracted graph. *)
@@ -402,16 +392,6 @@ let insert_inter t cu cv =
   cadd t cu cv 1;
   if Rank.compare_items t.rank cu cv < 0 then resolve_violation t cu cv
 
-(* An intra-component insertion changes neither the output nor the validity
-   of the recorded certificate: the certificate is a Tarjan run over the
-   edges present when it was computed, and that edge subset already proves
-   the component strongly connected. Later deletions of *other* edges keep
-   it valid, and deleting the new edge itself can never split (the
-   certificate does not use it). So lazily configured engines do nothing;
-   the eager configuration refreshes so the new edge joins the certificate
-   (DynSCC-style structure upkeep). *)
-let insert_intra t c = if t.cfg.eager_cert then refresh_cert t c
-
 (* ---- Deletions (IncSCC−) --------------------------------------------- *)
 
 (* The recorded run stays valid iff the deleted intra-component edge is
@@ -443,12 +423,18 @@ let delete_intra t c u v =
 (* ---- Batch updates (IncSCC) ------------------------------------------ *)
 
 (* IncSCCn: one unit update at a time, in batch order, each taking the
-   paper's IncSCC+ / IncSCC− step on its own. *)
+   paper's IncSCC+ / IncSCC− step on its own. An intra-component insertion
+   changes neither the output nor the validity of the recorded
+   certificate: the certificate is a Tarjan run over the edges present
+   when it was computed, and that edge subset already proves the component
+   strongly connected. Later deletions of *other* edges keep it valid, and
+   deleting the new edge itself can never split (the certificate does not
+   use it). So here, and in the grouped path, it only adds the edge. *)
 let apply_unit t = function
   | Digraph.Insert (u, v) ->
       if Digraph.add_edge t.g u v then begin
         let cu = comp_of t u and cv = comp_of t v in
-        if cu = cv then insert_intra t cu else insert_inter t cu cv
+        if cu <> cv then insert_inter t cu cv
       end
   | Digraph.Delete (u, v) ->
       if Digraph.remove_edge t.g u v then begin
@@ -466,9 +452,7 @@ let apply_batch_grouped t updates =
   let intra_ins, inter_ins = List.partition is_intra (List.rev inss) in
   (* (a) Intra-component phase: apply everything to G, then run local
      Tarjan at most once per affected component. *)
-  List.iter
-    (fun (u, v) -> if Digraph.add_edge t.g u v then insert_intra t (comp_of t u))
-    intra_ins;
+  List.iter (fun (u, v) -> ignore (Digraph.add_edge t.g u v)) intra_ins;
   let del_by_comp = Hashtbl.create 8 in
   List.iter
     (fun (u, v) ->
@@ -503,9 +487,9 @@ let apply_batch_grouped t updates =
       if Digraph.add_edge t.g u v then begin
         let cu = comp_of t u and cv = comp_of t v in
         (* Equal components mean an earlier insertion in this batch merged
-           them; the merge already dirtied (or refreshed) the certificate,
-           so this is now an ordinary intra-component insertion. *)
-        if cu = cv then insert_intra t cu else insert_inter t cu cv
+           them; the merge already dirtied the certificate, so this is now
+           an ordinary intra-component insertion. *)
+        if cu <> cv then insert_inter t cu cv
       end)
     inter_ins
 
@@ -686,22 +670,6 @@ let check_invariants t =
             fail "rank invariant violated on (%d,%d)" c d)
         h)
     t.csucc
-
-let pp_debug ppf t =
-  Format.fprintf ppf "@[<v>components:@,";
-  let comps = List.map fst (Obs.sorted_bindings ~compare:Int.compare t.members) in
-  List.iter
-    (fun c ->
-      Format.fprintf ppf "  comp %d rank=%d members=[%s] succ=[%s]@," c
-        (Rank.value t.rank c)
-        (String.concat ";"
-           (List.map string_of_int (members_to_list (members_of t c))))
-        (String.concat ";"
-           (List.map
-              (fun (d, cnt) -> Printf.sprintf "%d(x%d)" d cnt)
-              (Obs.sorted_bindings ~compare:Int.compare (adj t.csucc c)))))
-    comps;
-  Format.fprintf ppf "@]"
 
 let contracted t =
   let comps =

@@ -25,15 +25,16 @@
       deletions are applied before insertions; insertions restore the rank
       invariant one at a time.
 
-    An intra-component insertion dirties nothing in lazy mode: the recorded
-    certificate is a valid run over the edges present when it was computed,
-    which already prove the component strongly connected, so both later
-    deletion fast-path checks and the deletion of the new edge itself stay
-    sound against it.
+    Certificates are kept lazily. An intra-component insertion dirties
+    nothing: the recorded certificate is a valid run over the edges present
+    when it was computed, which already prove the component strongly
+    connected, so both later deletion fast-path checks and the deletion of
+    the new edge itself stay sound against it. A merge marks the merged
+    component dirty; its certificate is recomputed only when a later
+    deletion needs it.
 
     The same engine, differently configured, yields the paper's three
-    comparison subjects: [IncSCC] (lazy certificates + fast path + batch
-    grouping), [IncSCCn] (unit updates one by one), and the [DynSCC]
+    comparison subjects: [IncSCC] (fast path + batch grouping), [IncSCCn] (unit updates one by one), and the [DynSCC]
     stand-in (no deletion fast path: every intra-component deletion pays a
     reachability check inside its component even when the output is
     stable, reproducing the paper's observation in Exp-1(3)). The check is
@@ -43,10 +44,6 @@
 type node = Ig_graph.Digraph.node
 
 type config = {
-  eager_cert : bool;
-      (** refresh a component's certificate immediately after an
-          intra-component insertion or merge, instead of lazily marking it
-          dirty *)
   delete_fast_path : bool;
       (** enable the O(1) non-witness deletion path *)
   group_batch : bool;
@@ -54,7 +51,7 @@ type config = {
 }
 
 val inc_config : config
-(** IncSCC: lazy certificates, fast path, batch grouping. *)
+(** IncSCC: fast path, batch grouping. *)
 
 val incn_config : config
 (** IncSCCn: like IncSCC but batches degrade to one-by-one processing. *)
@@ -125,9 +122,6 @@ val check_invariants : t -> unit
     member/ownership tables are mutually consistent; contracted-graph
     counters match the underlying graph; ranks strictly decrease along
     contracted edges. @raise Failure describing the first violation. *)
-
-val pp_debug : Format.formatter -> t -> unit
-(** Dump components, ranks and contracted adjacency (debugging aid). *)
 
 val contracted : t -> Ig_graph.Digraph.t * node list array
 (** Export the current contracted graph [Gc] as a fresh digraph: one node

@@ -28,7 +28,6 @@ let init g src = { g; src; reach = batch g src }
 let graph t = t.g
 let source t = t.src
 let reaches t v = Hashtbl.mem t.reach v
-let reachable_count t = Hashtbl.length t.reach
 
 let insert_edge t u v =
   if not (Digraph.add_edge t.g u v) then []

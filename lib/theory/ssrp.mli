@@ -23,7 +23,6 @@ val init : Ig_graph.Digraph.t -> node -> t
 val graph : t -> Ig_graph.Digraph.t
 val source : t -> node
 val reaches : t -> node -> bool
-val reachable_count : t -> int
 
 val insert_edge : t -> node -> node -> node list
 (** Apply [insert (u,v)] and return the newly reachable nodes. Bounded:

@@ -1,6 +1,6 @@
 (* Tests for the determinism & instrumentation linter (lib/lint): one
-   fixture per rule D1-D5, the three suppression shapes, baseline and
-   report JSON round-trips, a clean-tree integration run over the build
+   fixture per rule D1-D5, the three suppression shapes, the report JSON
+   round-trip, a clean-tree integration run over the build
    copy of the repo's own sources, the test/lint_fixtures/ D2 fixture
    and in-process report byte-determinism (the cross-process run is
    @lint-determinism). *)
@@ -283,39 +283,6 @@ let sample_diags =
     };
   ]
 
-let test_baseline_roundtrip () =
-  let json = L.baseline_to_json sample_diags in
-  match J.parse (J.to_string ~indent:true json) with
-  | Error e -> Alcotest.fail ("baseline reparse failed: " ^ e)
-  | Ok j -> (
-      match L.diagnostics_of_json j with
-      | Error e -> Alcotest.fail ("baseline decode failed: " ^ e)
-      | Ok ds ->
-          check Alcotest.bool "round-trips exactly" true (ds = sample_diags);
-          let kept, matched, stale =
-            L.subtract_baseline ~baseline:ds sample_diags
-          in
-          check Alcotest.int "baseline swallows all" 0 (List.length kept);
-          check Alcotest.int "matched count" 2 matched;
-          check Alcotest.int "no stale entries" 0 (List.length stale);
-          let fresh = { (List.hd sample_diags) with L.line = 43 } in
-          let kept, matched, stale =
-            L.subtract_baseline ~baseline:ds (fresh :: sample_diags)
-          in
-          check Alcotest.int "moved finding resurfaces" 1 (List.length kept);
-          check Alcotest.int "others still matched" 2 matched;
-          check Alcotest.int "still no stale entries" 0 (List.length stale);
-          (* A baseline entry whose finding is gone is reported stale. *)
-          let kept, matched, stale =
-            L.subtract_baseline ~baseline:ds [ List.hd sample_diags ]
-          in
-          check Alcotest.int "nothing new" 0 (List.length kept);
-          check Alcotest.int "one still matched" 1 matched;
-          check Alcotest.int "one stale" 1 (List.length stale);
-          check Alcotest.string "the vanished entry is the stale one"
-            "lib/rpq/pgraph.ml"
-            (List.hd stale).L.file)
-
 let test_report_validates () =
   let r =
     {
@@ -324,12 +291,17 @@ let test_report_validates () =
       files_scanned = 103;
     }
   in
-  let json = L.report_to_json ~baselined:1 r in
+  let json = L.report_to_json r in
   (match L.validate json with
   | Ok (v, n) ->
       check Alcotest.int "schema version" L.report_schema_version v;
       check Alcotest.int "diagnostic count" 2 n
   | Error e -> Alcotest.fail ("fresh report rejected: " ^ e));
+  (match J.parse (J.to_string ~indent:true json) with
+  | Error e -> Alcotest.fail ("report reparse failed: " ^ e)
+  | Ok j ->
+      check Alcotest.bool "diagnostics round-trip exactly" true
+        (L.diagnostics_of_json j = Ok sample_diags));
   (* Older schema versions are rejected, even when well-formed. *)
   List.iter
     (fun v ->
@@ -341,14 +313,12 @@ let test_report_validates () =
                ("schema_version", J.Int v);
                ("files_scanned", J.Int 10);
                ("suppressed", J.Int 0);
-               ("baselined", J.Int 0);
-               ("stale_baseline", J.Int 0);
                ("diagnostics", J.Arr []);
              ])
       with
       | Ok _ -> Alcotest.failf "validator accepted a v%d report" v
       | Error _ -> ())
-    [ 1; 2 ];
+    [ 1; 2; 3 ];
   (match L.validate (J.Obj [ ("tool", J.Str "incgraph-lint") ]) with
   | Ok _ -> Alcotest.fail "validator accepted a gutted report"
   | Error _ -> ());
@@ -415,8 +385,6 @@ let () =
         ] );
       ( "json",
         [
-          Alcotest.test_case "baseline round-trip" `Quick
-            test_baseline_roundtrip;
           Alcotest.test_case "report validates" `Quick test_report_validates;
         ] );
       (* The group keeps its historical name so the test ids stay stable. *)

@@ -67,19 +67,13 @@ let test_diff_counters () =
     [ ("a", 3); ("b", 1) ]
     (O.diff_counters ~prev ~cur:(O.counters o))
 
-(* ---- registry: gauges and timers ------------------------------------------- *)
+(* ---- registry: gauges ------------------------------------------------------- *)
 
-let test_gauges_and_timers () =
+let test_gauges () =
   let o = O.create () in
   O.set_gauge o "depth" 7;
   O.set_gauge o "depth" 3;
-  check Alcotest.int "gauge overwrites" 3 (O.gauge o "depth");
-  O.add_time o "t" 0.5;
-  O.add_time o "t" 0.25;
-  check (Alcotest.float 1e-9) "timer accumulates" 0.75 (O.timer o "t");
-  let r = O.time o "t" (fun () -> 42) in
-  check Alcotest.int "time returns the result" 42 r;
-  check Alcotest.bool "time adds" true (O.timer o "t" >= 0.75)
+  check Alcotest.int "gauge overwrites" 3 (O.gauge o "depth")
 
 (* ---- registry: spans -------------------------------------------------------- *)
 
@@ -134,13 +128,11 @@ let test_reset () =
   let o = O.create () in
   O.add o "a" 5;
   O.set_gauge o "g" 1;
-  O.add_time o "t" 1.0;
   O.with_span o "s" (fun () -> ());
   O.span_begin o "open";
   O.reset o;
   check Alcotest.int "counters cleared" 0 (O.counter o "a");
   check Alcotest.int "gauges cleared" 0 (O.gauge o "g");
-  check (Alcotest.float 1e-9) "timers cleared" 0.0 (O.timer o "t");
   check Alcotest.int "spans cleared" 0 (fst (O.span o "s"));
   check Alcotest.int "open span stack emptied" 0 (O.span_depth o);
   check Alcotest.bool "still enabled after reset" true (O.enabled o)
@@ -154,7 +146,6 @@ let test_noop_sink () =
   O.add o "x" (-1) (* no validation cost either: nothing observes it *);
   O.incr o "x";
   O.set_gauge o "g" 9;
-  O.add_time o "t" 1.0;
   O.note_changed_input o 4;
   O.span_begin o "s";
   O.span_end o "never-opened" (* mismatch invisible: nothing is tracked *);
@@ -162,10 +153,9 @@ let test_noop_sink () =
   check Alcotest.int "with_span passes through" 7 r;
   check Alcotest.int "counter" 0 (O.counter o "x");
   check Alcotest.int "gauge" 0 (O.gauge o "g");
-  check (Alcotest.float 1e-9) "timer" 0.0 (O.timer o "t");
   check Alcotest.int "span depth" 0 (O.span_depth o);
   check Alcotest.bool "all snapshots empty" true
-    (O.counters o = [] && O.gauges o = [] && O.timers o = [] && O.spans o = [])
+    (O.counters o = [] && O.gauges o = [] && O.spans o = [])
 
 let test_engines_default_to_noop () =
   let g = labeled_graph [ "a"; "b" ] [ (0, 1) ] in
@@ -664,17 +654,15 @@ let test_with_apply_raises () =
   | Some h -> check Alcotest.int "one sample per call" 2 (H.count h)
 
 let test_monotonic_durations () =
-  (* The clock contract: spans and timers can never go negative, and the
+  (* The clock contract: spans can never go negative, and the
      raw clock never steps backwards across calls. *)
   let o = O.create () in
   for _ = 1 to 100 do
     O.span_begin o "s";
-    O.span_end o "s";
-    O.time o "t" (fun () -> ())
+    O.span_end o "s"
   done;
   let _, span_total = O.span o "s" in
   if span_total < 0.0 then Alcotest.failf "negative span total %g" span_total;
-  if O.timer o "t" < 0.0 then Alcotest.failf "negative timer %g" (O.timer o "t");
   let prev = ref (O.now_ns ()) in
   for _ = 1 to 1000 do
     let t = O.now_ns () in
@@ -801,7 +789,7 @@ let () =
           Alcotest.test_case "changed aggregates ΔG + ΔO" `Quick
             test_changed_aggregates;
           Alcotest.test_case "diff_counters" `Quick test_diff_counters;
-          Alcotest.test_case "gauges and timers" `Quick test_gauges_and_timers;
+          Alcotest.test_case "gauges" `Quick test_gauges;
           Alcotest.test_case "span nesting" `Quick test_span_nesting;
           Alcotest.test_case "span mismatch rejected" `Quick
             test_span_mismatch_rejected;

@@ -214,7 +214,6 @@ let test_deterministic_filter () =
     (* Clock-derived series: values differ run to run. *)
     O.observe o "apply_latency_s" (Sys.opaque_identity (Random.float 1e-3));
     O.observe o "gc_minor_words" (Random.float 1e6);
-    O.time o "wall" (fun () -> ());
     O.with_span o "sp" (fun () -> ());
     o
   in
@@ -224,14 +223,10 @@ let test_deterministic_filter () =
   let has = contains in
   check Alcotest.bool "full rendering keeps latency histogram" true
     (has "apply_latency_s_bucket" full);
-  check Alcotest.bool "full rendering keeps timers" true
-    (has "ig_timer_seconds_total" full);
   check Alcotest.bool "deterministic drops _s histograms" false
     (has "apply_latency_s" det);
   check Alcotest.bool "deterministic drops gc_ histograms" false
     (has "gc_minor_words" det);
-  check Alcotest.bool "deterministic drops timers" false
-    (has "ig_timer_seconds" det);
   check Alcotest.bool "deterministic drops span seconds" false
     (has "ig_span_seconds" det);
   check Alcotest.bool "deterministic keeps span calls" true

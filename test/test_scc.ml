@@ -414,8 +414,8 @@ let batch_sound t ops =
 let prop_inc_matches_batch config =
   QCheck.Test.make
     ~name:
-      (Printf.sprintf "IncSCC(eager=%b,fast=%b,group=%b) == Tarjan rerun"
-         config.I.eager_cert config.I.delete_fast_path config.I.group_batch)
+      (Printf.sprintf "IncSCC(fast=%b,group=%b) == Tarjan rerun"
+         config.I.delete_fast_path config.I.group_batch)
     ~count:300 arb_case
     (fun (n, edges, ops) -> batch_sound (engine ~config n edges) ops)
 
