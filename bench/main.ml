@@ -17,7 +17,8 @@
      -e ID[,ID...]   run selected experiments (default: all)
      --scale X       graph scale factor (default 0.25; paper shapes hold
                      across scales, see EXPERIMENTS.md)
-     --reps N        repetitions averaged per point (default 1)
+     --reps N        repetitions per point, each on its own update batch;
+                     a point's time is their median (default 1)
      --seed N        RNG seed (default 2017)
      --points N      keep only the first N |ΔG| points per sweep (0 = all;
                      the @bench-gate alias uses this for a fast run)
@@ -129,20 +130,22 @@ let merge_assoc merge a b =
       | None, None -> assert false)
     keys
 
-(* Histograms merge exactly (element-wise buckets), so reps accumulate
-   samples instead of averaging them away. *)
-let cell_add a b =
-  {
-    time = a.time +. b.time;
-    ctrs = merge_assoc ( + ) a.ctrs b.ctrs;
-    hists = merge_assoc Histogram.merge a.hists b.hists;
-  }
+let median xs =
+  let a = Array.of_list (List.sort Float.compare xs) in
+  let n = Array.length a in
+  if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
 
-let cell_scale reps c =
+(* One point over its reps: the median time, the mean of each counter, and
+   every histogram sample (histograms merge exactly, element-wise). *)
+let over_reps cells =
+  let n = List.length cells in
+  let merge f field =
+    List.fold_left (fun acc c -> merge_assoc f acc (field c)) [] cells
+  in
   {
-    time = c.time /. float_of_int reps;
-    ctrs = List.map (fun (k, v) -> (k, v / reps)) c.ctrs;
-    hists = c.hists (* distributions keep every sample *);
+    time = median (cell_times cells);
+    ctrs = List.map (fun (k, v) -> (k, v / n)) (merge ( + ) (fun c -> c.ctrs));
+    hists = merge Histogram.merge (fun c -> c.hists);
   }
 
 (* What registry [o] counted over a run that took [time] seconds. *)
@@ -210,13 +213,17 @@ let print_table ~title ~xlabel ~series rows =
     rows
 
 (* Where the first series stops beating the last one (paper: "outperform
-   batch even when |ΔG| is up to X%"). *)
+   batch even when |ΔG| is up to X%"). Below five reps a point's median is
+   too noisy to call: two single-rep runs of one seed have disagreed. *)
 let report_crossover ~inc ~batch rows =
   let wins (_, cells) = List.nth cells inc < List.nth cells batch in
-  (match List.rev (List.filter wins rows) with
-  | (x, _) :: _ ->
-      Format.printf "incremental beats batch up to |ΔG| = %s@." x
-  | [] -> Format.printf "incremental never beats batch at this scale@.");
+  (if cfg.reps < 5 then
+     Format.printf "no crossover verdict below --reps 5 (ran %d)@." cfg.reps
+   else
+     match List.rev (List.filter wins rows) with
+     | (x, _) :: _ ->
+         Format.printf "incremental beats batch up to |ΔG| = %s@." x
+     | [] -> Format.printf "incremental never beats batch at this scale@.");
   (* Speedup at the 10%% point, if present. *)
   match List.assoc_opt "10%" rows with
   | Some cells ->
@@ -305,8 +312,8 @@ let pick_kws g m b =
 (* ---- the per-class table ---------------------------------------------------
 
    Every Fig. 8 panel and both prose results compare the same columns, in
-   the same order: the grouped incremental engine (IncX), the
-   unit-at-a-time variant (IncXn), batch recomputation (the paper's batch
+   the same order: the incremental engine handed the whole batch (IncX),
+   the one-by-one variant (IncXn), batch recomputation (the paper's batch
    counterpart), and for SCC the DynSCC stand-in. [table] is the one place
    that says, per query, what those columns run; the pickers below say
    which query each class runs by default. The batch column is given G and
@@ -334,11 +341,14 @@ let engine init apply o g =
   let s = init o g in
   fun ups -> ignore (apply s ups)
 
-(* IncX and IncXn: the same engine with and without batch grouping. *)
+(* IncX and IncXn: one engine, handed the batch in one call or called
+   once per update. *)
 let pair cls init apply =
   [
-    Inc ("Inc" ^ cls, engine (init ~grouped:true) apply);
-    Inc ("Inc" ^ cls ^ "n", engine (init ~grouped:false) apply);
+    Inc ("Inc" ^ cls, engine init apply);
+    Inc
+      ( "Inc" ^ cls ^ "n",
+        engine init (fun s -> List.iter (fun u -> ignore (apply s [ u ]))) );
   ]
 
 (* [g] supplies the interner an RPQ compiles against. *)
@@ -348,7 +358,7 @@ let table g : Spec.t -> row = function
         name = "KWS";
         columns =
           pair "KWS"
-            (fun ~grouped o g -> Core.Kws.Inc.init ~grouped ~obs:o g q)
+            (fun o g -> Core.Kws.Inc.init ~obs:o g q)
             Core.Kws.Inc.apply_batch
           @ [ Batch ("BLINKS", fun g -> ignore (Core.Kws.Batch.run g q)) ];
       }
@@ -358,7 +368,7 @@ let table g : Spec.t -> row = function
         name = "RPQ";
         columns =
           pair "RPQ"
-            (fun ~grouped o g -> Core.Rpq.Inc.init ~grouped ~obs:o g a)
+            (fun o g -> Core.Rpq.Inc.init ~obs:o g a)
             Core.Rpq.Inc.apply_batch
           @ [ Batch ("RPQNFA", fun g -> ignore (Core.Rpq.Batch.run g a)) ];
       }
@@ -385,7 +395,7 @@ let table g : Spec.t -> row = function
         name = "ISO";
         columns =
           pair "ISO"
-            (fun ~grouped o g -> Core.Iso.Inc.init ~grouped ~obs:o g p)
+            (fun o g -> Core.Iso.Inc.init ~obs:o g p)
             Core.Iso.Inc.apply_batch
           @ [ Batch ("VF2", fun g -> ignore (Core.Iso.Vf2.find_all g p)) ];
       }
@@ -426,16 +436,20 @@ let describe = function
 
 (* ---- measurement ------------------------------------------------------------ *)
 
-(* Build an engine against a fresh metrics registry, run the workload, and
-   snapshot what it cost. Construction is outside the timed section but
-   inside the registry's lifetime, so counters cover exactly this cell's
-   updates. *)
+(* An incremental column runs the workload twice, each time on an engine
+   built untimed on its own copy of [g]: timed on [Obs.noop], as the batch
+   columns are, then untimed against a fresh registry whose counters and
+   histograms the cell keeps. Counters are deterministic, so the two runs
+   do the same work. *)
 let cell g ups = function
   | Inc (_, start) ->
+      let apply = start Obs.noop (D.copy g) in
+      let t = time (fun () -> apply ups) in
       let o = Obs.create () in
       let apply = start o (D.copy g) in
       Obs.reset o;
-      snapshot o (time (fun () -> apply ups))
+      apply ups;
+      snapshot o t
   | Batch (_, run) ->
       let g' = D.copy g in
       no_cell
@@ -445,16 +459,15 @@ let cell g ups = function
 
 let point row g ups = List.map (cell g ups) row.columns
 
-(* Average a point over cfg.reps distinct update batches (counters are
-   averaged alongside the timings). *)
-let averaged row pct g =
+(* A point over cfg.reps distinct update batches. *)
+let repeated row pct g =
   let runs =
     List.init cfg.reps (fun i ->
         let base, ups = updates_for g pct (i + 1) in
         point row base ups)
   in
-  List.map (cell_scale cfg.reps)
-    (List.fold_left (List.map2 cell_add) (List.hd runs) (List.tl runs))
+  List.mapi (fun i _ -> over_reps (List.map (fun r -> List.nth r i) runs))
+    row.columns
 
 let header id name g =
   Format.printf "@.[%s] %s: %d nodes, %d edges@." id name (D.n_nodes g)
@@ -485,7 +498,7 @@ let delta_sweep ~id ~title g pick =
   let row = table g spec in
   let points =
     List.map
-      (fun pct -> (row, Printf.sprintf "%d%%" pct, averaged row pct g))
+      (fun pct -> (row, Printf.sprintf "%d%%" pct, repeated row pct g))
       (sweep [ 5; 10; 15; 20; 25; 30; 35; 40 ])
   in
   let trows = emit ~id ~title ~xlabel:"|ΔG|/|G|" points in

@@ -9,7 +9,7 @@
 
     - deletions of uniformly sampled {e existing} edges;
     - re-insertion of recently deleted edges (the paper's Section 4.2
-      "bounce-back" shape — a batch-internal cancellation when grouped);
+      "bounce-back" shape);
     - duplicate insertions of edges already present and deletions of absent
       edges (both no-ops on the simple digraph; engines must tolerate them,
       which is also what makes ddmin-shrunk streams replayable);

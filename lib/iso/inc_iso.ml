@@ -11,7 +11,6 @@ type t = {
   g : Digraph.t;
   p : Pattern.t;
   obs : Obs.t;
-  grouped : bool;
   anchors : ((int * int) * Vf2.plan) list;
       (* one matching order per pattern edge, in pattern-edge order *)
   matches : (Vf2.canon, Vf2.mapping) Hashtbl.t;
@@ -129,9 +128,7 @@ let process t updates =
   List.iter
     (fun (u, v) -> if Digraph.remove_edge t.g u v then process_delete t (u, v))
     dels;
-  let insert (u, v) = Digraph.add_edge t.g u v in
-  if t.grouped then process_inserts t (List.filter insert inss)
-  else List.iter (fun e -> if insert e then process_inserts t [ e ]) inss
+  process_inserts t (List.filter (fun (u, v) -> Digraph.add_edge t.g u v) inss)
 
 let apply_batch t updates =
   Obs.with_apply t.obs @@ fun () ->
@@ -142,14 +139,13 @@ let apply_batch t updates =
   in
   { added = List.map snd added; removed = List.map snd removed }
 
-let init ?(grouped = true) ?(obs = Obs.noop) g p =
+let init ?(obs = Obs.noop) g p =
   Digraph.instrument ~obs g;
   let t =
     {
       g;
       p;
       obs;
-      grouped;
       anchors = List.map (fun e -> (e, Vf2.plan p e)) (Pattern.edges p);
       matches = Hashtbl.create 256;
       edge_index = Hashtbl.create 256;

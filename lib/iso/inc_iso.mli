@@ -15,10 +15,10 @@
 
     A batch is first reduced to its net effect ({!Ig_graph.Digraph.net_effect}):
     all deletions, then the insertions, then the anchored runs over every
-    inserted edge (IncISO); the [grouped:false] variant runs each inserted
-    edge's anchors right after inserting it (IncISOn, the paper's
-    ablation). Costs are a function of [|Q|] and the [d_Q]-neighbourhood
-    of ΔG only, never |G| — the localizability claim of Theorem 3. *)
+    inserted edge (IncISO). The paper's one-by-one ablation IncISOn is
+    {!apply_batch} called once per update. Costs are a function of [|Q|]
+    and the [d_Q]-neighbourhood of ΔG only, never |G| — the localizability
+    claim of Theorem 3. *)
 
 type node = Ig_graph.Digraph.node
 
@@ -29,12 +29,7 @@ type delta = {
 
 type t
 
-val init :
-  ?grouped:bool ->
-  ?obs:Ig_obs.Obs.t ->
-  Ig_graph.Digraph.t ->
-  Pattern.t ->
-  t
+val init : ?obs:Ig_obs.Obs.t -> Ig_graph.Digraph.t -> Pattern.t -> t
 (** Enumerate [Q(G)] once with VF2 and index it, and build one anchored
     matching order per pattern edge. The session owns the graph
     afterwards. [obs] (default {!Ig_obs.Obs.noop}) receives exact cost

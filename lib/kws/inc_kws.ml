@@ -5,11 +5,7 @@ module Delta_set = Ig_graph.Delta_set
 
 type node = Digraph.node
 
-type delta = {
-  added : node list;
-  removed : node list;
-  rewired : (node * int) list;
-}
+type delta = { added : node list; removed : node list }
 
 module PQ = Ig_graph.Pqueue.Make (struct
   type t = int
@@ -21,13 +17,11 @@ end)
 type t = {
   g : Digraph.t;
   mutable q : Batch.query;
-  grouped : bool;
   obs : Obs.t;
   kd : (node, Batch.entry) Hashtbl.t array;
   mcount : (node, int) Hashtbl.t; (* node -> #keywords within bound *)
   mutable n_matches : int;
   delta : (node, unit) Delta_set.t; (* match roots gained/lost *)
-  rewired : (node * int, unit) Hashtbl.t;
 }
 
 let graph t = t.g
@@ -61,18 +55,11 @@ let remove_entry t i v =
     end
   end
 
-let compare_rewired (v1, i1) (v2, i2) =
-  match Int.compare v1 v2 with 0 -> Int.compare i1 i2 | c -> c
-
 let flush_delta t =
   let added, removed =
     Delta_set.flush t.delta ~obs:t.obs ~compare:Int.compare
   in
-  let rewired =
-    List.map fst (Obs.sorted_bindings ~compare:compare_rewired t.rewired)
-  in
-  Hashtbl.reset t.rewired;
-  { added = List.map fst added; removed = List.map fst removed; rewired }
+  { added = List.map fst added; removed = List.map fst removed }
 
 (* One combined deletion/insertion pass for keyword [i] (paper IncKWS;
    with singleton update lists it degenerates to IncKWS+ / IncKWS−). The
@@ -188,7 +175,6 @@ let process_keyword t i ~dels ~inss =
               ~after:(Printf.sprintf "dist=%d next=%d" d !next)
           end;
           set_entry t i v { Batch.dist = d; next = !next };
-          Hashtbl.replace t.rewired (v, i) ();
           Obs.incr t.obs Obs.K.cert_rewrites;
           Digraph.iter_pred
             (fun u ->
@@ -218,33 +204,22 @@ let process_all t ~dels ~inss =
 
 let apply_batch t updates =
   Obs.with_apply t.obs @@ fun () ->
-  if t.grouped then begin
-    let dels, inss = Digraph.apply_net t.g updates in
-    process_all t ~dels ~inss
-  end
-  else
-    List.iter
-      (fun up ->
-        match Digraph.apply_net t.g [ up ] with
-        | [], [] -> ()
-        | dels, inss -> process_all t ~dels ~inss)
-      updates;
+  let dels, inss = Digraph.apply_net t.g updates in
+  process_all t ~dels ~inss;
   flush_delta t
 
-let init ?(grouped = true) ?(obs = Obs.noop) g q =
+let init ?(obs = Obs.noop) g q =
   Digraph.instrument ~obs g;
   let kd = Batch.kdist_maps g q in
   let t =
     {
       g;
       q;
-      grouped;
       obs;
       kd;
       mcount = Hashtbl.create 256;
       n_matches = 0;
       delta = Delta_set.create ();
-      rewired = Hashtbl.create 64;
     }
   in
   Array.iter

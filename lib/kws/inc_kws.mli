@@ -20,34 +20,26 @@
       queue per keyword, so every affected entry is decided exactly once
       per batch even when hit by several unit updates (paper Example 3).
 
+    On a one-update batch the combined pass is IncKWS+ or IncKWS−, so the
+    paper's one-by-one ablation IncKWSn is {!apply_batch} called once per
+    update.
+
     A root matches iff all [m] keywords are within bound, so ΔO tracks the
-    per-node count of defined entries; [rewired] additionally reports the
-    entries whose [(dist, next)] changed — the in-place tree edge
-    replacements of the paper's lines 9-10/15-16. *)
+    per-node count of defined entries. *)
 
 type node = Ig_graph.Digraph.node
 
 type delta = {
   added : node list;           (** new match roots *)
   removed : node list;         (** roots that stopped matching *)
-  rewired : (node * int) list;
-      (** (node, keyword index) entries re-settled or improved — tree edges
-          replaced inside surviving matches *)
 }
 
 type t
 
-val init :
-  ?grouped:bool ->
-  ?obs:Ig_obs.Obs.t ->
-  Ig_graph.Digraph.t ->
-  Batch.query ->
-  t
+val init : ?obs:Ig_obs.Obs.t -> Ig_graph.Digraph.t -> Batch.query -> t
 (** Compute the kdist lists once with the batch algorithm and keep them.
-    [grouped] (default [true]) is the paper's IncKWS; [false] processes
-    batch updates one unit at a time (IncKWSn). [obs] (default
-    {!Ig_obs.Obs.noop}) receives the engine's cost counters: [aff] (kdist
-    entries invalidated), [cert_rewrites] (entries re-settled),
+    [obs] (default {!Ig_obs.Obs.noop}) receives the engine's cost counters:
+    [aff] (kdist entries invalidated), [cert_rewrites] (entries re-settled),
     [nodes_visited], [edges_relaxed], [queue_pushes], and
     [changed] = |ΔG| + |ΔO| ([changed_input], counted by the graph, plus
     [changed_output], counted by {!Ig_graph.Delta_set}).

@@ -247,44 +247,6 @@ let validate json =
           (Ok ()) points)
       (Ok ()) exps
 
-(* The headline comparison: per (experiment, x, series), the timing ratio
-   old/new (>1 means the new run is faster). Used by EXPERIMENTS.md's
-   "comparing two runs" recipe and kept here so the format evolves with the
-   schema. *)
-let compare_timings ~old_json ~new_json =
-  let index json =
-    let acc = ref [] in
-    (match Json.member "experiments" json with
-    | Some (Json.Arr exps) ->
-        List.iter
-          (fun e ->
-            match (Json.member "id" e, Json.member "points" e) with
-            | Some (Json.Str id), Some (Json.Arr points) ->
-                List.iter
-                  (fun p ->
-                    match (Json.member "x" p, Json.member "timings" p) with
-                    | Some (Json.Str x), Some (Json.Obj ts) ->
-                        List.iter
-                          (fun (series, v) ->
-                            match Json.to_float_opt v with
-                            | Some f -> acc := ((id, x, series), f) :: !acc
-                            | None -> ())
-                          ts
-                    | _ -> ())
-                  points
-            | _ -> ())
-          exps
-    | _ -> ());
-    !acc
-  in
-  let old_ix = index old_json in
-  List.filter_map
-    (fun (key, nv) ->
-      match List.assoc_opt key old_ix with
-      | Some ov when nv > 0.0 -> Some (key, ov /. nv)
-      | _ -> None)
-    (index new_json)
-
 (* ---- regression comparison --------------------------------------------------
 
    The machinery behind bench/compare.exe (the @bench-gate alias): pair every (experiment, x, series) across two BENCH

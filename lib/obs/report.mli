@@ -59,11 +59,6 @@ val validate : Json.t -> (unit, string) result
     @bench-gate aliases, diff tooling). Accepts every version in
     {!supported_versions}; returns the first violation found. *)
 
-val compare_timings :
-  old_json:Json.t -> new_json:Json.t -> ((string * string * string) * float) list
-(** Per (experiment, x, series): the timing ratio old/new ([> 1] means
-    the new run is faster). *)
-
 type cmp_cell = {
   ckey : string * string * string;  (** experiment id, x, series *)
   old_time : float;

@@ -26,7 +26,6 @@ type source_state = {
 
 type t = {
   p : Pgraph.t;
-  grouped : bool;
   obs : Obs.t;
   srcs : (node, source_state) Hashtbl.t;
   at_node : (node, (node, int) Hashtbl.t) Hashtbl.t;
@@ -265,29 +264,19 @@ let process_all t ~dels ~inss =
 
 let apply_batch t updates =
   Obs.with_apply t.obs @@ fun () ->
-  if t.grouped then begin
-    let dels, inss = Digraph.apply_net (graph t) updates in
-    process_all t ~dels ~inss
-  end
-  else
-    List.iter
-      (fun up ->
-        match Digraph.apply_net (graph t) [ up ] with
-        | [], [] -> ()
-        | dels, inss -> process_all t ~dels ~inss)
-      updates;
+  let dels, inss = Digraph.apply_net (graph t) updates in
+  process_all t ~dels ~inss;
   let added, removed =
     Delta_set.flush t.delta ~obs:t.obs ~compare:compare_pair
   in
   { added = List.map fst added; removed = List.map fst removed }
 
-let init ?(grouped = true) ?(obs = Obs.noop) g a =
+let init ?(obs = Obs.noop) g a =
   Digraph.instrument ~obs g;
   let p = Pgraph.make g a in
   let t =
     {
       p;
-      grouped;
       obs;
       srcs = Hashtbl.create 64;
       at_node = Hashtbl.create 256;
@@ -307,8 +296,8 @@ let init ?(grouped = true) ?(obs = Obs.noop) g a =
   Delta_set.clear t.delta;
   t
 
-let create ?grouped ?obs g q =
-  init ?grouped ?obs g (Nfa.compile (Digraph.interner g) q)
+let create ?obs g q =
+  init ?obs g (Nfa.compile (Digraph.interner g) q)
 
 let matches t =
   (* User-visible answer: lexicographic (source, target) order. *)

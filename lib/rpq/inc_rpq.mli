@@ -29,7 +29,10 @@
 
     Matches change only when an accepting-state entry appears at a node with
     none, or the last one disappears; ΔO is accumulated net of cancellation
-    (an entry that bounces back within one batch contributes nothing). *)
+    (an entry that bounces back within one batch contributes nothing).
+
+    The paper's one-by-one ablation IncRPQn is {!apply_batch} called once
+    per update. *)
 
 type node = Ig_graph.Digraph.node
 
@@ -41,16 +44,8 @@ type delta = {
 
 type t
 
-val init :
-  ?grouped:bool ->
-  ?obs:Ig_obs.Obs.t ->
-  Ig_graph.Digraph.t ->
-  Ig_nfa.Nfa.t ->
-  t
-(** Run the batch algorithm once and keep its markings. [grouped] (default
-    [true]) processes batches with one combined fix-up phase per source —
-    the paper's IncRPQ; [false] degrades {!apply_batch} to unit-at-a-time
-    processing — the paper's IncRPQn ablation. [obs] (default
+val init : ?obs:Ig_obs.Obs.t -> Ig_graph.Digraph.t -> Ig_nfa.Nfa.t -> t
+(** Run the batch algorithm once and keep its markings. [obs] (default
     {!Ig_obs.Obs.noop}) receives cost counters: [aff] (product-graph
     markings invalidated — the measured |AFF|), [cert_rewrites] (markings
     re-settled), [nodes_visited], [edges_relaxed], [queue_pushes], and
@@ -66,12 +61,7 @@ val init :
     marking), [Cert_rewrite] on the [pmark] field, and [Frontier_expand]
     per queue push. The graph is owned by the session afterwards. *)
 
-val create :
-  ?grouped:bool ->
-  ?obs:Ig_obs.Obs.t ->
-  Ig_graph.Digraph.t ->
-  Ig_nfa.Regex.t ->
-  t
+val create : ?obs:Ig_obs.Obs.t -> Ig_graph.Digraph.t -> Ig_nfa.Regex.t -> t
 (** Compile the regex against the graph's interner, then {!init}. *)
 
 val graph : t -> Ig_graph.Digraph.t

@@ -42,7 +42,7 @@ let compacted (s : Sc.t) =
 
 (* IncSCCn and DynSCC: the SCC scenario with its engine built under
    another configuration. Their one-by-one path (IncSCC−'s reachability
-   check and dirty marks) is not a singleton grouped batch, so it gets
+   check and dirty marks) is not a one-update IncSCC batch, so it gets
    cases of its own. *)
 let scc_configs =
   [ ("incn", Ig_scc.Inc_scc.incn_config); ("dyn", Ig_scc.Inc_scc.dyn_config) ]

@@ -300,19 +300,27 @@ let batch_sound t q ops =
        (d.added @ List.filter (fun r -> not (List.mem r d.removed)) old_roots)
      = fresh
 
-let prop_inc_matches_batch grouped =
+(* IncKWS takes the batch in one call. IncKWSn, the one-by-one ablation,
+   takes one update per call, and each call is checked as a batch. *)
+let apply_sound ~one_by_one t q ops =
+  if one_by_one then List.for_all (fun op -> batch_sound t q [ op ]) ops
+  else batch_sound t q ops
+
+let variant one_by_one = if one_by_one then "n" else ""
+
+let prop_inc_matches_batch one_by_one =
   QCheck.Test.make
-    ~name:(Printf.sprintf "IncKWS%s == batch rerun" (if grouped then "" else "n"))
+    ~name:(Printf.sprintf "IncKWS%s == batch rerun" (variant one_by_one))
     ~count:400 arb_case
     (fun (labels, edges, ops, b, kws) ->
       let q = { B.keywords = kws; bound = b } in
-      batch_sound (I.init ~grouped (labeled_graph labels edges) q) q ops)
+      apply_sound ~one_by_one (I.init (labeled_graph labels edges) q) q ops)
 
-let prop_inc_sequences grouped =
+let prop_inc_sequences one_by_one =
   QCheck.Test.make
     ~name:
       (Printf.sprintf "IncKWS%s sound across successive batches"
-         (if grouped then "" else "n"))
+         (variant one_by_one))
     ~count:200
     QCheck.(
       pair arb_case
@@ -324,8 +332,42 @@ let prop_inc_sequences grouped =
       let n = List.length labels in
       let clamp = List.map (fun (i, (u, v)) -> (i, (u mod n, v mod n))) in
       let q = { B.keywords = kws; bound = b } in
-      let t = I.init ~grouped (labeled_graph labels edges) q in
-      batch_sound t q ops && batch_sound t q (clamp more))
+      let t = I.init (labeled_graph labels edges) q in
+      apply_sound ~one_by_one t q ops
+      && apply_sound ~one_by_one t q (clamp more))
+
+(* The certificate without its [next] pointers. An entry's [next] is a
+   shortest-path successor, and which one it keeps depends on the order
+   the updates came in: an entry re-settled mid-stream takes the smallest
+   id, one left alone keeps its old successor. *)
+let dists_only =
+  let drop_next line =
+    String.split_on_char ' ' line
+    |> List.filter (fun w -> not (String.starts_with ~prefix:"next=" w))
+    |> String.concat " "
+  in
+  List.map (fun (section, text) ->
+      if section <> "kdist" then (section, text)
+      else
+        ( section,
+          String.split_on_char '\n' text
+          |> List.map drop_next |> String.concat "\n" ))
+
+(* One batch in one call and the same batch one update per call end with
+   equal certificates, [next] pointers aside, and equal answers. *)
+let prop_grouped_vs_unit =
+  QCheck.Test.make ~name:"grouped vs unit" ~count:300 arb_case
+    (fun (labels, edges, ops, b, kws) ->
+      let run one_by_one =
+        let q = { B.keywords = kws; bound = b } in
+        let t = I.init (labeled_graph labels edges) q in
+        let ups = updates_of ops in
+        if one_by_one then
+          List.iter (fun u -> ignore (I.apply_batch t [ u ])) ups
+        else ignore (I.apply_batch t ups);
+        (dists_only (I.cert_snapshot t), I.match_roots t)
+      in
+      run false = run true)
 
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
@@ -366,9 +408,10 @@ let () =
       ( "properties",
         qsuite
           [
-            prop_inc_matches_batch true;
             prop_inc_matches_batch false;
-            prop_inc_sequences true;
+            prop_inc_matches_batch true;
             prop_inc_sequences false;
+            prop_inc_sequences true;
+            prop_grouped_vs_unit;
           ] );
     ]

@@ -206,19 +206,28 @@ let batch_sound t qsrc ops =
        (d.added @ List.filter (fun m -> not (List.mem m d.removed)) old_matches)
      = fresh
 
-let prop_inc_matches_batch grouped =
+(* IncRPQ takes the batch in one call. IncRPQn, the one-by-one ablation,
+   takes one update per call, and each call is checked as a batch. *)
+let apply_sound ~one_by_one t qsrc ops =
+  if one_by_one then List.for_all (fun op -> batch_sound t qsrc [ op ]) ops
+  else batch_sound t qsrc ops
+
+let variant one_by_one = if one_by_one then "n" else ""
+
+let prop_inc_matches_batch one_by_one =
   QCheck.Test.make
-    ~name:
-      (Printf.sprintf "IncRPQ%s == RPQNFA rerun" (if grouped then "" else "n"))
+    ~name:(Printf.sprintf "IncRPQ%s == RPQNFA rerun" (variant one_by_one))
     ~count:300 arb_case
     (fun (labels, edges, ops, qsrc) ->
-      batch_sound (I.create ~grouped (labeled_graph labels edges) (q qsrc)) qsrc ops)
+      apply_sound ~one_by_one
+        (I.create (labeled_graph labels edges) (q qsrc))
+        qsrc ops)
 
-let prop_inc_sequences grouped =
+let prop_inc_sequences one_by_one =
   QCheck.Test.make
     ~name:
       (Printf.sprintf "IncRPQ%s sound across successive batches"
-         (if grouped then "" else "n"))
+         (variant one_by_one))
     ~count:150
     QCheck.(
       pair arb_case
@@ -229,8 +238,24 @@ let prop_inc_sequences grouped =
     (fun ((labels, edges, ops, qsrc), more) ->
       let n = List.length labels in
       let clamp = List.map (fun (i, (u, v)) -> (i, (u mod n, v mod n))) in
-      let t = I.create ~grouped (labeled_graph labels edges) (q qsrc) in
-      batch_sound t qsrc ops && batch_sound t qsrc (clamp more))
+      let t = I.create (labeled_graph labels edges) (q qsrc) in
+      apply_sound ~one_by_one t qsrc ops
+      && apply_sound ~one_by_one t qsrc (clamp more))
+
+(* One batch in one call and the same batch one update per call end with
+   equal certificates and equal answers. *)
+let prop_grouped_vs_unit =
+  QCheck.Test.make ~name:"grouped vs unit" ~count:300 arb_case
+    (fun (labels, edges, ops, qsrc) ->
+      let run one_by_one =
+        let t = I.create (labeled_graph labels edges) (q qsrc) in
+        let ups = updates_of ops in
+        if one_by_one then
+          List.iter (fun u -> ignore (I.apply_batch t [ u ])) ups
+        else ignore (I.apply_batch t ups);
+        (I.cert_snapshot t, I.matches t)
+      in
+      run false = run true)
 
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
@@ -264,9 +289,10 @@ let () =
       ( "properties",
         qsuite
           [
-            prop_inc_matches_batch true;
             prop_inc_matches_batch false;
-            prop_inc_sequences true;
+            prop_inc_matches_batch true;
             prop_inc_sequences false;
+            prop_inc_sequences true;
+            prop_grouped_vs_unit;
           ] );
     ]
