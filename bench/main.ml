@@ -341,14 +341,15 @@ let engine init apply o g =
   let s = init o g in
   fun ups -> ignore (apply s ups)
 
+(* [apply] called once per update. *)
+let per_update apply s = List.iter (fun u -> ignore (apply s [ u ]))
+
 (* IncX and IncXn: one engine, handed the batch in one call or called
    once per update. *)
 let pair cls init apply =
   [
     Inc ("Inc" ^ cls, engine init apply);
-    Inc
-      ( "Inc" ^ cls ^ "n",
-        engine init (fun s -> List.iter (fun u -> ignore (apply s [ u ]))) );
+    Inc ("Inc" ^ cls ^ "n", engine init (per_update apply));
   ]
 
 (* [g] supplies the interner an RPQ compiles against. *)
@@ -373,22 +374,17 @@ let table g : Spec.t -> row = function
           @ [ Batch ("RPQNFA", fun g -> ignore (Core.Rpq.Batch.run g a)) ];
       }
   | Spec.Scc ->
-      let scc s config =
-        Inc
-          ( s,
-            engine
-              (fun o g -> Core.Scc.Inc.init ~config ~obs:o g)
-              Core.Scc.Inc.apply_batch )
-      in
+      let init dyn o g = Core.Scc.Inc.init ~dyn ~obs:o g in
       {
         name = "SCC";
         columns =
-          [
-            scc "IncSCC" Core.Scc.Inc.inc_config;
-            scc "IncSCCn" Core.Scc.Inc.incn_config;
-            Batch ("Tarjan", fun g -> ignore (Core.Scc.Tarjan.scc g));
-            scc "DynSCC" Core.Scc.Inc.dyn_config;
-          ];
+          pair "SCC" (init false) Core.Scc.Inc.apply_batch
+          @ [
+              Batch ("Tarjan", fun g -> ignore (Core.Scc.Tarjan.scc g));
+              Inc
+                ( "DynSCC",
+                  engine (init true) (per_update Core.Scc.Inc.apply_batch) );
+            ];
       }
   | Spec.Iso p ->
       {

@@ -51,8 +51,8 @@ val kws : Ig_kws.Inc_kws.t -> Oracle.t
 
 val scc : Ig_scc.Inc_scc.t -> Oracle.t
 (** The SCC oracle over an already-built engine, without copying its
-    graph — the hook tests use to fuzz the IncSCCn and DynSCC
-    configurations ({!Ig_scc.Inc_scc.config}). *)
+    graph — the hook tests use to fuzz the DynSCC stand-in (an engine
+    built with [~dyn:true], see {!Ig_scc.Inc_scc.init}). *)
 
 val run_batch : Ig_graph.Digraph.t -> t -> string
 (** Answer the query once with the class's batch algorithm and describe

@@ -19,12 +19,9 @@ let clear t =
   Hashtbl.reset t.gained;
   Hashtbl.reset t.lost
 
-let bindings t ~compare:order =
-  (Obs.sorted_bindings ~compare:order t.gained,
-   Obs.sorted_bindings ~compare:order t.lost)
-
 let flush t ~obs ~compare:order =
-  let ((gained, lost) as d) = bindings t ~compare:order in
+  let gained = Obs.sorted_bindings ~compare:order t.gained
+  and lost = Obs.sorted_bindings ~compare:order t.lost in
   Obs.note_changed_output obs (List.length gained + List.length lost);
   clear t;
-  d
+  (gained, lost)

@@ -17,14 +17,11 @@ val clear : ('k, 'v) t -> unit
 (** Forget every pending change (an engine's [init] building its
     baseline answer). *)
 
-val bindings :
-  ('k, 'v) t -> compare:('k -> 'k -> int) -> ('k * 'v) list * ('k * 'v) list
-(** The pending [(gained, lost)], each in ascending key order. *)
-
 val flush :
   ('k, 'v) t ->
   obs:Ig_obs.Obs.t ->
   compare:('k -> 'k -> int) ->
   ('k * 'v) list * ('k * 'v) list
-(** {!bindings}, then adds their total size to [obs] with
-    {!Ig_obs.Obs.note_changed_output} and empties the set. *)
+(** The pending [(gained, lost)], each in ascending key order. Adds their
+    total size to [obs] with {!Ig_obs.Obs.note_changed_output} and empties
+    the set. *)

@@ -82,7 +82,9 @@ let reachable ?(within = fun _ -> true) g ~dir sources =
   done;
   seen
 
-let reaches ?(within = fun _ -> true) g u v =
+type work = { mutable visited : int; mutable relaxed : int }
+
+let reaches ?(within = fun _ -> true) ?work g u v =
   if u = v then true
   else begin
     let seen = Hashtbl.create 64 in
@@ -90,11 +92,14 @@ let reaches ?(within = fun _ -> true) g u v =
     let stack = Stack.create () in
     Stack.push u stack;
     let found = ref false in
+    let count f = match work with Some k -> f k | None -> () in
     (try
        while not (Stack.is_empty stack) do
          let x = Stack.pop stack in
+         count (fun k -> k.visited <- k.visited + 1);
          Digraph.iter_succ
            (fun w ->
+             count (fun k -> k.relaxed <- k.relaxed + 1);
              if w = v then begin
                found := true;
                raise Exit

@@ -17,10 +17,16 @@ val ball : Digraph.t -> node list -> d:int -> (node, int) Hashtbl.t
 (** [ball g vs ~d] is [V_d(vs)]: nodes within [d] undirected hops of any
     source, with their undirected distances. *)
 
-val reaches : ?within:(node -> bool) -> Digraph.t -> node -> node -> bool
+type work = { mutable visited : int; mutable relaxed : int }
+(** Search effort: [visited] counts nodes popped and expanded, [relaxed]
+    the out-edges scanned from them. *)
+
+val reaches :
+  ?within:(node -> bool) -> ?work:work -> Digraph.t -> node -> node -> bool
 (** [reaches g u v] tests directed reachability, optionally restricted to
     nodes satisfying [within] (both endpoints must satisfy it, except that
-    [u] is always expanded). *)
+    [u] is always expanded). [work], when given, is incremented by the
+    search effort; the search stops at the first edge into [v]. *)
 
 val reachable : ?within:(node -> bool) -> Digraph.t ->
   dir:[ `Forward | `Backward ] -> node list -> (node, unit) Hashtbl.t

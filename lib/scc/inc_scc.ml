@@ -24,17 +24,11 @@ let members_to_list ms =
   iter_members (fun v -> acc := v :: !acc) ms;
   !acc
 
-type config = { delete_fast_path : bool; group_batch : bool }
-
-let inc_config = { delete_fast_path = true; group_batch = true }
-let incn_config = { delete_fast_path = true; group_batch = false }
-let dyn_config = { delete_fast_path = false; group_batch = false }
-
 type delta = { removed : node list list; added : node list list }
 
 type t = {
   g : Digraph.t;
-  cfg : config;
+  dyn : bool; (* the DynSCC stand-in: reachability checks, no fast path *)
   obs : Obs.t;
   certs : Tarjan.cert Vec.t; (* per node *)
   comp_of : comp Vec.t;      (* per node *)
@@ -55,7 +49,6 @@ type t = {
 }
 
 let graph t = t.g
-let config t = t.cfg
 let obs t = t.obs
 
 let cert t v = Vec.get t.certs v
@@ -388,10 +381,6 @@ let resolve_violation t cu cv =
     List.iteri (fun i c -> Rank.give t.rank c labels.(n - nl + i)) affl_rest
   end
 
-let insert_inter t cu cv =
-  cadd t cu cv 1;
-  if Rank.compare_items t.rank cu cv < 0 then resolve_violation t cu cv
-
 (* ---- Deletions (IncSCC−) --------------------------------------------- *)
 
 (* The recorded run stays valid iff the deleted intra-component edge is
@@ -404,45 +393,26 @@ let cert_survives_delete t u v =
 
 (* After deleting intra-component edge (u,v), the component stays strongly
    connected iff [u] still reaches [v] inside it (paper IncSCC−: the
-   reachability check). Early-exits as soon as [v] is found. *)
+   reachability check). Early-exits as soon as [v] is found; the walk is
+   counted like any other search. *)
 let still_connected t c u v =
-  Ig_graph.Traverse.reaches ~within:(fun x -> comp_of t x = c) t.g u v
-
-let delete_intra t c u v =
-  if
-    t.cfg.delete_fast_path
-    && (not (Hashtbl.mem t.dirty c))
-    && cert_survives_delete t u v
-  then Obs.incr t.obs "fast_deletes"
-  else if still_connected t c u v then
-    (* Output unchanged; the certificate no longer reflects reality, so
-       later deletions must re-check until a recomputation refreshes it. *)
-    Hashtbl.replace t.dirty c ()
-  else recert_or_split t c
+  let work = { Ig_graph.Traverse.visited = 0; relaxed = 0 } in
+  let r =
+    Ig_graph.Traverse.reaches ~within:(fun x -> comp_of t x = c) ~work t.g u v
+  in
+  Obs.add t.obs Obs.K.nodes_visited work.visited;
+  Obs.add t.obs Obs.K.edges_relaxed work.relaxed;
+  r
 
 (* ---- Batch updates (IncSCC) ------------------------------------------ *)
 
-(* IncSCCn: one unit update at a time, in batch order, each taking the
-   paper's IncSCC+ / IncSCC− step on its own. An intra-component insertion
-   changes neither the output nor the validity of the recorded
-   certificate: the certificate is a Tarjan run over the edges present
-   when it was computed, and that edge subset already proves the component
-   strongly connected. Later deletions of *other* edges keep it valid, and
-   deleting the new edge itself can never split (the certificate does not
-   use it). So here, and in the grouped path, it only adds the edge. *)
-let apply_unit t = function
-  | Digraph.Insert (u, v) ->
-      if Digraph.add_edge t.g u v then begin
-        let cu = comp_of t u and cv = comp_of t v in
-        if cu <> cv then insert_inter t cu cv
-      end
-  | Digraph.Delete (u, v) ->
-      if Digraph.remove_edge t.g u v then begin
-        let cu = comp_of t u and cv = comp_of t v in
-        if cu <> cv then cremove t cu cv 1 else delete_intra t cu u v
-      end
-
-let apply_batch_grouped t updates =
+(* An intra-component insertion changes neither the output nor the validity
+   of the recorded certificate: the certificate is a Tarjan run over the
+   edges present when it was computed, and that edge subset already proves
+   the component strongly connected. Later deletions of *other* edges keep
+   it valid, and deleting the new edge itself can never split (the
+   certificate does not use it). So phase (a) only adds the edge. *)
+let process t updates =
   (* Classify the batch's net effect against the components at batch
      start; the phases below reorder updates, which is sound only once no
      edge is updated twice. Each class is processed newest first. *)
@@ -464,15 +434,23 @@ let apply_batch_grouped t updates =
         Hashtbl.replace del_by_comp c ((u, v) :: cur)
       end)
     intra_del;
-  (* Sorted: recert order reaches the trace via local Tarjan's aff_enter. *)
+  (* [c] was strongly connected at batch start, so under [dyn] the
+     reachability checks may run after all of this phase's edits: if every
+     deleted (u, v) still has a path u ⇝ v inside [c], each deleted edge on
+     an old path between two members can be replaced by such a path, and
+     [c] is still strongly connected. Its certificate no longer reflects
+     reality, so it is marked dirty. Sorted: recert order reaches the trace
+     via local Tarjan's aff_enter. *)
   List.iter
     (fun (c, dels) ->
-      let survives =
-        t.cfg.delete_fast_path
+      if
+        (not t.dyn)
         && (not (Hashtbl.mem t.dirty c))
         && List.for_all (fun (u, v) -> cert_survives_delete t u v) dels
-      in
-      if survives then Obs.add t.obs "fast_deletes" (List.length dels)
+      then Obs.add t.obs "fast_deletes" (List.length dels)
+      else if
+        t.dyn && List.for_all (fun (u, v) -> still_connected t c u v) dels
+      then Hashtbl.replace t.dirty c ()
       else recert_or_split t c)
     (Obs.sorted_bindings ~compare:Int.compare del_by_comp);
   (* (b) Inter-component phase: deletions first, then insertions one at a
@@ -489,50 +467,16 @@ let apply_batch_grouped t updates =
         (* Equal components mean an earlier insertion in this batch merged
            them; the merge already dirtied the certificate, so this is now
            an ordinary intra-component insertion. *)
-        if cu <> cv then insert_inter t cu cv
+        if cu <> cv then begin
+          cadd t cu cv 1;
+          if Rank.compare_items t.rank cu cv < 0 then resolve_violation t cu cv
+        end
       end)
     inter_ins
 
-(* Unit at a time, a batch can split a component and merge its parts back
-   (or the reverse), so that it ends with the members it started with
-   under a new id. That is no change: cancel both sides before the flush.
-   Only shapes of equal size can be equal, so only their members are
-   compared. The grouped path cannot do this: its splits (phase a) leave
-   strict parts of one batch-start component, and each of its merges
-   (phase b) spans several. *)
-let cancel_restored t =
-  let gained, lost = Delta_set.bindings t.delta ~compare:compare_shape in
-  let sizes side =
-    let h = Hashtbl.create 16 in
-    List.iter (fun ((_, s), _) -> Hashtbl.replace h s ()) side;
-    h
-  in
-  let gained_sizes = sizes gained and lost_sizes = sizes lost in
-  let members ms = List.sort Int.compare (members_to_list ms) in
-  let before = Hashtbl.create 16 in
-  List.iter
-    (fun (((_, s) as k), ms) ->
-      if Hashtbl.mem gained_sizes s then
-        Hashtbl.replace before (members ms) (k, ms))
-    lost;
-  List.iter
-    (fun (((_, s) as k), ms) ->
-      if Hashtbl.mem lost_sizes s then
-        match Hashtbl.find_opt before (members ms) with
-        | Some (k', ms') ->
-            Delta_set.gain t.delta k' ms';
-            Delta_set.lose t.delta k ms
-        | None -> ())
-    gained
-
 let apply_batch t updates =
   Obs.with_apply t.obs @@ fun () ->
-  Obs.with_span t.obs "scc.process" (fun () ->
-      if t.cfg.group_batch then apply_batch_grouped t updates
-      else begin
-        List.iter (apply_unit t) updates;
-        cancel_restored t
-      end);
+  Obs.with_span t.obs "scc.process" (fun () -> process t updates);
   (* Component-id order: the delta lists are consumer-visible. *)
   let added, removed =
     Delta_set.flush t.delta ~obs:t.obs ~compare:compare_shape
@@ -542,7 +486,7 @@ let apply_batch t updates =
 
 (* ---- Construction and queries ----------------------------------------- *)
 
-let init ?(config = inc_config) ?(obs = Obs.noop) g =
+let init ?(dyn = false) ?(obs = Obs.noop) g =
   Digraph.instrument ~obs g;
   let n = Digraph.n_nodes g in
   let certs = Vec.create () in
@@ -553,7 +497,7 @@ let init ?(config = inc_config) ?(obs = Obs.noop) g =
   let t =
     {
       g;
-      cfg = config;
+      dyn;
       obs;
       certs;
       comp_of = comp_vec;

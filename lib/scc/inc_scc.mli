@@ -33,34 +33,17 @@
     component dirty; its certificate is recomputed only when a later
     deletion needs it.
 
-    The same engine, differently configured, yields the paper's three
-    comparison subjects: [IncSCC] (fast path + batch grouping), [IncSCCn] (unit updates one by one), and the [DynSCC]
-    stand-in (no deletion fast path: every intra-component deletion pays a
-    reachability check inside its component even when the output is
-    stable, reproducing the paper's observation in Exp-1(3)). The check is
-    a walk no counter sees; when it succeeds the component is only marked
-    dirty, and a local recomputation runs only when it fails. *)
+    The paper's three comparison subjects are this one engine: [IncSCC]
+    is a whole batch per {!apply_batch} call, [IncSCCn] is one update per
+    call (the witness fast path, and local Tarjan when it fails), and the
+    [DynSCC] stand-in is an engine built with [~dyn:true]. It has no
+    deletion fast path: each component with intra-component deletions
+    pays a reachability check u ⇝ v inside it for every deleted (u, v),
+    even when the output is stable, reproducing the paper's observation in
+    Exp-1(3). When every check succeeds the component is only marked
+    dirty; a local recomputation runs only when one fails. *)
 
 type node = Ig_graph.Digraph.node
-
-type config = {
-  delete_fast_path : bool;
-      (** enable the O(1) non-witness deletion path *)
-  group_batch : bool;
-      (** group intra-component updates per component in {!apply_batch} *)
-}
-
-val inc_config : config
-(** IncSCC: fast path, batch grouping. *)
-
-val incn_config : config
-(** IncSCCn: like IncSCC but batches degrade to one-by-one processing. *)
-
-val dyn_config : config
-(** DynSCC stand-in: no deletion fast path, one-by-one. Every
-    intra-component deletion runs the reachability check (uncounted) and
-    then marks the component dirty; only a deletion that breaks strong
-    connectivity re-certifies it. *)
 
 type delta = {
   removed : node list list;  (** components that ceased to exist *)
@@ -73,17 +56,20 @@ type delta = {
 type t
 
 val init :
-  ?config:config ->
+  ?dyn:bool ->
   ?obs:Ig_obs.Obs.t ->
   Ig_graph.Digraph.t ->
   t
 (** Run Tarjan once and set up all auxiliary structures. The graph is owned
-    by the engine afterwards: apply updates only through it. [obs] (default
+    by the engine afterwards: apply updates only through it. [dyn]
+    (default [false]) builds the DynSCC stand-in. [obs] (default
     {!Ig_obs.Obs.noop}) receives cost counters: [aff] (nodes re-certified
     plus rank-region size — the measured |AFF|), [cert_rewrites] (nodes
     whose [num]/[lowlink] certificate was recomputed), [nodes_visited],
     [edges_relaxed] and [queue_pushes] (affected-region closures over the
-    contracted graph), [rank_moves] (rank-region size of each violation),
+    contracted graph; with [dyn], [nodes_visited] and [edges_relaxed] also
+    count the reachability checks), [rank_moves] (rank-region size of each
+    violation),
     [violations] (rank violations resolved by affected-region search),
     [fast_deletes] (intra-component deletions resolved by the O(1)
     witness check), and [changed] = |ΔG| + |ΔO| ([changed_input],
@@ -99,8 +85,6 @@ val init :
     and [Frontier_expand] per contracted-closure push (component ids). *)
 
 val graph : t -> Ig_graph.Digraph.t
-
-val config : t -> config
 
 val obs : t -> Ig_obs.Obs.t
 (** The metrics sink the engine was created with. *)

@@ -78,8 +78,7 @@ let test_tarjan_restricted () =
 
 (* ---- IncSCC ------------------------------------------------------------- *)
 
-let engine ?(config = I.inc_config) ?obs n edges =
-  I.init ~config ?obs (graph_of_edges n edges)
+let engine ?dyn ?obs n edges = I.init ?dyn ?obs (graph_of_edges n edges)
 
 (* Deletions the O(1) witness check resolved, as counted on [obs]. *)
 let fast_deletes obs = Ig_obs.Obs.counter obs "fast_deletes"
@@ -240,15 +239,15 @@ let test_inc_delta_algebra () =
     removed;
   let survived = List.filter (fun c -> not (List.mem c removed)) old_comps in
   check_comps "delta algebra" (survived @ added) (I.components t);
-  (* Unit at a time, a merge undone within the batch is no change. *)
+  (* A merge undone within the batch is no change. *)
   List.iter
-    (fun config ->
-      let t = engine ~config 2 [ (0, 1) ] in
+    (fun dyn ->
+      let t = engine ~dyn 2 [ (0, 1) ] in
       let d =
         I.apply_batch t [ Digraph.Insert (1, 0); Digraph.Delete (1, 0) ]
       in
       check comps_t "merge then split" [] (d.added @ d.removed))
-    [ I.incn_config; I.dyn_config ]
+    [ false; true ]
 
 let test_inc_configs_agree () =
   let edges = [ (0, 1); (1, 2); (2, 0); (2, 3); (3, 4); (4, 2); (5, 0) ] in
@@ -260,17 +259,18 @@ let test_inc_configs_agree () =
       Digraph.Delete (3, 4);
     ]
   in
-  let run config =
-    let t = engine ~config 6 edges in
-    ignore (I.apply_batch t batch);
+  (* IncSCC: one call; IncSCCn: one call per update; DynSCC: both. *)
+  let run ~dyn calls =
+    let t = engine ~dyn 6 edges in
+    List.iter (fun us -> ignore (I.apply_batch t us)) calls;
     assert_sound "config" t;
     norm (I.components t)
   in
-  let a = run I.inc_config in
-  let b = run I.incn_config in
-  let c = run I.dyn_config in
-  check comps_t "inc = incn" a b;
-  check comps_t "inc = dyn" a c
+  let one_by_one = List.map (fun u -> [ u ]) batch in
+  let a = run ~dyn:false [ batch ] in
+  check comps_t "inc = incn" a (run ~dyn:false one_by_one);
+  check comps_t "inc = dyn" a (run ~dyn:true [ batch ]);
+  check comps_t "inc = dyn one by one" a (run ~dyn:true one_by_one)
 
 (* ---- deletion fast-path edge cases -------------------------------------- *)
 
@@ -347,22 +347,29 @@ let test_inc_delete_fast_path_witness_count () =
 let test_inc_fast_path_disabled_in_dyn () =
   (* The DynSCC stand-in pays a reachability check instead (and marks the
      component dirty when it stays connected): same outputs, zero fast
-     deletes on the identical workload. *)
+     deletes on the identical workload. Every deletion here keeps the
+     component strongly connected, so no local Tarjan runs, and the
+     counted out-edges are the checks' own walks. *)
   let all_edges = [ (0, 1); (1, 0); (0, 2); (2, 0); (1, 2); (2, 1) ] in
-  let fast config =
-    let n = ref 0 in
+  let run dyn =
+    let fast = ref 0 and relaxed = ref 0 in
     List.iter
       (fun (u, v) ->
         let obs = Ig_obs.Obs.create () in
-        let t = engine ~config ~obs 3 all_edges in
-        ignore (I.apply_batch t [ Digraph.Delete (u, v) ]);
+        let t = engine ~dyn ~obs 3 all_edges in
+        let d = I.apply_batch t [ Digraph.Delete (u, v) ] in
+        check Alcotest.int "still strongly connected" 0
+          (List.length d.removed + List.length d.added);
         assert_sound "dense triangle delete" t;
-        n := !n + fast_deletes obs)
+        fast := !fast + fast_deletes obs;
+        relaxed := !relaxed + Ig_obs.Obs.counter obs Ig_obs.Obs.K.edges_relaxed)
       all_edges;
-    !n
+    (!fast, !relaxed)
   in
-  check Alcotest.bool "inc uses the fast path" true (fast I.inc_config >= 1);
-  check Alcotest.int "dyn never does" 0 (fast I.dyn_config)
+  check Alcotest.bool "inc uses the fast path" true (fst (run false) >= 1);
+  let fast, relaxed = run true in
+  check Alcotest.int "dyn never does" 0 fast;
+  check Alcotest.bool "dyn counts its reachability walks" true (relaxed > 0)
 
 (* ---- randomized properties --------------------------------------------- *)
 
@@ -411,32 +418,39 @@ let batch_sound t ops =
   && norm (added @ List.filter (fun c -> not (List.mem c removed)) old_comps)
      = fresh
 
-let prop_inc_matches_batch config =
-  QCheck.Test.make
-    ~name:
-      (Printf.sprintf "IncSCC(fast=%b,group=%b) == Tarjan rerun"
-         config.I.delete_fast_path config.I.group_batch)
-    ~count:300 arb_case
-    (fun (n, edges, ops) -> batch_sound (engine ~config n edges) ops)
+(* The paper's subjects, as (name, dyn, one_by_one): IncSCC takes a batch
+   in one call, IncSCCn is IncSCC called once per update, and DynSCC is
+   the [~dyn] engine, which the properties hand whole batches too. *)
+let calls ~one_by_one ops =
+  if one_by_one then List.map (fun op -> [ op ]) ops else [ ops ]
 
-let prop_inc_many_batches (name, config) =
+let prop_inc_matches_batch (name, dyn, one_by_one) =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "%s == Tarjan rerun" name)
+    ~count:300 arb_case
+    (fun (n, edges, ops) ->
+      let t = engine ~dyn n edges in
+      List.for_all (batch_sound t) (calls ~one_by_one ops))
+
+let prop_inc_many_batches (name, dyn, one_by_one) =
   QCheck.Test.make
     ~name:(Printf.sprintf "%s stays sound across successive batches" name)
     ~count:150
     QCheck.(pair arb_case (pair arb_case arb_case))
     (fun ((n, edges, ops1), ((_, _, ops2), (_, _, ops3))) ->
       let clamp = List.map (fun (i, (u, v)) -> (i, (u mod n, v mod n))) in
-      let t = engine ~config n edges in
-      List.for_all (batch_sound t) [ ops1; clamp ops2; clamp ops3 ])
+      let t = engine ~dyn n edges in
+      List.for_all (batch_sound t)
+        (List.concat_map (calls ~one_by_one) [ ops1; clamp ops2; clamp ops3 ]))
 
-(* Unit updates as singleton batches: under [inc_config] through the
-   grouped path, under [incn_config] through the one-by-one path. *)
-let prop_unit_updates (name, config) =
+(* Unit updates as singleton batches, with [check_invariants] after
+   each. *)
+let prop_unit_updates (name, dyn) =
   QCheck.Test.make
     ~name:(Printf.sprintf "unit insert/delete keep engine sound (%s)" name)
     ~count:200 arb_case
     (fun (n, edges, ops) ->
-      let t = engine ~config n edges in
+      let t = engine ~dyn n edges in
       List.iter
         (fun up ->
           ignore (I.apply_batch t [ up ]);
@@ -501,12 +515,19 @@ let () =
       ( "inc properties",
         qsuite
           [
-            prop_inc_matches_batch I.inc_config;
-            prop_inc_matches_batch I.incn_config;
-            prop_inc_matches_batch I.dyn_config;
-            prop_inc_many_batches ("IncSCC", I.inc_config);
-            prop_inc_many_batches ("IncSCCn", I.incn_config);
-            prop_unit_updates ("IncSCC", I.inc_config);
-            prop_unit_updates ("IncSCCn", I.incn_config);
+            (* Named by witness fast path and grouping: IncSCC, IncSCCn
+               and DynSCC. DynSCC gets whole batches here and one update
+               per call in [prop_unit_updates]. *)
+            prop_inc_matches_batch
+              ("IncSCC(fast=true,group=true)", false, false);
+            prop_inc_matches_batch
+              ("IncSCC(fast=true,group=false)", false, true);
+            prop_inc_matches_batch
+              ("IncSCC(fast=false,group=false)", true, false);
+            prop_inc_many_batches ("IncSCC", false, false);
+            prop_inc_many_batches ("IncSCCn", false, true);
+            prop_unit_updates ("IncSCC", false);
+            prop_unit_updates ("IncSCCn", false);
+            prop_unit_updates ("DynSCC", true);
           ] );
     ]
