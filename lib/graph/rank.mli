@@ -1,8 +1,10 @@
 (** Order-maintenance labels for topological ranks.
 
-    IncSCC (paper Section 5.3) keeps a topological rank [r] on the nodes of
-    the contracted graph [Gc] with the invariant [r(a) > r(b)] for every edge
-    [(a,b)]. Three operations disturb the rank set:
+    IncSCC (paper Section 5.3) keeps a topological rank [r] on its
+    components, the nodes of the contracted graph [Gc], with the invariant
+    [r(a) > r(b)] for every contracted edge [(a,b)]. IncSCC does not store
+    [Gc]; it reads contracted edges off the graph, so this module only
+    orders component ids. Three operations disturb the rank set:
 
     - {b reallocation} after an edge insertion (Pearce–Kelly style): a set of
       existing labels is permuted among the affected nodes;
@@ -16,7 +18,7 @@
     until the next mutating operation. *)
 
 type item = int
-(** Caller-chosen identifiers (e.g. contracted-graph node ids). *)
+(** Caller-chosen identifiers (e.g. component ids). *)
 
 type t
 

@@ -32,13 +32,14 @@ type t = {
   obs : Obs.t;
   certs : Tarjan.cert Vec.t; (* per node *)
   comp_of : comp Vec.t;      (* per node *)
+  (* Per node: its edges that leave (enter) its component. The contracted
+     graph Gc is not stored; a closure reads it off G through [comp_of],
+     and these counters let it skip members with no edge out of (into)
+     their component. *)
+  ext_out : int Vec.t;
+  ext_in : int Vec.t;
   members : (comp, members) Hashtbl.t;
   msize : (comp, int) Hashtbl.t;
-  (* Union-find over component ids: merges link old ids to the new one
-     instead of rewriting per-node ownership (which would cost O(|scc|)). *)
-  dsu : (comp, comp) Hashtbl.t;
-  csucc : (comp, (comp, int) Hashtbl.t) Hashtbl.t;
-  cpred : (comp, (comp, int) Hashtbl.t) Hashtbl.t;
   rank : Rank.t;
   dirty : (comp, unit) Hashtbl.t;
   mutable next_comp : comp;
@@ -53,54 +54,26 @@ let obs t = t.obs
 
 let cert t v = Vec.get t.certs v
 
-let rec dsu_find t c =
-  match Hashtbl.find_opt t.dsu c with
-  | None -> c
-  | Some p ->
-      let root = dsu_find t p in
-      if root <> p then Hashtbl.replace t.dsu c root;
-      root
+let comp_of t v = Vec.get t.comp_of v
 
-let comp_of t v = dsu_find t (Vec.get t.comp_of v)
+let bump vec v k = Vec.set vec v (Vec.get vec v + k)
 
-let members_of t c =
-  match Hashtbl.find_opt t.members c with
-  | Some ms -> ms
-  | None -> invalid_arg "Inc_scc: retired component"
+(* Edge (u, v) starts (k = 1) or stops (k = -1) crossing components. *)
+let bump_ext t u v k =
+  bump t.ext_out u k;
+  bump t.ext_in v k
 
-let size_of t c =
-  match Hashtbl.find_opt t.msize c with
-  | Some n -> n
-  | None -> invalid_arg "Inc_scc: retired component"
-
-let adj tbl c =
+let find_live tbl c =
   match Hashtbl.find_opt tbl c with
-  | Some h -> h
-  | None ->
-      let h = Hashtbl.create 4 in
-      Hashtbl.replace tbl c h;
-      h
+  | Some x -> x
+  | None -> invalid_arg "Inc_scc: retired component"
 
-let cadd t cu cv k =
-  let bump tbl a b =
-    let h = adj tbl a in
-    Hashtbl.replace h b (k + Option.value ~default:0 (Hashtbl.find_opt h b))
-  in
-  bump t.csucc cu cv;
-  bump t.cpred cv cu
-
-let cremove t cu cv k =
-  let drop tbl a b =
-    let h = adj tbl a in
-    let n = Option.value ~default:0 (Hashtbl.find_opt h b) - k in
-    if n > 0 then Hashtbl.replace h b n else Hashtbl.remove h b
-  in
-  drop t.csucc cu cv;
-  drop t.cpred cv cu
+let members_of t c = find_live t.members c
+let size_of t c = find_live t.msize c
 
 (* Allocate a component holding the node list [ms]; updates per-node
    ownership (used at init and splits, where the list is within AFF
-   anyway). The caller is responsible for ranks, contracted adjacency and
+   anyway). The caller is responsible for ranks, external degrees and
    ΔO. *)
 let alloc_comp t ms =
   let c = t.next_comp in
@@ -123,8 +96,6 @@ let retire_comp t c =
   lose_comp t c;
   Hashtbl.remove t.members c;
   Hashtbl.remove t.msize c;
-  Hashtbl.remove t.csucc c;
-  Hashtbl.remove t.cpred c;
   Hashtbl.remove t.dirty c
 
 (* Recompute the certificate of component [c] by a local Tarjan run on its
@@ -142,13 +113,15 @@ let local_tarjan t c =
           (Tracer.Aff_enter { node = v; rule = Tracer.Scc_local_tarjan }))
       ms;
   Obs.add t.obs Obs.K.cert_rewrites n;
-  Obs.add t.obs Obs.K.nodes_visited n;
+  let work = { Ig_graph.Traverse.visited = 0; relaxed = 0 } in
   let groups =
-    Tarjan.run_with_cert t.g
+    Tarjan.run_with_cert ~work t.g
       ~restrict:(fun v -> comp_of t v = c)
       ~nodes:ms
       ~cert:(cert t)
   in
+  Obs.add t.obs Obs.K.nodes_visited work.visited;
+  Obs.add t.obs Obs.K.edges_relaxed work.relaxed;
   if Obs.tracing t.obs then
     Obs.cert_rewrite t.obs ~node:c ~field:"certificate"
       ~before:(Printf.sprintf "comp=%d size=%d" c n)
@@ -157,35 +130,6 @@ let local_tarjan t c =
 
 (* ---- Splits (IncSCC−, slow path) ------------------------------------- *)
 
-(* Rebuild contracted adjacency after replacing [c] by [parts]. *)
-let rewire_split t c parts =
-  (* Purge the external references to [c]. Order-free: removals commute. *)
-  (Hashtbl.iter [@lint.allow "D2"])
-    (fun d _ -> Hashtbl.remove (adj t.cpred d) c)
-    (adj t.csucc c);
-  (Hashtbl.iter [@lint.allow "D2"])
-    (fun a _ -> Hashtbl.remove (adj t.csucc a) c)
-    (adj t.cpred c);
-  let part_set = Hashtbl.create 8 in
-  List.iter (fun p -> Hashtbl.replace part_set p ()) parts;
-  List.iter
-    (fun p ->
-      iter_members
-        (fun m ->
-          Digraph.iter_succ
-            (fun w ->
-              let d = comp_of t w in
-              if d <> p then cadd t p d 1)
-            t.g m;
-          Digraph.iter_pred
-            (fun a ->
-              let ca = comp_of t a in
-              (* Part-to-part edges were counted from the successor side. *)
-              if ca <> p && not (Hashtbl.mem part_set ca) then cadd t ca p 1)
-            t.g m)
-        (members_of t p))
-    parts
-
 (* Re-certify component [c] (after intra-component deletions and/or when
    dirty) and split it if strong connectivity broke. *)
 let recert_or_split t c =
@@ -193,32 +137,67 @@ let recert_or_split t c =
   | [] -> assert false
   | [ _ ] -> Hashtbl.remove t.dirty c
   | parts_members ->
-      (* Fresh ids; ownership moves before adjacency is rebuilt. *)
+      (* Fresh ids, all at least [first]: an edge of [c] now crosses
+         components iff it joins two different parts. *)
+      let first = t.next_comp in
       let parts = List.map (fun ms -> alloc_comp t ms) parts_members in
+      let relaxed = ref 0 in
+      List.iter
+        (List.iter (fun m ->
+             let p = comp_of t m in
+             Digraph.iter_succ
+               (fun w ->
+                 incr relaxed;
+                 let d = comp_of t w in
+                 if d <> p && d >= first then bump_ext t m w 1)
+               t.g m))
+        parts_members;
+      Obs.add t.obs Obs.K.edges_relaxed !relaxed;
       List.iter (gain_comp t) parts;
       (* [parts] is sinks-first, which is ascending rank order. *)
       Rank.split t.rank c ~parts;
-      (* Adjacency rebuild must happen while [c]'s tables still exist. *)
-      rewire_split t c parts;
       retire_comp t c
 
 (* ---- Insertions (IncSCC+) -------------------------------------------- *)
 
 (* Merge components in time proportional to the smaller sides: the id of
-   the component with the largest contracted adjacency is reused, the
-   others' members, ownership (via union-find) and adjacency are folded
-   into it, so a chain of merges into a hub costs the sum of the small
-   sides, not |hub| per step. Returns the surviving id. *)
+   the component with the most members is reused, and the others' members
+   move into it, so a chain of merges into a hub costs the sum of the
+   small sides, not |hub| per step. Returns the surviving id. *)
 let merge_comps t cs =
-  let weight c =
-    Hashtbl.length (adj t.csucc c) + Hashtbl.length (adj t.cpred c)
-  in
   let big =
     List.fold_left
-      (fun b c -> if weight c > weight b then c else b)
+      (fun b c -> if size_of t c > size_of t b then c else b)
       (List.hd cs) cs
   in
   let others = List.filter (fun c -> c <> big) cs in
+  let in_set = Hashtbl.create 8 in
+  List.iter (fun c -> Hashtbl.replace in_set c ()) cs;
+  (* Edges between merged components stop crossing. Each is seen once:
+     from its source when that is on a smaller side, else (the source is
+     in [big]) from its target; members with no such edge are skipped.
+     Ownership moves only afterwards. *)
+  let relaxed = ref 0 in
+  List.iter
+    (fun c ->
+      iter_members
+        (fun m ->
+          if Vec.get t.ext_out m > 0 then
+            Digraph.iter_succ
+              (fun w ->
+                incr relaxed;
+                let d = comp_of t w in
+                if d <> c && Hashtbl.mem in_set d then bump_ext t m w (-1))
+              t.g m;
+          if Vec.get t.ext_in m > 0 then
+            Digraph.iter_pred
+              (fun a ->
+                incr relaxed;
+                if comp_of t a = big then bump_ext t a m (-1))
+              t.g m)
+        (members_of t c))
+    others;
+  Obs.add t.obs Obs.K.edges_relaxed !relaxed;
   let rope =
     List.fold_left
       (fun acc c -> Cat (acc, members_of t c))
@@ -231,48 +210,28 @@ let merge_comps t cs =
     (List.fold_left (fun n c -> n + size_of t c) (size_of t big) others);
   Hashtbl.replace t.members big rope;
   gain_comp t big;
-  List.iter (fun c -> Hashtbl.replace t.dsu c big) others;
-  let in_set = Hashtbl.create 8 in
-  List.iter (fun c -> Hashtbl.replace in_set c ()) cs;
-  (* Contracted edges from [big] into the merge set become internal. *)
   List.iter
     (fun c ->
-      Hashtbl.remove (adj t.csucc big) c;
-      Hashtbl.remove (adj t.cpred big) c)
-    others;
-  let bump h k cnt =
-    Hashtbl.replace h k (cnt + Option.value ~default:0 (Hashtbl.find_opt h k))
-  in
-  List.iter
-    (fun c ->
-      (* Order-free: counter merges and removals commute. *)
-      (Hashtbl.iter [@lint.allow "D2"])
-        (fun d cnt ->
-          Hashtbl.remove (adj t.cpred d) c;
-          if not (Hashtbl.mem in_set d) then begin
-            bump (adj t.csucc big) d cnt;
-            bump (adj t.cpred d) big cnt
-          end)
-        (adj t.csucc c);
-      (Hashtbl.iter [@lint.allow "D2"])
-        (fun a cnt ->
-          Hashtbl.remove (adj t.csucc a) c;
-          if not (Hashtbl.mem in_set a) then begin
-            bump (adj t.cpred big) a cnt;
-            bump (adj t.csucc a) big cnt
-          end)
-        (adj t.cpred c);
-      (* Retire the folded component (its members moved to [big]). *)
+      iter_members (fun m -> Vec.set t.comp_of m big) (members_of t c);
       retire_comp t c)
     others;
   Hashtbl.replace t.dirty big ();
   big
 
-(* Rank-windowed closure over the contracted graph. *)
-let cclosure t ~dir ~keep start =
-  let tbl = match dir with `F -> t.csucc | `B -> t.cpred in
+(* Rank-windowed closure over the contracted graph, read off G: the
+   contracted successors (predecessors) of a component are the components
+   of its members' G successors (predecessors), and only members with an
+   edge leaving (entering) the component are scanned. Also reports whether
+   [start] has a contracted edge into [target]. *)
+let cclosure t ~dir ~keep ?(target = -1) start =
+  let ext, iter =
+    match dir with
+    | `F -> (t.ext_out, Digraph.iter_succ)
+    | `B -> (t.ext_in, Digraph.iter_pred)
+  in
   let seen = Hashtbl.create 16 in
   let stack = Stack.create () in
+  let hit = ref false and relaxed = ref 0 in
   if keep start then begin
     Hashtbl.replace seen start ();
     Stack.push start stack
@@ -280,19 +239,31 @@ let cclosure t ~dir ~keep start =
   while not (Stack.is_empty stack) do
     let c = Stack.pop stack in
     Obs.incr t.obs Obs.K.nodes_visited;
+    let next = ref [] in
+    iter_members
+      (fun m ->
+        if Vec.get ext m > 0 then
+          iter
+            (fun w ->
+              incr relaxed;
+              let d = comp_of t w in
+              if d <> c then next := d :: !next)
+            t.g m)
+      (members_of t c);
+    if c = start && List.mem target !next then hit := true;
     (* Sorted: the expansion order reaches the trace via frontier_expand. *)
     List.iter
-      (fun (d, _) ->
-        Obs.incr t.obs Obs.K.edges_relaxed;
+      (fun d ->
         if (not (Hashtbl.mem seen d)) && keep d then begin
           Hashtbl.replace seen d ();
           (* "node" here is a component id — the unit ranks live on. *)
           Obs.frontier_expand t.obs ~node:d;
           Stack.push d stack
         end)
-      (Obs.sorted_bindings ~compare:Int.compare (adj tbl c))
+      (List.sort_uniq Int.compare !next)
   done;
-  seen
+  Obs.add t.obs Obs.K.edges_relaxed !relaxed;
+  (seen, !hit)
 
 (* Restore the rank invariant after inserting contracted edge (cu, cv) with
    r(cu) < r(cv): paper Fig. 7 lines 4-9.
@@ -312,20 +283,17 @@ let cclosure t ~dir ~keep start =
    edge into or out of the region can become violated. *)
 let resolve_violation t cu cv =
   let r_cu = Rank.value t.rank cu and r_cv = Rank.value t.rank cv in
-  let affr =
-    cclosure t ~dir:`F ~keep:(fun c -> Rank.value t.rank c > r_cu) cv
+  let affr, direct_back_edge =
+    cclosure t ~dir:`F ~keep:(fun c -> Rank.value t.rank c > r_cu) ~target:cu
+      cv
   in
-  let affl =
+  let affl, _ =
     cclosure t ~dir:`B ~keep:(fun c -> Rank.value t.rank c < r_cv) cu
   in
   let elements tbl =
     List.map fst (Obs.sorted_bindings ~compare:Int.compare tbl)
   in
-  let by_old_rank cs =
-    List.sort
-      (fun a b -> Int.compare (Rank.value t.rank a) (Rank.value t.rank b))
-      cs
-  in
+  let by_old_rank = List.sort (Rank.compare_items t.rank) in
   let affr_l = elements affr and affl_l = elements affl in
   let inter = List.filter (fun c -> Hashtbl.mem affl c) affr_l in
   let region_size = Hashtbl.length affr + Hashtbl.length affl in
@@ -341,7 +309,6 @@ let resolve_violation t cu cv =
       if Hashtbl.mem affr c then Obs.incr t.obs Obs.K.aff
       else Obs.aff_enter t.obs ~node:c ~rule:Tracer.Scc_rank_swap)
     affl_l;
-  let direct_back_edge = Hashtbl.mem (adj t.csucc cv) cu in
   if inter = [] && not direct_back_edge then begin
     if Obs.tracing t.obs then
       Obs.cert_rewrite t.obs ~node:cu ~field:"rank"
@@ -457,8 +424,7 @@ let process t updates =
      time (each restores the rank invariant before the next is added). *)
   List.iter
     (fun (u, v) ->
-      if Digraph.remove_edge t.g u v then
-        cremove t (comp_of t u) (comp_of t v) 1)
+      if Digraph.remove_edge t.g u v then bump_ext t u v (-1))
     inter_del;
   List.iter
     (fun (u, v) ->
@@ -468,7 +434,7 @@ let process t updates =
            them; the merge already dirtied the certificate, so this is now
            an ordinary intra-component insertion. *)
         if cu <> cv then begin
-          cadd t cu cv 1;
+          bump_ext t u v 1;
           if Rank.compare_items t.rank cu cv < 0 then resolve_violation t cu cv
         end
       end)
@@ -493,19 +459,18 @@ let init ?(dyn = false) ?(obs = Obs.noop) g =
   for _ = 1 to n do
     ignore (Vec.push certs (Tarjan.fresh_cert ()))
   done;
-  let comp_vec = if n = 0 then Vec.create () else Vec.make n (-1) in
+  let per_node x = if n = 0 then Vec.create () else Vec.make n x in
   let t =
     {
       g;
       dyn;
       obs;
       certs;
-      comp_of = comp_vec;
+      comp_of = per_node (-1);
+      ext_out = per_node 0;
+      ext_in = per_node 0;
       members = Hashtbl.create 64;
       msize = Hashtbl.create 64;
-      dsu = Hashtbl.create 64;
-      csucc = Hashtbl.create 64;
-      cpred = Hashtbl.create 64;
       rank = Rank.create ();
       dirty = Hashtbl.create 16;
       next_comp = 0;
@@ -531,9 +496,7 @@ let init ?(dyn = false) ?(obs = Obs.noop) g =
       Rank.insert_top t.rank c)
     groups;
   Digraph.iter_edges
-    (fun u v ->
-      let cu = comp_of t u and cv = comp_of t v in
-      if cu <> cv then cadd t cu cv 1)
+    (fun u v -> if comp_of t u <> comp_of t v then bump_ext t u v 1)
     g;
   t
 
@@ -577,50 +540,32 @@ let check_invariants t =
   in
   if norm (components t) <> norm (Tarjan.scc t.g) then
     fail "components disagree with batch Tarjan";
-  (* Contracted counters match the graph. *)
-  let expected = Hashtbl.create 64 in
+  (* External degrees match the graph, and ranks strictly decrease along
+     contracted edges. *)
+  let n = Digraph.n_nodes t.g in
+  let out = Array.make n 0 and inn = Array.make n 0 in
   Digraph.iter_edges
     (fun u v ->
       let cu = comp_of t u and cv = comp_of t v in
-      if cu <> cv then
-        Hashtbl.replace expected (cu, cv)
-          (1 + Option.value ~default:0 (Hashtbl.find_opt expected (cu, cv))))
+      if cu <> cv then begin
+        out.(u) <- out.(u) + 1;
+        inn.(v) <- inn.(v) + 1;
+        if Rank.compare_items t.rank cu cv <= 0 then
+          fail "rank invariant violated on (%d,%d)" cu cv
+      end)
     t.g;
-  (Hashtbl.iter [@lint.allow "D2"])
-    (fun c h ->
-      (Hashtbl.iter [@lint.allow "D2"])
-        (fun d cnt ->
-          if Option.value ~default:0 (Hashtbl.find_opt expected (c, d)) <> cnt
-          then fail "csucc counter (%d,%d)=%d wrong" c d cnt)
-        h)
-    t.csucc;
-  (Hashtbl.iter [@lint.allow "D2"])
-    (fun (c, d) cnt ->
-      let got =
-        Option.value ~default:0 (Hashtbl.find_opt (adj t.csucc c) d)
-      in
-      if got <> cnt then fail "csucc missing (%d,%d)" c d;
-      let got' =
-        Option.value ~default:0 (Hashtbl.find_opt (adj t.cpred d) c)
-      in
-      if got' <> cnt then fail "cpred missing (%d,%d)" c d)
-    expected;
-  (* Ranks strictly decrease along contracted edges. *)
-  (Hashtbl.iter [@lint.allow "D2"])
-    (fun c h ->
-      (Hashtbl.iter [@lint.allow "D2"])
-        (fun d _ ->
-          if Rank.compare_items t.rank c d <= 0 then
-            fail "rank invariant violated on (%d,%d)" c d)
-        h)
-    t.csucc
+  for v = 0 to n - 1 do
+    if Vec.get t.ext_out v <> out.(v) || Vec.get t.ext_in v <> inn.(v) then
+      fail "external degrees of node %d drifted" v
+  done
+
+(* Live components, ascending rank (sinks first). *)
+let by_rank t =
+  List.sort (Rank.compare_items t.rank)
+    (List.map fst (Obs.sorted_bindings ~compare:Int.compare t.members))
 
 let contracted t =
-  let comps =
-    List.sort
-      (fun a b -> Int.compare (Rank.value t.rank a) (Rank.value t.rank b))
-      (List.map fst (Obs.sorted_bindings ~compare:Int.compare t.members))
-  in
+  let comps = by_rank t in
   let gc = Ig_graph.Digraph.create ~hint:(List.length comps) () in
   let index = Hashtbl.create 64 in
   let members =
@@ -632,22 +577,22 @@ let contracted t =
            members_to_list (members_of t c))
          comps)
   in
-  (* Order-free: edge-set insertion commutes; gc iteration is sorted. *)
-  (Hashtbl.iter [@lint.allow "D2"])
-    (fun c h ->
-      let cid = Hashtbl.find index c in
-      (Hashtbl.iter [@lint.allow "D2"])
-        (fun d _ ->
-          ignore (Ig_graph.Digraph.add_edge gc cid (Hashtbl.find index d)))
-        h)
-    t.csucc;
+  Digraph.iter_edges
+    (fun u v ->
+      let cu = comp_of t u and cv = comp_of t v in
+      if cu <> cv then
+        ignore
+          (Ig_graph.Digraph.add_edge gc (Hashtbl.find index cu)
+             (Hashtbl.find index cv)))
+    t.g;
   (gc, members)
 
 (* Canonical text dump of the live state. The cert section is documented
    evidence, not a correctness carrier: lazily maintained Tarjan certs are
    history-dependent, so recovery re-derives them by replay rather than
    trusting these bytes. Sorted iteration keeps the dump hash-seed
-   independent. *)
+   independent. The contracted edges are not dumped: they follow from the
+   comp section and the graph. *)
 let cert_snapshot t =
   let n = Ig_graph.Digraph.n_nodes t.g in
   let comp = Buffer.create 128 in
@@ -667,38 +612,12 @@ let cert_snapshot t =
       (Printf.sprintf "v%d num=%d low=%d parent=%d witness=%s\n" v
          c.Tarjan.num c.Tarjan.lowlink c.Tarjan.parent w)
   done;
-  let live =
-    List.filter
-      (fun c -> dsu_find t c = c)
-      (List.map fst (Obs.sorted_bindings ~compare:Int.compare t.members))
-  in
   let rk = Buffer.create 64 in
   List.iter
     (fun c -> Buffer.add_string rk (Printf.sprintf "c%d\n" c))
-    (List.sort (Rank.compare_items t.rank)
-       (List.filter (Rank.mem t.rank) live));
-  let cs = Buffer.create 128 in
-  List.iter
-    (fun c ->
-      match Hashtbl.find_opt t.csucc c with
-      | None -> ()
-      | Some h ->
-          let counts = Hashtbl.create 8 in
-          List.iter
-            (fun (d, k) ->
-              let d = dsu_find t d in
-              if d <> c then
-                Hashtbl.replace counts d
-                  (k + Option.value ~default:0 (Hashtbl.find_opt counts d)))
-            (Obs.sorted_bindings ~compare:Int.compare h);
-          List.iter
-            (fun (d, k) ->
-              Buffer.add_string cs (Printf.sprintf "c%d -> c%d x%d\n" c d k))
-            (Obs.sorted_bindings ~compare:Int.compare counts))
-    live;
+    (by_rank t);
   [
     ("comp", Buffer.contents comp);
     ("cert", Buffer.contents cb);
     ("ranks", Buffer.contents rk);
-    ("csucc", Buffer.contents cs);
   ]

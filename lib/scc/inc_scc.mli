@@ -1,25 +1,28 @@
 (** Incremental strongly connected components (paper Section 5.3).
 
     Incrementalizes Tarjan's algorithm relative to its inspected data: the
-    [num]/[lowlink] certificates, plus a contracted graph [Gc] whose nodes
-    are components, whose edges carry multiplicity counters, and whose nodes
-    hold topological ranks satisfying [r(a) > r(b)] for every edge [(a,b)]
-    (the invariant of [43] the paper capitalizes on).
+    [num]/[lowlink] certificates, plus topological ranks on the nodes of
+    the contracted graph [Gc] (one node per component) satisfying
+    [r(a) > r(b)] for every contracted edge [(a,b)] (the invariant of [43]
+    the paper capitalizes on). [Gc] is derived, not stored: its edges are
+    read off G through the node-to-component map, and per-node counts of
+    the edges that leave or enter the node's component let a search skip
+    members with no contracted edge.
 
     - {b Insertion} ([IncSCC+], paper Fig. 7): an intra-component edge never
       changes the output; an inter-component edge with consistent ranks only
-      bumps a counter; otherwise the affected area — the rank-windowed
-      forward closure from [scc(w)] and backward closure from [scc(v)] — is
-      searched, Tarjan runs on that region of [Gc], cycles are merged, and
-      ranks are reallocated Pearce–Kelly style among the region's existing
-      labels.
-    - {b Deletion} ([IncSCC−]): an inter-component edge only decrements a
-      counter. For an intra-component edge, the recorded Tarjan run remains
-      a verbatim certificate whenever the edge is neither a DFS tree arc nor
-      any node's lowlink witness — an O(1) fast path; otherwise Tarjan runs
-      locally on the component's induced subgraph, splitting it when
-      strong connectivity broke and threading fresh ranks into the retired
-      component's slot.
+      bumps its endpoints' external degrees; otherwise the affected area —
+      the rank-windowed forward closure from [scc(w)] and backward closure
+      from [scc(v)] — is searched, the components on a cycle through the
+      new edge are merged, and ranks are reallocated Pearce–Kelly style
+      among the region's existing labels.
+    - {b Deletion} ([IncSCC−]): an inter-component edge only decrements its
+      endpoints' external degrees. For an intra-component edge, the
+      recorded Tarjan run remains a verbatim certificate whenever the edge
+      is neither a DFS tree arc nor any node's lowlink witness — an O(1)
+      fast path; otherwise Tarjan runs locally on the component's induced
+      subgraph, splitting it when strong connectivity broke and threading
+      fresh ranks into the retired component's slot.
     - {b Batch} ([IncSCC]): intra-component updates are grouped so local
       Tarjan runs at most once per affected component; inter-component
       deletions are applied before insertions; insertions restore the rank
@@ -65,11 +68,13 @@ val init :
     (default [false]) builds the DynSCC stand-in. [obs] (default
     {!Ig_obs.Obs.noop}) receives cost counters: [aff] (nodes re-certified
     plus rank-region size — the measured |AFF|), [cert_rewrites] (nodes
-    whose [num]/[lowlink] certificate was recomputed), [nodes_visited],
-    [edges_relaxed] and [queue_pushes] (affected-region closures over the
-    contracted graph; with [dyn], [nodes_visited] and [edges_relaxed] also
-    count the reachability checks), [rank_moves] (rank-region size of each
-    violation),
+    whose [num]/[lowlink] certificate was recomputed), [nodes_visited]
+    (components visited by affected-region closures, nodes visited by
+    local Tarjan and, with [dyn], by the reachability checks),
+    [edges_relaxed] (every G edge scanned: by the closures, by local
+    Tarjan, by the external-degree upkeep of merges and splits and, with
+    [dyn], by the reachability checks), [queue_pushes] (closure pushes),
+    [rank_moves] (rank-region size of each violation),
     [violations] (rank violations resolved by affected-region search),
     [fast_deletes] (intra-component deletions resolved by the O(1)
     witness check), and [changed] = |ΔG| + |ΔO| ([changed_input],
@@ -103,12 +108,12 @@ val same_component : t -> node -> node -> bool
 
 val check_invariants : t -> unit
 (** Test hook. Verifies: components agree with a from-scratch Tarjan run;
-    member/ownership tables are mutually consistent; contracted-graph
-    counters match the underlying graph; ranks strictly decrease along
-    contracted edges. @raise Failure describing the first violation. *)
+    member/ownership tables are mutually consistent; per-node external
+    degrees match the graph; ranks strictly decrease along contracted
+    edges. @raise Failure describing the first violation. *)
 
 val contracted : t -> Ig_graph.Digraph.t * node list array
-(** Export the current contracted graph [Gc] as a fresh digraph: one node
+(** Build the current contracted graph [Gc] from G as a fresh digraph: one node
     per component, labeled ["scc"], created in ascending topological rank
     (so node ids are a reverse topological order of the condensation —
     sinks first — and every edge goes from a higher id to a lower one).
@@ -116,8 +121,8 @@ val contracted : t -> Ig_graph.Digraph.t * node list array
 
 val cert_snapshot : t -> (string * string) list
 (** Certificate dump ([cert_snapshot]): per-node component ids and Tarjan
-    certificates, the topological rank order of live components, and the
-    contracted edge multiset, as named canonical-text sections (hash-seed
-    independent). The cert section is evidence for inspection: lazily
+    certificates, and the topological rank order of live components, as
+    named canonical-text sections (hash-seed independent). The contracted
+    edges follow from the component ids and the graph. The cert section is evidence for inspection: lazily
     maintained certificates are history-dependent, so recovery replays the
     journal instead of trusting it. *)

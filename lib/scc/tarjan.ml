@@ -18,7 +18,10 @@ type cert = {
 let fresh_cert () =
   { num = -1; lowlink = -1; parent = -1; witness = Wself; on_stack = false }
 
-let run_generic ~succ ~restrict ~nodes ~cert =
+(* Successors come in ascending order: the DFS order decides certificate
+   parents/witnesses and component member order, which reach traces and
+   user-visible output. *)
+let run_with_cert ?work g ~restrict ~nodes ~cert =
   List.iter
     (fun v ->
       let c = cert v in
@@ -39,7 +42,12 @@ let run_generic ~succ ~restrict ~nodes ~cert =
     c.on_stack <- true;
     tarjan_stack := v :: !tarjan_stack;
     let succs = ref [] in
-    succ v (fun w -> if restrict w then succs := w :: !succs);
+    Digraph.iter_succ (fun w -> if restrict w then succs := w :: !succs) g v;
+    (match work with
+    | Some (w : Ig_graph.Traverse.work) ->
+        w.visited <- w.visited + 1;
+        w.relaxed <- w.relaxed + Digraph.out_degree g v
+    | None -> ());
     Stack.push (v, c, succs) frames
   in
   let visit_root v =
@@ -86,14 +94,6 @@ let run_generic ~succ ~restrict ~nodes ~cert =
   in
   List.iter visit_root nodes;
   List.rev !sccs
-
-(* Successors come in ascending order: the DFS order decides certificate
-   parents/witnesses and component member order, which reach traces and
-   user-visible output. *)
-let run_with_cert g ~restrict ~nodes ~cert =
-  run_generic
-    ~succ:(fun v f -> Digraph.iter_succ f g v)
-    ~restrict ~nodes ~cert
 
 let scc g =
   let n = Digraph.n_nodes g in

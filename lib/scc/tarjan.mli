@@ -15,7 +15,9 @@
     The witness is what makes intra-component edge deletions O(1) when the
     deleted edge is neither a tree arc nor anyone's lowlink witness: the
     recorded run is then verbatim a valid run on the smaller graph, so the
-    component structure is unchanged (IncSCC−'s fast path).
+    component structure is unchanged (IncSCC−'s fast path). IncSCC runs
+    Tarjan on G only: once at init, and on one component's induced
+    subgraph when a deletion defeats the fast path.
 
     All traversal is iterative — no stack-depth limits on deep graphs.
     Components are returned in reverse topological order of the condensation
@@ -43,6 +45,7 @@ val scc : Ig_graph.Digraph.t -> node list list
 (** All strongly connected components, sinks first. *)
 
 val run_with_cert :
+  ?work:Ig_graph.Traverse.work ->
   Ig_graph.Digraph.t ->
   restrict:(node -> bool) ->
   nodes:node list ->
@@ -52,14 +55,6 @@ val run_with_cert :
     used as a DFS root candidate; successors failing [restrict] are skipped),
     filling the given certificate records. [num] is reset for all listed
     nodes first, so stale certificates are overwritten. Components are
-    returned sinks-first, as in {!scc}. *)
-
-val run_generic :
-  succ:(int -> (int -> unit) -> unit) ->
-  restrict:(int -> bool) ->
-  nodes:int list ->
-  cert:(int -> cert) ->
-  int list list
-(** The same algorithm over an abstract successor relation. IncSCC uses it
-    to run Tarjan on regions of the contracted graph (paper Fig. 7, line 6)
-    without materializing them as a {!Ig_graph.Digraph.t}. *)
+    returned sinks-first, as in {!scc}. [work], when given, is incremented
+    by the nodes the run visits and every out-edge it scans, restricted
+    or not. *)

@@ -371,6 +371,31 @@ let test_inc_fast_path_disabled_in_dyn () =
   check Alcotest.int "dyn never does" 0 fast;
   check Alcotest.bool "dyn counts its reachability walks" true (relaxed > 0)
 
+(* A closure that crosses a large component scans only its members with an
+   edge leaving (or entering) it, not its internal edges. C = nodes 2..k+1
+   is a dense strongly connected component entered only at node 2 and left
+   only at node k+1; singletons 0 -> C -> 1. Inserting 1 -> 0 violates the
+   ranks with C inside the window, and merges all three. *)
+let test_inc_closure_skips_internal_edges () =
+  let k = 200 in
+  let member i = 2 + (i mod k) in
+  let internal =
+    List.concat_map
+      (fun i -> [ (member i, member (i + 1)); (member i, member (i + 7)) ])
+      (List.init k Fun.id)
+  in
+  let obs = Ig_obs.Obs.create () in
+  let t = engine ~obs (k + 2) ((0, 2) :: (k + 1, 1) :: internal) in
+  check Alcotest.int "three components" 3 (I.n_components t);
+  ignore (I.apply_batch t [ Digraph.Insert (1, 0) ]);
+  assert_sound "merged across C" t;
+  check Alcotest.int "one component" 1 (I.n_components t);
+  check Alcotest.int "one violation" 1 (Ig_obs.Obs.counter obs "violations");
+  let relaxed = Ig_obs.Obs.counter obs Ig_obs.Obs.K.edges_relaxed in
+  if relaxed >= List.length internal then
+    Alcotest.failf "edges_relaxed %d not below C's %d internal edges" relaxed
+      (List.length internal)
+
 (* ---- randomized properties --------------------------------------------- *)
 
 let gen_graph_and_updates =
@@ -511,6 +536,8 @@ let () =
             test_inc_batch_cycle_through_new_edges;
           Alcotest.test_case "delta algebra" `Quick test_inc_delta_algebra;
           Alcotest.test_case "configs agree" `Quick test_inc_configs_agree;
+          Alcotest.test_case "closure skips C's internal edges" `Quick
+            test_inc_closure_skips_internal_edges;
         ] );
       ( "inc properties",
         qsuite
