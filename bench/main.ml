@@ -18,7 +18,8 @@
      --scale X       graph scale factor (default 0.25; paper shapes hold
                      across scales, see EXPERIMENTS.md)
      --reps N        repetitions per point, each on its own update batch;
-                     a point's time is their median (default 1)
+                     a point's time is their median and its counters
+                     their total (default 1)
      --seed N        RNG seed (default 2017)
      --points N      keep only the first N |ΔG| points per sweep (0 = all;
                      the @bench-gate alias uses this for a fast run)
@@ -135,16 +136,16 @@ let median xs =
   let n = Array.length a in
   if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
 
-(* One point over its reps: the median time, the mean of each counter, and
-   every histogram sample (histograms merge exactly, element-wise). *)
+(* One point over its reps: the median time, each counter's total over the
+   reps (exact, so one unit of work more in any rep shows), and every
+   histogram sample (histograms merge exactly, element-wise). *)
 let over_reps cells =
-  let n = List.length cells in
   let merge f field =
     List.fold_left (fun acc c -> merge_assoc f acc (field c)) [] cells
   in
   {
     time = median (cell_times cells);
-    ctrs = List.map (fun (k, v) -> (k, v / n)) (merge ( + ) (fun c -> c.ctrs));
+    ctrs = merge ( + ) (fun c -> c.ctrs);
     hists = merge Histogram.merge (fun c -> c.hists);
   }
 

@@ -218,11 +218,11 @@ let merge_comps t cs =
   Hashtbl.replace t.dirty big ();
   big
 
-(* Rank-windowed closure over the contracted graph, read off G: the
-   contracted successors (predecessors) of a component are the components
-   of its members' G successors (predecessors), and only members with an
-   edge leaving (entering) the component are scanned. Also reports whether
-   [start] has a contracted edge into [target]. *)
+(* Rank-windowed closure over Gc, read off G: a component's contracted
+   successors (predecessors) are the components of its members' G ones.
+   Every member's external degree is read (one [nodes_visited] each); only
+   members with an edge leaving (entering) the component are scanned.
+   Also reports whether [start] has a contracted edge into [target]. *)
 let cclosure t ~dir ~keep ?(target = -1) start =
   let ext, iter =
     match dir with
@@ -231,17 +231,17 @@ let cclosure t ~dir ~keep ?(target = -1) start =
   in
   let seen = Hashtbl.create 16 in
   let stack = Stack.create () in
-  let hit = ref false and relaxed = ref 0 in
+  let hit = ref false and relaxed = ref 0 and read = ref 0 in
   if keep start then begin
     Hashtbl.replace seen start ();
     Stack.push start stack
   end;
   while not (Stack.is_empty stack) do
     let c = Stack.pop stack in
-    Obs.incr t.obs Obs.K.nodes_visited;
     let next = ref [] in
     iter_members
       (fun m ->
+        incr read;
         if Vec.get ext m > 0 then
           iter
             (fun w ->
@@ -262,6 +262,7 @@ let cclosure t ~dir ~keep ?(target = -1) start =
         end)
       (List.sort_uniq Int.compare !next)
   done;
+  Obs.add t.obs Obs.K.nodes_visited !read;
   Obs.add t.obs Obs.K.edges_relaxed !relaxed;
   (seen, !hit)
 

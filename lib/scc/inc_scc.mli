@@ -6,8 +6,8 @@
     [r(a) > r(b)] for every contracted edge [(a,b)] (the invariant of [43]
     the paper capitalizes on). [Gc] is derived, not stored: its edges are
     read off G through the node-to-component map, and per-node counts of
-    the edges that leave or enter the node's component let a search skip
-    members with no contracted edge.
+    the edges that leave or enter the node's component let a search read
+    every member's counts but scan only the edges of boundary members.
 
     - {b Insertion} ([IncSCC+], paper Fig. 7): an intra-component edge never
       changes the output; an inter-component edge with consistent ranks only
@@ -69,8 +69,8 @@ val init :
     {!Ig_obs.Obs.noop}) receives cost counters: [aff] (nodes re-certified
     plus rank-region size — the measured |AFF|), [cert_rewrites] (nodes
     whose [num]/[lowlink] certificate was recomputed), [nodes_visited]
-    (components visited by affected-region closures, nodes visited by
-    local Tarjan and, with [dyn], by the reachability checks),
+    (every member of each component an affected-region closure visits,
+    nodes visited by local Tarjan and, with [dyn], by reachability checks),
     [edges_relaxed] (every G edge scanned: by the closures, by local
     Tarjan, by the external-degree upkeep of merges and splits and, with
     [dyn], by the reachability checks), [queue_pushes] (closure pushes),

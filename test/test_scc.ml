@@ -372,10 +372,12 @@ let test_inc_fast_path_disabled_in_dyn () =
   check Alcotest.bool "dyn counts its reachability walks" true (relaxed > 0)
 
 (* A closure that crosses a large component scans only its members with an
-   edge leaving (or entering) it, not its internal edges. C = nodes 2..k+1
-   is a dense strongly connected component entered only at node 2 and left
-   only at node k+1; singletons 0 -> C -> 1. Inserting 1 -> 0 violates the
-   ranks with C inside the window, and merges all three. *)
+   edge leaving (or entering) it, not its internal edges; it still reads
+   every member's external degree once. C = nodes 2..k+1 is a dense
+   strongly connected component entered only at node 2 and left only at
+   node k+1; singletons 0 -> C -> 1. Inserting 1 -> 0 violates the ranks
+   with C inside the window, and merges all three: the forward closure
+   visits {0}, C and the backward one {1}, C. *)
 let test_inc_closure_skips_internal_edges () =
   let k = 200 in
   let member i = 2 + (i mod k) in
@@ -394,7 +396,10 @@ let test_inc_closure_skips_internal_edges () =
   let relaxed = Ig_obs.Obs.counter obs Ig_obs.Obs.K.edges_relaxed in
   if relaxed >= List.length internal then
     Alcotest.failf "edges_relaxed %d not below C's %d internal edges" relaxed
-      (List.length internal)
+      (List.length internal);
+  check Alcotest.int "member reads: each closure reads C once"
+    (2 * (k + 1))
+    (Ig_obs.Obs.counter obs Ig_obs.Obs.K.nodes_visited)
 
 (* ---- randomized properties --------------------------------------------- *)
 
