@@ -60,6 +60,6 @@ let () =
     (List.length (Core.Iso.Inc.matches monitor));
   Format.printf
     "locality: %d anchored VF2 runs bound %d nodes total (graph has %d)@."
-    (Core.Obs.counter obs "rematches")
+    (Core.Obs.counter obs Core.Obs.K.rematches)
     (Core.Obs.counter obs Core.Obs.K.nodes_visited)
     (Core.Digraph.n_nodes (Core.Iso.Inc.graph monitor))

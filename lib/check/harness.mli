@@ -41,10 +41,6 @@ val replay_fails : make:(unit -> Oracle.t) -> Ig_graph.Digraph.update list -> bo
     iff some check fails or the engine crashes. (The predicate handed to
     {!Shrink.ddmin}; exposed for tests.) *)
 
-val pp_stream : Format.formatter -> Ig_graph.Digraph.update list -> unit
-(** As a replayable OCaml value:
-    [\[ Digraph.Insert (0, 1); Digraph.Delete (2, 3) \]]. *)
-
 val pp_failure : Format.formatter -> failure -> unit
 
 val save_failure :

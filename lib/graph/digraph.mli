@@ -72,9 +72,6 @@ val instrument : obs:Ig_obs.Obs.t -> t -> unit
 val add_node : t -> string -> node
 (** Add a fresh node with the given label string. *)
 
-val add_node_sym : t -> label -> node
-(** Add a fresh node with an already-interned label. *)
-
 val add_edge : t -> node -> node -> bool
 (** [add_edge g u v] inserts edge [(u,v)]. Returns [false] if it was already
     present (the graph is a simple digraph; parallel edges collapse).
@@ -115,7 +112,6 @@ val apply_net : t -> update list -> edge list * edge list
 (** {1 Labels} *)
 
 val interner : t -> Interner.t
-val intern_label : t -> string -> label
 val label : t -> node -> label
 val label_name : t -> node -> string
 

@@ -112,7 +112,7 @@ let process_inserts t edges =
             end)
           t.anchors)
       edges;
-    Obs.add t.obs "rematches" !runs;
+    Obs.add t.obs Obs.K.rematches !runs;
     Obs.add t.obs Obs.K.nodes_visited work.visited;
     Obs.add t.obs Obs.K.edges_relaxed work.relaxed;
     let fresh = Hashtbl.length t.matches - before in
@@ -120,15 +120,12 @@ let process_inserts t edges =
     Obs.add t.obs Obs.K.cert_rewrites fresh
   end
 
-(* [net_effect] makes the batch's order immaterial: deletions first (paper
-   step (1)), then insertions, with the graph ending as [Digraph.apply_batch]
-   would leave it. *)
+(* The graph takes ΔG's net effect first (paper step (1)); [process_delete]
+   reads only the edge index, so it may run after the graph has moved. *)
 let process t updates =
-  let dels, inss = Digraph.net_effect updates in
-  List.iter
-    (fun (u, v) -> if Digraph.remove_edge t.g u v then process_delete t (u, v))
-    dels;
-  process_inserts t (List.filter (fun (u, v) -> Digraph.add_edge t.g u v) inss)
+  let dels, inss = Digraph.apply_net t.g updates in
+  List.iter (process_delete t) dels;
+  process_inserts t inss
 
 let apply_batch t updates =
   Obs.with_apply t.obs @@ fun () ->

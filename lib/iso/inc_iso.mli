@@ -13,9 +13,10 @@
       Theorem 3 holds, and an edge no pattern edge's labels fit costs
       O(|Q|).
 
-    A batch is first reduced to its net effect ({!Ig_graph.Digraph.net_effect}):
-    all deletions, then the insertions, then the anchored runs over every
-    inserted edge (IncISO). The paper's one-by-one ablation IncISOn is
+    A batch moves the graph once by its net effect
+    ({!Ig_graph.Digraph.apply_net}); then the deleted edges' matches go and
+    the anchored runs cover every inserted edge (IncISO). The paper's
+    one-by-one ablation IncISOn is
     {!apply_batch} called once per update. Costs are a function of [|Q|]
     and the [d_Q]-neighbourhood of ΔG only, never |G| — the localizability
     claim of Theorem 3. *)

@@ -6,7 +6,6 @@ type t = {
   path : string;
   hdr : Record.header;
   oc : out_channel;
-  fsync : bool;
   mutable obs : Obs.t;
   mutable next_seq : int;
   mutable committed : Record.batch list; (* reverse seq order *)
@@ -90,14 +89,14 @@ let chop ~path n =
   let src = read_all path in
   write_prefix path src (max 0 (String.length src - n))
 
-let create ?(fsync = true) ~path hdr =
+let create ~path hdr =
   let oc = open_out_bin path in
   output_string oc Record.magic;
   output_string oc (Record.frame (Record.encode_payload (Record.Header hdr)));
   flush oc;
-  { path; hdr; oc; fsync; obs = Obs.noop; next_seq = 1; committed = [] }
+  { path; hdr; oc; obs = Obs.noop; next_seq = 1; committed = [] }
 
-let open_append ?(fsync = true) ~path () =
+let open_append ~path () =
   match scan ~path with
   | Error e -> Error e
   | Ok s ->
@@ -115,7 +114,6 @@ let open_append ?(fsync = true) ~path () =
             path;
             hdr = s.header;
             oc;
-            fsync;
             obs = Obs.noop;
             next_seq = tip + 1;
             committed = List.rev s.batches;
@@ -124,9 +122,9 @@ let open_append ?(fsync = true) ~path () =
 
 let instrument t obs = t.obs <- obs
 
-(* Write-ahead append: frame, flush to the OS, then (by default) fsync so
-   the record survives power loss, not just a process crash. The whole
-   durable append lands in [wal_append_latency_s], the fsync alone in
+(* Write-ahead append: frame, flush to the OS, then fsync so the record
+   survives power loss, not just a process crash. The whole durable append
+   lands in [wal_append_latency_s], the fsync alone in
    [wal_fsync_latency_s], and the resulting file size in the
    [journal_bytes] gauge. *)
 let append t ~kind ~ops ~pre ~post =
@@ -134,9 +132,8 @@ let append t ~kind ~ops ~pre ~post =
   let b = { Record.seq = t.next_seq; kind; ops; pre; post } in
   output_string t.oc (Record.frame (Record.encode_payload (Record.Batch b)));
   flush t.oc;
-  if t.fsync then
-    Obs.observe_time t.obs Obs.K.wal_fsync_latency (fun () ->
-        Unix.fsync (Unix.descr_of_out_channel t.oc));
+  Obs.observe_time t.obs Obs.K.wal_fsync_latency (fun () ->
+      Unix.fsync (Unix.descr_of_out_channel t.oc));
   if Obs.enabled t.obs then
     Obs.set_gauge t.obs Obs.K.journal_bytes (out_channel_length t.oc);
   t.next_seq <- t.next_seq + 1;

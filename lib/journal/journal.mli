@@ -61,15 +61,14 @@ val digest_hex : string -> string
 val scan : path:string -> (scanned, string) result
 (** Read-only recovery scan; see the crash-recovery contract above. *)
 
-val create : ?fsync:bool -> path:string -> Record.header -> t
+val create : path:string -> Record.header -> t
 (** Write magic + header to a fresh file (truncating any existing one).
-    [fsync] (default [true]) makes every {!append} fsync the file, so
-    committed records survive power loss, not just a process crash. *)
+    Every {!append} fsyncs the file, so committed records survive power
+    loss, not just a process crash. *)
 
-val open_append :
-  ?fsync:bool -> path:string -> unit -> (t * scanned, string) result
+val open_append : path:string -> unit -> (t * scanned, string) result
 (** Scan, truncate any torn tail in place, and open for appending after
-    the last committed record. [fsync] as in {!create}. *)
+    the last committed record. *)
 
 val instrument : t -> Ig_obs.Obs.t -> unit
 (** Attach a registry: every {!append} records [wal_append_latency_s]
@@ -87,8 +86,7 @@ val chop : path:string -> int -> unit
 val append : t -> kind:Record.kind -> ops:Record.op list -> pre:string ->
   post:string -> Record.batch
 (** Frame and write the next batch (sequence number assigned here),
-    flush it to the OS and — unless the journal was opened with
-    [~fsync:false] — fsync it before returning. *)
+    flush it to the OS and fsync it before returning. *)
 
 val tip : t -> int
 (** Sequence number of the last committed batch; 0 when none. *)

@@ -31,9 +31,6 @@ val kdist_maps : Ig_graph.Digraph.t -> query -> (node, entry) Hashtbl.t array
 (** One map per keyword (query order); only entries with [dist ≤ bound] are
     present. [next] is the smallest-id successor on a shortest path. *)
 
-val roots_of_kdist : (node, entry) Hashtbl.t array -> node list
-(** Nodes present in every per-keyword map — the match roots. *)
-
 val run : Ig_graph.Digraph.t -> query -> node list
 (** All match roots of [Q(G)]. *)
 

@@ -64,7 +64,6 @@ val apply_batch : t -> Ig_graph.Digraph.update list -> delta
 
 val match_roots : t -> node list
 val n_matches : t -> int
-val is_match_root : t -> node -> bool
 
 val kdist : t -> node -> int -> Batch.entry option
 (** Current entry for (node, keyword index), if within bound. *)

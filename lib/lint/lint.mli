@@ -38,29 +38,14 @@ type diagnostic = {
   message : string;
 }
 
-val severity_name : severity -> string
-val severity_of_name : string -> severity option
-
-val compare_diagnostic : diagnostic -> diagnostic -> int
-(** Order by (file, line, col, rule). *)
-
 val pp_diagnostic : Format.formatter -> diagnostic -> unit
 (** [file:line:col: [rule/severity] message] — one line per finding. *)
-
-val d1_applies : string -> bool
-val d2_applies : string -> bool
-val d3_applies : string -> bool
-val d4_applies : string -> bool
-(** Which rules fire for a given repo-relative path. *)
 
 val lint_source : path:string -> string -> diagnostic list * int
 (** Lint one implementation given its repo-relative [path] (which
     decides rule applicability) and source text. Returns the sorted
     diagnostics and the number of suppressed findings. A file that does
     not parse yields a single ["syntax"] diagnostic. *)
-
-val lint_interface : path:string -> string -> diagnostic list
-(** Parse-check an [.mli] (no expression rules). *)
 
 val scan_files : root:string -> string list
 (** All [.ml]/[.mli] files under [root]'s bench/, bin/, lib/ and test/

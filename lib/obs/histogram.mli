@@ -20,9 +20,6 @@ val sub_buckets : int
 val min_exp : int
 val max_exp : int
 
-val n_buckets : int
-(** Total bucket count, [(max_exp - min_exp) * sub_buckets]. *)
-
 val create : unit -> t
 (** Fresh empty histogram. *)
 
@@ -51,16 +48,12 @@ val quantile : t -> float -> float
 val p50 : t -> float
 val p90 : t -> float
 val p99 : t -> float
-val p999 : t -> float
 
 val merge : t -> t -> t
 (** Exact element-wise merge: [count], [sum], buckets add; [min]/[max]
     combine. Associative and commutative. Inputs are unchanged. *)
 
 val copy : t -> t
-
-val bucket_of : float -> int
-(** Index of the bucket a sample lands in. *)
 
 val bucket_bounds : int -> float * float
 (** [[lo, hi)] value bounds of a bucket index. Bucket 0 reports [lo = 0]

@@ -101,6 +101,10 @@ module K = struct
   let journal_replayed = "journal_replayed"
   let journal_undone = "journal_undone"
   let snapshots = "snapshots"
+  let rematches = "rematches"
+  let rank_moves = "rank_moves"
+  let violations = "violations"
+  let fast_deletes = "fast_deletes"
 
   (* Canonical histogram names recorded by [with_apply]. Uniform across
      engines: each engine owns its registry, so the series name — not the

@@ -99,6 +99,20 @@ module K : sig
   val snapshots : string
   (** Certificate snapshots written. *)
 
+  val rematches : string
+  (** IncISO: anchored VF2 runs, one per (inserted edge, label-compatible
+      pattern edge). *)
+
+  val rank_moves : string
+  (** IncSCC: the rank-region size of each violation. *)
+
+  val violations : string
+  (** IncSCC: rank violations resolved by affected-region search. *)
+
+  val fast_deletes : string
+  (** IncSCC: intra-component deletions resolved by the O(1) witness
+      check. *)
+
   val apply_latency : string
   (** Histogram of seconds per apply_batch call, recorded by
       {!with_apply}. *)

@@ -10,9 +10,6 @@
 
 val schema_version : int
 
-val supported_versions : int list
-(** [[2]]: the reader takes only the current schema. *)
-
 type point = {
   x : string;
   timings : (string * float) list;
@@ -56,8 +53,8 @@ val write : path:string -> t -> unit
 
 val validate : Json.t -> (unit, string) result
 (** Structural schema check for consumers (the @bench-smoke and
-    @bench-gate aliases, diff tooling). Accepts every version in
-    {!supported_versions}; returns the first violation found. *)
+    @bench-gate aliases, diff tooling). Accepts only {!schema_version};
+    returns the first violation found. *)
 
 type cmp_cell = {
   ckey : string * string * string;  (** experiment id, x, series *)
@@ -74,11 +71,6 @@ type comparison = {
 }
 
 val compare_reports : old_json:Json.t -> new_json:Json.t -> comparison
-
-val cell_regresses : threshold:float -> min_time:float -> cmp_cell -> bool
-(** A cell regresses when its wall time or latency p99 grew by more than
-    [threshold] percent {e and} the grown value is at least [min_time]
-    (the noise floor keeps the gate deterministic at smoke scales). *)
 
 val regressions :
   threshold:float -> min_time:float -> comparison -> cmp_cell list

@@ -27,9 +27,6 @@ val rule_histogram : Tracer.snapshot -> (string * int) list
 (** Per-rule counts of the [Aff_enter] events, sorted by rule name: the
     provenance histogram [incgraph explain] prints per update. *)
 
-val field_histogram : Tracer.snapshot -> (string * int) list
-(** Per-field counts of certificate rewrites, sorted by field name. *)
-
 val pp_explain : ?limit:int -> Format.formatter -> Tracer.snapshot -> unit
 (** Histograms first (the provenance summary), then up to [limit] raw
     events. [limit < 0] prints everything; default 20. *)

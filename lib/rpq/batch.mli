@@ -15,9 +15,6 @@ val source_marks : Pgraph.t -> node -> (Pgraph.key, int) Hashtbl.t
     their distance from the virtual root [(u, s0)] (initial entries have
     distance 0). Empty when [u] is not a source. *)
 
-val matches_from : Pgraph.t -> node -> node list
-(** All [v] with [(u, v)] a match, deduplicated, unsorted. *)
-
 val run : Ig_graph.Digraph.t -> Ig_nfa.Nfa.t -> (node * node) list
 (** The full answer [Q(G)] as match pairs. *)
 

@@ -298,8 +298,8 @@ let resolve_violation t cu cv =
   let affr_l = elements affr and affl_l = elements affl in
   let inter = List.filter (fun c -> Hashtbl.mem affl c) affr_l in
   let region_size = Hashtbl.length affr + Hashtbl.length affl in
-  Obs.add t.obs "rank_moves" region_size;
-  Obs.incr t.obs "violations";
+  Obs.add t.obs Obs.K.rank_moves region_size;
+  Obs.incr t.obs Obs.K.violations;
   (* |AFF| counts the region with multiplicity (|affr| + |affl|); the
      provenance names each component once. *)
   List.iter
@@ -415,7 +415,7 @@ let process t updates =
         (not t.dyn)
         && (not (Hashtbl.mem t.dirty c))
         && List.for_all (fun (u, v) -> cert_survives_delete t u v) dels
-      then Obs.add t.obs "fast_deletes" (List.length dels)
+      then Obs.add t.obs Obs.K.fast_deletes (List.length dels)
       else if
         t.dyn && List.for_all (fun (u, v) -> still_connected t c u v) dels
       then Hashtbl.replace t.dirty c ()

@@ -30,77 +30,45 @@ let n_pairs t = t.n_pairs
 let compare_pair (u1, v1) (u2, v2) =
   match Int.compare u1 u2 with 0 -> Int.compare v1 v2 | c -> c
 
-let support_count t u' v = Sim.support_count t.g t.r u' v
+(* A pair the cascade removed from R: ΔO, provenance and counters. *)
+let removed t u v =
+  t.n_pairs <- t.n_pairs - 1;
+  Delta_set.lose t.delta (u, v) ();
+  Obs.aff_enter t.obs ~node:v ~rule:Tracer.Sim_support_zero;
+  Obs.incr t.obs Obs.K.cert_rewrites;
+  if Obs.tracing t.obs then
+    Obs.cert_rewrite t.obs ~node:v
+      ~field:(Printf.sprintf "sim(%d)" u)
+      ~before:"member" ~after:"removed"
 
-(* Decremental cascade: remove pairs whose support hit zero. *)
-let cascade t doomed =
-  let stack = Stack.create () in
-  List.iter (fun x -> Stack.push x stack) doomed;
-  while not (Stack.is_empty stack) do
-    let u, v = Stack.pop stack in
-    Obs.incr t.obs Obs.K.nodes_visited;
-    if Hashtbl.mem t.r.(u) v then begin
-      Hashtbl.remove t.r.(u) v;
-      List.iter (fun (e, _) -> Hashtbl.remove t.cnt.(e) v) t.out_edges.(u);
-      t.n_pairs <- t.n_pairs - 1;
-      Delta_set.lose t.delta (u, v) ();
-      Obs.aff_enter t.obs ~node:v ~rule:Tracer.Sim_support_zero;
-      Obs.incr t.obs Obs.K.cert_rewrites;
-      if Obs.tracing t.obs then
-        Obs.cert_rewrite t.obs ~node:v
-          ~field:(Printf.sprintf "sim(%d)" u)
-          ~before:"member" ~after:"removed";
-      List.iter
-        (fun (e, tp) ->
-          Digraph.iter_pred
-            (fun pnode ->
-              Obs.incr t.obs Obs.K.edges_relaxed;
-              if Hashtbl.mem t.r.(tp) pnode then begin
-                match Hashtbl.find_opt t.cnt.(e) pnode with
-                | Some c ->
-                    Hashtbl.replace t.cnt.(e) pnode (c - 1);
-                    if c - 1 = 0 then begin
-                      Obs.frontier_expand t.obs ~node:pnode;
-                      Stack.push (tp, pnode) stack
-                    end
-                | None -> ()
-              end)
-            t.g v)
-        t.in_edges.(u)
-    end
-  done
-
-let delete t (a, b) =
-  if Digraph.remove_edge t.g a b then begin
-    let doomed = ref [] in
-    (* Pattern edges whose support ran through the deleted graph edge. *)
-    Array.iteri
-      (fun u ls ->
+(* One unit of support, [d] = ±1, for every pattern edge (u, u') that the
+   graph edge (a, b) carries between (u, a) and (u', b) in R. A counter
+   that reaches 0 queues its pair. *)
+let support t doomed d (a, b) =
+  Array.iteri
+    (fun u ls ->
+      if Hashtbl.mem t.r.(u) a then
         List.iter
           (fun (e, u') ->
-            if Hashtbl.mem t.r.(u') b && Hashtbl.mem t.r.(u) a then begin
-              match Hashtbl.find_opt t.cnt.(e) a with
-              | Some c ->
-                  Hashtbl.replace t.cnt.(e) a (c - 1);
-                  if c - 1 = 0 then doomed := (u, a) :: !doomed
-              | None -> ()
+            if Hashtbl.mem t.r.(u') b then begin
+              let c = Hashtbl.find t.cnt.(e) a + d in
+              Hashtbl.replace t.cnt.(e) a c;
+              if c = 0 then Stack.push (u, a) doomed
             end)
           ls)
-      t.out_edges;
-    cascade t !doomed
-  end
-
-let bump cnt v =
-  Hashtbl.replace cnt v (1 + Option.value ~default:0 (Hashtbl.find_opt cnt v))
+    t.out_edges
 
 (* The pairs a batch of insertions can add to R. Seeds are (x, a) for an
    inserted (a, b) and a pattern edge (x, y) whose labels fit, with a ∉
    R(x); the closure grows backward from (u, v) to (pu, p) over a pattern
    edge (pu, u) and a graph predecessor p of v that carries pu's label and
-   is not in R(pu). This is exact: the pairs of the new greatest simulation
-   outside R and outside the closure, together with R, would form a
-   simulation on the graph before the insertions (none of their support
-   edges is new, or they would be seeds), so they are already in R.
+   is not in R(pu). This is exact. R is now the largest simulation on the
+   new graph inside R_0, the relation at batch start. Let X be the pairs of
+   the new greatest simulation outside R and outside the closure. None of
+   their support edges is new (they would be seeds) and none of their
+   supports is in the closure (they would have been reached), so R_0 ∪ X
+   is a simulation on the graph before the batch, and X ⊆ R_0. R ∪ X is
+   then a simulation on the new graph inside R_0, so X ⊆ R: X is empty.
    Returns the candidate sets per pattern node, or [None] without seeds. *)
 let closure t inss =
   let sym = Ig_iso.Vf2.symbols t.g t.p in
@@ -222,7 +190,8 @@ let merge t survivors ccnt =
           Digraph.iter_pred
             (fun p ->
               incr relaxed;
-              if Hashtbl.mem t.r.(tp) p then bump t.cnt.(e) p)
+              if Hashtbl.mem t.r.(tp) p then
+                Hashtbl.replace t.cnt.(e) p (Hashtbl.find t.cnt.(e) p + 1))
             t.g v)
         t.in_edges.(u))
     joined;
@@ -243,29 +212,20 @@ let merge t survivors ccnt =
           ~before:"absent" ~after:"member")
     joined
 
-(* One pass per batch over its net effect: the deletions' cascades, then
-   all insertions, one closure and one fixpoint. *)
+(* Support moves against R as it stood at batch start. Insertions add
+   theirs before deletions take theirs away, so a counter that reaches 0
+   stays there and its pair leaves R in the one cascade. *)
 let process t updates =
-  let dels, inss = Digraph.net_effect updates in
-  List.iter (delete t) dels;
-  let inss = List.filter (fun (a, b) -> Digraph.add_edge t.g a b) inss in
-  if inss <> [] then begin
-    List.iter
-      (fun (a, b) ->
-        (* Existing pairs gain support through the new edge. *)
-        Array.iteri
-          (fun u ls ->
-            List.iter
-              (fun (e, u') ->
-                if Hashtbl.mem t.r.(u') b && Hashtbl.mem t.r.(u) a then
-                  bump t.cnt.(e) a)
-              ls)
-          t.out_edges)
-      inss;
+  let dels, inss = Digraph.apply_net t.g updates in
+  let doomed = Stack.create () in
+  List.iter (support t doomed 1) inss;
+  List.iter (support t doomed (-1)) dels;
+  Sim.cascade ~obs:t.obs ~on_remove:(removed t) (t.out_edges, t.in_edges) t.g
+    t.r t.cnt doomed;
+  if inss <> [] then
     match closure t inss with
     | None -> ()
     | Some cand -> merge t cand (fixpoint t cand)
-  end
 
 let apply_batch t updates =
   Obs.with_apply t.obs @@ fun () ->
@@ -276,38 +236,23 @@ let apply_batch t updates =
   in
   { added = List.map fst added; removed = List.map fst removed }
 
+(* The counters of the prune that computed R are exact for R. *)
 let init ?(obs = Obs.noop) g p =
   Digraph.instrument ~obs g;
-  let r = Sim.run p g in
+  let r = Sim.candidates p g in
+  let cnt = Sim.prune p g r in
   let out_edges, in_edges = Sim.edge_index p in
-  let cnt =
-    Array.init (Pattern.n_edges p) (fun _ -> Hashtbl.create 32)
-  in
-  let t =
-    {
-      g;
-      p;
-      obs;
-      r;
-      cnt;
-      out_edges;
-      in_edges;
-      delta = Delta_set.create ();
-      n_pairs = 0;
-    }
-  in
-  Array.iteri
-    (fun u set ->
-      (* Order-free: counter setup commutes. *)
-      (Hashtbl.iter [@lint.allow "D2"])
-        (fun v () ->
-          t.n_pairs <- t.n_pairs + 1;
-          List.iter
-            (fun (e, u') -> Hashtbl.replace cnt.(e) v (support_count t u' v))
-            out_edges.(u))
-        set)
+  {
+    g;
+    p;
+    obs;
     r;
-  t
+    cnt;
+    out_edges;
+    in_edges;
+    delta = Delta_set.create ();
+    n_pairs = Array.fold_left (fun n set -> n + Hashtbl.length set) 0 r;
+  }
 
 let check_invariants t =
   let fail fmt = Printf.ksprintf failwith fmt in
@@ -330,13 +275,18 @@ let check_invariants t =
         (fun v () ->
           List.iter
             (fun (e, u') ->
-              let real = support_count t u' v in
+              let real = Sim.support_count t.g t.r u' v in
               match Hashtbl.find_opt t.cnt.(e) v with
               | Some c when c = real -> ()
               | Some c -> fail "cnt(%d, %d) = %d, expected %d" e v c real
               | None -> fail "cnt(%d, %d) missing" e v)
             t.out_edges.(u))
-        set)
+        set;
+      List.iter
+        (fun (e, _) ->
+          if Hashtbl.length t.cnt.(e) <> Hashtbl.length set then
+            fail "cnt(%d) holds pairs outside R" e)
+        t.out_edges.(u))
     t.r;
   let total = Array.fold_left (fun acc s -> acc + Hashtbl.length s) 0 t.r in
   if total <> t.n_pairs then fail "n_pairs %d, expected %d" t.n_pairs total

@@ -2,18 +2,24 @@
 
     Maintains the greatest simulation relation R under edge updates, in the
     spirit of the semi-bounded algorithms of [17] that the paper's related
-    work discusses. A batch is reduced to its net effect
-    ({!Ig_graph.Digraph.net_effect}) and handled in one pass:
+    work discusses. A batch moves the graph once, by its net effect
+    ({!Ig_graph.Digraph.apply_net}), and is then handled in one pass
+    against R as it stood at batch start:
 
-    - {b deletions} propagate lost support through per-(pattern-edge, node)
-      counters — the classic decremental cascade, touching only pairs whose
-      support actually collapses;
-    - {b insertions} can only grow R. All of the batch's edges are inserted
-      first. One label-guided product closure then collects the pairs that
-      could join R: it is seeded with [(x, a)] for each inserted [(a, b)]
-      and pattern edge [(x, y)] whose labels fit, [a ∉ R(x)], and grows
-      backward over pattern edges and graph predecessors carrying the right
-      label, never through R. A support-count fixpoint over these
+    - {b support}: per-(pattern-edge, node) counters gain one unit for each
+      inserted edge between two pairs of R, then lose one for each deleted
+      one. Insertions go first, so a counter that reaches 0 stays at 0;
+    - {b deletions}: one decremental cascade from the pairs left
+      unsupported, the same worklist ({!Sim.cascade}) that {!Sim.prune}
+      runs, touching only pairs whose support actually collapses. A pair
+      whose lost support an insertion of the same batch restores never
+      leaves R;
+    - {b insertions} can only grow R. One label-guided product closure
+      collects the pairs that could join R: it is seeded with [(x, a)] for
+      each inserted [(a, b)] and pattern edge [(x, y)] whose labels fit,
+      [a ∉ R(x)], and grows backward over pattern edges and graph
+      predecessors carrying the right label, never through R. A
+      support-count fixpoint over these
       candidates alone, with R held fixed as support, keeps the pairs that
       join R. R is neither copied nor re-pruned, so a batch whose inserted
       edges no pattern edge's labels fit costs O(|ΔG|·|Q|). (Simulation has
@@ -34,7 +40,8 @@ val init :
   Ig_graph.Digraph.t ->
   Ig_iso.Pattern.t ->
   t
-(** Runs the batch fixpoint once; the session owns the graph. [obs]
+(** Runs the batch fixpoint once and keeps the support counters its
+    worklist computed; the session owns the graph. [obs]
     (default {!Ig_obs.Obs.noop}) receives exact cost counters:
     - [aff]: relation pairs gained or lost (the measured |AFF|);
     - [cert_rewrites]: the same count, as relation rewrites;
@@ -77,8 +84,8 @@ val mem : t -> int -> node -> bool
 val n_pairs : t -> int
 
 val check_invariants : t -> unit
-(** Test hook: relation equals a fresh batch run; counters are consistent.
-    @raise Failure on violation. *)
+(** Test hook: relation equals a fresh batch run; counters are exact and
+    held for the pairs of R only. @raise Failure on violation. *)
 
 val cert_snapshot : t -> (string * string) list
 (** Certificate dump ([cert_snapshot]): the simulation relation,

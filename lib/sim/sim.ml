@@ -1,9 +1,12 @@
 module Digraph = Ig_graph.Digraph
 module Pattern = Ig_iso.Pattern
+module Obs = Ig_obs.Obs
 
 type node = Digraph.node
 
 type relation = (node, unit) Hashtbl.t array
+type counts = (node, int) Hashtbl.t array
+type index = (int * int) list array * (int * int) list array
 
 let candidates p g =
   Array.init (Pattern.n_nodes p) (fun u ->
@@ -32,10 +35,36 @@ let support_count g sets u' v =
     g v;
   !c
 
+(* A pair queued twice is removed once. *)
+let cascade ~obs ~on_remove (out_edges, in_edges) g sets cnt doomed =
+  while not (Stack.is_empty doomed) do
+    let u, v = Stack.pop doomed in
+    Obs.incr obs Obs.K.nodes_visited;
+    if Hashtbl.mem sets.(u) v then begin
+      Hashtbl.remove sets.(u) v;
+      List.iter (fun (e, _) -> Hashtbl.remove cnt.(e) v) out_edges.(u);
+      on_remove u v;
+      List.iter
+        (fun (e, tp) ->
+          Digraph.iter_pred
+            (fun pnode ->
+              Obs.incr obs Obs.K.edges_relaxed;
+              if Hashtbl.mem sets.(tp) pnode then begin
+                let c = Hashtbl.find cnt.(e) pnode - 1 in
+                Hashtbl.replace cnt.(e) pnode c;
+                if c = 0 then begin
+                  Obs.frontier_expand obs ~node:pnode;
+                  Stack.push (tp, pnode) doomed
+                end
+              end)
+            g v)
+        in_edges.(u)
+    end
+  done
+
 let prune p g sets =
-  let out_edges, in_edges = edge_index p in
-  let ne = Pattern.n_edges p in
-  let cnt = Array.init ne (fun _ -> Hashtbl.create 32) in
+  let ((out_edges, _) as index) = edge_index p in
+  let cnt = Array.init (Pattern.n_edges p) (fun _ -> Hashtbl.create 32) in
   let doomed = Stack.create () in
   (* Initial counts; pairs with an unsupported pattern edge die first. *)
   Array.iteri
@@ -52,29 +81,13 @@ let prune p g sets =
             out_edges.(u))
         set)
     sets;
-  while not (Stack.is_empty doomed) do
-    let u, v = Stack.pop doomed in
-    if Hashtbl.mem sets.(u) v then begin
-      Hashtbl.remove sets.(u) v;
-      (* Predecessors relying on (u, v) as support lose one unit. *)
-      List.iter
-        (fun (e, t) ->
-          Digraph.iter_pred
-            (fun pnode ->
-              if Hashtbl.mem sets.(t) pnode then begin
-                match Hashtbl.find_opt cnt.(e) pnode with
-                | Some c ->
-                    Hashtbl.replace cnt.(e) pnode (c - 1);
-                    if c - 1 = 0 then Stack.push (t, pnode) doomed
-                | None -> ()
-              end)
-            g v)
-        in_edges.(u)
-    end
-  done;
-  sets
+  cascade ~obs:Obs.noop ~on_remove:(fun _ _ -> ()) index g sets cnt doomed;
+  cnt
 
-let run p g = prune p g (candidates p g)
+let run p g =
+  let sets = candidates p g in
+  ignore (prune p g sets);
+  sets
 
 (* Lexicographic (u, v) order: the pair list is user-visible. *)
 let pairs rel =
@@ -84,7 +97,7 @@ let pairs rel =
           (fun u set ->
             List.map
               (fun (v, ()) -> (u, v))
-              (Ig_obs.Obs.sorted_bindings ~compare:Int.compare set))
+              (Obs.sorted_bindings ~compare:Int.compare set))
           rel))
 
 let mem rel u v = Hashtbl.mem rel.(u) v

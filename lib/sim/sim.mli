@@ -18,15 +18,20 @@ type relation = (node, unit) Hashtbl.t array
 val candidates : Ig_iso.Pattern.t -> Ig_graph.Digraph.t -> relation
 (** The label-compatible pairs — the fixpoint's starting point. *)
 
-val prune : Ig_iso.Pattern.t -> Ig_graph.Digraph.t -> relation -> relation
+type counts = (node, int) Hashtbl.t array
+(** Support counters, one table per pattern edge id: for a pattern edge
+    [e = (u, u')], [cnt.(e)] maps each [v ∈ sets.(u)] to
+    |succ(v) ∩ sets.(u')|, and holds nothing else. *)
+
+val prune : Ig_iso.Pattern.t -> Ig_graph.Digraph.t -> relation -> counts
 (** Remove pairs until every surviving pair has all its pattern edges
     supported inside the relation: computes the largest simulation
-    {e contained in} the given sets (mutated in place and returned). The
-    HHK-style worklist makes this O(Σ|sets| · deg) rather than a quadratic
-    fixpoint iteration. *)
+    {e contained in} the given sets (mutated in place) and returns its
+    support counters. The HHK-style worklist ({!cascade}) makes this
+    O(Σ|sets| · deg) rather than a quadratic fixpoint iteration. *)
 
 val run : Ig_iso.Pattern.t -> Ig_graph.Digraph.t -> relation
-(** The greatest simulation: [prune p g (candidates p g)]. *)
+(** The greatest simulation: {!candidates}, then {!prune}. *)
 
 val pairs : relation -> (int * node) list
 (** Flatten to (pattern node, graph node) pairs. *)
@@ -35,8 +40,22 @@ val mem : relation -> int -> node -> bool
 
 (** {1 Internals shared with the incremental engine} *)
 
-val edge_index : Ig_iso.Pattern.t -> (int * int) list array * (int * int) list array
+type index = (int * int) list array * (int * int) list array
+
+val edge_index : Ig_iso.Pattern.t -> index
 (** Per pattern node: outgoing and incoming (edge id, other endpoint). *)
 
 val support_count : Ig_graph.Digraph.t -> relation -> int -> node -> int
 (** [support_count g rel u' v] = |succ(v) ∩ rel(u')|. *)
+
+val cascade :
+  obs:Ig_obs.Obs.t -> on_remove:(int -> node -> unit) -> index ->
+  Ig_graph.Digraph.t -> relation -> counts -> (int * node) Stack.t -> unit
+(** [cascade index g sets cnt doomed], the removal worklist of {!prune} and
+    of the incremental engine, pops [doomed] until it is empty. [cnt] must
+    be exact for [sets] over [g], and [doomed] must hold every pair with a
+    counter at 0. A popped pair still in [sets] leaves it with its
+    counters, [on_remove u v] runs, and each predecessor pair it supported
+    loses one unit; a counter that reaches 0 queues its pair. [obs] counts
+    [nodes_visited] per pop, [edges_relaxed] per predecessor read and a
+    [Frontier_expand] per queued pair. *)

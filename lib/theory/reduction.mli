@@ -27,12 +27,6 @@ type ssrp_instance = { graph : Ig_graph.Digraph.t; source : node }
 
 type reach_change = { node : node; now_reachable : bool }
 
-val source_label : string
-(** [α1]. *)
-
-val other_label : string
-(** [α2]. *)
-
 val ssrp_to_rpq :
   ( ssrp_instance,
     Ig_graph.Digraph.update,

@@ -133,8 +133,10 @@ let test_iso_sim_counters_ignore_padding () =
           ]
       in
       let names =
-        O.K.[ nodes_visited; edges_relaxed; queue_pushes; aff; changed ]
-        @ [ "rematches" ]
+        O.K.
+          [
+            nodes_visited; edges_relaxed; queue_pushes; aff; changed; rematches;
+          ]
       in
       let counters k =
         let g = Digraph.copy base in
@@ -256,7 +258,7 @@ let test_obs_iso_work_flat () =
         let o = O.create () in
         let t = Ig_iso.Inc_iso.init ~obs:o g p in
         List.iter (fun up -> ignore (Ig_iso.Inc_iso.apply_batch t [ up ])) units;
-        let rematches = max 1 (O.counter o "rematches") in
+        let rematches = max 1 (O.counter o O.K.rematches) in
         Some (float_of_int (O.counter o O.K.nodes_visited) /. float_of_int rematches)
   in
   match (work 0.1, work 0.4) with

@@ -81,7 +81,7 @@ let test_tarjan_restricted () =
 let engine ?dyn ?obs n edges = I.init ?dyn ?obs (graph_of_edges n edges)
 
 (* Deletions the O(1) witness check resolved, as counted on [obs]. *)
-let fast_deletes obs = Ig_obs.Obs.counter obs "fast_deletes"
+let fast_deletes obs = Ig_obs.Obs.counter obs Ig_obs.Obs.K.fast_deletes
 
 let assert_sound msg t =
   (try I.check_invariants t
@@ -392,7 +392,8 @@ let test_inc_closure_skips_internal_edges () =
   ignore (I.apply_batch t [ Digraph.Insert (1, 0) ]);
   assert_sound "merged across C" t;
   check Alcotest.int "one component" 1 (I.n_components t);
-  check Alcotest.int "one violation" 1 (Ig_obs.Obs.counter obs "violations");
+  check Alcotest.int "one violation" 1
+    (Ig_obs.Obs.counter obs Ig_obs.Obs.K.violations);
   let relaxed = Ig_obs.Obs.counter obs Ig_obs.Obs.K.edges_relaxed in
   if relaxed >= List.length internal then
     Alcotest.failf "edges_relaxed %d not below C's %d internal edges" relaxed

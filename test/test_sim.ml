@@ -143,40 +143,44 @@ let prop_batch_matches_oracle =
       let p = P.create ~labels:pl ~edges:pe in
       norm (S.pairs (S.run p g)) = norm (S.pairs (oracle p g)))
 
+(* A small labelled graph, a batch over its nodes (repeated edges
+   included) and one of a few patterns. *)
+let inc_case =
+  QCheck.(
+    make
+      Gen.(
+        let* n = int_range 2 8 in
+        let* labels = list_repeat n (oneofl [ "a"; "b" ]) in
+        let edge = pair (int_bound (n - 1)) (int_bound (n - 1)) in
+        let* edges = list_size (int_bound (2 * n)) edge in
+        let* ops = list_size (int_bound 12) (pair bool edge) in
+        let* pat =
+          oneofl
+            [
+              ([ "a"; "b" ], [ (0, 1) ]);
+              ([ "a"; "b"; "a" ], [ (0, 1); (1, 2) ]);
+              ([ "a"; "a" ], [ (0, 1); (1, 0) ]);
+              ([ "a"; "b"; "b" ], [ (0, 1); (0, 2); (1, 2) ]);
+              ([ "b"; "a" ], [ (0, 0); (0, 1) ]);
+            ]
+        in
+        let batch =
+          List.map
+            (fun (i, (u, v)) ->
+              if i then Digraph.Insert (u, v) else Digraph.Delete (u, v))
+            ops
+        in
+        return (labels, edges, batch, pat)))
+
 let prop_inc_matches_batch =
-  QCheck.Test.make ~name:"IncSim == batch rerun" ~count:300
-    QCheck.(
-      make
-        Gen.(
-          let* n = int_range 2 8 in
-          let* labels = list_repeat n (oneofl [ "a"; "b" ]) in
-          let edge = pair (int_bound (n - 1)) (int_bound (n - 1)) in
-          let* edges = list_size (int_bound (2 * n)) edge in
-          let* ops = list_size (int_bound 12) (pair bool edge) in
-          let* pat =
-            oneofl
-              [
-                ([ "a"; "b" ], [ (0, 1) ]);
-                ([ "a"; "b"; "a" ], [ (0, 1); (1, 2) ]);
-                ([ "a"; "a" ], [ (0, 1); (1, 0) ]);
-                ([ "a"; "b"; "b" ], [ (0, 1); (0, 2); (1, 2) ]);
-                ([ "b"; "a" ], [ (0, 0); (0, 1) ]);
-              ]
-          in
-          return (labels, edges, ops, pat)))
-    (fun (labels, edges, ops, (pl, pe)) ->
+  QCheck.Test.make ~name:"IncSim == batch rerun" ~count:300 inc_case
+    (fun (labels, edges, batch, (pl, pe)) ->
       let g = labeled_graph labels edges in
       let p = P.create ~labels:pl ~edges:pe in
       let t = I.init g p in
       let old_pairs = norm (Ig_sim.Sim.pairs (I.relation t)) in
-      (* Repeated edges included: the graph must end as a sequential
-         [Digraph.apply_batch] leaves it. *)
-      let batch =
-        List.map
-          (fun (i, (u, v)) ->
-            if i then Digraph.Insert (u, v) else Digraph.Delete (u, v))
-          ops
-      in
+      (* The graph must end as a sequential [Digraph.apply_batch] leaves
+         it. *)
       let replica = labeled_graph labels edges in
       Digraph.apply_batch replica batch;
       let d = I.apply_batch t batch in
@@ -191,6 +195,35 @@ let prop_inc_matches_batch =
           @ List.filter (fun x -> not (List.mem x d.removed)) old_pairs)
       in
       (now = fresh && applied = fresh))
+
+(* The whole certificate, support counters included, is a function of
+   (G, Q): after any batch it equals a fresh [init]'s on the final graph,
+   and one call equals one call per update. *)
+let prop_cert_is_fresh =
+  QCheck.Test.make ~name:"IncSim certificate == fresh init" ~count:300
+    inc_case (fun (labels, edges, batch, (pl, pe)) ->
+      let p = P.create ~labels:pl ~edges:pe in
+      let t = I.init (labeled_graph labels edges) p in
+      let t1 = I.init (labeled_graph labels edges) p in
+      ignore (I.apply_batch t batch);
+      List.iter (fun up -> ignore (I.apply_batch t1 [ up ])) batch;
+      let fresh = I.cert_snapshot (I.init (Digraph.copy (I.graph t)) p) in
+      I.cert_snapshot t = fresh && I.cert_snapshot t1 = fresh)
+
+(* An insertion restores, in the same batch, the support a deletion takes
+   away: (0, a) never leaves R. Removing it and re-adding it would be two
+   pairs of |AFF| for a ΔO of nothing. *)
+let test_inc_restored_support () =
+  let g = labeled_graph [ "a"; "b"; "b" ] [ (0, 1) ] in
+  let p = P.create ~labels:[ "a"; "b" ] ~edges:[ (0, 1) ] in
+  let obs = Ig_obs.Obs.create () in
+  let t = I.init ~obs g p in
+  let d = I.apply_batch t [ Digraph.Delete (0, 1); Digraph.Insert (0, 2) ] in
+  check Alcotest.int "ΔO" 0 (List.length d.added + List.length d.removed);
+  check Alcotest.int "aff" 0 (Ig_obs.Obs.counter obs Ig_obs.Obs.K.aff);
+  check Alcotest.int "cert_rewrites" 0
+    (Ig_obs.Obs.counter obs Ig_obs.Obs.K.cert_rewrites);
+  I.check_invariants t
 
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
@@ -208,5 +241,7 @@ let () =
         Alcotest.test_case "insert creates" `Quick test_inc_insert_creates
         :: Alcotest.test_case "delete cascades" `Quick test_inc_delete_cascades
         :: Alcotest.test_case "cancel" `Quick test_inc_cancel
-        :: qsuite [ prop_inc_matches_batch ] );
+        :: Alcotest.test_case "restored support" `Quick
+             test_inc_restored_support
+        :: qsuite [ prop_inc_matches_batch; prop_cert_is_fresh ] );
     ]
