@@ -41,60 +41,11 @@ let load path =
           Printf.eprintf "compare: %s: parse error: %s\n" path e;
           exit 2
       | Ok json -> (
-          match Report.validate json with
+          match Report.of_json json with
           | Error e ->
               Printf.eprintf "compare: %s: invalid BENCH file: %s\n" path e;
               exit 2
-          | Ok () -> json))
-
-(* ((experiment, x), [(series, [(counter, value)])]) for every point of a
-   validated BENCH file (so every value is an int), in file order. *)
-let points_of json =
-  let list j k =
-    Option.value ~default:[] (Option.bind (Json.member k j) Json.to_list_opt)
-  and str j k =
-    Option.value ~default:"" (Option.bind (Json.member k j) Json.to_str_opt)
-  and obj j = Option.value ~default:[] (Json.to_obj_opt j) in
-  List.concat_map
-    (fun e ->
-      List.map
-        (fun p ->
-          let cs = Option.fold ~none:[] ~some:obj (Json.member "counters" p) in
-          ((str e "id", str p "x"), List.map (fun (s, c) -> (s, obj c)) cs))
-        (list e "points"))
-    (list json "experiments")
-
-(* Print every counter that differs at a point both files measured;
-   returns (series compared, differences). *)
-let compare_counters ~old_json ~new_json =
-  let news = points_of new_json in
-  let show = Option.fold ~none:"absent" ~some:(Json.to_string ~indent:false) in
-  let compared = ref 0 and diffs = ref 0 in
-  List.iter
-    (fun (((id, x) as pt), olds) ->
-      match List.assoc_opt pt news with
-      | None -> ()
-      | Some news ->
-          let only_new =
-            List.filter (fun (s, _) -> not (List.mem_assoc s olds)) news
-          in
-          List.iter
-            (fun (series, _) ->
-              incr compared;
-              let side ss = Option.value ~default:[] (List.assoc_opt series ss) in
-              let o = side olds and n = side news in
-              List.iter
-                (fun c ->
-                  let ov = List.assoc_opt c o and nv = List.assoc_opt c n in
-                  if ov <> nv then begin
-                    incr diffs;
-                    Format.printf "COUNTER %s %s %s %s: %s (old) vs %s (new)@."
-                      id x series c (show ov) (show nv)
-                  end)
-                (List.sort_uniq String.compare (List.map fst (o @ n))))
-            (olds @ only_new))
-    (points_of old_json);
-  (!compared, !diffs)
+          | Ok r -> r))
 
 let () =
   let threshold = ref 25.0 and min_time = ref 1e-4 in
@@ -117,8 +68,7 @@ let () =
   parse (List.tl (Array.to_list Sys.argv));
   match List.rev !paths with
   | [ old_path; new_path ] ->
-      let old_json = load old_path and new_json = load new_path in
-      let cmp = Report.compare_reports ~old_json ~new_json in
+      let cmp = Report.compare_reports (load old_path) (load new_path) in
       Format.printf "comparing %s (old) vs %s (new)@." old_path new_path;
       Format.printf "%a"
         (Report.pp_comparison ~threshold:!threshold ~min_time:!min_time)
@@ -130,8 +80,13 @@ let () =
       let regs =
         Report.regressions ~threshold:!threshold ~min_time:!min_time cmp
       in
-      let series, diffs = compare_counters ~old_json ~new_json in
+      let show = Option.fold ~none:"absent" ~some:string_of_int in
+      List.iter
+        (fun { Report.dkey = id, x, series; counter; old_v; new_v } ->
+          Format.printf "COUNTER %s %s %s %s: %s (old) vs %s (new)@." id x
+            series counter (show old_v) (show new_v))
+        cmp.diffs;
       Format.printf "exact work: %d series compared, %d counter difference(s)@."
-        series diffs;
-      if regs <> [] || diffs > 0 then exit 1
+        cmp.counted (List.length cmp.diffs);
+      if regs <> [] || cmp.diffs <> [] then exit 1
   | _ -> usage ()

@@ -18,8 +18,9 @@
    "tool" is "incgraph-lint" as lint reports (Core.Lint.validate, schema
    v4); files whose "tool" is "incgraph-journal-snapshot" as certificate
    snapshots (Core.Journal.Snapshot.validate: structure + self-checksum);
-   everything else as a BENCH report. Exits nonzero on the first file that fails to
-   parse or validate. Used by the @bench-smoke, @trace-smoke, @crash-smoke,
+   everything else as a BENCH report (Core.Obs.Report.of_json, which also
+   yields the experiment and point counts). Exits nonzero on the first
+   file that fails to parse or validate. Used by the @bench-smoke, @trace-smoke, @crash-smoke,
    @telemetry-smoke and @lint aliases to guarantee that what the writers
    emit is what the validators promise. *)
 
@@ -31,7 +32,7 @@ module Lint = Core.Lint
 module J = Core.Journal
 
 type kind =
-  | Bench of int * int * int (* version, experiments, points *)
+  | Bench of int * int (* experiments, points *)
   | Trace of int
   | Lint_report of int * int (* schema version, diagnostics *)
   | Journal of int * int (* committed batches, total ops *)
@@ -89,26 +90,16 @@ let check path =
       | Error e -> Error (Printf.sprintf "%s: snapshot violation: %s" path e)
       | Ok s -> Ok (Snapshot (s.J.Snapshot.seq, List.length s.J.Snapshot.certs)))
   | Ok json -> (
-      match Report.validate json with
+      match Report.of_json json with
       | Error e -> Error (Printf.sprintf "%s: schema violation: %s" path e)
-      | Ok () ->
-          let version =
-            Option.value ~default:0
-              (Option.bind (Json.member "schema_version" json) Json.to_int_opt)
-          in
-          let n_exp, n_pts =
-            match Json.member "experiments" json with
-            | Some (Json.Arr exps) ->
-                ( List.length exps,
-                  List.fold_left
-                    (fun acc e ->
-                      match Json.member "points" e with
-                      | Some (Json.Arr ps) -> acc + List.length ps
-                      | _ -> acc)
-                    0 exps )
-            | _ -> (0, 0)
-          in
-          Ok (Bench (version, n_exp, n_pts)))
+      | Ok r ->
+          let exps = r.Report.experiments in
+          Ok
+            (Bench
+               ( List.length exps,
+                 List.fold_left
+                   (fun n e -> n + List.length e.Report.points)
+                   0 exps )))
 
 let () =
   let files =
@@ -121,9 +112,9 @@ let () =
   List.iter
     (fun path ->
       match check path with
-      | Ok (Bench (version, n_exp, n_pts)) ->
+      | Ok (Bench (n_exp, n_pts)) ->
           Printf.printf "%s: valid (schema v%d, %d experiments, %d points)\n"
-            path version n_exp n_pts
+            path Report.schema_version n_exp n_pts
       | Ok (Trace n) ->
           Printf.printf "%s: valid chrome trace (%d events)\n" path n
       | Ok (Lint_report (version, n)) ->

@@ -197,8 +197,9 @@ let to_json t =
              (nonzero_buckets t)) );
     ]
 
-let validate json =
-  let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e in
+(* One pass: every field is checked as it is decoded. *)
+let of_json json =
+  let ( let* ) = Result.bind in
   let req k what conv =
     match Option.bind (Json.member k json) conv with
     | Some v -> Ok v
@@ -207,7 +208,7 @@ let validate json =
   let* count = req "count" "int" Json.to_int_opt in
   if count < 0 then Error "histogram: negative count"
   else
-    let* _sum = req "sum" "number" Json.to_float_opt in
+    let* sum = req "sum" "number" Json.to_float_opt in
     let* vmin = req "min" "number" Json.to_float_opt in
     let* vmax = req "max" "number" Json.to_float_opt in
     let* layout = req "layout" "object" Json.to_obj_opt in
@@ -221,7 +222,8 @@ let validate json =
     then Error "histogram: incompatible bucket layout"
     else
       let* bs = req "buckets" "array" Json.to_list_opt in
-      let* total =
+      let t = create () in
+      let* _, total =
         List.fold_left
           (fun acc b ->
             let* (prev_idx, total) = acc in
@@ -233,35 +235,28 @@ let validate json =
                   Error "histogram: bucket indices not strictly ascending"
                 else if c <= 0 then
                   Error (Printf.sprintf "histogram: bucket %d count %d not positive" i c)
-                else Ok (i, total + c)
+                else begin
+                  t.buckets.(i) <- c;
+                  Ok (i, total + c)
+                end
             | _ -> Error "histogram: bucket entry is not [index, count]")
           (Ok (-1, 0))
           bs
       in
-      let total = snd total in
       if total <> count then
         Error (Printf.sprintf "histogram: bucket total %d <> count %d" total count)
       else if count > 0 && vmin > vmax then Error "histogram: min > max"
-      else Ok ()
+      else begin
+        t.count <- count;
+        t.sum <- sum;
+        if count > 0 then begin
+          t.vmin <- vmin;
+          t.vmax <- vmax
+        end;
+        Ok t
+      end
 
-let of_json json =
-  match validate json with
-  | Error _ as e -> e
-  | Ok () ->
-      let t = create () in
-      let get k conv = Option.bind (Json.member k json) conv in
-      t.count <- Option.value ~default:0 (get "count" Json.to_int_opt);
-      t.sum <- Option.value ~default:0.0 (get "sum" Json.to_float_opt);
-      if t.count > 0 then begin
-        t.vmin <- Option.value ~default:0.0 (get "min" Json.to_float_opt);
-        t.vmax <- Option.value ~default:0.0 (get "max" Json.to_float_opt)
-      end;
-      List.iter
-        (function
-          | Json.Arr [ Json.Int i; Json.Int c ] -> t.buckets.(i) <- c
-          | _ -> ())
-        (Option.value ~default:[] (get "buckets" Json.to_list_opt));
-      Ok t
+let validate json = Result.map ignore (of_json json)
 
 (* ---- rendering ----------------------------------------------------------- *)
 

@@ -74,12 +74,12 @@ val to_json : t -> Json.t
     non-empty buckets. Quantiles are recomputed by readers, not stored. *)
 
 val of_json : Json.t -> (t, string) result
-(** Inverse of {!to_json}; validates first (see {!validate}). *)
+(** Inverse of {!to_json}, checking while it decodes: fields present and
+    typed, layout compatible with this build, bucket indices in range,
+    strictly ascending, positive counts summing to [count]. *)
 
 val validate : Json.t -> (unit, string) result
-(** Structural check of an exported histogram: fields present and typed,
-    layout compatible with this build, bucket indices in range, strictly
-    ascending, positive counts summing to [count]. *)
+(** {!of_json} with the histogram dropped. *)
 
 val pp : Format.formatter -> t -> unit
 (** Summary line (count/sum/min/mean/max and p50/p90/p99/p999) followed by

@@ -30,7 +30,6 @@
    (experiment id, point x, series); see {!compare_reports}. *)
 
 let schema_version = 2
-let supported_versions = [ 2 ]
 
 type point = {
   x : string;
@@ -133,218 +132,208 @@ let write ~path t =
   output_char oc '\n';
   close_out oc
 
-(* ---- validation ------------------------------------------------------------ *)
+(* ---- reading ---------------------------------------------------------------- *)
 
-(* Structural schema check for consumers (the @bench-smoke and @bench-gate
-   aliases, diff tooling). Accepts every version in [supported_versions].
-   Returns the first violation found. *)
-let validate json =
-  let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e in
-  let req obj k what conv =
-    match Option.bind (Json.member k obj) conv with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "missing or ill-typed %S (%s)" k what)
+let ( let* ) = Result.bind
+
+let field obj k what conv =
+  match Option.bind (Json.member k obj) conv with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "missing or ill-typed %S (%s)" k what)
+
+(* [f] over every element, in order; the first failure wins. *)
+let decode_all f xs =
+  Result.map List.rev
+    (List.fold_left
+       (fun acc x ->
+         let* ys = acc in
+         let* y = f x in
+         Ok (y :: ys))
+       (Ok []) xs)
+
+let point_of_json eid p =
+  let* x = field p "x" "string" Json.to_str_opt in
+  let fail fmt =
+    Printf.ksprintf (fun e -> Error (Printf.sprintf "%s/%s: %s" eid x e)) fmt
   in
-  let* v = req json "schema_version" "int" Json.to_int_opt in
-  if not (List.mem v supported_versions) then
-    Error
-      (Printf.sprintf "schema_version %d, expected one of %s" v
-         (String.concat ", " (List.map string_of_int supported_versions)))
+  let* timings = field p "timings" "object" Json.to_obj_opt in
+  let* counters = field p "counters" "object" Json.to_obj_opt in
+  let* speedup = field p "speedup_vs_batch" "object" Json.to_obj_opt in
+  let number (k, v) =
+    match Json.to_float_opt v with
+    | Some f -> Ok (k, f)
+    | None -> fail "timing %S is not a number" k
+  in
+  let* timings = decode_all number timings in
+  let* speedup = decode_all number speedup in
+  let* hists = field p "histograms" "object" Json.to_obj_opt in
+  let* gc = field p "gc" "object" Json.to_obj_opt in
+  (* A per-series section: an object of objects, each value through [f]. *)
+  let section name f (series, j) =
+    match Json.to_obj_opt j with
+    | None -> fail "%s[%S] not an object" name series
+    | Some kvs ->
+        let* kvs = decode_all (f series) kvs in
+        Ok (series, kvs)
+  in
+  let* hists =
+    decode_all
+      (section "histograms" (fun series (k, hj) ->
+           match Histogram.of_json hj with
+           | Ok h -> Ok (k, h)
+           | Error e -> fail "%s/%s: %s" series k e))
+      hists
+  in
+  let* gc =
+    decode_all
+      (section "gc" (fun series (k, v) ->
+           match Json.to_float_opt v with
+           | Some w -> Ok (k, w)
+           | None -> fail "gc stat %s/%s is not a number" series k))
+      gc
+  in
+  let* counters =
+    decode_all
+      (section "counters" (fun series (k, v) ->
+           match Json.to_int_opt v with
+           | Some n when n >= 0 -> Ok (k, n)
+           | _ -> fail "counter %s/%s is not a non-negative int" series k))
+      counters
+  in
+  Ok { x; timings; counters; speedup; hists; gc }
+
+let experiment_of_json e =
+  let* id = field e "id" "string" Json.to_str_opt in
+  let* title = field e "title" "string" Json.to_str_opt in
+  let* points = field e "points" "array" Json.to_list_opt in
+  let* points = decode_all (point_of_json id) points in
+  Ok { id; title; points = List.rev points }
+
+let of_json json =
+  let* v = field json "schema_version" "int" Json.to_int_opt in
+  if v <> schema_version then
+    Error (Printf.sprintf "schema_version %d, expected %d" v schema_version)
   else
-    let* _ = req json "tool" "string" Json.to_str_opt in
-    let* _ = req json "created_unix" "number" Json.to_float_opt in
-    let* _ = req json "config" "object" Json.to_obj_opt in
-    let* exps = req json "experiments" "array" Json.to_list_opt in
-    let check_point eid p =
-      let* x = req p "x" "string" Json.to_str_opt in
-      let where what = Printf.sprintf "%s/%s: %s" eid x what in
-      let* timings = req p "timings" "object" Json.to_obj_opt in
-      let* counters = req p "counters" "object" Json.to_obj_opt in
-      let* speedup = req p "speedup_vs_batch" "object" Json.to_obj_opt in
-      let* () =
-        List.fold_left
-          (fun acc (k, v) ->
-            let* () = acc in
-            if Json.to_float_opt v = None then
-              Error (where (Printf.sprintf "timing %S is not a number" k))
-            else Ok ())
-          (Ok ()) (timings @ speedup)
-      in
-      let* hists = req p "histograms" "object" Json.to_obj_opt in
-      let* gc = req p "gc" "object" Json.to_obj_opt in
-      let* () =
-        (* Every embedded histogram must pass the Histogram validator,
-           every gc stat must be a number. *)
-        List.fold_left
-          (fun acc (sname, hs) ->
-            let* () = acc in
-            match Json.to_obj_opt hs with
-            | None ->
-                Error
-                  (where (Printf.sprintf "histograms[%S] not an object" sname))
-            | Some hs ->
-                List.fold_left
-                  (fun acc (hname, hj) ->
-                    let* () = acc in
-                    match Histogram.validate hj with
-                    | Ok () -> Ok ()
-                    | Error e ->
-                        Error
-                          (where (Printf.sprintf "%s/%s: %s" sname hname e)))
-                  (Ok ()) hs)
-          (Ok ()) hists
-      in
-      let* () =
-        List.fold_left
-          (fun acc (sname, ws) ->
-            let* () = acc in
-            match Json.to_obj_opt ws with
-            | None ->
-                Error (where (Printf.sprintf "gc[%S] not an object" sname))
-            | Some ws ->
-                List.fold_left
-                  (fun acc (k, v) ->
-                    let* () = acc in
-                    if Json.to_float_opt v = None then
-                      Error
-                        (where
-                           (Printf.sprintf "gc stat %s/%s is not a number"
-                              sname k))
-                    else Ok ())
-                  (Ok ()) ws)
-          (Ok ()) gc
-      in
-      List.fold_left
-        (fun acc (series, snap) ->
-          let* () = acc in
-          match Json.to_obj_opt snap with
-          | None -> Error (where (Printf.sprintf "counters[%S] not an object" series))
-          | Some cs ->
-              List.fold_left
-                (fun acc (k, v) ->
-                  let* () = acc in
-                  match Json.to_int_opt v with
-                  | Some n when n >= 0 -> Ok ()
-                  | _ ->
-                      Error
-                        (where
-                           (Printf.sprintf
-                              "counter %s/%s is not a non-negative int" series k)))
-                (Ok ()) cs)
-        (Ok ()) counters
-    in
-    List.fold_left
-      (fun acc e ->
-        let* () = acc in
-        let* id = req e "id" "string" Json.to_str_opt in
-        let* _ = req e "title" "string" Json.to_str_opt in
-        let* points = req e "points" "array" Json.to_list_opt in
-        List.fold_left
-          (fun acc p ->
-            let* () = acc in
-            let* () = check_point id p in
-            Ok ())
-          (Ok ()) points)
-      (Ok ()) exps
+    let* tool = field json "tool" "string" Json.to_str_opt in
+    let* created = field json "created_unix" "number" Json.to_float_opt in
+    let* config = field json "config" "object" Json.to_obj_opt in
+    let* exps = field json "experiments" "array" Json.to_list_opt in
+    let* exps = decode_all experiment_of_json exps in
+    Ok { tool; created; config; experiments = List.rev exps }
 
 (* ---- regression comparison --------------------------------------------------
 
-   The machinery behind bench/compare.exe (the @bench-gate alias): pair every (experiment, x, series) across two BENCH
-   files, compute the timing and latency-p99 ratios, and flag regressions
-   beyond a noise threshold. Pairs whose timings sit below [min_time] are
-   reported but never flagged — at smoke scales the measurements are
-   microseconds of noise, and the gate must stay deterministic. *)
+   The machinery behind bench/compare.exe (the @bench-gate alias): pair
+   every (experiment, x, series) across two reports, compute the timing
+   and latency-p99 ratios, and flag regressions beyond a noise threshold.
+   Pairs whose timings sit below [min_time] are reported but never
+   flagged — at smoke scales the measurements are microseconds of noise,
+   and the gate must stay deterministic. The exact counters are joined on
+   the same keys and have no threshold. *)
+
+type key = string * string * string
 
 type cmp_cell = {
-  ckey : string * string * string; (* experiment id, x, series *)
+  ckey : key;
   old_time : float;
   new_time : float;
   old_p99 : float option; (* of the apply-latency histogram, when present *)
   new_p99 : float option;
 }
 
-type comparison = {
-  cells : cmp_cell list;
-  only_old : (string * string * string) list;
-  only_new : (string * string * string) list;
+type counter_diff = {
+  dkey : key;
+  counter : string;
+  old_v : int option;
+  new_v : int option;
 }
 
-(* (key -> time, key -> p99) indexes of one BENCH json. *)
-let index_report json =
-  let times = ref [] and p99s = ref [] in
-  (match Json.member "experiments" json with
-  | Some (Json.Arr exps) ->
-      List.iter
-        (fun e ->
-          match (Json.member "id" e, Json.member "points" e) with
-          | Some (Json.Str id), Some (Json.Arr points) ->
-              List.iter
-                (fun p ->
-                  match Json.member "x" p with
-                  | Some (Json.Str x) ->
-                      (match Json.member "timings" p with
-                      | Some (Json.Obj ts) ->
-                          List.iter
-                            (fun (series, v) ->
-                              match Json.to_float_opt v with
-                              | Some f -> times := ((id, x, series), f) :: !times
-                              | None -> ())
-                            ts
-                      | _ -> ());
-                      (match Json.member "histograms" p with
-                      | Some (Json.Obj hs) ->
-                          List.iter
-                            (fun (series, hobj) ->
-                              match
-                                Option.bind (Json.member "apply_latency_s" hobj)
-                                  (fun hj ->
-                                    Result.to_option (Histogram.of_json hj))
-                              with
-                              | Some h when Histogram.count h > 0 ->
-                                  p99s :=
-                                    ((id, x, series), Histogram.p99 h) :: !p99s
-                              | _ -> ())
-                            hs
-                      | _ -> ())
-                  | _ -> ())
-                points
-          | _ -> ())
-        exps
-  | _ -> ());
-  (List.rev !times, List.rev !p99s)
+type comparison = {
+  cells : cmp_cell list;
+  only_old : key list;
+  only_new : key list;
+  counted : int;
+  diffs : counter_diff list;
+}
 
-let compare_reports ~old_json ~new_json =
-  let old_times, old_p99s = index_report old_json in
-  let new_times, new_p99s = index_report new_json in
+(* Every point of a report, keyed (experiment id, x), in file order. *)
+let points r =
+  List.concat_map
+    (fun e -> List.rev_map (fun p -> ((e.id, p.x), p)) e.points)
+    (List.rev r.experiments)
+
+let p99 p series =
+  match
+    Option.bind
+      (List.assoc_opt series p.hists)
+      (List.assoc_opt "apply_latency_s")
+  with
+  | Some h when Histogram.count h > 0 -> Some (Histogram.p99 h)
+  | _ -> None
+
+let compare_reports old_r new_r =
+  let olds = points old_r and news = points new_r in
+  let both =
+    List.filter_map
+      (fun (pt, o) -> Option.map (fun n -> (pt, o, n)) (List.assoc_opt pt news))
+      olds
+  in
   let cells =
-    List.filter_map
-      (fun (key, nt) ->
-        match List.assoc_opt key old_times with
-        | None -> None
-        | Some ot ->
-            Some
-              {
-                ckey = key;
-                old_time = ot;
-                new_time = nt;
-                old_p99 = List.assoc_opt key old_p99s;
-                new_p99 = List.assoc_opt key new_p99s;
-              })
-      new_times
+    List.concat_map
+      (fun ((id, x), o, n) ->
+        List.filter_map
+          (fun (s, new_time) ->
+            Option.map
+              (fun old_time ->
+                {
+                  ckey = (id, x, s);
+                  old_time;
+                  new_time;
+                  old_p99 = p99 o s;
+                  new_p99 = p99 n s;
+                })
+              (List.assoc_opt s o.timings))
+          n.timings)
+      both
   in
-  let only_old =
-    List.filter_map
-      (fun (key, _) ->
-        if List.mem_assoc key new_times then None else Some key)
-      old_times
+  let timed ps =
+    List.concat_map
+      (fun ((id, x), p) -> List.map (fun (s, _) -> (id, x, s)) p.timings)
+      ps
   in
-  let only_new =
-    List.filter_map
-      (fun (key, _) ->
-        if List.mem_assoc key old_times then None else Some key)
-      new_times
+  let unpaired a b = List.filter (fun k -> not (List.mem k b)) a in
+  (* At every point both reports measured, each series' counters: the old
+     report's series, then the new one's, and a series or a counter on
+     one side only is a difference. *)
+  let series =
+    List.concat_map
+      (fun ((id, x), o, n) ->
+        let names = List.map fst o.counters in
+        let get p s = Option.value ~default:[] (List.assoc_opt s p.counters) in
+        List.map
+          (fun s -> ((id, x, s), get o s, get n s))
+          (names
+          @ List.filter (fun s -> not (List.mem s names)) (List.map fst n.counters)))
+      both
   in
-  { cells; only_old; only_new }
+  let diffs =
+    List.concat_map
+      (fun (dkey, o, n) ->
+        List.filter_map
+          (fun counter ->
+            let old_v = List.assoc_opt counter o
+            and new_v = List.assoc_opt counter n in
+            if old_v = new_v then None else Some { dkey; counter; old_v; new_v })
+          (List.sort_uniq String.compare (List.map fst (o @ n))))
+      series
+  in
+  {
+    cells;
+    only_old = unpaired (timed olds) (timed news);
+    only_new = unpaired (timed news) (timed olds);
+    counted = List.length series;
+    diffs;
+  }
 
 (* A cell regresses when its wall time or its latency p99 grew by more
    than [threshold] percent — and the grown value is above the noise

@@ -51,26 +51,44 @@ val add_point :
 val to_json : t -> Json.t
 val write : path:string -> t -> unit
 
-val validate : Json.t -> (unit, string) result
-(** Structural schema check for consumers (the @bench-smoke and
-    @bench-gate aliases, diff tooling). Accepts only {!schema_version};
-    returns the first violation found. *)
+val of_json : Json.t -> (t, string) result
+(** The format's one reader: checks the structure (schema
+    {!schema_version} only; every timing, speedup and gc stat a number,
+    every counter a non-negative int, every histogram valid for
+    {!Histogram.of_json}) while it decodes, and returns the first
+    violation found. [of_json (to_json r)] gives back [r]'s points. *)
+
+type key = string * string * string
+(** Experiment id, point x, series. *)
 
 type cmp_cell = {
-  ckey : string * string * string;  (** experiment id, x, series *)
+  ckey : key;
   old_time : float;
   new_time : float;
   old_p99 : float option;  (** of the apply-latency histogram, if present *)
   new_p99 : float option;
 }
 
-type comparison = {
-  cells : cmp_cell list;
-  only_old : (string * string * string) list;
-  only_new : (string * string * string) list;
+type counter_diff = {
+  dkey : key;
+  counter : string;
+  old_v : int option;  (** [None]: absent on that side *)
+  new_v : int option;
 }
 
-val compare_reports : old_json:Json.t -> new_json:Json.t -> comparison
+type comparison = {
+  cells : cmp_cell list;  (** keys timed in both, in the new report's order *)
+  only_old : key list;
+  only_new : key list;
+  counted : int;
+      (** series with counters on either side, at points both reports
+          measured *)
+  diffs : counter_diff list;  (** every counter of those that differs *)
+}
+
+val compare_reports : t -> t -> comparison
+(** [compare_reports old_r new_r] joins the two reports once on
+    {!key}, for timings, latency p99 and exact counters. *)
 
 val regressions :
   threshold:float -> min_time:float -> comparison -> cmp_cell list

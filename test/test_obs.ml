@@ -716,21 +716,53 @@ let escape_roundtrip_prop =
 module R = Ig_obs.Report
 
 (* A point with no registry (a batch baseline) still carries empty
-   histogram and gc sections, so the written report validates. *)
+   histogram and gc sections, so the written report decodes; decoding
+   gives back every point's x, timings, counters, speedups, histograms
+   and gc, through the printer and the parser. *)
 let test_report_writer_validates () =
-  let r = R.create ~tool:"test" ~config:[] () in
+  let module H = Ig_obs.Histogram in
+  let r = R.create ~tool:"test" ~config:[ ("scale", J.Float 0.02) ] () in
   let e = R.experiment r ~id:"exp" ~title:"exp" in
   R.add_point e ~x:"1" ~timings:[ ("batch", 0.5) ] ();
-  let h = Ig_obs.Histogram.create () in
-  Ig_obs.Histogram.observe h 0.001;
+  let h = H.create () in
+  List.iter (H.observe h) [ 0.001; 0.004; 2e-6 ];
   R.add_point e ~x:"2"
-    ~timings:[ ("inc", 0.1) ]
-    ~histograms:[ ("inc", [ ("apply_latency_s", h) ]) ]
+    ~timings:[ ("inc", 0.1); ("batch", 0.25) ]
+    ~counters:[ ("inc", [ ("aff", 3); ("edges_relaxed", 17) ]) ]
+    ~speedup:[ ("inc", 2.5) ]
+    ~histograms:[ ("inc", [ ("apply_latency_s", h); ("gc_minor_words", H.create ()) ]) ]
     ~gc:[ ("inc", [ ("minor_words", 12.) ]) ]
     ();
-  match R.validate (R.to_json r) with
-  | Ok () -> ()
+  ignore (R.experiment r ~id:"empty" ~title:"no points");
+  let json = R.to_json r in
+  match Result.bind (J.parse (J.to_string ~indent:true json)) R.of_json with
   | Error e -> Alcotest.fail ("fresh report rejected: " ^ e)
+  | Ok r' ->
+      check Alcotest.string "tool" r.R.tool r'.R.tool;
+      check Alcotest.bool "re-encodes to the same json" true
+        (R.to_json r' = json);
+      let hist (k, h) =
+        (k, H.count h, H.sum h, H.min_value h, H.max_value h, H.nonzero_buckets h)
+      in
+      let points r =
+        List.concat_map
+          (fun e -> List.map (fun p -> (e.R.id, e.R.title, p)) e.R.points)
+          r.R.experiments
+      in
+      let ps = points r and ps' = points r' in
+      check Alcotest.int "points" (List.length ps) (List.length ps');
+      List.iter2
+        (fun (id, title, p) (id', title', p') ->
+          check Alcotest.(pair string string) "experiment" (id, title) (id', title');
+          check Alcotest.string "x" p.R.x p'.R.x;
+          check Alcotest.bool (p.R.x ^ " timings") true (p.R.timings = p'.R.timings);
+          check Alcotest.bool (p.R.x ^ " counters") true (p.R.counters = p'.R.counters);
+          check Alcotest.bool (p.R.x ^ " speedups") true (p.R.speedup = p'.R.speedup);
+          check Alcotest.bool (p.R.x ^ " gc") true (p.R.gc = p'.R.gc);
+          check Alcotest.bool (p.R.x ^ " histograms") true
+            (List.map (fun (s, hs) -> (s, List.map hist hs)) p.R.hists
+            = List.map (fun (s, hs) -> (s, List.map hist hs)) p'.R.hists))
+        ps ps'
 
 (* A v1 report, and a v2 point without the histogram/gc sections, are
    both rejected. *)
@@ -763,13 +795,13 @@ let test_report_v1_rejected () =
       ]
   in
   let full = point @ [ ("histograms", J.Obj []); ("gc", J.Obj []) ] in
-  (match R.validate (report 2 full) with
-  | Ok () -> ()
+  (match R.of_json (report 2 full) with
+  | Ok _ -> ()
   | Error e -> Alcotest.fail ("v2 report rejected: " ^ e));
   List.iter
     (fun (what, json) ->
-      match R.validate json with
-      | Ok () -> Alcotest.failf "validator accepted %s" what
+      match R.of_json json with
+      | Ok _ -> Alcotest.failf "decoder accepted %s" what
       | Error _ -> ())
     [
       ("a v1 report", report 1 point);
