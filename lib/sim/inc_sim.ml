@@ -53,7 +53,10 @@ let support t doomed d (a, b) =
             if Hashtbl.mem t.r.(u') b then begin
               let c = Hashtbl.find t.cnt.(e) a + d in
               Hashtbl.replace t.cnt.(e) a c;
-              if c = 0 then Stack.push (u, a) doomed
+              if c = 0 then begin
+                Obs.frontier_expand t.obs ~node:a;
+                Stack.push (u, a) doomed
+              end
             end)
           ls)
     t.out_edges

@@ -50,8 +50,8 @@ val init :
     - [edges_relaxed]: adjacency entries read — by the cascade's support
       updates, the closure's backward steps, the fixpoint's support counts
       and decrements, and the support bumps of the pairs that join R;
-    - [queue_pushes]: pairs queued for removal, by the cascade or by the
-      candidate fixpoint;
+    - [queue_pushes]: pairs queued for removal, by a deletion's support
+      update, by the cascade or by the candidate fixpoint;
     - [changed]: |ΔG| (net) + |ΔO|, counted by the graph and by
       {!Ig_graph.Delta_set}.
 
@@ -64,7 +64,7 @@ val init :
     zero in the cascade) or [Sim_revalidated] (a pair joined the greatest
     simulation, in (pattern node, graph node) order per batch),
     [Cert_rewrite] on the per-pattern-node [sim(u)] membership field, and
-    [Frontier_expand] per cascade push. *)
+    [Frontier_expand] per removal push (support update or cascade). *)
 
 val graph : t -> Ig_graph.Digraph.t
 val pattern : t -> Ig_iso.Pattern.t

@@ -225,6 +225,19 @@ let test_inc_restored_support () =
     (Ig_obs.Obs.counter obs Ig_obs.Obs.K.cert_rewrites);
   I.check_invariants t
 
+(* A deletion that takes a support counter to 0 queues its pair: one
+   push, counted like every cascade push. *)
+let test_inc_delete_counts_push () =
+  let g = labeled_graph [ "a"; "b" ] [ (0, 1) ] in
+  let p = P.create ~labels:[ "a"; "b" ] ~edges:[ (0, 1) ] in
+  let obs = Ig_obs.Obs.create () in
+  let t = I.init ~obs g p in
+  let pushes () = Ig_obs.Obs.counter obs Ig_obs.Obs.K.queue_pushes in
+  let before = pushes () in
+  let d = I.apply_batch t [ Digraph.Delete (0, 1) ] in
+  check Alcotest.(list (pair int int)) "ΔO" [ (0, 0) ] d.removed;
+  check Alcotest.int "queue_pushes" 1 (pushes () - before)
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let () =
@@ -243,5 +256,7 @@ let () =
         :: Alcotest.test_case "cancel" `Quick test_inc_cancel
         :: Alcotest.test_case "restored support" `Quick
              test_inc_restored_support
+        :: Alcotest.test_case "deletion push counted" `Quick
+             test_inc_delete_counts_push
         :: qsuite [ prop_inc_matches_batch; prop_cert_is_fresh ] );
     ]
