@@ -10,6 +10,7 @@ module Spec = Ig_check.Spec
 module Slo = Ig_obs.Slo
 module Json = Ig_obs.Json
 module Snapshot = Ig_journal.Snapshot
+module Report = Ig_obs.Report
 
 (* One edit: overwrite, insert or delete the byte at a position, or cut the
    text there. Inserted bytes are either arbitrary or one of the
@@ -74,6 +75,15 @@ let snapshot_json =
        (Snapshot.of_state ~seq:3 ~graph ~answer_digest:"0123abcd"
           ~certs:[ ("comp", "v0 c0\nv1 c0\n"); ("ranks", "c0\n") ]))
 
+(* A real report, written by
+   bench/main.exe -e fig8a --scale 0.02 --points 1 --out bench_report_seed.json.
+   It must decode, so that its mutants start from a valid report. *)
+let bench_report =
+  let s = In_channel.with_open_bin "bench_report_seed.json" In_channel.input_all in
+  match Result.bind (Json.parse s) Report.of_json with
+  | Ok _ -> s
+  | Error e -> failwith ("bench_report_seed.json does not decode: " ^ e)
+
 let tests =
   [
     mutation_test "Io.of_string" [ graph_text ] (fun s ->
@@ -91,6 +101,10 @@ let tests =
       (fun s ->
         match Json.parse s with
         | Ok j -> ignore (Snapshot.validate j)
+        | Error _ -> ());
+    mutation_test "Json.parse then Report.of_json" [ bench_report ] (fun s ->
+        match Json.parse s with
+        | Ok j -> ignore (Report.of_json j)
         | Error _ -> ());
   ]
 
