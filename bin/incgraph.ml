@@ -222,15 +222,15 @@ module Trace_export = Obs.Trace_export
 
 (* The one loop behind stream, stats, trace and explain: build the query's
    engine over a copy of [g], then draw [batches] seeded random batches of
-   [size] unit updates against [g], apply each to [g] (keeping the
-   generator in sync) and hand it to [step], which applies it to the
-   engine. Returns the engine. *)
+   [size] unit updates against the engine's own graph and hand each to
+   [step], which applies it to the engine. Returns the engine. *)
 let drive ?obs ?ratio g spec ~seed ~batches ~size step =
   let inst = Spec.make ?obs g spec in
   let rng = Random.State.make [| seed |] in
   for round = 1 to batches do
-    let ups = Core.Workload.Updates.generate ~rng g ~size ?ratio () in
-    Core.Digraph.apply_batch g ups;
+    let ups =
+      Core.Workload.Updates.generate ~rng inst.Oracle.graph ~size ?ratio ()
+    in
     step inst round ups
   done;
   inst
