@@ -873,8 +873,9 @@ let lint_cmd =
           iteration outside the sorted helpers unless annotated with \
           [@lint.allow] (D2), no ambient randomness or wall-clock reads in \
           lib/ outside lib/obs (D3), Obs.with_apply-wrapped and rule-tagged \
-          update entry points in every engine (D4), and an .mli for every \
-          lib/ module (D5). Exits non-zero on errors (and on warnings under \
+          update entry points in every engine (D4), an .mli for every \
+          lib/ module (D5), and Obs.K names rather than string literals \
+          for the counter, gauge and histogram probes in lib/ (D6). Exits non-zero on errors (and on warnings under \
           $(b,--strict)).")
     Term.(
       ret

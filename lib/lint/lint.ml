@@ -17,6 +17,9 @@
          (compaction, edge insertion and removal) and the durability
          layer carry at least one Obs probe
      D5  every lib/ module has an interface (.mli)
+     D6  in lib/, the name argument of an Obs counter, gauge or histogram
+         probe is not a string literal: every such name lives in Obs.K
+         (span names are exempt)
 
    Being parse-only, D1 is a syntactic approximation: the operators
    [=]/[<>]/[==]/[!=] are flagged only when used as first-class values
@@ -303,6 +306,41 @@ let check_ident ctx (loc : Location.t) lid =
       "filesystem access in lib/; durable I/O belongs to lib/journal — \
        annotate a deliberate artifact writer with [@lint.allow \"D3\"]"
 
+(* D6: a probe named by a literal is a name that only its call site
+   knows; readers of the counter (reports, goldens, SLO configs) would
+   repeat the string. *)
+let d6_probe_fns =
+  [
+    "add"; "incr"; "counter"; "set_gauge"; "gauge"; "observe";
+    "observe_time"; "histogram";
+  ]
+
+let check_d6 ctx e =
+  match e.pexp_desc with
+  | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args)
+    when d2_applies ctx.path -> (
+      match
+        ( last2 (flatten_longident [] txt),
+          List.filter (fun (l, _) -> l = Asttypes.Nolabel) args )
+      with
+      | ( Some ("Obs", f),
+          _
+          :: ( _,
+               {
+                 pexp_desc = Pexp_constant (Pconst_string (name, _, _));
+                 pexp_loc;
+                 _;
+               } )
+          :: _ )
+        when List.mem f d6_probe_fns ->
+          emit ctx ~loc:pexp_loc "D6" Error
+            (Printf.sprintf
+               "Obs.%s names %S with a string literal; add the name to \
+                Obs.K and use it there"
+               f name)
+      | _ -> ())
+  | _ -> ()
+
 let note_aff ctx e =
   match e.pexp_desc with
   | Pexp_apply (f, args) -> (
@@ -321,6 +359,7 @@ let note_aff ctx e =
 let expr_iter ctx (self : Ast_iterator.iterator) e =
   ctx.frames <- allow_rules_of_attrs e.pexp_attributes :: ctx.frames;
   note_aff ctx e;
+  check_d6 ctx e;
   (match e.pexp_desc with
   | Pexp_ident { txt; _ } -> check_ident ctx e.pexp_loc txt
   | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args)

@@ -22,6 +22,10 @@
       storage entry points of the graph ([compact], [add_edge],
       [remove_edge]) and the journal carry at least one [Obs] probe.
     - [D5] every lib/ [.ml] has a sibling [.mli].
+    - [D6] in lib/, no string literal as the name argument of
+      [Obs.add]/[incr]/[counter]/[set_gauge]/[gauge]/[observe]/
+      [observe_time]/[histogram]: the names live in [Obs.K]. Span names
+      are exempt.
 
     Suppression: [(expr [@lint.allow "RULE"])] for a subtree,
     [[@@lint.allow "RULE"]] on a binding, [[@@@lint.allow "RULE"]] for

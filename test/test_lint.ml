@@ -1,5 +1,5 @@
 (* Tests for the determinism & instrumentation linter (lib/lint): one
-   fixture per rule D1-D5, the three suppression shapes, the report JSON
+   fixture per rule D1-D6, the three suppression shapes, the report JSON
    round-trip, a clean-tree integration run over the build
    copy of the repo's own sources, the test/lint_fixtures/ D2 fixture
    and in-process report byte-determinism (the cross-process run is
@@ -143,14 +143,14 @@ let test_d4_storage () =
   check (Alcotest.list Alcotest.string) "probed compact passes" []
     (rules
        (lint ~path:"lib/graph/digraph.ml"
-          "let compact g = if Obs.enabled g.obs then Obs.incr g.obs \"c\""));
+          "let compact g = if Obs.enabled g.obs then Obs.incr g.obs Obs.K.c"));
   check (Alcotest.list Alcotest.string) "uninstrumented append flagged"
     [ "D4" ]
     (rules (lint ~path:"lib/journal/journal.ml" "let append t = ignore t"));
   check (Alcotest.list Alcotest.string) "observe_time counts as a probe" []
     (rules
        (lint ~path:"lib/journal/journal.ml"
-          "let append t = Obs.observe_time t.obs \"wal\" (fun () -> ())"));
+          "let append t = Obs.observe_time t.obs Obs.K.wal (fun () -> ())"));
   check (Alcotest.list Alcotest.string) "uninstrumented undo flagged" [ "D4" ]
     (rules (lint ~path:"lib/journal/store.ml" "let undo t ~k = ignore (t, k)"));
   check (Alcotest.list Alcotest.string) "other files out of scope" []
@@ -166,6 +166,24 @@ let test_d4_storage () =
           "let remove_edge g = Obs.note_changed_input g.obs 1"));
   check (Alcotest.list Alcotest.string) "other bindings out of scope" []
     (rules (lint ~path:"lib/graph/digraph.ml" "let mem_edge g = ignore g"))
+
+(* ---- D6: probe names live in Obs.K ---------------------------------------- *)
+
+let test_d6_probe_names () =
+  check (Alcotest.list Alcotest.string) "literal counter name flagged"
+    [ "D6" ]
+    (rules (lint "let f o = Obs.incr o \"rematches\""));
+  check (Alcotest.list Alcotest.string) "literal histogram name flagged"
+    [ "D6" ]
+    (rules
+       (lint ~path:"lib/journal/fixture.ml"
+          "let f o dt = Ig_obs.Obs.observe o \"fsync_s\" dt"));
+  check (Alcotest.list Alcotest.string) "Obs.K name passes" []
+    (rules (lint "let f o = Obs.add o Obs.K.edges_relaxed 3"));
+  check (Alcotest.list Alcotest.string) "span names are exempt" []
+    (rules (lint "let f o g = Obs.with_span o \"kws.process\" g"));
+  check (Alcotest.list Alcotest.string) "out of lib/ scope" []
+    (rules (lint ~path:"bench/fixture.ml" "let f o = Obs.incr o \"x\""))
 
 (* ---- suppression ------------------------------------------------------------- *)
 
@@ -372,6 +390,7 @@ let () =
           Alcotest.test_case "D4 instrumentation" `Quick
             test_d4_instrumentation;
           Alcotest.test_case "D4 storage entry points" `Quick test_d4_storage;
+          Alcotest.test_case "D6 probe names" `Quick test_d6_probe_names;
           Alcotest.test_case "syntax errors are diagnostics" `Quick
             test_syntax_error;
         ] );
