@@ -456,15 +456,18 @@ let cell g ups = function
 
 let point row g ups = List.map (cell g ups) row.columns
 
+(* Each column over its reps, from one list of cells per rep. *)
+let by_column runs =
+  List.mapi
+    (fun i _ -> over_reps (List.map (fun r -> List.nth r i) runs))
+    (List.hd runs)
+
 (* A point over cfg.reps distinct update batches. *)
 let repeated row pct g =
-  let runs =
-    List.init cfg.reps (fun i ->
-        let base, ups = updates_for g pct (i + 1) in
-        point row base ups)
-  in
-  List.mapi (fun i _ -> over_reps (List.map (fun r -> List.nth r i) runs))
-    row.columns
+  by_column
+    (List.init cfg.reps (fun i ->
+         let base, ups = updates_for g pct (i + 1) in
+         point row base ups))
 
 let header id name g =
   Format.printf "@.[%s] %s: %d nodes, %d edges@." id name (D.n_nodes g)
@@ -617,11 +620,8 @@ let unit_updates id =
       let columns =
         List.hd row.columns :: List.filteri (fun i _ -> i >= b) row.columns
       in
-      let runs = List.map (fun rep -> List.map (per_unit rep) columns) reps in
       let cells =
-        List.mapi
-          (fun i _ -> over_reps (List.map (fun r -> List.nth r i) runs))
-          columns
+        by_column (List.map (fun rep -> List.map (per_unit rep) columns) reps)
       in
       record ~id ~title:"Unit updates: seconds per update (dbpedia)"
         ~x:row.name ~series:(List.map series columns) ~batch:1 cells;

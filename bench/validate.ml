@@ -20,9 +20,9 @@
    snapshots (Core.Journal.Snapshot.validate: structure + self-checksum);
    everything else as a BENCH report (Core.Obs.Report.of_json, which also
    yields the experiment and point counts). Exits nonzero on the first
-   file that fails to parse or validate. Used by the @bench-smoke, @trace-smoke, @crash-smoke,
-   @telemetry-smoke and @lint aliases to guarantee that what the writers
-   emit is what the validators promise. *)
+   file that fails to parse or validate. Used by the @bench-smoke,
+   @trace-smoke, @crash-smoke, @telemetry-smoke and @lint aliases to
+   guarantee that what the writers emit is what the validators promise. *)
 
 module Json = Core.Obs.Json
 module Report = Core.Obs.Report

@@ -875,8 +875,8 @@ let lint_cmd =
           lib/ outside lib/obs (D3), Obs.with_apply-wrapped and rule-tagged \
           update entry points in every engine (D4), an .mli for every \
           lib/ module (D5), and Obs.K names rather than string literals \
-          for the counter, gauge and histogram probes in lib/ (D6). Exits non-zero on errors (and on warnings under \
-          $(b,--strict)).")
+          for the counter, gauge and histogram probes in lib/ (D6). Exits \
+          non-zero on errors (and on warnings under $(b,--strict)).")
     Term.(
       ret
         (const run $ root_arg $ json_flag $ out_arg $ strict_arg))

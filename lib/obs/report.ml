@@ -310,10 +310,12 @@ let compare_reports old_r new_r =
       (fun ((id, x), o, n) ->
         let names = List.map fst o.counters in
         let get p s = Option.value ~default:[] (List.assoc_opt s p.counters) in
-        List.map
-          (fun s -> ((id, x, s), get o s, get n s))
-          (names
-          @ List.filter (fun s -> not (List.mem s names)) (List.map fst n.counters)))
+        let added =
+          List.filter
+            (fun s -> not (List.mem s names))
+            (List.map fst n.counters)
+        in
+        List.map (fun s -> ((id, x, s), get o s, get n s)) (names @ added))
       both
   in
   let diffs =
@@ -323,7 +325,8 @@ let compare_reports old_r new_r =
           (fun counter ->
             let old_v = List.assoc_opt counter o
             and new_v = List.assoc_opt counter n in
-            if old_v = new_v then None else Some { dkey; counter; old_v; new_v })
+            if old_v = new_v then None
+            else Some { dkey; counter; old_v; new_v })
           (List.sort_uniq String.compare (List.map fst (o @ n))))
       series
   in

@@ -77,7 +77,7 @@ type counter_diff = {
 }
 
 type comparison = {
-  cells : cmp_cell list;  (** keys timed in both, in the new report's order *)
+  cells : cmp_cell list;  (** keys timed in both, in the old report's order *)
   only_old : key list;
   only_new : key list;
   counted : int;

@@ -79,7 +79,9 @@ let snapshot_json =
    bench/main.exe -e fig8a --scale 0.02 --points 1 --out bench_report_seed.json.
    It must decode, so that its mutants start from a valid report. *)
 let bench_report =
-  let s = In_channel.with_open_bin "bench_report_seed.json" In_channel.input_all in
+  let s =
+    In_channel.with_open_bin "bench_report_seed.json" In_channel.input_all
+  in
   match Result.bind (Json.parse s) Report.of_json with
   | Ok _ -> s
   | Error e -> failwith ("bench_report_seed.json does not decode: " ^ e)

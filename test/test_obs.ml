@@ -730,39 +730,22 @@ let test_report_writer_validates () =
     ~timings:[ ("inc", 0.1); ("batch", 0.25) ]
     ~counters:[ ("inc", [ ("aff", 3); ("edges_relaxed", 17) ]) ]
     ~speedup:[ ("inc", 2.5) ]
-    ~histograms:[ ("inc", [ ("apply_latency_s", h); ("gc_minor_words", H.create ()) ]) ]
+    ~histograms:
+      [ ("inc", [ ("apply_latency_s", h); ("gc_minor_words", H.create ()) ]) ]
     ~gc:[ ("inc", [ ("minor_words", 12.) ]) ]
     ();
   ignore (R.experiment r ~id:"empty" ~title:"no points");
-  let json = R.to_json r in
-  match Result.bind (J.parse (J.to_string ~indent:true json)) R.of_json with
+  let text = J.to_string ~indent:true (R.to_json r) in
+  match Result.bind (J.parse text) R.of_json with
   | Error e -> Alcotest.fail ("fresh report rejected: " ^ e)
   | Ok r' ->
-      check Alcotest.string "tool" r.R.tool r'.R.tool;
-      check Alcotest.bool "re-encodes to the same json" true
-        (R.to_json r' = json);
-      let hist (k, h) =
-        (k, H.count h, H.sum h, H.min_value h, H.max_value h, H.nonzero_buckets h)
-      in
-      let points r =
-        List.concat_map
-          (fun e -> List.map (fun p -> (e.R.id, e.R.title, p)) e.R.points)
-          r.R.experiments
-      in
-      let ps = points r and ps' = points r' in
-      check Alcotest.int "points" (List.length ps) (List.length ps');
-      List.iter2
-        (fun (id, title, p) (id', title', p') ->
-          check Alcotest.(pair string string) "experiment" (id, title) (id', title');
-          check Alcotest.string "x" p.R.x p'.R.x;
-          check Alcotest.bool (p.R.x ^ " timings") true (p.R.timings = p'.R.timings);
-          check Alcotest.bool (p.R.x ^ " counters") true (p.R.counters = p'.R.counters);
-          check Alcotest.bool (p.R.x ^ " speedups") true (p.R.speedup = p'.R.speedup);
-          check Alcotest.bool (p.R.x ^ " gc") true (p.R.gc = p'.R.gc);
-          check Alcotest.bool (p.R.x ^ " histograms") true
-            (List.map (fun (s, hs) -> (s, List.map hist hs)) p.R.hists
-            = List.map (fun (s, hs) -> (s, List.map hist hs)) p'.R.hists))
-        ps ps'
+      (* Structural equality: histograms compare by count, sum, extremes
+         and buckets. *)
+      check Alcotest.bool "every experiment and point comes back" true
+        (r'.R.experiments = r.R.experiments);
+      check Alcotest.bool "tool, created and config come back" true
+        ((r'.R.tool, r'.R.created, r'.R.config)
+        = (r.R.tool, r.R.created, r.R.config))
 
 (* A v1 report, and a v2 point without the histogram/gc sections, are
    both rejected. *)
