@@ -362,7 +362,8 @@ let cert_survives_delete t u v =
 (* After deleting intra-component edge (u,v), the component stays strongly
    connected iff [u] still reaches [v] inside it (paper IncSCC−: the
    reachability check). Early-exits as soon as [v] is found; the walk is
-   counted like any other search. *)
+   counted like any other search. DynSCC's check: one unbudgeted forward
+   walk per deleted edge. *)
 let still_connected t c u v =
   let work = { Ig_graph.Traverse.visited = 0; relaxed = 0 } in
   let r =
@@ -371,6 +372,66 @@ let still_connected t c u v =
   Obs.add t.obs Obs.K.nodes_visited work.visited;
   Obs.add t.obs Obs.K.edges_relaxed work.relaxed;
   r
+
+(* IncSCC's check: [u] reaches [v] inside [c], by a bidirectional search,
+   forward over successors from [u] and backward over predecessors from
+   [v], each step expanding the smaller frontier. Every expanded node
+   spends one unit of [budget]; a spent budget or a frontier that runs dry
+   answers [false]. *)
+let detour t c budget u v =
+  u = v
+  ||
+  let fwd = Hashtbl.create 16 and bwd = Hashtbl.create 16 in
+  Hashtbl.replace fwd u ();
+  Hashtbl.replace bwd v ();
+  let visited = ref 0 and relaxed = ref 0 in
+  let expand iter own other frontier =
+    List.fold_left
+      (fun next x ->
+        if !budget = 0 then next
+        else begin
+          decr budget;
+          incr visited;
+          let next = ref next in
+          iter
+            (fun w ->
+              incr relaxed;
+              if comp_of t w = c && not (Hashtbl.mem own w) then begin
+                if Hashtbl.mem other w then raise_notrace Exit;
+                Hashtbl.replace own w ();
+                next := w :: !next
+              end)
+            t.g x;
+          !next
+        end)
+      [] frontier
+  in
+  let rec meet ff bf =
+    if ff = [] || bf = [] || !budget = 0 then false
+    else if List.compare_lengths ff bf <= 0 then
+      meet (expand Digraph.iter_succ fwd bwd ff) bf
+    else meet ff (expand Digraph.iter_pred bwd fwd bf)
+  in
+  let r = try meet [ u ] [ v ] with Exit -> true in
+  Obs.add t.obs Obs.K.nodes_visited !visited;
+  Obs.add t.obs Obs.K.edges_relaxed !relaxed;
+  r
+
+(* [c], strongly connected at batch start, still is after its deletions
+   [dels] if every (u, v) of them has a detour u ⇝ v inside [c] in the
+   current graph: each deleted edge on an old path between two members
+   can be replaced by its detour. A deletion that leaves [u] with no edge
+   into [c], or [v] with none from it, is a certain split, found from the
+   degrees before any search runs. The searches share a budget of |c|
+   expanded nodes, so re-proving costs at most about what the local
+   Tarjan run it tries to avoid does. *)
+let reproved t c dels =
+  let into_c u = Digraph.out_degree t.g u > Vec.get t.ext_out u
+  and from_c v = Digraph.in_degree t.g v > Vec.get t.ext_in v in
+  List.for_all (fun (u, v) -> u = v || (into_c u && from_c v)) dels
+  &&
+  let budget = ref (size_of t c) in
+  List.for_all (fun (u, v) -> detour t c budget u v) dels
 
 (* ---- Batch updates (IncSCC) ------------------------------------------ *)
 
@@ -402,24 +463,30 @@ let process t updates =
         Hashtbl.replace del_by_comp c ((u, v) :: cur)
       end)
     intra_del;
-  (* [c] was strongly connected at batch start, so under [dyn] the
-     reachability checks may run after all of this phase's edits: if every
-     deleted (u, v) still has a path u ⇝ v inside [c], each deleted edge on
-     an old path between two members can be replaced by such a path, and
-     [c] is still strongly connected. Its certificate no longer reflects
-     reality, so it is marked dirty. Sorted: recert order reaches the trace
-     via local Tarjan's aff_enter. *)
+  (* [c] was strongly connected at batch start, so the reachability checks
+     may run after all of this phase's edits (see [reproved]). A clean
+     certificate still proves the deletions it does not use, so only the
+     others are checked; a stale one proves nothing. When every check
+     succeeds, [c] keeps its members, ranks and ΔO, and its certificate,
+     which no longer reflects reality, is marked dirty. Sorted: recert
+     order reaches the trace via local Tarjan's aff_enter. *)
   List.iter
     (fun (c, dels) ->
-      if
-        (not t.dyn)
-        && (not (Hashtbl.mem t.dirty c))
-        && List.for_all (fun (u, v) -> cert_survives_delete t u v) dels
-      then Obs.add t.obs Obs.K.fast_deletes (List.length dels)
-      else if
-        t.dyn && List.for_all (fun (u, v) -> still_connected t c u v) dels
-      then Hashtbl.replace t.dirty c ()
-      else recert_or_split t c)
+      if t.dyn then
+        if List.for_all (fun (u, v) -> still_connected t c u v) dels then
+          Hashtbl.replace t.dirty c ()
+        else recert_or_split t c
+      else
+        let unproved =
+          if Hashtbl.mem t.dirty c then dels
+          else List.filter (fun (u, v) -> not (cert_survives_delete t u v)) dels
+        in
+        if unproved = [] || reproved t c unproved then begin
+          let fast = List.length dels - List.length unproved in
+          if fast > 0 then Obs.add t.obs Obs.K.fast_deletes fast;
+          if unproved <> [] then Hashtbl.replace t.dirty c ()
+        end
+        else recert_or_split t c)
     (Obs.sorted_bindings ~compare:Int.compare del_by_comp);
   (* (b) Inter-component phase: deletions first, then insertions one at a
      time (each restores the rank invariant before the next is added). *)

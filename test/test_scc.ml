@@ -489,6 +489,158 @@ let prop_unit_updates (name, dyn) =
         (updates_of_ops ops);
       norm (I.components t) = norm (T.scc (I.graph t)))
 
+(* ---- IncSCC−'s reachability check -------------------------------------- *)
+
+let counter obs k = Ig_obs.Obs.counter obs k
+
+(* Counter [k]'s growth over one batch. *)
+let batch_cost obs t ups k =
+  let before = counter obs k in
+  let d = I.apply_batch t ups in
+  (d, counter obs k - before)
+
+(* C = {0,1,2,3}: cycle 3 -> 0 -> 2 -> 3, plus 0 -> 1, 1 -> 2, 1 -> 3 and a
+   self-loop on 2. Init's DFS (root 3, successors in descending order)
+   makes (0,2) the tree arc into 2, and records (1,3) as 1's witness. *)
+let test_stale_cert_protocol () =
+  let obs = Ig_obs.Obs.create () in
+  let t =
+    engine ~obs 4 [ (3, 0); (0, 2); (2, 3); (0, 1); (1, 2); (1, 3); (2, 2) ]
+  in
+  let cert_line v =
+    List.find
+      (String.starts_with ~prefix:(Printf.sprintf "v%d " v))
+      (String.split_on_char '\n' (List.assoc "cert" (I.cert_snapshot t)))
+  in
+  check Alcotest.string "(0,2) is the tree arc into 2"
+    "v2 num=2 low=0 parent=0 witness=direct:3" (cert_line 2);
+  (* Batch 1: the tree arc has a detour 0 -> 1 -> 2; no local Tarjan. *)
+  let d, aff = batch_cost obs t [ Digraph.Delete (0, 2) ] Ig_obs.Obs.K.aff in
+  check Alcotest.int "C unchanged" 0 (List.length d.removed + List.length d.added);
+  check Alcotest.int "no local Tarjan" 0 aff;
+  check Alcotest.int "not a fast delete" 0 (fast_deletes obs);
+  check Alcotest.bool "the search ran" true
+    (counter obs Ig_obs.Obs.K.nodes_visited > 0);
+  assert_sound "after detour" t;
+  (* The stale certificate would let (1,2) through: it is neither the tree
+     arc into 2 nor 1's witness. It is now the only edge into 2 from the
+     rest of C, so deleting it splits 2 off. *)
+  check Alcotest.string "certificate kept, stale"
+    "v1 num=3 low=0 parent=0 witness=direct:3" (cert_line 1);
+  let d, visited =
+    batch_cost obs t [ Digraph.Delete (1, 2) ] Ig_obs.Obs.K.nodes_visited
+  in
+  check_comps "split off" [ [ 0; 1; 2; 3 ] ] d.removed;
+  check_comps "== Tarjan" (T.scc (I.graph t)) (I.components t);
+  check_comps "parts" [ [ 0; 1; 3 ]; [ 2 ] ] (I.components t);
+  (* 3 nodes searched from 1 before the frontier ran dry, then local
+     Tarjan's 4. *)
+  check Alcotest.int "failed search, then local Tarjan" 7 visited;
+  assert_sound "after split" t
+
+(* Deleting (k-1, 0) from a k-cycle leaves k-1 with no edge into C: a
+   certain split, found from degrees, so only local Tarjan visits nodes. *)
+let test_certain_split_skips_search () =
+  let k = 6 in
+  let obs = Ig_obs.Obs.create () in
+  let t = engine ~obs k (List.init k (fun i -> (i, (i + 1) mod k))) in
+  let d = I.apply_batch t [ Digraph.Delete (k - 1, 0) ] in
+  check Alcotest.int "k singletons" k (List.length d.added);
+  check Alcotest.int "local Tarjan only" k
+    (counter obs Ig_obs.Obs.K.nodes_visited);
+  check Alcotest.int "aff" k (counter obs Ig_obs.Obs.K.aff);
+  assert_sound "certain split" t
+
+(* Bidirectional ring on k nodes; init's DFS (root k-1, successors in
+   descending order) makes every (i+1, i) a tree arc. Deleting three of
+   them keeps the ring strongly connected, but
+   each detour runs the long way round, and each search expands about k/2
+   nodes: the shared budget of k runs out, and local Tarjan decides. *)
+let test_search_budget_falls_back () =
+  let k = 30 in
+  let obs = Ig_obs.Obs.create () in
+  let ring =
+    List.concat_map (fun i -> [ (i, (i + 1) mod k); ((i + 1) mod k, i) ])
+      (List.init k Fun.id)
+  in
+  let t = engine ~obs k ring in
+  let d =
+    I.apply_batch t
+      [ Digraph.Delete (1, 0); Digraph.Delete (11, 10); Digraph.Delete (21, 20) ]
+  in
+  check Alcotest.int "C unchanged" 0 (List.length d.removed + List.length d.added);
+  check Alcotest.int "local Tarjan ran" k (counter obs Ig_obs.Obs.K.aff);
+  check Alcotest.int "budget k, then Tarjan's k" (2 * k)
+    (counter obs Ig_obs.Obs.K.nodes_visited);
+  assert_sound "after fallback" t
+
+(* Graphs of planted strongly connected blocks, each a cycle with chords,
+   linked by random edges; batches delete mostly planted edges, so chorded
+   blocks lose tree arcs and witnesses that have detours. *)
+let gen_planted =
+  QCheck.Gen.(
+    let* sizes = list_size (int_range 1 4) (int_range 2 8) in
+    let n = List.fold_left ( + ) 0 sizes in
+    let starts = List.rev (snd (List.fold_left (fun (s, acc) k -> (s + k, s :: acc)) (0, []) sizes)) in
+    let* blocks =
+      flatten_l
+        (List.map2
+           (fun s k ->
+             let node = map (fun i -> s + i) (int_bound (k - 1)) in
+             let+ chords = list_size (int_bound (2 * k)) (pair node node) in
+             List.init k (fun i -> (s + i, s + ((i + 1) mod k))) @ chords)
+           starts sizes)
+    in
+    let planted = List.concat blocks in
+    let any = pair (int_bound (n - 1)) (int_bound (n - 1)) in
+    let* links = list_size (int_bound n) any in
+    let op =
+      frequency
+        [ (3, map (fun e -> (false, e)) (oneofl planted));
+          (1, map (fun e -> (true, e)) any) ]
+    in
+    let* batches = list_size (int_range 1 5) (list_size (int_range 1 6) op) in
+    return (n, planted @ links, batches))
+
+let arb_planted =
+  let edge (u, v) = Printf.sprintf "(%d,%d)" u v in
+  QCheck.make gen_planted ~print:(fun (n, edges, batches) ->
+      Printf.sprintf "n=%d edges=[%s] batches=[%s]" n
+        (String.concat ";" (List.map edge edges))
+        (String.concat " | "
+           (List.map
+              (fun ops ->
+                String.concat ";"
+                  (List.map
+                     (fun (ins, e) -> (if ins then "+" else "-") ^ edge e)
+                     ops))
+              batches)))
+
+(* After every batch the engine is sound (components == Tarjan's, ΔO
+   algebra, invariants). A batch that visits nodes but adds nothing to AFF
+   re-proved a component by search: no closure ran (a closure's region
+   counts on aff) and no local Tarjan did. *)
+let test_planted_chorded_sccs () =
+  let reproved = ref 0 in
+  let prop (n, edges, batches) =
+    let obs = Ig_obs.Obs.create () in
+    let t = engine ~obs n edges in
+    List.for_all
+      (fun ops ->
+        let aff = counter obs Ig_obs.Obs.K.aff
+        and visited = counter obs Ig_obs.Obs.K.nodes_visited in
+        let ok = batch_sound t ops in
+        if
+          counter obs Ig_obs.Obs.K.aff = aff
+          && counter obs Ig_obs.Obs.K.nodes_visited > visited
+        then incr reproved;
+        ok)
+      batches
+  in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 34 |])
+    (QCheck.Test.make ~name:"planted chorded SCCs" ~count:300 arb_planted prop);
+  check Alcotest.bool "search path taken" true (!reproved > 0)
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let () =
@@ -544,6 +696,17 @@ let () =
           Alcotest.test_case "configs agree" `Quick test_inc_configs_agree;
           Alcotest.test_case "closure skips C's internal edges" `Quick
             test_inc_closure_skips_internal_edges;
+        ] );
+      ( "reachability check",
+        [
+          Alcotest.test_case "stale certificate protocol" `Quick
+            test_stale_cert_protocol;
+          Alcotest.test_case "certain split skips the search" `Quick
+            test_certain_split_skips_search;
+          Alcotest.test_case "spent budget falls back" `Quick
+            test_search_budget_falls_back;
+          Alcotest.test_case "planted chorded SCCs" `Quick
+            test_planted_chorded_sccs;
         ] );
       ( "inc properties",
         qsuite
