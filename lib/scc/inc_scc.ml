@@ -156,6 +156,7 @@ let recert_or_split t c =
       List.iter (gain_comp t) parts;
       (* [parts] is sinks-first, which is ascending rank order. *)
       Rank.split t.rank c ~parts;
+      Obs.add t.obs Obs.K.rank_moves (List.length parts);
       retire_comp t c
 
 (* ---- Insertions (IncSCC+) -------------------------------------------- *)

@@ -74,7 +74,8 @@ val init :
     [edges_relaxed] (every G edge scanned: by the closures, by local
     Tarjan, by the external-degree upkeep of merges and splits and, with
     [dyn], by the reachability checks), [queue_pushes] (closure pushes),
-    [rank_moves] (rank-region size of each violation),
+    [rank_moves] (rank-region size of each violation, plus the parts
+    each split ranks afresh),
     [violations] (rank violations resolved by affected-region search),
     [fast_deletes] (intra-component deletions resolved by the O(1)
     witness check), and [changed] = |ΔG| + |ΔO| ([changed_input],
