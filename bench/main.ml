@@ -529,9 +529,8 @@ let exp2 ~varying ~xlabel pick params id =
     List.map
       (fun param ->
         let x, spec = pick g param in
-        let base, ups = updates_for g 10 1 in
         let row = table g spec in
-        (row, x, point row base ups))
+        (row, x, repeated row 10 g))
       params
   in
   ignore
@@ -554,15 +553,23 @@ let exp3 pick id =
             ~scale:(cfg.scale *. factor)
             ~rng W.Profiles.synthetic
         in
-        let rng = rng_of_point ("exp3ups", id, factor) in
-        let base = D.copy g in
-        let ups =
-          W.Updates.generate_replay ~rng base
-            ~size:(min fixed_dg (D.n_edges g / 2))
-            ()
-        in
         let row = table g (pick g) in
-        (row, Printf.sprintf "%.1f" factor, point row base ups))
+        let rep i =
+          let rng =
+            if i = 1 then rng_of_point ("exp3ups", id, factor)
+            else rng_of_point ("exp3ups", id, factor, i)
+          in
+          let base = D.copy g in
+          let ups =
+            W.Updates.generate_replay ~rng base
+              ~size:(min fixed_dg (D.n_edges g / 2))
+              ()
+          in
+          point row base ups
+        in
+        ( row,
+          Printf.sprintf "%.1f" factor,
+          by_column (List.init cfg.reps (fun i -> rep (i + 1))) ))
       [ 0.2; 0.4; 0.6; 0.8; 1.0 ]
   in
   ignore
@@ -646,14 +653,20 @@ let opt_gain id =
   let g = instantiate W.Profiles.dbpedia_like in
   Format.printf "@.[%s] IncX vs IncXn at |ΔG| = 10%% (dbpedia-like, %d edges)@."
     id (D.n_edges g);
-  let base, ups = updates_for g 10 1 in
+  let batches = List.init cfg.reps (fun i -> updates_for g 10 (i + 1)) in
   List.iter
     (fun pick ->
       let row = table g (pick g) in
-      let inc = cell base ups (List.nth row.columns 0) in
-      let incn = cell base ups (List.nth row.columns 1) in
+      let columns = List.filteri (fun i _ -> i < 2) row.columns in
+      let cells =
+        by_column
+          (List.map
+             (fun (base, ups) -> List.map (cell base ups) columns)
+             batches)
+      in
+      let inc = List.nth cells 0 and incn = List.nth cells 1 in
       record ~id ~title:"IncX vs IncXn at |ΔG| = 10%" ~x:row.name
-        ~series:[ "IncX"; "IncXn" ] [ inc; incn ];
+        ~series:[ "IncX"; "IncXn" ] cells;
       Format.printf "%-6s IncX %.4fs  IncXn %.4fs  gain %.2fx@." row.name
         inc.time incn.time
         (incn.time /. Float.max 1e-9 inc.time))
