@@ -20,21 +20,31 @@
       endpoints' external degrees. For an intra-component edge, the
       recorded Tarjan run remains a verbatim certificate whenever the edge
       is neither a DFS tree arc nor any node's lowlink witness — an O(1)
-      fast path; otherwise Tarjan runs locally on the component's induced
-      subgraph, splitting it when strong connectivity broke and threading
-      fresh ranks into the retired component's slot.
+      fast path. Otherwise the paper's reachability check re-proves the
+      component: a bidirectional search u ⇝ v inside it for the deleted
+      (u, v). A deletion that leaves [u] with no edge into the component,
+      or [v] with none from it, is a certain split and skips the search.
+      The searches for one component in one batch share a budget of |C|
+      expanded nodes. When every search finds its path, the component
+      keeps its members, ranks and ΔO; when one fails, or the budget runs
+      out, Tarjan runs locally on the component's induced subgraph,
+      splitting it when strong connectivity broke and threading fresh
+      ranks into the retired component's slot.
     - {b Batch} ([IncSCC]): intra-component updates are grouped so local
       Tarjan runs at most once per affected component; inter-component
       deletions are applied before insertions; insertions restore the rank
       invariant one at a time.
 
-    Certificates are kept lazily. An intra-component insertion dirties
-    nothing: the recorded certificate is a valid run over the edges present
-    when it was computed, which already prove the component strongly
-    connected, so both later deletion fast-path checks and the deletion of
-    the new edge itself stay sound against it. A merge marks the merged
-    component dirty; its certificate is recomputed only when a later
-    deletion needs it.
+    Certificates are kept lazily. A component is {e dirty} when its
+    recorded certificate no longer proves it strongly connected: after a
+    merge, and after deletions that searches re-proved. A dirty
+    component's certificate is never consulted: every deletion in it goes
+    to the reachability check, and it becomes clean again only when a
+    local Tarjan run re-certifies it. An intra-component insertion
+    dirties nothing: the recorded certificate is a valid run over the
+    edges present when it was computed, which already prove the component
+    strongly connected, so both later deletion fast-path checks and the
+    deletion of the new edge itself stay sound against it.
 
     The paper's three comparison subjects are this one engine: [IncSCC]
     is a whole batch per {!apply_batch} call, [IncSCCn] is one update per
@@ -43,8 +53,9 @@
     deletion fast path: each component with intra-component deletions
     pays a reachability check u ⇝ v inside it for every deleted (u, v),
     even when the output is stable, reproducing the paper's observation in
-    Exp-1(3). When every check succeeds the component is only marked
-    dirty; a local recomputation runs only when one fails. *)
+    Exp-1(3). Its check is a forward walk from [u] with no degree
+    pre-check and no budget. When every check succeeds the component is
+    only marked dirty; a local recomputation runs only when one fails. *)
 
 type node = Ig_graph.Digraph.node
 
@@ -70,15 +81,16 @@ val init :
     plus rank-region size — the measured |AFF|), [cert_rewrites] (nodes
     whose [num]/[lowlink] certificate was recomputed), [nodes_visited]
     (every member of each component an affected-region closure visits,
-    nodes visited by local Tarjan and, with [dyn], by reachability checks),
-    [edges_relaxed] (every G edge scanned: by the closures, by local
-    Tarjan, by the external-degree upkeep of merges and splits and, with
-    [dyn], by the reachability checks), [queue_pushes] (closure pushes),
+    nodes visited by local Tarjan and nodes the reachability checks
+    expand), [edges_relaxed] (every G edge scanned: by the closures, by
+    local Tarjan, by the external-degree upkeep of merges and splits and
+    by the reachability checks), [queue_pushes] (closure pushes),
     [rank_moves] (rank-region size of each violation, plus the parts
     each split ranks afresh),
     [violations] (rank violations resolved by affected-region search),
     [fast_deletes] (intra-component deletions resolved by the O(1)
-    witness check), and [changed] = |ΔG| + |ΔO| ([changed_input],
+    witness check, in batches that run no local Tarjan on their
+    component), and [changed] = |ΔG| + |ΔO| ([changed_input],
     counted by the graph, plus [changed_output], counted by
     {!Ig_graph.Delta_set}). Each {!apply_batch} call also records one
     sample into the [apply_latency_s] histogram (monotonic seconds) and
