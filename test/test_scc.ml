@@ -516,7 +516,8 @@ let test_stale_cert_protocol () =
     "v2 num=2 low=0 parent=0 witness=direct:3" (cert_line 2);
   (* Batch 1: the tree arc has a detour 0 -> 1 -> 2; no local Tarjan. *)
   let d, aff = batch_cost obs t [ Digraph.Delete (0, 2) ] Ig_obs.Obs.K.aff in
-  check Alcotest.int "C unchanged" 0 (List.length d.removed + List.length d.added);
+  check Alcotest.int "C unchanged" 0
+    (List.length d.removed + List.length d.added);
   check Alcotest.int "no local Tarjan" 0 aff;
   check Alcotest.int "not a fast delete" 0 (fast_deletes obs);
   check Alcotest.bool "the search ran" true
@@ -566,9 +567,12 @@ let test_search_budget_falls_back () =
   let t = engine ~obs k ring in
   let d =
     I.apply_batch t
-      [ Digraph.Delete (1, 0); Digraph.Delete (11, 10); Digraph.Delete (21, 20) ]
+      [
+        Digraph.Delete (1, 0); Digraph.Delete (11, 10); Digraph.Delete (21, 20);
+      ]
   in
-  check Alcotest.int "C unchanged" 0 (List.length d.removed + List.length d.added);
+  check Alcotest.int "C unchanged" 0
+    (List.length d.removed + List.length d.added);
   check Alcotest.int "local Tarjan ran" k (counter obs Ig_obs.Obs.K.aff);
   check Alcotest.int "budget k, then Tarjan's k" (2 * k)
     (counter obs Ig_obs.Obs.K.nodes_visited);
@@ -579,18 +583,17 @@ let test_search_budget_falls_back () =
    blocks lose tree arcs and witnesses that have detours. *)
 let gen_planted =
   QCheck.Gen.(
-    let* sizes = list_size (int_range 1 4) (int_range 2 8) in
-    let n = List.fold_left ( + ) 0 sizes in
-    let starts = List.rev (snd (List.fold_left (fun (s, acc) k -> (s + k, s :: acc)) (0, []) sizes)) in
-    let* blocks =
-      flatten_l
-        (List.map2
-           (fun s k ->
-             let node = map (fun i -> s + i) (int_bound (k - 1)) in
-             let+ chords = list_size (int_bound (2 * k)) (pair node node) in
-             List.init k (fun i -> (s + i, s + ((i + 1) mod k))) @ chords)
-           starts sizes)
+    (* Block [k] nodes from [s]: a cycle plus up to 2k chords. *)
+    let block s k =
+      let node = map (fun i -> s + i) (int_bound (k - 1)) in
+      let+ chords = list_size (int_bound (2 * k)) (pair node node) in
+      List.init k (fun i -> (s + i, s + ((i + 1) mod k))) @ chords
     in
+    let* sizes = list_size (int_range 1 4) (int_range 2 8) in
+    let n, blocks =
+      List.fold_left (fun (s, bs) k -> (s + k, block s k :: bs)) (0, []) sizes
+    in
+    let* blocks = flatten_l blocks in
     let planted = List.concat blocks in
     let any = pair (int_bound (n - 1)) (int_bound (n - 1)) in
     let* links = list_size (int_bound n) any in
