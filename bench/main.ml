@@ -37,7 +37,9 @@
 
    Every comparison experiment (fig8a..fig8p, unit_updates, opt_gain,
    rho_sweep, sim_delta) reads its engines from one table, [table] below:
-   per query, the class name and its ordered columns.
+   per query, the class name and its ordered columns, every one but
+   DynSCC built through Core.Check.Spec, which also wires the CLI and the
+   differential fuzzer.
 
    Absolute numbers are not comparable to the paper's (different machine,
    language, graph sizes); the reproduction target is the shape: who wins,
@@ -315,15 +317,19 @@ let pick_kws g m b =
    Every Fig. 8 panel and both prose results compare the same columns, in
    the same order: the incremental engine handed the whole batch (IncX),
    the one-by-one variant (IncXn), batch recomputation (the paper's batch
-   counterpart), and for SCC the DynSCC stand-in. [table] is the one place
-   that says, per query, what those columns run; the pickers below say
-   which query each class runs by default. The batch column is given G and
-   ΔG and must produce Q(G ⊕ ΔG) — applying ΔG is part of its timed work.
-   An incremental column's [start] builds its engine on the graph it is
+   counterpart), and for SCC the DynSCC stand-in. [table] builds them from
+   Spec, the place that wires each class for the CLI and the fuzzer: IncX
+   and IncXn drive the oracle Spec.make builds, the batch column runs
+   Spec.batch, so the engines timed here are the ones @fuzz checks. Only
+   DynSCC is wired here. The pickers below say which query each class runs
+   by default. The batch column is given G and ΔG and must produce
+   Q(G ⊕ ΔG) — applying ΔG is part of its timed work. An incremental
+   column's [start] builds its engine over a copy of the graph it is
    handed (the "old output" Q(G) plus auxiliary structures, untimed: the
    incremental problem takes them as given) and returns the timed step. *)
 
 module Spec = Core.Check.Spec
+module Oracle = Core.Check.Oracle
 
 type column =
   | Inc of string * (Obs.t -> D.t -> D.update list -> unit)
@@ -337,80 +343,35 @@ let batch_col row =
   Option.get
     (List.find_index (function Batch _ -> true | Inc _ -> false) row.columns)
 
-(* The engine [init] builds, reduced to its timed step. *)
-let engine init apply o g =
-  let s = init o g in
-  fun ups -> ignore (apply s ups)
+(* An oracle's timed step: the batch in one call (IncX) or one call per
+   update (IncXn). *)
+let whole inst ups = ignore (inst.Oracle.apply_batch ups)
+let per_update inst = List.iter (fun u -> whole inst [ u ])
 
-(* [apply] called once per update. *)
-let per_update apply s = List.iter (fun u -> ignore (apply s [ u ]))
+(* IncSCC's engine built with [~dyn:true], called once per update. *)
+let dyn_scc =
+  Inc
+    ( "DynSCC",
+      fun o g ->
+        per_update (Spec.scc (Core.Scc.Inc.init ~dyn:true ~obs:o (D.copy g)))
+    )
 
-(* IncX and IncXn: one engine, handed the batch in one call or called
-   once per update. *)
-let pair cls init apply =
-  [
-    Inc ("Inc" ^ cls, engine init apply);
-    Inc ("Inc" ^ cls ^ "n", engine init (per_update apply));
-  ]
-
-(* [g] supplies the interner an RPQ compiles against. *)
-let table g : Spec.t -> row = function
-  | Spec.Kws q ->
-      {
-        name = "KWS";
-        columns =
-          pair "KWS"
-            (fun o g -> Core.Kws.Inc.init ~obs:o g q)
-            Core.Kws.Inc.apply_batch
-          @ [ Batch ("BLINKS", fun g -> ignore (Core.Kws.Batch.run g q)) ];
-      }
-  | Spec.Rpq q ->
-      let a = Core.Nfa.compile (D.interner g) q in
-      {
-        name = "RPQ";
-        columns =
-          pair "RPQ"
-            (fun o g -> Core.Rpq.Inc.init ~obs:o g a)
-            Core.Rpq.Inc.apply_batch
-          @ [ Batch ("RPQNFA", fun g -> ignore (Core.Rpq.Batch.run g a)) ];
-      }
-  | Spec.Scc ->
-      let init dyn o g = Core.Scc.Inc.init ~dyn ~obs:o g in
-      {
-        name = "SCC";
-        columns =
-          pair "SCC" (init false) Core.Scc.Inc.apply_batch
-          @ [
-              Batch ("Tarjan", fun g -> ignore (Core.Scc.Tarjan.scc g));
-              Inc
-                ( "DynSCC",
-                  engine (init true) (per_update Core.Scc.Inc.apply_batch) );
-            ];
-      }
-  | Spec.Iso p ->
-      {
-        name = "ISO";
-        columns =
-          pair "ISO"
-            (fun o g -> Core.Iso.Inc.init ~obs:o g p)
-            Core.Iso.Inc.apply_batch
-          @ [ Batch ("VF2", fun g -> ignore (Core.Iso.Vf2.find_all g p)) ];
-      }
-  | Spec.Sim p ->
-      (* Graph simulation, the fifth class the CLI serves: IncSim against
-         the batch fixpoint SimFix. *)
-      {
-        name = "Sim";
-        columns =
-          [
-            Inc
-              ( "IncSim",
-                engine
-                  (fun o g -> Core.Sim.Inc.init ~obs:o g p)
-                  Core.Sim.Inc.apply_batch );
-            Batch ("SimFix", fun g -> ignore (Core.Sim.Batch.run p g));
-          ];
-      }
+(* [g] supplies the interner an RPQ compiles against. Graph simulation has
+   no one-by-one column. *)
+let table g spec =
+  let name = Spec.label spec and b = Spec.batch g spec in
+  let inc suffix step =
+    Inc ("Inc" ^ name ^ suffix, fun o g -> step (Spec.make ~obs:o g spec))
+  in
+  let batch = Batch (b.Spec.series, fun g -> ignore (b.Spec.run g)) in
+  let columns =
+    match spec with
+    | Spec.Sim _ -> [ inc "" whole; batch ]
+    | Spec.Scc -> [ inc "" whole; inc "n" per_update; batch; dyn_scc ]
+    | Spec.Kws _ | Spec.Rpq _ | Spec.Iso _ ->
+        [ inc "" whole; inc "n" per_update; batch ]
+  in
+  { name; columns }
 
 (* Default queries: what Exp-1, Exp-3 and the prose experiments run. *)
 let kws g = Spec.Kws (pick_kws g 3 2)
@@ -440,10 +401,10 @@ let describe = function
    do the same work. *)
 let cell g ups = function
   | Inc (_, start) ->
-      let apply = start Obs.noop (D.copy g) in
+      let apply = start Obs.noop g in
       let t = time (fun () -> apply ups) in
       let o = Obs.create () in
-      let apply = start o (D.copy g) in
+      let apply = start o g in
       Obs.reset o;
       apply ups;
       snapshot o t
@@ -695,7 +656,7 @@ let rho_sweep id =
         ( Printf.sprintf "ρ=%.1f" rho,
           List.map
             (fun (_, start) ->
-              let apply = start Obs.noop (D.copy g) in
+              let apply = start Obs.noop g in
               time (fun () -> apply ups))
             leads ))
       [ 0.2; 1.0; 5.0 ]
@@ -731,17 +692,11 @@ let journal_throughput id =
     time (fun () -> List.iter (fun u -> ignore (D.apply gr u)) ups)
   in
   let o = Obs.create () in
-  let header =
-    {
-      J.Record.version = J.Record.format_version;
-      cls = "scc";
-      bound = 0;
-      qargs = [];
-      base_digest = J.Log.graph_digest base;
-    }
-  in
   let store =
-    J.Store.init ~obs:o ~dir ~header ~client:(J.Store.graph_client (D.copy base)) ()
+    J.Store.init ~obs:o ~dir
+      ~header:(Spec.header ("scc", 0, []) base)
+      ~client:(J.Store.graph_client (D.copy base))
+      ()
   in
   Obs.reset o;
   let t_append =

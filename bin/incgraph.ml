@@ -341,9 +341,7 @@ let stream_cmd =
         let inst =
           drive ~obs:o ~ratio g spec ~seed ~batches ~size
             (fun inst round ups ->
-              let (_, summary), t =
-                time (fun () -> inst.Oracle.apply_batch ups)
-              in
+              let d_o, t = time (fun () -> inst.Oracle.apply_batch ups) in
               (match flight with
               | Some (fr, _) -> List.iter (fun _ -> Obs.Flight.tick fr) ups
               | None ->
@@ -351,7 +349,7 @@ let stream_cmd =
                     (fun s -> ignore (Obs.Slo.evaluate s ~obs:o))
                     slo);
               Format.printf "round %d: |ΔG|=%d  %s  (%.3fs)@." round
-                (List.length ups) summary t)
+                (List.length ups) (inst.Oracle.delta_line d_o) t)
         in
         Format.printf "final: %s@." (inst.Oracle.describe ());
         Option.iter
@@ -387,11 +385,12 @@ let stream_cmd =
        $ retain_arg $ det_arg))
 
 (* `incgraph top` — one-shot ASCII dashboard over a flight-recorder
-   directory: latest exposition, counter deltas against the previous ring
-   snapshot, histogram quantiles off the cumulative buckets, SLO state
-   from the jsonl history. Reads only what stream wrote. *)
+   directory, read off the last two lines of its metrics.jsonl history:
+   the newest snapshot's counters with their change since the one before,
+   gauges, spans, histogram quantiles and SLO state. Reads only what
+   stream wrote. *)
 let top_cmd =
-  let module Om = Obs.Openmetrics in
+  let module J = Obs.Json in
   let dir_pos =
     Arg.(
       required
@@ -399,202 +398,128 @@ let top_cmd =
       & info [] ~docv:"DIR"
           ~doc:"Flight-recorder directory (from stream --metrics-out).")
   in
-  let skey (s : Om.sample) =
-    s.Om.name
-    ^ String.concat ""
-        (List.map (fun (k, v) -> "|" ^ k ^ "=" ^ v) s.Om.labels)
+  (* The fields of object [k] of snapshot [j]'s metrics. *)
+  let section k j =
+    Option.bind (J.member "metrics" j) (J.member k)
+    |> Fun.flip Option.bind J.to_obj_opt
+    |> Option.value ~default:[]
   in
-  let ring_files dir =
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f ->
-           String.length f > 8
-           && String.sub f 0 8 = "metrics-"
-           && Filename.check_suffix f ".prom")
-    |> List.sort String.compare
+  let get conv k j = Option.bind (J.member k j) conv in
+  let int j = Option.value ~default:0 (J.to_int_opt j) in
+  (* A headed block of rows, left out when there are none. *)
+  let block head row = function
+    | [] -> ()
+    | xs ->
+        Format.printf "@.  %s@." head;
+        List.iter row xs
   in
-  let pp_label (s : Om.sample) =
-    match s.Om.labels with
-    | [] -> s.Om.name
-    | ls ->
-        s.Om.name ^ "{"
-        ^ String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) ls)
-        ^ "}"
+  let print dir now prev hists =
+    Format.printf "incgraph top: %s%s@." dir
+      (match (get J.to_int_opt "seq" now, get J.to_int_opt "updates" now) with
+      | Some s, Some u -> Printf.sprintf " — snapshot %d after %d update(s)" s u
+      | _ -> "");
+    let before = Option.fold ~none:[] ~some:(section "counters") prev in
+    block
+      (Printf.sprintf "%-44s %14s %12s" "counter" "total" "Δ last")
+      (fun (k, v) ->
+        Format.printf "  %-44s %14d %12s@." k (int v)
+          (match List.assoc_opt k before with
+          | Some p -> Printf.sprintf "%+d" (int v - int p)
+          | None -> "-"))
+      (section "counters" now);
+    block
+      (Printf.sprintf "%-44s %14s" "gauge" "value")
+      (fun (k, v) -> Format.printf "  %-44s %14d@." k (int v))
+      (section "gauges" now);
+    block
+      (Printf.sprintf "%-44s %14s %12s" "span" "calls" "seconds")
+      (fun (k, v) ->
+        Format.printf "  %-44s %14d %12s@." k
+          (Option.fold ~none:0 ~some:int (J.member "count" v))
+          (match get J.to_float_opt "seconds" v with
+          | Some s -> Printf.sprintf "%.4g" s
+          | None -> "-"))
+      (section "spans" now);
+    block
+      (Printf.sprintf "%-32s %10s %12s %11s %11s" "histogram" "count" "sum"
+         "p50" "p99")
+      (fun (k, h) ->
+        Format.printf "  %-32s %10d %12.4g %11.3g %11.3g@." k
+          (Obs.Histogram.count h) (Obs.Histogram.sum h) (Obs.Histogram.p50 h)
+          (Obs.Histogram.p99 h))
+      hists;
+    let slo_rows =
+      match J.member "slo" now with
+      | Some (J.Arr rules) ->
+          List.filter_map
+            (fun r ->
+              let num k = get J.to_float_opt k r in
+              match (get J.to_str_opt "rule" r, num "value", num "limit") with
+              | Some n, Some v, Some l ->
+                  Some
+                    ( n,
+                      v,
+                      l,
+                      J.member "tripped" r = Some (J.Bool true),
+                      Option.fold ~none:0 ~some:int (J.member "trips" r) )
+              | _ -> None)
+            rules
+      | _ -> []
+    in
+    block
+      (Printf.sprintf "%-24s %12s %12s %8s %6s" "slo rule" "value" "limit"
+         "state" "trips")
+      (fun (n, v, l, tripped, trips) ->
+        Format.printf "  %-24s %12.4g %12.4g %8s %6d@." n v l
+          (if tripped then "TRIPPED" else "ok")
+          trips)
+      slo_rows;
+    (* The trips total is the greppable bottom line. *)
+    Format.printf "@.SLO violations: %d@."
+      (List.fold_left (fun a (_, _, _, _, t) -> a + t) 0 slo_rows)
   in
   let run dir =
-    let read path = In_channel.with_open_text path In_channel.input_all in
-    let stable = Filename.concat dir "metrics.prom" in
-    if not (Sys.file_exists stable) then
-      `Error
-        ( false,
-          stable ^ ": not found (run incgraph stream --metrics-out DIR first)"
-        )
-    else
-      match Om.samples (read stable) with
-      | Error e -> `Error (false, Printf.sprintf "%s: %s" stable e)
-      | Ok now ->
-          let prev =
-            match List.rev (ring_files dir) with
-            | _ :: p :: _ -> (
-                match Om.samples (read (Filename.concat dir p)) with
-                | Ok s -> s
-                | Error _ -> [])
-            | _ -> []
-          in
-          let prev_val k =
-            List.fold_left
-              (fun acc s -> if skey s = k then Some s.Om.value else acc)
-              None prev
-          in
-          let ends suf (s : Om.sample) = Filename.check_suffix s.Om.name suf in
-          let find name = List.filter (fun s -> s.Om.name = name) now in
-          (* Snapshot header off the jsonl history, if present. *)
-          let last_line =
-            let jpath = Filename.concat dir "metrics.jsonl" in
-            if not (Sys.file_exists jpath) then None
-            else
-              String.split_on_char '\n' (read jpath)
-              |> List.filter (fun l -> String.trim l <> "")
-              |> List.rev
-              |> function
-              | [] -> None
-              | l :: _ -> Result.to_option (Obs.Json.parse l)
-          in
-          let header =
-            match last_line with
-            | None -> ""
-            | Some j -> (
-                let get k =
-                  Option.bind (Obs.Json.member k j) Obs.Json.to_int_opt
-                in
-                match (get "seq", get "updates") with
-                | Some s, Some u ->
-                    Printf.sprintf " — snapshot %d after %d update(s)" s u
-                | _ -> "")
-          in
-          Format.printf "incgraph top: %s%s@." dir header;
-          let counters = List.filter (ends "_total") now in
-          if counters <> [] then begin
-            Format.printf "@.  %-44s %14s %12s@." "counter" "total" "Δ last";
-            List.iter
-              (fun s ->
-                let d =
-                  match prev_val (skey s) with
-                  | Some p -> Printf.sprintf "%+.0f" (s.Om.value -. p)
-                  | None -> "-"
-                in
-                Format.printf "  %-44s %14.0f %12s@." (pp_label s) s.Om.value d)
-              counters
-          end;
-          let gauges =
-            List.filter
-              (fun s ->
-                (not (ends "_total" s))
-                && (not (ends "_bucket" s))
-                && (not (ends "_sum" s))
-                && not (ends "_count" s))
-              now
-          in
-          if gauges <> [] then begin
-            Format.printf "@.  %-44s %14s@." "gauge" "value";
-            List.iter
-              (fun s ->
-                Format.printf "  %-44s %14.0f@." (pp_label s) s.Om.value)
-              gauges
-          end;
-          let fams =
-            List.filter_map
-              (fun s ->
-                if ends "_count" s && s.Om.labels = [] then
-                  Some (Filename.chop_suffix s.Om.name "_count")
-                else None)
-              now
-          in
-          if fams <> [] then begin
-            Format.printf "@.  %-32s %10s %12s %11s %11s@." "histogram"
-              "count" "sum" "p50 ≤" "p99 ≤";
-            List.iter
-              (fun fam ->
-                let buckets =
-                  List.filter_map
-                    (fun s ->
-                      match List.assoc_opt "le" s.Om.labels with
-                      | Some le -> Some (float_of_string le, s.Om.value)
-                      | None -> None)
-                    (find (fam ^ "_bucket"))
-                in
-                let count =
-                  match find (fam ^ "_count") with
-                  | [ s ] -> s.Om.value
-                  | _ -> 0.
-                in
-                let sum =
-                  match find (fam ^ "_sum") with [ s ] -> s.Om.value | _ -> 0.
-                in
-                let q p =
-                  let rank = p *. count in
-                  let rec go = function
-                    | [] -> infinity
-                    | (le, cum) :: rest -> if cum >= rank then le else go rest
-                  in
-                  go buckets
-                in
-                Format.printf "  %-32s %10.0f %12.4g %11.3g %11.3g@." fam
-                  count sum (q 0.5) (q 0.99))
-              fams
-          end;
-          (* SLO table from the jsonl history; trips total is the
-             greppable bottom line. *)
-          let slo_rows =
-            match Option.bind last_line (Obs.Json.member "slo") with
-            | Some (Obs.Json.Arr rules) ->
-                List.filter_map
-                  (fun r ->
-                    let str k =
-                      Option.bind (Obs.Json.member k r) Obs.Json.to_str_opt
-                    in
-                    let num k =
-                      Option.bind (Obs.Json.member k r) Obs.Json.to_float_opt
-                    in
-                    let tripped =
-                      match Obs.Json.member "tripped" r with
-                      | Some (Obs.Json.Bool b) -> b
-                      | _ -> false
-                    in
-                    let trips =
-                      Option.value ~default:0
-                        (Option.bind (Obs.Json.member "trips" r)
-                           Obs.Json.to_int_opt)
-                    in
-                    match (str "rule", num "value", num "limit") with
-                    | Some n, Some v, Some l -> Some (n, v, l, tripped, trips)
-                    | _ -> None)
-                  rules
-            | _ -> []
-          in
-          if slo_rows <> [] then begin
-            Format.printf "@.  %-24s %12s %12s %8s %6s@." "slo rule" "value"
-              "limit" "state" "trips";
-            List.iter
-              (fun (n, v, l, tripped, trips) ->
-                Format.printf "  %-24s %12.4g %12.4g %8s %6d@." n v l
-                  (if tripped then "TRIPPED" else "ok")
-                  trips)
-              slo_rows
-          end;
-          let violations =
-            List.fold_left (fun a (_, _, _, _, t) -> a + t) 0 slo_rows
-          in
-          Format.printf "@.SLO violations: %d@." violations;
-          `Ok ()
+    let path = Filename.concat dir "metrics.jsonl" in
+    let fail e = `Error (false, Printf.sprintf "%s: %s" path e) in
+    let lines =
+      if not (Sys.file_exists path) then []
+      else
+        In_channel.with_open_text path In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (fun l -> String.trim l <> "")
+        |> List.rev
+    in
+    let decode acc (k, j) =
+      match (acc, Obs.Histogram.of_json j) with
+      | Ok hs, Ok h -> Ok ((k, h) :: hs)
+      | Ok _, Error e -> Error (Printf.sprintf "histogram %s: %s" k e)
+      | (Error _ as e), _ -> e
+    in
+    match lines with
+    | [] -> fail "no snapshot (run incgraph stream --metrics-out DIR first)"
+    | last :: rest -> (
+        match J.parse last with
+        | Error e -> fail e
+        | Ok now -> (
+            let prev =
+              Option.bind (List.nth_opt rest 0) (fun l ->
+                  Result.to_option (J.parse l))
+            in
+            match List.fold_left decode (Ok []) (section "histograms" now) with
+            | Error e -> fail e
+            | Ok hists ->
+                print dir now prev (List.rev hists);
+                `Ok ()))
   in
   Cmd.v
     (Cmd.info "top"
        ~doc:
          "ASCII dashboard over a flight-recorder directory written by \
-          $(b,incgraph stream --metrics-out): latest counters with deltas \
-          against the previous ring snapshot, gauges, histogram p50/p99 \
-          read off the cumulative Prometheus buckets, and the armed SLO \
-          budgets with their trip state. One-shot and read-only.")
+          $(b,incgraph stream --metrics-out), read from the last two \
+          snapshots of its metrics.jsonl history: counters with their \
+          change since the previous snapshot, gauges, spans, histogram \
+          p50/p99 and the armed SLO budgets with their trip state. \
+          One-shot and read-only.")
     Term.(ret (const run $ dir_pos))
 
 (* ---- stats ----------------------------------------------------------------- *)
@@ -715,8 +640,8 @@ let trace_cmd =
    batch, so the first one does not carry the engine's init events. *)
 let explain_batch ~limit name inst ups =
   Obs.clear_events inst.Oracle.obs;
-  let d_o, _ = inst.Oracle.apply_batch ups in
-  Format.printf "@.== %s ==@.%a@." (name d_o)
+  let added, removed = inst.Oracle.apply_batch ups in
+  Format.printf "@.== %s ==@.%a@." (name (added + removed))
     (Trace_export.pp_explain ~limit)
     (Obs.events inst.Oracle.obs)
 

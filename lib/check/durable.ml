@@ -79,16 +79,16 @@ let run ~scenario ~dir ~steps ~seed ?(emit = fun _ -> ()) () =
       (Store.digest !store)
       (digest_hex (!inst.Oracle.answer ()))
   in
-  (* Drop the live engine, rebuild from scratch and replay the whole
-     committed journal through it — the crash-recovery path. *)
-  let recover ~step ~ctx =
-    Store.close !store;
+  (* Rebuild a fresh engine and replay the whole committed journal through
+     it — the crash-recovery path — then carry on with the fresh engine
+     and store. [vet] sees the plan before it is replayed. *)
+  let reattach ?(vet = ignore) ~step ~ctx () =
     let fresh = scenario.Scenarios.make () in
-    let client = client_of fresh in
     match Store.plan ~from_scratch:true ~dir () with
     | Error e -> failf "step %d (%s): recovery plan: %s" step ctx e
     | Ok plan -> (
-        match Store.attach ~dir ~plan ~client () with
+        vet plan;
+        match Store.attach ~dir ~plan ~client:(client_of fresh) () with
         | Error e -> failf "step %d (%s): recovery attach: %s" step ctx e
         | Ok st ->
             inst := fresh;
@@ -97,6 +97,10 @@ let run ~scenario ~dir ~steps ~seed ?(emit = fun _ -> ()) () =
               Stream.create ~rng ~focus:scenario.Scenarios.focus
                 fresh.Oracle.graph;
             plan)
+  in
+  let recover ~step ~ctx =
+    Store.close !store;
+    reattach ~step ~ctx ()
   in
   let draw_batch () =
     List.init (1 + Random.State.int rng max_batch) (fun _ ->
@@ -191,31 +195,20 @@ let run ~scenario ~dir ~steps ~seed ?(emit = fun _ -> ()) () =
       (* The framed record is >= 21 bytes, so chopping at most 8 tears
          exactly the unapplied tail record. *)
       Journal.chop ~path:(Store.journal_path ~dir) (1 + Random.State.int rng 8);
-      let fresh = scenario.Scenarios.make () in
-      let client = client_of fresh in
-      match Store.plan ~from_scratch:true ~dir () with
-      | Error e -> failf "step %d (torn): recovery plan: %s" step e
-      | Ok plan -> (
-          if plan.Store.dropped = 0 then
-            failf "step %d (torn): truncation not detected" step;
-          if plan.Store.tip <> before then
-            failf "step %d (torn): tip %d after tear, expected %d" step
-              plan.Store.tip before;
-          match Store.attach ~dir ~plan ~client () with
-          | Error e -> failf "step %d (torn): recovery attach: %s" step e
-          | Ok st ->
-              inst := fresh;
-              store := st;
-              stream :=
-                Stream.create ~rng ~focus:scenario.Scenarios.focus
-                  fresh.Oracle.graph;
-              check ~step ~ctx:"torn recover";
-              emit
-                (Printf.sprintf
-                   "step %d recover torn dropped=%d replayed=%d %s" step
-                   plan.Store.dropped
-                   (List.length plan.Store.replay)
-                   (state_str ())))
+      let vet plan =
+        if plan.Store.dropped = 0 then
+          failf "step %d (torn): truncation not detected" step;
+        if plan.Store.tip <> before then
+          failf "step %d (torn): tip %d after tear, expected %d" step
+            plan.Store.tip before
+      in
+      let plan = reattach ~vet ~step ~ctx:"torn" () in
+      check ~step ~ctx:"torn recover";
+      emit
+        (Printf.sprintf "step %d recover torn dropped=%d replayed=%d %s" step
+           plan.Store.dropped
+           (List.length plan.Store.replay)
+           (state_str ()))
     end
   in
   match

@@ -3,7 +3,8 @@ type t = {
   series : string;
   graph : Ig_graph.Digraph.t;
   obs : Ig_obs.Obs.t;
-  apply_batch : Ig_graph.Digraph.update list -> int * string;
+  apply_batch : Ig_graph.Digraph.update list -> int * int;
+  delta_line : int * int -> string;
   describe : unit -> string;
   answer : unit -> string;
   recompute : unit -> string;

@@ -25,11 +25,14 @@ type t = {
       (** The engine's metrics sink, validated by {!check_metrics}. When
           it records events, failure reports attach the event log of the
           failing step ({!Harness.failure.trace}). *)
-  apply_batch : Ig_graph.Digraph.update list -> int * string;
+  apply_batch : Ig_graph.Digraph.update list -> int * int;
       (** Apply a batch through the engine's one entry point (a unit
-          update is a singleton batch). Returns |ΔO| (answer items added
-          plus removed) and a one-line ΔO summary such as
-          ["roots +1/-0"]. *)
+          update is a singleton batch). Returns ΔO's sizes: the numbers of
+          answer items added and removed. Nothing is formatted, so this is
+          the step the benchmark times. *)
+  delta_line : int * int -> string;
+      (** The one-line summary of [apply_batch]'s (added, removed), such as
+          ["roots +1/-0"], or SCC's removed-first ["components -54/+3"]. *)
   describe : unit -> string;
       (** The size of the current answer in one line, e.g. ["300 roots"]. *)
   answer : unit -> string;  (** The engine's current answer, canonicalized. *)

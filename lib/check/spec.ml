@@ -66,129 +66,146 @@ let header (cls, bound, qargs) base =
     base_digest = Ig_journal.Journal.graph_digest base;
   }
 
-(* |ΔO| and the "<noun> +added/-removed" summary line. *)
-let delta_line noun added removed =
-  let a = List.length added and r = List.length removed in
-  (a + r, Printf.sprintf "%s +%d/-%d" noun a r)
-
-let count noun xs = Printf.sprintf "%d %s" (List.length xs) noun
+(* The class as report rows name it; its engine's series is "Inc" ^ it. *)
+let label = function
+  | Kws _ -> "KWS"
+  | Rpq _ -> "RPQ"
+  | Scc -> "SCC"
+  | Iso _ -> "ISO"
+  | Sim _ -> "Sim"
 
 module A = Adapters
 
+type answer = { canon : unit -> string; summary : unit -> string }
+type batch = { series : string; run : Digraph.t -> answer }
+
+let sized fmt xs = Printf.sprintf fmt (List.length xs)
+
+let batch g spec =
+  (* [run]'s answer, canonicalized or summarized only when asked. *)
+  let algo series canon summary run =
+    let answer x =
+      { canon = (fun () -> canon x); summary = (fun () -> summary x) }
+    in
+    { series; run = (fun g -> answer (run g)) }
+  in
+  match spec with
+  | Kws q ->
+      algo "BLINKS" A.canon_nodes (sized "KWS: %d match roots") (fun g ->
+          Ig_kws.Batch.run g q)
+  | Rpq q ->
+      let a = Ig_nfa.Nfa.compile (Digraph.interner g) q in
+      algo "RPQNFA" A.canon_pairs (sized "RPQ: %d match pairs") (fun g ->
+          Ig_rpq.Batch.run g a)
+  | Scc ->
+      let summary comps =
+        let giant = List.fold_left (fun a c -> max a (List.length c)) 0 comps in
+        Printf.sprintf "SCC: %d components (largest %d)" (List.length comps)
+          giant
+      in
+      algo "Tarjan" A.canon_comps summary Ig_scc.Tarjan.scc
+  | Iso p ->
+      algo "VF2" (A.canon_mappings p) (sized "ISO: %d matches") (fun g ->
+          Ig_iso.Vf2.find_all g p)
+  | Sim p ->
+      let pairs = Ig_sim.Sim.pairs in
+      algo "SimFix"
+        (fun r -> A.canon_pairs (pairs r))
+        (fun r -> sized "SIM: %d relation pairs" (pairs r))
+        (Ig_sim.Sim.run p)
+
+let run_batch g spec = ((batch g spec).run g).summary ()
+
+(* The oracle over one engine of [spec]'s class on [graph]: [apply] is the
+   engine's batch entry point reduced to ΔO's sizes, [current] its answer
+   and [canon] the answer's canonical form, which [spec]'s batch algorithm
+   must reproduce. *)
+let oracle spec ~graph ~obs ~noun ~apply ~current ~canon ~check ~certs =
+  let b = batch graph spec in
+  {
+    Oracle.name = String.lowercase_ascii (label spec);
+    series = "Inc" ^ label spec;
+    graph;
+    obs;
+    apply_batch = apply;
+    delta_line = (fun (a, r) -> Printf.sprintf "%s +%d/-%d" noun a r);
+    describe =
+      (fun () -> Printf.sprintf "%d %s" (List.length (current ())) noun);
+    answer = (fun () -> canon (current ()));
+    recompute = (fun () -> (b.run graph).canon ());
+    check_invariants = check;
+    cert_snapshot = certs;
+  }
+
+let sizes added removed = (List.length added, List.length removed)
+
 let kws t =
   let module I = Ig_kws.Inc_kws in
-  {
-    Oracle.name = "kws";
-    series = "IncKWS";
-    graph = I.graph t;
-    obs = I.obs t;
-    apply_batch =
-      (fun us ->
-        let d = I.apply_batch t us in
-        delta_line "roots" d.I.added d.I.removed);
-    describe = (fun () -> count "roots" (I.match_roots t));
-    answer = (fun () -> A.canon_nodes (I.match_roots t));
-    recompute =
-      (fun () -> A.canon_nodes (Ig_kws.Batch.run (I.graph t) (I.query t)));
-    check_invariants = (fun () -> I.check_invariants t);
-    cert_snapshot = (fun () -> I.cert_snapshot t);
-  }
+  oracle
+    (Kws (I.query t))
+    ~graph:(I.graph t) ~obs:(I.obs t) ~noun:"roots"
+    ~apply:(fun us ->
+      let d = I.apply_batch t us in
+      sizes d.I.added d.I.removed)
+    ~current:(fun () -> I.match_roots t)
+    ~canon:A.canon_nodes
+    ~check:(fun () -> I.check_invariants t)
+    ~certs:(fun () -> I.cert_snapshot t)
 
 let scc t =
   let module I = Ig_scc.Inc_scc in
-  {
-    Oracle.name = "scc";
-    series = "IncSCC";
-    graph = I.graph t;
-    obs = I.obs t;
-    (* Components are reported removed-first: a merge reads "-k/+1". *)
-    apply_batch =
-      (fun us ->
+  let o =
+    oracle Scc ~graph:(I.graph t) ~obs:(I.obs t) ~noun:"components"
+      ~apply:(fun us ->
         let d = I.apply_batch t us in
-        let r = List.length d.I.removed and a = List.length d.I.added in
-        (a + r, Printf.sprintf "components -%d/+%d" r a));
-    describe = (fun () -> count "components" (I.components t));
-    answer = (fun () -> A.canon_comps (I.components t));
-    recompute = (fun () -> A.canon_comps (Ig_scc.Tarjan.scc (I.graph t)));
-    check_invariants = (fun () -> I.check_invariants t);
-    cert_snapshot = (fun () -> I.cert_snapshot t);
+        sizes d.I.added d.I.removed)
+      ~current:(fun () -> I.components t)
+      ~canon:A.canon_comps
+      ~check:(fun () -> I.check_invariants t)
+      ~certs:(fun () -> I.cert_snapshot t)
+  in
+  (* Components are reported removed-first: a merge reads "-k/+1". *)
+  {
+    o with
+    delta_line = (fun (a, r) -> Printf.sprintf "components -%d/+%d" r a);
   }
 
 let make ?(obs = Ig_obs.Obs.create ~events:Ig_obs.Obs.default_events ()) g
     spec =
-  let g = Digraph.copy g in
+  let graph = Digraph.copy g in
   match spec with
-  | Kws q -> kws (Ig_kws.Inc_kws.init ~obs g q)
+  | Kws q -> kws (Ig_kws.Inc_kws.init ~obs graph q)
+  | Scc -> scc (Ig_scc.Inc_scc.init ~obs graph)
   | Rpq q ->
       let module I = Ig_rpq.Inc_rpq in
-      let t = I.create ~obs g q in
-      {
-        Oracle.name = "rpq";
-        series = "IncRPQ";
-        graph = g;
-        obs;
-        apply_batch =
-          (fun us ->
-            let d = I.apply_batch t us in
-            delta_line "pairs" d.I.added d.I.removed);
-        describe = (fun () -> count "pairs" (I.matches t));
-        answer = (fun () -> A.canon_pairs (I.matches t));
-        recompute = (fun () -> A.canon_pairs (Ig_rpq.Batch.run_query g q));
-        check_invariants = (fun () -> I.check_invariants t);
-        cert_snapshot = (fun () -> I.cert_snapshot t);
-      }
-  | Scc -> scc (Ig_scc.Inc_scc.init ~obs g)
+      let t = I.create ~obs graph q in
+      oracle spec ~graph ~obs ~noun:"pairs"
+        ~apply:(fun us ->
+          let d = I.apply_batch t us in
+          sizes d.I.added d.I.removed)
+        ~current:(fun () -> I.matches t)
+        ~canon:A.canon_pairs
+        ~check:(fun () -> I.check_invariants t)
+        ~certs:(fun () -> I.cert_snapshot t)
   | Iso p ->
       let module I = Ig_iso.Inc_iso in
-      let t = I.init ~obs g p in
-      {
-        Oracle.name = "iso";
-        series = "IncISO";
-        graph = g;
-        obs;
-        apply_batch =
-          (fun us ->
-            let d = I.apply_batch t us in
-            delta_line "matches" d.I.added d.I.removed);
-        describe = (fun () -> count "matches" (I.matches t));
-        answer = (fun () -> A.canon_mappings p (I.matches t));
-        recompute = (fun () -> A.canon_mappings p (Ig_iso.Vf2.find_all g p));
-        check_invariants = (fun () -> I.check_invariants t);
-        cert_snapshot = (fun () -> I.cert_snapshot t);
-      }
+      let t = I.init ~obs graph p in
+      oracle spec ~graph ~obs ~noun:"matches"
+        ~apply:(fun us ->
+          let d = I.apply_batch t us in
+          sizes d.I.added d.I.removed)
+        ~current:(fun () -> I.matches t)
+        ~canon:(A.canon_mappings p)
+        ~check:(fun () -> I.check_invariants t)
+        ~certs:(fun () -> I.cert_snapshot t)
   | Sim p ->
       let module I = Ig_sim.Inc_sim in
-      let t = I.init ~obs g p in
-      let pairs () = Ig_sim.Sim.pairs (I.relation t) in
-      {
-        Oracle.name = "sim";
-        series = "IncSim";
-        graph = g;
-        obs;
-        apply_batch =
-          (fun us ->
-            let d = I.apply_batch t us in
-            delta_line "pairs" d.I.added d.I.removed);
-        describe = (fun () -> count "pairs" (pairs ()));
-        answer = (fun () -> A.canon_pairs (pairs ()));
-        recompute =
-          (fun () -> A.canon_pairs (Ig_sim.Sim.pairs (Ig_sim.Sim.run p g)));
-        check_invariants = (fun () -> I.check_invariants t);
-        cert_snapshot = (fun () -> I.cert_snapshot t);
-      }
-
-let run_batch g = function
-  | Kws q ->
-      Printf.sprintf "KWS: %d match roots" (List.length (Ig_kws.Batch.run g q))
-  | Rpq q ->
-      Printf.sprintf "RPQ: %d match pairs"
-        (List.length (Ig_rpq.Batch.run_query g q))
-  | Scc ->
-      let comps = Ig_scc.Tarjan.scc g in
-      let giant = List.fold_left (fun a c -> max a (List.length c)) 0 comps in
-      Printf.sprintf "SCC: %d components (largest %d)" (List.length comps) giant
-  | Iso p ->
-      Printf.sprintf "ISO: %d matches" (List.length (Ig_iso.Vf2.find_all g p))
-  | Sim p ->
-      Printf.sprintf "SIM: %d relation pairs"
-        (List.length (Ig_sim.Sim.pairs (Ig_sim.Sim.run p g)))
+      let t = I.init ~obs graph p in
+      oracle spec ~graph ~obs ~noun:"pairs"
+        ~apply:(fun us ->
+          let d = I.apply_batch t us in
+          sizes d.I.added d.I.removed)
+        ~current:(fun () -> Ig_sim.Sim.pairs (I.relation t))
+        ~canon:A.canon_pairs
+        ~check:(fun () -> I.check_invariants t)
+        ~certs:(fun () -> I.cert_snapshot t)

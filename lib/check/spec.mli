@@ -3,9 +3,11 @@
     The single place that knows the per-class wiring outside the engines:
     how a query is written as positional command-line arguments (and in a
     journal header), which engine maintains it incrementally behind an
-    {!Oracle.t}, and which batch algorithm answers it from scratch. Every CLI
-    subcommand, fuzz scenario and journal recovery builds its engine
-    through {!of_args} and {!make}. *)
+    {!Oracle.t}, and which batch algorithm answers it from scratch. Every
+    CLI subcommand, fuzz scenario and journal recovery builds its engine
+    through {!of_args} and {!make}, and the Fig. 8 benchmark builds every
+    IncX, IncXn and batch column through {!make} and {!batch}, so the
+    engine that is fuzzed is the engine that is timed. *)
 
 type t =
   | Kws of Ig_kws.Batch.query
@@ -34,6 +36,32 @@ val header :
 (** A journal header for the query written as [(class, bound, args)] over
     the given base graph. *)
 
+val label : t -> string
+(** The class as report rows name it: ["KWS"], ["RPQ"], ["SCC"], ["ISO"]
+    or ["Sim"]. Its engine's series is ["Inc"] followed by it. *)
+
+type answer = {
+  canon : unit -> string;  (** The answer in {!Adapters}' canonical form. *)
+  summary : unit -> string;
+      (** The answer described in one line, e.g. ["KWS: 300 match roots"]. *)
+}
+(** A batch algorithm's answer, formatted only when asked. *)
+
+type batch = {
+  series : string;
+      (** The algorithm's series name: BLINKS, RPQNFA, Tarjan, VF2 or
+          SimFix. *)
+  run : Ig_graph.Digraph.t -> answer;
+      (** Answer the query from scratch on a graph. This is the work the
+          benchmark's batch column times: listing Sim's pairs is left to
+          the answer. *)
+}
+
+val batch : Ig_graph.Digraph.t -> t -> batch
+(** The class's batch algorithm, readied against the graph's label
+    interner (RPQ compiles its NFA here, outside [run]), so [run] is meant
+    for that graph and its copies. *)
+
 val make :
   ?obs:Ig_obs.Obs.t ->
   Ig_graph.Digraph.t ->
@@ -42,7 +70,7 @@ val make :
 (** Build the class's incremental engine over a copy of the graph (the
     caller's graph is left untouched), reporting to [obs] (default: a
     fresh live registry recording {!Ig_obs.Obs.default_events} events),
-    and wrap it as an oracle against the class's batch algorithm. *)
+    and wrap it as an oracle whose [recompute] runs {!batch}. *)
 
 val kws : Ig_kws.Inc_kws.t -> Oracle.t
 (** The KWS oracle over an already-built engine, {e without} copying its
@@ -51,9 +79,10 @@ val kws : Ig_kws.Inc_kws.t -> Oracle.t
 
 val scc : Ig_scc.Inc_scc.t -> Oracle.t
 (** The SCC oracle over an already-built engine, without copying its
-    graph — the hook tests use to fuzz the DynSCC stand-in (an engine
-    built with [~dyn:true], see {!Ig_scc.Inc_scc.init}). *)
+    graph — the hook that the tests and the benchmark use for the DynSCC
+    stand-in (an engine built with [~dyn:true], see
+    {!Ig_scc.Inc_scc.init}). *)
 
 val run_batch : Ig_graph.Digraph.t -> t -> string
-(** Answer the query once with the class's batch algorithm and describe
-    the answer in one line, e.g. ["KWS: 300 match roots"]. *)
+(** Answer the query once with {!batch} and return the answer's
+    [summary]. *)

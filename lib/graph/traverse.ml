@@ -55,33 +55,6 @@ let ball g sources ~d =
   done;
   dist
 
-let reachable ?(within = fun _ -> true) g ~dir sources =
-  let seen = Hashtbl.create 64 in
-  let stack = Stack.create () in
-  List.iter
-    (fun s ->
-      if (not (Hashtbl.mem seen s)) && within s then begin
-        Hashtbl.replace seen s ();
-        Stack.push s stack
-      end)
-    sources;
-  let step =
-    match dir with
-    | `Forward -> Digraph.iter_succ
-    | `Backward -> Digraph.iter_pred
-  in
-  while not (Stack.is_empty stack) do
-    let v = Stack.pop stack in
-    step
-      (fun w ->
-        if (not (Hashtbl.mem seen w)) && within w then begin
-          Hashtbl.replace seen w ();
-          Stack.push w stack
-        end)
-      g v
-  done;
-  seen
-
 type work = { mutable visited : int; mutable relaxed : int }
 
 let reaches ?(within = fun _ -> true) ?work g u v =

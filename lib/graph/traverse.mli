@@ -27,7 +27,3 @@ val reaches :
     nodes satisfying [within] (both endpoints must satisfy it, except that
     [u] is always expanded). [work], when given, is incremented by the
     search effort; the search stops at the first edge into [v]. *)
-
-val reachable : ?within:(node -> bool) -> Digraph.t ->
-  dir:[ `Forward | `Backward ] -> node list -> (node, unit) Hashtbl.t
-(** Restricted closure in the given direction. *)

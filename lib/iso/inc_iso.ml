@@ -19,7 +19,6 @@ type t = {
 }
 
 let graph t = t.g
-let pattern t = t.p
 let obs t = t.obs
 
 let image_edges t m =

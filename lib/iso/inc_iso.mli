@@ -59,7 +59,6 @@ val init : ?obs:Ig_obs.Obs.t -> Ig_graph.Digraph.t -> Pattern.t -> t
     enumeration leaves none. *)
 
 val graph : t -> Ig_graph.Digraph.t
-val pattern : t -> Pattern.t
 
 val obs : t -> Ig_obs.Obs.t
 (** The metrics sink the session was created with. *)

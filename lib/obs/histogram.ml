@@ -133,7 +133,6 @@ let quantile t q =
   end
 
 let p50 t = quantile t 0.50
-let p90 t = quantile t 0.90
 let p99 t = quantile t 0.99
 let p999 t = quantile t 0.999
 
@@ -272,7 +271,7 @@ let pp ppf t =
   Format.fprintf ppf
     "count %d  sum %a  min %a  mean %a  max %a@,p50 %a  p90 %a  p99 %a  p999 %a"
     t.count pp_value t.sum pp_value (min_value t) pp_value (mean t) pp_value
-    (max_value t) pp_value (p50 t) pp_value (p90 t) pp_value (p99 t) pp_value
+    (max_value t) pp_value (p50 t) pp_value (quantile t 0.90) pp_value (p99 t) pp_value
     (p999 t);
   let nz = nonzero_buckets t in
   let widest = List.fold_left (fun a (_, c) -> Stdlib.max a c) 1 nz in

@@ -2,23 +2,18 @@
 
     Records non-negative float samples — per-update latencies in seconds,
     GC words per batch — into a fixed log-linear bucket layout:
-    {!sub_buckets} linear sub-buckets per binary octave over octaves
-    [2^min_exp .. 2^max_exp]. Because the layout is a constant of the
-    module, two histograms merge exactly by element-wise bucket addition,
-    and quantile estimates carry a bounded relative error (every bucket
-    spans at most [1/sub_buckets] of its octave, 12.5% relative width,
-    interpolated within the bucket and clamped to the exact tracked
-    [min]/[max]).
+    8 linear sub-buckets per binary octave over octaves [2^-64 .. 2^64].
+    Because the layout is a constant of the module, two histograms merge
+    exactly by element-wise bucket addition, and quantile estimates carry
+    a bounded relative error (every bucket spans at most 1/8 of its
+    octave, 12.5% relative width, interpolated within the bucket and
+    clamped to the exact tracked [min]/[max]).
 
     Negative and NaN samples are clamped to 0 before recording: a
     histogram never goes backwards and its invariants
     ({!check_invariants}) hold after every observation. *)
 
 type t
-
-val sub_buckets : int
-val min_exp : int
-val max_exp : int
 
 val create : unit -> t
 (** Fresh empty histogram. *)
@@ -46,7 +41,6 @@ val quantile : t -> float -> float
     @raise Invalid_argument when q is outside [0,1]. *)
 
 val p50 : t -> float
-val p90 : t -> float
 val p99 : t -> float
 
 val merge : t -> t -> t

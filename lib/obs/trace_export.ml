@@ -23,32 +23,32 @@ module J = Json
 
 (* ---- Chrome trace-event emission ----------------------------------------- *)
 
-let base ~name ~cat ~ph ~ts ~pid ~tid extra =
+let base ~name ~cat ~ph ~ts extra =
   J.Obj
     ([
        ("name", J.Str name);
        ("cat", J.Str cat);
        ("ph", J.Str ph);
        ("ts", J.Int ts);
-       ("pid", J.Int pid);
-       ("tid", J.Int tid);
+       ("pid", J.Int 0);
+       ("tid", J.Int 0);
      ]
     @ extra)
 
-let instant ~name ~cat ~ts ~pid ~tid args =
-  base ~name ~cat ~ph:"i" ~ts ~pid ~tid
+let instant ~name ~cat ~ts args =
+  base ~name ~cat ~ph:"i" ~ts
     [ ("s", J.Str "t"); ("args", J.Obj args) ]
 
-let event_json ~pid ~tid (e : Tracer.entry) =
+let event_json (e : Tracer.entry) =
   let ts = e.Tracer.seq in
   match e.Tracer.event with
-  | Tracer.Span_begin name -> base ~name ~cat:"engine" ~ph:"B" ~ts ~pid ~tid []
-  | Tracer.Span_end name -> base ~name ~cat:"engine" ~ph:"E" ~ts ~pid ~tid []
+  | Tracer.Span_begin name -> base ~name ~cat:"engine" ~ph:"B" ~ts []
+  | Tracer.Span_end name -> base ~name ~cat:"engine" ~ph:"E" ~ts []
   | Tracer.Aff_enter { node; rule } ->
-      instant ~name:"aff_enter" ~cat:"aff" ~ts ~pid ~tid
+      instant ~name:"aff_enter" ~cat:"aff" ~ts
         [ ("node", J.Int node); ("rule", J.Str (Tracer.rule_name rule)) ]
   | Tracer.Cert_rewrite { node; field; before; after } ->
-      instant ~name:"cert_rewrite" ~cat:"cert" ~ts ~pid ~tid
+      instant ~name:"cert_rewrite" ~cat:"cert" ~ts
         [
           ("node", J.Int node);
           ("field", J.Str field);
@@ -56,30 +56,30 @@ let event_json ~pid ~tid (e : Tracer.entry) =
           ("after", J.Str after);
         ]
   | Tracer.Frontier_expand { node } ->
-      instant ~name:"frontier_expand" ~cat:"frontier" ~ts ~pid ~tid
+      instant ~name:"frontier_expand" ~cat:"frontier" ~ts
         [ ("node", J.Int node) ]
   | Tracer.Compaction { edges; overlay } ->
-      instant ~name:"compaction" ~cat:"storage" ~ts ~pid ~tid
+      instant ~name:"compaction" ~cat:"storage" ~ts
         [ ("edges", J.Int edges); ("overlay", J.Int overlay) ]
   | Tracer.Slo_violation { rule; value; limit } ->
-      instant ~name:"slo_violation" ~cat:"slo" ~ts ~pid ~tid
+      instant ~name:"slo_violation" ~cat:"slo" ~ts
         [ ("rule", J.Str rule); ("value", J.Float value); ("limit", J.Float limit) ]
 
-let to_chrome ?(pid = 0) ?(tid = 0) ~name (snap : Tracer.snapshot) =
+let to_chrome ~name (snap : Tracer.snapshot) =
   let meta =
     J.Obj
       [
         ("name", J.Str "process_name");
         ("ph", J.Str "M");
-        ("pid", J.Int pid);
-        ("tid", J.Int tid);
+        ("pid", J.Int 0);
+        ("tid", J.Int 0);
         ("args", J.Obj [ ("name", J.Str name) ]);
       ]
   in
   J.Obj
     [
       ( "traceEvents",
-        J.Arr (meta :: List.map (event_json ~pid ~tid) snap.Tracer.entries) );
+        J.Arr (meta :: List.map event_json snap.Tracer.entries) );
       ("displayTimeUnit", J.Str "ms");
       ( "otherData",
         J.Obj
@@ -89,9 +89,9 @@ let to_chrome ?(pid = 0) ?(tid = 0) ~name (snap : Tracer.snapshot) =
           ] );
     ]
 
-let write_chrome ~path ?pid ?tid ~name snap =
+let write_chrome ~path ~name snap =
   let oc = (open_out [@lint.allow "D3"]) path in
-  output_string oc (J.to_string ~indent:true (to_chrome ?pid ?tid ~name snap));
+  output_string oc (J.to_string ~indent:true (to_chrome ~name snap));
   output_char oc '\n';
   close_out oc
 

@@ -6,14 +6,13 @@
     numbers (1 event = 1 µs), so exports of seeded runs are byte-for-byte
     deterministic — no wall-clock reads anywhere in this module. *)
 
-val to_chrome : ?pid:int -> ?tid:int -> name:string -> Tracer.snapshot -> Json.t
+val to_chrome : name:string -> Tracer.snapshot -> Json.t
 (** Chrome "JSON Array Format" with a [traceEvents] wrapper: span
     begin/end become "B"/"E" duration events; [Aff_enter],
     [Cert_rewrite] and [Frontier_expand] become thread-scoped instant
     events whose [args] carry the provenance. *)
 
-val write_chrome :
-  path:string -> ?pid:int -> ?tid:int -> name:string -> Tracer.snapshot -> unit
+val write_chrome : path:string -> name:string -> Tracer.snapshot -> unit
 
 val validate : Json.t -> (int, string) result
 (** Structural checker behind bench/validate.exe and the @trace-smoke

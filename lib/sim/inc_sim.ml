@@ -21,7 +21,6 @@ type t = {
 }
 
 let graph t = t.g
-let pattern t = t.p
 let obs t = t.obs
 let relation t = t.r
 let mem t u v = Sim.mem t.r u v

@@ -67,7 +67,6 @@ val init :
     [Frontier_expand] per removal push (support update or cascade). *)
 
 val graph : t -> Ig_graph.Digraph.t
-val pattern : t -> Ig_iso.Pattern.t
 
 val obs : t -> Ig_obs.Obs.t
 (** The metrics sink the session was created with. *)

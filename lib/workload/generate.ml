@@ -88,7 +88,7 @@ let preferential ~rng ~nodes ~edges ~labels () =
   end;
   g
 
-let plant_scc ?(chord_ratio = 0.5) ~rng g ~fraction =
+let plant_scc ~rng g ~fraction =
   let n = Digraph.n_nodes g in
   let k = int_of_float (fraction *. float_of_int n) in
   if k >= 2 then begin
@@ -103,8 +103,7 @@ let plant_scc ?(chord_ratio = 0.5) ~rng g ~fraction =
     for i = 0 to k - 1 do
       ignore (Digraph.add_edge g arr.(i) arr.((i + 1) mod k))
     done;
-    let chords = int_of_float (chord_ratio *. float_of_int k) in
-    for _ = 1 to chords do
+    for _ = 1 to k / 2 do
       let i = Random.State.int rng k and j = Random.State.int rng k in
       if i <> j then ignore (Digraph.add_edge g arr.(i) arr.(j))
     done

@@ -33,12 +33,11 @@ val preferential :
     distribution. *)
 
 val plant_scc :
-  ?chord_ratio:float ->
   rng:Random.State.t -> Ig_graph.Digraph.t -> fraction:float -> unit
 (** Add a directed cycle through a random sample of [fraction · |V|] nodes,
-    forcing them into one strongly connected component, plus
-    [chord_ratio · cycle length] random chords inside the sample (default
-    0.5) so the component does not shatter on a single deletion. *)
+    forcing them into one strongly connected component, plus half a cycle
+    length of random chords inside the sample so the component does not
+    shatter on a single deletion. *)
 
 val hierarchy :
   rng:Random.State.t -> nodes:int -> edges:int -> labels:int ->

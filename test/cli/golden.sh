@@ -1,11 +1,11 @@
 #!/bin/sh
 # CLI byte-identity transcript: drive every query class through query,
-# stream (plain and with the deterministic flight recorder), stats,
-# trace, explain and a journal/replay/undo crash session on one fixed
-# synthetic graph, writing each transcript (stdout and stderr, plus exit
-# codes), each Chrome trace and each metrics directory into OUTDIR.
-# Wall-clock columns are stripped; everything else is deterministic for
-# a fixed graph and seed.
+# stream (plain and with the deterministic flight recorder, read back by
+# top), stats, trace, explain and a journal/replay/undo crash session on
+# one fixed synthetic graph, writing each transcript (stdout and stderr,
+# plus exit codes), each Chrome trace and each metrics directory into
+# OUTDIR. Wall-clock columns are stripped; everything else is
+# deterministic for a fixed graph and seed.
 #
 #   sh golden.sh path/to/incgraph.exe OUTDIR
 set -u
@@ -38,6 +38,7 @@ session() {
     run stream -g g.graph --batches 3 --size 40 --seed 11 "$cls" "$@"
     run stream -g g.graph --batches 2 --size 40 --seed 11 \
       --metrics-out "metrics_$cls" --deterministic-metrics "$cls" "$@"
+    run top "metrics_$cls"
     run stats -g g.graph --batches 2 --size 40 --seed 11 "$cls" "$@"
     run trace -g g.graph --batches 2 --size 40 --seed 11 --capacity 300 \
       -o "trace_$cls.json" "$cls" "$@"

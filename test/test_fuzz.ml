@@ -253,7 +253,8 @@ let buggy_scc g =
         (match List.filter kept us with
         | [] -> ()
         | us -> ignore (I.apply_batch eng us));
-        (0, ""));
+        (0, 0));
+    delta_line = (fun _ -> "");
     describe = (fun () -> "");
     answer = (fun () -> A.canon_comps (I.components eng));
     recompute = (fun () -> A.canon_comps (Ig_scc.Tarjan.scc truth));
@@ -387,9 +388,19 @@ let bounce_chunks rng g =
       let u, v = List.nth present i in
       [ [ Digraph.Delete (u, v); Digraph.Insert (u, v) ] ]
 
+(* The items of a canonical answer ({!A}): "{a b}" lists them between
+   spaces, "[..][..]" as bracketed groups. *)
+let items canon =
+  let n = String.length canon in
+  if n > 0 && canon.[0] = '{' then
+    String.split_on_char ' ' (String.sub canon 1 (n - 2))
+    |> List.filter (( <> ) "")
+  else String.split_on_char ']' canon |> List.filter (( <> ) "")
+
 (* The batch face: every scenario's oracle, driven through [apply_batch]
    in chunks of 8 stream updates, with the full differential and metrics
-   checks after each chunk. Every third chunk is
+   checks after each chunk, and ΔO's sizes checked against the items that
+   entered and left the canonical answer. Every third chunk is
    followed by [bounce_chunks]. A replica updated by [Digraph.apply_batch]
    pins the batch semantics: the engine's graph must equal it after every
    chunk, whatever the order of updates to one edge. [Spec.make] works on a
@@ -411,7 +422,17 @@ let test_spec_apply_batch () =
       let prev = ref (Ig_obs.Obs.counters inst.O.obs) in
       let run chunk us =
         match
-          ignore (inst.O.apply_batch us);
+          let before = items (inst.O.answer ()) in
+          let d = inst.O.apply_batch us in
+          let after = items (inst.O.answer ()) in
+          let gone = List.filter (fun x -> not (List.mem x after)) before in
+          let came = List.filter (fun x -> not (List.mem x before)) after in
+          if d <> (List.length came, List.length gone) then
+            raise
+              (O.Check_failed
+                 (Printf.sprintf "ΔO sizes %s, answer gained %d and lost %d"
+                    (inst.O.delta_line d) (List.length came)
+                    (List.length gone)));
           Digraph.apply_batch replica us;
           O.check inst;
           prev := O.check_metrics ~prev:!prev inst;
@@ -463,9 +484,11 @@ let test_durable_no_stale_delta () =
       | Error e -> Alcotest.failf "%s: undo: %s" name e);
       Ig_journal.Store.close store;
       O.check inst;
-      let n, line = inst.O.apply_batch [] in
-      check Alcotest.int (Printf.sprintf "%s: empty batch ΔO (%s)" name line)
-        0 n)
+      let d = inst.O.apply_batch [] in
+      check
+        Alcotest.(pair int int)
+        (Printf.sprintf "%s: empty batch ΔO (%s)" name (inst.O.delta_line d))
+        (0, 0) d)
     (List.filter
        (fun (s : Sc.t) -> s.Sc.name <> "gadget")
        (Sc.all ~rng ()))
