@@ -1,17 +1,11 @@
 (* Validate BENCH_*.json reports, TRACE_*.json Chrome trace files,
-   incgraph-lint reports, OpenMetrics expositions, and the durability
-   artifacts of lib/journal.
+   incgraph-lint reports, and the durability artifacts of lib/journal.
 
    Usage: dune exec bench/validate.exe -- FILE [FILE...]
    Files starting with the "IGJRNL01" magic are checked as delta journals
    (Core.Journal.Log.scan: decodable header, checksummed records with
    contiguous sequence numbers, clean tail — a torn tail is a validation
-   failure, run `incgraph journal DIR --repair` first). Files opening on
-   a "# TYPE" line (or the empty-registry "# EOF") are checked as
-   OpenMetrics text expositions (Core.Obs.Openmetrics.validate: every
-   sample typed, histogram buckets contiguous with strictly increasing
-   le edges and non-decreasing cumulative counts ending in +Inf, _count
-   matching the +Inf bucket, terminal # EOF). Files carrying a
+   failure, run `incgraph journal DIR --repair` first). Files carrying a
    "traceEvents" key are checked as Chrome trace-event exports
    (Core.Obs.Trace_export.validate: well-formed events, nesting spans,
    monotone timestamps, rule-tagged aff_enter instants); files whose
@@ -21,13 +15,12 @@
    everything else as a BENCH report (Core.Obs.Report.of_json, which also
    yields the experiment and point counts). Exits nonzero on the first
    file that fails to parse or validate. Used by the @bench-smoke,
-   @trace-smoke, @crash-smoke, @telemetry-smoke and @lint aliases to
-   guarantee that what the writers emit is what the validators promise. *)
+   @trace-smoke, @crash-smoke and @lint aliases to guarantee that what
+   the writers emit is what the validators promise. *)
 
 module Json = Core.Obs.Json
 module Report = Core.Obs.Report
 module Trace_export = Core.Obs.Trace_export
-module Openmetrics = Core.Obs.Openmetrics
 module Lint = Core.Lint
 module J = Core.Journal
 
@@ -37,18 +30,13 @@ type kind =
   | Lint_report of int * int (* schema version, diagnostics *)
   | Journal of int * int (* committed batches, total ops *)
   | Snapshot of int * int (* seq, certificate sections *)
-  | Prom of int (* samples *)
 
 let check path =
   let ic = open_in_bin path in
   let len = in_channel_length ic in
   let src = really_input_string ic len in
   close_in ic;
-  if Openmetrics.looks_like src then
-    match Openmetrics.validate src with
-    | Error e -> Error (Printf.sprintf "%s: openmetrics violation: %s" path e)
-    | Ok n -> Ok (Prom n)
-  else if
+  if
     String.length src >= String.length J.Record.magic
     && String.sub src 0 (String.length J.Record.magic) = J.Record.magic
   then
@@ -127,9 +115,6 @@ let () =
           Printf.printf
             "%s: valid snapshot (seq %d, %d certificate section(s))\n" path seq
             certs
-      | Ok (Prom n) ->
-          Printf.printf "%s: valid openmetrics exposition (%d sample(s))\n"
-            path n
       | Error msg ->
           prerr_endline msg;
           exit 1)

@@ -264,10 +264,9 @@ let stream_cmd =
       & opt (some string) None
       & info [ "metrics-out" ]
           ~doc:
-            "Run the flight recorder: write the OpenMetrics snapshot ring \
-             (metrics-NNNNNN.prom), the stable metrics.prom scrape target \
-             and the metrics.jsonl history into $(docv), created if \
-             missing. Inspect with $(b,incgraph top)."
+            "Run the flight recorder: append one line per snapshot to the \
+             metrics.jsonl history in $(docv), created if missing. Inspect \
+             with $(b,incgraph top)."
           ~docv:"DIR")
   in
   let slo_arg =
@@ -296,7 +295,9 @@ let stream_cmd =
     Arg.(
       value & opt pos_int 32
       & info [ "retain" ]
-          ~doc:"Snapshot files (and jsonl lines) kept in the ring."
+          ~doc:
+            "Snapshots kept in metrics.jsonl: the file is compacted to the \
+             newest $(docv) lines whenever it doubles."
           ~docv:"N")
   in
   let det_arg =
@@ -305,7 +306,8 @@ let stream_cmd =
       & info [ "deterministic-metrics" ]
           ~doc:
             "Drop clock- and GC-derived series from the snapshots so two \
-             runs of the same update sequence emit byte-identical files.")
+             runs of the same update sequence write byte-identical \
+             metrics.jsonl files.")
   in
   let run path spec batches size ratio seed metrics_out slo_cfg every
       retain det =
@@ -375,8 +377,7 @@ let stream_cmd =
        ~doc:
          "Maintain a query incrementally over a random update stream. With \
           $(b,--metrics-out), snapshot the engine's metrics registry into \
-          an OpenMetrics flight-recorder ring on a logical (update-count) \
-          cadence; with $(b,--slo), evaluate declarative cost budgets at \
+          a flight-recorder history on a logical (update-count) cadence; with $(b,--slo), evaluate declarative cost budgets at \
           each snapshot and report violations.")
     Term.(
       ret
@@ -535,22 +536,13 @@ let stats_cmd =
             "Also print the per-batch latency and GC/allocation histograms \
              (ASCII bars, one row per non-empty bucket).")
   in
-  let prom =
-    Arg.(
-      value & flag
-      & info [ "prom" ]
-          ~doc:
-            "Dump the registry in OpenMetrics / Prometheus text exposition \
-             format instead of text or json.")
-  in
-  let run path spec batches size seed json histo prom =
+  let run path spec batches size seed json histo =
     with_graph path @@ fun g ->
     let inst =
       drive ~obs:(Obs.create ()) g spec ~seed ~batches ~size apply_each
     in
     let o = inst.Oracle.obs in
-    if prom then print_string (Obs.Openmetrics.render o)
-    else if json then
+    if json then
       print_endline (Obs.Json.to_string ~indent:true (Obs.to_json o))
     else begin
       Format.printf "%s after %d batches of %d unit updates:@."
@@ -582,12 +574,11 @@ let stats_cmd =
          "Drive one incremental session over a random update stream and dump \
           its metrics registry: cost counters (measured |AFF|, |CHANGED|, \
           work counters), span timings and — with $(b,--histogram) — the \
-          per-batch latency and GC histograms, as text, json or — with \
-          $(b,--prom) — OpenMetrics text exposition.")
+          per-batch latency and GC histograms, as text or json.")
     Term.(
       ret
         (const run $ graph_arg $ spec_arg $ batches_arg
-       $ size_arg $ seed_arg $ json_flag $ histo $ prom))
+       $ size_arg $ seed_arg $ json_flag $ histo))
 
 (* ---- trace / explain ------------------------------------------------------- *)
 

@@ -5,7 +5,6 @@ module Obs = struct
   module Report = Ig_obs.Report
   module Tracer = Ig_obs.Tracer
   module Trace_export = Ig_obs.Trace_export
-  module Openmetrics = Ig_obs.Openmetrics
   module Slo = Ig_obs.Slo
   module Flight = Ig_obs.Flight
 end

@@ -7,14 +7,9 @@
    of the same update sequence snapshot at the same points, which is
    what lets @trace-determinism diff the emitted files byte-for-byte.
 
-   Each snapshot writes
-   - [metrics-<seq>.prom]: the OpenMetrics exposition, an append-only
-     ring of at most [retain] files (oldest removed);
-   - [metrics.prom]: the newest exposition under a stable name, written
-     via rename so a Prometheus scrape never sees a torn file;
-   - one line appended to [metrics.jsonl]: [{seq; updates; metrics;
-     slo}], rewritten down to the newest [retain] lines whenever it
-     grows past twice that (amortized O(1) per snapshot).
+   Each snapshot appends one line to [metrics.jsonl]: [{seq; updates;
+   metrics; slo}], rewritten down to the newest [retain] lines whenever
+   it grows past twice that (amortized O(1) per snapshot).
 
    When an SLO tracker is armed, every snapshot evaluates it against
    the registry first, so trip transitions land in the registry's events
@@ -30,7 +25,6 @@ type t = {
   slo : Slo.t option;
   mutable updates : int;
   mutable snapshots : int;
-  ring : string Queue.t; (* paths of live metrics-<seq>.prom files *)
   lines : string Queue.t; (* newest [<= retain] jsonl lines *)
   mutable lines_in_file : int;
 }
@@ -48,7 +42,6 @@ let create ?(every = 1) ?(retain = 32) ?(deterministic = false) ?slo ~dir
     slo;
     updates = 0;
     snapshots = 0;
-    ring = Queue.create ();
     lines = Queue.create ();
     lines_in_file = 0;
   }
@@ -63,14 +56,16 @@ let write_file path content =
   output_string oc content;
   close_out oc
 
-(* Fixed-width sequence numbers so the shell and the ring sort alike. *)
-let prom_path t seq = Filename.concat t.dir (Printf.sprintf "metrics-%06d.prom" seq)
-let latest_path t = Filename.concat t.dir "metrics.prom"
 let jsonl_path t = Filename.concat t.dir "metrics.jsonl"
 
+(* Series whose values depend on the clock or the GC, not on the
+   workload: histograms named [*_s] (seconds) or [gc_*]. *)
+let clock_derived name =
+  String.ends_with ~suffix:"_s" name || String.starts_with ~prefix:"gc_" name
+
 (* Registry state for the JSONL ring; the deterministic variant keeps
-   counters, gauges, span call counts and work histograms, dropping the
-   clock- and GC-derived series (see Openmetrics.clock_derived). *)
+   counters, gauges, span call counts and work histograms, dropping span
+   seconds and the clock-derived histograms. *)
 let metrics_json t =
   if not t.deterministic then Obs.to_json t.obs
   else
@@ -91,7 +86,7 @@ let metrics_json t =
           Json.Obj
             (List.filter_map
                (fun (k, h) ->
-                 if Openmetrics.clock_derived k then None
+                 if clock_derived k then None
                  else Some (k, Histogram.to_json h))
                (Obs.histograms t.obs)) );
       ]
@@ -106,19 +101,6 @@ let snapshot t =
   in
   let seq = t.snapshots in
   t.snapshots <- seq + 1;
-  let prom = Openmetrics.render ~deterministic:t.deterministic t.obs in
-  let path = prom_path t seq in
-  write_file path prom;
-  Queue.push path t.ring;
-  if Queue.length t.ring > t.retain then begin
-    let oldest = Queue.pop t.ring in
-    if (Sys.file_exists [@lint.allow "D3"]) oldest then
-      (Sys.remove [@lint.allow "D3"]) oldest
-  end;
-  (* Stable-name copy for scrapers, renamed into place atomically. *)
-  let tmp = latest_path t ^ ".tmp" in
-  write_file tmp prom;
-  (Sys.rename [@lint.allow "D3"]) tmp (latest_path t);
   let line =
     Json.to_string
       (Json.Obj

@@ -1,14 +1,11 @@
-(* Tests for the continuous-telemetry layer (lib/obs): the OpenMetrics
-   exposition and its validator (round-trip through [samples], native
-   Prometheus histograms with cumulative le buckets cross-checked
-   against Histogram quantiles, the deterministic clock-free rendering),
-   the declarative SLO tracker (config parsing, trip/clear hysteresis,
-   Slo_violation trace events), and the flight recorder (logical
-   cadence, ring retention, jsonl compaction, atomic scrape target). *)
+(* Tests for the continuous-telemetry layer (lib/obs): the flight
+   recorder's deterministic filter (the clock- and GC-derived series it
+   drops from a metrics.jsonl line), the declarative SLO tracker (config
+   parsing, trip/clear hysteresis, measurement sources, Slo_violation
+   trace events), and the flight recorder itself (logical cadence, jsonl
+   retention and compaction, byte-identical deterministic streams). *)
 
 module O = Ig_obs.Obs
-module H = Ig_obs.Histogram
-module Om = Ig_obs.Openmetrics
 module S = Ig_obs.Slo
 module F = Ig_obs.Flight
 module T = Ig_obs.Tracer
@@ -21,223 +18,6 @@ let contains needle text =
   let n = String.length needle and l = String.length text in
   let rec go i = i + n <= l && (String.sub text i n = needle || go (i + 1)) in
   go 0
-
-let find ?(labels = []) name samples =
-  List.find_opt
-    (fun (s : Om.sample) -> s.Om.name = name && s.Om.labels = labels)
-    samples
-
-let value ?labels name samples =
-  match find ?labels name samples with
-  | Some s -> s.Om.value
-  | None -> Alcotest.failf "sample %s not found" name
-
-(* ---- rendering and round-trip --------------------------------------------- *)
-
-let test_render_roundtrip () =
-  let o = O.create () in
-  O.add o "alpha" 3;
-  O.incr o "zeta";
-  O.set_gauge o "depth" 7;
-  O.with_span o "work" (fun () -> ());
-  O.observe o "bytes" 1.0;
-  O.observe o "bytes" 2.0;
-  O.observe o "bytes" 4.0;
-  let text = Om.render o in
-  (match Om.samples text with
-  | Error e -> Alcotest.failf "samples: %s" e
-  | Ok samples ->
-      check (Alcotest.float 0.0) "counter round-trips" 3.0
-        (value "alpha_total" samples);
-      check (Alcotest.float 0.0) "incr round-trips" 1.0
-        (value "zeta_total" samples);
-      check (Alcotest.float 0.0) "gauge round-trips" 7.0
-        (value "depth" samples);
-      check (Alcotest.float 0.0) "span calls round-trip" 1.0
-        (value ~labels:[ ("span", "work") ] "ig_span_calls_total" samples);
-      check (Alcotest.float 0.0) "_count is the observation count" 3.0
-        (value "bytes_count" samples);
-      check (Alcotest.float 1e-9) "_sum is the observation sum" 7.0
-        (value "bytes_sum" samples);
-      check (Alcotest.float 0.0) "+Inf bucket equals _count" 3.0
-        (value ~labels:[ ("le", "+Inf") ] "bytes_bucket" samples));
-  match Om.validate text with
-  | Error e -> Alcotest.failf "validate rejected own rendering: %s" e
-  | Ok n ->
-      let expected =
-        match Om.samples text with Ok s -> List.length s | Error _ -> 0
-      in
-      check Alcotest.int "validate counts every sample" expected n
-
-let test_render_empty () =
-  check Alcotest.string "noop registry renders bare EOF" "# EOF\n"
-    (Om.render O.noop);
-  (match Om.validate (Om.render O.noop) with
-  | Ok n -> check Alcotest.int "empty exposition has no samples" 0 n
-  | Error e -> Alcotest.failf "empty exposition rejected: %s" e);
-  check Alcotest.bool "looks_like accepts empty exposition" true
-    (Om.looks_like (Om.render O.noop));
-  check Alcotest.bool "looks_like rejects json" false
-    (Om.looks_like "{\"traceEvents\": []}")
-
-let test_sanitize () =
-  check Alcotest.string "dots and dashes mapped" "rpq_process"
-    (Om.sanitize "rpq.process");
-  check Alcotest.string "leading digit prefixed" "_9lives" (Om.sanitize "9lives");
-  check Alcotest.string "empty name survives" "_" (Om.sanitize "");
-  check Alcotest.string "legal names untouched" "a_b:c" (Om.sanitize "a_b:c")
-
-(* ---- histogram buckets vs Histogram quantiles ------------------------------ *)
-
-let exposition_buckets name samples =
-  List.filter_map
-    (fun (s : Om.sample) ->
-      if s.Om.name = name ^ "_bucket" then
-        match List.assoc_opt "le" s.Om.labels with
-        | Some "+Inf" -> None
-        | Some le -> Some (float_of_string le, s.Om.value)
-        | None -> None
-      else None)
-    samples
-
-let test_bucket_invariants () =
-  let o = O.create () in
-  let values =
-    [ 0.9; 1.1; 1.7; 3.0; 3.1; 8.0; 8.0; 20.0; 100.0; 1000.0; 0.001 ]
-  in
-  List.iter (O.observe o "work") values;
-  let h =
-    match O.histogram o "work" with
-    | Some h -> h
-    | None -> Alcotest.fail "histogram missing"
-  in
-  let samples =
-    match Om.samples (Om.render o) with
-    | Ok s -> s
-    | Error e -> Alcotest.failf "samples: %s" e
-  in
-  let buckets = exposition_buckets "work" samples in
-  check Alcotest.int "one le edge per non-empty log bucket"
-    (List.length (H.nonzero_buckets h))
-    (List.length buckets);
-  let rec strictly_increasing = function
-    | (le1, c1) :: ((le2, c2) :: _ as rest) ->
-        le1 < le2 && c1 <= c2 && strictly_increasing rest
-    | _ -> true
-  in
-  check Alcotest.bool "le edges strictly increase, cum counts never drop" true
-    (strictly_increasing buckets);
-  (match List.rev buckets with
-  | (_, last_cum) :: _ ->
-      check (Alcotest.float 0.0) "last finite cum equals count"
-        (float_of_int (H.count h)) last_cum
-  | [] -> Alcotest.fail "no buckets");
-  (* Every quantile must land inside the bucket the cumulative counts
-     select for its rank — the exposition and Histogram.quantile agree
-     on where the mass sits. *)
-  List.iter
-    (fun q ->
-      let target =
-        int_of_float (Float.floor (q *. float_of_int (H.count h - 1)))
-      in
-      let rec locate prev_le = function
-        | [] -> (prev_le, infinity)
-        | (le, cum) :: rest ->
-            if int_of_float cum > target then (prev_le, le)
-            else locate le rest
-      in
-      let lo, hi = locate 0.0 buckets in
-      let v = H.quantile h q in
-      if not (v >= lo && v <= hi) then
-        Alcotest.failf "q%.2f = %g outside exposition bucket (%g, %g]" q v lo
-          hi)
-    [ 0.0; 0.5; 0.9; 0.99; 1.0 ]
-
-(* ---- validator rejections -------------------------------------------------- *)
-
-let expect_invalid label text =
-  match Om.validate text with
-  | Ok _ -> Alcotest.failf "%s: validator accepted bad exposition" label
-  | Error _ -> ()
-
-let test_validator_rejections () =
-  (match
-     Om.validate
-       "# TYPE h histogram\n\
-        h_bucket{le=\"1\"} 1\n\
-        h_bucket{le=\"2\"} 3\n\
-        h_bucket{le=\"+Inf\"} 3\n\
-        h_sum 4.5\n\
-        h_count 3\n\
-        # EOF\n"
-   with
-  | Ok n -> check Alcotest.int "well-formed histogram accepted" 5 n
-  | Error e -> Alcotest.failf "well-formed histogram rejected: %s" e);
-  expect_invalid "untyped sample" "a_total 1\n# EOF\n";
-  expect_invalid "missing # EOF" "# TYPE a counter\na_total 1\n";
-  expect_invalid "content after # EOF"
-    "# TYPE a counter\na_total 1\n# EOF\na_total 2\n";
-  expect_invalid "le edges must increase"
-    "# TYPE h histogram\n\
-     h_bucket{le=\"2\"} 1\n\
-     h_bucket{le=\"1\"} 2\n\
-     h_bucket{le=\"+Inf\"} 2\n\
-     h_sum 3\n\
-     h_count 2\n\
-     # EOF\n";
-  expect_invalid "cumulative counts must not drop"
-    "# TYPE h histogram\n\
-     h_bucket{le=\"1\"} 5\n\
-     h_bucket{le=\"2\"} 3\n\
-     h_bucket{le=\"+Inf\"} 5\n\
-     h_sum 3\n\
-     h_count 5\n\
-     # EOF\n";
-  expect_invalid "_count must equal the +Inf bucket"
-    "# TYPE h histogram\n\
-     h_bucket{le=\"1\"} 1\n\
-     h_bucket{le=\"+Inf\"} 1\n\
-     h_sum 1\n\
-     h_count 2\n\
-     # EOF\n";
-  expect_invalid "type mismatch"
-    "# TYPE a gauge\na_total 1\n# EOF\n"
-
-(* ---- deterministic rendering ----------------------------------------------- *)
-
-let test_deterministic_filter () =
-  let drive () =
-    let o = O.create () in
-    O.add o "aff" 11;
-    O.set_gauge o "csr_overlay_add" 4;
-    O.observe o "csr_compact_bytes" 4096.0;
-    (* Clock-derived series: values differ run to run. *)
-    O.observe o "apply_latency_s" (Sys.opaque_identity (Random.float 1e-3));
-    O.observe o "gc_minor_words" (Random.float 1e6);
-    O.with_span o "sp" (fun () -> ());
-    o
-  in
-  let o = drive () in
-  let full = Om.render o in
-  let det = Om.render ~deterministic:true o in
-  let has = contains in
-  check Alcotest.bool "full rendering keeps latency histogram" true
-    (has "apply_latency_s_bucket" full);
-  check Alcotest.bool "deterministic drops _s histograms" false
-    (has "apply_latency_s" det);
-  check Alcotest.bool "deterministic drops gc_ histograms" false
-    (has "gc_minor_words" det);
-  check Alcotest.bool "deterministic drops span seconds" false
-    (has "ig_span_seconds" det);
-  check Alcotest.bool "deterministic keeps span calls" true
-    (has "ig_span_calls_total" det);
-  check Alcotest.bool "deterministic keeps work histograms" true
-    (has "csr_compact_bytes_bucket" det);
-  check Alcotest.string "deterministic renders are byte-identical runs" det
-    (Om.render ~deterministic:true (drive ()));
-  match Om.validate det with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "deterministic rendering invalid: %s" e
 
 (* ---- SLO: config, hysteresis, trace events --------------------------------- *)
 
@@ -372,14 +152,6 @@ let tmpdir prefix =
 
 let read_file path = In_channel.with_open_text path In_channel.input_all
 
-let ring_files dir =
-  Sys.readdir dir |> Array.to_list
-  |> List.filter (fun f ->
-         String.length f > 8
-         && String.sub f 0 8 = "metrics-"
-         && Filename.check_suffix f ".prom")
-  |> List.sort String.compare
-
 let jsonl_lines dir =
   let path = Filename.concat dir "metrics.jsonl" in
   if not (Sys.file_exists path) then []
@@ -387,43 +159,102 @@ let jsonl_lines dir =
     String.split_on_char '\n' (read_file path)
     |> List.filter (fun l -> String.trim l <> "")
 
+let parse_line line =
+  match J.parse line with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "jsonl line unparsable: %s" e
+
+(* The value at a path of object keys, if every key is present. *)
+let at keys j =
+  List.fold_left (fun acc k -> Option.bind acc (J.member k)) (Some j) keys
+
+let int_at keys j = Option.bind (at keys j) J.to_int_opt
+
+(* [(seq, updates)] of every line of a directory's metrics.jsonl. *)
+let line_positions dir =
+  List.map
+    (fun l ->
+      let j = parse_line l in
+      match (int_at [ "seq" ] j, int_at [ "updates" ] j) with
+      | Some seq, Some updates -> (seq, updates)
+      | _ -> Alcotest.failf "line without seq/updates: %s" l)
+    (jsonl_lines dir)
+
+let positions = Alcotest.(list (pair int int))
+
+(* The one metrics.jsonl line a single forced snapshot of [o] writes. *)
+let snapshot_line ~deterministic o =
+  let dir = tmpdir "ig_filter" in
+  F.snapshot (F.create ~deterministic ~dir ~obs:o ());
+  match jsonl_lines dir with
+  | [ line ] -> line
+  | lines -> Alcotest.failf "expected one jsonl line, got %d" (List.length lines)
+
+let test_deterministic_filter () =
+  let drive () =
+    let o = O.create () in
+    O.add o "aff" 11;
+    O.set_gauge o "csr_overlay_add" 4;
+    O.observe o "csr_compact_bytes" 4096.0;
+    (* Clock-derived series: values differ run to run. *)
+    O.observe o "apply_latency_s" (Sys.opaque_identity (Random.float 1e-3));
+    O.observe o "gc_minor_words" (Random.float 1e6);
+    O.with_span o "sp" (fun () -> ());
+    o
+  in
+  let o = drive () in
+  let full = parse_line (snapshot_line ~deterministic:false o) in
+  let det_line = snapshot_line ~deterministic:true o in
+  let det = parse_line det_line in
+  let has keys j = at ("metrics" :: keys) j <> None in
+  check Alcotest.bool "full line keeps latency histogram" true
+    (has [ "histograms"; "apply_latency_s" ] full);
+  check Alcotest.bool "full line keeps span seconds" true
+    (has [ "spans"; "sp"; "seconds" ] full);
+  check Alcotest.bool "deterministic drops _s histograms" false
+    (has [ "histograms"; "apply_latency_s" ] det);
+  check Alcotest.bool "deterministic drops gc_ histograms" false
+    (has [ "histograms"; "gc_minor_words" ] det);
+  check Alcotest.bool "deterministic drops span seconds" false
+    (has [ "spans"; "sp"; "seconds" ] det);
+  check
+    (Alcotest.option Alcotest.int)
+    "deterministic keeps span calls" (Some 1)
+    (int_at [ "metrics"; "spans"; "sp"; "count" ] det);
+  check Alcotest.bool "deterministic keeps work histograms" true
+    (has [ "histograms"; "csr_compact_bytes" ] det);
+  check Alcotest.string "deterministic lines are byte-identical across runs"
+    det_line
+    (snapshot_line ~deterministic:true (drive ()))
+
 let test_flight_retention () =
   let dir = tmpdir "ig_flight" in
   let o = O.create () in
   let fr = F.create ~every:1 ~retain:3 ~dir ~obs:o () in
-  for _ = 1 to 10 do
-    O.incr o "ticks";
-    F.tick fr
-  done;
+  let ticks n =
+    for _ = 1 to n do
+      O.incr o "ticks";
+      F.tick fr
+    done
+  in
+  (* The seventh snapshot finds 2 * retain lines in the file and
+     compacts it to the newest [retain]. *)
+  ticks 7;
+  check positions "compaction keeps the newest retain lines"
+    [ (4, 5); (5, 6); (6, 7) ]
+    (line_positions dir);
+  ticks 3;
   check Alcotest.int "every=1 snapshots each update" 10 (F.snapshots fr);
-  check Alcotest.int "ring pruned to retain" 3 (List.length (ring_files dir));
-  check
-    (Alcotest.list Alcotest.string)
-    "ring keeps the newest snapshots"
-    [ "metrics-000007.prom"; "metrics-000008.prom"; "metrics-000009.prom" ]
-    (ring_files dir);
-  let stable = read_file (Filename.concat dir "metrics.prom") in
-  check Alcotest.string "scrape target is the newest ring file" stable
-    (read_file (Filename.concat dir "metrics-000009.prom"));
-  (match Om.validate stable with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "scrape target invalid: %s" e);
-  let lines = jsonl_lines dir in
-  check Alcotest.bool "jsonl compacted below twice the retention" true
-    (List.length lines <= 2 * 3);
-  (match List.rev lines with
-  | last :: _ -> (
-      match J.parse last with
-      | Error e -> Alcotest.failf "jsonl line unparsable: %s" e
-      | Ok j ->
-          let get k = Option.bind (J.member k j) J.to_int_opt in
-          check (Alcotest.option Alcotest.int) "last line carries the seq"
-            (Some 9) (get "seq");
-          check (Alcotest.option Alcotest.int) "last line counts updates"
-            (Some 10) (get "updates");
-          check Alcotest.bool "metrics embedded" true
-            (J.member "metrics" j <> None))
-  | [] -> Alcotest.fail "no jsonl lines")
+  check positions "later snapshots append to the compacted tail"
+    [ (4, 5); (5, 6); (6, 7); (7, 8); (8, 9); (9, 10) ]
+    (line_positions dir);
+  match List.rev (jsonl_lines dir) with
+  | last :: _ ->
+      check
+        (Alcotest.option Alcotest.int)
+        "metrics embedded" (Some 10)
+        (int_at [ "metrics"; "counters"; "ticks" ] (parse_line last))
+  | [] -> Alcotest.fail "no jsonl lines"
 
 let test_flight_cadence () =
   let dir = tmpdir "ig_cadence" in
@@ -435,7 +266,10 @@ let test_flight_cadence () =
   check Alcotest.int "cadence fires at 4 and 8" 2 (F.snapshots fr);
   check Alcotest.int "updates counted" 10 (F.updates fr);
   F.snapshot fr;
-  check Alcotest.int "forced snapshot counts" 3 (F.snapshots fr)
+  check Alcotest.int "forced snapshot counts" 3 (F.snapshots fr);
+  check positions "one line per snapshot, at the cadence's updates"
+    [ (0, 4); (1, 8); (2, 10) ]
+    (line_positions dir)
 
 let test_flight_slo_and_determinism () =
   let drive dir =
@@ -472,14 +306,11 @@ let test_flight_slo_and_determinism () =
     "violation visible in the trace" [ "ticks" ] (slo_events o);
   check
     (Alcotest.list Alcotest.string)
-    "same ring shape" (ring_files d1) (ring_files d2);
-  List.iter
-    (fun f ->
-      check Alcotest.string
-        (Printf.sprintf "%s byte-identical across runs" f)
-        (read_file (Filename.concat d1 f))
-        (read_file (Filename.concat d2 f)))
-    ("metrics.prom" :: "metrics.jsonl" :: ring_files d1)
+    "the directory holds metrics.jsonl only" [ "metrics.jsonl" ]
+    (Array.to_list (Sys.readdir d1));
+  check Alcotest.string "metrics.jsonl byte-identical across runs"
+    (read_file (Filename.concat d1 "metrics.jsonl"))
+    (read_file (Filename.concat d2 "metrics.jsonl"))
 
 let test_flight_bad_args () =
   Alcotest.check_raises "every below 1 rejected"
@@ -490,17 +321,10 @@ let test_flight_bad_args () =
       ignore (F.create ~retain:0 ~dir:"." ~obs:O.noop ()))
 
 let () =
-  Alcotest.run "openmetrics"
+  Alcotest.run "telemetry"
     [
       ( "exposition",
         [
-          Alcotest.test_case "render round-trip" `Quick test_render_roundtrip;
-          Alcotest.test_case "empty registry" `Quick test_render_empty;
-          Alcotest.test_case "name sanitizer" `Quick test_sanitize;
-          Alcotest.test_case "bucket invariants vs quantiles" `Quick
-            test_bucket_invariants;
-          Alcotest.test_case "validator rejections" `Quick
-            test_validator_rejections;
           Alcotest.test_case "deterministic filter" `Quick
             test_deterministic_filter;
         ] );
