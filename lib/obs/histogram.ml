@@ -13,8 +13,9 @@
        the module, and
      - p50/p90/p99/p999 are estimated with bounded relative error
        (every bucket spans at most 1/[sub_buckets] of its octave, i.e.
-       12.5% relative width), interpolated within the winning bucket and
-       clamped to the exact [min], [max] tracked alongside.
+       12.5% relative width): the two samples around the quantile's rank
+       are each estimated inside their own bucket, clamped to the exact
+       [min], [max] tracked alongside, and interpolated between.
 
    Layout: [sub_buckets] linear sub-buckets per binary octave, octaves
    2^[min_exp] .. 2^[max_exp]. Samples below the range land in bucket 0,
@@ -101,35 +102,41 @@ let merge a b =
 
 let copy t = merge t (create ())
 
-(* Quantile estimate: walk the cumulative counts to the bucket holding the
-   continuous rank q*(count-1), interpolate linearly inside it, clamp to
-   the exact extremes. *)
+(* Estimate of the sample at integer rank [k] (0-based, ascending). The
+   extremes are tracked exactly; an interior rank sits in the bucket the
+   cumulative counts select, at its position among that bucket's samples
+   (taken as evenly spread), clamped to the exact extremes. *)
+let value_at_rank t k =
+  if k <= 0 then t.vmin
+  else if k >= t.count - 1 then t.vmax
+  else begin
+    let rec walk i cum =
+      let c = t.buckets.(i) in
+      if cum + c > k then begin
+        let lo, hi = bucket_bounds i in
+        let frac = (float_of_int (k - cum) +. 0.5) /. float_of_int c in
+        lo +. ((hi -. lo) *. frac)
+      end
+      else walk (i + 1) (cum + c)
+    in
+    Float.max t.vmin (Float.min t.vmax (walk 0 0))
+  end
+
+(* Quantile estimate at the continuous rank r = q*(count-1): the values
+   at ranks floor r and ceil r, each estimated inside its own bucket,
+   interpolated linearly by r - floor r — the sorted-sample convention,
+   so a high quantile of a few samples moves toward the largest one. *)
 let quantile t q =
   if Float.is_nan q || q < 0.0 || q > 1.0 then
     invalid_arg "Histogram.quantile: q must be in [0,1]";
   if t.count = 0 then 0.0
   else begin
     let rank = q *. float_of_int (t.count - 1) in
-    let target = int_of_float (Float.floor rank) in
-    let cum = ref 0 in
-    let result = ref t.vmax in
-    (try
-       for i = 0 to n_buckets - 1 do
-         let c = t.buckets.(i) in
-         if c > 0 then begin
-           if !cum + c > target then begin
-             let lo, hi = bucket_bounds i in
-             (* Position of the target rank among this bucket's samples. *)
-             let frac = (rank -. float_of_int !cum) /. float_of_int c in
-             let frac = Float.max 0.0 (Float.min 1.0 frac) in
-             result := lo +. ((hi -. lo) *. frac);
-             raise Exit
-           end;
-           cum := !cum + c
-         end
-       done
-     with Exit -> ());
-    Float.max t.vmin (Float.min t.vmax !result)
+    let lo = int_of_float (Float.floor rank) in
+    let frac = rank -. float_of_int lo in
+    let v_lo = value_at_rank t lo in
+    if frac = 0.0 then v_lo
+    else v_lo +. ((value_at_rank t (lo + 1) -. v_lo) *. frac)
   end
 
 let p50 t = quantile t 0.50

@@ -6,8 +6,7 @@
     Because the layout is a constant of the module, two histograms merge
     exactly by element-wise bucket addition, and quantile estimates carry
     a bounded relative error (every bucket spans at most 1/8 of its
-    octave, 12.5% relative width, interpolated within the bucket and
-    clamped to the exact tracked [min]/[max]).
+    octave, 12.5% relative width; see {!quantile}).
 
     Negative and NaN samples are clamped to 0 before recording: a
     histogram never goes backwards and its invariants
@@ -35,10 +34,16 @@ val mean : t -> float
 (** [sum / count]; 0 when empty. *)
 
 val quantile : t -> float -> float
-(** [quantile t q] estimates the q-quantile (q in [0,1]) by cumulative
-    bucket walk with linear interpolation inside the winning bucket,
-    clamped to [[min_value t, max_value t]]. Returns 0 when empty.
-    @raise Invalid_argument when q is outside [0,1]. *)
+(** [quantile t q] estimates the q-quantile (q in [0,1]) with the
+    sorted-sample convention: at the continuous rank r = q·(count−1) it
+    interpolates linearly, by r − ⌊r⌋, between the samples at ranks ⌊r⌋
+    and ⌈r⌉. Each of those is estimated inside its own bucket (found by
+    cumulative bucket walk, at its position among the bucket's samples)
+    and clamped to [[min_value t, max_value t]]; ranks 0 and count−1 are
+    the exact [min_value]/[max_value]. The estimate therefore lies between
+    the two samples, widened by one bucket's relative width (≤ 12.5%).
+    Returns 0 when empty. @raise Invalid_argument when q is outside
+    [0,1]. *)
 
 val p50 : t -> float
 val p99 : t -> float

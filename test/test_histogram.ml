@@ -97,6 +97,42 @@ let test_quantiles_bimodal () =
         1e-6 *. (1.0 +. Random.State.float rng 0.5)
       else 1e-4 *. (1.0 +. Random.State.float rng 0.5))
 
+(* Few samples: the estimate must lie between the sorted samples at
+   ranks floor r and ceil r (r = q*(n-1)), widened by one bucket's
+   relative width. *)
+let check_between name xs qs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  let n = Array.length a in
+  let h = of_samples xs in
+  let width = 0.125 in
+  List.iter
+    (fun q ->
+      let rank = q *. float_of_int (n - 1) in
+      let lo = a.(int_of_float (Float.floor rank))
+      and hi = a.(int_of_float (Float.ceil rank)) in
+      let est = H.quantile h q in
+      if not (est >= lo *. (1.0 -. width) && est <= hi *. (1.0 +. width)) then
+        Alcotest.failf "%s: q=%.3f est %g outside [%g, %g] widened by %g" name
+          q est lo hi width)
+    qs
+
+let test_quantiles_small_samples () =
+  for n = 1 to 64 do
+    let rng = Random.State.make [| n |] in
+    let xs =
+      List.init n (fun _ -> Float.exp (Random.State.float rng 20.0 -. 10.0))
+    in
+    let qs = List.init 8 (fun _ -> Random.State.float rng 1.0) in
+    check_between (Printf.sprintf "n=%d" n) xs
+      ([ 0.0; 0.25; 0.5; 0.9; 0.99; 1.0 ] @ qs)
+  done;
+  let three = [ 5344.0; 5736.0; 9244.0 ] in
+  check_between "three samples" three [ 0.5; 0.9; 0.99 ];
+  let p99 = H.p99 (of_samples three) in
+  if p99 < 9000.0 then
+    Alcotest.failf "three samples: p99 %g should be near the largest, 9244" p99
+
 let test_quantile_extremes_clamped () =
   let h = of_samples [ 3.0; 5.0; 7.0 ] in
   check (Alcotest.float 0.0) "q=0 is the min" 3.0 (H.quantile h 0.0);
@@ -287,6 +323,8 @@ let () =
             test_quantiles_exponential;
           Alcotest.test_case "bimodal latency shape" `Quick
             test_quantiles_bimodal;
+          Alcotest.test_case "small samples between neighbouring ranks" `Quick
+            test_quantiles_small_samples;
           Alcotest.test_case "extremes clamp to min/max" `Quick
             test_quantile_extremes_clamped;
           Alcotest.test_case "single sample" `Quick test_single_sample;

@@ -140,7 +140,24 @@ let test_slo_measure () =
     (S.measure o (S.P99 "nope"));
   check Alcotest.bool "p50 between observed extremes" true
     (let v = S.measure o (S.P50 "lat") in
-     v >= 1.0 && v <= 100.0)
+     v >= 1.0 && v <= 100.0);
+  (* A short run: the p99 of three samples sits near the largest, so a
+     budget the largest sample breaks must read as breached. *)
+  List.iter (O.observe o "words") [ 5344.0; 5736.0; 9244.0 ];
+  let budget =
+    {
+      S.name = "words_p99";
+      source = S.P99 "words";
+      limit = 9000.0;
+      trip_after = 1;
+      clear_after = 1;
+    }
+  in
+  match S.evaluate (S.create [ budget ]) ~obs:o with
+  | [ st ] ->
+      check Alcotest.bool "p99 budget over three samples breached" true
+        st.S.breaching
+  | _ -> Alcotest.fail "expected one status"
 
 (* ---- flight recorder ------------------------------------------------------- *)
 
