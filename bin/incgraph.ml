@@ -377,8 +377,9 @@ let stream_cmd =
        ~doc:
          "Maintain a query incrementally over a random update stream. With \
           $(b,--metrics-out), snapshot the engine's metrics registry into \
-          a flight-recorder history on a logical (update-count) cadence; with $(b,--slo), evaluate declarative cost budgets at \
-          each snapshot and report violations.")
+          a flight-recorder history on a logical (update-count) cadence; \
+          with $(b,--slo), evaluate declarative cost budgets at each \
+          snapshot and report violations.")
     Term.(
       ret
         (const run $ graph_arg $ spec_arg $ batches_arg
