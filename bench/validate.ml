@@ -1,32 +1,28 @@
-(* Validate BENCH_*.json reports, TRACE_*.json Chrome trace files,
-   incgraph-lint reports, and the durability artifacts of lib/journal.
+(* Validate BENCH_*.json reports, incgraph-lint reports, and the
+   durability artifacts of lib/journal.
 
    Usage: dune exec bench/validate.exe -- FILE [FILE...]
    Files starting with the "IGJRNL01" magic are checked as delta journals
    (Core.Journal.Log.scan: decodable header, checksummed records with
    contiguous sequence numbers, clean tail — a torn tail is a validation
-   failure, run `incgraph journal DIR --repair` first). Files carrying a
-   "traceEvents" key are checked as Chrome trace-event exports
-   (Core.Obs.Trace_export.validate: well-formed events, nesting spans,
-   monotone timestamps, rule-tagged aff_enter instants); files whose
-   "tool" is "incgraph-lint" as lint reports (Core.Lint.validate, schema
-   v4); files whose "tool" is "incgraph-journal-snapshot" as certificate
-   snapshots (Core.Journal.Snapshot.validate: structure + self-checksum);
-   everything else as a BENCH report (Core.Obs.Report.of_json, which also
-   yields the experiment and point counts). Exits nonzero on the first
-   file that fails to parse or validate. Used by the @bench-smoke,
-   @trace-smoke, @crash-smoke and @lint aliases to guarantee that what
+   failure, run `incgraph journal DIR --repair` first). Files whose
+   "tool" is "incgraph-lint" are checked as lint reports
+   (Core.Lint.validate, schema v4); files whose "tool" is
+   "incgraph-journal-snapshot" as certificate snapshots
+   (Core.Journal.Snapshot.validate: structure + self-checksum); everything
+   else as a BENCH report (Core.Obs.Report.of_json, which also yields the
+   experiment and point counts). Exits nonzero on the first file that
+   fails to parse or validate. Used by the @bench-smoke,
+   @bench-gate, @crash-smoke and @lint aliases to guarantee that what
    the writers emit is what the validators promise. *)
 
 module Json = Core.Obs.Json
 module Report = Core.Obs.Report
-module Trace_export = Core.Obs.Trace_export
 module Lint = Core.Lint
 module J = Core.Journal
 
 type kind =
   | Bench of int * int (* experiments, points *)
-  | Trace of int
   | Lint_report of int * int (* schema version, diagnostics *)
   | Journal of int * int (* committed batches, total ops *)
   | Snapshot of int * int (* seq, certificate sections *)
@@ -61,10 +57,6 @@ let check path =
   else
   match Json.parse src with
   | Error e -> Error (Printf.sprintf "%s: parse error: %s" path e)
-  | Ok json when Json.member "traceEvents" json <> None -> (
-      match Trace_export.validate json with
-      | Error e -> Error (Printf.sprintf "%s: trace violation: %s" path e)
-      | Ok n -> Ok (Trace n))
   | Ok json
     when Option.bind (Json.member "tool" json) Json.to_str_opt
          = Some "incgraph-lint" -> (
@@ -103,8 +95,6 @@ let () =
       | Ok (Bench (n_exp, n_pts)) ->
           Printf.printf "%s: valid (schema v%d, %d experiments, %d points)\n"
             path Report.schema_version n_exp n_pts
-      | Ok (Trace n) ->
-          Printf.printf "%s: valid chrome trace (%d events)\n" path n
       | Ok (Lint_report (version, n)) ->
           Printf.printf "%s: valid lint report (schema v%d, %d diagnostics)\n"
             path version n

@@ -8,7 +8,6 @@
      top        ASCII dashboard over a stream --metrics-out directory
      fuzz       differential soak: incremental engines vs batch oracles
      stats      cost-accounting snapshot of one incremental session
-     trace      dump a Chrome trace-event file of one traced session
      explain    per-update AFF provenance with the paper-rule histogram
      lint       determinism & instrumentation linter over the repo sources
      journal    inspect or grow a journaled session directory (WAL + snapshots)
@@ -29,7 +28,7 @@
      incgraph top m
      incgraph fuzz --algo scc --steps 5000 --seed 2017
      incgraph stats -g kg.txt --json kws -b 2 actor award
-     incgraph trace -g kg.txt --batches 2 -o TRACE_scc.json scc
+     incgraph explain -g kg.txt --batches 2 --limit=-1 scc
      incgraph explain --gadget 4
      incgraph journal sess rpq 'l1 . l2*' --init -g kg.txt --apply +3-7
      incgraph replay sess --check
@@ -220,7 +219,7 @@ let query_cmd =
 module Obs = Core.Obs
 module Trace_export = Obs.Trace_export
 
-(* The one loop behind stream, stats, trace and explain: build the query's
+(* The one loop behind stream, stats and explain: build the query's
    engine over a copy of [g], then draw [batches] seeded random batches of
    [size] unit updates against the engine's own graph and hand each to
    [step], which applies it to the engine. Returns the engine. *)
@@ -581,52 +580,7 @@ let stats_cmd =
         (const run $ graph_arg $ spec_arg $ batches_arg
        $ size_arg $ seed_arg $ json_flag $ histo))
 
-(* ---- trace / explain ------------------------------------------------------- *)
-
-let trace_cmd =
-  let out =
-    Arg.(
-      value
-      & opt string "TRACE_incgraph.json"
-      & info [ "o"; "out" ] ~doc:"Output trace file." ~docv:"FILE")
-  in
-  let cap =
-    Arg.(
-      value
-      & opt pos_int Obs.default_events
-      & info [ "capacity" ]
-          ~doc:"Ring-buffer capacity; older events beyond it are dropped."
-          ~docv:"N")
-  in
-  let run path spec batches size seed out cap =
-    with_graph path @@ fun g ->
-    let inst =
-      drive ~obs:(Obs.create ~events:cap ()) g spec ~seed ~batches ~size
-        apply_each
-    in
-    let snap = Obs.events inst.Oracle.obs in
-    Trace_export.write_chrome ~path:out ~name:inst.Oracle.series snap;
-    Format.printf "%s: %d event(s)%s -> %s@." inst.Oracle.series
-      (List.length snap.Obs.Tracer.entries)
-      (if snap.Obs.Tracer.drops > 0 then
-         Printf.sprintf " (ring buffer dropped %d older)" snap.Obs.Tracer.drops
-       else "")
-      out;
-    `Ok ()
-  in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:
-         "Drive one incremental session over a seeded random update stream \
-          with structured tracing on, and write the event log — AFF entries \
-          tagged with the paper rule that fired, certificate rewrites with \
-          before/after values, frontier expansions, engine spans — as a \
-          Chrome trace-event file loadable in Perfetto (ui.perfetto.dev) or \
-          chrome://tracing. Deterministic for a fixed graph and seed.")
-    Term.(
-      ret
-        (const run $ graph_arg $ spec_arg $ batches_arg
-       $ size_arg $ seed_arg $ out $ cap))
+(* ---- explain --------------------------------------------------------------- *)
 
 (* Print each batch's event log: the events are cleared before every
    batch, so the first one does not carry the engine's init events. *)
@@ -671,7 +625,10 @@ let explain_cmd =
     Arg.(
       value & opt int 20
       & info [ "limit" ]
-          ~doc:"Events to print per update batch; negative prints all."
+          ~doc:
+            "Events to print per update batch; negative prints all. Write a \
+             negative value as $(b,--limit=-1): after a space, -1 reads as \
+             an option."
           ~docv:"N")
   in
   let graph_opt =
@@ -866,12 +823,12 @@ let fuzz_cmd =
             | Error f ->
                 failed := true;
                 Format.printf " FAILED@.%a@." C.Harness.pp_failure f;
-                let gpath, upath, tpath, jpath =
+                let gpath, upath, epath, jpath =
                   C.Harness.save_failure ~dir:out_dir ~base:s.C.Scenarios.base
                     ~spec:s.C.Scenarios.spec f
                 in
                 Format.printf "artifacts: %s, %s%s%s@." gpath upath
-                  (match tpath with
+                  (match epath with
                   | Some p -> ", " ^ p
                   | None -> "")
                   (match jpath with
@@ -1248,7 +1205,6 @@ let () =
             top_cmd;
             fuzz_cmd;
             stats_cmd;
-            trace_cmd;
             explain_cmd;
             lint_cmd;
             journal_cmd;

@@ -162,15 +162,18 @@ let save_failure ~dir ~base ?spec f =
       | Digraph.Delete (u, v) -> Printf.fprintf oc "# - %d %d\n" u v)
     f.stream;
   close_out oc;
-  let tpath =
+  let epath =
     match f.trace with
     | None -> None
     | Some snap ->
-        let p = Filename.concat dir (stem ^ ".trace.json") in
-        Ig_obs.Trace_export.write_chrome ~path:p ~name:f.algo snap;
+        let p = Filename.concat dir (stem ^ ".explain") in
+        let oc = (open_out [@lint.allow "D3"]) p in
+        output_string oc (Ig_obs.Trace_export.explain_to_string ~limit:(-1) snap);
+        output_char oc '\n';
+        close_out oc;
         Some p
   in
   let jpath =
     Option.map (fun spec -> save_journal ~dir ~stem ~base ~spec f) spec
   in
-  (gpath, upath, tpath, jpath)
+  (gpath, upath, epath, jpath)

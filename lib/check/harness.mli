@@ -53,9 +53,9 @@ val save_failure :
     graph in the {!Ig_graph.Io} text format),
     [fuzz-<algo>-seed<seed>.updates] (the shrunk stream, one [+ u v] /
     [- u v] line per update, full stream appended as comments), — when
-    the failure carries a trace — [fuzz-<algo>-seed<seed>.trace.json] (the
-    failing step's event log as a Chrome trace), and — when [spec] (the
-    scenario's query) is given —
+    the failure carries a trace — [fuzz-<algo>-seed<seed>.explain] (the
+    failing step's whole event log as [incgraph explain --limit=-1]
+    renders it), and — when [spec] (the scenario's query) is given —
     [fuzz-<algo>-seed<seed>.journal/], a journaled session directory
     (snapshot-0 of the base graph, one batch per shrunk update) replayable
     with [incgraph replay]. Returns the paths. *)

@@ -42,8 +42,8 @@
     (AFF entry with the rule of the paper's pseudocode that fired,
     certificate rewrites with before/after, frontier expansions, spans),
     read back with {!Obs.events}.
-    {!Obs.Trace_export} renders snapshots as Chrome trace-event JSON
-    (Perfetto-loadable) or a human-readable explanation. *)
+    {!Obs.Trace_export} renders snapshots as the human-readable
+    explanation [incgraph explain] prints. *)
 module Obs : sig
   include module type of struct
     include Ig_obs.Obs

@@ -11,8 +11,7 @@
    in-budget evaluations to clear, so one slow GC pause or one bursty
    batch does not flap the status. The trip transition (not every
    breaching evaluation) records a rule-tagged [Slo_violation] in the
-   registry's events, where it shows up in Chrome traces and `incgraph
-   explain`. *)
+   registry's events, where `incgraph explain` shows it. *)
 
 type source =
   | P99 of string  (* p99 of a registry histogram *)

@@ -6,7 +6,7 @@
     and a ceiling; {!evaluate} runs all rules against a registry,
     advances per-rule trip/clear hysteresis, and emits a rule-tagged
     [Slo_violation] trace event on each trip transition — visible in
-    Chrome traces and [incgraph explain]. *)
+    [incgraph explain]. *)
 
 type source =
   | P99 of string  (** p99 of a registry histogram *)

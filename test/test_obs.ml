@@ -3,7 +3,7 @@
    report the right shape of |AFF| — nonzero for an update that touches
    the query's certificate, zero for an update in a part of the graph the
    query cannot see — and finally the sink's events: ring-buffer
-   semantics, the JSON escaper they lean on, Chrome export validity, and
+   semantics, the JSON escaper they lean on, the explain rendering, and
    that recording events leaves every counter as a plain sink has it. *)
 
 open Ig_graph
@@ -411,10 +411,10 @@ let test_events_never_change_counters () =
       Spec.Scc;
     ]
 
-(* ---- tracer: engine events, export, explain -------------------------------- *)
+(* ---- tracer: engine events, explain ---------------------------------------- *)
 
-(* A traced KWS run: every Aff_enter carries a rule tag, the Chrome export
-   passes the validator, and the explain rendering names the rule. *)
+(* A traced KWS run: every Aff_enter carries a rule tag, and the explain
+   rendering names the rule. *)
 let traced_kws_snapshot () =
   let g = labeled_graph [ "a"; "b"; "d" ] [ (1, 0); (1, 2) ] in
   let q = { Ig_kws.Batch.keywords = [ "a"; "d" ]; bound = 2 } in
@@ -448,64 +448,6 @@ let test_engine_trace_events () =
       snap.T.entries
   in
   check Alcotest.int "one span pair" 2 (List.length spans)
-
-let test_chrome_export_validates () =
-  let snap = traced_kws_snapshot () in
-  let json = TE.to_chrome ~name:"IncKWS" snap in
-  (match TE.validate json with
-  | Ok n ->
-      (* process_name metadata + one event per entry *)
-      check Alcotest.int "all events present" (List.length snap.T.entries + 1) n
-  | Error e -> Alcotest.fail ("validator rejected a fresh export: " ^ e));
-  (* The export survives a print/parse round trip. *)
-  match J.parse (J.to_string ~indent:true json) with
-  | Error e -> Alcotest.fail ("reparse failed: " ^ e)
-  | Ok json' -> (
-      match TE.validate json' with
-      | Ok _ -> ()
-      | Error e -> Alcotest.fail ("reparsed trace rejected: " ^ e))
-
-let test_validator_rejects_garbage () =
-  let reject what j =
-    match TE.validate j with
-    | Ok _ -> Alcotest.fail ("validator accepted " ^ what)
-    | Error _ -> ()
-  in
-  reject "a non-trace object" (J.Obj [ ("x", J.Int 1) ]);
-  reject "an event without ph"
-    (J.Obj [ ("traceEvents", J.Arr [ J.Obj [ ("name", J.Str "e") ] ]) ]);
-  reject "a backwards timestamp"
-    (J.Obj
-       [
-         ( "traceEvents",
-           J.Arr
-             [
-               J.Obj
-                 [
-                   ("name", J.Str "a"); ("ph", J.Str "i"); ("s", J.Str "t");
-                   ("ts", J.Int 5); ("pid", J.Int 0); ("tid", J.Int 0);
-                 ];
-               J.Obj
-                 [
-                   ("name", J.Str "b"); ("ph", J.Str "i"); ("s", J.Str "t");
-                   ("ts", J.Int 4); ("pid", J.Int 0); ("tid", J.Int 0);
-                 ];
-             ] );
-       ]);
-  reject "an aff_enter without a rule"
-    (J.Obj
-       [
-         ( "traceEvents",
-           J.Arr
-             [
-               J.Obj
-                 [
-                   ("name", J.Str "aff_enter"); ("ph", J.Str "i");
-                   ("ts", J.Int 0); ("pid", J.Int 0); ("tid", J.Int 0);
-                   ("args", J.Obj [ ("node", J.Int 3) ]);
-                 ];
-             ] );
-       ])
 
 let test_explain_rendering () =
   let snap = traced_kws_snapshot () in
@@ -543,8 +485,8 @@ let test_sorted_bindings () =
     (List.map fst (O.sorted_bindings ~compare:String.compare s))
 
 (* Regression for the sorted-iteration fixes in Inc_kws / Inc_rpq: two
-   independent traced runs of the same seeded session must export
-   byte-identical Chrome JSON. In-process both runs share one hash seed;
+   independent traced runs of the same seeded session must render
+   byte-identical event logs. In-process both runs share one hash seed;
    the cross-seed version of this check (fresh OCAMLRUNPARAM=R seed per
    process, all five engines) is the @trace-determinism alias in
    bench/dune. *)
@@ -565,7 +507,7 @@ let test_trace_byte_equality () =
         { Ig_kws.Batch.keywords = [ "a"; "d" ]; bound = 3 }
     in
     ignore (Ig_kws.Inc_kws.apply_batch t updates);
-    J.to_string ~indent:true (TE.to_chrome ~name:"IncKWS" (O.events o))
+    TE.explain_to_string ~limit:(-1) (O.events o)
   in
   let rpq_trace () =
     let o = O.create ~events:O.default_events () in
@@ -576,7 +518,7 @@ let test_trace_byte_equality () =
     in
     let t = Ig_rpq.Inc_rpq.create ~obs:o (labeled_graph labels edges) q in
     ignore (Ig_rpq.Inc_rpq.apply_batch t updates);
-    J.to_string ~indent:true (TE.to_chrome ~name:"IncRPQ" (O.events o))
+    TE.explain_to_string ~limit:(-1) (O.events o)
   in
   check Alcotest.string "IncKWS traces byte-identical" (kws_trace ())
     (kws_trace ());
@@ -839,10 +781,6 @@ let () =
             test_events_never_change_counters;
           Alcotest.test_case "engine events carry rule tags" `Quick
             test_engine_trace_events;
-          Alcotest.test_case "chrome export validates" `Quick
-            test_chrome_export_validates;
-          Alcotest.test_case "validator rejects garbage" `Quick
-            test_validator_rejects_garbage;
           Alcotest.test_case "explain rendering" `Quick test_explain_rendering;
         ] );
       ( "determinism",
