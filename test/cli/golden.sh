@@ -61,5 +61,14 @@ session scc
 session iso l1 l2 l3 0-1 1-2
 session sim l1 l2 0-1
 
+# 1,600 updates are enough to compact the CSR a few times, so this
+# registry keeps a histogram (csr_compact_bytes) after the deterministic
+# filter, and top prints a histogram row with its p50/p99 cells.
+{
+  run stream -g g.graph --batches 4 --size 400 --seed 11 \
+    --metrics-out metrics_compaction --deterministic-metrics scc
+  run top metrics_compaction
+} > compaction.out
+
 run explain --gadget 4 > gadget.out
 rm -f g.graph
