@@ -288,6 +288,42 @@ let test_mutation_buggy_engine_shrinks () =
       | Some snap ->
           check Alcotest.bool "dropped update leaves an empty event log" true
             (snap.Ig_obs.Tracer.entries = []));
+      (* The failure artefacts: every path save_failure returns exists,
+         the .explain file renders the empty log, and the journal plans a
+         recovery with one batch per shrunk update. *)
+      let dir = Filename.temp_file "fuzz" "" in
+      Sys.remove dir;
+      Sys.mkdir dir 0o700;
+      let rec rm p =
+        if Sys.is_directory p then (
+          Array.iter (fun e -> rm (Filename.concat p e)) (Sys.readdir p);
+          Sys.rmdir p)
+        else Sys.remove p
+      in
+      Fun.protect ~finally:(fun () -> rm dir) (fun () ->
+          match H.save_failure ~dir ~base:g ~spec:Sp.Scc f with
+          | gpath, upath, Some epath, Some jpath ->
+              List.iter
+                (fun (what, p) ->
+                  check Alcotest.bool (what ^ " written") true
+                    (Sys.file_exists p))
+                [
+                  (".graph", gpath);
+                  (".updates", upath);
+                  (".explain", epath);
+                  (".journal", jpath);
+                ];
+              check Alcotest.string ".explain file is the empty log"
+                "0 event(s)"
+                (In_channel.with_open_text epath In_channel.input_line
+                |> Option.value ~default:"");
+              (match Ig_journal.Store.plan ~dir:jpath () with
+              | Error e -> Alcotest.fail ("journal does not plan: " ^ e)
+              | Ok p ->
+                  check Alcotest.int "one journaled batch per shrunk update"
+                    (List.length f.H.shrunk)
+                    (List.length p.Ig_journal.Store.replay))
+          | _ -> Alcotest.fail "no .explain or .journal artefact saved");
       (* 1-minimality: removing any single update loses the failure. *)
       List.iteri
         (fun i _ ->
