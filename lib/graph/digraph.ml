@@ -150,19 +150,32 @@ let add_node g s = add_node_sym g (intern_label g s)
 
 (* ---- sorted overlay lists ---- *)
 
-let rec mem_sorted x = function
+let rec mem_sorted (x : int) = function
   | [] -> false
   | y :: tl -> if y < x then mem_sorted x tl else y = x
 
-let rec insert_sorted x = function
+(* [insert_sorted x l] returns [l] itself when [x] is already there, and
+   [remove_sorted x l] when it is not, so one walk both probes and edits:
+   the caller reads a no-op as physical equality. *)
+let rec insert_sorted (x : int) l =
+  match l with
   | [] -> [ x ]
-  | y :: tl as l ->
-      if x < y then x :: l else if x = y then l else y :: insert_sorted x tl
-
-let rec remove_sorted x = function
-  | [] -> []
   | y :: tl ->
-      if y = x then tl else if y < x then y :: remove_sorted x tl else y :: tl
+      if x < y then x :: l
+      else if x = y then l
+      else
+        let tl' = insert_sorted x tl in
+        if tl' == tl then l else y :: tl'
+
+let rec remove_sorted (x : int) l =
+  match l with
+  | [] -> l
+  | y :: tl ->
+      if y = x then tl
+      else if y > x then l
+      else
+        let tl' = remove_sorted x tl in
+        if tl' == tl then l else y :: tl'
 
 (* ---- base rows ---- *)
 
@@ -277,6 +290,73 @@ let maybe_compact g = if g.overlay > max 64 (g.n_edges asr 3) then compact g
 
 (* ---- updates ---- *)
 
+(* [link] and [unlink] edit the overlay and the degrees, classifying
+   (u, v) in one walk of each row it touches: a tombstone in [succ_del]
+   names a base edge (del ⊆ base), an entry in [succ_add] an overlay edge
+   (add ∩ base = ∅), and otherwise one binary search of the base row
+   decides. [false] means the edge was already present (absent). *)
+
+let link g u v =
+  let dels = Vec.get g.succ_del u in
+  let dels' = remove_sorted v dels in
+  (if dels' != dels then begin
+     (* A tombstoned base edge coming back: drop the tombstones. *)
+     Vec.set g.succ_del u dels';
+     Vec.set g.pred_del v (remove_sorted u (Vec.get g.pred_del v));
+     g.overlay <- g.overlay - 2;
+     g.overlay_dels <- g.overlay_dels - 2;
+     true
+   end
+   else
+     (not (in_base g.s_off g.s_adj g.base_n u v))
+     &&
+     let adds = Vec.get g.succ_add u in
+     let adds' = insert_sorted v adds in
+     adds' != adds
+     && begin
+       Vec.set g.succ_add u adds';
+       Vec.set g.pred_add v (insert_sorted u (Vec.get g.pred_add v));
+       g.overlay <- g.overlay + 2;
+       g.overlay_adds <- g.overlay_adds + 2;
+       true
+     end)
+  && begin
+    Vec.set g.out_deg u (Vec.get g.out_deg u + 1);
+    Vec.set g.in_deg v (Vec.get g.in_deg v + 1);
+    g.n_edges <- g.n_edges + 1;
+    true
+  end
+
+let unlink g u v =
+  let adds = Vec.get g.succ_add u in
+  let adds' = remove_sorted v adds in
+  (if adds' != adds then begin
+     Vec.set g.succ_add u adds';
+     Vec.set g.pred_add v (remove_sorted u (Vec.get g.pred_add v));
+     g.overlay <- g.overlay - 2;
+     g.overlay_adds <- g.overlay_adds - 2;
+     true
+   end
+   else
+     in_base g.s_off g.s_adj g.base_n u v
+     &&
+     let dels = Vec.get g.succ_del u in
+     let dels' = insert_sorted v dels in
+     dels' != dels
+     && begin
+       Vec.set g.succ_del u dels';
+       Vec.set g.pred_del v (insert_sorted u (Vec.get g.pred_del v));
+       g.overlay <- g.overlay + 2;
+       g.overlay_dels <- g.overlay_dels + 2;
+       true
+     end)
+  && begin
+    Vec.set g.out_deg u (Vec.get g.out_deg u - 1);
+    Vec.set g.in_deg v (Vec.get g.in_deg v - 1);
+    g.n_edges <- g.n_edges - 1;
+    true
+  end
+
 (* Each effective mutation counts one unit of |ΔG| on the instrumented
    sink, so an engine's changed-input count is its graph's; a no-op
    counts nothing. *)
@@ -284,24 +364,8 @@ let maybe_compact g = if g.overlay > max 64 (g.n_edges asr 3) then compact g
 let add_edge g u v =
   check_node g u;
   check_node g v;
-  if mem_edge g u v then false
-  else begin
-    (if in_base g.s_off g.s_adj g.base_n u v then begin
-       (* A tombstoned base edge coming back: drop the tombstones. *)
-       Vec.set g.succ_del u (remove_sorted v (Vec.get g.succ_del u));
-       Vec.set g.pred_del v (remove_sorted u (Vec.get g.pred_del v));
-       g.overlay <- g.overlay - 2;
-       g.overlay_dels <- g.overlay_dels - 2
-     end
-     else begin
-       Vec.set g.succ_add u (insert_sorted v (Vec.get g.succ_add u));
-       Vec.set g.pred_add v (insert_sorted u (Vec.get g.pred_add v));
-       g.overlay <- g.overlay + 2;
-       g.overlay_adds <- g.overlay_adds + 2
-     end);
-    Vec.set g.out_deg u (Vec.get g.out_deg u + 1);
-    Vec.set g.in_deg v (Vec.get g.in_deg v + 1);
-    g.n_edges <- g.n_edges + 1;
+  link g u v
+  && begin
     Obs.note_changed_input g.obs 1;
     note_overlay g;
     maybe_compact g;
@@ -311,23 +375,8 @@ let add_edge g u v =
 let remove_edge g u v =
   check_node g u;
   check_node g v;
-  if not (mem_edge g u v) then false
-  else begin
-    (if mem_sorted v (Vec.get g.succ_add u) then begin
-       Vec.set g.succ_add u (remove_sorted v (Vec.get g.succ_add u));
-       Vec.set g.pred_add v (remove_sorted u (Vec.get g.pred_add v));
-       g.overlay <- g.overlay - 2;
-       g.overlay_adds <- g.overlay_adds - 2
-     end
-     else begin
-       Vec.set g.succ_del u (insert_sorted v (Vec.get g.succ_del u));
-       Vec.set g.pred_del v (insert_sorted u (Vec.get g.pred_del v));
-       g.overlay <- g.overlay + 2;
-       g.overlay_dels <- g.overlay_dels + 2
-     end);
-    Vec.set g.out_deg u (Vec.get g.out_deg u - 1);
-    Vec.set g.in_deg v (Vec.get g.in_deg v - 1);
-    g.n_edges <- g.n_edges - 1;
+  unlink g u v
+  && begin
     Obs.note_changed_input g.obs 1;
     note_overlay g;
     maybe_compact g;
@@ -369,42 +418,125 @@ let apply g = function
 
 let apply_batch g us = List.iter (fun u -> ignore (apply g u)) us
 
-module Edge_tbl = Hashtbl.Make (struct
-  type t = edge
+(* ---- net effect ---- *)
 
-  let equal ((a, b) : t) (c, d) = a = c && b = d
-  let hash ((a, b) : t) = Int.hash ((a * 0x9e3779b1) lxor b)
-end)
+(* The per-domain scratch behind [net_effect] and [apply_net]: an
+   open-addressing table over packed keys [u lsl 31 lor v] (-1 = empty),
+   linear probing at load ≤ 1/2, one mark byte per slot (bit 0: the edge's
+   last update inserts it; bit 1: applying it changed the graph), and the
+   filled slots in first-occurrence order. It grows to the largest batch
+   seen and is emptied by walking [order], so a batch costs O(|batch|)
+   whatever the table's size, and allocates nothing but its result. *)
+type scratch = {
+  mutable bits : int; (* log2 of the slot count *)
+  mutable keys : int array;
+  mutable marks : Bytes.t;
+  mutable order : int array; (* half the slot count *)
+}
 
-let net_effect us =
-  (* Per edge the batch touches, in first-occurrence order: the edge and
-     whether its last update inserts it. *)
-  let last = Edge_tbl.create (List.length us) and order = ref [] in
-  List.iter
-    (fun up ->
-      let e, ins =
-        match up with
-        | Insert (u, v) -> ((u, v), true)
-        | Delete (u, v) -> ((u, v), false)
-      in
-      match Edge_tbl.find_opt last e with
-      | Some r -> r := ins
-      | None ->
-          let r = ref ins in
-          Edge_tbl.add last e r;
-          order := (e, r) :: !order)
-    us;
+let scratch =
+  Domain.DLS.new_key (fun () ->
+      { bits = 0; keys = [||]; marks = Bytes.empty; order = [||] })
+
+let node_limit = 1 lsl 31
+
+let clear s n =
+  for j = 0 to n - 1 do
+    Array.unsafe_set s.keys (Array.unsafe_get s.order j) (-1)
+  done
+
+(* Record the last update of each edge [us] touches; returns how many
+   distinct edges there are. An endpoint outside [0, limit) empties the
+   table and raises before anything else happens. *)
+let fill s limit us =
+  let len = List.length us in
+  if 2 * len > Array.length s.keys then begin
+    let bits = ref 4 in
+    while 1 lsl !bits < 2 * len do
+      incr bits
+    done;
+    s.bits <- !bits;
+    s.keys <- Array.make (1 lsl !bits) (-1);
+    s.marks <- Bytes.make (1 lsl !bits) '\000';
+    s.order <- Array.make (1 lsl (!bits - 1)) 0
+  end;
+  let keys = s.keys and mask = Array.length s.keys - 1 and shift = 63 - s.bits in
+  let record n u v ins =
+    if u < 0 || u >= limit || v < 0 || v >= limit then begin
+      clear s n;
+      invalid_arg "Digraph: unknown node"
+    end;
+    let k = (u lsl 31) lor v in
+    (* Fibonacci hashing: the top [bits] bits of k times an odd constant. *)
+    let i = ref ((k * 0x278DDE6E5FD29F05) lsr shift) in
+    while
+      let x = Array.unsafe_get keys !i in
+      x <> -1 && x <> k
+    do
+      i := (!i + 1) land mask
+    done;
+    let i = !i in
+    Bytes.unsafe_set s.marks i (Char.unsafe_chr ins);
+    if Array.unsafe_get keys i = k then n
+    else begin
+      Array.unsafe_set keys i k;
+      Array.unsafe_set s.order n i;
+      n + 1
+    end
+  in
+  let rec go n = function
+    | [] -> n
+    | Insert (u, v) :: rest -> go (record n u v 1) rest
+    | Delete (u, v) :: rest -> go (record n u v 0) rest
+  in
+  go 0 us
+
+(* The recorded edges whose mark has every bit of [want], as
+   [(deletions, insertions)] in first-occurrence order; empties the table. *)
+let drain s n want =
   let dels = ref [] and inss = ref [] in
-  List.iter
-    (fun (e, r) -> if !r then inss := e :: !inss else dels := e :: !dels)
-    !order;
+  for j = n - 1 downto 0 do
+    let i = Array.unsafe_get s.order j in
+    let k = Array.unsafe_get s.keys i
+    and m = Char.code (Bytes.unsafe_get s.marks i) in
+    Array.unsafe_set s.keys i (-1);
+    if m land want = want then begin
+      let e = (k lsr 31, k land (node_limit - 1)) in
+      if m land 1 = 1 then inss := e :: !inss else dels := e :: !dels
+    end
+  done;
   (!dels, !inss)
 
+let net_effect us =
+  let s = Domain.DLS.get scratch in
+  drain s (fill s node_limit us) 0
+
 let apply_net g us =
-  let dels, inss = net_effect us in
-  let dels = List.filter (fun (u, v) -> remove_edge g u v) dels in
-  let inss = List.filter (fun (u, v) -> add_edge g u v) inss in
-  (dels, inss)
+  let s = Domain.DLS.get scratch in
+  let n = fill s (min (n_nodes g) node_limit) us in
+  (* Deletions, then insertions, each in first-occurrence order; bit 1
+     marks the ones that changed the graph. *)
+  let pass ins =
+    for j = 0 to n - 1 do
+      let i = Array.unsafe_get s.order j in
+      let m = Char.code (Bytes.unsafe_get s.marks i) in
+      if m land 1 = ins then begin
+        let k = Array.unsafe_get s.keys i in
+        let u = k lsr 31 and v = k land (node_limit - 1) in
+        if if ins = 1 then add_edge g u v else remove_edge g u v then
+          Bytes.unsafe_set s.marks i (Char.unsafe_chr (m lor 2))
+      end
+    done
+  in
+  (match
+     pass 0;
+     pass 1
+   with
+  | () -> ()
+  | exception e ->
+      clear s n;
+      raise e);
+  drain s n 2
 
 (* ---- views ---- *)
 

@@ -102,12 +102,19 @@ val net_effect : update list -> edge list * edge list
     whatever the order of updates to one edge. Entries may be no-ops (an
     insertion of a present edge); the results of {!add_edge} and
     {!remove_edge} tell. A batch that touches each edge once yields its own
-    updates. Reads no graph, so it costs one hash probe per update. *)
+    updates. Reads no graph: one probe per update into an open-addressing
+    table over packed keys [u lsl 31 lor v], kept per domain, sized to the
+    largest batch seen and emptied by walking only the slots the batch
+    filled, so a call allocates nothing but its result.
+    @raise Invalid_argument ["Digraph: unknown node"] if an endpoint is
+    outside [\[0, 2{^31})]. *)
 
 val apply_net : t -> update list -> edge list * edge list
 (** [apply_net g us] applies [net_effect us] to [g], deletions first, and
     returns the [(deletions, insertions)] that changed it, in
-    {!net_effect}'s order. The graph ends as {!apply_batch} leaves it. *)
+    {!net_effect}'s order. The graph ends as {!apply_batch} leaves it.
+    @raise Invalid_argument ["Digraph: unknown node"] if an endpoint is not
+    a node of [g]; [g] is then unchanged. *)
 
 (** {1 Labels} *)
 

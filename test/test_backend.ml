@@ -360,19 +360,26 @@ let prop_copy_deep =
       Digraph.compact c;
       copy_intact && view g = vg)
 
-(* A batch over at most six nodes, built from steps that make the net
-   effect interesting: insert→delete pairs, duplicate inserts, self-loops,
-   and plain updates, deletions of absent edges among them. *)
-let arb_batch =
+(* A start graph and one to four batches over at most 24 nodes, built from
+   steps that make the net effect interesting: insert→delete pairs,
+   duplicate inserts, self-loops, and plain updates, deletions of absent
+   edges among them. One batch in four runs to ~600 updates, so the net
+   effect's scratch table grows mid-sequence; the batches after it reuse
+   it. *)
+let arb_batches =
   QCheck.make
-    ~print:(fun (n, edges, ops) ->
+    ~print:(fun (n, edges, batches) ->
       let show (u, v) = Printf.sprintf "%d-%d" u v in
-      Printf.sprintf "n=%d edges=[%s] ops=[%s]" n
+      Printf.sprintf "n=%d edges=[%s] batches=[%s]" n
         (String.concat ";" (List.map show edges))
-        (String.concat ";"
-           (List.map (fun (i, e) -> (if i then "+" else "-") ^ show e) ops)))
+        (String.concat " | "
+           (List.map
+              (fun ops ->
+                String.concat ";"
+                  (List.map (fun (i, e) -> (if i then "+" else "-") ^ show e) ops))
+              batches)))
     QCheck.Gen.(
-      let* n = int_range 1 6 in
+      let* n = int_range 1 24 in
       let edge = pair (int_bound (n - 1)) (int_bound (n - 1)) in
       let* edges = list_size (int_bound (2 * n)) edge in
       let step =
@@ -385,53 +392,91 @@ let arb_batch =
             (1, map (fun v -> [ (true, (v, v)) ]) (int_bound (n - 1)));
           ]
       in
-      let+ steps = list_size (int_bound 12) step in
-      (n, edges, List.concat steps))
+      let batch =
+        let* len = frequency [ (3, int_bound 12); (1, int_bound 400) ] in
+        map List.concat (list_repeat len step)
+      in
+      let+ batches = list_size (int_range 1 4) batch in
+      (n, edges, batches))
 
-(* [apply_net] against the model: per edge, in first-occurrence order, the
-   batch's last update, kept when it changes the starting edge set. The
-   instrumented graph counts exactly those changes as |ΔG|; a copy of it
-   counts nothing. *)
+let start_graph n edges =
+  let g = Digraph.create () in
+  for _ = 1 to n do
+    ignore (Digraph.add_node g "a")
+  done;
+  List.iter (fun (u, v) -> ignore (Digraph.add_edge g u v)) edges;
+  g
+
+let to_updates =
+  List.map (fun (i, (u, v)) ->
+      if i then Digraph.Insert (u, v) else Digraph.Delete (u, v))
+
+(* [apply_net] against the model, batch after batch on one graph: per edge,
+   in first-occurrence order, the batch's last update, kept when it
+   changes the edge set the batch starts from. The instrumented graph
+   counts exactly those changes as |ΔG|; a copy of it counts nothing. *)
 let prop_apply_net =
   QCheck.Test.make ~count:300
     ~name:"apply_net applies and counts the model's effective changes"
-    arb_batch (fun (n, edges, ops) ->
-      let build () =
-        let g = Digraph.create () in
-        for _ = 1 to n do
-          ignore (Digraph.add_node g "a")
-        done;
-        List.iter (fun (u, v) -> ignore (Digraph.add_edge g u v)) edges;
-        g
-      in
-      let batch =
-        List.map
-          (fun (i, (u, v)) ->
-            if i then Digraph.Insert (u, v) else Digraph.Delete (u, v))
-          ops
-      in
-      let start = Edges.of_list edges in
-      let firsts =
-        List.fold_left
-          (fun acc (_, e) -> if List.mem e acc then acc else acc @ [ e ])
-          [] ops
-      in
-      let last e = fst (List.find (fun (_, e') -> e' = e) (List.rev ops)) in
-      let dels = List.filter (fun e -> (not (last e)) && Edges.mem e start) firsts
-      and inss = List.filter (fun e -> last e && not (Edges.mem e start)) firsts in
-      let g = build () and obs = Ig_obs.Obs.create () in
+    arb_batches (fun (n, edges, batches) ->
+      let g = start_graph n edges and obs = Ig_obs.Obs.create () in
       Digraph.instrument ~obs g;
-      let c = Digraph.copy g in
-      let net = Digraph.apply_net g batch in
-      ignore (Digraph.apply_net c batch);
-      let replica = build () in
-      Digraph.apply_batch replica batch;
-      let k = List.length dels + List.length inss in
-      net = (dels, inss)
-      && Digraph.edges g = Digraph.edges replica
-      && Digraph.edges c = Digraph.edges replica
+      let c = Digraph.copy g and replica = start_graph n edges in
+      let step (ok, k) ops =
+        let start = Edges.of_list (Digraph.edges replica) in
+        let firsts =
+          List.fold_left
+            (fun acc (_, e) -> if List.mem e acc then acc else acc @ [ e ])
+            [] ops
+        in
+        let last e = fst (List.find (fun (_, e') -> e' = e) (List.rev ops)) in
+        let dels =
+          List.filter (fun e -> (not (last e)) && Edges.mem e start) firsts
+        and inss = List.filter (fun e -> last e && not (Edges.mem e start)) firsts in
+        let batch = to_updates ops in
+        let net = Digraph.apply_net g batch in
+        ignore (Digraph.apply_net c batch);
+        Digraph.apply_batch replica batch;
+        ( ok
+          && net = (dels, inss)
+          && Digraph.edges g = Digraph.edges replica
+          && Digraph.edges c = Digraph.edges replica,
+          k + List.length dels + List.length inss )
+      in
+      let ok, k = List.fold_left step (true, 0) batches in
+      ok
       && Ig_obs.Obs.(counter obs K.changed_input) = k
       && Ig_obs.Obs.(counter obs K.changed) = k)
+
+(* A batch naming an endpoint that is not a node of the graph raises before
+   [apply_net] touches the graph, wherever the bad update sits and whatever
+   came before it; the next batch sees a clean net-effect table. *)
+let test_apply_net_unknown_node () =
+  let g = start_graph 4 [ (0, 1); (1, 2); (2, 3) ] in
+  ignore (Digraph.apply_net g [ Digraph.Delete (0, 1); Digraph.Insert (3, 0) ]);
+  let before = (Digraph.edges g, Digraph.overlay_size g) in
+  List.iter
+    (fun bad ->
+      let batch =
+        [ Digraph.Insert (0, 2); Digraph.Delete (1, 2); bad; Digraph.Insert (2, 0) ]
+      in
+      Alcotest.check_raises "unknown node" (Invalid_argument "Digraph: unknown node")
+        (fun () -> ignore (Digraph.apply_net g batch));
+      check
+        Alcotest.(pair (list (pair int int)) int)
+        "graph unchanged" before
+        (Digraph.edges g, Digraph.overlay_size g))
+    [
+      Digraph.Insert (0, 4);
+      Digraph.Delete (4, 0);
+      Digraph.Insert (-1, 2);
+      Digraph.Delete (2, 1 lsl 31);
+    ];
+  check
+    Alcotest.(pair (list (pair int int)) (list (pair int int)))
+    "clean table afterwards"
+    ([ (1, 2) ], [ (0, 2) ])
+    (Digraph.apply_net g [ Digraph.Insert (0, 2); Digraph.Delete (1, 2) ])
 
 (* Graph text with up to 20 nodes over three labels (so the label index
    has several members per label) and up to 60 edge lines in arbitrary
@@ -479,6 +524,11 @@ let () =
           Alcotest.test_case "copy preserves pending deltas" `Quick
             test_copy_preserves_overlay;
           Alcotest.test_case "hint pre-sizes safely" `Quick test_hint_presizes;
+        ] );
+      ( "net effect",
+        [
+          Alcotest.test_case "apply_net rejects an unknown node" `Quick
+            test_apply_net_unknown_node;
         ] );
       ( "overlay laws",
         qsuite
