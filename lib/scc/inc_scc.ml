@@ -446,10 +446,15 @@ let process t updates =
   (* Classify the batch's net effect against the components at batch
      start; the phases below reorder updates, which is sound only once no
      edge is updated twice. Each class is processed newest first. *)
-  let is_intra (u, v) = comp_of t u = comp_of t v in
+  let rec split intra inter = function
+    | [] -> (intra, inter)
+    | ((u, v) as e) :: rest ->
+        if comp_of t u = comp_of t v then split (e :: intra) inter rest
+        else split intra (e :: inter) rest
+  in
   let dels, inss = Digraph.net_effect updates in
-  let intra_del, inter_del = List.partition is_intra (List.rev dels) in
-  let intra_ins, inter_ins = List.partition is_intra (List.rev inss) in
+  let intra_del, inter_del = split [] [] dels in
+  let intra_ins, inter_ins = split [] [] inss in
   (* (a) Intra-component phase: apply everything to G, then run local
      Tarjan at most once per affected component. *)
   List.iter (fun (u, v) -> ignore (Digraph.add_edge t.g u v)) intra_ins;
