@@ -22,7 +22,8 @@
    construction, no per-call sort. Degrees are maintained eagerly in
    [out_deg]/[in_deg], so they stay O(1) regardless of overlay size.
 
-   When the overlay exceeds [max 64 (n_edges/8)] live entries the graph
+   When the overlay exceeds [max 64 (n_edges/8)] live entries after an
+   [add_edge], a [remove_edge] or a whole [apply_net] batch, the graph
    recompacts: fresh base arrays are built in O(n + m) by replaying the
    merged rows, and the overlay empties. The geometric gap between
    compactions keeps the amortized per-update cost constant. [compact]
@@ -515,24 +516,31 @@ let apply_net g us =
   let s = Domain.DLS.get scratch in
   let n = fill s (min (n_nodes g) node_limit) us in
   (* Deletions, then insertions, each in first-occurrence order; bit 1
-     marks the ones that changed the graph. *)
-  let pass ins =
+     marks the ones that changed the graph. The overlay may pass the
+     compaction threshold mid-batch (deletions first tombstone edges that
+     later insertions bring back), so compaction is decided once, after. *)
+  let pass ins changed =
+    let changed = ref changed in
     for j = 0 to n - 1 do
       let i = Array.unsafe_get s.order j in
       let m = Char.code (Bytes.unsafe_get s.marks i) in
       if m land 1 = ins then begin
         let k = Array.unsafe_get s.keys i in
         let u = k lsr 31 and v = k land (node_limit - 1) in
-        if if ins = 1 then add_edge g u v else remove_edge g u v then
-          Bytes.unsafe_set s.marks i (Char.unsafe_chr (m lor 2))
+        if if ins = 1 then link g u v else unlink g u v then begin
+          Bytes.unsafe_set s.marks i (Char.unsafe_chr (m lor 2));
+          incr changed
+        end
       end
-    done
+    done;
+    !changed
   in
-  (match
-     pass 0;
-     pass 1
-   with
-  | () -> ()
+  (match pass 1 (pass 0 0) with
+  | 0 -> ()
+  | changed ->
+      Obs.note_changed_input g.obs changed;
+      note_overlay g;
+      maybe_compact g
   | exception e ->
       clear s n;
       raise e);

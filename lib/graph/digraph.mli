@@ -19,8 +19,9 @@
     adjacency walk is a merge of the base row with the overlay, so it is
     in ascending node order by construction, whatever the process hash
     seed. The overlay folds into fresh base arrays ([O(n + m)]) when it
-    exceeds [max 64 (n_edges/8)] live entries, and on explicit
-    {!compact}. *)
+    exceeds [max 64 (n_edges/8)] live entries, checked after each
+    {!add_edge} and {!remove_edge} and once after each {!apply_net}, and
+    on explicit {!compact}. *)
 
 type node = int
 type label = Interner.symbol
@@ -113,6 +114,11 @@ val apply_net : t -> update list -> edge list * edge list
 (** [apply_net g us] applies [net_effect us] to [g], deletions first, and
     returns the [(deletions, insertions)] that changed it, in
     {!net_effect}'s order. The graph ends as {!apply_batch} leaves it.
+    Compaction is decided once, after the whole batch: applying deletions
+    first can push the overlay past the threshold mid-batch even when the
+    batch's insertions bring it back, so one call runs at most one
+    compaction. Its effective changes count as |ΔG| on the instrumented
+    sink, as {!add_edge} and {!remove_edge} count theirs.
     @raise Invalid_argument ["Digraph: unknown node"] if an endpoint is not
     a node of [g]; [g] is then unchanged. *)
 

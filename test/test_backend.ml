@@ -448,6 +448,23 @@ let prop_apply_net =
       && Ig_obs.Obs.(counter obs K.changed_input) = k
       && Ig_obs.Obs.(counter obs K.changed) = k)
 
+(* One [apply_net] call decides about compaction once, after the whole
+   batch: batches of a few hundred updates push the overlay far past the
+   64-entry threshold of these small graphs, yet each call runs at most one
+   compaction. *)
+let prop_apply_net_compacts_once =
+  QCheck.Test.make ~count:200 ~name:"apply_net compacts at most once a call"
+    arb_batches (fun (n, edges, batches) ->
+      let g = start_graph n edges and obs = Ig_obs.Obs.create () in
+      Digraph.instrument ~obs g;
+      let compactions () = Ig_obs.Obs.(counter obs K.csr_compactions) in
+      List.for_all
+        (fun ops ->
+          let before = compactions () in
+          ignore (Digraph.apply_net g (to_updates ops));
+          compactions () - before <= 1)
+        batches)
+
 (* A batch naming an endpoint that is not a node of the graph raises before
    [apply_net] touches the graph, wherever the bad update sits and whatever
    came before it; the next batch sees a clean net-effect table. *)
@@ -538,5 +555,6 @@ let () =
             prop_copy_deep;
             prop_bulk_load;
             prop_apply_net;
+            prop_apply_net_compacts_once;
           ] );
     ]
