@@ -427,7 +427,9 @@ let apply_batch g us = List.iter (fun u -> ignore (apply g u)) us
    last update inserts it; bit 1: applying it changed the graph), and the
    filled slots in first-occurrence order. It grows to the largest batch
    seen and is emptied by walking [order], so a batch costs O(|batch|)
-   whatever the table's size, and allocates nothing but its result. *)
+   whatever the table's size, and allocates nothing but its result. Each
+   call fills and drains it with no callback in between, so one table per
+   domain is never shared by two batches at once. *)
 type scratch = {
   mutable bits : int; (* log2 of the slot count *)
   mutable keys : int array;

@@ -13,7 +13,9 @@
    preserved and the copy is independent of the original; the bulk load
    behind [Io.of_string] builds the same graph as [add_edge] does, edge by
    edge; and [apply_net] applies, returns and counts as |ΔG| exactly the
-   batch's effective net changes. *)
+   batch's effective net changes, batch after batch on one graph, runs at
+   most one compaction per call, and rejects an unknown node before it
+   touches the graph. *)
 
 open Ig_graph
 
@@ -363,7 +365,7 @@ let prop_copy_deep =
 (* A start graph and one to four batches over at most 24 nodes, built from
    steps that make the net effect interesting: insert→delete pairs,
    duplicate inserts, self-loops, and plain updates, deletions of absent
-   edges among them. One batch in four runs to ~600 updates, so the net
+   edges among them. One batch in four has up to 800 updates, so the net
    effect's scratch table grows mid-sequence; the batches after it reuse
    it. *)
 let arb_batches =
