@@ -918,7 +918,7 @@ let attach_store ?as_of ?(from_scratch = false) ~dir () =
         | None -> J.Store.graph_client base
       in
       Result.map
-        (fun store -> (store, plan, inst))
+        (fun store -> (store, plan, inst, base))
         (J.Store.attach ~dir ~plan ~client ())
 
 let kind_str = function
@@ -972,6 +972,28 @@ let journal_cmd =
             "Crash injection for tests: cut N bytes off the journal file."
           ~docv:"N")
   in
+  (* An update naming a node the session's graph lacks is a usage error,
+     found before any batch is journaled. Batches add no nodes, so the
+     graph the session starts from decides every batch. *)
+  let unknown_node g batches =
+    let bad (spec, us) =
+      List.find_map
+        (fun up ->
+          let sign, u, v =
+            match up with
+            | Core.Digraph.Insert (u, v) -> ('+', u, v)
+            | Core.Digraph.Delete (u, v) -> ('-', u, v)
+          in
+          List.find_opt (fun w -> not (Core.Digraph.mem_node g w)) [ u; v ]
+          |> Option.map (fun w ->
+                 Printf.sprintf
+                   "--apply %s: update %c%d-%d names unknown node %d (the \
+                    graph has %d nodes)"
+                   spec sign u v w (Core.Digraph.n_nodes g)))
+        us
+    in
+    List.find_map bad batches
+  in
   let apply_all store batches =
     List.iter
       (fun (spec, us) ->
@@ -992,17 +1014,21 @@ let journal_cmd =
           | Error e -> `Error (false, e)
           | Ok spec ->
               with_graph file @@ fun g ->
-              let store =
-                J.Store.init ~dir
-                  ~header:(Spec.header (cls, bound, qargs) g)
-                  ~client:(Core.Check.Durable.client_of (Spec.make g spec))
-                  ()
-              in
-              Format.printf "initialized %s: class %s, graph %s@." dir cls
-                (short (J.Store.digest store));
-              apply_all store batches;
-              J.Store.close store;
-              `Ok ())
+              match unknown_node g batches with
+              | Some e -> `Error (false, e)
+              | None ->
+                  let store =
+                    J.Store.init ~dir
+                      ~header:(Spec.header (cls, bound, qargs) g)
+                      ~client:
+                        (Core.Check.Durable.client_of (Spec.make g spec))
+                      ()
+                  in
+                  Format.printf "initialized %s: class %s, graph %s@." dir cls
+                    (short (J.Store.digest store));
+                  apply_all store batches;
+                  J.Store.close store;
+                  `Ok ())
     else if repair then
       match J.Log.repair ~path:(J.Store.journal_path ~dir) with
       | Error e -> `Error (false, e)
@@ -1023,10 +1049,15 @@ let journal_cmd =
           if batches <> [] then
             match attach_store ~dir () with
             | Error e -> `Error (false, e)
-            | Ok (store, _, _) ->
-                apply_all store batches;
-                J.Store.close store;
-                `Ok ()
+            | Ok (store, _, _, g) -> (
+                match unknown_node g batches with
+                | Some e ->
+                    J.Store.close store;
+                    `Error (false, e)
+                | None ->
+                    apply_all store batches;
+                    J.Store.close store;
+                    `Ok ())
           else
             (* Inspect: read-only scan, no engine rebuild. *)
             match J.Log.scan ~path:(J.Store.journal_path ~dir) with
@@ -1099,7 +1130,7 @@ let replay_cmd =
   let run dir as_of from_scratch check =
     match attach_store ?as_of ~from_scratch ~dir () with
     | Error e -> `Error (false, e)
-    | Ok (store, plan, inst) -> (
+    | Ok (store, plan, inst, _) -> (
         if plan.J.Store.dropped > 0 then
           Format.printf "torn tail: dropped %d byte(s)@." plan.J.Store.dropped;
         Format.printf
@@ -1145,7 +1176,7 @@ let undo_cmd =
   let run dir k =
     match attach_store ~dir () with
     | Error e -> `Error (false, e)
-    | Ok (store, _, inst) -> (
+    | Ok (store, _, inst, _) -> (
         match J.Store.undo store ~k with
         | Error e ->
             J.Store.close store;
@@ -1176,7 +1207,7 @@ let snapshot_cmd =
   let run dir =
     match attach_store ~dir () with
     | Error e -> `Error (false, e)
-    | Ok (store, _, _) ->
+    | Ok (store, _, _, _) ->
         let p = J.Store.snapshot store in
         Format.printf "wrote %s at seq %d@." p (J.Store.tip store);
         J.Store.close store;

@@ -32,72 +32,8 @@ let add_edge_line buf u v =
   add_nat buf v;
   Buffer.add_char buf '\n'
 
-let by_edge (a, b, _) (c, d, _) =
-  if a <> c then Int.compare a c else Int.compare b d
-
-(* The net effect of [after] on each edge it touches, sorted by edge: an
-   edge ends present iff its last update is an insert, whatever it was
-   before — so an insert then a delete of an absent edge nets to absent.
-   The stable sort keeps each edge's updates in op order; the last one
-   wins. *)
-let overlay_of g after =
-  let ups =
-    Array.of_list
-      (List.map
-         (fun up ->
-           let ((u, v, _) as e) =
-             match up with
-             | Digraph.Insert (u, v) -> (u, v, true)
-             | Digraph.Delete (u, v) -> (u, v, false)
-           in
-           if not (Digraph.mem_node g u && Digraph.mem_node g v) then
-             invalid_arg
-               (Printf.sprintf "Io.to_string: update on unknown edge (%d, %d)"
-                  u v);
-           e)
-         after)
-  in
-  Array.stable_sort by_edge ups;
-  let n = Array.length ups in
-  Array.of_list
-    (List.filteri
-       (fun i e -> i = n - 1 || by_edge e ups.(i + 1) <> 0)
-       (Array.to_list ups))
-
-(* Overlay entries of row [u] are the sorted run starting at [!i]. *)
-let in_row ov i u = !i < Array.length ov && (let a, _, _ = ov.(!i) in a = u)
-
-(* Emit the row's overlay edges (u, b) with b < w that end present. *)
-let flush_below buf ov i u w =
-  while in_row ov i u && (let _, b, _ = ov.(!i) in b < w) do
-    let _, b, present = ov.(!i) in
-    if present then add_edge_line buf u b;
-    incr i
-  done
-
-(* Emit live edge (u, w) in row order: first the overlay edges below w,
-   then (u, w) itself unless an overlay entry for it ends absent. *)
-let merge_live buf ov i u w =
-  flush_below buf ov i u w;
-  if in_row ov i u && (let _, b, _ = ov.(!i) in b = w) then begin
-    let _, _, present = ov.(!i) in
-    if present then add_edge_line buf u w;
-    incr i
-  end
-  else add_edge_line buf u w
-
-let to_string ?(after = []) g =
-  let ov = overlay_of g after in
-  let n = Digraph.n_nodes g in
-  let m =
-    Array.fold_left
-      (fun m (u, v, present) ->
-        match (present, Digraph.mem_edge g u v) with
-        | true, false -> m + 1
-        | false, true -> m - 1
-        | _ -> m)
-      (Digraph.n_edges g) ov
-  in
+let to_string g =
+  let n = Digraph.n_nodes g and m = Digraph.n_edges g in
   let d = n_digits n in
   let buf = Buffer.create (64 + (n * (d + 12)) + (m * ((2 * d) + 4))) in
   Buffer.add_string buf "# incgraph v1: ";
@@ -112,13 +48,7 @@ let to_string ?(after = []) g =
     add_label buf g v;
     Buffer.add_char buf '\n'
   done;
-  (* Rows in id order, each already sorted, with the row's overlay run
-     merged in. *)
-  let i = ref 0 in
-  for u = 0 to n - 1 do
-    Digraph.iter_succ (merge_live buf ov i u) g u;
-    flush_below buf ov i u max_int
-  done;
+  Digraph.iter_edges (add_edge_line buf) g;
   Buffer.contents buf
 
 (* Deliberate artifact writer/reader: the graph text format. *)

@@ -10,23 +10,17 @@
     parsing and build the adjacency in one pass ({!Digraph.load_edges}),
     so a load hands back flat base arrays with an empty overlay. *)
 
-val to_string : ?after:Digraph.update list -> Digraph.t -> string
+val to_string : Digraph.t -> string
 (** The canonical text of [g]: the header line
     [# incgraph v1: <n> nodes <m> edges], then [v <id> <label>] for every
     node in id order, then [e <u> <v>] for every edge in lexicographic
-    order, each line ending in ['\n']. This is the one writer: {!save},
-    journal digests and snapshots all use it. One buffer, sized from
-    |V| + |E|, per call; integers are written into it digit by digit.
-
-    With [~after], the text is that of the graph [g] would become with
-    the updates applied in order, produced without modifying or copying
-    [g]: each touched edge takes the effect of its last update, merged
-    into its sorted row. The cost is one pass over [g] plus
-    O(|after| log |after|).
+    order ({!Digraph.iter_edges}), each line ending in ['\n']. This is
+    the one writer: {!save}, journal digests and snapshots all use it.
+    One buffer, sized from |V| + |E|, per call; integers are written into
+    it digit by digit.
 
     @raise Invalid_argument naming the node if a label is empty or
-    contains whitespace (the reader could not parse it back), or if an
-    update names an unknown node. *)
+    contains whitespace (the reader could not parse it back). *)
 
 val save : string -> Digraph.t -> unit
 (** Write {!to_string} to a file path. @raise Invalid_argument as

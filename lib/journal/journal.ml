@@ -147,33 +147,20 @@ let close t = close_out t.oc
 
 (* ---- op semantics -------------------------------------------------------- *)
 
-(* Normalization consults the live graph through an overlay of the edges
-   already touched earlier in the same batch, so within-batch dependencies
-   (insert then delete of the same edge) resolve without copying the
-   graph. *)
+(* The batch's net effect ({!Digraph.net_effect}) less the entries that
+   would not change [g], deletions first, as [Digraph.apply_net] applies
+   them. *)
 let effective_ops g updates =
-  let overlay = Hashtbl.create 16 in
-  let present u v =
-    match Hashtbl.find_opt overlay (u, v) with
-    | Some p -> p
-    | None -> Digraph.mem_edge g u v
+  let dels, inss = Digraph.net_effect updates in
+  let keep present op (u, v) =
+    if not (Digraph.mem_node g u && Digraph.mem_node g v) then
+      invalid_arg
+        (Printf.sprintf "Journal.effective_ops: update on unknown edge (%d, %d)"
+           u v);
+    if Digraph.mem_edge g u v = present then Some (op u v) else None
   in
-  List.concat_map
-    (fun u ->
-      match u with
-      | Digraph.Insert (a, b) ->
-          if present a b then []
-          else begin
-            Hashtbl.replace overlay (a, b) true;
-            [ Record.Upsert_edge (a, b) ]
-          end
-      | Digraph.Delete (a, b) ->
-          if not (present a b) then []
-          else begin
-            Hashtbl.replace overlay (a, b) false;
-            [ Record.Tombstone_edge (a, b) ]
-          end)
-    updates
+  List.filter_map (keep true (fun u v -> Record.Tombstone_edge (u, v))) dels
+  @ List.filter_map (keep false (fun u v -> Record.Upsert_edge (u, v))) inss
 
 let updates_of_ops ops =
   List.map
@@ -187,7 +174,9 @@ let updates_of_ops ops =
     ops
 
 let graph_digest_after g ops =
-  digest_hex (Io.to_string ~after:(updates_of_ops ops) g)
+  let g' = Digraph.copy g in
+  ignore (Digraph.apply_net g' (updates_of_ops ops));
+  graph_digest g'
 
 let apply_op g = function
   | Record.Upsert_edge (u, v) -> ignore (Digraph.add_edge g u v)

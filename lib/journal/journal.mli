@@ -26,11 +26,13 @@
     set-equal.
 
     A digest costs one buffered pass over the graph: O(|V| + |E|) bytes
-    of text and one MD5. The [post] digest a commit
-    writes ahead of its apply ({!graph_digest_after}) is the same pass
-    with the batch's edge ops overlaid on the live rows, so no copy of the
-    graph is made; it equals {!graph_digest} of the graph after the
-    apply, which the store re-checks once the engine has moved. *)
+    of text and one MD5. The [post] digest a commit writes ahead of its
+    apply ({!graph_digest_after}) is the digest of a scratch copy with the
+    batch applied by {!Ig_graph.Digraph.apply_net}: the copy is O(|V|),
+    since it shares the graph's frozen base arrays, and its sink is the
+    noop one, so it moves no counter. It equals {!graph_digest} of the
+    graph after the apply, which the store re-checks once the engine has
+    moved. *)
 
 type t
 (** An open journal, positioned for appending. *)
@@ -52,8 +54,9 @@ val graph_digest : Ig_graph.Digraph.t -> string
 
 val graph_digest_after : Ig_graph.Digraph.t -> Record.op list -> string
 (** [graph_digest_after g ops] is [graph_digest] of [g] with [ops]
-    applied in order by {!apply_op}, computed without modifying or copying
-    [g]. @raise Invalid_argument on node ops (the store journals only edge
+    applied in order by {!apply_op}: the digest of a copy of [g] after
+    {!Ig_graph.Digraph.apply_net}. [g] is not modified.
+    @raise Invalid_argument on node ops (the store journals only edge
     ops) or ops on unknown nodes. *)
 
 val digest_hex : string -> string
@@ -102,12 +105,15 @@ val close : t -> unit
 
 val effective_ops :
   Ig_graph.Digraph.t -> Ig_graph.Digraph.update list -> Record.op list
-(** Normalize a requested update batch against the live graph into the
-    effective atomic ops: duplicate inserts and absent deletes drop out,
-    and within-batch dependencies are tracked (an insert followed by a
-    delete of the same absent edge contributes both ops). Only effective
-    ops are journaled — that is what makes batches invertible and replay
-    idempotent. The graph is not modified. *)
+(** The batch's net effect ({!Ig_graph.Digraph.net_effect}) on the live
+    graph as atomic ops: a [Tombstone_edge] for each net deletion of a
+    present edge, then an [Upsert_edge] for each net insertion of an
+    absent edge, as {!Ig_graph.Digraph.apply_net} applies them. Each edge
+    appears at most once; updates that cancel (insert then delete of an
+    absent edge) drop out, so a batch that cancels out journals nothing.
+    Only effective ops are journaled — that is what makes batches
+    invertible and replay idempotent. The graph is not modified.
+    @raise Invalid_argument if an update names a node [g] lacks. *)
 
 val updates_of_ops : Record.op list -> Ig_graph.Digraph.update list
 (** Edge ops as engine updates. @raise Invalid_argument on node ops,

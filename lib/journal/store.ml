@@ -177,7 +177,7 @@ let verify_post t ~seq post =
 
 (* The journaled post digest is computed ahead of the engine apply —
    write-ahead means the record must be durable (and complete) before the
-   live state moves — from the live graph with the ops overlaid. *)
+   live state moves — from a copy of the live graph with the ops applied. *)
 let journal_batch t ~kind ops =
   let g = t.client.graph () in
   let pre = Journal.graph_digest g in

@@ -5,10 +5,10 @@
     at {!init} and holds the base state, so recovery always has a floor.
 
     The store mediates every state change with write-ahead discipline:
-    a requested update batch is normalized into effective ops against the
-    live graph, journaled (with before/after digests) and flushed, and
-    only then applied to the attached engine; the post-apply graph digest
-    is verified against the journaled one. Undo appends a {e compensating}
+    a requested update batch is reduced to its net effect on the live
+    graph ({!Journal.effective_ops}), journaled (with before/after
+    digests) and flushed, and only then applied to the attached engine;
+    the post-apply graph digest is verified against the journaled one. Undo appends a {e compensating}
     batch — the inverses of the last [k] batches' ops in reverse order —
     so the journal stays append-only and undo-of-undo is redo.
 
@@ -76,9 +76,12 @@ val attach :
     batch is verified against its journaled pre/post digests. *)
 
 val do_batch : t -> Ig_graph.Digraph.update list -> Record.batch option
-(** Normalize, journal, apply, verify. [None] when the batch was entirely
-    ineffective (nothing journaled). @raise Failure on digest divergence
-    between the journal and the engine, or on a read-only store. *)
+(** Normalize, journal, apply, verify. [None] when the batch changes
+    nothing, its updates cancelling included (nothing journaled).
+    @raise Invalid_argument if an update names a node the graph lacks,
+    before anything is journaled.
+    @raise Failure on digest divergence between the journal and the
+    engine, or on a read-only store. *)
 
 val undo : t -> k:int -> (Record.batch, string) result
 (** Roll back the last [k] batches with a compensating batch. The

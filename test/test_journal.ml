@@ -165,11 +165,21 @@ let test_effective_ops () =
     (List.length (J.effective_ops g [ D.Insert (0, 1) ]));
   check Alcotest.int "absent delete drops" 0
     (List.length (J.effective_ops g [ D.Delete (4, 5) ]));
-  (* within-batch dependency: insert then delete of an absent edge *)
-  check Alcotest.int "insert+delete both effective" 2
+  (* updates that cancel within the batch net to nothing *)
+  check Alcotest.int "insert then delete of an absent edge" 0
     (List.length (J.effective_ops g [ D.Insert (4, 5); D.Delete (4, 5) ]));
+  check Alcotest.int "delete then insert of a present edge" 0
+    (List.length (J.effective_ops g [ D.Delete (0, 1); D.Insert (0, 1) ]));
+  (* the net effect, deletions first *)
+  check Alcotest.bool "deletions before insertions" true
+    (J.effective_ops g [ D.Insert (4, 5); D.Delete (0, 1) ]
+    = [ R.Tombstone_edge (0, 1); R.Upsert_edge (4, 5) ]);
+  (match J.effective_ops g [ D.Delete (0, 99) ] with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "update on an unknown node accepted");
   (* the graph itself is untouched by normalization *)
-  check Alcotest.bool "graph unmodified" false (D.mem_edge g 4 5)
+  check Alcotest.bool "graph unmodified" false (D.mem_edge g 4 5);
+  check Alcotest.bool "graph unmodified" true (D.mem_edge g 0 1)
 
 let test_apply_op_idempotent () =
   let g = mk_graph () in
@@ -243,6 +253,8 @@ let after_case_gen =
           [ R.Upsert_edge (u, v); R.Tombstone_edge (u, v) ];
           [ R.Tombstone_edge (u, v); R.Upsert_edge (u, v) ];
           [ R.Upsert_edge (u, u); R.Tombstone_edge (u, u) ];
+          [ R.Upsert_edge (u, v); R.Upsert_edge (u, v) ];
+          [ R.Tombstone_edge (u, v); R.Tombstone_edge (u, v) ];
         ]
     in
     let+ chunks = list_size (int_bound 10) chunk in
@@ -279,6 +291,43 @@ let qcheck_digest_after =
       String.equal got (J.graph_digest copy)
       && String.equal before (J.graph_digest g))
 
+(* [effective_ops] is the batch's net effect on [g]: each edge at most
+   once, deletions first, tombstones only of present edges and upserts
+   only of absent ones; its ops reach the graph [apply_batch] reaches, and
+   [g] is left alone. The cases' ops, read as updates, give batches with
+   repeats, cancelling pairs and self-loops. *)
+let qcheck_effective_ops =
+  QCheck.Test.make ~name:"effective ops = net effect on the graph" ~count:500
+    (QCheck.make ~print:print_after_case after_case_gen)
+    (fun c ->
+      let g = build_case c in
+      let before = J.graph_digest g in
+      let us = J.updates_of_ops c.ops in
+      let ops = J.effective_ops g us in
+      let edge = function
+        | R.Upsert_edge (u, v) | R.Tombstone_edge (u, v) -> (u, v)
+        | _ -> assert false
+      in
+      let edges = List.map edge ops in
+      let rec dels_first = function
+        | R.Upsert_edge _ :: R.Tombstone_edge _ :: _ -> false
+        | _ :: rest -> dels_first rest
+        | [] -> true
+      in
+      let effective = function
+        | R.Tombstone_edge (u, v) -> D.mem_edge g u v
+        | R.Upsert_edge (u, v) -> not (D.mem_edge g u v)
+        | _ -> false
+      in
+      let via_ops = D.copy g and via_batch = D.copy g in
+      List.iter (J.apply_op via_ops) ops;
+      D.apply_batch via_batch us;
+      List.length (List.sort_uniq compare edges) = List.length edges
+      && dels_first ops
+      && List.for_all effective ops
+      && String.equal (J.graph_digest via_ops) (J.graph_digest via_batch)
+      && String.equal before (J.graph_digest g))
+
 let test_digest_after_cases () =
   let g = mk_graph () in
   let same ops =
@@ -303,9 +352,17 @@ let test_digest_after_cases () =
   (match J.graph_digest_after g [ R.Upsert_node (6, "y") ] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "node upsert accepted");
-  match J.graph_digest_after g [ R.Tombstone_node 0 ] with
+  (match J.graph_digest_after g [ R.Tombstone_node 0 ] with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "node tombstone accepted"
+  | _ -> Alcotest.fail "node tombstone accepted");
+  let d = J.graph_digest g in
+  (match
+     J.graph_digest_after g [ R.Tombstone_edge (0, 1); R.Upsert_edge (0, 99) ]
+   with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "edge op on an unknown node accepted");
+  check Alcotest.string "unknown node leaves the graph alone" d
+    (J.graph_digest g)
 
 (* A label the reader cannot parse back must stop the writer, so neither
    the init snapshot nor a later one is ever written unreadable. *)
@@ -542,6 +599,22 @@ let test_as_of_time_travel () =
           | Error _ | (exception Failure _) -> ());
           St.close st)
 
+(* A batch whose updates cancel changes nothing, so nothing is written. *)
+let test_cancelling_batch_not_journaled () =
+  let dir = fresh_dir () in
+  let store, _ = mk_store dir in
+  ignore (St.do_batch store [ D.Insert (4, 5) ]);
+  let tip = St.tip store and path = St.journal_path ~dir in
+  let size = String.length (read_file path) in
+  check Alcotest.bool "cancelling batch journals nothing" true
+    (St.do_batch store
+       [ D.Delete (0, 1); D.Insert (0, 1); D.Insert (1, 3); D.Delete (1, 3) ]
+    = None);
+  check Alcotest.int "tip unchanged" tip (St.tip store);
+  check Alcotest.int "journal size unchanged" size
+    (String.length (read_file path));
+  St.close store
+
 (* A crash between the write-ahead append and the engine apply: the
    journal has the batch, the engine does not. Recovery replays it. *)
 let test_write_ahead_crash () =
@@ -584,7 +657,8 @@ let () =
           Alcotest.test_case "idempotent replay" `Quick
             test_apply_op_idempotent;
           Alcotest.test_case "inversion" `Quick test_invert;
-        ] );
+        ]
+        @ qsuite [ qcheck_effective_ops ] );
       ( "digests",
         qsuite [ qcheck_digest_after ]
         @ [
@@ -615,5 +689,7 @@ let () =
             test_undo_of_undo_is_redo;
           Alcotest.test_case "as-of time travel" `Quick test_as_of_time_travel;
           Alcotest.test_case "write-ahead crash" `Quick test_write_ahead_crash;
+          Alcotest.test_case "cancelling batch not journaled" `Quick
+            test_cancelling_batch_not_journaled;
         ] );
     ]
