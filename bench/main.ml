@@ -215,18 +215,26 @@ let print_table ~title ~xlabel ~series rows =
       Format.printf "@.")
     rows
 
-(* Where the first series stops beating the last one (paper: "outperform
-   batch even when |ΔG| is up to X%"). Below five reps a point's median is
-   too noisy to call: two single-rep runs of one seed have disagreed. *)
-let report_crossover ~inc ~batch rows =
-  let wins (_, cells) = List.nth cells inc < List.nth cells batch in
+(* The points where the first series beats the last one, and those where
+   the last wins or ties (paper: "outperform batch even when |ΔG| is up to
+   X%"). Naming every point keeps a loss left of the last win visible. Below
+   five reps a point's median is too noisy to call: two single-rep runs of
+   one seed have disagreed. *)
+let report_wins ~inc ~batch rows =
   (if cfg.reps < 5 then
-     Format.printf "no crossover verdict below --reps 5 (ran %d)@." cfg.reps
+     Format.printf "no win/loss verdict below --reps 5 (ran %d)@." cfg.reps
    else
-     match List.rev (List.filter wins rows) with
-     | (x, _) :: _ ->
-         Format.printf "incremental beats batch up to |ΔG| = %s@." x
-     | [] -> Format.printf "incremental never beats batch at this scale@.");
+     let wins, losses =
+       List.partition
+         (fun (_, cells) -> List.nth cells inc < List.nth cells batch)
+         rows
+     in
+     let xs = function
+       | [] -> "none"
+       | rows -> String.concat ", " (List.map fst rows)
+     in
+     Format.printf "incremental wins at |ΔG| = %s; batch wins at %s@."
+       (xs wins) (xs losses));
   (* Speedup at the 10%% point, if present. *)
   match List.assoc_opt "10%" rows with
   | Some cells ->
@@ -463,7 +471,7 @@ let delta_sweep ~id ~title g pick =
       (sweep [ 5; 10; 15; 20; 25; 30; 35; 40 ])
   in
   let trows = emit ~id ~title ~xlabel:"|ΔG|/|G|" points in
-  report_crossover ~inc:0 ~batch:(batch_col row) trows
+  report_wins ~inc:0 ~batch:(batch_col row) trows
 
 let exp1 profile pick id =
   let g = instantiate profile in

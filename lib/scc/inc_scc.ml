@@ -222,46 +222,57 @@ let merge_comps t cs =
 (* Rank-windowed closure over Gc, read off G: a component's contracted
    successors (predecessors) are the components of its members' G ones.
    Every member's external degree is read (one [nodes_visited] each); only
-   members with an edge leaving (entering) the component are scanned.
-   Also reports whether [start] has a contracted edge into [target]. *)
-let cclosure t ~dir ~keep ?(target = -1) start =
-  let ext, iter =
+   members with an edge leaving (entering) the component are scanned. A
+   contracted edge is followed only when it respects the ranks (forward
+   c→d when r(d) < r(c), backward when r(d) > r(c)) and leads to a rank
+   strictly inside the window that [bound] closes: above it forward,
+   below it backward. So an insertion of this batch that still violates
+   the ranks, already in G but not yet resolved, is never followed. Also
+   reports whether [start] has a contracted edge into [target]. *)
+let cclosure t ~dir ~bound ?(target = -1) start =
+  let ext, iter, fwd =
     match dir with
-    | `F -> (t.ext_out, Digraph.iter_succ)
-    | `B -> (t.ext_in, Digraph.iter_pred)
+    | `F -> (t.ext_out, Digraph.iter_succ, true)
+    | `B -> (t.ext_in, Digraph.iter_pred, false)
   in
   let seen = Hashtbl.create 16 in
   let stack = Stack.create () in
   let hit = ref false and relaxed = ref 0 and read = ref 0 in
-  if keep start then begin
-    Hashtbl.replace seen start ();
-    Stack.push start stack
-  end;
+  (* The popped component and its rank; the scans below read them, so no
+     closure is allocated per pop. *)
+  let cur = ref start and r_cur = ref 0 and next = ref [] in
+  let see w =
+    incr relaxed;
+    let d = comp_of t w in
+    if d <> !cur then next := d :: !next
+  in
+  let scan m =
+    incr read;
+    if Vec.get ext m > 0 then iter see t.g m
+  in
+  let visit d =
+    if not (Hashtbl.mem seen d) then begin
+      let r = Rank.value t.rank d in
+      if if fwd then bound < r && r < !r_cur else !r_cur < r && r < bound
+      then begin
+        Hashtbl.replace seen d ();
+        (* "node" here is a component id — the unit ranks live on. *)
+        Obs.frontier_expand t.obs ~node:d;
+        Stack.push d stack
+      end
+    end
+  in
+  Hashtbl.replace seen start ();
+  Stack.push start stack;
   while not (Stack.is_empty stack) do
     let c = Stack.pop stack in
-    let next = ref [] in
-    iter_members
-      (fun m ->
-        incr read;
-        if Vec.get ext m > 0 then
-          iter
-            (fun w ->
-              incr relaxed;
-              let d = comp_of t w in
-              if d <> c then next := d :: !next)
-            t.g m)
-      (members_of t c);
+    cur := c;
+    r_cur := Rank.value t.rank c;
+    next := [];
+    iter_members scan (members_of t c);
     if c = start && List.mem target !next then hit := true;
     (* Sorted: the expansion order reaches the trace via frontier_expand. *)
-    List.iter
-      (fun d ->
-        if (not (Hashtbl.mem seen d)) && keep d then begin
-          Hashtbl.replace seen d ();
-          (* "node" here is a component id — the unit ranks live on. *)
-          Obs.frontier_expand t.obs ~node:d;
-          Stack.push d stack
-        end)
-      (List.sort_uniq Int.compare !next)
+    List.iter visit (List.sort_uniq Int.compare !next)
   done;
   Obs.add t.obs Obs.K.nodes_visited !read;
   Obs.add t.obs Obs.K.edges_relaxed !relaxed;
@@ -271,27 +282,24 @@ let cclosure t ~dir ~keep ?(target = -1) start =
    r(cu) < r(cv): paper Fig. 7 lines 4-9.
 
    affr (DFSf) is the forward closure from cv among ranks > r(cu); affl
-   (DFSb) is the backward closure from cu among ranks < r(cv). Because ranks
-   strictly decrease along every other edge, affr ⊆ (r(cu), r(cv)] and
-   affl ⊆ [r(cu), r(cv)), and the components that must merge are exactly
-   those on a cv ⇝ cu path: (affr ∩ affl) ∪ {cu, cv}, nonempty iff
-   affr ∩ affl ≠ ∅ or the edge (cv, cu) exists.
+   (DFSb) is the backward closure from cu among ranks < r(cv). Both follow
+   only the contracted edges that respect the ranks; the batch's other
+   violating insertions are skipped here and resolved at their own turn.
+   Ranks strictly decrease along every followed edge, so affr ⊆ (r(cu),
+   r(cv)] and affl ⊆ [r(cu), r(cv)), and the components that must merge
+   are exactly those on a cv ⇝ cu path of followed edges: (affr ∩ affl) ∪
+   {cu, cv}, nonempty iff affr ∩ affl ≠ ∅ or the edge (cv, cu) exists.
 
    Rank reallocation follows the paper's reallocRank: the region's existing
    labels are reassigned ascending, first to affr sorted by previous rank,
    then to affl sorted by previous rank. Keeping each side's previous
    relative order is what makes every affr label weakly decrease and every
    affl label weakly increase, which is the Pearce–Kelly argument that no
-   edge into or out of the region can become violated. *)
+   edge that respected the ranks before can become violated. *)
 let resolve_violation t cu cv =
   let r_cu = Rank.value t.rank cu and r_cv = Rank.value t.rank cv in
-  let affr, direct_back_edge =
-    cclosure t ~dir:`F ~keep:(fun c -> Rank.value t.rank c > r_cu) ~target:cu
-      cv
-  in
-  let affl, _ =
-    cclosure t ~dir:`B ~keep:(fun c -> Rank.value t.rank c < r_cv) cu
-  in
+  let affr, direct_back_edge = cclosure t ~dir:`F ~bound:r_cu ~target:cu cv in
+  let affl, _ = cclosure t ~dir:`B ~bound:r_cv cu in
   let elements tbl =
     List.map fst (Obs.sorted_bindings ~compare:Int.compare tbl)
   in
@@ -436,46 +444,43 @@ let reproved t c dels =
 
 (* ---- Batch updates (IncSCC) ------------------------------------------ *)
 
-(* An intra-component insertion changes neither the output nor the validity
-   of the recorded certificate: the certificate is a Tarjan run over the
-   edges present when it was computed, and that edge subset already proves
-   the component strongly connected. Later deletions of *other* edges keep
-   it valid, and deleting the new edge itself can never split (the
-   certificate does not use it). So phase (a) only adds the edge. *)
+(* G ⊕ ΔG is applied first, in one [Digraph.apply_net] call; the phases
+   below only read G. Each effective update is classified against the
+   components at batch start, and an inter-component one moves its
+   endpoints' external degrees at once, so the degree pre-check of
+   [reproved] and the upkeep of merges and splits read counts that match
+   G. An intra-component insertion needs nothing else: the recorded
+   certificate is a Tarjan run over the edges present when it was
+   computed, and that edge subset still proves the component strongly
+   connected. Later deletions of *other* edges keep it valid, and deleting
+   the new edge itself can never split (the certificate does not use
+   it). *)
 let process t updates =
-  (* Classify the batch's net effect against the components at batch
-     start; the phases below reorder updates, which is sound only once no
-     edge is updated twice. Each class is processed newest first. *)
-  let rec split intra inter = function
-    | [] -> (intra, inter)
-    | ((u, v) as e) :: rest ->
-        if comp_of t u = comp_of t v then split (e :: intra) inter rest
-        else split intra (e :: inter) rest
-  in
-  let dels, inss = Digraph.net_effect updates in
-  let intra_del, inter_del = split [] [] dels in
-  let intra_ins, inter_ins = split [] [] inss in
-  (* (a) Intra-component phase: apply everything to G, then run local
-     Tarjan at most once per affected component. *)
-  List.iter (fun (u, v) -> ignore (Digraph.add_edge t.g u v)) intra_ins;
+  let dels, inss = Digraph.apply_net t.g updates in
+  (* (a) Intra-component phase: group the deletions by component, then
+     run local Tarjan at most once per affected component. Its searches
+     read only the component's members, so the inter-component edges
+     already in G never reach them. Each class is processed newest first. *)
   let del_by_comp = Hashtbl.create 8 in
   List.iter
     (fun (u, v) ->
-      if Digraph.remove_edge t.g u v then begin
-        let c = comp_of t u in
-        let cur =
-          Option.value ~default:[] (Hashtbl.find_opt del_by_comp c)
-        in
-        Hashtbl.replace del_by_comp c ((u, v) :: cur)
-      end)
-    intra_del;
+      let c = comp_of t u in
+      if c <> comp_of t v then bump_ext t u v (-1)
+      else
+        let cur = Option.value ~default:[] (Hashtbl.find_opt del_by_comp c) in
+        Hashtbl.replace del_by_comp c ((u, v) :: cur))
+    (List.rev dels);
+  let inss = List.rev inss in
+  List.iter
+    (fun (u, v) -> if comp_of t u <> comp_of t v then bump_ext t u v 1)
+    inss;
   (* [c] was strongly connected at batch start, so the reachability checks
-     may run after all of this phase's edits (see [reproved]). A clean
-     certificate still proves the deletions it does not use, so only the
-     others are checked; a stale one proves nothing. When every check
-     succeeds, [c] keeps its members, ranks and ΔO, and its certificate,
-     which no longer reflects reality, is marked dirty. Sorted: recert
-     order reaches the trace via local Tarjan's aff_enter. *)
+     may run on the post-batch graph (see [reproved]). A clean certificate
+     still proves the deletions it does not use, so only the others are
+     checked; a stale one proves nothing. When every check succeeds, [c]
+     keeps its members, ranks and ΔO, and its certificate, which no longer
+     reflects reality, is marked dirty. Sorted: recert order reaches the
+     trace via local Tarjan's aff_enter. *)
   List.iter
     (fun (c, dels) ->
       if t.dyn then
@@ -494,25 +499,16 @@ let process t updates =
         end
         else recert_or_split t c)
     (Obs.sorted_bindings ~compare:Int.compare del_by_comp);
-  (* (b) Inter-component phase: deletions first, then insertions one at a
-     time (each restores the rank invariant before the next is added). *)
+  (* (b) Inter-component phase: each insertion that violates the ranks at
+     its turn restores them (the closures skip those still waiting). Equal
+     components mean an earlier insertion merged them, and an insertion
+     that a split made inter-component was ordered by local Tarjan. *)
   List.iter
     (fun (u, v) ->
-      if Digraph.remove_edge t.g u v then bump_ext t u v (-1))
-    inter_del;
-  List.iter
-    (fun (u, v) ->
-      if Digraph.add_edge t.g u v then begin
-        let cu = comp_of t u and cv = comp_of t v in
-        (* Equal components mean an earlier insertion in this batch merged
-           them; the merge already dirtied the certificate, so this is now
-           an ordinary intra-component insertion. *)
-        if cu <> cv then begin
-          bump_ext t u v 1;
-          if Rank.compare_items t.rank cu cv < 0 then resolve_violation t cu cv
-        end
-      end)
-    inter_ins
+      let cu = comp_of t u and cv = comp_of t v in
+      if cu <> cv && Rank.compare_items t.rank cu cv < 0 then
+        resolve_violation t cu cv)
+    inss
 
 let apply_batch t updates =
   Obs.with_apply t.obs @@ fun () ->
@@ -640,25 +636,24 @@ let by_rank t =
 
 let contracted t =
   let comps = by_rank t in
-  let gc = Ig_graph.Digraph.create ~hint:(List.length comps) () in
+  let gc = Digraph.create ~hint:(List.length comps) () in
   let index = Hashtbl.create 64 in
   let members =
     Array.of_list
       (List.map
          (fun c ->
-           let id = Ig_graph.Digraph.add_node gc "scc" in
-           Hashtbl.replace index c id;
+           Hashtbl.replace index c (Digraph.add_node gc "scc");
            members_to_list (members_of t c))
          comps)
   in
+  let es = ref [] in
   Digraph.iter_edges
     (fun u v ->
       let cu = comp_of t u and cv = comp_of t v in
       if cu <> cv then
-        ignore
-          (Ig_graph.Digraph.add_edge gc (Hashtbl.find index cu)
-             (Hashtbl.find index cv)))
+        es := (Hashtbl.find index cu, Hashtbl.find index cv) :: !es)
     t.g;
+  Digraph.load_edges gc !es;
   (gc, members)
 
 (* Canonical text dump of the live state. The cert section is documented

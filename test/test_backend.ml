@@ -14,7 +14,7 @@
    behind [Io.of_string] builds the same graph as [add_edge] does, edge by
    edge; and [apply_net] applies, returns and counts as |ΔG| exactly the
    batch's effective net changes, batch after batch on one graph, runs at
-   most one compaction per call, and rejects an unknown node before it
+   most one compaction per call (IncSCC's [apply_batch] too), and rejects an unknown node before it
    touches the graph. *)
 
 open Ig_graph
@@ -453,19 +453,30 @@ let prop_apply_net =
 (* One [apply_net] call decides about compaction once, after the whole
    batch: batches of a few hundred updates push the overlay far past the
    64-entry threshold of these small graphs, yet each call runs at most one
-   compaction. *)
+   compaction. IncSCC takes its batches through one [apply_net] call, so
+   each of its [apply_batch] calls is held to the same bound. *)
 let prop_apply_net_compacts_once =
   QCheck.Test.make ~count:200 ~name:"apply_net compacts at most once a call"
     arb_batches (fun (n, edges, batches) ->
-      let g = start_graph n edges and obs = Ig_obs.Obs.create () in
-      Digraph.instrument ~obs g;
-      let compactions () = Ig_obs.Obs.(counter obs K.csr_compactions) in
       List.for_all
-        (fun ops ->
-          let before = compactions () in
-          ignore (Digraph.apply_net g (to_updates ops));
-          compactions () - before <= 1)
-        batches)
+        (fun start ->
+          let obs = Ig_obs.Obs.create () in
+          let apply = start ~obs (start_graph n edges) in
+          let compactions () = Ig_obs.Obs.(counter obs K.csr_compactions) in
+          List.for_all
+            (fun ops ->
+              let before = compactions () in
+              apply (to_updates ops);
+              compactions () - before <= 1)
+            batches)
+        [
+          (fun ~obs g ->
+            Digraph.instrument ~obs g;
+            fun us -> ignore (Digraph.apply_net g us));
+          (fun ~obs g ->
+            let t = Ig_scc.Inc_scc.init ~obs g in
+            fun us -> ignore (Ig_scc.Inc_scc.apply_batch t us));
+        ])
 
 (* A batch naming an endpoint that is not a node of the graph raises before
    [apply_net] touches the graph, wherever the bad update sits and whatever

@@ -644,6 +644,83 @@ let test_planted_chorded_sccs () =
     (QCheck.Test.make ~name:"planted chorded SCCs" ~count:300 arb_planted prop);
   check Alcotest.bool "search path taken" true (!reproved > 0)
 
+(* ---- bounded-exhaustive check ------------------------------------------ *)
+
+(* Every graph on three nodes labelled l0, l1, l0 with self-loops allowed
+   (the 512 subsets of its 9 possible edges), and every sequence of [k]
+   updates over those edges (18^k of them; a repeated update also covers
+   the shorter batches). Each case builds a fresh engine, applies the
+   sequence as one batch and checks [check_invariants] (components equal
+   Tarjan's, ranks strictly decrease along contracted edges, external
+   degrees match G) and that ΔO is the diff of the component sets. [k] is
+   2 here and [EXHAUSTIVE_UPDATES] when set ([dune build @fuzz] sets 3). *)
+let test_exhaustive_three_nodes () =
+  let k =
+    Option.fold ~none:2 ~some:int_of_string (Sys.getenv_opt "EXHAUSTIVE_UPDATES")
+  in
+  let edges =
+    List.concat_map (fun u -> List.map (fun v -> (u, v)) [ 0; 1; 2 ]) [ 0; 1; 2 ]
+  in
+  let updates =
+    List.concat_map
+      (fun (u, v) -> [ Digraph.Insert (u, v); Digraph.Delete (u, v) ])
+      edges
+  in
+  let rec seqs k =
+    if k = 0 then [ [] ]
+    else List.concat_map (fun s -> List.map (fun u -> u :: s) updates) (seqs (k - 1))
+  in
+  let batches = seqs k in
+  let show mask batch =
+    Printf.sprintf "graph %s, batch %s"
+      (String.concat " "
+         (List.filteri (fun i _ -> mask land (1 lsl i) <> 0) edges
+         |> List.map (fun (u, v) -> Printf.sprintf "%d-%d" u v)))
+      (String.concat "; "
+         (List.map
+            (function
+              | Digraph.Insert (u, v) -> Printf.sprintf "+%d-%d" u v
+              | Digraph.Delete (u, v) -> Printf.sprintf "-%d-%d" u v)
+            batch))
+  in
+  let minus a b = List.filter (fun c -> not (List.mem c b)) a in
+  for mask = 0 to 511 do
+    let g = Digraph.create () in
+    List.iter (fun l -> ignore (Digraph.add_node g l)) [ "l0"; "l1"; "l0" ];
+    List.iteri
+      (fun i (u, v) ->
+        if mask land (1 lsl i) <> 0 then ignore (Digraph.add_edge g u v))
+      edges;
+    let before = norm (T.scc g) in
+    List.iter
+      (fun batch ->
+        let t = I.init (Digraph.copy g) in
+        let d = I.apply_batch t batch in
+        (try I.check_invariants t
+         with Failure e -> Alcotest.failf "%s: %s" (show mask batch) e);
+        let after = norm (I.components t) in
+        if norm d.removed <> minus before after || norm d.added <> minus after before
+        then Alcotest.failf "%s: ΔO is not the diff of the components" (show mask batch))
+      batches
+  done
+
+(* The smallest case where IncSCC once did more counted work in one call
+   than IncSCCn in two: on the empty graph, [+0-1; +1-0] merged after
+   resolving a violation whose closures already scanned the second edge. *)
+let test_batch_work_le_unit_calls () =
+  let cost calls =
+    let obs = Ig_obs.Obs.create () in
+    let t = engine ~obs 3 [] in
+    List.iter (fun us -> ignore (I.apply_batch t us)) calls;
+    assert_sound "merged" t;
+    ( counter obs Ig_obs.Obs.K.nodes_visited,
+      counter obs Ig_obs.Obs.K.edges_relaxed )
+  in
+  let batch = [ Digraph.Insert (0, 1); Digraph.Insert (1, 0) ] in
+  let one = cost [ batch ] and two = cost (List.map (fun u -> [ u ]) batch) in
+  check Alcotest.bool "nodes_visited: one call <= two" true (fst one <= fst two);
+  check Alcotest.bool "edges_relaxed: one call <= two" true (snd one <= snd two)
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let () =
@@ -699,6 +776,13 @@ let () =
           Alcotest.test_case "configs agree" `Quick test_inc_configs_agree;
           Alcotest.test_case "closure skips C's internal edges" `Quick
             test_inc_closure_skips_internal_edges;
+          Alcotest.test_case "one call works no more than two (+0-1; +1-0)"
+            `Quick test_batch_work_le_unit_calls;
+        ] );
+      ( "exhaustive",
+        [
+          Alcotest.test_case "every 3-node graph, every batch" `Quick
+            test_exhaustive_three_nodes;
         ] );
       ( "reachability check",
         [
