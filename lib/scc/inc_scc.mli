@@ -30,10 +30,15 @@
       out, Tarjan runs locally on the component's induced subgraph,
       splitting it when strong connectivity broke and threading fresh
       ranks into the retired component's slot.
-    - {b Batch} ([IncSCC]): intra-component updates are grouped so local
-      Tarjan runs at most once per affected component; inter-component
-      deletions are applied before insertions; insertions restore the rank
-      invariant one at a time.
+    - {b Batch} ([IncSCC]): G ⊕ ΔG is applied first, by one
+      {!Ig_graph.Digraph.apply_net} call (so at most one compaction), and
+      the repair only reads G. The inter-component updates move the
+      external degrees at once. Intra-component deletions are grouped so
+      local Tarjan runs at most once per affected component. Then each
+      inter-component insertion that violates the ranks at its turn
+      restores them; the closures follow a contracted edge only when it
+      respects the ranks, so the insertions still waiting are skipped,
+      and after the pass every contracted edge respects them.
 
     Certificates are kept lazily. A component is {e dirty} when its
     recorded certificate no longer proves it strongly connected: after a

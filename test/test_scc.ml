@@ -704,9 +704,9 @@ let test_exhaustive_three_nodes () =
       batches
   done
 
-(* The smallest case where IncSCC once did more counted work in one call
-   than IncSCCn in two: on the empty graph, [+0-1; +1-0] merged after
-   resolving a violation whose closures already scanned the second edge. *)
+(* A batch should cost no more counted work in one call than in one call
+   per update. The smallest SCC batch to check it on: [+0-1; +1-0] on the
+   empty graph, which closes one cycle. *)
 let test_batch_work_le_unit_calls () =
   let cost calls =
     let obs = Ig_obs.Obs.create () in
