@@ -14,8 +14,8 @@
    behind [Io.of_string] builds the same graph as [add_edge] does, edge by
    edge; and [apply_net] applies, returns and counts as |ΔG| exactly the
    batch's effective net changes, batch after batch on one graph, runs at
-   most one compaction per call (IncSCC's [apply_batch] too), and rejects an unknown node before it
-   touches the graph. *)
+   most one compaction per call (IncSCC's [apply_batch] too), and rejects
+   an unknown node before it touches the graph. *)
 
 open Ig_graph
 
