@@ -15,7 +15,7 @@ val to_string : Digraph.t -> string
     [# incgraph v1: <n> nodes <m> edges], then [v <id> <label>] for every
     node in id order, then [e <u> <v>] for every edge in lexicographic
     order ({!Digraph.iter_edges}), each line ending in ['\n']. This is
-    the one writer: {!save}, journal digests and snapshots all use it.
+    the one writer: {!save} and journal snapshots use it.
     One buffer, sized from |V| + |E|, per call; integers are written into
     it digit by digit.
 

@@ -1,5 +1,5 @@
 module Digraph = Ig_graph.Digraph
-module Io = Ig_graph.Io
+module Interner = Ig_graph.Interner
 module Obs = Ig_obs.Obs
 
 type t = {
@@ -21,7 +21,59 @@ type scanned = {
 }
 
 let digest_hex s = Digest.to_hex (Digest.string s)
-let graph_digest g = digest_hex (Io.to_string g)
+
+(* ---- graph digests ------------------------------------------------------- *)
+
+(* A keyed multiset hash of the graph's structure: in each of two
+   independent 63-bit lanes, the sum of one term per node (from its id and
+   its label's name) and one term per edge (from its packed key
+   [u lsl 31 lor v]). Each lane mixes with its own splitmix-style
+   finalizer, a bijection on 63 bits with fixed constants. Because the
+   terms are added, the digest after a batch is the digest before it, less
+   the terms of the edges it removes, plus those of the edges it adds. *)
+
+let mix_a z =
+  let z = z lxor 0x2545f4914f6cdd1d in
+  let z = (z lxor (z lsr 30)) * 0x3f58476d1ce4e5b9 in
+  let z = (z lxor (z lsr 27)) * 0x14d049bb133111eb in
+  z lxor (z lsr 31)
+
+let mix_b z =
+  let z = z lxor 0x1b873593cc9e2d51 in
+  let z = (z lxor (z lsr 33)) * 0x3f51afd7ed558ccd in
+  let z = (z lxor (z lsr 29)) * 0x04ceb9fe1a85ec53 in
+  z lxor (z lsr 32)
+
+let string_hash mix s =
+  String.fold_left (fun h c -> mix (h + Char.code c)) (mix (String.length s)) s
+
+let edge_key u v = (u lsl 31) lor v
+
+(* The two lane sums of [g]: one pass over the nodes and their successor
+   rows, with each label name hashed once. *)
+let digest_sums g =
+  let names = Digraph.interner g in
+  let label_hash mix =
+    Array.init (Interner.size names) (fun s ->
+        string_hash mix (Interner.name names s))
+  in
+  let la = label_hash mix_a and lb = label_hash mix_b in
+  let a = ref 0 and b = ref 0 in
+  for u = 0 to Digraph.n_nodes g - 1 do
+    let l = Digraph.label g u in
+    a := !a + mix_a (mix_a u + la.(l));
+    b := !b + mix_b (mix_b u + lb.(l));
+    Digraph.iter_succ
+      (fun v ->
+        let k = edge_key u v in
+        a := !a + mix_a k;
+        b := !b + mix_b k)
+      g u
+  done;
+  (!a, !b)
+
+let digest_of_sums (a, b) = Printf.sprintf "%016x%016x" a b
+let graph_digest g = digest_of_sums (digest_sums g)
 
 let read_all path =
   In_channel.with_open_bin path In_channel.input_all
@@ -173,10 +225,24 @@ let updates_of_ops ops =
             ^ Record.op_to_string op))
     ops
 
-let graph_digest_after g ops =
-  let g' = Digraph.copy g in
-  ignore (Digraph.apply_net g' (updates_of_ops ops));
-  graph_digest g'
+(* [post] from [pre]'s sums and the terms of the edges [apply_net] would
+   change, probed on the unchanged graph: O(|ops|) beyond [pre]'s pass. *)
+let graph_digests g ops =
+  let dels, inss = Digraph.net_effect (updates_of_ops ops) in
+  let a0, b0 = digest_sums g in
+  let a = ref a0 and b = ref b0 in
+  let shift ~present sign (u, v) =
+    if not (Digraph.mem_node g u && Digraph.mem_node g v) then
+      invalid_arg "Digraph: unknown node";
+    if Digraph.mem_edge g u v = present then begin
+      let k = edge_key u v in
+      a := !a + (sign * mix_a k);
+      b := !b + (sign * mix_b k)
+    end
+  in
+  List.iter (shift ~present:true (-1)) dels;
+  List.iter (shift ~present:false 1) inss;
+  (digest_of_sums (a0, b0), digest_of_sums (!a, !b))
 
 let apply_op g = function
   | Record.Upsert_edge (u, v) -> ignore (Digraph.add_edge g u v)

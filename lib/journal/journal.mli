@@ -19,20 +19,25 @@
 
     {2 Digests}
 
-    Graph state is identified by {!graph_digest}: the hex MD5 of the
-    canonical {!Ig_graph.Io.to_string} text (header line, nodes in id
-    order, edges in lexicographic order). Batches record the digest before
-    and after, so replay and undo are verified byte-for-byte, not merely
-    set-equal.
+    Graph state is identified by {!graph_digest}: a keyed multiset hash
+    of the graph's structure, 32 hex characters. Each node contributes a
+    term mixed from its id and its label's {e name} (not its interned
+    symbol, so a re-parsed graph digests the same), and each edge a term
+    mixed from its packed key [u lsl 31 lor v]; the terms are summed in
+    two independent 63-bit lanes. The digest therefore depends on the
+    labelled nodes and the edge set only, not on the overlay, on
+    compaction or on the interning order. Batches record the digest
+    before and after, so replay and undo verify the exact graph, not
+    merely its size.
 
-    A digest costs one buffered pass over the graph: O(|V| + |E|) bytes
-    of text and one MD5. The [post] digest a commit writes ahead of its
-    apply ({!graph_digest_after}) is the digest of a scratch copy with the
-    batch applied by {!Ig_graph.Digraph.apply_net}: the copy is O(|V|),
-    since it shares the graph's frozen base arrays, and its sink is the
-    noop one, so it moves no counter. It equals {!graph_digest} of the
-    graph after the apply, which the store re-checks once the engine has
-    moved. *)
+    A digest is one pass over the nodes and their successor rows, with
+    no text. Because the terms are added, the [post] digest a commit
+    writes ahead of its apply ({!graph_digests}) is the [pre] sums less
+    the terms of the net deletions of present edges, plus those of the
+    net insertions of absent edges: O(|ΔG|) beyond [pre]'s pass, with no
+    copy of the graph. The store still re-checks [post] with a full
+    {!graph_digest} once the engine has moved. Record checksums, op ids,
+    answer digests and the snapshot checksum stay MD5 ({!digest_hex}). *)
 
 type t
 (** An open journal, positioned for appending. *)
@@ -52,14 +57,15 @@ type scanned = {
 
 val graph_digest : Ig_graph.Digraph.t -> string
 
-val graph_digest_after : Ig_graph.Digraph.t -> Record.op list -> string
-(** [graph_digest_after g ops] is [graph_digest] of [g] with [ops]
-    applied in order by {!apply_op}: the digest of a copy of [g] after
-    {!Ig_graph.Digraph.apply_net}. [g] is not modified.
+val graph_digests : Ig_graph.Digraph.t -> Record.op list -> string * string
+(** [graph_digests g ops] is [(graph_digest g, post)], where [post] is
+    {!graph_digest} of [g] with [ops] applied in order by {!apply_op} (as
+    {!Ig_graph.Digraph.apply_net} applies them). [g] is not modified.
     @raise Invalid_argument on node ops (the store journals only edge
     ops) or ops on unknown nodes. *)
 
 val digest_hex : string -> string
+(** Hex MD5 of a string. *)
 
 val scan : path:string -> (scanned, string) result
 (** Read-only recovery scan; see the crash-recovery contract above. *)

@@ -24,7 +24,7 @@ type batch = {
 
 type payload = Header of header | Batch of batch
 
-let format_version = 1
+let format_version = 2
 let magic = "IGJRNL01"
 
 (* Labels may contain any byte; the canonical op text escapes them so ids

@@ -44,7 +44,7 @@ type header = {
   cls : string;  (** query class ("kws", "rpq", …) or scenario name *)
   bound : int;  (** KWS hop bound; 0 when unused *)
   qargs : string list;  (** class-specific query arguments *)
-  base_digest : string;  (** hex MD5 of the base graph's canonical text *)
+  base_digest : string;  (** {!Journal.graph_digest} of the base graph *)
 }
 
 type batch = {
@@ -58,6 +58,8 @@ type batch = {
 type payload = Header of header | Batch of batch
 
 val format_version : int
+(** [2]. Version 1 journals recorded graph digests as the MD5 of the
+    graph's text; {!Journal.scan} rejects them with a version error. *)
 
 val magic : string
 (** ["IGJRNL01"] — the 8-byte file magic. *)

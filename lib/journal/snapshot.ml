@@ -1,4 +1,6 @@
 module Json = Ig_obs.Json
+module Digraph = Ig_graph.Digraph
+module Io = Ig_graph.Io
 
 type t = {
   seq : int;
@@ -6,22 +8,27 @@ type t = {
   graph_digest : string;
   answer_digest : string;
   certs : (string * string) list;
+  parsed : Digraph.t option;
 }
 
 let tool_name = "incgraph-journal-snapshot"
-let schema_version = 1
+let schema_version = 2
 
 let of_state ~seq ~graph ~answer_digest ~certs =
-  let graph_text = Ig_graph.Io.to_string graph in
+  let graph_text = Io.to_string graph in
   {
     seq;
     graph_text;
-    graph_digest = Journal.digest_hex graph_text;
+    graph_digest = Journal.graph_digest graph;
     answer_digest;
     certs;
+    parsed = None;
   }
 
-let graph t = Ig_graph.Io.of_string t.graph_text
+let graph t =
+  match t.parsed with
+  | Some g -> Digraph.copy g
+  | None -> Io.of_string t.graph_text
 
 let body_json t =
   Json.Obj
@@ -85,17 +92,18 @@ let validate json =
                     graph_digest = gd;
                     answer_digest = ad;
                     certs;
+                    parsed = None;
                   }
                 in
                 if not (String.equal sum (checksum t)) then
                   Error "snapshot checksum mismatch"
-                else if
-                  not (String.equal gd (Journal.digest_hex graph_text))
-                then Error "graph digest does not match graph text"
                 else
-                  match Ig_graph.Io.of_string graph_text with
+                  match Io.of_string graph_text with
                   | exception Failure e -> Error ("unparsable graph: " ^ e)
-                  | _ -> Ok t)
+                  | g ->
+                      if not (String.equal gd (Journal.graph_digest g)) then
+                        Error "graph digest does not match graph text"
+                      else Ok { t with parsed = Some g })
           | _ ->
               Error
                 "missing seq/graph/graph_digest/answer_digest/certs/checksum"))

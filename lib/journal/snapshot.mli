@@ -1,16 +1,17 @@
 (** Certificate snapshots: checkpoints that bound recovery replay.
 
     A snapshot captures the full journaled state at a sequence number: the
-    graph (canonical {!Ig_graph.Io} text), its digest, the canonical answer
-    digest, and the engine's certificate store as serialized by its
+    graph (canonical {!Ig_graph.Io} text), its {!Journal.graph_digest},
+    the canonical answer digest, and the engine's certificate store as serialized by its
     certificate dump ([cert_snapshot]) — the memoized
     intermediate results that make the computation incremental. Recovery
     starts from the newest intact snapshot at or below the target sequence
     and replays only the journal tail beyond it.
 
-    Snapshots are JSON files ([snapshot-<seq>.json]) carrying an MD5
-    checksum over their own canonical serialization; a snapshot that fails
-    its checksum is skipped and recovery falls back to the next older one
+    Snapshots are JSON files ([snapshot-<seq>.json], schema version 2)
+    carrying an MD5 checksum over their own canonical serialization; a
+    snapshot that fails its checksum, or whose graph text does not parse
+    to a graph with the recorded digest, is skipped and recovery falls back to the next older one
     (ultimately [snapshot-0], written at init). Certificate sections are
     evidence for inspection and explainability — recovery correctness is
     carried by the graph/answer digests, since lazily maintained
@@ -19,12 +20,16 @@
 type t = {
   seq : int;
   graph_text : string;
-      (** canonical {!Ig_graph.Io.to_string} text, byte for byte what
-          {!Journal.graph_digest} hashes; built in one buffered pass over
-          the graph *)
+      (** canonical {!Ig_graph.Io.to_string} text; built in one buffered
+          pass over the graph *)
   graph_digest : string;
+      (** {!Journal.graph_digest} of the graph [graph_text] parses to *)
   answer_digest : string;  (** hex MD5 of the canonical answer; "" if none *)
   certs : (string * string) list;  (** named engine certificate sections *)
+  parsed : Ig_graph.Digraph.t option;
+      (** the graph {!validate} parsed from [graph_text] to check
+          [graph_digest]; [None] from {!of_state}. Never handed out:
+          {!graph} returns copies. *)
 }
 
 val tool_name : string
@@ -35,13 +40,18 @@ val of_state :
   certs:(string * string) list -> t
 
 val graph : t -> Ig_graph.Digraph.t
-(** Rebuild the graph from the stored text. *)
+(** A fresh graph equal to the snapshot's: a {!Ig_graph.Digraph.copy} of
+    the graph {!validate} parsed (O(|V|)), or a parse of [graph_text]
+    when there is none. *)
 
 val to_json : t -> Ig_obs.Json.t
 (** Includes the checksum field. *)
 
 val validate : Ig_obs.Json.t -> (t, string) result
-(** Structural + checksum validation (used by bench/validate.exe). *)
+(** Structural + checksum validation (used by bench/validate.exe). The
+    graph text is parsed once, and its parse must have the recorded
+    [graph_digest]. A snapshot of another [schema_version] is rejected
+    with ["schema_version V, expected 2"]. *)
 
 val path : dir:string -> seq:int -> string
 

@@ -110,46 +110,50 @@ let plan ?as_of ?(from_scratch = false) ~dir () =
               })
 
 let attach ?(obs = Obs.noop) ~dir ~plan ~client () =
+  let mismatch ~ctx got expected =
+    Error
+      (Printf.sprintf "%s: graph digest %s, journal says %s" ctx got expected)
+  in
   let check_digest ~ctx expected =
     let got = Journal.graph_digest (client.graph ()) in
-    if String.equal got expected then Ok ()
-    else
-      Error
-        (Printf.sprintf "%s: graph digest %s, journal says %s" ctx got expected)
+    if String.equal got expected then Ok () else mismatch ~ctx got expected
   in
+  let snapshot_digest = plan.snapshot.Snapshot.graph_digest in
   match
     check_digest
       ~ctx:(Printf.sprintf "snapshot-%d" plan.snapshot.Snapshot.seq)
-      plan.snapshot.Snapshot.graph_digest
+      snapshot_digest
   with
   | Error e -> Error e
   | Ok () -> (
-      let replay_one b =
-        match check_digest ~ctx:(Printf.sprintf "batch %d pre" b.Record.seq)
-                b.Record.pre
-        with
-        | Error e -> Error e
-        | Ok () -> (
-            match client.apply b.Record.ops with
-            | exception e ->
-                Error
-                  (Printf.sprintf "batch %d: apply raised %s" b.Record.seq
-                     (Printexc.to_string e))
-            | () ->
-                Obs.add obs Obs.K.journal_replayed (List.length b.Record.ops);
-                check_digest
-                  ~ctx:(Printf.sprintf "batch %d post" b.Record.seq)
-                  b.Record.post)
+      (* [current] is the digest the graph was last checked to have, so a
+         batch's [pre] is checked against it by string equality; only the
+         post-apply check digests the graph. *)
+      let replay_one current b =
+        let ctx what = Printf.sprintf "batch %d %s" b.Record.seq what in
+        if not (String.equal current b.Record.pre) then
+          mismatch ~ctx:(ctx "pre") current b.Record.pre
+        else
+          match client.apply b.Record.ops with
+          | exception e ->
+              Error
+                (Printf.sprintf "batch %d: apply raised %s" b.Record.seq
+                   (Printexc.to_string e))
+          | () ->
+              Obs.add obs Obs.K.journal_replayed (List.length b.Record.ops);
+              check_digest ~ctx:(ctx "post") b.Record.post
       in
-      let rec replay = function
+      let rec replay current = function
         | [] -> Ok ()
         | b :: rest -> (
-            match replay_one b with Error e -> Error e | Ok () -> replay rest)
+            match replay_one current b with
+            | Error e -> Error e
+            | Ok () -> replay b.Record.post rest)
       in
       match
         Obs.with_span obs "journal_replay" (fun () ->
             Obs.observe_time obs Obs.K.journal_replay_latency (fun () ->
-                replay plan.replay))
+                replay snapshot_digest plan.replay))
       with
       | Error e -> Error e
       | Ok () -> (
@@ -177,11 +181,10 @@ let verify_post t ~seq post =
 
 (* The journaled post digest is computed ahead of the engine apply —
    write-ahead means the record must be durable (and complete) before the
-   live state moves — from a copy of the live graph with the ops applied. *)
+   live state moves — from [pre]'s pass over the live graph and the terms
+   of the edges the ops change; [verify_post] re-digests after the apply. *)
 let journal_batch t ~kind ops =
-  let g = t.client.graph () in
-  let pre = Journal.graph_digest g in
-  let post = Journal.graph_digest_after g ops in
+  let pre, post = Journal.graph_digests (t.client.graph ()) ops in
   let b = Journal.append t.journal ~kind ~ops ~pre ~post in
   Obs.add t.obs Obs.K.journal_ops (List.length ops);
   b

@@ -72,8 +72,11 @@ val plan : ?as_of:int -> ?from_scratch:bool -> dir:string -> unit ->
 val attach :
   ?obs:Ig_obs.Obs.t -> dir:string -> plan:plan -> client:client ->
   unit -> (t, string) result
-(** The client's engine must be at [plan.snapshot]'s state; each replayed
-    batch is verified against its journaled pre/post digests. *)
+(** The client's engine must be at [plan.snapshot]'s state, which is
+    checked with a full digest. Each replayed batch's [pre] must equal the
+    digest the graph was last checked to have (the snapshot's, then the
+    previous batch's [post]); after its apply the graph is digested again
+    and must equal its [post]. *)
 
 val do_batch : t -> Ig_graph.Digraph.update list -> Record.batch option
 (** Normalize, journal, apply, verify. [None] when the batch changes

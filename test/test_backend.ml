@@ -10,12 +10,13 @@
    no-op and idempotent; arbitrary interleavings of insert / delete /
    absent-delete / duplicate-insert / compact agree with a batch-built
    graph; copy of an un-compacted graph is deep — pending deltas are
-   preserved and the copy is independent of the original; the bulk load
-   behind [Io.of_string] builds the same graph as [add_edge] does, edge by
-   edge; and [apply_net] applies, returns and counts as |ΔG| exactly the
-   batch's effective net changes, batch after batch on one graph, runs at
-   most one compaction per call (IncSCC's [apply_batch] too), and rejects
-   an unknown node before it touches the graph. *)
+   preserved and the copy is independent of the original; the journal's
+   graph digest sees only the labelled nodes and the edge set; the bulk
+   load behind [Io.of_string] builds the same graph as [add_edge] does,
+   edge by edge; and [apply_net] applies, returns and counts as |ΔG|
+   exactly the batch's effective net changes, batch after batch on one
+   graph, runs at most one compaction per call (IncSCC's [apply_batch]
+   too), and rejects an unknown node before it touches the graph. *)
 
 open Ig_graph
 
@@ -362,6 +363,23 @@ let prop_copy_deep =
       Digraph.compact c;
       copy_intact && view g = vg)
 
+(* The journal's graph digest reads the labelled nodes and the edge set
+   only: a graph built edge by edge, its overlay pending, digests as its
+   copy does, as its canonical text parsed back does, as a graph rebuilt
+   from its nodes and edges does, and as it does itself after [compact]. *)
+let prop_digest_structural =
+  QCheck.Test.make ~count:150
+    ~name:"graph digest depends only on labelled nodes and edges" arb_ops
+    (fun ops ->
+      let digest = Ig_journal.Journal.graph_digest in
+      let g = graph_of ops in
+      let d = digest g in
+      let c = Digraph.copy g in
+      let parsed = Io.of_string (Io.to_string g) in
+      let rebuilt = batch_rebuild g in
+      Digraph.compact g;
+      d = digest c && d = digest parsed && d = digest rebuilt && d = digest g)
+
 (* A start graph and one to four batches over at most 24 nodes, built from
    steps that make the net effect interesting: insert→delete pairs,
    duplicate inserts, self-loops, and plain updates, deletions of absent
@@ -566,6 +584,7 @@ let () =
             prop_compact_noop;
             prop_interleavings_agree;
             prop_copy_deep;
+            prop_digest_structural;
             prop_bulk_load;
             prop_apply_net;
             prop_apply_net_compacts_once;

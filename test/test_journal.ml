@@ -205,8 +205,11 @@ let test_invert () =
 (* ---- digests -------------------------------------------------------------- *)
 
 (* A fixed 12-node graph: two-digit ids, a self-loop, a removed edge and
-   a pending overlay. Its digest was captured from the Format-based writer
-   this one replaced; the bytes must never move. *)
+   a pending overlay. The MD5 of its canonical text was captured from the
+   Format-based writer the buffered one replaced; the snapshot text bytes
+   must never move. Its structural digest is pinned too, so a change to
+   the hash (its constants, its element terms) cannot go unnoticed; the
+   empty graph's lanes sum to zero. *)
 let pinned_graph () =
   let g = D.create () in
   for i = 0 to 11 do
@@ -220,13 +223,50 @@ let pinned_graph () =
   g
 
 let test_pinned_digests () =
-  check Alcotest.string "fixed graph" "eaca3970bcfdabb75a4f75291ea78a56"
+  let text_md5 g = J.digest_hex (Ig_graph.Io.to_string g) in
+  check Alcotest.string "fixed graph text" "eaca3970bcfdabb75a4f75291ea78a56"
+    (text_md5 (pinned_graph ()));
+  check Alcotest.string "empty graph text" "d3e05c52530e5876bdf0e4000e8052e9"
+    (text_md5 (D.create ()));
+  check Alcotest.string "fixed graph digest" "1f8655c561b9ad3a763586f6efc4de59"
     (J.graph_digest (pinned_graph ()));
-  check Alcotest.string "empty graph" "d3e05c52530e5876bdf0e4000e8052e9"
+  check Alcotest.string "empty graph digest" "00000000000000000000000000000000"
     (J.graph_digest (D.create ()))
 
-(* [graph_digest_after g ops] against the definition it replaces: copy
-   the graph, apply the ops, digest the copy. Batches are built from
+(* The digest separates every graph of a small universe: all 512 edge
+   sets on three nodes labelled l0, l1, l0 digest apart. Swapping two
+   nodes' labels, or adding an isolated node, moves the digest; interning
+   the same names in another order does not. *)
+let test_digest_separates () =
+  let build ?(intern_first = []) labels edges =
+    let g = D.create () in
+    List.iter
+      (fun l -> ignore (Ig_graph.Interner.intern (D.interner g) l))
+      intern_first;
+    List.iter (fun l -> ignore (D.add_node g l)) labels;
+    List.iter (fun (u, v) -> ignore (D.add_edge g u v)) edges;
+    g
+  in
+  let pairs = List.init 9 (fun i -> (i / 3, i mod 3)) in
+  let edges_of mask = List.filteri (fun i _ -> mask land (1 lsl i) <> 0) pairs in
+  let labels = [ "l0"; "l1"; "l0" ] in
+  let seen = Hashtbl.create 512 in
+  for mask = 0 to 511 do
+    Hashtbl.replace seen (J.graph_digest (build labels (edges_of mask))) ()
+  done;
+  check Alcotest.int "512 edge sets, 512 digests" 512 (Hashtbl.length seen);
+  let edges = [ (0, 1); (1, 2) ] in
+  let d = J.graph_digest (build labels edges) in
+  check Alcotest.bool "swapped labels" false
+    (String.equal d (J.graph_digest (build [ "l1"; "l0"; "l0" ] edges)));
+  check Alcotest.bool "extra isolated node" false
+    (String.equal d (J.graph_digest (build (labels @ [ "l0" ]) edges)));
+  check Alcotest.string "interning order" d
+    (J.graph_digest (build ~intern_first:[ "l1"; "l9"; "l0" ] labels edges))
+
+(* The written-ahead [post] of [graph_digests g ops] against the
+   definition it replaces: copy the graph, apply the ops, digest the copy
+   from scratch. Batches are built from
    chunks so that one edge often carries two opposite ops in a row
    (insert then delete of an absent edge, delete then insert of a
    present one); the small id range yields self-loops, repeated edges and
@@ -285,10 +325,11 @@ let qcheck_digest_after =
     (fun c ->
       let g = build_case c in
       let before = J.graph_digest g in
-      let got = J.graph_digest_after g c.ops in
+      let pre, got = J.graph_digests g c.ops in
       let copy = D.copy g in
       List.iter (J.apply_op copy) c.ops;
       String.equal got (J.graph_digest copy)
+      && String.equal pre before
       && String.equal before (J.graph_digest g))
 
 (* [effective_ops] is the batch's net effect on [g]: each edge at most
@@ -330,6 +371,7 @@ let qcheck_effective_ops =
 
 let test_digest_after_cases () =
   let g = mk_graph () in
+  let after g ops = snd (J.graph_digests g ops) in
   let same ops =
     let copy = D.copy g in
     List.iter (J.apply_op copy) ops;
@@ -337,7 +379,7 @@ let test_digest_after_cases () =
   in
   List.iter
     (fun (what, ops) ->
-      check Alcotest.string what (same ops) (J.graph_digest_after g ops))
+      check Alcotest.string what (same ops) (after g ops))
     [
       ("no ops", []);
       ( "insert then delete an absent edge",
@@ -348,16 +390,16 @@ let test_digest_after_cases () =
       ("empty the graph's first row", [ R.Tombstone_edge (0, 1) ]);
     ];
   check Alcotest.string "insert+delete is a no-op" (J.graph_digest g)
-    (J.graph_digest_after g [ R.Upsert_edge (1, 3); R.Tombstone_edge (1, 3) ]);
-  (match J.graph_digest_after g [ R.Upsert_node (6, "y") ] with
+    (after g [ R.Upsert_edge (1, 3); R.Tombstone_edge (1, 3) ]);
+  (match after g [ R.Upsert_node (6, "y") ] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "node upsert accepted");
-  (match J.graph_digest_after g [ R.Tombstone_node 0 ] with
+  (match after g [ R.Tombstone_node 0 ] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "node tombstone accepted");
   let d = J.graph_digest g in
   (match
-     J.graph_digest_after g [ R.Tombstone_edge (0, 1); R.Upsert_edge (0, 99) ]
+     after g [ R.Tombstone_edge (0, 1); R.Upsert_edge (0, 99) ]
    with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "edge op on an unknown node accepted");
@@ -506,6 +548,44 @@ let test_snapshot_checksum () =
   match Sn.load ~path:p with
   | Ok _ -> Alcotest.fail "tampered snapshot validated"
   | Error _ -> ()
+
+(* A journal or snapshot written under format version 1, whose digests
+   were MD5s of the graph text, is refused with a version error rather
+   than read as a digest mismatch. *)
+let test_version_1_refused () =
+  let dir = fresh_dir () in
+  let store, g = mk_store dir in
+  St.close store;
+  let path = St.journal_path ~dir in
+  write_file path
+    (R.magic
+    ^ R.frame (R.encode_payload (R.Header { (header_of g) with R.version = 1 }))
+    );
+  (match J.scan ~path with
+  | Error e ->
+      check Alcotest.string "v1 journal"
+        (path ^ ": format version 1, expected 2")
+        e
+  | Ok _ -> Alcotest.fail "v1 journal scanned");
+  let module Json = Ig_obs.Json in
+  let v1 =
+    match Sn.to_json (Sn.of_state ~seq:0 ~graph:g ~answer_digest:"" ~certs:[]) with
+    | Json.Obj fields ->
+        Json.Obj
+          (List.map
+             (fun (k, v) ->
+               if k = "schema_version" then (k, Json.Int 1) else (k, v))
+             fields)
+    | _ -> assert false
+  in
+  let p = Sn.path ~dir ~seq:0 in
+  write_file p (Json.to_string v1);
+  match Sn.load ~path:p with
+  | Error e ->
+      check Alcotest.string "v1 snapshot"
+        (p ^ ": schema_version 1, expected 2")
+        e
+  | Ok _ -> Alcotest.fail "v1 snapshot loaded"
 
 (* A corrupt newest snapshot must not strand recovery: plan falls back to
    an older intact one. *)
@@ -664,6 +744,8 @@ let () =
         @ [
             Alcotest.test_case "pinned canonical bytes" `Quick
               test_pinned_digests;
+            Alcotest.test_case "digest separates a small universe" `Quick
+              test_digest_separates;
             Alcotest.test_case "overlay edge cases" `Quick
               test_digest_after_cases;
             Alcotest.test_case "unwritable label never snapshotted" `Quick
@@ -681,6 +763,8 @@ let () =
           Alcotest.test_case "self-checksum" `Quick test_snapshot_checksum;
           Alcotest.test_case "corrupt snapshot skipped" `Quick
             test_plan_skips_corrupt_snapshot;
+          Alcotest.test_case "version 1 refused" `Quick
+            test_version_1_refused;
         ] );
       ( "store",
         [
