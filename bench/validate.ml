@@ -68,7 +68,7 @@ let check path =
          = Some J.Snapshot.tool_name -> (
       match J.Snapshot.validate json with
       | Error e -> Error (Printf.sprintf "%s: snapshot violation: %s" path e)
-      | Ok s -> Ok (Snapshot (s.J.Snapshot.seq, List.length s.J.Snapshot.certs)))
+      | Ok s -> Ok (Snapshot (J.Snapshot.seq s, List.length (J.Snapshot.certs s))))
   | Ok json -> (
       match Report.of_json json with
       | Error e -> Error (Printf.sprintf "%s: schema violation: %s" path e)

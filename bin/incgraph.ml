@@ -1135,7 +1135,7 @@ let replay_cmd =
           Format.printf "torn tail: dropped %d byte(s)@." plan.J.Store.dropped;
         Format.printf
           "recovered %s from snapshot-%d: replayed %d batch(es) to seq %d%s@."
-          dir plan.J.Store.snapshot.J.Snapshot.seq
+          dir (J.Snapshot.seq plan.J.Store.snapshot)
           (List.length plan.J.Store.replay)
           plan.J.Store.cut
           (if J.Store.writable store then "" else " (read-only)");

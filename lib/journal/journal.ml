@@ -225,24 +225,23 @@ let updates_of_ops ops =
             ^ Record.op_to_string op))
     ops
 
-(* [post] from [pre]'s sums and the terms of the edges [apply_net] would
-   change, probed on the unchanged graph: O(|ops|) beyond [pre]'s pass. *)
+(* [post] is [pre]'s sums shifted by the terms of the edges the batch's
+   effective ops change: O(|ops|) beyond [pre]'s pass. *)
 let graph_digests g ops =
-  let dels, inss = Digraph.net_effect (updates_of_ops ops) in
-  let a0, b0 = digest_sums g in
-  let a = ref a0 and b = ref b0 in
-  let shift ~present sign (u, v) =
-    if not (Digraph.mem_node g u && Digraph.mem_node g v) then
-      invalid_arg "Digraph: unknown node";
-    if Digraph.mem_edge g u v = present then begin
-      let k = edge_key u v in
-      a := !a + (sign * mix_a k);
-      b := !b + (sign * mix_b k)
-    end
+  let shift (a, b) = function
+    | Record.Upsert_edge (u, v) ->
+        let k = edge_key u v in
+        (a + mix_a k, b + mix_b k)
+    | Record.Tombstone_edge (u, v) ->
+        let k = edge_key u v in
+        (a - mix_a k, b - mix_b k)
+    | Record.Upsert_node _ | Record.Tombstone_node _ ->
+        assert false (* [effective_ops] yields edge ops only *)
   in
-  List.iter (shift ~present:true (-1)) dels;
-  List.iter (shift ~present:false 1) inss;
-  (digest_of_sums (a0, b0), digest_of_sums (!a, !b))
+  let sums = digest_sums g in
+  ( digest_of_sums sums,
+    digest_of_sums
+      (List.fold_left shift sums (effective_ops g (updates_of_ops ops))) )
 
 let apply_op g = function
   | Record.Upsert_edge (u, v) -> ignore (Digraph.add_edge g u v)

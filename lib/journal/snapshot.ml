@@ -8,7 +8,7 @@ type t = {
   graph_digest : string;
   answer_digest : string;
   certs : (string * string) list;
-  parsed : Digraph.t option;
+  parsed : Digraph.t;
 }
 
 let tool_name = "incgraph-journal-snapshot"
@@ -22,36 +22,37 @@ let of_state ~seq ~graph ~answer_digest ~certs =
     graph_digest = Journal.graph_digest graph;
     answer_digest;
     certs;
-    parsed = None;
+    parsed = Digraph.copy graph;
   }
 
-let graph t =
-  match t.parsed with
-  | Some g -> Digraph.copy g
-  | None -> Io.of_string t.graph_text
+let seq t = t.seq
+let graph_digest t = t.graph_digest
+let certs t = t.certs
+let graph t = Digraph.copy t.parsed
 
-let body_json t =
-  Json.Obj
-    [
-      ("tool", Json.Str tool_name);
-      ("schema_version", Json.Int schema_version);
-      ("seq", Json.Int t.seq);
-      ("graph", Json.Str t.graph_text);
-      ("graph_digest", Json.Str t.graph_digest);
-      ("answer_digest", Json.Str t.answer_digest);
-      ( "certs",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) t.certs) );
-    ]
+let body_fields ~seq ~graph_text ~graph_digest ~answer_digest ~certs =
+  [
+    ("tool", Json.Str tool_name);
+    ("schema_version", Json.Int schema_version);
+    ("seq", Json.Int seq);
+    ("graph", Json.Str graph_text);
+    ("graph_digest", Json.Str graph_digest);
+    ("answer_digest", Json.Str answer_digest);
+    ("certs", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) certs));
+  ]
 
 (* The checksum covers the canonical (non-indented) serialization of the
    object without its checksum field; emission order is fixed, so the
    digest is deterministic. *)
-let checksum t = Journal.digest_hex (Json.to_string (body_json t))
+let checksum fields = Journal.digest_hex (Json.to_string (Json.Obj fields))
 
 let to_json t =
-  match body_json t with
-  | Json.Obj fields -> Json.Obj (fields @ [ ("checksum", Json.Str (checksum t)) ])
-  | _ -> assert false
+  let fields =
+    body_fields ~seq:t.seq ~graph_text:t.graph_text
+      ~graph_digest:t.graph_digest ~answer_digest:t.answer_digest
+      ~certs:t.certs
+  in
+  Json.Obj (fields @ [ ("checksum", Json.Str (checksum fields)) ])
 
 let validate json =
   let str k = Option.bind (Json.member k json) Json.to_str_opt in
@@ -85,17 +86,11 @@ let validate json =
               if List.length certs <> List.length cfields then
                 Error "non-string certificate section"
               else
-                let t =
-                  {
-                    seq;
-                    graph_text;
-                    graph_digest = gd;
-                    answer_digest = ad;
-                    certs;
-                    parsed = None;
-                  }
+                let fields =
+                  body_fields ~seq ~graph_text ~graph_digest:gd
+                    ~answer_digest:ad ~certs
                 in
-                if not (String.equal sum (checksum t)) then
+                if not (String.equal sum (checksum fields)) then
                   Error "snapshot checksum mismatch"
                 else
                   match Io.of_string graph_text with
@@ -103,7 +98,16 @@ let validate json =
                   | g ->
                       if not (String.equal gd (Journal.graph_digest g)) then
                         Error "graph digest does not match graph text"
-                      else Ok { t with parsed = Some g })
+                      else
+                        Ok
+                          {
+                            seq;
+                            graph_text;
+                            graph_digest = gd;
+                            answer_digest = ad;
+                            certs;
+                            parsed = g;
+                          })
           | _ ->
               Error
                 "missing seq/graph/graph_digest/answer_digest/certs/checksum"))

@@ -17,20 +17,12 @@
     carried by the graph/answer digests, since lazily maintained
     certificate stores (e.g. IncSCC's) are history-dependent. *)
 
-type t = {
-  seq : int;
-  graph_text : string;
-      (** canonical {!Ig_graph.Io.to_string} text; built in one buffered
-          pass over the graph *)
-  graph_digest : string;
-      (** {!Journal.graph_digest} of the graph [graph_text] parses to *)
-  answer_digest : string;  (** hex MD5 of the canonical answer; "" if none *)
-  certs : (string * string) list;  (** named engine certificate sections *)
-  parsed : Ig_graph.Digraph.t option;
-      (** the graph {!validate} parsed from [graph_text] to check
-          [graph_digest]; [None] from {!of_state}. Never handed out:
-          {!graph} returns copies. *)
-}
+type t
+(** A snapshot: its sequence number, the graph as canonical
+    {!Ig_graph.Io.to_string} text (built in one buffered pass) with its
+    {!Journal.graph_digest}, the hex MD5 of the canonical answer ([""] if
+    none), the certificate sections, and the graph itself, kept private
+    so that {!graph} hands out copies. *)
 
 val tool_name : string
 (** ["incgraph-journal-snapshot"] — the dispatch key for validators. *)
@@ -38,11 +30,20 @@ val tool_name : string
 val of_state :
   seq:int -> graph:Ig_graph.Digraph.t -> answer_digest:string ->
   certs:(string * string) list -> t
+(** Writes [graph]'s text and digest and keeps a {!Ig_graph.Digraph.copy}
+    of it. @raise Invalid_argument on a label the text cannot carry. *)
+
+val seq : t -> int
+
+val graph_digest : t -> string
+(** {!Journal.graph_digest} of the snapshot's graph. *)
+
+val certs : t -> (string * string) list
+(** Named engine certificate sections. *)
 
 val graph : t -> Ig_graph.Digraph.t
-(** A fresh graph equal to the snapshot's: a {!Ig_graph.Digraph.copy} of
-    the graph {!validate} parsed (O(|V|)), or a parse of [graph_text]
-    when there is none. *)
+(** A fresh graph equal to the snapshot's: a {!Ig_graph.Digraph.copy}
+    (O(|V|)) of the graph {!of_state} was given or {!validate} parsed. *)
 
 val to_json : t -> Ig_obs.Json.t
 (** Includes the checksum field. *)

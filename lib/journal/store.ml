@@ -91,7 +91,7 @@ let plan ?as_of ?(from_scratch = false) ~dir () =
             let replay =
               List.filter
                 (fun b ->
-                  b.Record.seq > snapshot.Snapshot.seq && b.Record.seq <= cut)
+                  b.Record.seq > Snapshot.seq snapshot && b.Record.seq <= cut)
                 scanned.Journal.batches
             in
             let dropped =
@@ -118,10 +118,10 @@ let attach ?(obs = Obs.noop) ~dir ~plan ~client () =
     let got = Journal.graph_digest (client.graph ()) in
     if String.equal got expected then Ok () else mismatch ~ctx got expected
   in
-  let snapshot_digest = plan.snapshot.Snapshot.graph_digest in
+  let snapshot_digest = Snapshot.graph_digest plan.snapshot in
   match
     check_digest
-      ~ctx:(Printf.sprintf "snapshot-%d" plan.snapshot.Snapshot.seq)
+      ~ctx:(Printf.sprintf "snapshot-%d" (Snapshot.seq plan.snapshot))
       snapshot_digest
   with
   | Error e -> Error e
