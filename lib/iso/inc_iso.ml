@@ -119,16 +119,17 @@ let process_inserts t edges =
     Obs.add t.obs Obs.K.cert_rewrites fresh
   end
 
-(* The graph takes ΔG's net effect first (paper step (1)); [process_delete]
-   reads only the edge index, so it may run after the graph has moved. *)
-let process t updates =
-  let dels, inss = Digraph.apply_net t.g updates in
+(* [apply_batch] gives the graph ΔG's net effect first (paper step (1));
+   [process_delete] reads only the edge index, so it may run after the
+   graph has moved. *)
+let process t ~dels ~inss =
   List.iter (process_delete t) dels;
   process_inserts t inss
 
 let apply_batch t updates =
   Obs.with_apply t.obs @@ fun () ->
-  Obs.with_span t.obs "iso.process" (fun () -> process t updates);
+  let dels, inss = Digraph.apply_net t.g updates in
+  Obs.with_span t.obs "iso.process" (fun () -> process t ~dels ~inss);
   (* Canon order: the delta lists are consumer-visible. *)
   let added, removed =
     Delta_set.flush t.delta ~obs:t.obs ~compare:Vf2.compare_canon

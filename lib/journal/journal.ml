@@ -3,12 +3,10 @@ module Interner = Ig_graph.Interner
 module Obs = Ig_obs.Obs
 
 type t = {
-  path : string;
-  hdr : Record.header;
   oc : out_channel;
   mutable obs : Obs.t;
   mutable next_seq : int;
-  mutable committed : Record.batch list; (* reverse seq order *)
+  mutable committed : Record.batch list; (* newest first *)
 }
 
 type tail = Clean | Torn of { offset : int; dropped : int; reason : string }
@@ -124,53 +122,44 @@ let scan ~path =
             end
       end
 
-let write_prefix path src n =
-  let oc = open_out_bin path in
-  output_string oc (String.sub src 0 n);
-  close_out oc
-
+(* A torn tail is cut off in place: the committed prefix is never
+   rewritten, so no crash during a repair can shorten it. *)
 let repair ~path =
   match scan ~path with
   | Error e -> Error e
   | Ok { tail = Clean; _ } -> Ok 0
   | Ok { tail = Torn { dropped; _ }; valid_bytes; _ } ->
-      write_prefix path (read_all path) valid_bytes;
+      Unix.truncate path valid_bytes;
       Ok dropped
 
 let chop ~path n =
-  let src = read_all path in
-  write_prefix path src (max 0 (String.length src - n))
+  Unix.truncate path (max 0 ((Unix.stat path).Unix.st_size - n))
 
 let create ~path hdr =
   let oc = open_out_bin path in
   output_string oc Record.magic;
   output_string oc (Record.frame (Record.encode_payload (Record.Header hdr)));
   flush oc;
-  { path; hdr; oc; obs = Obs.noop; next_seq = 1; committed = [] }
+  { oc; obs = Obs.noop; next_seq = 1; committed = [] }
 
-let open_append ~path () =
+let open_append ~path =
   match scan ~path with
   | Error e -> Error e
   | Ok s ->
       (match s.tail with
       | Clean -> ()
-      | Torn _ -> write_prefix path (read_all path) s.valid_bytes);
+      | Torn _ -> Unix.truncate path s.valid_bytes);
       let oc =
         open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path
       in
-      let tip =
-        match List.rev s.batches with b :: _ -> b.Record.seq | [] -> 0
-      in
+      (* Sequence numbers run 1, 2, … with no gap, so the count is the tip. *)
       Ok
-        ( {
-            path;
-            hdr = s.header;
-            oc;
-            obs = Obs.noop;
-            next_seq = tip + 1;
-            committed = List.rev s.batches;
-          },
-          s )
+        {
+          oc;
+          obs = Obs.noop;
+          next_seq = List.length s.batches + 1;
+          committed = List.rev s.batches;
+        }
 
 let instrument t obs = t.obs <- obs
 
@@ -193,8 +182,6 @@ let append t ~kind ~ops ~pre ~post =
   b
 
 let tip t = t.next_seq - 1
-let batches t = List.rev t.committed
-let header t = t.hdr
 let close t = close_out t.oc
 
 (* ---- op semantics -------------------------------------------------------- *)
@@ -272,22 +259,22 @@ let invert ops =
   in
   go [] ops
 
-let plan_undo batches ~k =
-  let n = List.length batches in
+(* [committed] is newest first, so the undone batches are its first [k]
+   and their inverses are already in rollback order. *)
+let plan_undo t ~k =
+  let n = tip t in
   if k <= 0 then Error "undo: k must be positive"
   else if k > n then
     Error (Printf.sprintf "undo: only %d batch(es) journaled, asked for %d" n k)
   else
-    let undone = List.filteri (fun i _ -> i >= n - k) batches in
-    let expected =
-      match undone with b :: _ -> b.Record.pre | [] -> assert false
-    in
-    let rec build acc = function
-      | [] -> Ok (acc, expected)
+    let rec build invs i = function
+      | [] -> assert false (* k <= n batches are committed *)
       | b :: rest -> (
           match invert b.Record.ops with
-          | Error e ->
-              Error (Printf.sprintf "batch %d: %s" b.Record.seq e)
-          | Ok inv -> build (acc @ inv) rest)
+          | Error e -> Error (Printf.sprintf "batch %d: %s" b.Record.seq e)
+          | Ok inv ->
+              let invs = inv :: invs in
+              if i = k then Ok (List.concat (List.rev invs), b.Record.pre)
+              else build invs (i + 1) rest)
     in
-    build [] (List.rev undone)
+    build [] 1 t.committed

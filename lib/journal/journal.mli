@@ -36,8 +36,8 @@
     the terms of the net deletions of present edges, plus those of the
     net insertions of absent edges: O(|ΔG|) beyond [pre]'s pass, with no
     copy of the graph. The store still re-checks [post] with a full
-    {!graph_digest} once the engine has moved. Record checksums, op ids,
-    answer digests and the snapshot checksum stay MD5 ({!digest_hex}). *)
+    {!graph_digest} once the engine has moved. Record checksums, answer
+    digests and the snapshot checksum stay MD5 ({!digest_hex}). *)
 
 type t
 (** An open journal, positioned for appending. *)
@@ -75,7 +75,7 @@ val create : path:string -> Record.header -> t
     Every {!append} fsyncs the file, so committed records survive power
     loss, not just a process crash. *)
 
-val open_append : path:string -> unit -> (t * scanned, string) result
+val open_append : path:string -> (t, string) result
 (** Scan, truncate any torn tail in place, and open for appending after
     the last committed record. *)
 
@@ -85,8 +85,9 @@ val instrument : t -> Ig_obs.Obs.t -> unit
     Default is the noop sink. *)
 
 val repair : path:string -> (int, string) result
-(** Truncate a torn tail; returns the number of bytes dropped (0 when the
-    file was already clean). *)
+(** Truncate a torn tail in place, down to [valid_bytes]; returns the
+    number of bytes dropped (0 when the file was already clean). The
+    committed prefix is never rewritten. *)
 
 val chop : path:string -> int -> unit
 (** Crash injection for tests and the [--chop] CLI flag: remove the last
@@ -100,11 +101,6 @@ val append : t -> kind:Record.kind -> ops:Record.op list -> pre:string ->
 val tip : t -> int
 (** Sequence number of the last committed batch; 0 when none. *)
 
-val batches : t -> Record.batch list
-(** All committed batches, in seq order (including any appended since
-    opening). *)
-
-val header : t -> Record.header
 val close : t -> unit
 
 (** {2 Op semantics} *)
@@ -134,11 +130,9 @@ val invert : Record.op list -> (Record.op list, string) result
 (** The compensating op list: inverses in reverse order. [Error] if any
     op is a monotone node op. *)
 
-val plan_undo :
-  Record.batch list -> k:int ->
-  (Record.op list * string, string) result
-(** [plan_undo batches ~k] is the compensating op list rolling back the
-    last [k] batches of [batches] (seq order), together with the expected
-    graph digest after the rollback (the [pre] of the oldest undone
-    batch). [Error] when fewer than [k] batches exist or the range
-    contains node upserts. *)
+val plan_undo : t -> k:int -> (Record.op list * string, string) result
+(** [plan_undo t ~k] is the compensating op list rolling back the last [k]
+    committed batches (the newest batch's inverses first), together with
+    the expected graph digest after the rollback (the [pre] of the oldest
+    undone batch). It reads those [k] batches only. [Error] when fewer
+    than [k] batches exist or the range contains node upserts. *)

@@ -48,10 +48,6 @@ let op_to_string = function
   | Upsert_node (id, l) -> Printf.sprintf "+v %d %s" id (escape l)
   | Tombstone_node id -> Printf.sprintf "-v %d" id
 
-let op_id ~seq ~index op =
-  Digest.to_hex
-    (Digest.string (Printf.sprintf "%d/%d/%s" seq index (op_to_string op)))
-
 let inverse_op = function
   | Upsert_edge (u, v) -> Some (Tombstone_edge (u, v))
   | Tombstone_edge (u, v) -> Some (Upsert_edge (u, v))

@@ -65,13 +65,8 @@ val magic : string
 (** ["IGJRNL01"] — the 8-byte file magic. *)
 
 val op_to_string : op -> string
-(** Canonical one-line rendering (labels escaped), used in op ids and
-    inspection output. *)
-
-val op_id : seq:int -> index:int -> op -> string
-(** Deterministic op identity: hex MD5 of [(seq, index, op_to_string op)].
-    Derived, never stored — two journals that replay the same ops in the
-    same positions agree on every op id. *)
+(** Canonical one-line rendering (labels escaped), used in inspection
+    output and error messages. *)
 
 val inverse_op : op -> op option
 (** [None] exactly on node ops (monotone). *)

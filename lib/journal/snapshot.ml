@@ -4,26 +4,13 @@ module Io = Ig_graph.Io
 
 type t = {
   seq : int;
-  graph_text : string;
   graph_digest : string;
-  answer_digest : string;
   certs : (string * string) list;
   parsed : Digraph.t;
 }
 
 let tool_name = "incgraph-journal-snapshot"
 let schema_version = 2
-
-let of_state ~seq ~graph ~answer_digest ~certs =
-  let graph_text = Io.to_string graph in
-  {
-    seq;
-    graph_text;
-    graph_digest = Journal.graph_digest graph;
-    answer_digest;
-    certs;
-    parsed = Digraph.copy graph;
-  }
 
 let seq t = t.seq
 let graph_digest t = t.graph_digest
@@ -46,11 +33,11 @@ let body_fields ~seq ~graph_text ~graph_digest ~answer_digest ~certs =
    digest is deterministic. *)
 let checksum fields = Journal.digest_hex (Json.to_string (Json.Obj fields))
 
-let to_json t =
+let to_json ~seq ~graph ~answer_digest ~certs =
+  let graph_text = Io.to_string graph in
   let fields =
-    body_fields ~seq:t.seq ~graph_text:t.graph_text
-      ~graph_digest:t.graph_digest ~answer_digest:t.answer_digest
-      ~certs:t.certs
+    body_fields ~seq ~graph_text ~graph_digest:(Journal.graph_digest graph)
+      ~answer_digest ~certs
   in
   Json.Obj (fields @ [ ("checksum", Json.Str (checksum fields)) ])
 
@@ -99,25 +86,20 @@ let validate json =
                       if not (String.equal gd (Journal.graph_digest g)) then
                         Error "graph digest does not match graph text"
                       else
-                        Ok
-                          {
-                            seq;
-                            graph_text;
-                            graph_digest = gd;
-                            answer_digest = ad;
-                            certs;
-                            parsed = g;
-                          })
+                        Ok { seq; graph_digest = gd; certs; parsed = g })
           | _ ->
               Error
                 "missing seq/graph/graph_digest/answer_digest/certs/checksum"))
 
 let path ~dir ~seq = Filename.concat dir (Printf.sprintf "snapshot-%d.json" seq)
 
-let save ~dir t =
-  let p = path ~dir ~seq:t.seq in
+(* The JSON is built before the file is opened, so a graph the text
+   cannot carry leaves no file behind. *)
+let write ~dir ~seq ~graph ~answer_digest ~certs =
+  let json = to_json ~seq ~graph ~answer_digest ~certs in
+  let p = path ~dir ~seq in
   Out_channel.with_open_bin p (fun oc ->
-      Out_channel.output_string oc (Json.to_string ~indent:true (to_json t));
+      Out_channel.output_string oc (Json.to_string ~indent:true json);
       Out_channel.output_char oc '\n');
   p
 

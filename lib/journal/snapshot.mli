@@ -14,24 +14,17 @@
     to a graph with the recorded digest, is skipped and recovery falls back to the next older one
     (ultimately [snapshot-0], written at init). Certificate sections are
     evidence for inspection and explainability — recovery correctness is
-    carried by the graph/answer digests, since lazily maintained
-    certificate stores (e.g. IncSCC's) are history-dependent. *)
+    carried by the graph digests, since lazily maintained certificate
+    stores (e.g. IncSCC's) are history-dependent; the answer digest is
+    written for inspection and not read back. *)
 
 type t
-(** A snapshot: its sequence number, the graph as canonical
-    {!Ig_graph.Io.to_string} text (built in one buffered pass) with its
-    {!Journal.graph_digest}, the hex MD5 of the canonical answer ([""] if
-    none), the certificate sections, and the graph itself, kept private
-    so that {!graph} hands out copies. *)
+(** A snapshot read back by {!validate}: its sequence number, its
+    {!Journal.graph_digest}, the certificate sections, and the parsed
+    graph, kept private so that {!graph} hands out copies. *)
 
 val tool_name : string
 (** ["incgraph-journal-snapshot"] — the dispatch key for validators. *)
-
-val of_state :
-  seq:int -> graph:Ig_graph.Digraph.t -> answer_digest:string ->
-  certs:(string * string) list -> t
-(** Writes [graph]'s text and digest and keeps a {!Ig_graph.Digraph.copy}
-    of it. @raise Invalid_argument on a label the text cannot carry. *)
 
 val seq : t -> int
 
@@ -43,10 +36,16 @@ val certs : t -> (string * string) list
 
 val graph : t -> Ig_graph.Digraph.t
 (** A fresh graph equal to the snapshot's: a {!Ig_graph.Digraph.copy}
-    (O(|V|)) of the graph {!of_state} was given or {!validate} parsed. *)
+    (O(|V|)) of the graph {!validate} parsed. *)
 
-val to_json : t -> Ig_obs.Json.t
-(** Includes the checksum field. *)
+val to_json :
+  seq:int -> graph:Ig_graph.Digraph.t -> answer_digest:string ->
+  certs:(string * string) list -> Ig_obs.Json.t
+(** The snapshot of [graph] at [seq]: its canonical
+    {!Ig_graph.Io.to_string} text, its {!Journal.graph_digest}, the hex
+    MD5 of the canonical answer ([""] if none), the certificate sections
+    and the checksum field. Pure.
+    @raise Invalid_argument on a label the text cannot carry. *)
 
 val validate : Ig_obs.Json.t -> (t, string) result
 (** Structural + checksum validation (used by bench/validate.exe). The
@@ -56,8 +55,13 @@ val validate : Ig_obs.Json.t -> (t, string) result
 
 val path : dir:string -> seq:int -> string
 
-val save : dir:string -> t -> string
-(** Write [snapshot-<seq>.json]; returns the path. *)
+val write :
+  dir:string -> seq:int -> graph:Ig_graph.Digraph.t -> answer_digest:string ->
+  certs:(string * string) list -> string
+(** Write {!to_json}'s snapshot to [snapshot-<seq>.json]; returns the
+    path. Nothing is kept in memory.
+    @raise Invalid_argument on a label the text cannot carry, before any
+    file is opened. *)
 
 val load : path:string -> (t, string) result
 

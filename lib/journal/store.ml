@@ -43,16 +43,17 @@ let rec mkdir_p dir =
      with Sys_error _ when Sys.file_exists dir -> ())
   end
 
+(* Write [snapshot-<seq>] from the client's current state; returns the
+   path. *)
+let write_snapshot obs ~dir ~seq client =
+  Obs.with_span obs "snapshot_write" @@ fun () ->
+  Obs.observe_time obs Obs.K.snapshot_write_latency (fun () ->
+      Snapshot.write ~dir ~seq ~graph:(client.graph ())
+        ~answer_digest:(client.answer_digest ()) ~certs:(client.certs ()))
+
 let init ?(obs = Obs.noop) ~dir ~header ~client () =
   mkdir_p dir;
-  Obs.with_span obs "snapshot_write" (fun () ->
-      Obs.observe_time obs Obs.K.snapshot_write_latency (fun () ->
-          let snap =
-            Snapshot.of_state ~seq:0 ~graph:(client.graph ())
-              ~answer_digest:(client.answer_digest ())
-              ~certs:(client.certs ())
-          in
-          ignore (Snapshot.save ~dir snap)));
+  ignore (write_snapshot obs ~dir ~seq:0 client);
   Obs.incr obs Obs.K.snapshots;
   let journal = Journal.create ~path:(journal_path ~dir) header in
   Journal.instrument journal obs;
@@ -62,11 +63,7 @@ let plan ?as_of ?(from_scratch = false) ~dir () =
   match Journal.scan ~path:(journal_path ~dir) with
   | Error e -> Error e
   | Ok scanned ->
-      let tip =
-        match List.rev scanned.Journal.batches with
-        | b :: _ -> b.Record.seq
-        | [] -> 0
-      in
+      let tip = List.length scanned.Journal.batches in
       let cut = match as_of with None -> tip | Some n -> min n tip in
       if cut < 0 then Error "as-of: sequence must be >= 0"
       else
@@ -157,9 +154,9 @@ let attach ?(obs = Obs.noop) ~dir ~plan ~client () =
       with
       | Error e -> Error e
       | Ok () -> (
-          match Journal.open_append ~path:(journal_path ~dir) () with
+          match Journal.open_append ~path:(journal_path ~dir) with
           | Error e -> Error e
-          | Ok (journal, _) ->
+          | Ok journal ->
               Journal.instrument journal obs;
               let writable = plan.cut = plan.tip in
               Ok { dir; journal; client; obs; writable }))
@@ -204,7 +201,7 @@ let undo t ~k =
   require_writable t "undo";
   Obs.with_span t.obs "journal_undo" @@ fun () ->
   Obs.observe_time t.obs Obs.K.journal_undo_latency (fun () ->
-      match Journal.plan_undo (Journal.batches t.journal) ~k with
+      match Journal.plan_undo t.journal ~k with
       | Error e -> Error e
       | Ok (ops, expected) ->
           let pre = Journal.graph_digest (t.client.graph ()) in
@@ -225,16 +222,11 @@ let undo t ~k =
 
 let snapshot t =
   require_writable t "snapshot";
-  Obs.with_span t.obs "snapshot_write" @@ fun () ->
-  Obs.observe_time t.obs Obs.K.snapshot_write_latency (fun () ->
-      let snap =
-        Snapshot.of_state ~seq:(Journal.tip t.journal)
-          ~graph:(t.client.graph ())
-          ~answer_digest:(t.client.answer_digest ())
-          ~certs:(t.client.certs ())
-      in
-      Obs.incr t.obs Obs.K.snapshots;
-      Snapshot.save ~dir:t.dir snap)
+  let p =
+    write_snapshot t.obs ~dir:t.dir ~seq:(Journal.tip t.journal) t.client
+  in
+  Obs.incr t.obs Obs.K.snapshots;
+  p
 
 let append_unapplied_for_crash_testing t updates =
   require_writable t "append_unapplied_for_crash_testing";
@@ -243,9 +235,6 @@ let append_unapplied_for_crash_testing t updates =
   | ops -> ignore (journal_batch t ~kind:Record.Do ops)
 
 let tip t = Journal.tip t.journal
-let dir t = t.dir
-let header t = Journal.header t.journal
-let batches t = Journal.batches t.journal
 let digest t = Journal.graph_digest (t.client.graph ())
 let writable t = t.writable
 let close t = Journal.close t.journal

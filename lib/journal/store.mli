@@ -102,9 +102,6 @@ val append_unapplied_for_crash_testing :
     discarded afterwards; recovery replays the journaled batch. *)
 
 val tip : t -> int
-val dir : t -> string
-val header : t -> Record.header
-val batches : t -> Record.batch list
 val digest : t -> string
 (** Current graph digest of the attached client. *)
 

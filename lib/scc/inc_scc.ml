@@ -444,8 +444,8 @@ let reproved t c dels =
 
 (* ---- Batch updates (IncSCC) ------------------------------------------ *)
 
-(* G ⊕ ΔG is applied first, in one [Digraph.apply_net] call; the phases
-   below only read G. Each effective update is classified against the
+(* [apply_batch] applies G ⊕ ΔG first, in one [Digraph.apply_net] call;
+   the phases below only read G. Each effective update is classified against the
    components at batch start, and an inter-component one moves its
    endpoints' external degrees at once, so the degree pre-check of
    [reproved] and the upkeep of merges and splits read counts that match
@@ -455,8 +455,7 @@ let reproved t c dels =
    connected. Later deletions of *other* edges keep it valid, and deleting
    the new edge itself can never split (the certificate does not use
    it). *)
-let process t updates =
-  let dels, inss = Digraph.apply_net t.g updates in
+let process t ~dels ~inss =
   (* (a) Intra-component phase: group the deletions by component, then
      run local Tarjan at most once per affected component. Its searches
      read only the component's members, so the inter-component edges
@@ -512,7 +511,8 @@ let process t updates =
 
 let apply_batch t updates =
   Obs.with_apply t.obs @@ fun () ->
-  Obs.with_span t.obs "scc.process" (fun () -> process t updates);
+  let dels, inss = Digraph.apply_net t.g updates in
+  Obs.with_span t.obs "scc.process" (fun () -> process t ~dels ~inss);
   (* Component-id order: the delta lists are consumer-visible. *)
   let added, removed =
     Delta_set.flush t.delta ~obs:t.obs ~compare:compare_shape

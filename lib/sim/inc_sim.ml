@@ -217,8 +217,7 @@ let merge t survivors ccnt =
 (* Support moves against R as it stood at batch start. Insertions add
    theirs before deletions take theirs away, so a counter that reaches 0
    stays there and its pair leaves R in the one cascade. *)
-let process t updates =
-  let dels, inss = Digraph.apply_net t.g updates in
+let process t ~dels ~inss =
   let doomed = Stack.create () in
   List.iter (support t doomed 1) inss;
   List.iter (support t doomed (-1)) dels;
@@ -231,7 +230,8 @@ let process t updates =
 
 let apply_batch t updates =
   Obs.with_apply t.obs @@ fun () ->
-  Obs.with_span t.obs "sim.process" (fun () -> process t updates);
+  let dels, inss = Digraph.apply_net t.g updates in
+  Obs.with_span t.obs "sim.process" (fun () -> process t ~dels ~inss);
   (* Pair order: the delta lists are consumer-visible. *)
   let added, removed =
     Delta_set.flush t.delta ~obs:t.obs ~compare:compare_pair

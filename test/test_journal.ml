@@ -148,14 +148,6 @@ let test_read_record_errors () =
   | Ok _ -> Alcotest.fail "corrupted record decoded"
   | Error (R.Corrupt _) | Error R.Truncated -> ()
 
-let test_op_ids_deterministic () =
-  let op = R.Upsert_edge (3, 7) in
-  let id = R.op_id ~seq:4 ~index:1 op in
-  check Alcotest.int "hex md5 length" 32 (String.length id);
-  check Alcotest.string "derived, stable" id (R.op_id ~seq:4 ~index:1 op);
-  check Alcotest.bool "position-sensitive" false
-    (id = R.op_id ~seq:4 ~index:2 op)
-
 (* ---- op semantics -------------------------------------------------------- *)
 
 let test_effective_ops () =
@@ -494,11 +486,32 @@ let test_truncate_every_boundary () =
             (match J.repair ~path:scratch with
             | Error e -> Alcotest.failf "repair at %d: %s" len e
             | Ok n -> check Alcotest.int "repair drops the tail" (len - last) n);
+            check Alcotest.string
+              (Printf.sprintf "repair at %d keeps the committed prefix" len)
+              (String.sub src 0 s.J.valid_bytes)
+              (read_file scratch);
             (match J.scan ~path:scratch with
             | Ok { J.tail = J.Clean; batches; _ } ->
                 check Alcotest.int "clean after repair" 2 (List.length batches)
             | Ok _ -> Alcotest.failf "still torn after repair at %d" len
             | Error e -> Alcotest.failf "unreadable after repair: %s" e))
+  done;
+  (* Reattaching truncates the torn tail on the way in (the open_append
+     path), to the same committed prefix. *)
+  let jpath = St.journal_path ~dir in
+  for len = last + 1 to String.length src - 1 do
+    write_file jpath (String.sub src 0 len);
+    match St.plan ~dir () with
+    | Error e -> Alcotest.failf "plan at %d: %s" len e
+    | Ok plan -> (
+        let g = Sn.graph plan.St.snapshot in
+        match St.attach ~dir ~plan ~client:(St.graph_client g) () with
+        | Error e -> Alcotest.failf "attach at %d: %s" len e
+        | Ok st ->
+            St.close st;
+            check Alcotest.string
+              (Printf.sprintf "attach at %d keeps the committed prefix" len)
+              (String.sub src 0 last) (read_file jpath))
   done
 
 (* Flip every byte of the final record in turn: the checksummed frame must
@@ -569,7 +582,7 @@ let test_version_1_refused () =
   | Ok _ -> Alcotest.fail "v1 journal scanned");
   let module Json = Ig_obs.Json in
   let v1 =
-    match Sn.to_json (Sn.of_state ~seq:0 ~graph:g ~answer_digest:"" ~certs:[]) with
+    match Sn.to_json ~seq:0 ~graph:g ~answer_digest:"" ~certs:[] with
     | Json.Obj fields ->
         Json.Obj
           (List.map
@@ -642,6 +655,40 @@ let test_do_undo_recover () =
           check Alcotest.string "replay reproduces the digest" d0
             (St.digest st);
           check Alcotest.bool "writable at the tip" true (St.writable st);
+          St.close st)
+
+(* After a reattach, undo's bounds come from the reopened journal: k past
+   the tip or non-positive is refused with the journal untouched, and
+   undoing every batch lands on the base. *)
+let test_undo_errors_after_reattach () =
+  let dir = fresh_dir () in
+  let path = mk_journal_with_batches dir in
+  let n = 3 in
+  match St.plan ~dir () with
+  | Error e -> Alcotest.fail e
+  | Ok plan -> (
+      let g = Sn.graph plan.St.snapshot in
+      match St.attach ~dir ~plan ~client:(St.graph_client g) () with
+      | Error e -> Alcotest.fail e
+      | Ok st ->
+          let size = String.length (read_file path) in
+          let refused k msg =
+            (match St.undo st ~k with
+            | Ok _ -> Alcotest.failf "undo ~k:%d accepted" k
+            | Error e -> check Alcotest.string (Printf.sprintf "k=%d" k) msg e);
+            check Alcotest.int "tip unchanged" n (St.tip st);
+            check Alcotest.int "journal unchanged" size
+              (String.length (read_file path))
+          in
+          refused (n + 1)
+            (Printf.sprintf "undo: only %d batch(es) journaled, asked for %d" n
+               (n + 1));
+          refused 0 "undo: k must be positive";
+          (match St.undo st ~k:n with
+          | Error e -> Alcotest.fail e
+          | Ok _ ->
+              check Alcotest.string "undo of every batch restores the base"
+                (J.graph_digest (mk_graph ())) (St.digest st));
           St.close st)
 
 let test_undo_of_undo_is_redo () =
@@ -727,8 +774,6 @@ let () =
             Alcotest.test_case "all-256-bytes label" `Quick test_all_bytes_label;
             Alcotest.test_case "prefixes and flips error out" `Quick
               test_read_record_errors;
-            Alcotest.test_case "op ids deterministic" `Quick
-              test_op_ids_deterministic;
           ] );
       ( "ops",
         [
@@ -771,6 +816,8 @@ let () =
           Alcotest.test_case "do/undo/recover" `Quick test_do_undo_recover;
           Alcotest.test_case "undo of undo is redo" `Quick
             test_undo_of_undo_is_redo;
+          Alcotest.test_case "undo errors after a reattach" `Quick
+            test_undo_errors_after_reattach;
           Alcotest.test_case "as-of time travel" `Quick test_as_of_time_travel;
           Alcotest.test_case "write-ahead crash" `Quick test_write_ahead_crash;
           Alcotest.test_case "cancelling batch not journaled" `Quick

@@ -71,9 +71,8 @@ let pattern_args = [ "l1\nl2\nl3\n0-1\n1-2"; "l1\nl1\n0-1\n1-0" ]
 let snapshot_json =
   let graph = Io.of_string graph_text in
   Json.to_string
-    (Snapshot.to_json
-       (Snapshot.of_state ~seq:3 ~graph ~answer_digest:"0123abcd"
-          ~certs:[ ("comp", "v0 c0\nv1 c0\n"); ("ranks", "c0\n") ]))
+    (Snapshot.to_json ~seq:3 ~graph ~answer_digest:"0123abcd"
+       ~certs:[ ("comp", "v0 c0\nv1 c0\n"); ("ranks", "c0\n") ])
 
 (* A real report, written by
    bench/main.exe -e fig8a --scale 0.02 --points 1 --out bench_report_seed.json.
