@@ -9,7 +9,6 @@
      rho_sweep      ρ-insensitivity (prose of Exp-1)
      unbounded      Theorem 1 / Fig. 9 empirical unboundedness demo
      sim_delta      graph simulation (the paper's fifth class) vs |ΔG|
-     journal        WAL append/undo/snapshot/recovery throughput (lib/journal)
      trav           batch traversal (Tarjan/NFA/kdist) scaling vs |G|;
                     at --scale 20 the top point is a million-node graph
 
@@ -672,95 +671,6 @@ let rho_sweep id =
   print_table ~title:"ρ-insensitivity of the incremental algorithms"
     ~xlabel:"ratio" ~series:(List.map fst leads) rows
 
-(* ---- journal throughput ------------------------------------------------------------ *)
-
-(* The durability tax (lib/journal): unit updates pushed through the
-   write-ahead store — normalize, frame + checksum + flush, apply, verify
-   the post digest — against raw Digraph.apply on the same stream, plus
-   the undo, snapshot and crash-recovery paths. The store runs over the
-   engine-free graph client, so the numbers isolate journaling cost from
-   engine maintenance (every engine pays the same WAL surcharge). *)
-let journal_throughput id =
-  let module J = Core.Journal in
-  let g = instantiate W.Profiles.synthetic in
-  header id "synthetic" g;
-  (* Under the working directory, so runs from different directories
-     never share it. *)
-  let dir = "incgraph_bench_journal" in
-  if Sys.file_exists dir && Sys.is_directory dir then
-    Array.iter
-      (fun f -> Sys.remove (Filename.concat dir f))
-      (Sys.readdir dir);
-  let base = D.copy g in
-  let n = max 100 (D.n_edges g / 40) in
-  let rng = rng_of_point ("journal", n) in
-  let ups = W.Updates.generate_replay ~rng base ~size:n () in
-  let t_raw =
-    let gr = D.copy base in
-    time (fun () -> List.iter (fun u -> ignore (D.apply gr u)) ups)
-  in
-  let o = Obs.create () in
-  let store =
-    J.Store.init ~obs:o ~dir
-      ~header:(Spec.header ("scc", 0, []) base)
-      ~client:(J.Store.graph_client (D.copy base))
-      ()
-  in
-  Obs.reset o;
-  let t_append =
-    time (fun () ->
-        List.iter (fun u -> ignore (J.Store.do_batch store [ u ])) ups)
-  in
-  let applied = J.Store.tip store in
-  let t_snap = time (fun () -> ignore (J.Store.snapshot store)) in
-  let undo_n = applied / 2 in
-  let t_undo =
-    time (fun () ->
-        for _ = 1 to undo_n do
-          match J.Store.undo store ~k:1 with
-          | Ok _ -> ()
-          | Error e -> failwith ("journal bench: undo: " ^ e)
-        done)
-  in
-  let cell = snapshot o t_append in
-  J.Store.close store;
-  let attach_time ~from_scratch =
-    time (fun () ->
-        match J.Store.plan ~from_scratch ~dir () with
-        | Error e -> failwith ("journal bench: plan: " ^ e)
-        | Ok plan -> (
-            let base' = J.Snapshot.graph plan.J.Store.snapshot in
-            match
-              J.Store.attach ~dir ~plan ~client:(J.Store.graph_client base') ()
-            with
-            | Error e -> failwith ("journal bench: attach: " ^ e)
-            | Ok st -> J.Store.close st))
-  in
-  (* From snapshot-[applied]: replays just the undo tail; from scratch:
-     the whole history. The gap is what snapshot cadence buys. *)
-  let t_rec_snap = attach_time ~from_scratch:false in
-  let t_rec_scratch = attach_time ~from_scratch:true in
-  let title = "Journal throughput — WAL + undo + recovery (synthetic)" in
-  let series = [ "journal" ] in
-  let rows =
-    [
-      (Printf.sprintf "append(%d)" applied, cell);
-      (Printf.sprintf "undo(%d)" undo_n, no_cell t_undo);
-      ("snapshot", no_cell t_snap);
-      ("recover/snap", no_cell t_rec_snap);
-      ("recover/scratch", no_cell t_rec_scratch);
-    ]
-  in
-  List.iter (fun (x, c) -> record ~id ~title ~x ~series [ c ]) rows;
-  print_table ~title ~xlabel:"phase" ~series
-    (List.map (fun (x, c) -> (x, [ c.time ])) rows);
-  Format.printf
-    "raw apply of the same %d updates: %.4fs — WAL surcharge %.1fx, %.0f \
-     journaled op/s@."
-    (List.length ups) t_raw
-    (t_append /. Float.max 1e-9 t_raw)
-    (float_of_int applied /. Float.max 1e-9 t_append)
-
 (* ---- traversal scaling ----------------------------------------------------------- *)
 
 (* Batch traversal kernels against graph size — the regime where the graph
@@ -858,7 +768,6 @@ let experiments : (string * (string -> unit)) list =
     ("opt_gain", opt_gain);
     ("rho_sweep", rho_sweep);
     ("sim_delta", sim_delta);
-    ("journal", journal_throughput);
     ("trav", trav);
     ("unbounded", unbounded);
   ]

@@ -332,7 +332,7 @@ let stream_cmd =
         let flight =
           Option.map
             (fun dir ->
-              if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+              Core.Journal.Store.mkdir_p dir;
               let every = match every with Some n -> n | None -> max 1 size in
               ( Obs.Flight.create ~every ~retain ~deterministic:det ?slo ~dir
                   ~obs:o (),
@@ -1040,11 +1040,13 @@ let journal_cmd =
           `Ok ()
     else
       match chop with
-      | Some n ->
-          J.Log.chop ~path:(J.Store.journal_path ~dir) n;
-          Format.printf "chopped %d byte(s) off %s@." n
-            (J.Store.journal_path ~dir);
-          `Ok ()
+      | Some n -> (
+          let path = J.Store.journal_path ~dir in
+          match J.Log.chop ~path n with
+          | Error e -> `Error (false, e)
+          | Ok () ->
+              Format.printf "chopped %d byte(s) off %s@." n path;
+              `Ok ())
       | None -> (
           if batches <> [] then
             match attach_store ~dir () with

@@ -194,7 +194,12 @@ let run ~scenario ~dir ~steps ~seed ?(emit = fun _ -> ()) () =
       Store.close !store;
       (* The framed record is >= 21 bytes, so chopping at most 8 tears
          exactly the unapplied tail record. *)
-      Journal.chop ~path:(Store.journal_path ~dir) (1 + Random.State.int rng 8);
+      (match
+         Journal.chop ~path:(Store.journal_path ~dir)
+           (1 + Random.State.int rng 8)
+       with
+      | Ok () -> ()
+      | Error e -> failf "step %d (torn): %s" step e);
       let vet plan =
         if plan.Store.dropped = 0 then
           failf "step %d (torn): truncation not detected" step;

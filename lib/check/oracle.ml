@@ -27,12 +27,6 @@ let check inst =
 
 let check_metrics ~prev inst =
   let o = inst.obs in
-  let depth = Ig_obs.Obs.span_depth o in
-  if depth <> 0 then
-    raise
-      (Check_failed
-         (Printf.sprintf "metrics: %d span(s) still open after step: %s" depth
-            (String.concat ", " (Ig_obs.Obs.open_spans o))));
   let cur = Ig_obs.Obs.counters o in
   List.iter
     (fun (k, v) ->

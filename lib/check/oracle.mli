@@ -58,9 +58,9 @@ val check : t -> unit
 
 val check_metrics : prev:(string * int) list -> t -> (string * int) list
 (** Validate the metrics invariants after a step: counters never decrease
-    (relative to the [prev] snapshot), every span opened during the step
-    was closed, and every latency/GC histogram the engine recorded
-    satisfies {!Ig_obs.Histogram.check_invariants} (bucket totals equal
-    the sample count, min ≤ max, sum within [count·min, count·max]).
+    (relative to the [prev] snapshot) and every latency/GC histogram the
+    engine recorded satisfies {!Ig_obs.Histogram.check_invariants}
+    (bucket totals equal the sample count, min ≤ max, sum within
+    [count·min, count·max]).
     Returns the current counter snapshot, to be threaded as [prev] into
     the next call. @raise Check_failed on violation. *)

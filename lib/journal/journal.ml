@@ -76,9 +76,11 @@ let graph_digest g = digest_of_sums (digest_sums g)
 let read_all path =
   In_channel.with_open_bin path In_channel.input_all
 
+let cannot_read path e = Error (Printf.sprintf "cannot read %s: %s" path e)
+
 let scan ~path =
   match read_all path with
-  | exception Sys_error e -> Error (Printf.sprintf "cannot read %s: %s" path e)
+  | exception Sys_error e -> cannot_read path e
   | src ->
       let len = String.length src in
       let mlen = String.length Record.magic in
@@ -133,7 +135,11 @@ let repair ~path =
       Ok dropped
 
 let chop ~path n =
-  Unix.truncate path (max 0 ((Unix.stat path).Unix.st_size - n))
+  match In_channel.with_open_bin path In_channel.length with
+  | exception Sys_error e -> cannot_read path e
+  | len ->
+      Unix.truncate path (max 0 (Int64.to_int len - n));
+      Ok ()
 
 let create ~path hdr =
   let oc = open_out_bin path in
@@ -229,22 +235,6 @@ let graph_digests g ops =
   ( digest_of_sums sums,
     digest_of_sums
       (List.fold_left shift sums (effective_ops g (updates_of_ops ops))) )
-
-let apply_op g = function
-  | Record.Upsert_edge (u, v) -> ignore (Digraph.add_edge g u v)
-  | Record.Tombstone_edge (u, v) -> ignore (Digraph.remove_edge g u v)
-  | Record.Upsert_node (id, l) ->
-      let n = Digraph.n_nodes g in
-      if id < n then () (* already replayed *)
-      else if id = n then ignore (Digraph.add_node g l)
-      else
-        invalid_arg
-          (Printf.sprintf "Journal.apply_op: node id gap (%d, have %d)" id n)
-  | Record.Tombstone_node id ->
-      List.iter (fun w -> ignore (Digraph.remove_edge g id w))
-        (Digraph.succ_list g id);
-      List.iter (fun w -> ignore (Digraph.remove_edge g w id))
-        (Digraph.pred_list g id)
 
 let invert ops =
   let rec go acc = function

@@ -59,8 +59,9 @@ val graph_digest : Ig_graph.Digraph.t -> string
 
 val graph_digests : Ig_graph.Digraph.t -> Record.op list -> string * string
 (** [graph_digests g ops] is [(graph_digest g, post)], where [post] is
-    {!graph_digest} of [g] with [ops] applied in order by {!apply_op} (as
-    {!Ig_graph.Digraph.apply_net} applies them). [g] is not modified.
+    {!graph_digest} of [g] with [ops] applied as
+    {!Ig_graph.Digraph.apply_net} applies their {!updates_of_ops}. [g] is
+    not modified.
     @raise Invalid_argument on node ops (the store journals only edge
     ops) or ops on unknown nodes. *)
 
@@ -89,9 +90,10 @@ val repair : path:string -> (int, string) result
     number of bytes dropped (0 when the file was already clean). The
     committed prefix is never rewritten. *)
 
-val chop : path:string -> int -> unit
+val chop : path:string -> int -> (unit, string) result
 (** Crash injection for tests and the [--chop] CLI flag: remove the last
-    [n] bytes of the file, simulating a torn write. *)
+    [n] bytes of the file, simulating a torn write. [Error] when the file
+    cannot be read, with {!scan}'s message. *)
 
 val append : t -> kind:Record.kind -> ops:Record.op list -> pre:string ->
   post:string -> Record.batch
@@ -120,11 +122,6 @@ val effective_ops :
 val updates_of_ops : Record.op list -> Ig_graph.Digraph.update list
 (** Edge ops as engine updates. @raise Invalid_argument on node ops,
     which cannot be routed through an engine's edge-update entry points. *)
-
-val apply_op : Ig_graph.Digraph.t -> Record.op -> unit
-(** Graph-level (engine-free) replay of one op; idempotent. Node upserts
-    must arrive in id order ([Invalid_argument] on a gap); tombstoned
-    nodes keep their id and lose their incident edges. *)
 
 val invert : Record.op list -> (Record.op list, string) result
 (** The compensating op list: inverses in reverse order. [Error] if any

@@ -10,7 +10,8 @@ type client = {
 
 let graph_client g =
   {
-    apply = List.iter (Journal.apply_op g);
+    apply =
+      (fun ops -> ignore (Digraph.apply_net g (Journal.updates_of_ops ops)));
     graph = (fun () -> g);
     answer_digest = (fun () -> "");
     certs = (fun () -> []);

@@ -39,9 +39,9 @@ type client = {
 }
 
 val graph_client : Ig_graph.Digraph.t -> client
-(** An engine-free client over a bare graph: ops apply via
-    {!Journal.apply_op} (this is what graph-only replay and the
-    journal-throughput benchmark use). *)
+(** An engine-free client over a bare graph, for graph-only replay: ops
+    apply through one {!Ig_graph.Digraph.apply_net} call on their
+    {!Journal.updates_of_ops}, as engine clients take them. *)
 
 type t
 
@@ -55,6 +55,10 @@ type plan = {
 }
 
 val journal_path : dir:string -> string
+
+val mkdir_p : string -> unit
+(** Create a directory and its missing parents; an existing one is left
+    as it is. *)
 
 val init :
   ?obs:Ig_obs.Obs.t -> dir:string -> header:Record.header ->

@@ -168,7 +168,7 @@ let d4_storage_files =
 
 let obs_probe_fns =
   [
-    "observe"; "observe_time"; "with_span"; "with_apply"; "span_begin";
+    "observe"; "observe_time"; "with_span"; "with_apply";
     "incr"; "add"; "set_gauge"; "enabled"; "note_changed_input";
   ]
 

@@ -25,7 +25,6 @@ type registry = {
   counters : (string, int ref) Hashtbl.t;
   gauges : (string, int ref) Hashtbl.t;
   spans : (string, int ref * float ref) Hashtbl.t; (* entries, cumulative s *)
-  mutable span_stack : (string * float) list;
   histos : (string, Histogram.t) Hashtbl.t;
   ring : Tracer.t option; (* the event ring, when created with ~events *)
 }
@@ -49,7 +48,6 @@ let create ?events () =
       counters = Hashtbl.create 16;
       gauges = Hashtbl.create 8;
       spans = Hashtbl.create 8;
-      span_stack = [];
       histos = Hashtbl.create 8;
       ring;
     }
@@ -179,27 +177,18 @@ let gauge t name =
 
 (* ---- scoped spans ---------------------------------------------------------- *)
 
-let span_depth = function Noop -> 0 | Reg r -> List.length r.span_stack
-
-(* Names of the currently open spans, innermost first. *)
-let open_spans = function Noop -> [] | Reg r -> List.map fst r.span_stack
-
-let span_begin t name =
+(* A span is a scope: [Fun.protect] closes it on every exit, so its entry
+   time lives in this frame. *)
+let with_span t name f =
   match t with
-  | Noop -> ()
+  | Noop -> f ()
   | Reg r ->
       (match r.ring with
       | Some b -> Tracer.push b (Tracer.Span_begin name)
       | None -> ());
-      r.span_stack <- (name, now_s ()) :: r.span_stack
-
-let span_end t name =
-  match t with
-  | Noop -> ()
-  | Reg r -> (
-      match r.span_stack with
-      | (top, t0) :: rest when top = name ->
-          r.span_stack <- rest;
+      let t0 = now_s () in
+      Fun.protect
+        ~finally:(fun () ->
           let entries, total =
             match Hashtbl.find_opt r.spans name with
             | Some cell -> cell
@@ -210,22 +199,10 @@ let span_end t name =
           in
           entries := !entries + 1;
           total := !total +. (now_s () -. t0);
-          (match r.ring with
+          match r.ring with
           | Some b -> Tracer.push b (Tracer.Span_end name)
           | None -> ())
-      | (top, _) :: _ ->
-          invalid_arg
-            (Printf.sprintf "Obs.span_end: %s closed while %s is open" name top)
-      | [] ->
-          invalid_arg
-            (Printf.sprintf "Obs.span_end: %s closed but no span is open" name))
-
-let with_span t name f =
-  match t with
-  | Noop -> f ()
-  | Reg _ ->
-      span_begin t name;
-      Fun.protect ~finally:(fun () -> span_end t name) f
+        f
 
 let span t name =
   match t with
@@ -373,7 +350,6 @@ let reset = function
       Hashtbl.reset r.gauges;
       Hashtbl.reset r.spans;
       Hashtbl.reset r.histos;
-      r.span_stack <- [];
       Option.iter Tracer.clear r.ring
 
 (* Counter snapshot difference: what a single update contributed. Keys are

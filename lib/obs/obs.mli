@@ -24,8 +24,8 @@
 
     {2 Clock contract}
 
-    Every duration this module measures — {!span_begin} / {!span_end},
-    {!with_span}, {!with_apply} — is taken on the system
+    Every duration this module measures — {!with_span},
+    {!observe_time}, {!with_apply} — is taken on the system
     monotonic clock ([CLOCK_MONOTONIC], nanosecond resolution), never the
     wall clock. Consequences:
 
@@ -188,24 +188,15 @@ val note_changed_output : t -> int -> unit
 val set_gauge : t -> string -> int -> unit
 val gauge : t -> string -> int
 
-(** {2 Spans} — LIFO-scoped timed sections. *)
-
-val span_begin : t -> string -> unit
-
-val span_end : t -> string -> unit
-(** @raise Invalid_argument when [name] is not the innermost open span. *)
+(** {2 Spans} — scoped timed sections. *)
 
 val with_span : t -> string -> (unit -> 'a) -> 'a
-(** Exception-safe [span_begin]/[span_end] pair. On a sink with events,
-    {!span_begin} and {!span_end} also record [Span_begin]/[Span_end]. *)
+(** Time the thunk as one entry of span [name], closing it however the
+    thunk exits. On a sink with events, records [Span_begin] before the
+    thunk runs and [Span_end] after it returns or raises. *)
 
 val span : t -> string -> int * float
 (** [(entries, cumulative seconds)] for a span name. *)
-
-val span_depth : t -> int
-
-val open_spans : t -> string list
-(** Names of the currently open spans, innermost first. *)
 
 (** {2 Events} — the ring of a sink created with [~events]. Every
     probe is a no-op on {!noop}; on a sink without a ring the counting
@@ -277,8 +268,8 @@ val gauges : t -> (string * int) list
 val spans : t -> (string * (int * float)) list
 
 val reset : t -> unit
-(** Clear everything (including histograms, the open-span stack and the
-    events); the sink stays live. *)
+(** Clear everything (including histograms and the events); the sink
+    stays live. *)
 
 val diff_counters :
   prev:(string * int) list -> cur:(string * int) list -> (string * int) list

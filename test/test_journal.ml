@@ -173,15 +173,16 @@ let test_effective_ops () =
   check Alcotest.bool "graph unmodified" false (D.mem_edge g 4 5);
   check Alcotest.bool "graph unmodified" true (D.mem_edge g 0 1)
 
-let test_apply_op_idempotent () =
+let test_client_apply_idempotent () =
   let g = mk_graph () in
+  let apply = (St.graph_client g).St.apply in
   let d0 = J.graph_digest g in
-  J.apply_op g (R.Upsert_edge (4, 5));
+  apply [ R.Upsert_edge (4, 5) ];
   let d1 = J.graph_digest g in
-  J.apply_op g (R.Upsert_edge (4, 5));
+  apply [ R.Upsert_edge (4, 5) ];
   check Alcotest.string "second upsert is a no-op" d1 (J.graph_digest g);
-  J.apply_op g (R.Tombstone_edge (4, 5));
-  J.apply_op g (R.Tombstone_edge (4, 5));
+  apply [ R.Tombstone_edge (4, 5) ];
+  apply [ R.Tombstone_edge (4, 5) ];
   check Alcotest.string "tombstones idempotent too" d0 (J.graph_digest g)
 
 let test_invert () =
@@ -319,7 +320,7 @@ let qcheck_digest_after =
       let before = J.graph_digest g in
       let pre, got = J.graph_digests g c.ops in
       let copy = D.copy g in
-      List.iter (J.apply_op copy) c.ops;
+      D.apply_batch copy (J.updates_of_ops c.ops);
       String.equal got (J.graph_digest copy)
       && String.equal pre before
       && String.equal before (J.graph_digest g))
@@ -353,7 +354,7 @@ let qcheck_effective_ops =
         | _ -> false
       in
       let via_ops = D.copy g and via_batch = D.copy g in
-      List.iter (J.apply_op via_ops) ops;
+      D.apply_batch via_ops (J.updates_of_ops ops);
       D.apply_batch via_batch us;
       List.length (List.sort_uniq compare edges) = List.length edges
       && dels_first ops
@@ -366,7 +367,7 @@ let test_digest_after_cases () =
   let after g ops = snd (J.graph_digests g ops) in
   let same ops =
     let copy = D.copy g in
-    List.iter (J.apply_op copy) ops;
+    D.apply_batch copy (J.updates_of_ops ops);
     J.graph_digest copy
   in
   List.iter
@@ -780,7 +781,7 @@ let () =
           Alcotest.test_case "effective normalization" `Quick
             test_effective_ops;
           Alcotest.test_case "idempotent replay" `Quick
-            test_apply_op_idempotent;
+            test_client_apply_idempotent;
           Alcotest.test_case "inversion" `Quick test_invert;
         ]
         @ qsuite [ qcheck_effective_ops ] );

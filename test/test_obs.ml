@@ -77,49 +77,34 @@ let test_gauges () =
 
 (* ---- registry: spans -------------------------------------------------------- *)
 
+(* The span events of [o]'s ring, in order. *)
+let span_events o =
+  List.filter_map
+    (fun e ->
+      match e.T.event with
+      | T.Span_begin n -> Some ("begin " ^ n)
+      | T.Span_end n -> Some ("end " ^ n)
+      | _ -> None)
+    (O.events o).T.entries
+
 let test_span_nesting () =
-  let o = O.create () in
-  check Alcotest.int "empty stack" 0 (O.span_depth o);
-  O.with_span o "outer" (fun () ->
-      check Alcotest.int "depth 1" 1 (O.span_depth o);
-      O.with_span o "inner" (fun () ->
-          check Alcotest.int "depth 2" 2 (O.span_depth o));
-      check Alcotest.int "inner closed" 1 (O.span_depth o));
-  check Alcotest.int "stack empties" 0 (O.span_depth o);
+  let o = O.create ~events:16 () in
+  O.with_span o "outer" (fun () -> O.with_span o "inner" (fun () -> ()));
+  check
+    Alcotest.(list string)
+    "inner closes before outer"
+    [ "begin outer"; "begin inner"; "end inner"; "end outer" ]
+    (span_events o);
   check Alcotest.int "outer entered once" 1 (fst (O.span o "outer"));
   check Alcotest.int "inner entered once" 1 (fst (O.span o "inner"))
 
-let test_span_mismatch_rejected () =
-  let o = O.create () in
-  O.span_begin o "a";
-  Alcotest.check_raises "LIFO violation"
-    (Invalid_argument "Obs.span_end: b closed while a is open") (fun () ->
-      O.span_end o "b");
-  O.span_end o "a";
-  Alcotest.check_raises "nothing open"
-    (Invalid_argument "Obs.span_end: a closed but no span is open") (fun () ->
-      O.span_end o "a")
-
-let test_open_spans () =
-  let o = O.create () in
-  check Alcotest.(list string) "empty" [] (O.open_spans o);
-  O.span_begin o "outer";
-  O.span_begin o "inner";
-  check
-    Alcotest.(list string)
-    "innermost first"
-    [ "inner"; "outer" ]
-    (O.open_spans o);
-  O.span_end o "inner";
-  O.span_end o "outer";
-  check Alcotest.(list string) "empty again" [] (O.open_spans o);
-  check Alcotest.(list string) "noop has none" [] (O.open_spans O.noop)
-
 let test_span_exception_safe () =
-  let o = O.create () in
+  let o = O.create ~events:16 () in
   (try O.with_span o "risky" (fun () -> failwith "boom") with
   | Failure _ -> ());
-  check Alcotest.int "span closed despite raise" 0 (O.span_depth o);
+  check
+    Alcotest.(list string)
+    "span closed despite raise" [ "begin risky"; "end risky" ] (span_events o);
   check Alcotest.int "entry recorded" 1 (fst (O.span o "risky"))
 
 (* ---- registry: reset --------------------------------------------------------- *)
@@ -129,12 +114,10 @@ let test_reset () =
   O.add o "a" 5;
   O.set_gauge o "g" 1;
   O.with_span o "s" (fun () -> ());
-  O.span_begin o "open";
   O.reset o;
   check Alcotest.int "counters cleared" 0 (O.counter o "a");
   check Alcotest.int "gauges cleared" 0 (O.gauge o "g");
   check Alcotest.int "spans cleared" 0 (fst (O.span o "s"));
-  check Alcotest.int "open span stack emptied" 0 (O.span_depth o);
   check Alcotest.bool "still enabled after reset" true (O.enabled o)
 
 (* ---- the disabled sink is a true no-op ---------------------------------------- *)
@@ -147,13 +130,10 @@ let test_noop_sink () =
   O.incr o "x";
   O.set_gauge o "g" 9;
   O.note_changed_input o 4;
-  O.span_begin o "s";
-  O.span_end o "never-opened" (* mismatch invisible: nothing is tracked *);
   let r = O.with_span o "w" (fun () -> 7) in
   check Alcotest.int "with_span passes through" 7 r;
   check Alcotest.int "counter" 0 (O.counter o "x");
   check Alcotest.int "gauge" 0 (O.gauge o "g");
-  check Alcotest.int "span depth" 0 (O.span_depth o);
   check Alcotest.bool "all snapshots empty" true
     (O.counters o = [] && O.gauges o = [] && O.spans o = [])
 
@@ -600,8 +580,7 @@ let test_monotonic_durations () =
      raw clock never steps backwards across calls. *)
   let o = O.create () in
   for _ = 1 to 100 do
-    O.span_begin o "s";
-    O.span_end o "s"
+    O.with_span o "s" (fun () -> ())
   done;
   let _, span_total = O.span o "s" in
   if span_total < 0.0 then Alcotest.failf "negative span total %g" span_total;
@@ -748,9 +727,6 @@ let () =
           Alcotest.test_case "diff_counters" `Quick test_diff_counters;
           Alcotest.test_case "gauges" `Quick test_gauges;
           Alcotest.test_case "span nesting" `Quick test_span_nesting;
-          Alcotest.test_case "span mismatch rejected" `Quick
-            test_span_mismatch_rejected;
-          Alcotest.test_case "open span names" `Quick test_open_spans;
           Alcotest.test_case "spans survive exceptions" `Quick
             test_span_exception_safe;
           Alcotest.test_case "reset" `Quick test_reset;
