@@ -29,10 +29,10 @@
 
    Besides the tables printed to stdout, every data point is recorded —
    timings, per-engine Obs counter snapshots (measured |AFF|, |CHANGED|,
-   work counters), speedups against the batch baseline, and (schema v2)
-   the per-update latency histograms plus GC/allocation deltas the
-   engines record through Obs.with_apply — into a schema-versioned json
-   report (see lib/obs/report.ml and EXPERIMENTS.md).
+   work counters), and the per-update latency histograms plus
+   GC/allocation deltas the engines record through Obs.with_apply — into
+   a schema-versioned json report (see lib/obs/report.ml and
+   EXPERIMENTS.md).
 
    Every comparison experiment (fig8a..fig8p, unit_updates, opt_gain,
    rho_sweep, sim_delta) reads its engines from one table, [table] below:
@@ -161,17 +161,7 @@ let snapshot o time =
 let no_cell time = { time; ctrs = []; hists = [] }
 let report = ref None
 
-(* GC words per batch, summarized from the gc_* histograms: total words
-   over the cell's updates, keyed by stat name minus the gc_ prefix. *)
-let gc_of_hists hists =
-  List.filter_map
-    (fun (k, h) ->
-      if String.length k > 3 && String.sub k 0 3 = "gc_" then
-        Some (String.sub k 3 (String.length k - 3), Histogram.sum h)
-      else None)
-    hists
-
-let record ~id ~title ~x ~series ?(batch = -1) cells =
+let record ~id ~title ~x ~series cells =
   match !report with
   | None -> ()
   | Some r ->
@@ -184,21 +174,7 @@ let record ~id ~title ~x ~series ?(batch = -1) cells =
           (fun (s, c) -> if c.hists = [] then None else Some (s, c.hists))
           named
       in
-      let gc =
-        List.filter_map
-          (fun (s, c) ->
-            match gc_of_hists c.hists with [] -> None | g -> Some (s, g))
-          named
-      in
-      let speedup =
-        if batch < 0 then []
-        else
-          let bt = (List.nth cells batch).time in
-          List.map
-            (fun (s, c) -> (s, bt /. Float.max 1e-9 c.time))
-            (List.filteri (fun i _ -> i <> batch) named)
-      in
-      Report.add_point e ~x ~timings ~counters ~speedup ~histograms ~gc ()
+      Report.add_point e ~x ~timings ~counters ~histograms ()
 
 (* ---- table printing ------------------------------------------------------- *)
 
@@ -450,7 +426,7 @@ let emit ~id ~title ~xlabel points =
   let trows =
     List.map
       (fun (_, x, cells) ->
-        record ~id ~title ~x ~series ~batch:(batch_col row) cells;
+        record ~id ~title ~x ~series cells;
         (x, cell_times cells))
       points
   in
@@ -599,7 +575,7 @@ let unit_updates id =
         by_column (List.map (fun rep -> List.map (per_unit rep) columns) reps)
       in
       record ~id ~title:"Unit updates: seconds per update (dbpedia)"
-        ~x:row.name ~series:(List.map series columns) ~batch:1 cells;
+        ~x:row.name ~series:(List.map series columns) cells;
       let inc = List.hd cells and batch = List.nth cells 1 in
       Format.printf
         "%-8s per unit update: inc %.2fus  batch rerun %.2fus  speedup %.0fx@."

@@ -767,13 +767,13 @@ let fuzz_cmd =
   in
   let steps =
     Arg.(
-      value & opt int 1000
+      value & opt pos_int 1000
       & info [ "steps" ] ~doc:"Unit updates per scenario." ~docv:"N")
   in
   let nodes =
     Arg.(
       value
-      & opt int C.Scenarios.default_size.C.Scenarios.nodes
+      & opt pos_int C.Scenarios.default_size.C.Scenarios.nodes
       & info [ "nodes" ] ~doc:"Base graph node count." ~docv:"N")
   in
   let edges =
@@ -785,7 +785,7 @@ let fuzz_cmd =
   let labels =
     Arg.(
       value
-      & opt int C.Scenarios.default_size.C.Scenarios.labels
+      & opt pos_int C.Scenarios.default_size.C.Scenarios.labels
       & info [ "labels" ] ~doc:"Base graph label alphabet size." ~docv:"N")
   in
   let out_dir =

@@ -59,7 +59,6 @@ type t = {
   out_deg : int Vec.t;
   in_deg : int Vec.t;
   mutable n_edges : int;
-  mutable overlay : int; (* live entries across the four overlay tables *)
   mutable overlay_adds : int; (* live entries in the two add tables *)
   mutable overlay_dels : int; (* live tombstones in the two del tables *)
   (* Instrumentation sink, default noop. Engines attach their registry
@@ -87,7 +86,6 @@ let create ?(hint = 16) () =
       out_deg = Vec.create ();
       in_deg = Vec.create ();
       n_edges = 0;
-      overlay = 0;
       overlay_adds = 0;
       overlay_dels = 0;
       obs = Obs.noop;
@@ -120,7 +118,7 @@ let interner g = g.interner
 let intern_label g s = Interner.intern g.interner s
 let n_nodes g = Vec.length g.labels
 let n_edges g = g.n_edges
-let overlay_size g = g.overlay
+let overlay_size g = g.overlay_adds + g.overlay_dels
 
 let mem_node g v = v >= 0 && v < n_nodes g
 
@@ -252,7 +250,7 @@ let rebuild g (off : ba) (adj : ba) ~adds ~dels ~m =
 let compact g =
   (* Read the clock only when a registry is attached: the noop path must
      stay free of clock syscalls (the zero-overhead acceptance gate). *)
-  let absorbed = g.overlay in
+  let absorbed = overlay_size g in
   let t0 = if Obs.enabled g.obs then Obs.now_ns () else 0L in
   let n = n_nodes g in
   let s_off, s_adj =
@@ -272,7 +270,6 @@ let compact g =
     Vec.set g.pred_add v [];
     Vec.set g.pred_del v []
   done;
-  g.overlay <- 0;
   g.overlay_adds <- 0;
   g.overlay_dels <- 0;
   if Obs.enabled g.obs then begin
@@ -287,7 +284,8 @@ let compact g =
   end;
   Obs.compaction g.obs ~edges:g.n_edges ~overlay:absorbed
 
-let maybe_compact g = if g.overlay > max 64 (g.n_edges asr 3) then compact g
+let maybe_compact g =
+  if overlay_size g > max 64 (g.n_edges asr 3) then compact g
 
 (* ---- updates ---- *)
 
@@ -304,7 +302,6 @@ let link g u v =
      (* A tombstoned base edge coming back: drop the tombstones. *)
      Vec.set g.succ_del u dels';
      Vec.set g.pred_del v (remove_sorted u (Vec.get g.pred_del v));
-     g.overlay <- g.overlay - 2;
      g.overlay_dels <- g.overlay_dels - 2;
      true
    end
@@ -317,7 +314,6 @@ let link g u v =
      && begin
        Vec.set g.succ_add u adds';
        Vec.set g.pred_add v (insert_sorted u (Vec.get g.pred_add v));
-       g.overlay <- g.overlay + 2;
        g.overlay_adds <- g.overlay_adds + 2;
        true
      end)
@@ -334,7 +330,6 @@ let unlink g u v =
   (if adds' != adds then begin
      Vec.set g.succ_add u adds';
      Vec.set g.pred_add v (remove_sorted u (Vec.get g.pred_add v));
-     g.overlay <- g.overlay - 2;
      g.overlay_adds <- g.overlay_adds - 2;
      true
    end
@@ -347,7 +342,6 @@ let unlink g u v =
      && begin
        Vec.set g.succ_del u dels';
        Vec.set g.pred_del v (insert_sorted u (Vec.get g.pred_del v));
-       g.overlay <- g.overlay + 2;
        g.overlay_dels <- g.overlay_dels + 2;
        true
      end)
@@ -389,7 +383,7 @@ let remove_edge g u v =
    deduplicated once, and one compaction turns the overlay into the base:
    O(m log d) instead of m sorted-list inserts and their compactions. *)
 let load_edges g es =
-  if g.n_edges <> 0 || g.overlay <> 0 then
+  if g.n_edges <> 0 || overlay_size g <> 0 then
     invalid_arg "Digraph.load_edges: graph already has edges";
   List.iter
     (fun (u, v) ->
@@ -409,8 +403,7 @@ let load_edges g es =
     g.n_edges <- g.n_edges + settle g.succ_add g.out_deg v;
     ignore (settle g.pred_add g.in_deg v)
   done;
-  g.overlay <- 2 * g.n_edges;
-  g.overlay_adds <- g.overlay;
+  g.overlay_adds <- 2 * g.n_edges;
   compact g
 
 let apply g = function

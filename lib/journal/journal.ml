@@ -135,11 +135,13 @@ let repair ~path =
       Ok dropped
 
 let chop ~path n =
-  match In_channel.with_open_bin path In_channel.length with
-  | exception Sys_error e -> cannot_read path e
-  | len ->
-      Unix.truncate path (max 0 (Int64.to_int len - n));
-      Ok ()
+  if n < 0 then Error (Printf.sprintf "chop: %d is negative" n)
+  else
+    match In_channel.with_open_bin path In_channel.length with
+    | exception Sys_error e -> cannot_read path e
+    | len ->
+        Unix.truncate path (max 0 (Int64.to_int len - n));
+        Ok ()
 
 let create ~path hdr =
   let oc = open_out_bin path in
@@ -218,8 +220,9 @@ let updates_of_ops ops =
             ^ Record.op_to_string op))
     ops
 
-(* [post] is [pre]'s sums shifted by the terms of the edges the batch's
-   effective ops change: O(|ops|) beyond [pre]'s pass. *)
+(* [post] is [pre]'s sums shifted by the terms of the edges [ops] change:
+   O(|ops|) beyond [pre]'s pass. [ops] are {!effective_ops} for [g], so
+   each one changes [g] and none is shifted twice. *)
 let graph_digests g ops =
   let shift (a, b) = function
     | Record.Upsert_edge (u, v) ->
@@ -228,13 +231,13 @@ let graph_digests g ops =
     | Record.Tombstone_edge (u, v) ->
         let k = edge_key u v in
         (a - mix_a k, b - mix_b k)
-    | Record.Upsert_node _ | Record.Tombstone_node _ ->
-        assert false (* [effective_ops] yields edge ops only *)
+    | (Record.Upsert_node _ | Record.Tombstone_node _) as op ->
+        invalid_arg
+          ("Journal.graph_digests: node op has no edge term: "
+          ^ Record.op_to_string op)
   in
   let sums = digest_sums g in
-  ( digest_of_sums sums,
-    digest_of_sums
-      (List.fold_left shift sums (effective_ops g (updates_of_ops ops))) )
+  (digest_of_sums sums, digest_of_sums (List.fold_left shift sums ops))
 
 let invert ops =
   let rec go acc = function

@@ -58,12 +58,13 @@ type scanned = {
 val graph_digest : Ig_graph.Digraph.t -> string
 
 val graph_digests : Ig_graph.Digraph.t -> Record.op list -> string * string
-(** [graph_digests g ops] is [(graph_digest g, post)], where [post] is
-    {!graph_digest} of [g] with [ops] applied as
-    {!Ig_graph.Digraph.apply_net} applies their {!updates_of_ops}. [g] is
-    not modified.
+(** [graph_digests g ops] is [(graph_digest g, post)], where [ops] are
+    as {!effective_ops} returns them for [g] and [post] is
+    {!graph_digest} of [g] with [ops] applied. [g] is not modified, and
+    [ops] are not checked against it: each term is shifted as given, so
+    an op that would not change [g] gives a wrong [post].
     @raise Invalid_argument on node ops (the store journals only edge
-    ops) or ops on unknown nodes. *)
+    ops). *)
 
 val digest_hex : string -> string
 (** Hex MD5 of a string. *)
@@ -92,8 +93,9 @@ val repair : path:string -> (int, string) result
 
 val chop : path:string -> int -> (unit, string) result
 (** Crash injection for tests and the [--chop] CLI flag: remove the last
-    [n] bytes of the file, simulating a torn write. [Error] when the file
-    cannot be read, with {!scan}'s message. *)
+    [n] bytes of the file, simulating a torn write. [Error], with the
+    file left alone, when [n] is negative or the file cannot be read
+    (with {!scan}'s message). *)
 
 val append : t -> kind:Record.kind -> ops:Record.op list -> pre:string ->
   post:string -> Record.batch

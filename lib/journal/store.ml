@@ -48,9 +48,8 @@ let rec mkdir_p dir =
    path. *)
 let write_snapshot obs ~dir ~seq client =
   Obs.with_span obs "snapshot_write" @@ fun () ->
-  Obs.observe_time obs Obs.K.snapshot_write_latency (fun () ->
-      Snapshot.write ~dir ~seq ~graph:(client.graph ())
-        ~answer_digest:(client.answer_digest ()) ~certs:(client.certs ()))
+  Snapshot.write ~dir ~seq ~graph:(client.graph ())
+    ~answer_digest:(client.answer_digest ()) ~certs:(client.certs ())
 
 let init ?(obs = Obs.noop) ~dir ~header ~client () =
   mkdir_p dir;
@@ -150,8 +149,7 @@ let attach ?(obs = Obs.noop) ~dir ~plan ~client () =
       in
       match
         Obs.with_span obs "journal_replay" (fun () ->
-            Obs.observe_time obs Obs.K.journal_replay_latency (fun () ->
-                replay snapshot_digest plan.replay))
+            replay snapshot_digest plan.replay)
       with
       | Error e -> Error e
       | Ok () -> (
@@ -201,25 +199,23 @@ let do_batch t updates =
 let undo t ~k =
   require_writable t "undo";
   Obs.with_span t.obs "journal_undo" @@ fun () ->
-  Obs.observe_time t.obs Obs.K.journal_undo_latency (fun () ->
-      match Journal.plan_undo t.journal ~k with
-      | Error e -> Error e
-      | Ok (ops, expected) ->
-          let pre = Journal.graph_digest (t.client.graph ()) in
-          let b =
-            Journal.append t.journal ~kind:(Record.Undo k) ~ops ~pre
-              ~post:expected
-          in
-          Obs.add t.obs Obs.K.journal_ops (List.length ops);
-          Obs.incr t.obs Obs.K.journal_undone;
-          t.client.apply ops;
-          let got = Journal.graph_digest (t.client.graph ()) in
-          if not (String.equal got expected) then
-            Error
-              (Printf.sprintf
-                 "undo %d: rolled-back digest %s, journaled pre-state %s" k got
-                 expected)
-          else Ok b)
+  match Journal.plan_undo t.journal ~k with
+  | Error e -> Error e
+  | Ok (ops, expected) ->
+      let pre = Journal.graph_digest (t.client.graph ()) in
+      let b =
+        Journal.append t.journal ~kind:(Record.Undo k) ~ops ~pre ~post:expected
+      in
+      Obs.add t.obs Obs.K.journal_ops (List.length ops);
+      Obs.incr t.obs Obs.K.journal_undone;
+      t.client.apply ops;
+      let got = Journal.graph_digest (t.client.graph ()) in
+      if not (String.equal got expected) then
+        Error
+          (Printf.sprintf
+             "undo %d: rolled-back digest %s, journaled pre-state %s" k got
+             expected)
+      else Ok b
 
 let snapshot t =
   require_writable t "snapshot";

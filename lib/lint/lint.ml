@@ -152,8 +152,9 @@ let d4_entry_points = [ "apply_batch" ]
 
 (* The storage half of D4: the graph and the durability layer also
    promise deep instrumentation (DESIGN.md §8.6) — every effective edge
-   mutation counts one unit of |ΔG|, and compaction, WAL append/fsync,
-   replay, undo and snapshot latencies all land in the registry. These
+   mutation counts one unit of |ΔG|, compaction and WAL append/fsync
+   latencies land in the registry as histograms, and commit, replay,
+   undo and snapshot times land there as spans. These
    entry points must carry at least one Obs probe
    (observe/observe_time/with_span/incr/add/set_gauge/note_changed_input,
    or the enabled gate guarding a hand-rolled clock read) somewhere in

@@ -124,9 +124,6 @@ module K = struct
      every clock-derived histogram by suffix. *)
   let wal_append_latency = "wal_append_latency_s"
   let wal_fsync_latency = "wal_fsync_latency_s"
-  let journal_replay_latency = "journal_replay_latency_s"
-  let journal_undo_latency = "journal_undo_latency_s"
-  let snapshot_write_latency = "snapshot_write_latency_s"
   let journal_bytes = "journal_bytes"
 end
 

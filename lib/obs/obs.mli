@@ -151,15 +151,6 @@ module K : sig
   val wal_fsync_latency : string
   (** Histogram of seconds per journal fsync. *)
 
-  val journal_replay_latency : string
-  (** Histogram of seconds per recovery replay pass. *)
-
-  val journal_undo_latency : string
-  (** Histogram of seconds per compensating undo batch. *)
-
-  val snapshot_write_latency : string
-  (** Histogram of seconds per certificate snapshot write. *)
-
   val journal_bytes : string
   (** Gauge: bytes in the journal file after the last append. *)
 end

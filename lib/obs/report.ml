@@ -4,7 +4,7 @@
    list of experiments, each a list of data points. A point carries the
    x-axis label, per-series wall-clock timings (seconds), per-series
    counter snapshots (the Obs counters of the engine that produced the
-   series), and per-series speedups against the point's batch baseline.
+   series), and per-series histograms.
 
    Schema (version 2, the only one read or written):
 
@@ -18,15 +18,17 @@
              { "x": <string>,
                "timings": { <series>: <seconds>, ... },
                "counters": { <series>: { <counter>: <int>, ... }, ... },
-               "speedup_vs_batch": { <series>: <ratio>, ... },
-               "histograms": { <series>: { <name>: <histogram>, ... }, ... },
-               "gc": { <series>: { <stat>: <words>, ... }, ... } } ] } ] }
+               "histograms": { <series>: { <name>: <histogram>, ... }, ... }
+             } ] } ] }
 
    The "histograms" section carries {!Histogram.to_json} values — per-
-   update latency ("apply_latency_s") and GC-delta distributions — and
-   "gc" the per-point word totals. Both are present on every point,
-   empty for a series that keeps no registry (batch baselines). Two runs
-   are compared by joining on
+   update latency ("apply_latency_s") and GC-delta distributions ("gc_*",
+   whose sums are a point's allocation totals). It is present on every
+   point, empty for a series that keeps no registry (batch baselines).
+   Older reports of this version also carry two sections derived from
+   "timings" and "histograms" (each series' speedup over the batch series,
+   and the "gc_*" sums); the reader ignores them, as it ignores every
+   member it does not look up. Two runs are compared by joining on
    (experiment id, point x, series); see {!compare_reports}. *)
 
 let schema_version = 2
@@ -35,9 +37,7 @@ type point = {
   x : string;
   timings : (string * float) list;
   counters : (string * (string * int) list) list;
-  speedup : (string * float) list;
   hists : (string * (string * Histogram.t) list) list;
-  gc : (string * (string * float) list) list;
 }
 
 type experiment = {
@@ -64,15 +64,13 @@ let experiment t ~id ~title =
       t.experiments <- e :: t.experiments;
       e
 
-let add_point e ~x ?(timings = []) ?(counters = []) ?(speedup = [])
-    ?(histograms = []) ?(gc = []) () =
+let add_point e ~x ?(timings = []) ?(counters = []) ?(histograms = []) () =
   let counters = List.filter (fun (_, cs) -> cs <> []) counters in
   let hists = List.filter (fun (_, hs) -> hs <> []) histograms in
-  let gc = List.filter (fun (_, ws) -> ws <> []) gc in
-  e.points <- { x; timings; counters; speedup; hists; gc } :: e.points
+  e.points <- { x; timings; counters; hists } :: e.points
 
 let point_to_json p =
-  let base =
+  Json.Obj
     [
       ("x", Json.Str p.x);
       ( "timings",
@@ -83,28 +81,15 @@ let point_to_json p =
              (fun (series, cs) ->
                (series, Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) cs)))
              p.counters) );
-      ( "speedup_vs_batch",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) p.speedup) );
+      ( "histograms",
+        Json.Obj
+          (List.map
+             (fun (series, hs) ->
+               ( series,
+                 Json.Obj (List.map (fun (k, h) -> (k, Histogram.to_json h)) hs)
+               ))
+             p.hists) );
     ]
-  in
-  Json.Obj
-    (base
-    @ [
-        ( "histograms",
-          Json.Obj
-            (List.map
-               (fun (series, hs) ->
-                 ( series,
-                   Json.Obj
-                     (List.map (fun (k, h) -> (k, Histogram.to_json h)) hs) ))
-               p.hists) );
-        ( "gc",
-          Json.Obj
-            (List.map
-               (fun (series, ws) ->
-                 (series, Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) ws)))
-               p.gc) );
-      ])
 
 let to_json t =
   Json.Obj
@@ -158,16 +143,13 @@ let point_of_json eid p =
   in
   let* timings = field p "timings" "object" Json.to_obj_opt in
   let* counters = field p "counters" "object" Json.to_obj_opt in
-  let* speedup = field p "speedup_vs_batch" "object" Json.to_obj_opt in
   let number (k, v) =
     match Json.to_float_opt v with
     | Some f -> Ok (k, f)
     | None -> fail "timing %S is not a number" k
   in
   let* timings = decode_all number timings in
-  let* speedup = decode_all number speedup in
   let* hists = field p "histograms" "object" Json.to_obj_opt in
-  let* gc = field p "gc" "object" Json.to_obj_opt in
   (* A per-series section: an object of objects, each value through [f]. *)
   let section name f (series, j) =
     match Json.to_obj_opt j with
@@ -184,14 +166,6 @@ let point_of_json eid p =
            | Error e -> fail "%s/%s: %s" series k e))
       hists
   in
-  let* gc =
-    decode_all
-      (section "gc" (fun series (k, v) ->
-           match Json.to_float_opt v with
-           | Some w -> Ok (k, w)
-           | None -> fail "gc stat %s/%s is not a number" series k))
-      gc
-  in
   let* counters =
     decode_all
       (section "counters" (fun series (k, v) ->
@@ -200,7 +174,7 @@ let point_of_json eid p =
            | _ -> fail "counter %s/%s is not a non-negative int" series k))
       counters
   in
-  Ok { x; timings; counters; speedup; hists; gc }
+  Ok { x; timings; counters; hists }
 
 let experiment_of_json e =
   let* id = field e "id" "string" Json.to_str_opt in

@@ -3,8 +3,7 @@
     One report = one bench invocation: tool identity, configuration, and
     a list of experiments, each a list of data points. A point carries
     the x-axis label, per-series wall-clock timings (seconds), per-series
-    counter snapshots, per-series speedups against the point's batch
-    baseline, and per-series latency/GC histograms. Two runs
+    counter snapshots, and per-series latency/GC histograms. Two runs
     are compared by joining on (experiment id, point x, series); see
     {!compare_reports}. *)
 
@@ -14,9 +13,7 @@ type point = {
   x : string;
   timings : (string * float) list;
   counters : (string * (string * int) list) list;
-  speedup : (string * float) list;
   hists : (string * (string * Histogram.t) list) list;
-  gc : (string * (string * float) list) list;
 }
 
 type experiment = {
@@ -42,9 +39,7 @@ val add_point :
   x:string ->
   ?timings:(string * float) list ->
   ?counters:(string * (string * int) list) list ->
-  ?speedup:(string * float) list ->
   ?histograms:(string * (string * Histogram.t) list) list ->
-  ?gc:(string * (string * float) list) list ->
   unit ->
   unit
 
@@ -53,10 +48,11 @@ val write : path:string -> t -> unit
 
 val of_json : Json.t -> (t, string) result
 (** The format's one reader: checks the structure (schema
-    {!schema_version} only; every timing, speedup and gc stat a number,
-    every counter a non-negative int, every histogram valid for
-    {!Histogram.of_json}) while it decodes, and returns the first
-    violation found. [of_json (to_json r)] gives back [r]'s points. *)
+    {!schema_version} only; every timing a number, every counter a
+    non-negative int, every histogram valid for {!Histogram.of_json})
+    while it decodes, and returns the first violation found. Members it
+    does not look up, such as the two derived sections older reports
+    carry, are ignored. [of_json (to_json r)] gives back [r]'s points. *)
 
 type key = string * string * string
 (** Experiment id, point x, series. *)

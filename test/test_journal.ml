@@ -257,9 +257,10 @@ let test_digest_separates () =
   check Alcotest.string "interning order" d
     (J.graph_digest (build ~intern_first:[ "l1"; "l9"; "l0" ] labels edges))
 
-(* The written-ahead [post] of [graph_digests g ops] against the
-   definition it replaces: copy the graph, apply the ops, digest the copy
-   from scratch. Batches are built from
+(* The written-ahead [post] of [graph_digests g ops], given the ops
+   [effective_ops] keeps for [g], against the definition it replaces:
+   copy the graph, apply the raw ops, digest the copy from scratch.
+   Batches are built from
    chunks so that one edge often carries two opposite ops in a row
    (insert then delete of an absent edge, delete then insert of a
    present one); the small id range yields self-loops, repeated edges and
@@ -318,7 +319,9 @@ let qcheck_digest_after =
     (fun c ->
       let g = build_case c in
       let before = J.graph_digest g in
-      let pre, got = J.graph_digests g c.ops in
+      let pre, got =
+        J.graph_digests g (J.effective_ops g (J.updates_of_ops c.ops))
+      in
       let copy = D.copy g in
       D.apply_batch copy (J.updates_of_ops c.ops);
       String.equal got (J.graph_digest copy)
@@ -364,7 +367,9 @@ let qcheck_effective_ops =
 
 let test_digest_after_cases () =
   let g = mk_graph () in
-  let after g ops = snd (J.graph_digests g ops) in
+  let after g ops =
+    snd (J.graph_digests g (J.effective_ops g (J.updates_of_ops ops)))
+  in
   let same ops =
     let copy = D.copy g in
     D.apply_batch copy (J.updates_of_ops ops);
@@ -384,12 +389,15 @@ let test_digest_after_cases () =
     ];
   check Alcotest.string "insert+delete is a no-op" (J.graph_digest g)
     (after g [ R.Upsert_edge (1, 3); R.Tombstone_edge (1, 3) ]);
-  (match after g [ R.Upsert_node (6, "y") ] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "node upsert accepted");
-  (match after g [ R.Tombstone_node 0 ] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "node tombstone accepted");
+  List.iter
+    (fun (what, ops) ->
+      match J.graph_digests g ops with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%s accepted" what)
+    [
+      ("node upsert", [ R.Upsert_node (6, "y") ]);
+      ("node tombstone", [ R.Tombstone_edge (0, 1); R.Tombstone_node 0 ]);
+    ];
   let d = J.graph_digest g in
   (match
      after g [ R.Tombstone_edge (0, 1); R.Upsert_edge (0, 99) ]
@@ -538,6 +546,24 @@ let test_corrupt_every_byte () =
           (List.length s.J.batches);
         check Alcotest.bool "tail reported torn" true (s.J.tail <> J.Clean)
   done
+
+(* [chop] cuts bytes off the end; a negative count is refused and leaves
+   every byte in place. *)
+let test_chop () =
+  let dir = fresh_dir () in
+  let path = mk_journal_with_batches dir in
+  let src = read_file path in
+  (match J.chop ~path (-5) with
+  | Ok () -> Alcotest.fail "negative chop accepted"
+  | Error _ -> ());
+  check Alcotest.string "negative chop leaves the file alone" src
+    (read_file path);
+  (match J.chop ~path 3 with
+  | Error e -> Alcotest.failf "chop 3: %s" e
+  | Ok () -> ());
+  check Alcotest.string "chop 3 drops the last three bytes"
+    (String.sub src 0 (String.length src - 3))
+    (read_file path)
 
 (* ---- snapshots ----------------------------------------------------------- *)
 
@@ -803,6 +829,7 @@ let () =
             test_truncate_every_boundary;
           Alcotest.test_case "corrupt every byte" `Quick
             test_corrupt_every_byte;
+          Alcotest.test_case "chop" `Quick test_chop;
         ] );
       ( "snapshots",
         [

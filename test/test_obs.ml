@@ -636,10 +636,12 @@ let escape_roundtrip_prop =
 
 module R = Ig_obs.Report
 
-(* A point with no registry (a batch baseline) still carries empty
-   histogram and gc sections, so the written report decodes; decoding
-   gives back every point's x, timings, counters, speedups, histograms
-   and gc, through the printer and the parser. *)
+(* A point with no registry (a batch baseline) still carries an empty
+   histogram section, so the written report decodes; decoding gives back
+   every point's x, timings, counters and histograms, through the printer
+   and the parser. No point carries the retired "speedup_vs_batch" or
+   "gc" sections, yet the committed seed report, which has both, still
+   decodes. *)
 let test_report_writer_validates () =
   let module H = Ig_obs.Histogram in
   let r = R.create ~tool:"test" ~config:[ ("scale", J.Float 0.02) ] () in
@@ -650,10 +652,8 @@ let test_report_writer_validates () =
   R.add_point e ~x:"2"
     ~timings:[ ("inc", 0.1); ("batch", 0.25) ]
     ~counters:[ ("inc", [ ("aff", 3); ("edges_relaxed", 17) ]) ]
-    ~speedup:[ ("inc", 2.5) ]
     ~histograms:
       [ ("inc", [ ("apply_latency_s", h); ("gc_minor_words", H.create ()) ]) ]
-    ~gc:[ ("inc", [ ("minor_words", 12.) ]) ]
     ();
   ignore (R.experiment r ~id:"empty" ~title:"no points");
   let text = J.to_string ~indent:true (R.to_json r) in
@@ -666,17 +666,44 @@ let test_report_writer_validates () =
         (r'.R.experiments = r.R.experiments);
       check Alcotest.bool "tool, created and config come back" true
         ((r'.R.tool, r'.R.created, r'.R.config)
-        = (r.R.tool, r.R.created, r.R.config))
+        = (r.R.tool, r.R.created, r.R.config));
+      let points json =
+        Option.to_list (J.member "experiments" json)
+        |> List.concat_map (fun es -> Option.value ~default:[] (J.to_list_opt es))
+        |> List.concat_map (fun e ->
+               Option.value ~default:[]
+                 (Option.bind (J.member "points" e) J.to_list_opt))
+      in
+      let has k p = J.member k p <> None in
+      let written = points (R.to_json r) in
+      check Alcotest.int "both points written" 2 (List.length written);
+      List.iter
+        (fun k ->
+          check Alcotest.bool (k ^ " not written") false
+            (List.exists (has k) written))
+        [ "speedup_vs_batch"; "gc" ];
+      let seed =
+        In_channel.with_open_bin "bench_report_seed.json" In_channel.input_all
+      in
+      (match J.parse seed with
+      | Error e -> Alcotest.fail ("seed report unparsable: " ^ e)
+      | Ok json ->
+          check Alcotest.bool "seed report carries the retired sections" true
+            (List.exists
+               (fun p -> has "speedup_vs_batch" p && has "gc" p)
+               (points json));
+          match R.of_json json with
+          | Ok _ -> ()
+          | Error e -> Alcotest.fail ("seed report rejected: " ^ e))
 
-(* A v1 report, and a v2 point without the histogram/gc sections, are
-   both rejected. *)
+(* A v1 report, and a v2 point without the histogram section, are both
+   rejected. *)
 let test_report_v1_rejected () =
   let point =
     [
       ("x", J.Str "1");
       ("timings", J.Obj [ ("batch", J.Float 0.5) ]);
       ("counters", J.Obj []);
-      ("speedup_vs_batch", J.Obj []);
     ]
   in
   let report v point =
@@ -698,7 +725,7 @@ let test_report_v1_rejected () =
             ] );
       ]
   in
-  let full = point @ [ ("histograms", J.Obj []); ("gc", J.Obj []) ] in
+  let full = point @ [ ("histograms", J.Obj []) ] in
   (match R.of_json (report 2 full) with
   | Ok _ -> ()
   | Error e -> Alcotest.fail ("v2 report rejected: " ^ e));
@@ -710,7 +737,7 @@ let test_report_v1_rejected () =
     [
       ("a v1 report", report 1 point);
       ("a v1 report with v2 sections", report 1 full);
-      ("a v2 point without histograms/gc", report 2 point);
+      ("a v2 point without histograms", report 2 point);
     ]
 
 let () =
