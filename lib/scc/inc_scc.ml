@@ -43,6 +43,11 @@ type t = {
   rank : Rank.t;
   dirty : (comp, unit) Hashtbl.t;
   mutable next_comp : comp;
+  (* Per node: the sides of [detour]'s search, generation-stamped so that a
+     search starts empty by bumping [gen]: [mark.(x) = gen] on the forward
+     side, [gen + 1] on the backward one, anything else on neither. *)
+  mark : int array;
+  mutable gen : int;
   (* ΔO, keyed by shape: (id, size). A merge keeps the id of one part and
      only grows it, so the shape a batch starts from and the one it ends
      with are distinct keys, and each carries its (immutable) members. *)
@@ -390,9 +395,10 @@ let still_connected t c u v =
 let detour t c budget u v =
   u = v
   ||
-  let fwd = Hashtbl.create 16 and bwd = Hashtbl.create 16 in
-  Hashtbl.replace fwd u ();
-  Hashtbl.replace bwd v ();
+  let fwd = t.gen + 2 and bwd = t.gen + 3 in
+  t.gen <- bwd;
+  t.mark.(u) <- fwd;
+  t.mark.(v) <- bwd;
   let visited = ref 0 and relaxed = ref 0 in
   let expand iter own other frontier =
     List.fold_left
@@ -405,9 +411,9 @@ let detour t c budget u v =
           iter
             (fun w ->
               incr relaxed;
-              if comp_of t w = c && not (Hashtbl.mem own w) then begin
-                if Hashtbl.mem other w then raise_notrace Exit;
-                Hashtbl.replace own w ();
+              if comp_of t w = c && t.mark.(w) <> own then begin
+                if t.mark.(w) = other then raise_notrace Exit;
+                t.mark.(w) <- own;
                 next := w :: !next
               end)
             t.g x;
@@ -544,6 +550,8 @@ let init ?(dyn = false) ?(obs = Obs.noop) g =
       rank = Rank.create ();
       dirty = Hashtbl.create 16;
       next_comp = 0;
+      mark = Array.make n 0;
+      gen = 0;
       delta = Delta_set.create ();
     }
   in
