@@ -66,6 +66,10 @@ let pos_int =
   checked_conv "positive integer" (fun n -> n > 0) int_of_string_opt
     Format.pp_print_int
 
+let nonneg_int =
+  checked_conv "non-negative integer" (fun n -> n >= 0) int_of_string_opt
+    Format.pp_print_int
+
 let nonneg_float =
   checked_conv "non-negative number" (fun x -> x >= 0.) float_of_string_opt
     Format.pp_print_float
@@ -779,7 +783,7 @@ let fuzz_cmd =
   let edges =
     Arg.(
       value
-      & opt int C.Scenarios.default_size.C.Scenarios.edges
+      & opt nonneg_int C.Scenarios.default_size.C.Scenarios.edges
       & info [ "edges" ] ~doc:"Base graph edge count." ~docv:"N")
   in
   let labels =
