@@ -33,6 +33,10 @@ type rule =
   | Scc_local_tarjan
       (* IncSCC−: member of a component re-certified by a local Tarjan
          run (possible split). *)
+  | Scc_peel
+      (* IncSCC−: member of a component that a certain split left with no
+         edge out to, or none in from, the rest of it; peeled into a
+         singleton component. *)
   | Scc_rank_swap
       (* IncSCC+ (Fig. 7 lines 4-9): component inside the affected rank
          region of an order-violating insertion. *)
@@ -54,6 +58,7 @@ let rule_name = function
   | Rpq_support_lost -> "Rpq_support_lost"
   | Rpq_dist_decrease -> "Rpq_dist_decrease"
   | Scc_local_tarjan -> "Scc_local_tarjan"
+  | Scc_peel -> "Scc_peel"
   | Scc_rank_swap -> "Scc_rank_swap"
   | Sim_support_zero -> "Sim_support_zero"
   | Sim_revalidated -> "Sim_revalidated"
@@ -67,6 +72,7 @@ let all_rules =
     Rpq_support_lost;
     Rpq_dist_decrease;
     Scc_local_tarjan;
+    Scc_peel;
     Scc_rank_swap;
     Sim_support_zero;
     Sim_revalidated;

@@ -34,6 +34,10 @@ type rule =
   | Scc_local_tarjan
       (** IncSCC−: member of a component re-certified by a local Tarjan
           run (possible split). *)
+  | Scc_peel
+      (** IncSCC−: member of a component that a certain split left with
+          no edge out to, or none in from, the rest of it; peeled into a
+          singleton component. *)
   | Scc_rank_swap
       (** IncSCC+ (Fig. 7 lines 4-9): component inside the affected rank
           region of an order-violating insertion. *)

@@ -432,21 +432,152 @@ let detour t c budget u v =
   Obs.add t.obs Obs.K.edges_relaxed !relaxed;
   r
 
-(* [c], strongly connected at batch start, still is after its deletions
-   [dels] if every (u, v) of them has a detour u ⇝ v inside [c] in the
-   current graph: each deleted edge on an old path between two members
-   can be replaced by its detour. A deletion that leaves [u] with no edge
-   into [c], or [v] with none from it, is a certain split, found from the
-   degrees before any search runs. The searches share a budget of |c|
-   expanded nodes, so re-proving costs at most about what the local
-   Tarjan run it tries to avoid does. *)
-let reproved t c dels =
-  let into_c u = Digraph.out_degree t.g u > Vec.get t.ext_out u
-  and from_c v = Digraph.in_degree t.g v > Vec.get t.ext_in v in
-  List.for_all (fun (u, v) -> u = v || (into_c u && from_c v)) dels
+(* [x]'s edges out to (in from) the rest of its component: a self-loop
+   does not count, as it puts [x] on no cycle through another member. *)
+let inner t deg ext x =
+  let d = deg t.g x - Vec.get ext x in
+  if d > 0 && Digraph.mem_edge t.g x x then d - 1 else d
+
+let inner_out t x = inner t Digraph.out_degree t.ext_out x
+let inner_in t x = inner t Digraph.in_degree t.ext_in x
+
+(* A deletion that leaves [u] with no edge into its component, or [v] with
+   none from it, is a certain split, read off the degrees; these are the
+   nodes it strands, in deletion order. *)
+let stranded t dels =
+  List.concat_map
+    (fun (u, v) ->
+      if u = v then []
+      else
+        (if inner_out t u = 0 then [ u ] else [])
+        @ if inner_in t v = 0 then [ v ] else [])
+    dels
+
+(* Trim [c] from [seeds]: a member that is a sink or a source of what is
+   left of [c] is on no cycle through the rest, so it becomes a singleton
+   component, and the neighbors it leaves behind are checked in turn, as
+   they may have lost their last edge into (out of) what is left. Its
+   edges to the rest of [c] start crossing components as it leaves; only
+   a sink's predecessors and a source's successors can still be in [c],
+   so only those edges are read. Returns the singletons, sinks and sources
+   each latest first, and the far ends of the edges read: the members of
+   [c] with an edge into a peeled sink, and those with one from a peeled
+   source. *)
+let peel t c seeds =
+  let queue = Queue.create () in
+  List.iter (fun x -> Queue.add x queue) seeds;
+  let sinks = ref [] and sources = ref [] in
+  let tails = ref [] and heads = ref [] in
+  let read = ref 0 and relaxed = ref 0 in
+  while not (Queue.is_empty queue) do
+    let x = Queue.pop queue in
+    if comp_of t x = c then begin
+      incr read;
+      let out_c = inner_out t x and in_c = inner_in t x in
+      if out_c = 0 || in_c = 0 then begin
+        let p = alloc_comp t [ x ] in
+        (* The certificate a one-node Tarjan run gives. *)
+        let cx = cert t x in
+        cx.num <- 0;
+        cx.lowlink <- 0;
+        cx.parent <- -1;
+        cx.witness <- Tarjan.Wself;
+        Obs.aff_enter t.obs ~node:x ~rule:Tracer.Scc_peel;
+        (* The scan stops at the [k]th edge to the rest of [c]. *)
+        let leave iter k far bump =
+          if k > 0 then begin
+            let left = ref k in
+            try
+              iter
+                (fun y ->
+                  incr relaxed;
+                  if comp_of t y = c then begin
+                    bump y;
+                    far := y :: !far;
+                    Queue.add y queue;
+                    decr left;
+                    if !left = 0 then raise_notrace Exit
+                  end)
+                t.g x
+            with Exit -> ()
+          end
+        in
+        if out_c = 0 then begin
+          sinks := p :: !sinks;
+          leave Digraph.iter_pred in_c tails (fun y -> bump_ext t y x 1)
+        end
+        else begin
+          sources := p :: !sources;
+          leave Digraph.iter_succ out_c heads (fun w -> bump_ext t x w 1)
+        end
+      end
+    end
+  done;
+  Obs.add t.obs Obs.K.nodes_visited !read;
+  Obs.add t.obs Obs.K.edges_relaxed !relaxed;
+  (!sinks, !sources, !tails, !heads)
+
+(* [c'] is what peeling left of a component C that was strongly connected
+   at batch start, and [dels] are C's deletions. Every old path between
+   two members of [c'] (over the current graph's edges and [dels]) is
+   made of current edges inside [c'], deleted edges (u, v) inside [c'],
+   and runs through the peeled nodes, each entering from some a (a
+   [tails] member, or the tail of a deletion into them) and leaving to
+   some b (likewise from [heads]). So [c'] is still strongly connected if
+   every such u reaches its v inside [c'], every a reaches one b0, and b0
+   reaches every b. C's certificate proves nothing about [c'], so every
+   deletion inside [c'] is checked. The searches share [budget] expanded
+   nodes. A search expands a node or more, and on dense components a few:
+   when the deletions inside [c'] outnumber a quarter of the budget, no
+   search runs, as it would likely spend the budget before local Tarjan
+   runs anyway (8(g)'s batches delete hundreds of edges inside a
+   2,000-node component). *)
+let rest_reproved t c' budget dels ~tails ~heads =
+  let inside v = comp_of t v = c' in
+  let inner = List.filter (fun (u, v) -> inside u && inside v) dels in
+  let ends far l =
+    List.sort_uniq Int.compare
+      (List.filter inside (List.filter_map far dels @ l))
+  in
+  let tails = ends (fun (u, v) -> if inside v then None else Some u) tails
+  and heads = ends (fun (u, v) -> if inside u then None else Some v) heads in
+  4 * List.length inner <= !budget
+  && List.for_all (fun (u, v) -> detour t c' budget u v) inner
   &&
+  match heads with
+  | [] -> true
+  | b0 :: _ ->
+      List.for_all (fun a -> detour t c' budget a b0) tails
+      && List.for_all (fun b -> detour t c' budget b0 b) heads
+
+(* A certain split of [c]: peel what it strands, and re-prove the rest
+   [c'] by search within |c|'s budget; when that fails, local Tarjan runs
+   on [c'] only. Ranks, in one split of [c]'s slot: the sinks below [c']
+   in peel order, the sources above it in reverse peel order. *)
+let split_off t c dels seeds =
   let budget = ref (size_of t c) in
-  List.for_all (fun (u, v) -> detour t c budget u v) dels
+  let sinks, sources, tails, heads = peel t c seeds in
+  let n_peeled = List.length sinks + List.length sources in
+  Obs.add t.obs Obs.K.cert_rewrites n_peeled;
+  if Obs.tracing t.obs then
+    Obs.cert_rewrite t.obs ~node:c ~field:"certificate"
+      ~before:(Printf.sprintf "comp=%d size=%d" c (size_of t c))
+      ~after:(Printf.sprintf "peeled=%d" n_peeled);
+  let rest =
+    List.filter (fun v -> comp_of t v = c) (members_to_list (members_of t c))
+  in
+  let rest_comp = if rest = [] then [] else [ alloc_comp t rest ] in
+  let parts = List.rev_append sinks (rest_comp @ sources) in
+  List.iter (gain_comp t) parts;
+  Rank.split t.rank c ~parts;
+  Obs.add t.obs Obs.K.rank_moves (List.length parts);
+  retire_comp t c;
+  List.iter
+    (fun c' ->
+      if rest_reproved t c' budget dels ~tails ~heads then
+        Hashtbl.replace t.dirty c' ()
+      else recert_or_split t c')
+    rest_comp
 
 (* ---- Batch updates (IncSCC) ------------------------------------------ *)
 
@@ -454,8 +585,8 @@ let reproved t c dels =
    the phases below only read G. Each effective update is classified against the
    components at batch start, and an inter-component one moves its
    endpoints' external degrees at once, so the degree pre-check of
-   [reproved] and the upkeep of merges and splits read counts that match
-   G. An intra-component insertion needs nothing else: the recorded
+   [stranded] and the upkeep of merges, splits and peels read counts that
+   match G. An intra-component insertion needs nothing else: the recorded
    certificate is a Tarjan run over the edges present when it was
    computed, and that edge subset still proves the component strongly
    connected. Later deletions of *other* edges keep it valid, and deleting
@@ -463,9 +594,10 @@ let reproved t c dels =
    it). *)
 let process t ~dels ~inss =
   (* (a) Intra-component phase: group the deletions by component, then
-     run local Tarjan at most once per affected component. Its searches
-     read only the component's members, so the inter-component edges
-     already in G never reach them. Each class is processed newest first. *)
+     run local Tarjan at most once per affected component (on what a peel
+     leaves of it, after a certain split). Its searches read only the
+     component's members, so the inter-component edges already in G never
+     reach them. Each class is processed newest first. *)
   let del_by_comp = Hashtbl.create 8 in
   List.iter
     (fun (u, v) ->
@@ -479,13 +611,18 @@ let process t ~dels ~inss =
   List.iter
     (fun (u, v) -> if comp_of t u <> comp_of t v then bump_ext t u v 1)
     inss;
-  (* [c] was strongly connected at batch start, so the reachability checks
-     may run on the post-batch graph (see [reproved]). A clean certificate
-     still proves the deletions it does not use, so only the others are
-     checked; a stale one proves nothing. When every check succeeds, [c]
-     keeps its members, ranks and ΔO, and its certificate, which no longer
-     reflects reality, is marked dirty. Sorted: recert order reaches the
-     trace via local Tarjan's aff_enter. *)
+  (* [c] was strongly connected at batch start, so it still is if every
+     deleted (u, v) has a detour u ⇝ v inside [c] in the current graph:
+     each deleted edge on an old path between two members can be replaced
+     by its detour. A clean certificate still proves the deletions it does
+     not use, so only the others are checked; a stale one proves nothing.
+     A checked deletion that strands a node (a certain split) has [c]
+     peeled instead. Otherwise the searches share a budget of |c| expanded
+     nodes, so re-proving costs at most about what the local Tarjan run it
+     tries to avoid does; when every search succeeds, [c] keeps its
+     members, ranks and ΔO, and its certificate, which no longer reflects
+     reality, is marked dirty. Sorted: recert order reaches the trace via
+     the peel's and local Tarjan's aff_enter. *)
   List.iter
     (fun (c, dels) ->
       if t.dyn then
@@ -497,12 +634,22 @@ let process t ~dels ~inss =
           if Hashtbl.mem t.dirty c then dels
           else List.filter (fun (u, v) -> not (cert_survives_delete t u v)) dels
         in
-        if unproved = [] || reproved t c unproved then begin
+        let count_fast () =
           let fast = List.length dels - List.length unproved in
-          if fast > 0 then Obs.add t.obs Obs.K.fast_deletes fast;
-          if unproved <> [] then Hashtbl.replace t.dirty c ()
-        end
-        else recert_or_split t c)
+          if fast > 0 then Obs.add t.obs Obs.K.fast_deletes fast
+        in
+        if unproved = [] then count_fast ()
+        else
+          match stranded t unproved with
+          | _ :: _ as seeds -> split_off t c dels seeds
+          | [] ->
+              let budget = ref (size_of t c) in
+              if List.for_all (fun (u, v) -> detour t c budget u v) unproved
+              then begin
+                count_fast ();
+                Hashtbl.replace t.dirty c ()
+              end
+              else recert_or_split t c)
     (Obs.sorted_bindings ~compare:Int.compare del_by_comp);
   (* (b) Inter-component phase: each insertion that violates the ranks at
      its turn restores them (the closures skip those still waiting). Equal

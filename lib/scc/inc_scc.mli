@@ -22,14 +22,23 @@
       is neither a DFS tree arc nor any node's lowlink witness — an O(1)
       fast path. Otherwise the paper's reachability check re-proves the
       component: a bidirectional search u ⇝ v inside it for the deleted
-      (u, v). A deletion that leaves [u] with no edge into the component,
-      or [v] with none from it, is a certain split and skips the search.
-      The searches for one component in one batch share a budget of |C|
-      expanded nodes. When every search finds its path, the component
-      keeps its members, ranks and ΔO; when one fails, or the budget runs
-      out, Tarjan runs locally on the component's induced subgraph,
-      splitting it when strong connectivity broke and threading fresh
-      ranks into the retired component's slot.
+      (u, v). The searches for one component in one batch share a budget
+      of |C| expanded nodes. When every search finds its path, the
+      component keeps its members, ranks and ΔO; when one fails, or the
+      budget runs out, Tarjan runs locally on the component's induced
+      subgraph, splitting it when strong connectivity broke and threading
+      fresh ranks into the retired component's slot.
+    - {b Certain splits} ([IncSCC−], trimmed): a deletion that leaves [u]
+      with no edge into the rest of the component, or [v] with none from
+      it (a self-loop does not count), is a certain split, read off the
+      degrees. Such nodes are peeled into singleton components, and the
+      peel cascades to every member left with no edge into (or from) the
+      rest. The remainder C' is re-proved strongly connected by the same
+      searches within the same budget: each deletion inside C', and a
+      detour around the peeled nodes through one of the members they
+      lead back to. Local Tarjan runs on C' only when that fails, never
+      on the whole component. The sinks are ranked below C' and the
+      sources above it, in one split of the component's rank slot.
     - {b Batch} ([IncSCC]): G ⊕ ΔG is applied first, by one
       {!Ig_graph.Digraph.apply_net} call (so at most one compaction), and
       the repair only reads G. The inter-component updates move the
@@ -42,10 +51,11 @@
 
     Certificates are kept lazily. A component is {e dirty} when its
     recorded certificate no longer proves it strongly connected: after a
-    merge, and after deletions that searches re-proved. A dirty
-    component's certificate is never consulted: every deletion in it goes
-    to the reachability check, and it becomes clean again only when a
-    local Tarjan run re-certifies it. An intra-component insertion
+    merge, after deletions that searches re-proved, and when it is the
+    re-proved remainder of a peel. A dirty component's certificate is
+    never consulted: every deletion in it goes to the reachability check,
+    and it becomes clean again only when a local Tarjan run re-certifies
+    it. An intra-component insertion
     dirties nothing: the recorded certificate is a valid run over the
     edges present when it was computed, which already prove the component
     strongly connected, so both later deletion fast-path checks and the
@@ -83,27 +93,29 @@ val init :
     by the engine afterwards: apply updates only through it. [dyn]
     (default [false]) builds the DynSCC stand-in. [obs] (default
     {!Ig_obs.Obs.noop}) receives cost counters: [aff] (nodes re-certified
-    plus rank-region size — the measured |AFF|), [cert_rewrites] (nodes
-    whose [num]/[lowlink] certificate was recomputed), [nodes_visited]
-    (every member of each component an affected-region closure visits,
-    nodes visited by local Tarjan and nodes the reachability checks
-    expand), [edges_relaxed] (every G edge scanned: by the closures, by
-    local Tarjan, by the external-degree upkeep of merges and splits and
-    by the reachability checks), [queue_pushes] (closure pushes),
-    [rank_moves] (rank-region size of each violation, plus the parts
-    each split ranks afresh),
+    plus peeled nodes plus rank-region size — the measured |AFF|),
+    [cert_rewrites] (nodes whose [num]/[lowlink] certificate was
+    recomputed, peeled nodes included), [nodes_visited] (every member of
+    each component an affected-region closure visits, nodes visited by
+    local Tarjan, nodes whose degrees a peel reads and nodes the
+    reachability checks expand), [edges_relaxed] (every G edge scanned: by
+    the closures, by local Tarjan, by the external-degree upkeep of
+    merges, splits and peels and by the reachability checks),
+    [queue_pushes] (closure pushes), [rank_moves] (rank-region size of
+    each violation, plus the parts each split or peel ranks afresh),
     [violations] (rank violations resolved by affected-region search),
     [fast_deletes] (intra-component deletions resolved by the O(1)
-    witness check, in batches that run no local Tarjan on their
-    component), and [changed] = |ΔG| + |ΔO| ([changed_input],
+    witness check, in batches that neither peel their component nor run
+    local Tarjan on it), and [changed] = |ΔG| + |ΔO| ([changed_input],
     counted by the graph, plus [changed_output], counted by
     {!Ig_graph.Delta_set}). Each {!apply_batch} call also records one
     sample into the [apply_latency_s] histogram (monotonic seconds) and
     the [gc_minor_words]/[gc_major_words]/[gc_promoted_words] histograms
     (words allocated, per {!Ig_obs.Obs.with_apply}). A sink created with
     [~events] also records structured events: [Aff_enter] tagged
-    [Scc_local_tarjan] (node re-certified by a local Tarjan run; node ids)
-    or [Scc_rank_swap] (component inside the affected rank region;
+    [Scc_local_tarjan] (node re-certified by a local Tarjan run; node ids),
+    [Scc_peel] (node peeled off by a certain split; node ids) or
+    [Scc_rank_swap] (component inside the affected rank region;
     component ids), [Cert_rewrite] on the [certificate] and [rank] fields,
     and [Frontier_expand] per contracted-closure push (component ids). *)
 

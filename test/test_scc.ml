@@ -534,23 +534,111 @@ let test_stale_cert_protocol () =
   check_comps "split off" [ [ 0; 1; 2; 3 ] ] d.removed;
   check_comps "== Tarjan" (T.scc (I.graph t)) (I.components t);
   check_comps "parts" [ [ 0; 1; 3 ]; [ 2 ] ] (I.components t);
-  (* 3 nodes searched from 1 before the frontier ran dry, then local
-     Tarjan's 4. *)
-  check Alcotest.int "failed search, then local Tarjan" 7 visited;
+  (* 2's self-loop does not keep it in C, so the degree pre-check names
+     the split: the peel reads the degrees of 2 and of 3 (2's successor),
+     and the re-proof of {0, 1, 3} expands 1, which has an edge to 3. *)
+  check Alcotest.int "peel, then one search step" 3 visited;
   assert_sound "after split" t
 
-(* Deleting (k-1, 0) from a k-cycle leaves k-1 with no edge into C: a
-   certain split, found from degrees, so only local Tarjan visits nodes. *)
+(* Deleting (k-1, 0) from a k-cycle leaves k-1 with no edge into C and 0
+   with none from it: a certain split, found from degrees, so no search
+   and no local Tarjan runs. The peel cascades round the cycle from both
+   ends, reading each node's degrees once and each remaining edge once:
+   a peeled node's scan stops at its last edge to the rest of C. *)
 let test_certain_split_skips_search () =
   let k = 6 in
   let obs = Ig_obs.Obs.create () in
   let t = engine ~obs k (List.init k (fun i -> (i, (i + 1) mod k))) in
   let d = I.apply_batch t [ Digraph.Delete (k - 1, 0) ] in
   check Alcotest.int "k singletons" k (List.length d.added);
-  check Alcotest.int "local Tarjan only" k
+  check Alcotest.int "each node read once" k
     (counter obs Ig_obs.Obs.K.nodes_visited);
+  check Alcotest.int "edges read" (k - 1)
+    (counter obs Ig_obs.Obs.K.edges_relaxed);
   check Alcotest.int "aff" k (counter obs Ig_obs.Obs.K.aff);
   assert_sound "certain split" t
+
+(* ---- Peeling a certain split ------------------------------------------- *)
+
+(* The counters a batch moves, as (aff, nodes_visited), and its ΔO. *)
+let peel_cost obs t ups =
+  let aff = counter obs Ig_obs.Obs.K.aff
+  and visited = counter obs Ig_obs.Obs.K.nodes_visited in
+  let d = I.apply_batch t ups in
+  assert_sound "after the batch" t;
+  ( d,
+    counter obs Ig_obs.Obs.K.aff - aff,
+    counter obs Ig_obs.Obs.K.nodes_visited - visited )
+
+(* A k-ring with chords i -> i+2 (1 <= i <= k-3) and (k-1, 1): deleting
+   (k-1, 0) strands 0, a source of C. Only 0 enters AFF; the peel reads
+   the degrees of 0 and of 1, and the re-proof of the rest expands k-1,
+   whose edge to 1 is the one detour it needs. *)
+let test_peel_one_node () =
+  let k = 20 in
+  let obs = Ig_obs.Obs.create () in
+  let ring = List.init k (fun i -> (i, (i + 1) mod k)) in
+  let chords = (k - 1, 1) :: List.init (k - 3) (fun i -> (i + 1, i + 3)) in
+  let t = engine ~obs k (ring @ chords) in
+  let d, aff, visited = peel_cost obs t [ Digraph.Delete (k - 1, 0) ] in
+  check Alcotest.int "one component removed" 1 (List.length d.removed);
+  check_comps "two parts" [ [ 0 ]; List.init (k - 1) succ ] d.added;
+  check Alcotest.int "aff: the stranded node" 1 aff;
+  check Alcotest.int "nodes_visited: 2 reads and 1 expansion" 3 visited;
+  check Alcotest.bool "nodes_visited < |C|" true (visited < k)
+
+(* Cycle 0 -> 1 -> 2 -> 3 -> 0 with a chain 3 -> 4 -> 5 -> 6 -> 0 hanging
+   off it: deleting (6, 0) strands 6, and the peel cascades up the chain
+   to 5 and 4, stopping at 3, which keeps its edge to 0. The re-proof
+   expands 3, whose edge to 0 bypasses the chain. *)
+let test_peel_cascade () =
+  let obs = Ig_obs.Obs.create () in
+  let t =
+    engine ~obs 7
+      [ (0, 1); (1, 2); (2, 3); (3, 0); (3, 4); (4, 5); (5, 6); (6, 0) ]
+  in
+  let d, aff, visited = peel_cost obs t [ Digraph.Delete (6, 0) ] in
+  check_comps "parts" [ [ 0; 1; 2; 3 ]; [ 4 ]; [ 5 ]; [ 6 ] ] d.added;
+  check Alcotest.int "aff: the chain" 3 aff;
+  check Alcotest.int "nodes_visited: 4 reads and 1 expansion" 5 visited
+
+(* Triangle 0 -> 1 -> 2 -> 0 with a chord 0 -> 2 and a self-loop on 1:
+   after deleting (1, 2), 1's only edge out to C is the self-loop, which
+   keeps it on no cycle, so it is peeled without a search of C. *)
+let test_peel_self_loop () =
+  let obs = Ig_obs.Obs.create () in
+  let t = engine ~obs 3 [ (0, 1); (1, 2); (2, 0); (0, 2); (1, 1) ] in
+  let d, aff, _ = peel_cost obs t [ Digraph.Delete (1, 2) ] in
+  check_comps "parts" [ [ 0; 2 ]; [ 1 ] ] d.added;
+  check Alcotest.int "aff: the self-looped node" 1 aff
+
+(* Cycles X = {0, 1, 2} and Y = {3, 4, 5}, with 2 -> 6 -> 3 and 5 -> 0:
+   deleting (6, 3) strands 6, and what is left is not strongly connected
+   (X no longer reaches Y). The re-proof fails and local Tarjan runs on
+   those six nodes only: aff = |P| + |C'| = 1 + 6, not |C| + ... *)
+let test_peel_rest_splits () =
+  let obs = Ig_obs.Obs.create () in
+  let t =
+    engine ~obs 7
+      [ (0, 1); (1, 2); (2, 0); (3, 4); (4, 5); (5, 3); (2, 6); (6, 3); (5, 0) ]
+  in
+  let d, aff, _ = peel_cost obs t [ Digraph.Delete (6, 3) ] in
+  check_comps "parts" [ [ 0; 1; 2 ]; [ 3; 4; 5 ]; [ 6 ] ] d.added;
+  check Alcotest.int "aff = |P| + |C'|" 7 aff
+
+(* Core cycle 1 -> 2 -> 3 -> 1, a source 0 (0 -> 1, 3 -> 0) and a sink 4
+   (2 -> 4, 4 -> 1): one batch deletes (3, 0) and (4, 1), so 0 is peeled
+   as a source (ranked above the core) and 4 as a sink (below it). *)
+let test_peel_source_and_sink () =
+  let obs = Ig_obs.Obs.create () in
+  let t =
+    engine ~obs 5 [ (1, 2); (2, 3); (3, 1); (0, 1); (3, 0); (2, 4); (4, 1) ]
+  in
+  let d, aff, _ =
+    peel_cost obs t [ Digraph.Delete (3, 0); Digraph.Delete (4, 1) ]
+  in
+  check_comps "parts" [ [ 0 ]; [ 1; 2; 3 ]; [ 4 ] ] d.added;
+  check Alcotest.int "aff: one source and one sink" 2 aff
 
 (* Bidirectional ring on k nodes; init's DFS (root k-1, successors in
    descending order) makes every (i+1, i) a tree arc. Deleting three of
@@ -794,6 +882,17 @@ let () =
             test_search_budget_falls_back;
           Alcotest.test_case "planted chorded SCCs" `Quick
             test_planted_chorded_sccs;
+        ] );
+      ( "peel",
+        [
+          Alcotest.test_case "one stranded node" `Quick test_peel_one_node;
+          Alcotest.test_case "cascade up a chain" `Quick test_peel_cascade;
+          Alcotest.test_case "self-loop keeps no node in C" `Quick
+            test_peel_self_loop;
+          Alcotest.test_case "rest not strongly connected" `Quick
+            test_peel_rest_splits;
+          Alcotest.test_case "source and sink in one batch" `Quick
+            test_peel_source_and_sink;
         ] );
       ( "inc properties",
         qsuite
