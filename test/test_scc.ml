@@ -560,7 +560,8 @@ let test_certain_split_skips_search () =
 
 (* ---- Peeling a certain split ------------------------------------------- *)
 
-(* The counters a batch moves, as (aff, nodes_visited), and its ΔO. *)
+(* A batch's ΔO and the aff and nodes_visited it adds; the engine must be
+   sound after it. *)
 let peel_cost obs t ups =
   let aff = counter obs Ig_obs.Obs.K.aff
   and visited = counter obs Ig_obs.Obs.K.nodes_visited in
@@ -615,16 +616,30 @@ let test_peel_self_loop () =
 (* Cycles X = {0, 1, 2} and Y = {3, 4, 5}, with 2 -> 6 -> 3 and 5 -> 0:
    deleting (6, 3) strands 6, and what is left is not strongly connected
    (X no longer reaches Y). The re-proof fails and local Tarjan runs on
-   those six nodes only: aff = |P| + |C'| = 1 + 6, not |C| + ... *)
+   those six nodes only: aff = |P| + |C'| = 1 + 6. *)
 let test_peel_rest_splits () =
-  let obs = Ig_obs.Obs.create () in
+  let module Tr = Ig_obs.Tracer in
+  let obs = Ig_obs.Obs.create ~events:Ig_obs.Obs.default_events () in
   let t =
     engine ~obs 7
       [ (0, 1); (1, 2); (2, 0); (3, 4); (4, 5); (5, 3); (2, 6); (6, 3); (5, 0) ]
   in
+  Ig_obs.Obs.clear_events obs;
   let d, aff, _ = peel_cost obs t [ Digraph.Delete (6, 3) ] in
   check_comps "parts" [ [ 0; 1; 2 ]; [ 3; 4; 5 ]; [ 6 ] ] d.added;
-  check Alcotest.int "aff = |P| + |C'|" 7 aff
+  check Alcotest.int "aff = |P| + |C'|" 7 aff;
+  let entered rule =
+    List.sort compare
+      (List.filter_map
+         (fun (e : Tr.entry) ->
+           match e.Tr.event with
+           | Tr.Aff_enter { node; rule = r } when r = rule -> Some node
+           | _ -> None)
+         (Ig_obs.Obs.events obs).Tr.entries)
+  in
+  check Alcotest.(list int) "peeled" [ 6 ] (entered Tr.Scc_peel);
+  check Alcotest.(list int) "local Tarjan on C' only" [ 0; 1; 2; 3; 4; 5 ]
+    (entered Tr.Scc_local_tarjan)
 
 (* Core cycle 1 -> 2 -> 3 -> 1, a source 0 (0 -> 1, 3 -> 0) and a sink 4
    (2 -> 4, 4 -> 1): one batch deletes (3, 0) and (4, 1), so 0 is peeled
